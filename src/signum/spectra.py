@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
@@ -72,6 +72,8 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 EPSILON_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 13))
+# Trials per census stack: bounds transient memory whatever the trial count.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -175,19 +177,156 @@ class WitnessPair:
         return self.profile_a.inertia, self.profile_b.inertia
 
 
+def _support(pattern: SignPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and signs of the nonzero entries, row-major."""
+    support = pattern.support()
+    rows = np.array([i for i, _ in support], dtype=np.intp)
+    cols = np.array([j for _, j in support], dtype=np.intp)
+    signs = np.array([pattern.rows[i][j] for i, j in support], dtype=float)
+    return rows, cols, signs
+
+
+def _fill(
+    pattern: SignPattern,
+    support: tuple[np.ndarray, np.ndarray, np.ndarray],
+    draws: Sequence[tuple[SampleConfig, int]],
+) -> np.ndarray:
+    """Realizations for (law, index) draws as one (len(draws), n, n) stack.
+
+    Draw r takes its magnitudes from ``default_rng((law.seed, index))`` in
+    row-major support order, so it equals the realization ``sample(pattern,
+    law, index)`` bit for bit whatever else shares its stack.  The powers
+    are taken with Python floats: numpy's vectorized ``power`` may differ
+    from the C library's ``pow`` in the last bit.
+    """
+    rows, cols, signs = support
+    mags = np.empty((len(draws), len(signs)))
+    for r, (law, index) in enumerate(draws):
+        lo = math.log10(law.lo)
+        span = math.log10(law.hi) - lo
+        u = np.random.default_rng((law.seed, index)).random(len(signs))
+        mags[r] = [10.0 ** (lo + span * x) for x in u.tolist()]
+    out = np.zeros((len(draws), pattern.n, pattern.n))
+    out[:, rows, cols] = signs * mags
+    return out
+
+
 def sample(pattern: SignPattern, cfg: SampleConfig, index: int = 0) -> np.ndarray:
     """One random realization; deterministic in (seed, index)."""
-    rng = np.random.default_rng((cfg.seed, index))
-    a = np.zeros((pattern.n, pattern.n))
-    span = math.log10(cfg.hi) - math.log10(cfg.lo)
-    for i, j in pattern.support():
-        mag = 10.0 ** (math.log10(cfg.lo) + span * rng.random())
-        a[i, j] = pattern.rows[i][j] * mag
-    return a
+    return _fill(pattern, _support(pattern), [(cfg, index)])[0]
 
 
-def default_tolerance(a: np.ndarray) -> float:
-    return 1e-8 * (1.0 + float(np.linalg.norm(a)))
+class _Classes(NamedTuple):
+    """Per-row classification of an eigenvalue stack; every field is (rows,)."""
+
+    i_plus: np.ndarray
+    i_minus: np.ndarray
+    i_zero: np.ndarray
+    i_z: np.ndarray
+    k_real: np.ndarray
+    borderline: np.ndarray
+    suspect: np.ndarray
+    suspect_inertia: np.ndarray
+
+    @property
+    def inertia(self) -> np.ndarray:
+        """(rows, 3) stack of (i_plus, i_minus, i_zero)."""
+        return np.stack([self.i_plus, self.i_minus, self.i_zero], axis=1)
+
+
+def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
+    """Classify each row of a (rows, n) eigenvalue stack.
+
+    Row r uses threshold tol[r]: real parts within it count as zero real
+    part, moduli within it as zero eigenvalues, imaginary parts within it as
+    real eigenvalues.  floor[r] is the roundoff scale of the row's matrix.
+    """
+    tol = np.asarray(tol, dtype=float)[:, None]
+    floor = np.asarray(floor, dtype=float)[:, None]
+    big = 10 * tol
+    re, im, mod = np.abs(eig.real), np.abs(eig.imag), np.abs(eig)
+    i_plus = np.sum(eig.real > tol, axis=1)
+    i_minus = np.sum(eig.real < -tol, axis=1)
+    borderline = (
+        np.any((re > tol) & (re <= big), axis=1)
+        | np.any((mod > tol) & (mod <= big), axis=1)
+        | np.any((im > tol) & (im <= big), axis=1)
+    )
+    # Values forced to zero by structure (even polynomials, skewness, rank
+    # deficits) land at roundoff scale; anything between that floor and ten
+    # thresholds could be a misclassified near-miss.  The real-part band
+    # alone undermines the inertia; the modulus and imaginary bands only
+    # undermine the refined split and the frequency.
+    suspect_inertia = np.any((re > floor) & (re <= big), axis=1)
+    suspect = (
+        suspect_inertia
+        | np.any((mod > floor) & (mod <= big), axis=1)
+        | np.any((im > floor) & (im <= big), axis=1)
+    )
+    return _Classes(
+        i_plus=i_plus,
+        i_minus=i_minus,
+        i_zero=eig.shape[1] - i_plus - i_minus,
+        i_z=np.sum(mod <= tol, axis=1),
+        k_real=np.sum(im <= tol, axis=1),
+        borderline=borderline,
+        suspect=suspect,
+        suspect_inertia=suspect_inertia,
+    )
+
+
+def _profile(eig: np.ndarray, tol: float, floor: float) -> SpectralProfile:
+    """The profile of one eigenvalue list, through the stack classifier."""
+    eig = eig[np.lexsort((eig.imag, eig.real))]
+    c = _classify(eig[None], [tol], [floor])
+    i_plus, i_minus, i_zero = int(c.i_plus[0]), int(c.i_minus[0]), int(c.i_zero[0])
+    i_z, k_real = int(c.i_z[0]), int(c.k_real[0])
+    return SpectralProfile(
+        inertia=(i_plus, i_minus, i_zero),
+        refined=(i_plus, i_minus, i_z, i_zero - i_z),
+        frequency=(k_real, len(eig) - k_real),
+        eigenvalues=tuple(complex(v) for v in eig),
+        tol=float(tol),
+        borderline=bool(c.borderline[0]),
+        suspect=bool(c.suspect[0]),
+        suspect_inertia=bool(c.suspect_inertia[0]),
+    )
+
+
+def _thresholds(norm: float | np.ndarray):
+    """Classification tolerance and roundoff floor for a matrix of this norm."""
+    return 1e-8 * (1.0 + norm), 1e-12 * (1.0 + norm)
+
+
+def _stack_thresholds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_thresholds`` of each matrix of a C-ordered stack.
+
+    ``sqrt(dot(v, v))`` per flattened matrix is exactly what
+    ``np.linalg.norm`` computes; a reduction over an axis sums in another
+    order and can differ in the last bit.
+    """
+    return _thresholds(np.sqrt([np.dot(v, v) for v in mats.reshape(len(mats), -1)]))
+
+
+def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of every matrix of a stack, and which solves succeeded.
+
+    One call covers the whole stack.  If it fails, each matrix is solved on
+    its own, so one bad matrix costs one failure, as a per-matrix loop
+    would count it; failed rows hold zeros.
+    """
+    try:
+        return np.linalg.eigvals(mats), np.ones(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    eig = np.zeros(mats.shape[:2], dtype=complex)
+    ok = np.ones(len(mats), dtype=bool)
+    for r, mat in enumerate(mats):
+        try:
+            eig[r] = np.linalg.eigvals(mat)
+        except np.linalg.LinAlgError:
+            ok[r] = False
+    return eig, ok
 
 
 def spectral_profile(a: np.ndarray, tol: float | None = None) -> SpectralProfile:
@@ -197,49 +336,16 @@ def spectral_profile(a: np.ndarray, tol: float | None = None) -> SpectralProfile
     zero eigenvalues, imaginary parts within tol as real eigenvalues.
     """
     a = np.asarray(a, dtype=float)
+    default_tol, floor = _thresholds(float(np.linalg.norm(a)))
     if tol is None:
-        tol = default_tolerance(a)
+        tol = default_tol
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     try:
         eig = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
-    order = np.lexsort((eig.imag, eig.real))
-    eig = eig[order]
-    re, im, mod = eig.real, eig.imag, np.abs(eig)
-    i_plus = int(np.sum(re > tol))
-    i_minus = int(np.sum(re < -tol))
-    i_zero = len(eig) - i_plus - i_minus
-    i_z = int(np.sum(mod <= tol))
-    two_ip = i_zero - i_z
-    k_real = int(np.sum(np.abs(im) <= tol))
-    borderline = bool(
-        np.any((np.abs(re) > tol) & (np.abs(re) <= 10 * tol))
-        or np.any((mod > tol) & (mod <= 10 * tol))
-        or np.any((np.abs(im) > tol) & (np.abs(im) <= 10 * tol))
-    )
-    # Values forced to zero by structure (even polynomials, skewness, rank
-    # deficits) land at roundoff scale; anything between that floor and ten
-    # thresholds could be a misclassified near-miss.  The real-part band
-    # alone undermines the inertia; the modulus and imaginary bands only
-    # undermine the refined split and the frequency.
-    floor = 1e-12 * (1.0 + float(np.linalg.norm(a)))
-    suspect_inertia = bool(np.any((np.abs(re) > floor) & (np.abs(re) <= 10 * tol)))
-    suspect = suspect_inertia or bool(
-        np.any((mod > floor) & (mod <= 10 * tol))
-        or np.any((np.abs(im) > floor) & (np.abs(im) <= 10 * tol))
-    )
-    return SpectralProfile(
-        inertia=(i_plus, i_minus, i_zero),
-        refined=(i_plus, i_minus, i_z, two_ip),
-        frequency=(k_real, len(eig) - k_real),
-        eigenvalues=tuple(complex(v) for v in eig),
-        tol=float(tol),
-        borderline=borderline,
-        suspect=suspect,
-        suspect_inertia=suspect_inertia,
-    )
+    return _profile(eig, tol, floor)
 
 
 NEAR_ONE_LO, NEAR_ONE_HI = 0.5, 2.0
@@ -272,38 +378,65 @@ def _generic_zero_count(pattern: SignPattern) -> int:
     return n - support
 
 
+def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
+    """Distinct rows of keys[mask] as (key, first row, count), in order of first row."""
+    rows = np.flatnonzero(mask)
+    if not len(rows):
+        return []
+    uniq, first, count = np.unique(
+        keys[rows], axis=0, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return [
+        (tuple(int(v) for v in uniq[o]), int(rows[first[o]]), int(count[o]))
+        for o in order
+    ]
+
+
 def census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True) -> Census:
     """Profile cfg.trials samples and bucket them by inertia.
 
     With ``two_laws`` every other trial draws magnitudes near 1 instead of
     from the wide law, which catches classes whose spectra degenerate only
-    at comparable scales.  Trials are independently seeded by index, so the
-    result does not depend on evaluation order.  A sample is recorded as
+    at comparable scales.  Trials are independently seeded by index and run
+    as stacks of ``_BLOCK`` (one fill, one eigensolve, one classification
+    each), so the result depends neither on evaluation order nor on where
+    the blocks split.  A sample is recorded as
     solid evidence only if its profile is not suspect and its claimed
     zero-eigenvalue count matches the generic multiplicity.
     """
-    narrow = replace(cfg, lo=max(cfg.lo, NEAR_ONE_LO), hi=min(cfg.hi, NEAR_ONE_HI))
-    if narrow.lo > narrow.hi:
-        narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
+    lo, hi = max(cfg.lo, NEAR_ONE_LO), min(cfg.hi, NEAR_ONE_HI)
+    if lo > hi:
+        lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
+    narrow = replace(cfg, lo=lo, hi=hi)
     generic_zeros = _generic_zero_count(pattern)
+    support = _support(pattern)
     counts: dict[tuple[int, int, int], int] = {}
     reps: dict[tuple[int, int, int], np.ndarray] = {}
     solid: dict[tuple[int, int, int], np.ndarray] = {}
     freqs: dict[tuple[int, int], int] = {}
     failures = 0
-    for t in range(cfg.trials):
-        law = narrow if (two_laws and t % 2) else cfg
-        mat = sample(pattern, law, index=t)
-        try:
-            prof = spectral_profile(mat)
-        except EigenFailure:
-            failures += 1
-            continue
-        counts[prof.inertia] = counts.get(prof.inertia, 0) + 1
-        freqs[prof.frequency] = freqs.get(prof.frequency, 0) + 1
-        reps.setdefault(prof.inertia, mat)
-        if not prof.suspect_inertia and prof.refined[2] == generic_zeros:
-            solid.setdefault(prof.inertia, mat)
+    for start in range(0, cfg.trials, _BLOCK):
+        draws = [
+            (narrow if (two_laws and t % 2) else cfg, t)
+            for t in range(start, min(start + _BLOCK, cfg.trials))
+        ]
+        mats = _fill(pattern, support, draws)
+        eig, ok = _stack_eigvals(mats)
+        failures += int(np.count_nonzero(~ok))
+        c = _classify(eig, *_stack_thresholds(mats))
+        inertia = c.inertia
+        frequency = np.stack([c.k_real, pattern.n - c.k_real], axis=1)
+        # Copies, not views: a view would keep its whole block alive.
+        for key, first, count in _tally(inertia, ok):
+            counts[key] = counts.get(key, 0) + count
+            reps.setdefault(key, mats[first].copy())
+        for key, _, count in _tally(frequency, ok):
+            freqs[key] = freqs.get(key, 0) + count
+        firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
+        for key, first, _ in _tally(inertia, firm):
+            solid.setdefault(key, mats[first].copy())
+        del mats  # free this block before the next one is filled
     return Census(cfg.trials, counts, reps, freqs, failures, solid)
 
 
@@ -387,16 +520,22 @@ def stabilize_epsilon(
                 raise DegenerateBase(
                     "emphasized parts have (nearly) repeated eigenvalues"
                 )
-    profiles = []
-    for eps in EPSILON_SCHEDULE:
-        mat = build_witness(pattern, replace(spec, epsilon=eps))
-        profiles.append((eps, mat, spectral_profile(mat)))
-    for t in range(len(profiles) - 2):
-        inertias = {profiles[t + d][2].inertia for d in range(3)}
-        if len(inertias) == 1:
-            eps, mat, prof = profiles[t]
-            return mat, eps, prof
-    raise NoStabilization("inertia never settled over the epsilon schedule")
+    # Every support position the parts leave empty gets +-epsilon; adding
+    # those to the base reproduces build_witness bit for bit.
+    rest = np.where(base == 0, pattern.to_array(), 0)
+    mats = base + np.array(EPSILON_SCHEDULE)[:, None, None] * rest
+    try:
+        eig = np.linalg.eigvals(mats)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    tol, floor = _stack_thresholds(mats)
+    inertia = _classify(eig, tol, floor).inertia
+    same = (inertia[1:] == inertia[:-1]).all(axis=1)
+    settled = np.flatnonzero(same[:-1] & same[1:])
+    if not len(settled):
+        raise NoStabilization("inertia never settled over the epsilon schedule")
+    t = int(settled[0])
+    return mats[t].copy(), EPSILON_SCHEDULE[t], _profile(eig[t], tol[t], floor[t])
 
 
 def _max_matching(edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -1,0 +1,232 @@
+"""The batched census against a per-trial oracle.
+
+``census`` draws, eigensolves and classifies its trials a block at a time.
+The oracle below is the per-trial loop it replaced, with its own scalar
+sampler and classifier, so the comparison does not lean on the code under
+test.  Agreement must be exact: counts, frequencies, failures and the raw
+bytes of every representative.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from signum import spectra
+from signum.cycles import directed_cycle_from_vertices
+from signum.errors import EigenFailure
+from signum.fixtures import FIXTURES
+from signum.graphs import build_digraph
+from signum.patterns import SignPattern
+from signum.spectra import (
+    EPSILON_SCHEDULE,
+    NEAR_ONE_HI,
+    NEAR_ONE_LO,
+    Census,
+    SampleConfig,
+    SpectralProfile,
+    build_witness,
+    census,
+    ladder_spec,
+    matching_parts,
+    sample,
+    spectral_profile,
+    stabilize_epsilon,
+)
+
+
+def scalar_sample(pattern: SignPattern, cfg: SampleConfig, index: int = 0) -> np.ndarray:
+    rng = np.random.default_rng((cfg.seed, index))
+    a = np.zeros((pattern.n, pattern.n))
+    span = math.log10(cfg.hi) - math.log10(cfg.lo)
+    for i, j in pattern.support():
+        mag = 10.0 ** (math.log10(cfg.lo) + span * rng.random())
+        a[i, j] = pattern.rows[i][j] * mag
+    return a
+
+
+def scalar_profile(a: np.ndarray) -> SpectralProfile:
+    a = np.asarray(a, dtype=float)
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(a)))
+    try:
+        eig = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+    eig = eig[np.lexsort((eig.imag, eig.real))]
+    re, im, mod = eig.real, eig.imag, np.abs(eig)
+    i_plus = int(np.sum(re > tol))
+    i_minus = int(np.sum(re < -tol))
+    i_zero = len(eig) - i_plus - i_minus
+    i_z = int(np.sum(mod <= tol))
+    k_real = int(np.sum(np.abs(im) <= tol))
+    borderline = bool(
+        np.any((np.abs(re) > tol) & (np.abs(re) <= 10 * tol))
+        or np.any((mod > tol) & (mod <= 10 * tol))
+        or np.any((np.abs(im) > tol) & (np.abs(im) <= 10 * tol))
+    )
+    floor = 1e-12 * (1.0 + float(np.linalg.norm(a)))
+    suspect_inertia = bool(np.any((np.abs(re) > floor) & (np.abs(re) <= 10 * tol)))
+    suspect = suspect_inertia or bool(
+        np.any((mod > floor) & (mod <= 10 * tol))
+        or np.any((np.abs(im) > floor) & (np.abs(im) <= 10 * tol))
+    )
+    return SpectralProfile(
+        inertia=(i_plus, i_minus, i_zero),
+        refined=(i_plus, i_minus, i_z, i_zero - i_z),
+        frequency=(k_real, len(eig) - k_real),
+        eigenvalues=tuple(complex(v) for v in eig),
+        tol=float(tol),
+        borderline=borderline,
+        suspect=suspect,
+        suspect_inertia=suspect_inertia,
+    )
+
+
+def oracle_census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True) -> Census:
+    """One sample and one profile per trial, in trial order."""
+    lo, hi = max(cfg.lo, NEAR_ONE_LO), min(cfg.hi, NEAR_ONE_HI)
+    if lo > hi:
+        lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
+    narrow = replace(cfg, lo=lo, hi=hi)
+    generic_zeros = spectra._generic_zero_count(pattern)
+    counts, reps, solid, freqs, failures = {}, {}, {}, {}, 0
+    for t in range(cfg.trials):
+        law = narrow if (two_laws and t % 2) else cfg
+        mat = scalar_sample(pattern, law, index=t)
+        try:
+            prof = scalar_profile(mat)
+        except EigenFailure:
+            failures += 1
+            continue
+        counts[prof.inertia] = counts.get(prof.inertia, 0) + 1
+        freqs[prof.frequency] = freqs.get(prof.frequency, 0) + 1
+        reps.setdefault(prof.inertia, mat)
+        if not prof.suspect_inertia and prof.refined[2] == generic_zeros:
+            solid.setdefault(prof.inertia, mat)
+    return Census(cfg.trials, counts, reps, freqs, failures, solid)
+
+
+def _raw(reps: dict) -> list:
+    return [(k, m.dtype.str, m.shape, m.tobytes()) for k, m in reps.items()]
+
+
+def assert_same_census(got: Census, want: Census) -> None:
+    assert got.trials == want.trials
+    assert got.failures == want.failures
+    # Item lists, not dicts: insertion order (first occurrence) must match too.
+    assert list(got.inertia_counts.items()) == list(want.inertia_counts.items())
+    assert list(got.frequency_counts.items()) == list(want.frequency_counts.items())
+    assert _raw(got.representatives) == _raw(want.representatives)
+    assert _raw(got.solid_representatives) == _raw(want.solid_representatives)
+
+
+@st.composite
+def patterns(draw, max_n: int = 10) -> SignPattern:
+    n = draw(st.integers(1, max_n))
+    density = draw(st.sampled_from((0.2, 0.4, 0.7, 1.0)))
+    cells = draw(st.lists(st.floats(0, 1), min_size=n * n, max_size=n * n))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n * n, max_size=n * n))
+    return SignPattern.from_rows(
+        [
+            [signs[i * n + j] if cells[i * n + j] < density else 0 for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+LAWS = {"wide": (1e-2, 1e2), "narrow-fallback": (3.0, 5.0)}
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    pattern=patterns(),
+    trials=st.sampled_from((1, 255, 256, 257, 1000)),
+    two_laws=st.booleans(),
+    law=st.sampled_from(sorted(LAWS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_census_matches_per_trial_oracle(pattern, trials, two_laws, law, seed):
+    lo, hi = LAWS[law]
+    cfg = SampleConfig(lo=lo, hi=hi, trials=trials, seed=seed)
+    assert_same_census(census(pattern, cfg, two_laws), oracle_census(pattern, cfg, two_laws))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    pattern=patterns(),
+    index=st.integers(0, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    law=st.sampled_from(sorted(LAWS)),
+)
+def test_sample_and_profile_match_scalar_reference(pattern, index, seed, law):
+    lo, hi = LAWS[law]
+    cfg = SampleConfig(lo=lo, hi=hi, seed=seed)
+    mat = sample(pattern, cfg, index)
+    assert mat.tobytes() == scalar_sample(pattern, cfg, index).tobytes()
+    assert spectral_profile(mat) == scalar_profile(mat)
+
+
+@pytest.mark.parametrize(
+    "name, cycle, matching",
+    [
+        ("PAT_XXEG22", (0, 1, 2, 3), None),
+        ("PAT_XX1", (0, 1, 2), None),
+        ("PAT_ALLNEG4", None, [(0, 1), (2, 3)]),
+    ],
+)
+def test_stabilize_matches_per_epsilon_loop(name, cycle, matching):
+    pattern = FIXTURES[name].pattern
+    if cycle:
+        parts = (directed_cycle_from_vertices(build_digraph(pattern), cycle),)
+    else:
+        parts = matching_parts(pattern, matching)
+    spec = ladder_spec(pattern, parts)
+    profiles = []
+    for eps in EPSILON_SCHEDULE:
+        mat = build_witness(pattern, replace(spec, epsilon=eps))
+        profiles.append((eps, mat, scalar_profile(mat)))
+    want = next(
+        profiles[t]
+        for t in range(len(profiles) - 2)
+        if len({profiles[t + d][2].inertia for d in range(3)}) == 1
+    )
+    mat, eps, prof = stabilize_epsilon(pattern, spec)
+    assert (mat.tobytes(), eps, prof) == (want[1].tobytes(), want[0], want[2])
+
+
+def test_census_eigensolver_failures(monkeypatch):
+    """A failing stack is redone matrix by matrix; only the bad trials fail."""
+    pattern = FIXTURES["PAT_EX26"].pattern
+    cfg = SampleConfig(trials=600, seed=23)
+    narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
+    bad = [scalar_sample(pattern, cfg, 4), scalar_sample(pattern, narrow, 301)]
+    original = np.linalg.eigvals
+    calls = {"stack": 0, "single": 0}
+
+    def eigvals(a):
+        a = np.asarray(a)
+        hit = any(np.array_equal(m, b) for m in a.reshape(-1, *a.shape[-2:]) for b in bad)
+        calls["stack" if a.ndim == 3 else "single"] += 1
+        if hit:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    got = census(pattern, cfg)
+    # Stacks of 256, 256 and 88 trials; trials 4 and 301 spoil the first two.
+    assert calls["stack"] == 3
+    assert calls["single"] == 2 * 256
+    want = oracle_census(pattern, cfg)
+    assert got.failures == want.failures == 2
+    assert sum(got.inertia_counts.values()) + got.failures == cfg.trials
+    assert_same_census(got, want)

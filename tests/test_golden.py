@@ -1,0 +1,71 @@
+"""Golden bytes for every catalog fixture.
+
+Pins, per fixture, the sha256 of ``verdict_to_json(analyze(p,
+SampleConfig()))`` and the census at ``fixtures.CENSUS_CFG``: inertia and
+frequency counts, eigensolver failures, and the sha256 of the raw bytes of
+every representative and solid representative.  Any change to sampling,
+eigensolving or classification that moves a single bit shows up here.
+
+Regenerate (only for a deliberate, documented change of output) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from signum.fixtures import CENSUS_CFG, FIXTURES
+from signum.spectra import SampleConfig, census
+from signum.verdict import analyze, verdict_to_json
+
+GOLDEN = Path(__file__).with_name("golden_census.json")
+
+
+def _key(k: tuple[int, ...]) -> str:
+    return ",".join(map(str, k))
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def snapshot(name: str) -> dict:
+    pattern = FIXTURES[name].pattern
+    verdict = verdict_to_json(analyze(pattern, SampleConfig()))
+    cen = census(pattern, CENSUS_CFG)
+    return {
+        "verdict_sha256": _digest(verdict.encode()),
+        "inertia_counts": {_key(k): v for k, v in sorted(cen.inertia_counts.items())},
+        "frequency_counts": {_key(k): v for k, v in sorted(cen.frequency_counts.items())},
+        "failures": cen.failures,
+        "representatives": {
+            _key(k): _digest(m.tobytes()) for k, m in sorted(cen.representatives.items())
+        },
+        "solid_representatives": {
+            _key(k): _digest(m.tobytes())
+            for k, m in sorted(cen.solid_representatives.items())
+        },
+    }
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_catalog():
+    assert sorted(_golden()) == sorted(FIXTURES)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_golden_fixture(name):
+    assert snapshot(name) == _golden()[name]
+
+
+if __name__ == "__main__":
+    data = {name: snapshot(name) for name in sorted(FIXTURES)}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} fixtures to {GOLDEN}")
