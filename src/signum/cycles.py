@@ -8,18 +8,22 @@ cycles, computes the maximum composite length by an assignment relaxation
 with zero-cost self slack, tests whether a cycle extends to a spanning
 composite cycle, and builds the alternating matchings used by the
 even-cycle decision rules.
+
+A composite cycle on a vertex set S is a permutation of S along arcs, so S
+carries one exactly when the bipartite graph of arcs inside S (rows to
+columns) has a perfect matching; the enumerator and the cover test share
+one small augmenting-path matcher over vertex bitmasks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import (
     CycleBudgetExceeded,
@@ -182,40 +186,39 @@ def simple_cycles(
         yield SimpleCycle(verts, _cycle_sign(digraph, verts))
 
 
+def _max_cover_successors(
+    n: int, arcs: Iterable[tuple[int, int]], include_loops: bool
+) -> dict[int, int]:
+    """Successor map of one maximum-support composite cycle on vertices 0..n-1.
+
+    Solved exactly as an assignment problem: arcs cost -1, the diagonal is
+    free slack meaning "vertex unused" (a loop costs -1 instead when loops
+    count), all else is forbidden.
+    """
+    if n == 0:
+        return {}
+    cost = np.full((n, n), float(n + 1))
+    np.fill_diagonal(cost, 0.0)
+    for i, j in arcs:
+        if i != j or include_loops:
+            cost[i, j] = -1.0
+    rows, cols = linear_sum_assignment(cost)
+    return {int(i): int(j) for i, j in zip(rows, cols) if cost[i, j] < 0}
+
+
 def max_composite_length(digraph: SignedDigraph) -> int:
     """Maximum total length of vertex-disjoint directed cycles, loops excluded.
 
     A composite cycle of length l is a fixed-point-free partial permutation
-    supported on l vertices with every arc present.  Solved exactly as an
-    assignment problem: off-diagonal arcs cost -1, the diagonal is free
-    slack meaning "vertex unused", all else forbidden.
+    supported on l vertices with every arc present, so this is the support
+    of an optimal assignment.
     """
-    n = digraph.n
-    if n == 0:
-        return 0
-    big = float(n + 1)
-    cost = np.full((n, n), big)
-    np.fill_diagonal(cost, 0.0)
-    for i, j, _ in digraph.arcs:
-        if i != j:
-            cost[i, j] = -1.0
-    rows, cols = linear_sum_assignment(cost)
-    return int(sum(1 for i, j in zip(rows, cols) if i != j and cost[i, j] < 0))
+    return len(_max_cover_successors(digraph.n, digraph.arc_sign, include_loops=False))
 
 
 def max_composite_cover(digraph: SignedDigraph) -> CompositeCycle | None:
     """One composite cycle achieving the maximum length, or None if none exist."""
-    n = digraph.n
-    if n == 0:
-        return None
-    big = float(n + 1)
-    cost = np.full((n, n), big)
-    np.fill_diagonal(cost, 0.0)
-    for i, j, _ in digraph.arcs:
-        if i != j:
-            cost[i, j] = -1.0
-    rows, cols = linear_sum_assignment(cost)
-    succ = {int(i): int(j) for i, j in zip(rows, cols) if i != j and cost[i, j] < 0}
+    succ = _max_cover_successors(digraph.n, digraph.arc_sign, include_loops=False)
     parts = []
     seen: set[int] = set()
     for start in sorted(succ):
@@ -233,6 +236,60 @@ def max_composite_cover(digraph: SignedDigraph) -> CompositeCycle | None:
     return CompositeCycle(tuple(sorted(parts, key=lambda p: p.vertices)))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Set bit positions of a vertex mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _successor_masks(digraph: SignedDigraph, include_loops: bool) -> list[int]:
+    succ = [0] * digraph.n
+    for i, j, _ in digraph.arcs:
+        if i != j or include_loops:
+            succ[i] |= 1 << j
+    return succ
+
+
+def _has_perfect_matching(rows: int, cols: int, succ: Sequence[int]) -> bool:
+    """Whether the row vertices match one-to-one onto the column vertices along arcs.
+
+    ``rows`` and ``cols`` are vertex masks of equal size and ``succ[v]`` is
+    the mask of v's successors.  Kuhn's augmenting paths, after a greedy
+    pick of a free column.
+    """
+    owner = [-1] * len(succ)
+    taken = 0
+    seen = 0
+
+    def augment(r: int) -> bool:
+        nonlocal seen, taken
+        free = succ[r] & cols & ~seen
+        while free:
+            low = free & -free
+            seen |= low
+            c = low.bit_length() - 1
+            if owner[c] < 0 or augment(owner[c]):
+                owner[c] = r
+                taken |= low
+                return True
+            free = succ[r] & cols & ~seen
+        return False
+
+    for r in _bits(rows):
+        direct = succ[r] & cols & ~taken
+        if direct:
+            low = direct & -direct
+            taken |= low
+            owner[low.bit_length() - 1] = r
+            continue
+        seen = 0
+        if not augment(r):
+            return False
+    return True
+
+
 def composite_cycles_of_length(
     digraph: SignedDigraph,
     length: int,
@@ -241,65 +298,70 @@ def composite_cycles_of_length(
 ) -> Iterator[CompositeCycle]:
     """All composite cycles of exactly the given length, each exactly once.
 
-    Enumerates simple cycles first, then combines disjoint ones in a fixed
-    order.  The budget bounds both phases.
+    Yields in increasing ``CompositeCycle.sort_key()`` order.  Vertex sets
+    are walked as lexicographic combinations, skipping any without a cycle
+    cover.  Inside a set each part starts at the smallest uncovered vertex;
+    a path first closes back to its start (a loop only with
+    ``include_loops``), then extends through its successors in increasing
+    order, and a step is taken only if the vertices left over can still
+    complete it (a perfect-matching test).  Every step therefore leads to
+    a composite, and ``budget`` counts composites yielded: asking for one
+    more raises CycleBudgetExceeded.
     """
-    cycles = [
-        c
-        for c in simple_cycles(digraph, max_len=length, budget=budget)
-        if include_loops or c.length > 1
-    ]
-    cycles.sort(key=lambda c: (c.vertices[0], c.length, c.vertices, -c.sign))
+    succ = _successor_masks(digraph, include_loops)
+    arc_sign = digraph.arc_sign
     emitted = 0
-    free = digraph.n
 
-    def rec(start: int, chosen: list[SimpleCycle], used: set[int], cur: int):
+    def complete(rest: int, parts: tuple[SimpleCycle, ...]) -> Iterator[CompositeCycle]:
         nonlocal emitted
-        if cur == length:
+        if not rest:
             emitted += 1
             if emitted > budget:
                 raise CycleBudgetExceeded(f"more than {budget} composite cycles")
-            yield CompositeCycle(tuple(chosen))
+            yield CompositeCycle(parts)
             return
-        if cur + (free - len(used)) < length:
-            return
-        for t in range(start, len(cycles)):
-            c = cycles[t]
-            if cur + c.length > length:
-                continue
-            if used.intersection(c.vertices):
-                continue
-            chosen.append(c)
-            used.update(c.vertices)
-            yield from rec(t + 1, chosen, used, cur + c.length)
-            chosen.pop()
-            used.difference_update(c.vertices)
+        start = (rest & -rest).bit_length() - 1
+        yield from grow(start, [start], 1, rest ^ (1 << start), parts)
 
-    yield from rec(0, [], set(), 0)
+    def grow(
+        start: int, path: list[int], prod: int, rest: int, parts: tuple[SimpleCycle, ...]
+    ) -> Iterator[CompositeCycle]:
+        # The open path runs from start to path[-1]; rest holds the uncovered
+        # vertices off the path, and (rest + tail) -> (rest + start) matches.
+        tail = path[-1]
+        if succ[tail] >> start & 1 and _has_perfect_matching(rest, rest, succ):
+            sign = prod * arc_sign[(tail, start)] * (-1) ** (len(path) - 1)
+            yield from complete(rest, parts + (SimpleCycle(tuple(path), sign),))
+        for w in _bits(succ[tail] & rest):
+            if _has_perfect_matching(rest, rest ^ (1 << w) | 1 << start, succ):
+                path.append(w)
+                yield from grow(start, path, prod * arc_sign[(tail, w)], rest ^ (1 << w), parts)
+                path.pop()
+
+    for combo in itertools.combinations(range(digraph.n), length):
+        mask = sum(1 << v for v in combo)
+        if _has_perfect_matching(mask, mask, succ):
+            yield from complete(mask, ())
 
 
 def max_composite_sign_set(digraph: SignedDigraph) -> SignSet:
     """Signs occurring among maximum-length composite cycles, with witnesses.
 
-    Witness choice is deterministic: smallest vertex set, then smallest part
-    layout.  If the enumeration budget is hit after both signs have already
-    appeared, the ambiguous answer is still returned.
+    Witness choice is deterministic: the first composite of each sign in
+    sort-key order (smallest vertex set, then smallest part layout).  The
+    enumeration stops once both signs have appeared.
     """
     if digraph.n > SIGN_SET_ORDER_CAP:
         raise OrderCapExceeded(f"sign-set enumeration capped at order {SIGN_SET_ORDER_CAP}")
     m = max_composite_length(digraph)
     if m == 0:
         return SignSet(False, False)
-    best: dict[int, CompositeCycle] = {}
-    try:
-        for comp in composite_cycles_of_length(digraph, m):
-            prev = best.get(comp.sign)
-            if prev is None or comp.sort_key() < prev.sort_key():
-                best[comp.sign] = comp
-    except CycleBudgetExceeded:
-        if not (1 in best and -1 in best):
-            raise
-    return SignSet(1 in best, -1 in best, best.get(1), best.get(-1))
+    first: dict[int, CompositeCycle] = {}
+    for comp in composite_cycles_of_length(digraph, m):
+        first.setdefault(comp.sign, comp)
+        if len(first) == 2:
+            break
+    return SignSet(1 in first, -1 in first, first.get(1), first.get(-1))
 
 
 def cover_extension_exists(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
@@ -311,21 +373,12 @@ def cover_extension_exists(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
     for i, j in cycle.arcs():
         if (i, j) not in digraph.arc_sign:
             raise CycleNotInPattern(f"arc {i + 1}->{j + 1} is not in the pattern")
-    remaining = sorted(set(range(digraph.n)) - set(cycle.vertices))
-    if not remaining:
-        return True
-    pos = {v: t for t, v in enumerate(remaining)}
-    rows, cols = [], []
-    for i, j, _ in digraph.arcs:
-        if i != j and i in pos and j in pos:
-            rows.append(pos[i])
-            cols.append(pos[j])
-    if not rows:
-        return False
-    r = len(remaining)
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(r, r))
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    return bool(np.all(match >= 0))
+    remaining = (1 << digraph.n) - 1
+    for v in cycle.vertices:
+        remaining &= ~(1 << v)
+    return _has_perfect_matching(
+        remaining, remaining, _successor_masks(digraph, include_loops=False)
+    )
 
 
 def gamma_matchings_from_odd_run(

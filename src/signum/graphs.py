@@ -93,6 +93,21 @@ class SignedGraph:
             adj[j].append(i)
         return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
+    @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Every simple cycle, canonically rotated and reflected, in sorted order.
+
+        Raises CycleBudgetExceeded past UNDIRECTED_CYCLE_BUDGET cycles.
+        """
+        out = []
+        for count, cyc in enumerate(nx.simple_cycles(self.to_networkx())):
+            if count >= UNDIRECTED_CYCLE_BUDGET:
+                raise CycleBudgetExceeded(
+                    f"more than {UNDIRECTED_CYCLE_BUDGET} undirected cycles"
+                )
+            out.append(_canonical_cycle(list(cyc)))
+        return tuple(sorted(out))
+
     def sign_of(self, u: int, v: int) -> int:
         return self.edge_sign[(min(u, v), max(u, v))]
 
@@ -217,7 +232,7 @@ def classify_shape(graph: SignedGraph) -> GraphShape:
     if m == n - 1:
         kind = ShapeKind.PATH if all(graph.degree(v) <= 2 for v in range(n)) else ShapeKind.TREE
         return GraphShape(kind, (), leaves)
-    cycles = _undirected_cycles(graph)
+    cycles = graph.cycles
     if m == n:
         if all(graph.degree(v) == 2 for v in range(n)):
             return GraphShape(ShapeKind.SINGLE_CYCLE, cycles, leaves)
@@ -238,17 +253,6 @@ def _canonical_cycle(vertices: list[int]) -> tuple[int, ...]:
             best = rot
     assert best is not None
     return best
-
-
-def _undirected_cycles(graph: SignedGraph) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for count, cyc in enumerate(nx.simple_cycles(graph.to_networkx())):
-        if count >= UNDIRECTED_CYCLE_BUDGET:
-            raise CycleBudgetExceeded(
-                f"more than {UNDIRECTED_CYCLE_BUDGET} undirected cycles"
-            )
-        out.append(_canonical_cycle(list(cyc)))
-    return tuple(sorted(out))
 
 
 def maximal_signed_runs(signs, cyclic: bool) -> list[MaximalSignedRun]:
@@ -325,15 +329,15 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     A pair of cycles is listed only if some connecting path has all interior
     vertices off every cycle; the reported edge count is minimal among such
     paths.  The unrestricted distance between the two vertex sets is
-    reported alongside so both parity conventions can be checked.
+    reported alongside so both parity conventions can be checked.  Each
+    cycle gets two multi-source BFS runs, one stepping only onto vertices
+    off every cycle and one unrestricted, and every pair is read off their
+    levels as vertex bitmasks.
     """
     if not graph.is_connected():
         raise Disconnected("cycle structure needs a connected graph")
-    cycles = _undirected_cycles(graph)
+    cycles = graph.cycles
     signs = tuple(cycle_edge_order(graph, cyc)[1] for cyc in cycles)
-    on_cycle: set[int] = set()
-    for cyc in cycles:
-        on_cycle.update(cyc)
 
     leaf_rows = []
     for leaf in graph.leaves():
@@ -341,41 +345,50 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
         for c_idx, cyc in enumerate(cycles):
             leaf_rows.append((leaf, c_idx, min(dist[v] for v in cyc)))
 
+    adj = [sum(1 << w for w in graph.adjacency[v]) for v in range(graph.n)]
+    masks = [sum(1 << v for v in cyc) for cyc in cycles]
+    everything = (1 << graph.n) - 1
+    off_cycle = everything
+    for mask in masks:
+        off_cycle &= ~mask
     pair_rows = []
-    for a in range(len(cycles)):
-        for b in range(a + 1, len(cycles)):
-            va, vb = set(cycles[a]), set(cycles[b])
-            link = _restricted_link(graph, va, vb, on_cycle)
+    for a, va in enumerate(masks):
+        # touch[t]: vertices adjacent to level t of the cycle-avoiding BFS,
+        # so a disjoint cycle first touched there is t + 1 edges away.
+        touch = [_neighbours(adj, level) for level in _bfs_levels(adj, va, off_cycle)]
+        levels = None
+        for b in range(a + 1, len(masks)):
+            vb = masks[b]
+            if va & vb:
+                continue
+            link = next((t + 1 for t, near in enumerate(touch) if near & vb), None)
             if link is None:
                 continue
-            raw = min(_distances_from(graph, va)[v] for v in sorted(vb))
+            if levels is None:
+                levels = _bfs_levels(adj, va, everything)
+            raw = next(t for t, level in enumerate(levels) if level & vb)
             pair_rows.append((a, b, link, raw))
     return CycleStructureReport(cycles, signs, tuple(leaf_rows), tuple(pair_rows))
 
 
-def _restricted_link(
-    graph: SignedGraph, va: set[int], vb: set[int], on_cycle: set[int]
-) -> int | None:
-    """Shortest connecting path edge count with cycle-free interior, or None."""
-    if va & vb:
-        return None
-    dist = {v: 0 for v in va}
-    frontier = sorted(va)
-    best = None
+def _neighbours(adj: list[int], mask: int) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _bfs_levels(adj: list[int], sources: int, allowed: int) -> list[int]:
+    """Vertex masks at each BFS level from sources, stepping only onto allowed vertices."""
+    levels = []
+    seen = frontier = sources
     while frontier:
-        nxt = []
-        for u in frontier:
-            for w in graph.adjacency[u]:
-                if w in vb:
-                    cand = dist[u] + 1
-                    best = cand if best is None else min(best, cand)
-                elif w not in dist and w not in on_cycle:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        if best is not None:
-            return best
-        frontier = sorted(nxt)
-    return None
+        levels.append(frontier)
+        frontier = _neighbours(adj, frontier) & allowed & ~seen
+        seen |= frontier
+    return levels
 
 
 def digraph_to_dot(digraph: SignedDigraph) -> str:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .cycles import (
     SimpleCycle,
+    _max_cover_successors,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
     max_composite_cover,
@@ -361,21 +362,8 @@ def _generic_zero_count(pattern: SignPattern) -> int:
     other count caught a measure-zero or mis-thresholded configuration and
     must not serve as evidence.
     """
-    from scipy.optimize import linear_sum_assignment
-
-    n = pattern.n
-    if n == 0:
-        return 0
-    big = float(n + 1)
-    cost = np.full((n, n), big)
-    for i in range(n):
-        cost[i, i] = -1.0 if pattern.rows[i][i] else 0.0
-        for j in range(n):
-            if i != j and pattern.rows[i][j]:
-                cost[i, j] = -1.0
-    rows, cols = linear_sum_assignment(cost)
-    support = int(sum(1 for i, j in zip(rows, cols) if cost[i, j] < 0))
-    return n - support
+    cover = _max_cover_successors(pattern.n, pattern.support(), include_loops=True)
+    return pattern.n - len(cover)
 
 
 def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:

@@ -1,0 +1,271 @@
+"""The pruned composite enumerator and the per-cycle BFS against their predecessors.
+
+``composite_cycles_of_length`` now walks vertex sets and part layouts in
+sort-key order, pruning with a perfect-matching test, and ``cycle_structure``
+links cycle pairs from one BFS per cycle.  The oracles below are the code
+they replaced: composites combined from the list of simple cycles, the
+keep-the-minimum sign set, the scipy bipartite-matching cover test, and one
+BFS per cycle pair.  Agreement must be exact, down to the order of the
+composites.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
+
+from signum.cycles import (
+    CompositeCycle,
+    SignSet,
+    SimpleCycle,
+    composite_cycles_of_length,
+    cover_extension_exists,
+    max_composite_length,
+    max_composite_sign_set,
+    simple_cycles,
+)
+from signum.graphs import (
+    CycleStructureReport,
+    SignedDigraph,
+    SignedGraph,
+    build_digraph,
+    build_graphs,
+    cycle_edge_order,
+    cycle_structure,
+)
+from signum.patterns import SignPattern
+
+
+def oracle_composites(
+    digraph: SignedDigraph, length: int, include_loops: bool = False
+) -> list[CompositeCycle]:
+    """Every composite of the given length, combined from the simple cycles."""
+    cycles = [
+        c
+        for c in simple_cycles(digraph, max_len=length)
+        if include_loops or c.length > 1
+    ]
+    cycles.sort(key=lambda c: (c.vertices[0], c.length, c.vertices, -c.sign))
+    free = digraph.n
+    out: list[CompositeCycle] = []
+
+    def rec(start: int, chosen: list[SimpleCycle], used: set[int], cur: int) -> None:
+        if cur == length:
+            out.append(CompositeCycle(tuple(chosen)))
+            return
+        if cur + (free - len(used)) < length:
+            return
+        for t in range(start, len(cycles)):
+            c = cycles[t]
+            if cur + c.length > length or used.intersection(c.vertices):
+                continue
+            chosen.append(c)
+            used.update(c.vertices)
+            rec(t + 1, chosen, used, cur + c.length)
+            chosen.pop()
+            used.difference_update(c.vertices)
+
+    rec(0, [], set(), 0)
+    return out
+
+
+def oracle_sign_set(digraph: SignedDigraph) -> SignSet:
+    """Keep the smallest-sort-key composite of each sign over all maximum composites."""
+    m = max_composite_length(digraph)
+    if m == 0:
+        return SignSet(False, False)
+    best: dict[int, CompositeCycle] = {}
+    for comp in oracle_composites(digraph, m):
+        prev = best.get(comp.sign)
+        if prev is None or comp.sort_key() < prev.sort_key():
+            best[comp.sign] = comp
+    return SignSet(1 in best, -1 in best, best.get(1), best.get(-1))
+
+
+def oracle_cover_extension(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
+    remaining = sorted(set(range(digraph.n)) - set(cycle.vertices))
+    if not remaining:
+        return True
+    pos = {v: t for t, v in enumerate(remaining)}
+    rows, cols = [], []
+    for i, j, _ in digraph.arcs:
+        if i != j and i in pos and j in pos:
+            rows.append(pos[i])
+            cols.append(pos[j])
+    if not rows:
+        return False
+    r = len(remaining)
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(r, r))
+    return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
+
+
+def _distances(graph: SignedGraph, sources: set[int]) -> dict[int, int]:
+    dist = {v: 0 for v in sources}
+    frontier = sorted(sources)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in graph.adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = sorted(nxt)
+    return dist
+
+
+def _restricted_link(
+    graph: SignedGraph, va: set[int], vb: set[int], on_cycle: set[int]
+) -> int | None:
+    if va & vb:
+        return None
+    dist = {v: 0 for v in va}
+    frontier = sorted(va)
+    best = None
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in graph.adjacency[u]:
+                if w in vb:
+                    cand = dist[u] + 1
+                    best = cand if best is None else min(best, cand)
+                elif w not in dist and w not in on_cycle:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        if best is not None:
+            return best
+        frontier = sorted(nxt)
+    return None
+
+
+def oracle_cycle_structure(graph: SignedGraph) -> CycleStructureReport:
+    """One BFS per cycle pair for the link, one more for the raw distance."""
+    cycles = graph.cycles
+    signs = tuple(cycle_edge_order(graph, cyc)[1] for cyc in cycles)
+    on_cycle = {v for cyc in cycles for v in cyc}
+    leaf_rows = []
+    for leaf in graph.leaves():
+        dist = _distances(graph, {leaf})
+        for c_idx, cyc in enumerate(cycles):
+            leaf_rows.append((leaf, c_idx, min(dist[v] for v in cyc)))
+    pair_rows = []
+    for a in range(len(cycles)):
+        for b in range(a + 1, len(cycles)):
+            va, vb = set(cycles[a]), set(cycles[b])
+            link = _restricted_link(graph, va, vb, on_cycle)
+            if link is None:
+                continue
+            raw = min(_distances(graph, va)[v] for v in sorted(vb))
+            pair_rows.append((a, b, link, raw))
+    return CycleStructureReport(cycles, signs, tuple(leaf_rows), tuple(pair_rows))
+
+
+@st.composite
+def digraph_patterns(draw, max_n: int = 8) -> SignPattern:
+    """Random sign patterns, loops allowed; at most 3n arcs above order 6.
+
+    The cap keeps the oracle, which combines every pair of simple cycles,
+    fast on the complete digraphs hypothesis likes to try.
+    """
+    n = draw(st.integers(1, max_n))
+    count = draw(st.integers(0, n * n if n <= 6 else 3 * n))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arcs = draw(st.lists(cells, min_size=count, max_size=count, unique=True))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=count, max_size=count))
+    sign_of = dict(zip(arcs, signs))
+    return SignPattern.from_rows([[sign_of.get((i, j), 0) for j in range(n)] for i in range(n)])
+
+
+def _symmetric(draw, n: int, edges) -> SignPattern:
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        rows[i][j] = draw(st.sampled_from((-1, 1)))
+        rows[j][i] = draw(st.sampled_from((-1, 1)))
+    return SignPattern.from_rows(rows)
+
+
+@st.composite
+def tree_plus_chords(draw, max_n: int = 11) -> SignPattern:
+    """A random tree plus up to n chords."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = sorted((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges)
+    if others:
+        edges.update(draw(st.lists(st.sampled_from(others), max_size=n, unique=True)))
+    return _symmetric(draw, n, edges)
+
+
+@st.composite
+def linked_cycles(draw, max_n: int = 11) -> SignPattern:
+    """Two or three disjoint short cycles joined by paths, a few extra edges, relabelled.
+
+    Tree-plus-chord graphs mostly have overlapping cycles; here many pairs
+    are disjoint, some joined only through another cycle.
+    """
+    rings: list[list[int]] = []
+    n = 0
+    for _ in range(draw(st.integers(2, 3))):
+        k = draw(st.integers(3, 4))
+        if n + k > max_n:
+            break
+        rings.append(list(range(n, n + k)))
+        n += k
+    edges = {(r[t], r[(t + 1) % len(r)]) for r in rings for t in range(len(r))}
+    for c in range(1, len(rings)):
+        a = draw(st.sampled_from(rings[draw(st.integers(0, c - 1))]))
+        hops = draw(st.integers(0, min(2, max_n - n)))
+        path = [a, *range(n, n + hops), draw(st.sampled_from(rings[c]))]
+        n += hops
+        edges.update(zip(path, path[1:]))
+    vertex = st.integers(0, n - 1)
+    edges.update(draw(st.lists(st.tuples(vertex, vertex), max_size=2)))
+    label = draw(st.permutations(range(n)))
+    relabelled = {tuple(sorted((label[i], label[j]))) for i, j in edges if i != j}
+    return _symmetric(draw, n, sorted(relabelled))
+
+
+ORACLE_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@ORACLE_SETTINGS
+@given(pattern=digraph_patterns(), include_loops=st.booleans())
+def test_composites_match_oracle_in_sort_key_order(pattern, include_loops):
+    digraph = build_digraph(pattern)
+    for length in range(pattern.n + 1):
+        got = list(composite_cycles_of_length(digraph, length, include_loops))
+        keys = [c.sort_key() for c in got]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        want = oracle_composites(digraph, length, include_loops)
+        assert got == sorted(want, key=lambda c: c.sort_key())
+
+
+@ORACLE_SETTINGS
+@given(pattern=digraph_patterns())
+def test_sign_set_matches_min_witness_oracle(pattern):
+    digraph = build_digraph(pattern)
+    assert max_composite_sign_set(digraph) == oracle_sign_set(digraph)
+
+
+@ORACLE_SETTINGS
+@given(pattern=digraph_patterns())
+def test_cover_extension_matches_bipartite_oracle(pattern):
+    digraph = build_digraph(pattern)
+    for cycle in simple_cycles(digraph):
+        if cycle.length > 1:
+            assert cover_extension_exists(digraph, cycle) == oracle_cover_extension(
+                digraph, cycle
+            )
+
+
+@ORACLE_SETTINGS
+@given(pattern=st.one_of(tree_plus_chords(), linked_cycles()))
+def test_cycle_structure_matches_pairwise_oracle(pattern):
+    _, graph = build_graphs(pattern)
+    assert cycle_structure(graph) == oracle_cycle_structure(graph)

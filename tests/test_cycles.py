@@ -137,6 +137,17 @@ def test_composite_enumeration_counts(pat):
     assert len(list(composite_cycles_of_length(d26, 2))) == 3
 
 
+def test_composite_budget_counts_composites(pat):
+    d = digraph_of(pat, "PAT_EX26")
+    assert len(list(composite_cycles_of_length(d, 3, budget=2))) == 2
+    with pytest.raises(CycleBudgetExceeded):
+        list(composite_cycles_of_length(d, 3, budget=1))
+    first = composite_cycles_of_length(d, 3, budget=1)
+    assert next(first).sort_key() == ((0, 1, 2), ((0, 1, 2),))
+    with pytest.raises(CycleBudgetExceeded):
+        next(first)
+
+
 def test_sign_set_examples(pat):
     assert max_composite_sign_set(digraph_of(pat, "PAT_EX26")).ambiguous
     ss = max_composite_sign_set(digraph_of(pat, "PAT_XXEG22"))

@@ -1,10 +1,15 @@
-"""Golden bytes for every catalog fixture.
+"""Golden bytes for every catalog fixture and six order-12 ladder patterns.
 
 Pins, per fixture, the sha256 of ``verdict_to_json(analyze(p,
 SampleConfig()))`` and the census at ``fixtures.CENSUS_CFG``: inertia and
 frequency counts, eigensolver failures, and the sha256 of the raw bytes of
 every representative and solid representative.  Any change to sampling,
 eigensolving or classification that moves a single bit shows up here.
+
+The ``ladder`` entries are the six patterns of the benchmark's ``ladder``
+workload at seed 1 (order 12, 2n edges: the cycle-heavy case the catalog
+never reaches), stored as pattern text rows, with the sha256 of their
+verdict JSON; the digests equal the benchmark's seed-1 reference.
 
 Regenerate (only for a deliberate, documented change of output) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -19,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from signum.fixtures import CENSUS_CFG, FIXTURES
+from signum.patterns import SignPattern, parse_pattern
 from signum.spectra import SampleConfig, census
 from signum.verdict import analyze, verdict_to_json
 
@@ -33,12 +39,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def verdict_digest(pattern: SignPattern) -> str:
+    return _digest(verdict_to_json(analyze(pattern, SampleConfig())).encode())
+
+
 def snapshot(name: str) -> dict:
     pattern = FIXTURES[name].pattern
-    verdict = verdict_to_json(analyze(pattern, SampleConfig()))
     cen = census(pattern, CENSUS_CFG)
     return {
-        "verdict_sha256": _digest(verdict.encode()),
+        "verdict_sha256": verdict_digest(pattern),
         "inertia_counts": {_key(k): v for k, v in sorted(cen.inertia_counts.items())},
         "frequency_counts": {_key(k): v for k, v in sorted(cen.frequency_counts.items())},
         "failures": cen.failures,
@@ -56,16 +65,28 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+def _ladder_pattern(entry: dict) -> SignPattern:
+    return parse_pattern("\n".join(entry["rows"]))
+
+
 def test_golden_covers_catalog():
-    assert sorted(_golden()) == sorted(FIXTURES)
+    assert sorted(_golden()["fixtures"]) == sorted(FIXTURES)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_golden_fixture(name):
-    assert snapshot(name) == _golden()[name]
+    assert snapshot(name) == _golden()["fixtures"][name]
+
+
+@pytest.mark.parametrize("entry", _golden()["ladder"], ids=lambda e: e["label"])
+def test_golden_ladder(entry):
+    assert verdict_digest(_ladder_pattern(entry)) == entry["verdict_sha256"]
 
 
 if __name__ == "__main__":
-    data = {name: snapshot(name) for name in sorted(FIXTURES)}
+    data = _golden()
+    data["fixtures"] = {name: snapshot(name) for name in sorted(FIXTURES)}
+    for entry in data["ladder"]:
+        entry["verdict_sha256"] = verdict_digest(_ladder_pattern(entry))
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(data)} fixtures to {GOLDEN}")
+    print(f"wrote {len(data['fixtures'])} fixtures and {len(data['ladder'])} ladder patterns")
