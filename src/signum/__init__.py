@@ -12,17 +12,16 @@ from .charpoly import (
     CharPoly,
     DetSign,
     EkSign,
-    VariationRange,
     Variations,
     char_poly,
     descartes,
-    descartes_symbolic,
     ek_sign,
     sign_det,
 )
 from .cycles import (
     CompositeCycle,
     Matching,
+    PatternAnalysis,
     SignSet,
     SimpleCycle,
     cover_extension_exists,
@@ -61,9 +60,7 @@ from .patterns import (
     SignatureSimilarity,
     Transposition,
     apply_equivalence,
-    canonical_form,
     find_principal_subpattern,
-    invert_op,
     p_minus,
     parse_pattern,
     validate,

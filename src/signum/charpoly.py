@@ -9,7 +9,6 @@ variations bounds the number of positive and negative real eigenvalues.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,12 +24,10 @@ __all__ = [
     "CharPoly",
     "EkSign",
     "Variations",
-    "VariationRange",
     "DetSign",
     "char_poly",
     "ek_sign",
     "descartes",
-    "descartes_symbolic",
     "sign_det",
     "coefficient_sign_threshold",
 ]
@@ -51,12 +48,6 @@ class CharPoly:
     def descending(self) -> tuple[float, ...]:
         return tuple(reversed(self.coeffs))
 
-    def __call__(self, x: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 @dataclass(frozen=True)
 class EkSign:
@@ -68,14 +59,6 @@ class EkSign:
 class Variations:
     v_plus: int
     v_minus: int
-
-
-@dataclass(frozen=True)
-class VariationRange:
-    """Variation counts over every resolution of ambiguous coefficients."""
-
-    v_plus: tuple[int, int]
-    v_minus: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -170,32 +153,6 @@ def descartes(poly) -> Variations:
     degree = len(signs) - 1
     flipped = [s if (degree - t) % 2 == 0 else -s for t, s in enumerate(signs)]
     return Variations(_variations(signs), _variations(flipped))
-
-
-def descartes_symbolic(signs: Sequence[AmbSign]) -> VariationRange:
-    """Variation ranges for a descending symbolic sign vector.
-
-    Each AMBIGUOUS coefficient may resolve to +, -, or 0; the returned
-    ranges cover every resolution, so conclusions drawn from them hold for
-    the whole qualitative class.
-    """
-    if not signs or signs[0] in (AmbSign.ZERO, AmbSign.AMBIGUOUS):
-        raise ZeroLeading("leading coefficient sign must be + or -")
-    amb_positions = [t for t, s in enumerate(signs) if s is AmbSign.AMBIGUOUS]
-    if len(amb_positions) > 10:
-        degree = len(signs) - 1
-        return VariationRange((0, degree), (0, degree))
-    base = [1 if s is AmbSign.PLUS else (-1 if s is AmbSign.MINUS else 0) for s in signs]
-    vp_lo = vm_lo = len(signs)
-    vp_hi = vm_hi = 0
-    for combo in itertools.product((-1, 0, 1), repeat=len(amb_positions)):
-        resolved = list(base)
-        for pos, val in zip(amb_positions, combo):
-            resolved[pos] = val
-        var = descartes(resolved)
-        vp_lo, vp_hi = min(vp_lo, var.v_plus), max(vp_hi, var.v_plus)
-        vm_lo, vm_hi = min(vm_lo, var.v_minus), max(vm_hi, var.v_minus)
-    return VariationRange((vp_lo, vp_hi), (vm_lo, vm_hi))
 
 
 def sign_det(pattern: SignPattern) -> DetSign:

@@ -16,7 +16,13 @@ import numpy as np
 
 from . import fixtures as fixture_catalog
 from .errors import SignumError
-from .graphs import build_digraph, build_graphs, digraph_to_dot, graph_to_dot
+from .graphs import (
+    build_digraph,
+    build_graphs,
+    digraph_to_dot,
+    graph_to_dot,
+    maximal_signed_runs,
+)
 from .patterns import SignPattern, parse_pattern
 from .spectra import (
     DEFAULT_SEED,
@@ -29,7 +35,7 @@ from .spectra import (
     spectral_profile,
     stabilize_epsilon,
 )
-from .cycles import directed_cycle_from_vertices
+from .cycles import PatternAnalysis, directed_cycle_from_vertices
 from .verdict import Overall, analyze, explain, verdict_to_json
 
 EXIT_REQUIRES = 0
@@ -136,8 +142,7 @@ def cmd_verify(name_filter) -> None:
 @click.argument("path", required=False)
 @click.option("--fixture", help="name of a built-in pattern")
 @click.option("--directed/--undirected", default=True, help="which graph to export")
-@click.option("--dot", "as_dot", is_flag=True, default=True, help="emit DOT text")
-def cmd_graph(path, fixture, directed, as_dot) -> None:
+def cmd_graph(path, fixture, directed) -> None:
     """Export the signed digraph or undirected graph as DOT."""
     try:
         pattern = _load_pattern(path, fixture)
@@ -229,7 +234,9 @@ def cmd_witness(path, fixture, cycle, matching) -> None:
 
 
 @main.command("fuzz")
-@click.option("--order", default=6, show_default=True, help="pattern order")
+@click.option(
+    "--order", type=click.IntRange(min=1), default=6, show_default=True, help="pattern order"
+)
 @click.option("--trials", default=50, show_default=True, help="number of random patterns")
 @click.option("--seed", type=int, default=None)
 @click.option(
@@ -256,8 +263,6 @@ def cmd_fuzz(order, trials, seed, target) -> None:
             rows[i + 1][i] = int(s)
         pattern = SignPattern.from_rows(rows)
         edge_signs = [int(rows[i][i + 1] * rows[i + 1][i]) for i in range(order - 1)]
-        from .graphs import maximal_signed_runs
-
         runs = maximal_signed_runs(edge_signs, cyclic=False)
         odd = [r for r in runs if r.length % 2 == 1]
         if target == "odd-run-interior":
@@ -267,7 +272,7 @@ def cmd_fuzz(order, trials, seed, target) -> None:
             if 0 in run.indices or (order - 2) in run.indices:
                 continue
             examined += 1
-            pair = find_witness_pair(pattern, budget=400)
+            pair = find_witness_pair(PatternAnalysis(pattern), budget=400)
             found = pair is not None
             hits += found
             verdictish = "pair found" if found else "no pair within budget"

@@ -13,12 +13,17 @@ A composite cycle on a vertex set S is a permutation of S along arcs, so S
 carries one exactly when the bipartite graph of arcs inside S (rows to
 columns) has a perfect matching; the enumerator and the cover test share
 one small augmenting-path matcher over vertex bitmasks.
+
+``PatternAnalysis`` bundles the structural facts the decision rules read
+(flags, both graphs, the shape, the path edges, the maximum composite
+length and its sign set), each derived once per analysis object.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
@@ -33,7 +38,17 @@ from .errors import (
     RunNotOdd,
     SignMismatch,
 )
-from .graphs import MaximalSignedRun, SignedDigraph
+from .graphs import (
+    GraphShape,
+    MaximalSignedRun,
+    SignedDigraph,
+    SignedGraph,
+    build_digraph,
+    build_graphs,
+    classify_shape,
+    path_edge_signs,
+)
+from .patterns import PatternFlags, SignPattern, validate
 
 __all__ = [
     "SimpleCycle",
@@ -48,6 +63,7 @@ __all__ = [
     "cover_extension_exists",
     "gamma_matchings_from_odd_run",
     "directed_cycle_from_vertices",
+    "PatternAnalysis",
 ]
 
 SIMPLE_CYCLE_BUDGET = 1_000_000
@@ -419,3 +435,46 @@ def gamma_matchings_from_odd_run(
     neg = tuple(sorted(cycle_edges[t][0] for t in chosen if signs[t] < 0))
     pos = tuple(sorted(cycle_edges[t][0] for t in chosen if signs[t] > 0))
     return Matching(neg), Matching(pos)
+
+
+@dataclass(frozen=True)
+class PatternAnalysis:
+    """The structural facts the decision rules read, each derived once.
+
+    Every field is computed on first use and kept on this object only, so
+    the rules and witness strategies of one ``analyze`` share them while
+    nothing outlives the analysis.  A field that raises (``graph`` on a
+    pattern that is not combinatorially symmetric, ``shape`` on a
+    disconnected graph, ``path_edges`` off a path, ``sign_set`` above the
+    order cap) raises again on every read.
+    """
+
+    pattern: SignPattern
+
+    @cached_property
+    def flags(self) -> PatternFlags:
+        return validate(self.pattern)
+
+    @cached_property
+    def digraph(self) -> SignedDigraph:
+        return build_digraph(self.pattern)
+
+    @cached_property
+    def graph(self) -> SignedGraph:
+        return build_graphs(self.pattern)[1]
+
+    @cached_property
+    def shape(self) -> GraphShape:
+        return classify_shape(self.graph)
+
+    @cached_property
+    def path_edges(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        return path_edge_signs(self.graph)
+
+    @cached_property
+    def max_composite_length(self) -> int:
+        return max_composite_length(self.digraph)
+
+    @cached_property
+    def sign_set(self) -> SignSet:
+        return max_composite_sign_set(self.digraph)

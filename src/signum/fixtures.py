@@ -18,19 +18,16 @@ import numpy as np
 
 from .charpoly import char_poly, ek_sign
 from .cycles import (
+    PatternAnalysis,
     cover_extension_exists,
     directed_cycle_from_vertices,
-    max_composite_length,
-    max_composite_sign_set,
 )
 from .graphs import (
     ShapeKind,
-    build_digraph,
     build_graphs,
-    classify_shape,
+    cycle_edge_order,
     cycle_structure,
     maximal_signed_runs,
-    path_edge_signs,
 )
 from .patterns import AmbSign, SignPattern, find_principal_subpattern, p_minus
 from .spectra import (
@@ -38,6 +35,7 @@ from .spectra import (
     build_witness,
     census,
     ladder_spec,
+    matching_parts,
     spectral_profile,
     stabilize_epsilon,
 )
@@ -64,7 +62,7 @@ class Check:
     check_id: str
     tag: str
     source: str
-    fn: Callable[[SignPattern], tuple[bool, str]]
+    fn: Callable[[PatternAnalysis], tuple[bool, str]]
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ def _eig_check(
     refined: tuple[int, int, int, int] | None = None,
     frequency: tuple[int, int] | None = None,
 ) -> Check:
-    def fn(_: SignPattern) -> tuple[bool, str]:
+    def fn(_: PatternAnalysis) -> tuple[bool, str]:
         prof = spectral_profile(np.array(matrix, dtype=float))
         if prof.inertia != inertia:
             return False, f"inertia {prof.inertia}, expected {inertia}"
@@ -118,7 +116,7 @@ def _abs_eig_check(
     moduli: list[float],
     tol: float,
 ) -> Check:
-    def fn(_: SignPattern) -> tuple[bool, str]:
+    def fn(_: PatternAnalysis) -> tuple[bool, str]:
         prof = spectral_profile(np.array(matrix, dtype=float))
         if prof.inertia != inertia:
             return False, f"inertia {prof.inertia}, expected {inertia}"
@@ -133,7 +131,7 @@ def _abs_eig_check(
 def _charpoly_check(
     check_id: str, tag: str, source: str, matrix: list[list[float]], ascending: list[float]
 ) -> Check:
-    def fn(_: SignPattern) -> tuple[bool, str]:
+    def fn(_: PatternAnalysis) -> tuple[bool, str]:
         got = char_poly(np.array(matrix, dtype=float)).coeffs
         scale = 1.0 + max(abs(c) for c in ascending)
         ok = len(got) == len(ascending) and all(
@@ -147,7 +145,7 @@ def _charpoly_check(
 def _det_expansion_check(
     check_id: str, tag: str, source: str, matrix: list[list[float]], expected: float
 ) -> Check:
-    def fn(_: SignPattern) -> tuple[bool, str]:
+    def fn(_: PatternAnalysis) -> tuple[bool, str]:
         from itertools import permutations
 
         a = np.array(matrix, dtype=float)
@@ -183,8 +181,8 @@ def _verdict_check(
     witness_inertias: set[tuple[tuple[int, int, int], tuple[int, int, int]]] | None = None,
     needs_witness: bool = False,
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        verdict = analyze(pattern, cfg=VERDICT_CFG)
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        verdict = analyze(facts.pattern, cfg=VERDICT_CFG)
         if verdict.overall is not overall:
             return False, f"overall {verdict.overall.value}, expected {overall.value}"
         by_rule = {f.rule_id: f.conclusion for f in verdict.findings}
@@ -221,8 +219,8 @@ def _census_check(
     superset: set[tuple[int, int, int]] | None = None,
     cfg: SampleConfig = CENSUS_CFG,
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        cen = census(pattern, cfg)
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        cen = census(facts.pattern, cfg)
         keys = set(cen.inertia_keys())
         if exact_keys is not None and keys != exact_keys:
             return False, f"census keys {sorted(keys)}, expected {sorted(exact_keys)}"
@@ -234,9 +232,8 @@ def _census_check(
 
 
 def _shape_check(check_id: str, tag: str, source: str, kind: ShapeKind) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        _, graph = build_graphs(pattern)
-        got = classify_shape(graph).kind
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        got = facts.shape.kind
         return got is kind, f"shape {got.value}"
 
     return Check(check_id, tag, source, fn)
@@ -245,15 +242,11 @@ def _shape_check(check_id: str, tag: str, source: str, kind: ShapeKind) -> Check
 def _runs_check(
     check_id: str, tag: str, source: str, lengths: list[int], cyclic: bool
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        _, graph = build_graphs(pattern)
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
         if cyclic:
-            shape = classify_shape(graph)
-            from .graphs import cycle_edge_order
-
-            _, signs = cycle_edge_order(graph, shape.cycles[0])
+            _, signs = cycle_edge_order(facts.graph, facts.shape.cycles[0])
         else:
-            _, signs = path_edge_signs(graph)
+            _, signs = facts.path_edges
         runs = maximal_signed_runs(signs, cyclic=cyclic)
         got = sorted(r.length for r in runs)
         return got == sorted(lengths), f"run lengths {got}"
@@ -262,8 +255,8 @@ def _runs_check(
 
 
 def _max_composite_check(check_id: str, tag: str, source: str, expected: int) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        got = max_composite_length(build_digraph(pattern))
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        got = facts.max_composite_length
         return got == expected, f"max composite length {got}"
 
     return Check(check_id, tag, source, fn)
@@ -272,8 +265,8 @@ def _max_composite_check(check_id: str, tag: str, source: str, expected: int) ->
 def _cover_check(
     check_id: str, tag: str, source: str, cycle: tuple[int, ...], expected: bool
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        digraph = build_digraph(pattern)
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        digraph = facts.digraph
         got = cover_extension_exists(digraph, directed_cycle_from_vertices(digraph, cycle))
         return got is expected, f"cover extension {got}"
 
@@ -283,8 +276,8 @@ def _cover_check(
 def _window_check(
     check_id: str, tag: str, source: str, block: str, start_1based: int
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        windows = find_principal_subpattern(pattern, FORBIDDEN_BLOCKS[block])
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        windows = find_principal_subpattern(facts.pattern, FORBIDDEN_BLOCKS[block])
         starts = [w[0] + 1 for w in windows]
         return start_1based in starts, f"windows at {starts}"
 
@@ -294,8 +287,8 @@ def _window_check(
 def _sign_set_check(
     check_id: str, tag: str, source: str, plus: bool, minus: bool
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        ss = max_composite_sign_set(build_digraph(pattern))
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        ss = facts.sign_set
         got = (ss.contains_plus, ss.contains_minus)
         return got == (plus, minus), f"top-length sign set plus={got[0]} minus={got[1]}"
 
@@ -309,9 +302,9 @@ def _stabilize_check(
     cycle: tuple[int, ...],
     inertia: tuple[int, int, int],
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        digraph = build_digraph(pattern)
-        part = directed_cycle_from_vertices(digraph, cycle)
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        pattern = facts.pattern
+        part = directed_cycle_from_vertices(facts.digraph, cycle)
         _, eps, prof = stabilize_epsilon(pattern, ladder_spec(pattern, (part,)))
         ok = prof.inertia == inertia
         return ok, f"stabilized inertia {prof.inertia} at epsilon {eps}"
@@ -320,13 +313,9 @@ def _stabilize_check(
 
 
 def _skew_check(check_id: str, tag: str, source: str) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        from .graphs import cycle_edge_order
-        from .spectra import matching_parts
-
-        _, graph = build_graphs(pattern)
-        shape = classify_shape(graph)
-        edges, _ = cycle_edge_order(graph, shape.cycles[0])
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        pattern = facts.pattern
+        edges, _ = cycle_edge_order(facts.graph, facts.shape.cycles[0])
         matching = tuple(edges[t] for t in range(0, len(edges), 2))
         spec = ladder_spec(pattern, matching_parts(pattern, matching), epsilon=1e-3)
         mat = build_witness(pattern, spec)
@@ -343,9 +332,8 @@ def _leaf_distance_check(
 ) -> Check:
     """expected: (leaf, distance) pairs, 0-based leaves, for the first cycle."""
 
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        _, graph = build_graphs(pattern)
-        report = cycle_structure(graph)
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        report = cycle_structure(facts.graph)
         got = sorted((leaf, d) for (leaf, c, d) in report.leaf_cycle_distances if c == 0)
         return got == sorted(expected), f"leaf distances {got}"
 
@@ -355,9 +343,8 @@ def _leaf_distance_check(
 def _pair_distance_check(
     check_id: str, tag: str, source: str, expected_edge_counts: list[int]
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        _, graph = build_graphs(pattern)
-        report = cycle_structure(graph)
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        report = cycle_structure(facts.graph)
         got = sorted(link for (_, _, link, _) in report.path_adjacent_pairs)
         return got == sorted(expected_edge_counts), f"path-adjacent edge counts {got}"
 
@@ -367,10 +354,8 @@ def _pair_distance_check(
 def _pminus_edges_check(
     check_id: str, tag: str, source: str, expected_signs: dict[tuple[int, int], int]
 ) -> Check:
-    def fn(pattern: SignPattern) -> tuple[bool, str]:
-        flipped = p_minus(pattern)
-        _, graph = build_graphs(flipped)
-        got = {e: s for e, s in graph.edges}
+    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
+        got = dict(build_graphs(p_minus(facts.pattern))[1].edges)
         return got == expected_signs, f"flipped edge signs {got}"
 
     return Check(check_id, tag, source, fn)
@@ -426,9 +411,9 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "pair-sum-sign",
                     "derived",
                     "all three 2-cycles are positive",
-                    lambda p: (
-                        ek_sign(p, 2).sign is AmbSign.PLUS,
-                        f"length-2 cycle sum sign {ek_sign(p, 2).sign.value}",
+                    lambda facts: (
+                        ek_sign(facts.pattern, 2).sign is AmbSign.PLUS,
+                        f"length-2 cycle sum sign {ek_sign(facts.pattern, 2).sign.value}",
                     ),
                 ),
                 _verdict_check("verdict", "catalog", "two inertias realized", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR}, needs_witness=True),
@@ -915,9 +900,9 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "double-flip",
                     "trivial",
                     "flipping twice restores every edge sign",
-                    lambda p: (
-                        {e: s for e, s in build_graphs(p_minus(p_minus(p)))[1].edges}
-                        == {e: s for e, s in build_graphs(p)[1].edges},
+                    lambda facts: (
+                        build_graphs(p_minus(p_minus(facts.pattern)))[1].edges
+                        == facts.graph.edges,
                         "edge signs restored",
                     ),
                 ),
@@ -1092,9 +1077,10 @@ def verify(names: Iterable[str] | None = None) -> list[CheckOutcome]:
     selected = list(names) if names is not None else fixture_names()
     for name in selected:
         fix = fixture(name)
+        facts = PatternAnalysis(fix.pattern)
         for check in fix.checks:
             try:
-                passed, detail = check.fn(fix.pattern)
+                passed, detail = check.fn(facts)
             except Exception as exc:  # a crash is a failed expectation
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             outcomes.append(

@@ -51,16 +51,6 @@ class SignedDigraph:
     def arc_sign(self) -> dict[tuple[int, int], int]:
         return {(i, j): s for i, j, s in self.arcs}
 
-    @cached_property
-    def successors(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for i, j, _ in self.arcs:
-            out[i].append(j)
-        return {v: tuple(sorted(ws)) for v, ws in out.items()}
-
-    def has_loops(self) -> bool:
-        return any(i == j for i, j, _ in self.arcs)
-
     def without_vertices(self, removed: set[int]) -> "SignedDigraph":
         """Subgraph on the complementary vertex set, original labels kept."""
         keep = [(i, j, s) for i, j, s in self.arcs if i not in removed and j not in removed]
@@ -75,11 +65,10 @@ class SignedDigraph:
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """Undirected edges ((i, j), sign) with i < j; loops are only flagged."""
+    """Undirected edges ((i, j), sign) with i < j; loops are left out."""
 
     n: int
     edges: tuple[tuple[tuple[int, int], int], ...]
-    has_loops: bool = False
 
     @cached_property
     def edge_sign(self) -> dict[tuple[int, int], int]:
@@ -206,15 +195,12 @@ def build_graphs(pattern: SignPattern) -> tuple[SignedDigraph, SignedGraph]:
             "undirected edge signs need p_ij != 0 iff p_ji != 0"
         )
     edges = []
-    has_loops = False
     for i in range(pattern.n):
-        if pattern.rows[i][i]:
-            has_loops = True
         for j in range(i + 1, pattern.n):
             if pattern.rows[i][j]:
                 prod = pattern.rows[i][j] * pattern.rows[j][i]
                 edges.append(((i, j), prod))
-    return digraph, SignedGraph(pattern.n, tuple(edges), has_loops)
+    return digraph, SignedGraph(pattern.n, tuple(edges))
 
 
 def classify_shape(graph: SignedGraph) -> GraphShape:
@@ -280,9 +266,14 @@ def maximal_signed_runs(signs, cyclic: bool) -> list[MaximalSignedRun]:
 
 
 def path_edge_signs(graph: SignedGraph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Ordered edges and signs along a path graph, from its smallest leaf."""
-    shape = classify_shape(graph)
-    if shape.kind is not ShapeKind.PATH:
+    """Ordered edges and signs along a path graph, from its smallest leaf.
+
+    A path is a connected graph with n - 1 edges and no degree above two,
+    which needs no cycle listing, so the shape is not classified here.
+    """
+    if not graph.is_connected():
+        raise Disconnected("edge ordering along a path needs a connected graph")
+    if len(graph.edges) != graph.n - 1 or any(graph.degree(v) > 2 for v in range(graph.n)):
         raise ValueError("edge ordering along a path needs a path graph")
     if graph.n == 1:
         return (), ()

@@ -44,16 +44,13 @@ __all__ = [
     "parse_pattern",
     "validate",
     "apply_equivalence",
-    "invert_op",
     "p_minus",
     "find_principal_subpattern",
-    "canonical_form",
 ]
 
 _TOKEN_TO_INT = {"+": 1, "-": -1, "0": 0}
 _INT_TO_TOKEN = {1: "+", -1: "-", 0: "0"}
 
-CANONICAL_ORDER_CAP = 8
 SUBSET_SEARCH_CAP = 12
 
 
@@ -86,14 +83,6 @@ class AmbSign(Enum):
         if other is AmbSign.ZERO:
             return self
         return self if self is other else AmbSign.AMBIGUOUS
-
-    def mul(self, other: "AmbSign") -> "AmbSign":
-        """Sign of a product: zero absorbs, ambiguity propagates otherwise."""
-        if AmbSign.ZERO in (self, other):
-            return AmbSign.ZERO
-        if AmbSign.AMBIGUOUS in (self, other):
-            return AmbSign.AMBIGUOUS
-        return AmbSign.PLUS if self is other else AmbSign.MINUS
 
 
 @dataclass(frozen=True)
@@ -271,16 +260,6 @@ def apply_equivalence(pattern: SignPattern, op: EquivalenceOp) -> SignPattern:
     raise TypeError(f"not an equivalence op: {op!r}")
 
 
-def invert_op(op: EquivalenceOp) -> EquivalenceOp:
-    """Inverse transform; applying op then its inverse is the identity."""
-    if isinstance(op, PermutationSimilarity):
-        inv = [0] * len(op.perm)
-        for i, p in enumerate(op.perm):
-            inv[p] = i
-        return PermutationSimilarity(tuple(inv))
-    return op
-
-
 def _undirected_support(pattern: SignPattern) -> list[tuple[int, int]]:
     n = pattern.n
     return [
@@ -356,29 +335,3 @@ def find_principal_subpattern(
             hits.append(idx)
     return hits
 
-
-def canonical_form(pattern: SignPattern) -> SignPattern:
-    """Lexicographic minimum of the full equivalence orbit; capped at order 8.
-
-    The orbit ranges over permutation similarity, signature similarity,
-    negation, and transposition (n! * 2^n * 4 pattern images).
-    """
-    n = pattern.n
-    if n > CANONICAL_ORDER_CAP:
-        raise OrderCapExceeded(f"canonicalization capped at order {CANONICAL_ORDER_CAP}")
-    base = pattern.to_array().astype(np.int8)
-    sign_rows = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int8)
-    outer = sign_rows[:, :, None] * sign_rows[:, None, :]  # (2^n, n, n)
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n)):
-        p = np.array(perm)
-        for mat in (base[np.ix_(p, p)], base[np.ix_(p, p)].T):
-            for image in (outer * mat, -(outer * mat)):
-                flat = image.reshape(len(sign_rows), -1)
-                idx = np.lexsort(flat.T[::-1])[0]
-                cand = tuple(int(v) for v in flat[idx])
-                if best is None or cand < best:
-                    best = cand
-    assert best is not None
-    rows = tuple(tuple(best[i * n + j] for j in range(n)) for i in range(n))
-    return SignPattern(rows)

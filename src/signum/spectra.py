@@ -23,12 +23,12 @@ import networkx as nx
 import numpy as np
 
 from .cycles import (
+    PatternAnalysis,
     SimpleCycle,
     _max_cover_successors,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
     max_composite_cover,
-    max_composite_sign_set,
 )
 from .errors import (
     CycleBudgetExceeded,
@@ -39,20 +39,16 @@ from .errors import (
     EigenFailure,
     NoStabilization,
     NotCombinatoriallySymmetric,
-    OrderCapExceeded,
     RunNotOdd,
     SignMismatch,
 )
 from .graphs import (
     ShapeKind,
     build_digraph,
-    build_graphs,
-    classify_shape,
     cycle_edge_order,
     maximal_signed_runs,
-    path_edge_signs,
 )
-from .patterns import SignPattern, validate
+from .patterns import SignPattern
 
 __all__ = [
     "DEFAULT_SEED",
@@ -555,11 +551,12 @@ def _try_pair(
     return WitnessPair(mat_a, mat_b, prof_a, prof_b, method, detail)
 
 
-def _pair_from_sign_clash(pattern: SignPattern) -> WitnessPair | None:
+def _pair_from_sign_clash(facts: PatternAnalysis) -> WitnessPair | None:
     """Oppositely signed maximum composite cycles, each emphasized."""
+    pattern = facts.pattern
     try:
-        sign_set = max_composite_sign_set(build_digraph(pattern))
-    except (OrderCapExceeded, CycleBudgetExceeded):
+        sign_set = facts.sign_set
+    except CycleBudgetExceeded:
         return None
     if not sign_set.ambiguous:
         return None
@@ -578,16 +575,16 @@ def _pair_from_sign_clash(pattern: SignPattern) -> WitnessPair | None:
     )
 
 
-def _pair_from_matchings(pattern: SignPattern) -> WitnessPair | None:
+def _pair_from_matchings(facts: PatternAnalysis) -> WitnessPair | None:
     """Negative-edge matching versus positive-edge matching, both emphasized.
 
     Negative edges carry imaginary eigenvalue pairs, positive edges real
     ones, so large enough matchings of both colors pull the zero-real-part
     count apart.
     """
-    _, graph = build_graphs(pattern)
-    neg = _max_matching(graph.negative_edges())
-    pos = _max_matching(graph.positive_edges())
+    pattern = facts.pattern
+    neg = _max_matching(facts.graph.negative_edges())
+    pos = _max_matching(facts.graph.positive_edges())
     if not neg or not pos:
         return None
     spec_a = ladder_spec(pattern, matching_parts(pattern, neg))
@@ -601,13 +598,7 @@ def _pair_from_matchings(pattern: SignPattern) -> WitnessPair | None:
     )
 
 
-def _outside_parts(pattern: SignPattern, cycle_vertices: Sequence[int]) -> tuple[SimpleCycle, ...]:
-    digraph = build_digraph(pattern).without_vertices(set(cycle_vertices))
-    cover = max_composite_cover(digraph)
-    return cover.parts if cover is not None else ()
-
-
-def _pair_from_cycle_conditions(pattern: SignPattern) -> WitnessPair | None:
+def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
     """Constructions driven by one cycle of the undirected graph.
 
     For a cycle with an odd number of negative edges the two traversal
@@ -618,18 +609,17 @@ def _pair_from_cycle_conditions(pattern: SignPattern) -> WitnessPair | None:
     and a positive matching.  The rest of the digraph rides along as a
     fixed ladder of vertex-disjoint cycles.
     """
-    _, graph = build_graphs(pattern)
-    shape = classify_shape(graph)
-    if shape.kind not in (
+    if facts.shape.kind not in (
         ShapeKind.SINGLE_CYCLE,
         ShapeKind.UNICYCLIC,
         ShapeKind.MULTI_CYCLE_NO_LEAF,
     ):
         return None
-    digraph = build_digraph(pattern)
-    for cyc in shape.cycles:
-        edges, signs = cycle_edge_order(graph, cyc)
-        outside = _outside_parts(pattern, cyc)
+    pattern, digraph = facts.pattern, facts.digraph
+    for cyc in facts.shape.cycles:
+        edges, signs = cycle_edge_order(facts.graph, cyc)
+        cover = max_composite_cover(digraph.without_vertices(set(cyc)))
+        outside = cover.parts if cover is not None else ()
         n_neg = sum(1 for s in signs if s < 0)
         if n_neg % 2 == 1:
             fwd = directed_cycle_from_vertices(digraph, cyc)
@@ -683,7 +673,7 @@ def _pair_from_cycle_conditions(pattern: SignPattern) -> WitnessPair | None:
     return None
 
 
-def _path_probe_matrices(pattern: SignPattern) -> list[tuple[str, np.ndarray]]:
+def _path_probe_matrices(facts: PatternAnalysis) -> list[tuple[str, np.ndarray]]:
     """Deterministic magnitude profiles for path patterns.
 
     Off-diagonal magnitudes 1 above the diagonal and a structured profile
@@ -691,10 +681,10 @@ def _path_probe_matrices(pattern: SignPattern) -> list[tuple[str, np.ndarray]]:
     pushes the spectrum toward the imaginary axis when the sign structure
     allows it; the swapped and inverted profiles cover the other phases.
     """
-    _, graph = build_graphs(pattern)
-    if classify_shape(graph).kind is not ShapeKind.PATH or pattern.n < 2:
+    pattern = facts.pattern
+    if facts.shape.kind is not ShapeKind.PATH or pattern.n < 2:
         return []
-    edges, _ = path_edge_signs(graph)
+    edges, _ = facts.path_edges
     m = len(edges)
     profiles: list[tuple[str, list[float]]] = []
     for name, end, mid_a, mid_b in (
@@ -723,19 +713,19 @@ def _path_probe_matrices(pattern: SignPattern) -> list[tuple[str, np.ndarray]]:
 
 
 def _pair_from_sampling(
-    pattern: SignPattern, budget: int, cfg: SampleConfig
+    facts: PatternAnalysis, budget: int, cfg: SampleConfig
 ) -> WitnessPair | None:
     """Structured probes, then a random census; pair keys with distinct inertia."""
     pool: dict[tuple[int, int, int], tuple[str, np.ndarray]] = {}
     try:
-        probes = _path_probe_matrices(pattern)
+        probes = _path_probe_matrices(facts)
     except (NotCombinatoriallySymmetric, Disconnected):
         probes = []
     for name, mat in probes:
         prof = spectral_profile(mat)
         if not prof.suspect_inertia:
             pool.setdefault(prof.inertia, (f"probe:{name}", mat))
-    cen = census(pattern, replace(cfg, trials=budget))
+    cen = census(facts.pattern, replace(cfg, trials=budget))
     for key in cen.solid_keys():
         pool.setdefault(key, ("census", cen.solid_representatives[key]))
     keys = sorted(pool)
@@ -760,22 +750,23 @@ def _pair_from_sampling(
 
 
 def find_witness_pair(
-    pattern: SignPattern, budget: int = 2000, cfg: SampleConfig | None = None
+    facts: PatternAnalysis, budget: int = 2000, cfg: SampleConfig | None = None
 ) -> WitnessPair | None:
-    """Two realizations with different inertias, or None within the budget.
+    """Two realizations of the analysed pattern with different inertias, or None.
 
     Constructive strategies run first so that, when they apply, the
     returned pair is reproducible and independent of the sampling seed.
-    Every returned pair has been checked numerically.
+    They read the structural facts from ``facts``, so a caller that has
+    already derived them does not pay for them twice.  Every returned pair
+    has been checked numerically.
     """
     cfg = cfg or SampleConfig()
-    flags = validate(pattern)
-    if pattern.n <= 16:
+    if facts.pattern.n <= 16:
         strategies = [_pair_from_sign_clash]
-        if flags.combinatorially_symmetric and flags.irreducible:
+        if facts.flags.combinatorially_symmetric and facts.flags.irreducible:
             strategies += [_pair_from_matchings, _pair_from_cycle_conditions]
         for strategy in strategies:
-            pair = strategy(pattern)
+            pair = strategy(facts)
             if pair is not None:
                 return pair
-    return _pair_from_sampling(pattern, budget, cfg)
+    return _pair_from_sampling(facts, budget, cfg)

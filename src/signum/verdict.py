@@ -18,23 +18,19 @@ import numpy as np
 
 from .charpoly import sign_det
 from .cycles import (
+    PatternAnalysis,
     cover_extension_exists,
     directed_cycle_from_vertices,
     max_composite_length,
-    max_composite_sign_set,
 )
 from .graphs import (
     GraphShape,
     ShapeKind,
-    build_digraph,
-    build_graphs,
-    classify_shape,
     cycle_edge_order,
     cycle_structure,
     maximal_signed_runs,
-    path_edge_signs,
 )
-from .patterns import AmbSign, PatternFlags, SignPattern, p_minus, validate
+from .patterns import AmbSign, PatternFlags, SignPattern, p_minus
 from .spectra import (
     Census,
     SampleConfig,
@@ -87,9 +83,6 @@ class Verdict:
     overall: Overall
     census: Census | None
 
-    def concluding(self) -> list[RuleFinding]:
-        return [f for f in self.findings if f.conclusion is not Conclusion.NO_CONCLUSION]
-
     def witness_pair(self) -> WitnessPair | None:
         for f in self.findings:
             if f.witness is not None:
@@ -130,16 +123,9 @@ def _forbidden_blocks() -> dict[str, SignPattern]:
 FORBIDDEN_BLOCKS = _forbidden_blocks()
 
 
-def _block_edge_signs() -> dict[str, tuple[int, ...]]:
-    out = {}
-    for name, block in FORBIDDEN_BLOCKS.items():
-        _, graph = build_graphs(block)
-        _, signs = path_edge_signs(graph)
-        out[name] = tuple(signs)
-    return out
-
-
-_FORBIDDEN_EDGE_SIGNS = _block_edge_signs()
+_FORBIDDEN_EDGE_SIGNS = {
+    name: PatternAnalysis(block).path_edges[1] for name, block in FORBIDDEN_BLOCKS.items()
+}
 
 _REASONS = {
     "R1": "maximum-length composite cycles occur with both signs, so the top"
@@ -187,9 +173,12 @@ def analyze(
     Patterns must be irreducible, combinatorially symmetric, and have a
     zero diagonal; otherwise a single precondition finding is returned.
     The census always runs so inconclusive verdicts still carry evidence.
+    Every rule and the witness search read one ``PatternAnalysis``, so each
+    structural fact is derived once.
     """
     cfg = cfg or SampleConfig()
-    flags = validate(pattern)
+    facts = PatternAnalysis(pattern)
+    flags = facts.flags
     if not flags.all_ok():
         finding = RuleFinding(
             "R0",
@@ -205,15 +194,14 @@ def analyze(
         )
         return Verdict(pattern, flags, None, [finding], Overall.INCONCLUSIVE, None)
 
-    digraph, graph = build_graphs(pattern)
-    shape = classify_shape(graph)
+    digraph, graph, shape = facts.digraph, facts.graph, facts.shape
     cen = census(pattern, cfg)
     findings: list[RuleFinding] = []
 
     # R1: sign clash among maximum-length composite cycles
     if pattern.n <= 16:
-        sign_set = max_composite_sign_set(digraph)
-        m = max_composite_length(digraph)
+        sign_set = facts.sign_set
+        m = facts.max_composite_length
         ambiguous = sign_set.ambiguous and m >= 2
         findings.append(
             RuleFinding(
@@ -266,7 +254,7 @@ def analyze(
 
     # R3: tridiagonal odd-run count
     if shape.kind is ShapeKind.PATH and pattern.n >= 2:
-        _, signs = path_edge_signs(graph)
+        _, signs = facts.path_edges
         runs = maximal_signed_runs(signs, cyclic=False)
         odd = [r.length for r in runs if r.length % 2 == 1]
         findings.append(
@@ -288,7 +276,7 @@ def analyze(
     # 1-based path positions, which equal matrix window starts for patterns
     # labeled consecutively along the path.
     if shape.kind is ShapeKind.PATH and pattern.n >= 2:
-        _, signs = path_edge_signs(graph)
+        _, signs = facts.path_edges
         hits: dict[str, list[int]] = {}
         for name, block_signs in _FORBIDDEN_EDGE_SIGNS.items():
             width = len(block_signs)
@@ -338,7 +326,7 @@ def analyze(
         # distances guarantee it, but check the identity directly.
         the_cycle = report.cycles[0]
         rest = digraph.without_vertices(set(the_cycle))
-        additive = max_composite_length(digraph) == len(the_cycle) + max_composite_length(rest)
+        additive = facts.max_composite_length == len(the_cycle) + max_composite_length(rest)
         fire = all_even and additive and any(conds.values())
         findings.append(
             RuleFinding(
@@ -482,7 +470,7 @@ def analyze(
             f for f in findings if f.conclusion is Conclusion.DOES_NOT_REQUIRE
         )
         if first.witness is None:
-            pair = find_witness_pair(pattern, budget=witness_budget, cfg=cfg)
+            pair = find_witness_pair(facts, budget=witness_budget, cfg=cfg)
             if pair is not None:
                 first.witness = pair
             else:

@@ -1,0 +1,92 @@
+"""One ``PatternAnalysis`` per ``analyze``: each structural fact is derived once."""
+
+from __future__ import annotations
+
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from signum import cycles, graphs, patterns
+from signum.cycles import PatternAnalysis, max_composite_length, max_composite_sign_set
+from signum.errors import NotCombinatoriallySymmetric
+from signum.fixtures import FIXTURES
+from signum.graphs import build_digraph, build_graphs, classify_shape, path_edge_signs
+from signum.patterns import SignPattern, parse_pattern, validate
+from signum.spectra import SampleConfig
+from signum.verdict import analyze
+
+GOLDEN = Path(__file__).with_name("golden_census.json")
+
+COUNTED = {
+    "validate": patterns.validate,
+    "classify_shape": graphs.classify_shape,
+    "max_composite_sign_set": cycles.max_composite_sign_set,
+}
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Wrap every ``signum.*`` module binding of the counted functions.
+
+    Callers import by name, so patching only the defining module would miss
+    nearly every call.
+    """
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {id(fn): (fn, counting(name, fn)) for name, fn in COUNTED.items()}
+    for mod_name, module in sorted(sys.modules.items()):
+        if module is None or not (mod_name == "signum" or mod_name.startswith("signum.")):
+            continue
+        for attr, obj in list(vars(module).items()):
+            hit = wrappers.get(id(obj))
+            if hit is not None and hit[0] is obj:
+                monkeypatch.setattr(module, attr, hit[1])
+    return calls
+
+
+def test_each_fact_computed_once_per_analyze(monkeypatch):
+    entry = json.loads(GOLDEN.read_text())["ladder"][0]
+    pattern = parse_pattern("\n".join(entry["rows"]))
+    calls = _count_calls(monkeypatch)
+    verdict = analyze(pattern, SampleConfig())
+    assert verdict.witness_pair() is not None  # the witness search ran too
+    assert calls["classify_shape"] == 1
+    assert calls["max_composite_sign_set"] == 1
+    assert calls["validate"] <= 2
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_analysis_matches_direct_computation(name):
+    pattern = FIXTURES[name].pattern
+    facts = PatternAnalysis(pattern)
+    digraph, graph = build_graphs(pattern)
+    assert facts.flags == validate(pattern)
+    assert facts.digraph == digraph == build_digraph(pattern)
+    assert facts.graph == graph
+    assert facts.shape == classify_shape(graph)
+    assert facts.max_composite_length == max_composite_length(digraph)
+    assert facts.sign_set == max_composite_sign_set(digraph)
+    if facts.shape.kind is graphs.ShapeKind.PATH:
+        assert facts.path_edges == path_edge_signs(graph)
+    else:
+        with pytest.raises(ValueError):
+            facts.path_edges
+
+
+def test_analysis_field_errors_repeat():
+    lopsided = SignPattern.from_rows([[0, 1], [0, 0]])
+    facts = PatternAnalysis(lopsided)
+    assert not facts.flags.combinatorially_symmetric
+    assert facts.digraph.arcs == ((0, 1, 1),)
+    for _ in range(2):
+        with pytest.raises(NotCombinatoriallySymmetric):
+            facts.graph

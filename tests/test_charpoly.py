@@ -8,7 +8,6 @@ from signum.charpoly import (
     CharPoly,
     char_poly,
     descartes,
-    descartes_symbolic,
     ek_sign,
     sign_det,
 )
@@ -99,26 +98,6 @@ def test_descartes_charpoly_input():
 def test_descartes_zero_leading():
     with pytest.raises(ZeroLeading):
         descartes([0, 1, 1])
-
-
-def test_descartes_symbolic_ranges():
-    signs = [AmbSign.PLUS, AmbSign.ZERO, AmbSign.AMBIGUOUS, AmbSign.ZERO, AmbSign.MINUS]
-    rng = descartes_symbolic(signs)
-    assert rng.v_plus == (1, 1)
-    assert rng.v_minus == (1, 1)
-    with pytest.raises(ZeroLeading):
-        descartes_symbolic([AmbSign.AMBIGUOUS, AmbSign.PLUS])
-
-
-def test_descartes_symbolic_covers_numeric():
-    rng = np.random.default_rng(9)
-    amb = [AmbSign.PLUS, AmbSign.AMBIGUOUS, AmbSign.MINUS, AmbSign.AMBIGUOUS]
-    bounds = descartes_symbolic(amb)
-    for _ in range(50):
-        coeffs = [1.0, rng.normal(), -abs(rng.normal()) - 0.1, rng.normal()]
-        v = descartes(coeffs)
-        assert bounds.v_plus[0] <= v.v_plus <= bounds.v_plus[1]
-        assert bounds.v_minus[0] <= v.v_minus <= bounds.v_minus[1]
 
 
 def test_sign_det_examples(pat):

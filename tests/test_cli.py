@@ -140,7 +140,7 @@ def test_verify_negative_control(monkeypatch):
                 "impossible",
                 "trivial",
                 "deliberately wrong expectation",
-                lambda p: (p.n == 3, f"order is {p.n}"),
+                lambda facts: (facts.pattern.n == 3, f"order is {facts.pattern.n}"),
             ),
         ),
     )
@@ -156,6 +156,14 @@ def test_fuzz_smoke_deterministic():
     assert a.exit_code == 0
     assert a.output == b.output
     assert "examined" in a.output
+
+
+def test_fuzz_rejects_order_zero():
+    result = run("fuzz", "--order", "0", "--trials", "1")
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "--order" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_fuzz_repeated_imaginary_smoke():

@@ -1,0 +1,35 @@
+"""Every exported name resolves, so deleted API leaves no dangling export."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import signum
+
+MODULES = sorted(f"signum.{m.name}" for m in pkgutil.iter_modules(signum.__path__))
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_module_all_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(signum.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(f"signum.{module}"), name), (module, name)
+        assert hasattr(signum, name), name

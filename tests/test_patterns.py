@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,9 +19,7 @@ from signum.patterns import (
     SignatureSimilarity,
     Transposition,
     apply_equivalence,
-    canonical_form,
     find_principal_subpattern,
-    invert_op,
     p_minus,
     parse_pattern,
     validate,
@@ -108,23 +105,6 @@ def test_permutation_entry_mapping(pat):
     assert q[0, 1] == p4[3, 2] == 1
 
 
-@given(patterns_st, st.data())
-def test_ops_invert(p, data):
-    n = p.n
-    kind = data.draw(st.sampled_from(["perm", "sig", "neg", "transpose"]))
-    if kind == "perm":
-        op = PermutationSimilarity(tuple(data.draw(st.permutations(range(n)))))
-    elif kind == "sig":
-        op = SignatureSimilarity(
-            tuple(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
-        )
-    elif kind == "neg":
-        op = Negation()
-    else:
-        op = Transposition()
-    assert apply_equivalence(apply_equivalence(p, op), invert_op(op)) == p
-
-
 def test_dimension_mismatch():
     p = SignPattern.from_rows([[0, 1], [1, 0]])
     with pytest.raises(DimensionMismatch):
@@ -192,21 +172,3 @@ def test_window_extraction_matches(pat):
     p6, p4 = pat("PAT_P6"), pat("PAT_P4")
     for window in find_principal_subpattern(p6, p4):
         assert p6.principal(window) == p4
-
-
-def test_canonical_form_invariance():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(2, 5))
-        p = SignPattern.from_rows(rng.integers(-1, 2, size=(n, n)).tolist())
-        base = canonical_form(p)
-        perm = PermutationSimilarity(tuple(rng.permutation(n).tolist()))
-        sig = SignatureSimilarity(tuple(int(s) for s in rng.choice((-1, 1), size=n)))
-        for op in (perm, sig, Negation(), Transposition()):
-            assert canonical_form(apply_equivalence(p, op)) == base
-
-
-def test_canonical_form_cap():
-    big = SignPattern.from_rows([[0] * 9 for _ in range(9)])
-    with pytest.raises(OrderCapExceeded):
-        canonical_form(big)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tree_pattern
-from signum.cycles import directed_cycle_from_vertices
+from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
 from signum.errors import CycleNotInPattern, SignMismatch
 from signum.graphs import build_digraph
 from signum.patterns import (
@@ -170,24 +170,24 @@ def test_skew_witness_all_negative(pat):
 
 
 def test_find_witness_pair_p4(pat):
-    pair = find_witness_pair(pat("PAT_P4"))
+    pair = find_witness_pair(PatternAnalysis(pat("PAT_P4")))
     assert pair is not None
     assert set(pair.inertias()) == {(2, 2, 0), (0, 0, 4)}
 
 
 def test_find_witness_pair_p6(pat):
-    pair = find_witness_pair(pat("PAT_P6"))
+    pair = find_witness_pair(PatternAnalysis(pat("PAT_P6")))
     assert pair is not None
     assert set(pair.inertias()) == {(0, 0, 6), (2, 2, 2)}
 
 
 def test_find_witness_pair_unique_inertia_pattern(pat):
-    assert find_witness_pair(pat("PAT_EG06"), budget=400) is None
+    assert find_witness_pair(PatternAnalysis(pat("PAT_EG06")), budget=400) is None
 
 
 def test_witness_pair_matrices_in_class(pat):
     p = pat("PAT_XNFIG2")
-    pair = find_witness_pair(p)
+    pair = find_witness_pair(PatternAnalysis(p))
     assert pair is not None
     for mat in (pair.a, pair.b):
         assert np.array_equal(np.sign(np.asarray(mat)).astype(int), p.to_array())
