@@ -48,9 +48,12 @@ def _default_seed() -> int:
     env = os.environ.get("SIGNUM_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise click.ClickException(f"SIGNUM_SEED must be an integer, got {env!r}")
+        if seed < 0:
+            raise click.ClickException(f"SIGNUM_SEED must be nonnegative, got {env!r}")
+        return seed
     return DEFAULT_SEED
 
 
@@ -79,7 +82,7 @@ def main() -> None:
 @click.option("--fixture", help="name of a built-in pattern")
 @click.option("--json", "as_json", is_flag=True, help="emit the JSON verdict")
 @click.option("--trials", default=1000, show_default=True, help="census sample count")
-@click.option("--seed", type=int, default=None, help="sampling seed")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="sampling seed")
 @click.option(
     "--strict-distance",
     is_flag=True,
@@ -161,7 +164,7 @@ def cmd_graph(path, fixture, directed) -> None:
 @click.argument("path", required=False)
 @click.option("--fixture", help="name of a built-in pattern")
 @click.option("--trials", default=1000, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--lo", default=1e-2, show_default=True, help="magnitude law lower bound")
 @click.option("--hi", default=1e2, show_default=True, help="magnitude law upper bound")
 def cmd_census(path, fixture, trials, seed, lo, hi) -> None:
@@ -238,7 +241,7 @@ def cmd_witness(path, fixture, cycle, matching) -> None:
     "--order", type=click.IntRange(min=1), default=6, show_default=True, help="pattern order"
 )
 @click.option("--trials", default=50, show_default=True, help="number of random patterns")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option(
     "--target",
     type=click.Choice(["odd-run-interior", "repeated-imaginary"]),

@@ -17,7 +17,7 @@ from functools import cached_property
 import networkx as nx
 
 from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetric
-from .patterns import SignPattern, validate
+from .patterns import SignPattern
 
 __all__ = [
     "SignedDigraph",
@@ -189,18 +189,17 @@ def build_digraph(pattern: SignPattern) -> SignedDigraph:
 
 def build_graphs(pattern: SignPattern) -> tuple[SignedDigraph, SignedGraph]:
     """Build D and G; G needs combinatorial symmetry."""
-    digraph = build_digraph(pattern)
-    if not validate(pattern).combinatorially_symmetric:
-        raise NotCombinatoriallySymmetric(
-            "undirected edge signs need p_ij != 0 iff p_ji != 0"
-        )
+    rows = pattern.rows
     edges = []
     for i in range(pattern.n):
         for j in range(i + 1, pattern.n):
-            if pattern.rows[i][j]:
-                prod = pattern.rows[i][j] * pattern.rows[j][i]
-                edges.append(((i, j), prod))
-    return digraph, SignedGraph(pattern.n, tuple(edges))
+            if (rows[i][j] != 0) != (rows[j][i] != 0):
+                raise NotCombinatoriallySymmetric(
+                    "undirected edge signs need p_ij != 0 iff p_ji != 0"
+                )
+            if rows[i][j]:
+                edges.append(((i, j), rows[i][j] * rows[j][i]))
+    return build_digraph(pattern), SignedGraph(pattern.n, tuple(edges))
 
 
 def classify_shape(graph: SignedGraph) -> GraphShape:

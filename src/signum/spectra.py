@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import networkx as nx
 import numpy as np
 
+from ._rng import uniforms
 from .cycles import (
     PatternAnalysis,
     SimpleCycle,
@@ -87,6 +88,8 @@ class SampleConfig:
             raise ValueError("need 0 < lo <= hi")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError("need a nonnegative seed")
 
 
 @dataclass(frozen=True)
@@ -186,31 +189,42 @@ def _support(pattern: SignPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _fill(
     pattern: SignPattern,
     support: tuple[np.ndarray, np.ndarray, np.ndarray],
-    draws: Sequence[tuple[SampleConfig, int]],
+    seed: int,
+    laws: Sequence[tuple[float, float]],
+    start: int,
+    stop: int,
 ) -> np.ndarray:
-    """Realizations for (law, index) draws as one (len(draws), n, n) stack.
+    """Realizations of trials start .. stop - 1 as one (stop - start, n, n) stack.
 
-    Draw r takes its magnitudes from ``default_rng((law.seed, index))`` in
-    row-major support order, so it equals the realization ``sample(pattern,
-    law, index)`` bit for bit whatever else shares its stack.  The powers
-    are taken with Python floats: numpy's vectorized ``power`` may differ
-    from the C library's ``pow`` in the last bit.
+    Trial t takes its magnitudes from the log-uniform law
+    ``laws[t % len(laws)]`` (a (lo, hi) pair), driven by the first k doubles
+    of ``default_rng((seed, t))`` in row-major support order, so it equals
+    the realization ``sample`` gives for index t bit for bit whatever else
+    shares its stack.  A stack of several trials takes its doubles from one
+    ``_rng.uniforms`` call; a single trial builds its one generator, which
+    costs far less than the block arithmetic.  The powers are taken with
+    Python floats: numpy's vectorized ``power`` may differ from the C
+    library's ``pow`` in the last bit.
     """
     rows, cols, signs = support
-    mags = np.empty((len(draws), len(signs)))
-    for r, (law, index) in enumerate(draws):
-        lo = math.log10(law.lo)
-        span = math.log10(law.hi) - lo
-        u = np.random.default_rng((law.seed, index)).random(len(signs))
-        mags[r] = [10.0 ** (lo + span * x) for x in u.tolist()]
-    out = np.zeros((len(draws), pattern.n, pattern.n))
+    if stop - start == 1:
+        u = np.random.default_rng((seed, start)).random((1, len(signs)))
+    else:
+        u = uniforms(seed, np.arange(start, stop, dtype=np.uint64), len(signs))
+    mags = np.empty_like(u)
+    for j, (lo, hi) in enumerate(laws):
+        picked = slice((j - start) % len(laws), None, len(laws))
+        lo_exp = math.log10(lo)
+        exps = lo_exp + (math.log10(hi) - lo_exp) * u[picked]
+        mags[picked] = np.array([10.0**x for x in exps.ravel().tolist()]).reshape(exps.shape)
+    out = np.zeros((stop - start, pattern.n, pattern.n))
     out[:, rows, cols] = signs * mags
     return out
 
 
 def sample(pattern: SignPattern, cfg: SampleConfig, index: int = 0) -> np.ndarray:
     """One random realization; deterministic in (seed, index)."""
-    return _fill(pattern, _support(pattern), [(cfg, index)])[0]
+    return _fill(pattern, _support(pattern), cfg.seed, [(cfg.lo, cfg.hi)], index, index + 1)[0]
 
 
 class _Classes(NamedTuple):
@@ -300,9 +314,11 @@ def _stack_thresholds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``sqrt(dot(v, v))`` per flattened matrix is exactly what
     ``np.linalg.norm`` computes; a reduction over an axis sums in another
-    order and can differ in the last bit.
+    order and can differ in the last bit.  A stack of row-by-column
+    ``matmul`` products takes the same ``dot`` for each matrix.
     """
-    return _thresholds(np.sqrt([np.dot(v, v) for v in mats.reshape(len(mats), -1)]))
+    flat = mats.reshape(len(mats), -1)
+    return _thresholds(np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]))
 
 
 def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,17 +379,22 @@ def _generic_zero_count(pattern: SignPattern) -> int:
 
 
 def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
-    """Distinct rows of keys[mask] as (key, first row, count), in order of first row."""
+    """Distinct rows of keys[mask] as (key, first row, count), in order of first row.
+
+    Keys are nonnegative ints.  Each row is coded as one integer in mixed
+    radix, so one 1-D ``unique`` finds the distinct rows.
+    """
     rows = np.flatnonzero(mask)
     if not len(rows):
         return []
-    uniq, first, count = np.unique(
-        keys[rows], axis=0, return_index=True, return_counts=True
-    )
+    sub = keys[rows]
+    codes = np.ravel_multi_index(tuple(sub.T), tuple(sub.max(axis=0) + 1))
+    _, first, count = np.unique(codes, return_index=True, return_counts=True)
     order = np.argsort(first)
+    first, count = first[order], count[order]
     return [
-        (tuple(int(v) for v in uniq[o]), int(rows[first[o]]), int(count[o]))
-        for o in order
+        (tuple(key), row, n)
+        for key, row, n in zip(sub[first].tolist(), rows[first].tolist(), count.tolist())
     ]
 
 
@@ -392,7 +413,7 @@ def census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True) -> Ce
     lo, hi = max(cfg.lo, NEAR_ONE_LO), min(cfg.hi, NEAR_ONE_HI)
     if lo > hi:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
-    narrow = replace(cfg, lo=lo, hi=hi)
+    laws = [(cfg.lo, cfg.hi), (lo, hi)] if two_laws else [(cfg.lo, cfg.hi)]
     generic_zeros = _generic_zero_count(pattern)
     support = _support(pattern)
     counts: dict[tuple[int, int, int], int] = {}
@@ -401,11 +422,8 @@ def census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True) -> Ce
     freqs: dict[tuple[int, int], int] = {}
     failures = 0
     for start in range(0, cfg.trials, _BLOCK):
-        draws = [
-            (narrow if (two_laws and t % 2) else cfg, t)
-            for t in range(start, min(start + _BLOCK, cfg.trials))
-        ]
-        mats = _fill(pattern, support, draws)
+        stop = min(start + _BLOCK, cfg.trials)
+        mats = _fill(pattern, support, cfg.seed, laws, start, stop)
         eig, ok = _stack_eigvals(mats)
         failures += int(np.count_nonzero(~ok))
         c = _classify(eig, *_stack_thresholds(mats))

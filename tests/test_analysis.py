@@ -61,7 +61,7 @@ def test_each_fact_computed_once_per_analyze(monkeypatch):
     assert verdict.witness_pair() is not None  # the witness search ran too
     assert calls["classify_shape"] == 1
     assert calls["max_composite_sign_set"] == 1
-    assert calls["validate"] <= 2
+    assert calls["validate"] == 1
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

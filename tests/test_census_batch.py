@@ -176,6 +176,23 @@ def test_sample_and_profile_match_scalar_reference(pattern, index, seed, law):
     assert spectral_profile(mat) == scalar_profile(mat)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 300),
+    n=st.integers(1, 24),
+    density=st.sampled_from((0.1, 0.5, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_thresholds_match_per_matrix_norm(rows, n, density, seed):
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((rows, n, n)) * 10.0 ** rng.uniform(-3, 3, (rows, n, n))
+    mats[rng.random((rows, n, n)) >= density] = 0.0
+    tol, floor = spectra._stack_thresholds(mats)
+    want = [spectra._thresholds(float(np.linalg.norm(m))) for m in mats]
+    assert tol.tobytes() == np.array([w[0] for w in want]).tobytes()
+    assert floor.tobytes() == np.array([w[1] for w in want]).tobytes()
+
+
 @pytest.mark.parametrize(
     "name, cycle, matching",
     [

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 import signum.fixtures as fixture_catalog
@@ -163,6 +164,37 @@ def test_fuzz_rejects_order_zero():
     assert result.exit_code == 2
     assert "Usage:" in result.output
     assert "--order" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "--fixture", "PAT_P4", "--trials", "10"),
+        ("census", "--fixture", "PAT_P4", "--trials", "10"),
+        ("fuzz", "--order", "4", "--trials", "1"),
+    ],
+)
+def test_negative_seed_is_a_usage_error(args):
+    result = run(*args, "--seed", "-1")
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "--seed" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("analyze", "--fixture", "PAT_P4", "--trials", "10"), 3),
+        (("census", "--fixture", "PAT_P4", "--trials", "10"), 3),
+        (("fuzz", "--order", "4", "--trials", "1"), 1),
+    ],
+)
+def test_negative_seed_env_is_an_error(args, code):
+    result = run(*args, env={"SIGNUM_SEED": "-5"})
+    assert result.exit_code == code
+    assert "SIGNUM_SEED must be nonnegative" in result.output
     assert "Traceback" not in result.output
 
 

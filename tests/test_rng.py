@@ -1,0 +1,129 @@
+"""Block uniforms and the census tally against the numpy code they replace.
+
+``_rng.uniforms`` must give, row for row, exactly the doubles of
+``np.random.default_rng((seed, index)).random(k)``: census output bytes
+rest on it.  Comparing against ``default_rng`` itself means a change to
+numpy's ``SeedSequence`` or ``PCG64`` fails here first.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import signum
+from signum import _rng, spectra
+from signum.patterns import SignPattern
+from signum.spectra import SampleConfig, _tally, sample
+
+# 2**32 splits into two entropy words; 2**130 + 3 is five words, more than
+# SeedSequence's pool of four, so it runs the leftover-entropy loop.
+SEEDS = [0, 1729, 2**32, 2**64 + 1, 2**130 + 3]
+INDICES = [0, 1, 2**32 - 1, 2**32]
+
+
+def reference(seed: int, indices, k: int) -> np.ndarray:
+    return np.array(
+        [np.random.default_rng((seed, int(i))).random(k) for i in indices]
+    ).reshape(len(indices), k)
+
+
+def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 16, 50])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniforms_match_default_rng(seed, k):
+    indices = np.array(INDICES, dtype=np.uint64)
+    assert_bits_equal(_rng.uniforms(seed, indices, k), reference(seed, INDICES, k))
+    for i in INDICES:  # one row alone equals its row in the block
+        row = _rng.uniforms(seed, np.array([i], dtype=np.uint64), k)
+        assert_bits_equal(row, reference(seed, [i], k))
+
+
+def test_uniforms_census_block():
+    indices = np.arange(256, 512, dtype=np.uint64)
+    assert_bits_equal(_rng.uniforms(1729, indices, 12), reference(1729, indices, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**140),
+    indices=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+    k=st.integers(0, 40),
+)
+def test_uniforms_match_default_rng_anywhere(seed, indices, k):
+    got = _rng.uniforms(seed, np.array(indices, dtype=np.uint64), k)
+    assert_bits_equal(got, reference(seed, indices, k))
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError):
+        SampleConfig(seed=-1)
+
+
+@pytest.mark.parametrize("start", [0, 7, 2**32 - 2])
+def test_one_sample_equals_its_row_in_a_block(start):
+    """``sample`` builds one generator; a block uses ``uniforms``."""
+    pattern = SignPattern.from_rows([[0, 1, 0], [-1, 0, 1], [0, 1, 0]])
+    cfg = SampleConfig(seed=2**40 + 9)
+    laws = [(cfg.lo, cfg.hi)]
+    block = spectra._fill(pattern, spectra._support(pattern), cfg.seed, laws, start, start + 3)
+    for r in range(3):
+        assert sample(pattern, cfg, start + r).tobytes() == block[r].tobytes()
+
+
+def test_jump_constants_not_built_at_import():
+    code = "import signum.cli, signum._rng as r; print(r._jump.cache_info().currsize)"
+    src = str(Path(signum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "0"
+
+
+def old_tally(keys: np.ndarray, mask: np.ndarray):
+    """The row-wise ``np.unique(axis=0)`` tally that ``_tally`` replaced."""
+    rows = np.flatnonzero(mask)
+    if not len(rows):
+        return []
+    uniq, first, count = np.unique(
+        keys[rows], axis=0, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return [
+        (tuple(int(v) for v in uniq[o]), int(rows[first[o]]), int(count[o]))
+        for o in order
+    ]
+
+
+@st.composite
+def keys_and_mask(draw):
+    rows = draw(st.integers(0, 300))
+    cols = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([1, 3, 25]))
+    keys = draw(hnp.arrays(np.int64, (rows, cols), elements=st.integers(0, top)))
+    mask = draw(hnp.arrays(np.bool_, rows))
+    return keys, mask
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(keys_and_mask())
+def test_tally_matches_row_unique(case):
+    keys, mask = case
+    got = _tally(keys, mask)
+    assert got == old_tally(keys, mask)
+    for key, first, count in got:
+        assert all(type(v) is int for v in (*key, first, count))
