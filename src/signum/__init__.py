@@ -30,7 +30,6 @@ from .cycles import (
     max_composite_cover,
     max_composite_length,
     max_composite_sign_set,
-    simple_cycles,
 )
 from .errors import SignumError
 from .graphs import (
@@ -41,6 +40,7 @@ from .graphs import (
     SignedDigraph,
     SignedGraph,
     build_digraph,
+    build_graph,
     build_graphs,
     classify_shape,
     cycle_structure,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFinite, OrderCapExceeded, ZeroLeading
 from .graphs import build_digraph
@@ -71,8 +70,11 @@ def char_poly(matrix: np.ndarray) -> CharPoly:
 
     After the orthogonal reduction, the leading principal characteristic
     polynomials of an upper Hessenberg matrix satisfy a short recurrence
-    whose subdiagonal products are the only couplings.
+    whose subdiagonal products are the only couplings.  scipy.linalg is
+    imported on first use, which keeps it off the import path.
     """
+    import scipy.linalg
+
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("char_poly needs a square matrix")

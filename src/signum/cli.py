@@ -18,7 +18,7 @@ from . import fixtures as fixture_catalog
 from .errors import SignumError
 from .graphs import (
     build_digraph,
-    build_graphs,
+    build_graph,
     digraph_to_dot,
     graph_to_dot,
     maximal_signed_runs,
@@ -152,8 +152,7 @@ def cmd_graph(path, fixture, directed) -> None:
         if directed:
             text = digraph_to_dot(build_digraph(pattern))
         else:
-            _, graph = build_graphs(pattern)
-            text = graph_to_dot(graph)
+            text = graph_to_dot(build_graph(pattern))
     except (SignumError, click.ClickException) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)

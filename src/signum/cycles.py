@@ -3,9 +3,9 @@
 A simple cycle through vertices (i1, ..., ik) carries the sign
 (-1)^(k-1) times the product of its arc signs; vertex-disjoint unions of
 simple cycles are composite cycles, and the length-n ones are exactly the
-nonzero determinant terms.  This module enumerates simple and composite
-cycles, computes the maximum composite length by an assignment relaxation
-with zero-cost self slack, tests whether a cycle extends to a spanning
+nonzero determinant terms.  This module enumerates composite cycles,
+computes the maximum composite length by an assignment relaxation with
+zero-cost self slack, tests whether a cycle extends to a spanning
 composite cycle, and builds the alternating matchings used by the
 even-cycle decision rules.
 
@@ -22,13 +22,12 @@ length and its sign set), each derived once per analysis object.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     CycleBudgetExceeded,
@@ -43,8 +42,9 @@ from .graphs import (
     MaximalSignedRun,
     SignedDigraph,
     SignedGraph,
+    _bits,
     build_digraph,
-    build_graphs,
+    build_graph,
     classify_shape,
     path_edge_signs,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "CompositeCycle",
     "Matching",
     "SignSet",
-    "simple_cycles",
     "max_composite_length",
     "max_composite_cover",
     "composite_cycles_of_length",
@@ -162,15 +161,16 @@ def _canonical_rotation(vertices: Sequence[int]) -> tuple[int, ...]:
     return tuple(vertices[(start + t) % k] for t in range(k))
 
 
-def _cycle_sign(digraph: SignedDigraph, vertices: Sequence[int]) -> int:
+def _cycle_sign(sign_of: Callable[[int, int], int], vertices: Sequence[int]) -> int:
+    """Cycle sign from ``sign_of(i, j)``, the sign of arc i -> j or 0 when it is absent."""
     k = len(vertices)
     prod = 1
     for t in range(k):
         a = (vertices[t], vertices[(t + 1) % k]) if k > 1 else (vertices[0], vertices[0])
-        try:
-            prod *= digraph.arc_sign[a]
-        except KeyError:
+        s = sign_of(*a)
+        if not s:
             raise CycleNotInPattern(f"arc {a[0] + 1}->{a[1] + 1} is not in the pattern")
+        prod *= s
     return prod * (-1) ** (k - 1)
 
 
@@ -179,27 +179,82 @@ def directed_cycle_from_vertices(
 ) -> SimpleCycle:
     """Build a SimpleCycle from a vertex sequence, checking every arc exists."""
     verts = _canonical_rotation(list(vertices))
-    return SimpleCycle(verts, _cycle_sign(digraph, verts))
+    return SimpleCycle(verts, _cycle_sign(lambda i, j: digraph.arc_sign.get((i, j), 0), verts))
 
 
-def simple_cycles(
-    digraph: SignedDigraph,
-    max_len: int | None = None,
-    budget: int = SIMPLE_CYCLE_BUDGET,
-) -> Iterator[SimpleCycle]:
-    """Every directed simple cycle of length <= max_len, exactly once.
+def _pattern_cycle(pattern: SignPattern, vertices: Sequence[int]) -> SimpleCycle:
+    """``directed_cycle_from_vertices`` read off the pattern's rows, with no digraph built."""
+    rows, n = pattern.rows, pattern.n
 
-    Loops count as length-1 cycles.  Raises CycleBudgetExceeded past the
-    emission budget.
+    def sign_of(i: int, j: int) -> int:
+        return rows[i][j] if 0 <= i < n and 0 <= j < n else 0
+
+    verts = _canonical_rotation(list(vertices))
+    return SimpleCycle(verts, _cycle_sign(sign_of, verts))
+
+
+def _cover_costs(
+    n: int, arcs: Iterable[tuple[int, int]], include_loops: bool
+) -> list[list[int]]:
+    """Assignment costs whose optimum is a maximum-support composite cycle.
+
+    Arcs cost -1, the diagonal is free slack meaning "vertex unused" (a loop
+    costs -1 instead when loops count), and every other entry costs n + 1,
+    more than any assignment can save, so it is never chosen.
     """
-    g = digraph.to_networkx()
-    count = 0
-    for cyc in nx.simple_cycles(g, length_bound=max_len):
-        count += 1
-        if count > budget:
-            raise CycleBudgetExceeded(f"more than {budget} simple cycles")
-        verts = _canonical_rotation(cyc)
-        yield SimpleCycle(verts, _cycle_sign(digraph, verts))
+    cost = [[n + 1] * n for _ in range(n)]
+    for v in range(n):
+        cost[v][v] = 0
+    for i, j in arcs:
+        if i != j or include_loops:
+            cost[i][j] = -1
+    return cost
+
+
+def _max_cover_length(n: int, arcs: Iterable[tuple[int, int]], include_loops: bool) -> int:
+    """Vertices covered by a maximum-support composite cycle on vertices 0..n-1.
+
+    Solves the assignment problem of ``_cover_costs`` exactly with the
+    O(n^3) Hungarian method (row and column potentials, one shortest
+    augmenting path per row).  The vertices covered number minus the
+    optimal cost, whichever optimal assignment is found, so this equals
+    the support of any exact solver's answer.
+    """
+    cost = _cover_costs(n, arcs, include_loops)
+    # Rows and columns are 1-based; column 0 is the root of each search.
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    owner = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return sum(1 for j in range(1, n + 1) if cost[owner[j] - 1][j - 1] < 0)
 
 
 def _max_cover_successors(
@@ -207,17 +262,15 @@ def _max_cover_successors(
 ) -> dict[int, int]:
     """Successor map of one maximum-support composite cycle on vertices 0..n-1.
 
-    Solved exactly as an assignment problem: arcs cost -1, the diagonal is
-    free slack meaning "vertex unused" (a loop costs -1 instead when loops
-    count), all else is forbidden.
+    The cover returned is scipy's optimum of ``_cover_costs``: witnesses
+    depend on which of several optimal covers it picks, so this keeps that
+    solver, imported on first use.
     """
     if n == 0:
         return {}
-    cost = np.full((n, n), float(n + 1))
-    np.fill_diagonal(cost, 0.0)
-    for i, j in arcs:
-        if i != j or include_loops:
-            cost[i, j] = -1.0
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.array(_cover_costs(n, arcs, include_loops), dtype=float)
     rows, cols = linear_sum_assignment(cost)
     return {int(i): int(j) for i, j in zip(rows, cols) if cost[i, j] < 0}
 
@@ -229,7 +282,7 @@ def max_composite_length(digraph: SignedDigraph) -> int:
     supported on l vertices with every arc present, so this is the support
     of an optimal assignment.
     """
-    return len(_max_cover_successors(digraph.n, digraph.arc_sign, include_loops=False))
+    return _max_cover_length(digraph.n, digraph.arc_sign, include_loops=False)
 
 
 def max_composite_cover(digraph: SignedDigraph) -> CompositeCycle | None:
@@ -250,14 +303,6 @@ def max_composite_cover(digraph: SignedDigraph) -> CompositeCycle | None:
     if not parts:
         return None
     return CompositeCycle(tuple(sorted(parts, key=lambda p: p.vertices)))
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Set bit positions of a vertex mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _successor_masks(digraph: SignedDigraph, include_loops: bool) -> list[int]:
@@ -360,20 +405,21 @@ def composite_cycles_of_length(
             yield from complete(mask, ())
 
 
-def max_composite_sign_set(digraph: SignedDigraph) -> SignSet:
+def max_composite_sign_set(digraph: SignedDigraph, length: int) -> SignSet:
     """Signs occurring among maximum-length composite cycles, with witnesses.
 
+    ``length`` is the digraph's maximum composite length, as
+    ``max_composite_length`` gives it; callers usually hold it already.
     Witness choice is deterministic: the first composite of each sign in
     sort-key order (smallest vertex set, then smallest part layout).  The
     enumeration stops once both signs have appeared.
     """
     if digraph.n > SIGN_SET_ORDER_CAP:
         raise OrderCapExceeded(f"sign-set enumeration capped at order {SIGN_SET_ORDER_CAP}")
-    m = max_composite_length(digraph)
-    if m == 0:
+    if length == 0:
         return SignSet(False, False)
     first: dict[int, CompositeCycle] = {}
-    for comp in composite_cycles_of_length(digraph, m):
+    for comp in composite_cycles_of_length(digraph, length):
         first.setdefault(comp.sign, comp)
         if len(first) == 2:
             break
@@ -461,7 +507,7 @@ class PatternAnalysis:
 
     @cached_property
     def graph(self) -> SignedGraph:
-        return build_graphs(self.pattern)[1]
+        return build_graph(self.pattern)
 
     @cached_property
     def shape(self) -> GraphShape:
@@ -477,4 +523,4 @@ class PatternAnalysis:
 
     @cached_property
     def sign_set(self) -> SignSet:
-        return max_composite_sign_set(self.digraph)
+        return max_composite_sign_set(self.digraph, self.max_composite_length)

@@ -24,7 +24,7 @@ from .cycles import (
 )
 from .graphs import (
     ShapeKind,
-    build_graphs,
+    build_graph,
     cycle_edge_order,
     cycle_structure,
     maximal_signed_runs,
@@ -355,7 +355,7 @@ def _pminus_edges_check(
     check_id: str, tag: str, source: str, expected_signs: dict[tuple[int, int], int]
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        got = dict(build_graphs(p_minus(facts.pattern))[1].edges)
+        got = dict(build_graph(p_minus(facts.pattern)).edges)
         return got == expected_signs, f"flipped edge signs {got}"
 
     return Check(check_id, tag, source, fn)
@@ -901,7 +901,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "trivial",
                     "flipping twice restores every edge sign",
                     lambda facts: (
-                        build_graphs(p_minus(p_minus(facts.pattern)))[1].edges
+                        build_graph(p_minus(p_minus(facts.pattern))).edges
                         == facts.graph.edges,
                         "edge signs restored",
                     ),

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-
-import networkx as nx
+from typing import Iterator
 
 from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetric
 from .patterns import SignPattern
@@ -26,6 +25,7 @@ __all__ = [
     "GraphShape",
     "MaximalSignedRun",
     "CycleStructureReport",
+    "build_graph",
     "build_graphs",
     "build_digraph",
     "classify_shape",
@@ -56,12 +56,6 @@ class SignedDigraph:
         keep = [(i, j, s) for i, j, s in self.arcs if i not in removed and j not in removed]
         return SignedDigraph(self.n, tuple(keep))
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from((i, j, {"sign": s}) for i, j, s in self.arcs)
-        return g
-
 
 @dataclass(frozen=True)
 class SignedGraph:
@@ -86,15 +80,46 @@ class SignedGraph:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Every simple cycle, canonically rotated and reflected, in sorted order.
 
-        Raises CycleBudgetExceeded past UNDIRECTED_CYCLE_BUDGET cycles.
+        A cycle is written from its smallest vertex s towards the smaller of
+        s's two neighbours on it.  A depth-first search from each s steps
+        only onto vertices above s and closes a path back to s only when
+        its second vertex is below its last, so each cycle comes out once,
+        already in that form.  A path steps only onto vertices from which a
+        neighbour of s that can still close it is reachable off the path, so
+        every step leads to a cycle.  Raises CycleBudgetExceeded past
+        UNDIRECTED_CYCLE_BUDGET cycles.
         """
-        out = []
-        for count, cyc in enumerate(nx.simple_cycles(self.to_networkx())):
-            if count >= UNDIRECTED_CYCLE_BUDGET:
-                raise CycleBudgetExceeded(
-                    f"more than {UNDIRECTED_CYCLE_BUDGET} undirected cycles"
-                )
-            out.append(_canonical_cycle(list(cyc)))
+        adj = [sum(1 << w for w in self.adjacency[v]) for v in range(self.n)]
+        out: list[tuple[int, ...]] = []
+
+        def grow(path: list[int], on_path: int, above: int, closers: int) -> None:
+            # closers: neighbours of path[0] above path[1]; only they end a cycle.
+            tail = path[-1]
+            if closers >> tail & 1:
+                if len(out) >= UNDIRECTED_CYCLE_BUDGET:
+                    raise CycleBudgetExceeded(
+                        f"more than {UNDIRECTED_CYCLE_BUDGET} undirected cycles"
+                    )
+                out.append(tuple(path))
+            free = above & ~on_path
+            if not adj[tail] & free:
+                return
+            # live: vertices off the path that reach a closer off the path.
+            live = frontier = closers & ~on_path
+            while frontier:
+                frontier = _neighbours(adj, frontier) & free & ~live
+                live |= frontier
+            for w in _bits(adj[tail] & live):
+                path.append(w)
+                grow(path, on_path | 1 << w, above, closers)
+                path.pop()
+
+        for s in range(self.n):
+            above = ~((2 << s) - 1)
+            for first in _bits(adj[s] & above):
+                closers = adj[s] & ~((2 << first) - 1)
+                if closers:
+                    grow([s, first], 1 << s | 1 << first, above, closers)
         return tuple(sorted(out))
 
     def sign_of(self, u: int, v: int) -> int:
@@ -124,12 +149,6 @@ class SignedGraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == self.n
-
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from((i, j, {"sign": s}) for (i, j), s in self.edges)
-        return g
 
 
 class ShapeKind(Enum):
@@ -187,8 +206,8 @@ def build_digraph(pattern: SignPattern) -> SignedDigraph:
     return SignedDigraph(pattern.n, arcs)
 
 
-def build_graphs(pattern: SignPattern) -> tuple[SignedDigraph, SignedGraph]:
-    """Build D and G; G needs combinatorial symmetry."""
+def build_graph(pattern: SignPattern) -> SignedGraph:
+    """The undirected signed graph G; needs combinatorial symmetry."""
     rows = pattern.rows
     edges = []
     for i in range(pattern.n):
@@ -199,7 +218,13 @@ def build_graphs(pattern: SignPattern) -> tuple[SignedDigraph, SignedGraph]:
                 )
             if rows[i][j]:
                 edges.append(((i, j), rows[i][j] * rows[j][i]))
-    return build_digraph(pattern), SignedGraph(pattern.n, tuple(edges))
+    return SignedGraph(pattern.n, tuple(edges))
+
+
+def build_graphs(pattern: SignPattern) -> tuple[SignedDigraph, SignedGraph]:
+    """Build D and G; G needs combinatorial symmetry."""
+    graph = build_graph(pattern)
+    return build_digraph(pattern), graph
 
 
 def classify_shape(graph: SignedGraph) -> GraphShape:
@@ -227,17 +252,12 @@ def classify_shape(graph: SignedGraph) -> GraphShape:
     return GraphShape(ShapeKind.OTHER, cycles, leaves)
 
 
-def _canonical_cycle(vertices: list[int]) -> tuple[int, ...]:
-    """Rotate/reflect an undirected vertex cycle to a canonical tuple."""
-    k = len(vertices)
-    best = None
-    for seq in (vertices, vertices[::-1]):
-        start = seq.index(min(seq))
-        rot = tuple(seq[(start + t) % k] for t in range(k))
-        if best is None or rot < best:
-            best = rot
-    assert best is not None
-    return best
+def _bits(mask: int) -> Iterator[int]:
+    """Set bit positions of a vertex mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def maximal_signed_runs(signs, cyclic: bool) -> list[MaximalSignedRun]:

@@ -19,14 +19,14 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ._rng import uniforms
 from .cycles import (
     PatternAnalysis,
     SimpleCycle,
-    _max_cover_successors,
+    _max_cover_length,
+    _pattern_cycle,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
     max_composite_cover,
@@ -45,7 +45,6 @@ from .errors import (
 )
 from .graphs import (
     ShapeKind,
-    build_digraph,
     cycle_edge_order,
     maximal_signed_runs,
 )
@@ -374,8 +373,7 @@ def _generic_zero_count(pattern: SignPattern) -> int:
     other count caught a measure-zero or mis-thresholded configuration and
     must not serve as evidence.
     """
-    cover = _max_cover_successors(pattern.n, pattern.support(), include_loops=True)
-    return pattern.n - len(cover)
+    return pattern.n - _max_cover_length(pattern.n, pattern.support(), include_loops=True)
 
 
 def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
@@ -444,10 +442,7 @@ def census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True) -> Ce
 
 def matching_parts(pattern: SignPattern, edges: Iterable[tuple[int, int]]) -> tuple[SimpleCycle, ...]:
     """Directed 2-cycles sitting on the given undirected matching edges."""
-    digraph = build_digraph(pattern)
-    return tuple(
-        directed_cycle_from_vertices(digraph, (min(e), max(e))) for e in sorted(edges)
-    )
+    return tuple(_pattern_cycle(pattern, (min(e), max(e))) for e in sorted(edges))
 
 
 def ladder_spec(
@@ -471,12 +466,11 @@ def build_witness(pattern: SignPattern, spec: WitnessSpec) -> np.ndarray:
     With epsilon > 0 the result lies in the qualitative class; with
     epsilon = 0 only the emphasized arcs are nonzero.
     """
-    digraph = build_digraph(pattern)
     a = np.zeros((pattern.n, pattern.n))
     emphasized: set[tuple[int, int]] = set()
     covered: set[int] = set()
     for part, mag in zip(spec.parts, spec.magnitudes):
-        recomputed = directed_cycle_from_vertices(digraph, part.vertices)
+        recomputed = _pattern_cycle(pattern, part.vertices)
         if recomputed.sign != part.sign:
             raise SignMismatch(
                 f"part {part.vertices} declares sign {part.sign:+d}"
@@ -541,8 +535,11 @@ def stabilize_epsilon(
 
 
 def _max_matching(edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """networkx's maximum matching, imported on first use: witnesses depend on its choice."""
     if not edges:
         return ()
+    import networkx as nx
+
     g = nx.Graph()
     g.add_edges_from(sorted(edges))
     match = nx.max_weight_matching(g, maxcardinality=True)

@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).with_name("golden_census.json")
 
 COUNTED = {
     "validate": patterns.validate,
+    "build_digraph": graphs.build_digraph,
     "classify_shape": graphs.classify_shape,
     "max_composite_sign_set": cycles.max_composite_sign_set,
 }
@@ -62,6 +63,7 @@ def test_each_fact_computed_once_per_analyze(monkeypatch):
     assert calls["classify_shape"] == 1
     assert calls["max_composite_sign_set"] == 1
     assert calls["validate"] == 1
+    assert calls["build_digraph"] <= 1
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -74,7 +76,7 @@ def test_analysis_matches_direct_computation(name):
     assert facts.graph == graph
     assert facts.shape == classify_shape(graph)
     assert facts.max_composite_length == max_composite_length(digraph)
-    assert facts.sign_set == max_composite_sign_set(digraph)
+    assert facts.sign_set == max_composite_sign_set(digraph, max_composite_length(digraph))
     if facts.shape.kind is graphs.ShapeKind.PATH:
         assert facts.path_edges == path_edge_signs(graph)
     else:

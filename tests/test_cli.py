@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import signum
 import signum.fixtures as fixture_catalog
 from signum.cli import main
 from signum.fixtures import Check, Fixture
@@ -11,6 +16,35 @@ from signum.patterns import SignPattern
 
 def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env, catch_exceptions=False)
+
+
+HEAVY_MODULES = ("scipy.optimize", "scipy.linalg", "networkx")
+
+
+def heavy_modules_loaded(code: str) -> list[str]:
+    """Run code in a fresh interpreter; the heavy modules it left in sys.modules."""
+    probe = f"import sys\n{code}\nprint(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    src = str(Path(signum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1].replace("'", '"'))
+
+
+def test_cli_import_loads_no_heavy_module():
+    assert heavy_modules_loaded("import signum.cli") == []
+
+
+def test_cli_analyze_loads_no_heavy_module():
+    code = (
+        "from signum.cli import main\n"
+        "try:\n"
+        "    main(['analyze', '--fixture', 'PAT_ALLNEG4', '--json'])\n"
+        "except SystemExit:\n"
+        "    pass"
+    )
+    assert heavy_modules_loaded(code) == []
 
 
 def test_analyze_requires_unique_exit_code():

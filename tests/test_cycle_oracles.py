@@ -1,33 +1,47 @@
-"""The pruned composite enumerator and the per-cycle BFS against their predecessors.
+"""In-house enumerators and solvers against the code they replaced.
 
-``composite_cycles_of_length`` now walks vertex sets and part layouts in
-sort-key order, pruning with a perfect-matching test, and ``cycle_structure``
-links cycle pairs from one BFS per cycle.  The oracles below are the code
-they replaced: composites combined from the list of simple cycles, the
-keep-the-minimum sign set, the scipy bipartite-matching cover test, and one
-BFS per cycle pair.  Agreement must be exact, down to the order of the
-composites.
+``composite_cycles_of_length`` walks vertex sets and part layouts in
+sort-key order, pruning with a perfect-matching test; ``cycle_structure``
+links cycle pairs from one BFS per cycle; ``SignedGraph.cycles`` lists
+undirected cycles with its own depth-first search; and the maximum
+composite length comes from a pure-Python assignment solver.  The oracles
+below are what they replaced: composites combined from networkx's list of
+directed simple cycles, the keep-the-minimum sign set, the scipy
+bipartite-matching cover test, one BFS per cycle pair, networkx's
+undirected cycles in canonical form, and the support of scipy's
+``linear_sum_assignment``.  Agreement must be exact, down to the order of
+the composites.
 """
 
 from __future__ import annotations
 
+import random
+from typing import Iterator
+
+import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from signum.cycles import (
+    SIMPLE_CYCLE_BUDGET,
     CompositeCycle,
     SignSet,
     SimpleCycle,
+    _max_cover_length,
     composite_cycles_of_length,
     cover_extension_exists,
+    directed_cycle_from_vertices,
     max_composite_length,
     max_composite_sign_set,
-    simple_cycles,
 )
+from signum.errors import CycleBudgetExceeded
 from signum.graphs import (
+    UNDIRECTED_CYCLE_BUDGET,
     CycleStructureReport,
     SignedDigraph,
     SignedGraph,
@@ -37,6 +51,66 @@ from signum.graphs import (
     cycle_structure,
 )
 from signum.patterns import SignPattern
+
+
+def simple_cycles(
+    digraph: SignedDigraph,
+    max_len: int | None = None,
+    budget: int = SIMPLE_CYCLE_BUDGET,
+) -> Iterator[SimpleCycle]:
+    """Every directed simple cycle of length <= max_len, exactly once, from networkx.
+
+    Loops count as length-1 cycles.  Raises CycleBudgetExceeded past the
+    emission budget.
+    """
+    g = nx.DiGraph()
+    g.add_nodes_from(range(digraph.n))
+    g.add_edges_from((i, j) for i, j, _ in digraph.arcs)
+    count = 0
+    for cyc in nx.simple_cycles(g, length_bound=max_len):
+        count += 1
+        if count > budget:
+            raise CycleBudgetExceeded(f"more than {budget} simple cycles")
+        yield directed_cycle_from_vertices(digraph, cyc)
+
+
+def _canonical_cycle(vertices: list[int]) -> tuple[int, ...]:
+    """Rotate/reflect an undirected vertex cycle to a canonical tuple."""
+    k = len(vertices)
+    best = None
+    for seq in (vertices, vertices[::-1]):
+        start = seq.index(min(seq))
+        rot = tuple(seq[(start + t) % k] for t in range(k))
+        if best is None or rot < best:
+            best = rot
+    assert best is not None
+    return best
+
+
+def oracle_undirected_cycles(graph: SignedGraph) -> tuple[tuple[int, ...], ...]:
+    """networkx's undirected simple cycles, canonical and sorted, under the same budget."""
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(e for e, _ in graph.edges)
+    out = []
+    for count, cyc in enumerate(nx.simple_cycles(g)):
+        if count >= UNDIRECTED_CYCLE_BUDGET:
+            raise CycleBudgetExceeded(f"more than {UNDIRECTED_CYCLE_BUDGET} undirected cycles")
+        out.append(_canonical_cycle(list(cyc)))
+    return tuple(sorted(out))
+
+
+def oracle_cover_length(n: int, arcs, include_loops: bool) -> int:
+    """Support of scipy's optimal assignment: arcs cost -1, the diagonal is free slack."""
+    if n == 0:
+        return 0
+    cost = np.full((n, n), float(n + 1))
+    np.fill_diagonal(cost, 0.0)
+    for i, j in arcs:
+        if i != j or include_loops:
+            cost[i, j] = -1.0
+    rows, cols = linear_sum_assignment(cost)
+    return int(np.count_nonzero(cost[rows, cols] < 0))
 
 
 def oracle_composites(
@@ -74,7 +148,7 @@ def oracle_composites(
 
 def oracle_sign_set(digraph: SignedDigraph) -> SignSet:
     """Keep the smallest-sort-key composite of each sign over all maximum composites."""
-    m = max_composite_length(digraph)
+    m = oracle_cover_length(digraph.n, digraph.arc_sign, include_loops=False)
     if m == 0:
         return SignSet(False, False)
     best: dict[int, CompositeCycle] = {}
@@ -250,7 +324,9 @@ def test_composites_match_oracle_in_sort_key_order(pattern, include_loops):
 @given(pattern=digraph_patterns())
 def test_sign_set_matches_min_witness_oracle(pattern):
     digraph = build_digraph(pattern)
-    assert max_composite_sign_set(digraph) == oracle_sign_set(digraph)
+    assert max_composite_sign_set(digraph, max_composite_length(digraph)) == oracle_sign_set(
+        digraph
+    )
 
 
 @ORACLE_SETTINGS
@@ -269,3 +345,101 @@ def test_cover_extension_matches_bipartite_oracle(pattern):
 def test_cycle_structure_matches_pairwise_oracle(pattern):
     _, graph = build_graphs(pattern)
     assert cycle_structure(graph) == oracle_cycle_structure(graph)
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 11) -> SignedGraph:
+    """A random tree plus any set of chords, so dense graphs past the budget occur too."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = sorted((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges)
+    if others:
+        edges.update(draw(st.lists(st.sampled_from(others), unique=True)))
+    label = draw(st.permutations(range(n)))
+    relabelled = sorted(tuple(sorted((label[i], label[j]))) for i, j in edges)
+    return SignedGraph(n, tuple((e, 1) for e in relabelled))
+
+
+@ORACLE_SETTINGS
+@given(graph=st.one_of(connected_graphs(), linked_cycles().map(lambda p: build_graphs(p)[1])))
+def test_undirected_cycles_match_networkx(graph):
+    try:
+        want = oracle_undirected_cycles(graph)
+    except CycleBudgetExceeded:
+        with pytest.raises(CycleBudgetExceeded):
+            graph.cycles
+        return
+    assert graph.cycles == want
+
+
+def _bouquet(block_sizes: list[int]) -> SignedGraph:
+    """Copies of K_{2,k} sharing one pole (vertex 0); each has k(k-1)/2 cycles."""
+    edges = []
+    n = 1
+    for k in block_sizes:
+        pole, mids = n, range(n + 1, n + 1 + k)
+        edges += [((0, m), 1) for m in mids] + [((pole, m), 1) for m in mids]
+        n += 1 + k
+    return SignedGraph(n, tuple(sorted(edges)))
+
+
+def test_undirected_cycle_budget_boundary():
+    # 141*140/2 + 16*15/2 + 5*4/2 = 9870 + 120 + 10
+    at_budget = _bouquet([141, 16, 5])
+    assert len(at_budget.cycles) == UNDIRECTED_CYCLE_BUDGET
+    assert at_budget.cycles == oracle_undirected_cycles(at_budget)
+    with pytest.raises(CycleBudgetExceeded):
+        _bouquet([141, 16, 5, 2]).cycles
+
+
+@st.composite
+def arc_sets(draw, max_n: int = 40):
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from((0.02, 0.05, 0.1, 0.3, 0.7)))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    arcs = [(i, j) for i in range(n) for j in range(n) if rnd.random() < density]
+    return n, arcs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=arc_sets(), include_loops=st.booleans())
+def test_cover_length_matches_assignment_support(case, include_loops):
+    n, arcs = case
+    assert _max_cover_length(n, arcs, include_loops) == oracle_cover_length(n, arcs, include_loops)
+
+
+def test_simple_cycles_example(pat):
+    d = build_digraph(pat("PAT_EX26"))
+    cycles = list(simple_cycles(d))
+    two = sorted(c.vertices for c in cycles if c.length == 2)
+    assert two == [(0, 1), (0, 2), (1, 2)]
+    assert all(c.sign == 1 for c in cycles if c.length == 2)
+    three = {c.vertices: c.sign for c in cycles if c.length == 3}
+    assert three == {(0, 1, 2): 1, (0, 2, 1): -1}
+
+
+def test_simple_cycles_all_positive_triangle(pat):
+    d = build_digraph(pat("PAT_XX2"))
+    three = {c.vertices: c.sign for c in simple_cycles(d) if c.length == 3}
+    assert three == {(0, 1, 2): 1, (0, 2, 1): 1}
+
+
+def test_two_cycle_sign_rule():
+    d = build_digraph(SignPattern.from_rows([[0, 1], [1, 0]]))
+    cycles = list(simple_cycles(d))
+    assert len(cycles) == 1 and cycles[0].sign == -1
+
+
+def test_cycle_sign_recomputes(pat):
+    d = build_digraph(pat("PAT_TWOCYC81"))
+    for c in simple_cycles(d):
+        prod = 1
+        for i, j in c.arcs():
+            prod *= d.arc_sign[(i, j)]
+        assert c.sign == prod * (-1) ** (len(c.vertices) - 1)
+
+
+def test_simple_cycles_budget(pat):
+    d = build_digraph(pat("PAT_TWOSQ9"))
+    with pytest.raises(CycleBudgetExceeded):
+        list(simple_cycles(d, budget=2))

@@ -12,7 +12,6 @@ from signum.cycles import (
     max_composite_cover,
     max_composite_length,
     max_composite_sign_set,
-    simple_cycles,
 )
 from signum.errors import (
     CycleBudgetExceeded,
@@ -27,43 +26,6 @@ from signum.patterns import SignPattern
 
 def digraph_of(pat, name):
     return build_digraph(pat(name))
-
-
-def test_simple_cycles_example(pat):
-    d = digraph_of(pat, "PAT_EX26")
-    cycles = list(simple_cycles(d))
-    two = sorted(c.vertices for c in cycles if c.length == 2)
-    assert two == [(0, 1), (0, 2), (1, 2)]
-    assert all(c.sign == 1 for c in cycles if c.length == 2)
-    three = {c.vertices: c.sign for c in cycles if c.length == 3}
-    assert three == {(0, 1, 2): 1, (0, 2, 1): -1}
-
-
-def test_simple_cycles_all_positive_triangle(pat):
-    d = digraph_of(pat, "PAT_XX2")
-    three = {c.vertices: c.sign for c in simple_cycles(d) if c.length == 3}
-    assert three == {(0, 1, 2): 1, (0, 2, 1): 1}
-
-
-def test_two_cycle_sign_rule():
-    d = build_digraph(SignPattern.from_rows([[0, 1], [1, 0]]))
-    cycles = list(simple_cycles(d))
-    assert len(cycles) == 1 and cycles[0].sign == -1
-
-
-def test_cycle_sign_recomputes(pat):
-    d = digraph_of(pat, "PAT_TWOCYC81")
-    for c in simple_cycles(d):
-        prod = 1
-        for i, j in c.arcs():
-            prod *= d.arc_sign[(i, j)]
-        assert c.sign == prod * (-1) ** (len(c.vertices) - 1)
-
-
-def test_simple_cycles_budget(pat):
-    d = digraph_of(pat, "PAT_TWOSQ9")
-    with pytest.raises(CycleBudgetExceeded):
-        list(simple_cycles(d, budget=2))
 
 
 def test_max_composite_examples(pat):
@@ -148,16 +110,20 @@ def test_composite_budget_counts_composites(pat):
         next(first)
 
 
+def sign_set_of(digraph):
+    return max_composite_sign_set(digraph, max_composite_length(digraph))
+
+
 def test_sign_set_examples(pat):
-    assert max_composite_sign_set(digraph_of(pat, "PAT_EX26")).ambiguous
-    ss = max_composite_sign_set(digraph_of(pat, "PAT_XXEG22"))
+    assert sign_set_of(digraph_of(pat, "PAT_EX26")).ambiguous
+    ss = sign_set_of(digraph_of(pat, "PAT_XXEG22"))
     assert (ss.contains_plus, ss.contains_minus) == (True, False)
-    ss2 = max_composite_sign_set(digraph_of(pat, "PAT_XX2"))
+    ss2 = sign_set_of(digraph_of(pat, "PAT_XX2"))
     assert (ss2.contains_plus, ss2.contains_minus) == (True, False)
 
 
 def test_sign_set_witness_signs(pat):
-    ss = max_composite_sign_set(digraph_of(pat, "PAT_EX26"))
+    ss = sign_set_of(digraph_of(pat, "PAT_EX26"))
     assert ss.plus_witness.sign == 1
     assert ss.minus_witness.sign == -1
     assert ss.plus_witness.length == ss.minus_witness.length == 3
@@ -166,7 +132,7 @@ def test_sign_set_witness_signs(pat):
 def test_sign_set_order_cap():
     big = SignPattern.from_rows([[0] * 17 for _ in range(17)])
     with pytest.raises(OrderCapExceeded):
-        max_composite_sign_set(build_digraph(big))
+        sign_set_of(build_digraph(big))
 
 
 def test_cover_extension_cases(pat):
