@@ -23,13 +23,14 @@ HEAVY_MODULES = ("scipy.optimize", "scipy.linalg", "networkx")
 
 def heavy_modules_loaded(code: str) -> list[str]:
     """Run code in a fresh interpreter; the heavy modules it left in sys.modules."""
-    probe = f"import sys\n{code}\nprint(sorted(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    report = f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))"
+    probe = f"import json, sys\n{code}\n{report}"
     src = str(Path(signum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
     )
-    return json.loads(out.stdout.strip().splitlines()[-1].replace("'", '"'))
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def test_cli_import_loads_no_heavy_module():
@@ -41,8 +42,8 @@ def test_cli_analyze_loads_no_heavy_module():
         "from signum.cli import main\n"
         "try:\n"
         "    main(['analyze', '--fixture', 'PAT_ALLNEG4', '--json'])\n"
-        "except SystemExit:\n"
-        "    pass"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 1, exc.code  # does not require: the whole battery ran"
     )
     assert heavy_modules_loaded(code) == []
 

@@ -261,12 +261,14 @@ def _symmetric(draw, n: int, edges) -> SignPattern:
 
 
 @st.composite
-def tree_plus_chords(draw, max_n: int = 11) -> SignPattern:
-    """A random tree plus up to n chords."""
+def tree_plus_chords(draw, max_n: int = 11, dense: bool = False) -> SignPattern:
+    """A random tree plus up to n chords, or plus any set of chords when dense."""
     n = draw(st.integers(1, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     others = sorted((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges)
-    if others:
+    if dense:
+        edges.update(draw(st.permutations(others))[: draw(st.integers(0, len(others)))])
+    elif others:
         edges.update(draw(st.lists(st.sampled_from(others), max_size=n, unique=True)))
     return _symmetric(draw, n, edges)
 
@@ -347,22 +349,11 @@ def test_cycle_structure_matches_pairwise_oracle(pattern):
     assert cycle_structure(graph) == oracle_cycle_structure(graph)
 
 
-@st.composite
-def connected_graphs(draw, max_n: int = 11) -> SignedGraph:
-    """A random tree plus any set of chords, so dense graphs past the budget occur too."""
-    n = draw(st.integers(1, max_n))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    others = sorted((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges)
-    if others:
-        edges.update(draw(st.lists(st.sampled_from(others), unique=True)))
-    label = draw(st.permutations(range(n)))
-    relabelled = sorted(tuple(sorted((label[i], label[j]))) for i, j in edges)
-    return SignedGraph(n, tuple((e, 1) for e in relabelled))
-
-
 @ORACLE_SETTINGS
-@given(graph=st.one_of(connected_graphs(), linked_cycles().map(lambda p: build_graphs(p)[1])))
-def test_undirected_cycles_match_networkx(graph):
+@given(pattern=st.one_of(tree_plus_chords(dense=True), linked_cycles()))
+def test_undirected_cycles_match_networkx(pattern):
+    """Connected graphs up to order 11, dense ones past the cycle budget included."""
+    _, graph = build_graphs(pattern)
     try:
         want = oracle_undirected_cycles(graph)
     except CycleBudgetExceeded:
