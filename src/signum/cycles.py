@@ -305,14 +305,6 @@ def max_composite_cover(digraph: SignedDigraph) -> CompositeCycle | None:
     return CompositeCycle(tuple(sorted(parts, key=lambda p: p.vertices)))
 
 
-def _successor_masks(digraph: SignedDigraph, include_loops: bool) -> list[int]:
-    succ = [0] * digraph.n
-    for i, j, _ in digraph.arcs:
-        if i != j or include_loops:
-            succ[i] |= 1 << j
-    return succ
-
-
 def _has_perfect_matching(rows: int, cols: int, succ: Sequence[int]) -> bool:
     """Whether the row vertices match one-to-one onto the column vertices along arcs.
 
@@ -369,7 +361,11 @@ def composite_cycles_of_length(
     a composite, and ``budget`` counts composites yielded: asking for one
     more raises CycleBudgetExceeded.
     """
-    succ = _successor_masks(digraph, include_loops)
+    succ = list(digraph.successor_masks)
+    if include_loops:
+        for i, j, _ in digraph.arcs:
+            if i == j:
+                succ[i] |= 1 << i
     arc_sign = digraph.arc_sign
     emitted = 0
 
@@ -438,9 +434,7 @@ def cover_extension_exists(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
     remaining = (1 << digraph.n) - 1
     for v in cycle.vertices:
         remaining &= ~(1 << v)
-    return _has_perfect_matching(
-        remaining, remaining, _successor_masks(digraph, include_loops=False)
-    )
+    return _has_perfect_matching(remaining, remaining, digraph.successor_masks)
 
 
 def gamma_matchings_from_odd_run(

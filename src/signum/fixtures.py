@@ -412,8 +412,8 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "derived",
                     "all three 2-cycles are positive",
                     lambda facts: (
-                        ek_sign(facts.pattern, 2).sign is AmbSign.PLUS,
-                        f"length-2 cycle sum sign {ek_sign(facts.pattern, 2).sign.value}",
+                        (sign := ek_sign(facts.pattern, 2).sign) is AmbSign.PLUS,
+                        f"length-2 cycle sum sign {sign.value}",
                     ),
                 ),
                 _verdict_check("verdict", "catalog", "two inertias realized", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR}, needs_witness=True),

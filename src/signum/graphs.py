@@ -51,6 +51,15 @@ class SignedDigraph:
     def arc_sign(self) -> dict[tuple[int, int], int]:
         return {(i, j): s for i, j, s in self.arcs}
 
+    @cached_property
+    def successor_masks(self) -> tuple[int, ...]:
+        """Bitmask of each vertex's successors, loops left out."""
+        succ = [0] * self.n
+        for i, j, _ in self.arcs:
+            if i != j:
+                succ[i] |= 1 << j
+        return tuple(succ)
+
     def without_vertices(self, removed: set[int]) -> "SignedDigraph":
         """Subgraph on the complementary vertex set, original labels kept."""
         keep = [(i, j, s) for i, j, s in self.arcs if i not in removed and j not in removed]
@@ -107,7 +116,7 @@ class SignedGraph:
             # live: vertices off the path that reach a closer off the path.
             live = frontier = closers & ~on_path
             while frontier:
-                frontier = _neighbours(adj, frontier) & free & ~live
+                frontier = _union(adj, frontier) & free & ~live
                 live |= frontier
             for w in _bits(adj[tail] & live):
                 path.append(w)
@@ -339,15 +348,24 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     A pair of cycles is listed only if some connecting path has all interior
     vertices off every cycle; the reported edge count is minimal among such
     paths.  The unrestricted distance between the two vertex sets is
-    reported alongside so both parity conventions can be checked.  Each
-    cycle gets two multi-source BFS runs, one stepping only onto vertices
-    off every cycle and one unrestricted, and every pair is read off their
-    levels as vertex bitmasks.
+    reported alongside so both parity conventions can be checked.
+
+    Cycles are read as bitmasks of their indices: ``on[v]`` marks the
+    cycles through vertex v, so its union over a vertex mask gives every
+    cycle that mask touches.  Each cycle gets one BFS stepping only onto
+    vertices off every cycle, whose levels name the later disjoint cycles
+    first touched at each link length, and, if any is touched, one
+    unrestricted BFS for their raw distances.  No pair is tested on its
+    own, so the work follows the cycles and the pairs listed.
     """
     if not graph.is_connected():
         raise Disconnected("cycle structure needs a connected graph")
     cycles = graph.cycles
-    signs = tuple(cycle_edge_order(graph, cyc)[1] for cyc in cycles)
+    edge_sign = graph.edge_sign
+    signs = tuple(
+        tuple(edge_sign[(u, v) if u < v else (v, u)] for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+        for cyc in cycles
+    )
 
     leaf_rows = []
     for leaf in graph.leaves():
@@ -356,36 +374,49 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
             leaf_rows.append((leaf, c_idx, min(dist[v] for v in cyc)))
 
     adj = [sum(1 << w for w in graph.adjacency[v]) for v in range(graph.n)]
-    masks = [sum(1 << v for v in cyc) for cyc in cycles]
+    on = [0] * graph.n
+    for c, cyc in enumerate(cycles):
+        for v in cyc:
+            on[v] |= 1 << c
     everything = (1 << graph.n) - 1
-    off_cycle = everything
-    for mask in masks:
-        off_cycle &= ~mask
+    off_cycle = sum(1 << v for v in range(graph.n) if not on[v])
+
+    all_cycles = (1 << len(cycles)) - 1
     pair_rows = []
-    for a, va in enumerate(masks):
-        # touch[t]: vertices adjacent to level t of the cycle-avoiding BFS,
-        # so a disjoint cycle first touched there is t + 1 edges away.
-        touch = [_neighbours(adj, level) for level in _bfs_levels(adj, va, off_cycle)]
-        levels = None
-        for b in range(a + 1, len(masks)):
-            vb = masks[b]
-            if va & vb:
-                continue
-            link = next((t + 1 for t, near in enumerate(touch) if near & vb), None)
-            if link is None:
-                continue
-            if levels is None:
-                levels = _bfs_levels(adj, va, everything)
-            raw = next(t for t, level in enumerate(levels) if level & vb)
-            pair_rows.append((a, b, link, raw))
+    for a, cyc in enumerate(cycles):
+        va = sum(1 << v for v in cyc)
+        # Later cycles sharing no vertex with cycle a.
+        pending = all_cycles & ~((2 << a) - 1) & ~_union(on, va)
+        link: dict[int, int] = {}
+        for t, level in enumerate(_bfs_levels(adj, va, off_cycle)):
+            if not pending:
+                break
+            # Cycles adjacent to level t of the cycle-avoiding BFS are t + 1 edges away.
+            touched = _union(on, _union(adj, level)) & pending
+            pending ^= touched
+            for b in _bits(touched):
+                link[b] = t + 1
+        if not link:
+            continue
+        raw: dict[int, int] = {}
+        pending = sum(1 << b for b in link)
+        for t, level in enumerate(_bfs_levels(adj, va, everything)):
+            touched = _union(on, level) & pending
+            pending ^= touched
+            for b in _bits(touched):
+                raw[b] = t
+            if not pending:
+                break
+        pair_rows += [(a, b, link[b], raw[b]) for b in sorted(link)]
     return CycleStructureReport(cycles, signs, tuple(leaf_rows), tuple(pair_rows))
 
 
-def _neighbours(adj: list[int], mask: int) -> int:
+def _union(rows: list[int], mask: int) -> int:
+    """OR of rows[v] over the set bits v of mask."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= adj[low.bit_length() - 1]
+        out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -396,7 +427,7 @@ def _bfs_levels(adj: list[int], sources: int, allowed: int) -> list[int]:
     seen = frontier = sources
     while frontier:
         levels.append(frontier)
-        frontier = _neighbours(adj, frontier) & allowed & ~seen
+        frontier = _union(adj, frontier) & allowed & ~seen
         seen |= frontier
     return levels
 

@@ -396,7 +396,12 @@ def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], in
     ]
 
 
-def census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True) -> Census:
+def census(
+    pattern: SignPattern,
+    cfg: SampleConfig,
+    two_laws: bool = True,
+    prior: Census | None = None,
+) -> Census:
     """Profile cfg.trials samples and bucket them by inertia.
 
     With ``two_laws`` every other trial draws magnitudes near 1 instead of
@@ -407,19 +412,30 @@ def census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True) -> Ce
     the blocks split.  A sample is recorded as
     solid evidence only if its profile is not suspect and its claimed
     zero-eigenvalue count matches the generic multiplicity.
+
+    ``prior``, a census of the same pattern with the same seed, laws and
+    ``two_laws`` but fewer trials, is resumed rather than redrawn: its
+    tallies are copied and only trials ``prior.trials .. cfg.trials - 1``
+    are drawn, so the result equals a fresh census of cfg.trials trials.
+    Raises ValueError if the prior has more trials than cfg.
     """
+    if prior is not None and prior.trials > cfg.trials:
+        raise ValueError(
+            f"cannot resume a census of {prior.trials} trials to {cfg.trials}"
+        )
     lo, hi = max(cfg.lo, NEAR_ONE_LO), min(cfg.hi, NEAR_ONE_HI)
     if lo > hi:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
     laws = [(cfg.lo, cfg.hi), (lo, hi)] if two_laws else [(cfg.lo, cfg.hi)]
     generic_zeros = _generic_zero_count(pattern)
     support = _support(pattern)
-    counts: dict[tuple[int, int, int], int] = {}
-    reps: dict[tuple[int, int, int], np.ndarray] = {}
-    solid: dict[tuple[int, int, int], np.ndarray] = {}
-    freqs: dict[tuple[int, int], int] = {}
-    failures = 0
-    for start in range(0, cfg.trials, _BLOCK):
+    prior = prior or Census(0, {}, {}, {})
+    counts = dict(prior.inertia_counts)
+    reps = dict(prior.representatives)
+    solid = dict(prior.solid_representatives)
+    freqs = dict(prior.frequency_counts)
+    failures = prior.failures
+    for start in range(prior.trials, cfg.trials, _BLOCK):
         stop = min(start + _BLOCK, cfg.trials)
         mats = _fill(pattern, support, cfg.seed, laws, start, stop)
         eig, ok = _stack_eigvals(mats)
@@ -631,18 +647,27 @@ def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
     ):
         return None
     pattern, digraph = facts.pattern, facts.digraph
+    covers: dict[frozenset[int], tuple[SimpleCycle, ...]] = {}
+
+    def outside(cyc: tuple[int, ...]) -> tuple[SimpleCycle, ...]:
+        # A maximum composite off the cycle's vertices, solved once per
+        # vertex set and only when a construction is about to run.
+        vertices = frozenset(cyc)
+        if vertices not in covers:
+            cover = max_composite_cover(digraph.without_vertices(set(cyc)))
+            covers[vertices] = cover.parts if cover is not None else ()
+        return covers[vertices]
+
     for cyc in facts.shape.cycles:
         edges, signs = cycle_edge_order(facts.graph, cyc)
-        cover = max_composite_cover(digraph.without_vertices(set(cyc)))
-        outside = cover.parts if cover is not None else ()
         n_neg = sum(1 for s in signs if s < 0)
         if n_neg % 2 == 1:
             fwd = directed_cycle_from_vertices(digraph, cyc)
             rev = directed_cycle_from_vertices(digraph, tuple(reversed(cyc)))
             pair = _try_pair(
                 pattern,
-                ladder_spec(pattern, (fwd,) + outside),
-                ladder_spec(pattern, (rev,) + outside),
+                ladder_spec(pattern, (fwd,) + outside(cyc)),
+                ladder_spec(pattern, (rev,) + outside(cyc)),
                 "cycle-orientation-sign-clash",
                 {"cycle": list(cyc)},
             )
@@ -652,9 +677,9 @@ def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
             alt = tuple(edges[t] for t in range(0, len(edges), 2))
             pair = _try_pair(
                 pattern,
-                ladder_spec(pattern, matching_parts(pattern, alt) + outside),
+                ladder_spec(pattern, matching_parts(pattern, alt) + outside(cyc)),
                 ladder_spec(
-                    pattern, (directed_cycle_from_vertices(digraph, cyc),) + outside
+                    pattern, (directed_cycle_from_vertices(digraph, cyc),) + outside(cyc)
                 ),
                 "all-negative-cycle",
                 {"cycle": list(cyc), "matching": list(alt)},
@@ -675,10 +700,10 @@ def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
                     pair = _try_pair(
                         pattern,
                         ladder_spec(
-                            pattern, matching_parts(pattern, m_neg.edges) + outside
+                            pattern, matching_parts(pattern, m_neg.edges) + outside(cyc)
                         ),
                         ladder_spec(
-                            pattern, matching_parts(pattern, m_pos.edges) + outside
+                            pattern, matching_parts(pattern, m_pos.edges) + outside(cyc)
                         ),
                         "odd-run-alternating-matchings",
                         {"cycle": list(cyc), "m1": list(m_neg.edges), "m2": list(m_pos.edges)},
@@ -728,9 +753,12 @@ def _path_probe_matrices(facts: PatternAnalysis) -> list[tuple[str, np.ndarray]]
 
 
 def _pair_from_sampling(
-    facts: PatternAnalysis, budget: int, cfg: SampleConfig
+    facts: PatternAnalysis, budget: int, cfg: SampleConfig, prior: Census | None
 ) -> WitnessPair | None:
-    """Structured probes, then a random census; pair keys with distinct inertia."""
+    """Structured probes, then a random census; pair keys with distinct inertia.
+
+    The census of ``budget`` trials resumes ``prior`` when one is given.
+    """
     pool: dict[tuple[int, int, int], tuple[str, np.ndarray]] = {}
     try:
         probes = _path_probe_matrices(facts)
@@ -740,7 +768,7 @@ def _pair_from_sampling(
         prof = spectral_profile(mat)
         if not prof.suspect_inertia:
             pool.setdefault(prof.inertia, (f"probe:{name}", mat))
-    cen = census(facts.pattern, replace(cfg, trials=budget))
+    cen = census(facts.pattern, replace(cfg, trials=budget), prior=prior)
     for key in cen.solid_keys():
         pool.setdefault(key, ("census", cen.solid_representatives[key]))
     keys = sorted(pool)
@@ -765,7 +793,10 @@ def _pair_from_sampling(
 
 
 def find_witness_pair(
-    facts: PatternAnalysis, budget: int = 2000, cfg: SampleConfig | None = None
+    facts: PatternAnalysis,
+    budget: int = 2000,
+    cfg: SampleConfig | None = None,
+    prior: Census | None = None,
 ) -> WitnessPair | None:
     """Two realizations of the analysed pattern with different inertias, or None.
 
@@ -773,7 +804,9 @@ def find_witness_pair(
     returned pair is reproducible and independent of the sampling seed.
     They read the structural facts from ``facts``, so a caller that has
     already derived them does not pay for them twice.  Every returned pair
-    has been checked numerically.
+    has been checked numerically.  ``prior``, a census of the pattern drawn
+    under ``cfg`` with at most ``budget`` trials, is resumed by the
+    sampling fallback instead of being drawn again.
     """
     cfg = cfg or SampleConfig()
     if facts.pattern.n <= 16:
@@ -784,4 +817,4 @@ def find_witness_pair(
             pair = strategy(facts)
             if pair is not None:
                 return pair
-    return _pair_from_sampling(facts, budget, cfg)
+    return _pair_from_sampling(facts, budget, cfg, prior)

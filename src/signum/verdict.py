@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .charpoly import sign_det
+from .charpoly import _det_sign
 from .cycles import (
     PatternAnalysis,
     cover_extension_exists,
@@ -153,12 +153,14 @@ _REASONS = {
 def _cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
     k = len(signs)
     n_neg = sum(1 for s in signs if s < 0)
-    runs = maximal_signed_runs(signs, cyclic=True)
-    has_odd_run = any(r.length % 2 == 1 and r.length < k for r in runs)
+    # Only an even cycle can meet the odd-run condition, so only its runs are read.
+    odd_run = k % 2 == 0 and any(
+        r.length % 2 == 1 and r.length < k for r in maximal_signed_runs(signs, cyclic=True)
+    )
     return {
         "odd_negative_count": n_neg % 2 == 1,
         "all_negative": n_neg == k,
-        "even_length_odd_run": k % 2 == 0 and has_odd_run,
+        "even_length_odd_run": odd_run,
     }
 
 
@@ -228,7 +230,7 @@ def analyze(
 
     # R2: odd single cycle, decided by the determinant sign
     if shape.kind is ShapeKind.SINGLE_CYCLE and pattern.n % 2 == 1:
-        det = sign_det(pattern).value
+        det = _det_sign(digraph).value
         if det in (AmbSign.PLUS, AmbSign.MINUS):
             findings.append(
                 RuleFinding(
@@ -357,6 +359,8 @@ def analyze(
         distance_ok = link_odd if strict_distance else (link_odd and raw_odd)
         all_even = all(len(c) % 2 == 0 for c in report.cycles)
         fired = []
+        # Whether a cycle extends depends only on the vertices it leaves over.
+        extends_by_vertices: dict[frozenset[int], bool] = {}
         for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
             conds = _cycle_conditions(signs)
             hits = [c for c, ok in conds.items() if ok]
@@ -368,9 +372,11 @@ def analyze(
             # else, so the cycle must extend to a spanning composite cycle;
             # cycles sharing vertices can fail this even when every
             # path-adjacent distance is vacuously odd.
-            extends = cover_extension_exists(
-                digraph, directed_cycle_from_vertices(digraph, cyc)
-            )
+            directed = directed_cycle_from_vertices(digraph, cyc)
+            vertices = frozenset(cyc)
+            if vertices not in extends_by_vertices:
+                extends_by_vertices[vertices] = cover_extension_exists(digraph, directed)
+            extends = extends_by_vertices[vertices]
             for cond in hits:
                 if cond != "odd_negative_count" and not all_even:
                     continue
@@ -470,7 +476,10 @@ def analyze(
             f for f in findings if f.conclusion is Conclusion.DOES_NOT_REQUIRE
         )
         if first.witness is None:
-            pair = find_witness_pair(facts, budget=witness_budget, cfg=cfg)
+            # The sampling fallback draws a longer census under the same
+            # seed and laws, so it extends the main one instead of redrawing it.
+            prior = cen if witness_budget >= cfg.trials else None
+            pair = find_witness_pair(facts, budget=witness_budget, cfg=cfg, prior=prior)
             if pair is not None:
                 first.witness = pair
             else:

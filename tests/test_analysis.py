@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from signum import cycles, graphs, patterns
+from signum import cycles, graphs, patterns, spectra
 from signum.cycles import PatternAnalysis, max_composite_length, max_composite_sign_set
 from signum.errors import NotCombinatoriallySymmetric
 from signum.fixtures import FIXTURES
@@ -54,16 +54,38 @@ def _count_calls(monkeypatch) -> Counter:
     return calls
 
 
+def _ladder_pattern(label: str) -> SignPattern:
+    entry = next(e for e in json.loads(GOLDEN.read_text())["ladder"] if e["label"] == label)
+    return parse_pattern("\n".join(entry["rows"]))
+
+
 def test_each_fact_computed_once_per_analyze(monkeypatch):
-    entry = json.loads(GOLDEN.read_text())["ladder"][0]
-    pattern = parse_pattern("\n".join(entry["rows"]))
     calls = _count_calls(monkeypatch)
-    verdict = analyze(pattern, SampleConfig())
-    assert verdict.witness_pair() is not None  # the witness search ran too
-    assert calls["classify_shape"] == 1
-    assert calls["max_composite_sign_set"] == 1
-    assert calls["validate"] == 1
-    assert calls["build_digraph"] <= 1
+    # PAT_EX26 is an odd single cycle, so R2 reads the determinant sign too.
+    for pattern in (_ladder_pattern("ladder-n12-0"), FIXTURES["PAT_EX26"].pattern):
+        calls.clear()
+        verdict = analyze(pattern, SampleConfig())
+        assert verdict.witness_pair() is not None  # the witness search ran too
+        assert calls["classify_shape"] == 1
+        assert calls["max_composite_sign_set"] == 1
+        assert calls["validate"] == 1
+        assert calls["build_digraph"] <= 1
+
+
+def test_sampling_witness_resumes_the_main_census(monkeypatch):
+    """The 2000-trial witness census extends the 1000-trial main census."""
+    drawn = []
+    fill = spectra._fill
+
+    def counting(pattern, support, seed, laws, start, stop):
+        drawn.append(stop - start)
+        return fill(pattern, support, seed, laws, start, stop)
+
+    monkeypatch.setattr(spectra, "_fill", counting)
+    verdict = analyze(_ladder_pattern("ladder-n12-1"), SampleConfig())
+    assert verdict.witness_pair().method == "sampled"
+    assert verdict.census.trials == 1000
+    assert sum(drawn) == 2000
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

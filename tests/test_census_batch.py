@@ -4,7 +4,8 @@
 The oracle below is the per-trial loop it replaced, with its own scalar
 sampler and classifier, so the comparison does not lean on the code under
 test.  Agreement must be exact: counts, frequencies, failures and the raw
-bytes of every representative.
+bytes of every representative.  A census resumed from a shorter one must
+equal a fresh census to the same standard.
 """
 
 from __future__ import annotations
@@ -161,6 +162,42 @@ def test_census_matches_per_trial_oracle(pattern, trials, two_laws, law, seed):
     assert_same_census(census(pattern, cfg, two_laws), oracle_census(pattern, cfg, two_laws))
 
 
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    pattern=patterns(),
+    prior_trials=st.sampled_from((1, 255, 256, 257, 512, 1000)),
+    extra=st.sampled_from((0, 1, 255, 256, 300, 1000)),
+    two_laws=st.booleans(),
+    law=st.sampled_from(sorted(LAWS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resumed_census_equals_fresh(pattern, prior_trials, extra, two_laws, law, seed):
+    lo, hi = LAWS[law]
+    cfg = SampleConfig(lo=lo, hi=hi, trials=prior_trials + extra, seed=seed)
+    prior = census(pattern, replace(cfg, trials=prior_trials), two_laws)
+    before = replace(
+        prior,
+        inertia_counts=dict(prior.inertia_counts),
+        representatives=dict(prior.representatives),
+        frequency_counts=dict(prior.frequency_counts),
+        solid_representatives=dict(prior.solid_representatives),
+    )
+    assert_same_census(census(pattern, cfg, two_laws, prior=prior), census(pattern, cfg, two_laws))
+    assert_same_census(prior, before)
+
+
+def test_census_refuses_a_longer_prior():
+    pattern = FIXTURES["PAT_EX26"].pattern
+    prior = census(pattern, SampleConfig(trials=300))
+    with pytest.raises(ValueError):
+        census(pattern, SampleConfig(trials=299), prior=prior)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     pattern=patterns(),
@@ -247,3 +284,6 @@ def test_census_eigensolver_failures(monkeypatch):
     assert got.failures == want.failures == 2
     assert sum(got.inertia_counts.values()) + got.failures == cfg.trials
     assert_same_census(got, want)
+    # Resumed past the first bad trial, the prior's failure carries over.
+    resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=100)))
+    assert_same_census(resumed, want)

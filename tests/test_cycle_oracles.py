@@ -2,7 +2,8 @@
 
 ``composite_cycles_of_length`` walks vertex sets and part layouts in
 sort-key order, pruning with a perfect-matching test; ``cycle_structure``
-links cycle pairs from one BFS per cycle; ``SignedGraph.cycles`` lists
+links cycle pairs from one BFS per cycle, read through per-vertex masks of
+the cycles; ``SignedGraph.cycles`` lists
 undirected cycles with its own depth-first search; and the maximum
 composite length comes from a pure-Python assignment solver.  The oracles
 below are what they replaced: composites combined from networkx's list of
@@ -15,7 +16,9 @@ the composites.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 from typing import Iterator
 
 import networkx as nx
@@ -50,7 +53,9 @@ from signum.graphs import (
     cycle_edge_order,
     cycle_structure,
 )
-from signum.patterns import SignPattern
+from signum.patterns import SignPattern, parse_pattern
+
+GOLDEN = Path(__file__).with_name("golden_census.json")
 
 
 def simple_cycles(
@@ -347,6 +352,39 @@ def test_cover_extension_matches_bipartite_oracle(pattern):
 def test_cycle_structure_matches_pairwise_oracle(pattern):
     _, graph = build_graphs(pattern)
     assert cycle_structure(graph) == oracle_cycle_structure(graph)
+
+
+@pytest.mark.parametrize("label", ["ladder-n12-1", "ladder-n12-4"])
+def test_cycle_structure_matches_pairwise_oracle_on_ladder(label):
+    """Order-12 graphs with 2n edges: hundreds of cycles, tens of thousands of pairs."""
+    entry = next(e for e in json.loads(GOLDEN.read_text())["ladder"] if e["label"] == label)
+    _, graph = build_graphs(parse_pattern("\n".join(entry["rows"])))
+    report = cycle_structure(graph)
+    assert len(report.cycles) > 800 and len(report.path_adjacent_pairs) > 300
+    assert report == oracle_cycle_structure(graph)
+
+
+def test_cycle_structure_through_off_cycle_vertices():
+    """Triangles A, B, square C and triangle D (sharing vertex 8 with C), joined by bridges.
+
+    A and B are linked by the off-cycle path 2-10-11-3, which carries a
+    pendant leaf 12; B and C by the edge 5-6.  A reaches C and D, and B
+    reaches D, only through the vertices of another cycle, so those pairs
+    are not listed though their raw distances are finite.  No listed pair
+    can have a link longer than its raw distance: the interior edges of a
+    cycle-avoiding path are bridges, so every path between the two cycles
+    runs along it.
+    """
+    cycle_edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    cycle_edges += [(6, 7), (7, 8), (8, 9), (6, 9), (8, 13), (13, 14), (8, 14)]
+    bridges = [(2, 10), (10, 11), (3, 11), (10, 12), (5, 6)]
+    signs = [(-1) ** (i * j) for i, j in cycle_edges + bridges]
+    graph = SignedGraph(15, tuple(sorted(zip(cycle_edges + bridges, signs))))
+    report = cycle_structure(graph)
+    assert report.cycles == ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9), (8, 13, 14))
+    assert report.path_adjacent_pairs == ((0, 1, 3, 3), (1, 2, 1, 1))
+    assert report.leaf_cycle_distances == ((12, 0, 2), (12, 1, 3), (12, 2, 5), (12, 3, 7))
+    assert report == oracle_cycle_structure(graph)
 
 
 @ORACLE_SETTINGS
