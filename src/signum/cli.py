@@ -86,7 +86,13 @@ def main() -> None:
 @click.option(
     "--strict-distance",
     is_flag=True,
-    help="use only the connecting-path edge count for the cycle-distance parity",
+    help=(
+        "use only the connecting-path edge count for the cycle-distance parity."
+        " This cannot change R7's decision: every cycle pair R7 lists is joined"
+        " by a path of bridges, so that count always equals the raw distance."
+        " The flag is kept, and echoed as \"strict\" in R7's details, so that"
+        " verdict bytes stay stable"
+    ),
 )
 def cmd_analyze(path, fixture, as_json, trials, seed, strict_distance) -> None:
     """Run the rule battery on a pattern and print the verdict."""

@@ -185,6 +185,49 @@ def _support(pattern: SignPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, signs
 
 
+def _magnitudes(u: np.ndarray, laws: Sequence[tuple[float, float]], start: int) -> np.ndarray:
+    """Log-uniform magnitudes of a stack of uniforms whose row r is trial start + r.
+
+    Trial t follows ``laws[t % len(laws)]``.  The powers are taken with
+    Python floats: numpy's vectorized ``power`` may differ from the C
+    library's ``pow`` in the last bit.
+    """
+    mags = np.empty_like(u)
+    for j, (lo, hi) in enumerate(laws):
+        picked = slice((j - start) % len(laws), None, len(laws))
+        lo_exp = math.log10(lo)
+        exps = lo_exp + (math.log10(hi) - lo_exp) * u[picked]
+        mags[picked] = np.array([10.0**x for x in exps.ravel().tolist()]).reshape(exps.shape)
+    return mags
+
+
+# Census magnitudes of whole blocks, keyed by (seed, laws, block index) and
+# kept at the widest support size asked for, oldest use evicted first past
+# _MAGS_CAP bytes.  Row r of ``uniforms(seed, indices, k)`` is a prefix of
+# the same row at any larger k, so ``mags[:, :k]`` is bit for bit what a
+# fresh draw at width k gives, and no census can tell a hit from a miss.
+_MAGS: dict[tuple, np.ndarray] = {}
+_MAGS_CAP = 4 << 20
+
+
+def _block_magnitudes(
+    seed: int, laws: tuple[tuple[float, float], ...], block: int, k: int
+) -> np.ndarray:
+    """Read-only magnitudes of trials block * _BLOCK onwards, at least k wide."""
+    key = (seed, laws, block)
+    mags = _MAGS.pop(key, None)
+    if mags is None or mags.shape[1] < k:
+        start = block * _BLOCK
+        u = uniforms(seed, np.arange(start, start + _BLOCK, dtype=np.uint64), k)
+        mags = _magnitudes(u, laws, start)
+        mags.flags.writeable = False
+    _MAGS[key] = mags
+    total = sum(m.nbytes for m in _MAGS.values())
+    while total > _MAGS_CAP:
+        total -= _MAGS.pop(next(iter(_MAGS))).nbytes
+    return mags
+
+
 def _fill(
     pattern: SignPattern,
     support: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -199,23 +242,19 @@ def _fill(
     ``laws[t % len(laws)]`` (a (lo, hi) pair), driven by the first k doubles
     of ``default_rng((seed, t))`` in row-major support order, so it equals
     the realization ``sample`` gives for index t bit for bit whatever else
-    shares its stack.  A stack of several trials takes its doubles from one
-    ``_rng.uniforms`` call; a single trial builds its one generator, which
-    costs far less than the block arithmetic.  The powers are taken with
-    Python floats: numpy's vectorized ``power`` may differ from the C
-    library's ``pow`` in the last bit.
+    shares its stack.  A stack of several trials reads its rows from the
+    shared ``_block_magnitudes`` blocks it spans; a single trial builds its
+    one generator, which costs far less than a block.
     """
     rows, cols, signs = support
+    k = len(signs)
     if stop - start == 1:
-        u = np.random.default_rng((seed, start)).random((1, len(signs)))
+        mags = _magnitudes(np.random.default_rng((seed, start)).random((1, k)), laws, start)
     else:
-        u = uniforms(seed, np.arange(start, stop, dtype=np.uint64), len(signs))
-    mags = np.empty_like(u)
-    for j, (lo, hi) in enumerate(laws):
-        picked = slice((j - start) % len(laws), None, len(laws))
-        lo_exp = math.log10(lo)
-        exps = lo_exp + (math.log10(hi) - lo_exp) * u[picked]
-        mags[picked] = np.array([10.0**x for x in exps.ravel().tolist()]).reshape(exps.shape)
+        laws = tuple(laws)
+        first, last = start // _BLOCK, (stop - 1) // _BLOCK
+        blocks = [_block_magnitudes(seed, laws, b, k)[:, :k] for b in range(first, last + 1)]
+        mags = np.concatenate(blocks)[start - first * _BLOCK : stop - first * _BLOCK]
     out = np.zeros((stop - start, pattern.n, pattern.n))
     out[:, rows, cols] = signs * mags
     return out
@@ -409,7 +448,8 @@ def census(
     at comparable scales.  Trials are independently seeded by index and run
     as stacks of ``_BLOCK`` (one fill, one eigensolve, one classification
     each), so the result depends neither on evaluation order nor on where
-    the blocks split.  A sample is recorded as
+    the blocks split, nor on which blocks of magnitudes earlier censuses
+    left in the ``_block_magnitudes`` cache.  A sample is recorded as
     solid evidence only if its profile is not suspect and its claimed
     zero-eigenvalue count matches the generic multiplicity.
 

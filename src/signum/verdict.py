@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from .charpoly import _det_sign
 from .cycles import (
     PatternAnalysis,
     cover_extension_exists,
@@ -26,6 +25,7 @@ from .cycles import (
 from .graphs import (
     GraphShape,
     ShapeKind,
+    SignedDigraph,
     cycle_edge_order,
     cycle_structure,
     maximal_signed_runs,
@@ -150,6 +150,17 @@ _REASONS = {
 }
 
 
+def _odd_cycle_det_sign(digraph: SignedDigraph, cycle: tuple[int, ...]) -> AmbSign:
+    """Determinant sign of an odd single-cycle pattern with zero diagonal.
+
+    Its only spanning composite cycles are the cycle's two orientations, and
+    an odd cycle is an even permutation, so each term's sign is its cycle
+    sign.  Two terms, so no enumeration and no order cap.
+    """
+    forward, backward = (directed_cycle_from_vertices(digraph, c) for c in (cycle, cycle[::-1]))
+    return AmbSign.from_int(forward.sign).add(AmbSign.from_int(backward.sign))
+
+
 def _cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
     k = len(signs)
     n_neg = sum(1 for s in signs if s < 0)
@@ -230,7 +241,7 @@ def analyze(
 
     # R2: odd single cycle, decided by the determinant sign
     if shape.kind is ShapeKind.SINGLE_CYCLE and pattern.n % 2 == 1:
-        det = _det_sign(digraph).value
+        det = _odd_cycle_det_sign(digraph, shape.cycles[0])
         if det in (AmbSign.PLUS, AmbSign.MINUS):
             findings.append(
                 RuleFinding(

@@ -5,7 +5,8 @@ The oracle below is the per-trial loop it replaced, with its own scalar
 sampler and classifier, so the comparison does not lean on the code under
 test.  Agreement must be exact: counts, frequencies, failures and the raw
 bytes of every representative.  A census resumed from a shorter one must
-equal a fresh census to the same standard.
+equal a fresh census to the same standard, and so must a census that reads
+its magnitudes from blocks other censuses left in the shared cache.
 """
 
 from __future__ import annotations
@@ -287,3 +288,56 @@ def test_census_eigensolver_failures(monkeypatch):
     # Resumed past the first bad trial, the prior's failure carries over.
     resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=100)))
     assert_same_census(resumed, want)
+
+
+def cold_census(monkeypatch, pattern, cfg, two_laws):
+    """A fresh census that starts from an empty magnitude cache and leaves the shared one alone."""
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_MAGS", {})
+        return census(pattern, cfg, two_laws)
+
+
+# Support sizes 10 and 20: the narrow one reads prefixes of the wide one's rows.
+NARROW, WIDE = FIXTURES["PAT_P6"].pattern, FIXTURES["PAT_TWOSQ9"].pattern
+# The first three share a seed, so a cache key that dropped the laws would mix them.
+CACHE_CASES = [
+    (SampleConfig(), True),
+    (SampleConfig(), False),
+    (SampleConfig(lo=0.1, hi=30.0), True),
+    (SampleConfig(seed=2**40 + 7), True),
+]
+
+
+@pytest.mark.parametrize(
+    "first, second", [(NARROW, WIDE), (WIDE, NARROW)], ids=["narrow-wide", "wide-narrow"]
+)
+def test_warm_cache_census_equals_cold(monkeypatch, first, second):
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    for cfg, two_laws in CACHE_CASES:
+        for pattern in (first, second):
+            prior = None
+            # 600 and 1000 end inside a block, so each resumed census starts unaligned.
+            for trials in (600, 1000, 2000):
+                fresh = replace(cfg, trials=trials)
+                got = census(pattern, fresh, two_laws, prior=prior)
+                assert_same_census(got, cold_census(monkeypatch, pattern, fresh, two_laws))
+                prior = got
+    # Eight blocks per case, each kept at the wider support size whichever came first.
+    assert len(spectra._MAGS) == 8 * len(CACHE_CASES)
+    assert {m.shape[1] for m in spectra._MAGS.values()} == {len(WIDE.support())}
+
+
+def test_cache_stays_within_its_cap(monkeypatch):
+    pattern = FIXTURES["PAT_EX26"].pattern
+    cfg = SampleConfig(trials=10 * spectra._BLOCK + 5, seed=11)
+    block_bytes = spectra._BLOCK * len(pattern.support()) * 8
+    want = cold_census(monkeypatch, pattern, cfg, True)
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    monkeypatch.setattr(spectra, "_MAGS_CAP", 3 * block_bytes)
+    assert_same_census(census(pattern, cfg), want)
+    assert len(spectra._MAGS) == 3
+    assert sum(m.nbytes for m in spectra._MAGS.values()) <= spectra._MAGS_CAP
+    # A block larger than the cap is used and dropped, not kept.
+    monkeypatch.setattr(spectra, "_MAGS_CAP", block_bytes - 1)
+    assert_same_census(census(pattern, cfg), want)
+    assert not spectra._MAGS

@@ -1,10 +1,22 @@
 import json
 
 import numpy as np
+import pytest
 
-from signum.patterns import SignPattern
+from signum.charpoly import _det_sign
+from signum.cycles import PatternAnalysis
+from signum.fixtures import FIXTURES
+from signum.graphs import ShapeKind
+from signum.patterns import AmbSign, SignPattern
 from signum.spectra import SampleConfig, sample, spectral_profile
-from signum.verdict import Conclusion, Overall, analyze, explain, verdict_to_json
+from signum.verdict import (
+    Conclusion,
+    Overall,
+    _odd_cycle_det_sign,
+    analyze,
+    explain,
+    verdict_to_json,
+)
 
 CFG = SampleConfig(trials=300, seed=3)
 
@@ -175,3 +187,54 @@ def test_json_deterministic(pat):
     a = verdict_to_json(analyze(pat("PAT_EG06"), cfg=CFG))
     b = verdict_to_json(analyze(pat("PAT_EG06"), cfg=CFG))
     assert a == b
+
+
+def cycle_pattern(order, forward, backward) -> SignPattern:
+    """A single cycle through ``order`` (a vertex list), with given arc signs each way."""
+    n = len(order)
+    grid = [[0] * n for _ in range(n)]
+    for t in range(n):
+        u, v = order[t], order[(t + 1) % n]
+        grid[u][v], grid[v][u] = forward[t], backward[t]
+    return SignPattern.from_rows(grid)
+
+
+def assert_r2_sign_matches_enumeration(pattern: SignPattern) -> None:
+    facts = PatternAnalysis(pattern)
+    assert facts.shape.kind is ShapeKind.SINGLE_CYCLE and pattern.n % 2 == 1
+    got = _odd_cycle_det_sign(facts.digraph, facts.shape.cycles[0])
+    assert got is _det_sign(facts.digraph).value
+
+
+def test_r2_sign_matches_enumeration_on_fixtures():
+    checked = 0
+    for fx in FIXTURES.values():
+        facts = PatternAnalysis(fx.pattern)
+        single_cycle = facts.flags.all_ok() and facts.shape.kind is ShapeKind.SINGLE_CYCLE
+        if single_cycle and fx.pattern.n % 2:
+            assert_r2_sign_matches_enumeration(fx.pattern)
+            checked += 1
+    assert checked >= 4
+
+
+def test_r2_sign_matches_enumeration_on_random_odd_cycles():
+    rng = np.random.default_rng(2)
+    for n in range(3, 16, 2):
+        for _ in range(6):
+            forward, backward = (rng.choice((-1, 1), size=n).tolist() for _ in range(2))
+            assert_r2_sign_matches_enumeration(
+                cycle_pattern(rng.permutation(n).tolist(), forward, backward)
+            )
+
+
+@pytest.mark.parametrize("n", [17, 19])
+def test_r2_decides_odd_cycles_above_the_enumeration_cap(n):
+    # One negative arc: the two orientations have opposite signs.
+    mixed = cycle_pattern(list(range(n)), [-1] + [1] * (n - 1), [1] * n)
+    v = analyze(mixed, cfg=CFG)
+    assert v.overall is Overall.DOES_NOT_REQUIRE
+    assert rule(v, "R2").details == {"determinant_sign": AmbSign.AMBIGUOUS.value}
+    positive = cycle_pattern(list(range(n)), [1] * n, [1] * n)
+    v = analyze(positive, cfg=CFG)
+    assert v.overall is Overall.REQUIRES_UNIQUE
+    assert rule(v, "R2").details == {"determinant_sign": AmbSign.PLUS.value}
