@@ -16,8 +16,10 @@ last, so returned witnesses are reproducible.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -380,6 +382,82 @@ def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig, ok
 
 
+# The census eigensolve pool, built on first use by _census_pool.  Only
+# _stack_eigvals runs there, a pure function of its stack.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+# Below this order a stack of 256 solves in about 2 ms or less: half of that
+# is all the pool can save, and a pool thread whose CPU the host lends out
+# for a few milliseconds costs more (see BENCH_9.json).
+_POOL_MIN_ORDER = 8
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _census_pool(threads: int):
+    """The census thread pool, built with ``threads`` threads on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(threads, thread_name_prefix="signum-census")
+        return _POOL
+
+
+def _with_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (mats, *_stack_eigvals(mats))
+
+
+def _collect(mats: np.ndarray, solve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pool solve's result; one that has not started is taken back and done here."""
+    return _with_eigvals(mats) if solve.cancel() else (mats, *solve.result())
+
+
+def _solved(
+    blocks: Iterable[np.ndarray], count: int, order: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(mats, eig, ok) of each of the ``count`` stacks of ``blocks``, in order.
+
+    Every stack is filled on the calling thread, in order.  Where the
+    process may use several CPUs and the matrices are of order at least
+    ``_POOL_MIN_ORDER``, the stacks go in rounds of one per CPU: the pool
+    solves all but the last of a round while the calling thread fills and
+    solves the last, so the pool has one thread fewer than the CPUs.  A
+    pool solve not yet started when its result is due is taken back and
+    done here, so a pool thread slow to start costs little.  Each solve
+    reads only its own stack, so the results are the plain loop's whatever
+    the threads' timing.  Otherwise, and always with one CPU or one stack,
+    this is the plain loop and no thread starts.
+    """
+    cpus = _cpus()
+    if min(cpus, count) == 1 or order < _POOL_MIN_ORDER:
+        yield from map(_with_eigvals, blocks)
+        return
+    pool = _census_pool(cpus - 1)
+    blocks = iter(blocks)
+    sent: list = []
+    try:
+        for first in range(0, count, cpus):
+            for _ in range(min(cpus, count - first) - 1):
+                mats = next(blocks)
+                sent.append((mats, pool.submit(_stack_eigvals, mats)))
+            here = _with_eigvals(next(blocks))
+            while sent:
+                yield _collect(*sent.pop(0))
+            yield here
+    finally:
+        # Left over only when a solve raised or the census was abandoned.
+        for _, solve in sent:
+            solve.cancel()
+
+
 def spectral_profile(a: np.ndarray, tol: float | None = None) -> SpectralProfile:
     """Classify the spectrum of a real matrix.
 
@@ -449,7 +527,9 @@ def census(
     as stacks of ``_BLOCK`` (one fill, one eigensolve, one classification
     each), so the result depends neither on evaluation order nor on where
     the blocks split, nor on which blocks of magnitudes earlier censuses
-    left in the ``_block_magnitudes`` cache.  A sample is recorded as
+    left in the ``_block_magnitudes`` cache.  The eigensolves of a census
+    overlap on the CPUs the process may use (``_solved``); everything else
+    runs on the calling thread, in block order.  A sample is recorded as
     solid evidence only if its profile is not suspect and its claimed
     zero-eigenvalue count matches the generic multiplicity.
 
@@ -475,10 +555,12 @@ def census(
     solid = dict(prior.solid_representatives)
     freqs = dict(prior.frequency_counts)
     failures = prior.failures
-    for start in range(prior.trials, cfg.trials, _BLOCK):
-        stop = min(start + _BLOCK, cfg.trials)
-        mats = _fill(pattern, support, cfg.seed, laws, start, stop)
-        eig, ok = _stack_eigvals(mats)
+    starts = range(prior.trials, cfg.trials, _BLOCK)
+    blocks = (
+        _fill(pattern, support, cfg.seed, laws, start, min(start + _BLOCK, cfg.trials))
+        for start in starts
+    )
+    for mats, eig, ok in _solved(blocks, len(starts), pattern.n):
         failures += int(np.count_nonzero(~ok))
         c = _classify(eig, *_stack_thresholds(mats))
         inertia = c.inertia
@@ -492,7 +574,7 @@ def census(
         firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
         for key, first, _ in _tally(inertia, firm):
             solid.setdefault(key, mats[first].copy())
-        del mats  # free this block before the next one is filled
+        del mats, eig, ok  # the plain loop frees each block before it fills the next
     return Census(cfg.trials, counts, reps, freqs, failures, solid)
 
 
@@ -573,21 +655,20 @@ def stabilize_epsilon(
                     "emphasized parts have (nearly) repeated eigenvalues"
                 )
     # Every support position the parts leave empty gets +-epsilon; adding
-    # those to the base reproduces build_witness bit for bit.
+    # those to the base reproduces build_witness bit for bit.  Steps are
+    # solved one at a time, each on its own, until three in a row agree.
     rest = np.where(base == 0, pattern.to_array(), 0)
-    mats = base + np.array(EPSILON_SCHEDULE)[:, None, None] * rest
-    try:
-        eig = np.linalg.eigvals(mats)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    tol, floor = _stack_thresholds(mats)
-    inertia = _classify(eig, tol, floor).inertia
-    same = (inertia[1:] == inertia[:-1]).all(axis=1)
-    settled = np.flatnonzero(same[:-1] & same[1:])
-    if not len(settled):
-        raise NoStabilization("inertia never settled over the epsilon schedule")
-    t = int(settled[0])
-    return mats[t].copy(), EPSILON_SCHEDULE[t], _profile(eig[t], tol[t], floor[t])
+    steps: list[tuple[np.ndarray, float, SpectralProfile]] = []
+    for eps in EPSILON_SCHEDULE:
+        mat = base + eps * rest
+        try:
+            eig = np.linalg.eigvals(mat)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure(str(exc)) from exc
+        steps.append((mat, eps, _profile(eig, *_thresholds(float(np.linalg.norm(mat))))))
+        if len(steps) >= 3 and len({prof.inertia for _, _, prof in steps[-3:]}) == 1:
+            return steps[-3]
+    raise NoStabilization("inertia never settled over the epsilon schedule")
 
 
 def _max_matching(edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -415,12 +415,17 @@ def analyze(
     else:
         findings.append(RuleFinding("R7", False, Conclusion.NO_CONCLUSION, _REASONS["R7"]))
 
-    # R8: sampled zero-real-part gap, solidly classified samples only
+    # R8: sampled zero-real-part gap, solidly classified samples only.  A
+    # rule that proved a unique inertia outranks it: the gap is then a
+    # roundoff artefact, so R8 names that rule and concludes nothing.
     keys = cen.solid_keys()
     gap_pairs = [
         (a, b) for a in keys for b in keys if a < b and a[2] != b[2]
     ]
-    if gap_pairs:
+    proof = next(
+        (f.rule_id for f in findings if f.conclusion is Conclusion.REQUIRES_UNIQUE), None
+    )
+    if gap_pairs and proof is None:
         a_key, b_key = max(gap_pairs, key=lambda ab: (abs(ab[0][2] - ab[1][2]), ab))
         mat_a, mat_b = cen.solid_representatives[a_key], cen.solid_representatives[b_key]
         witness = WitnessPair(
@@ -442,14 +447,11 @@ def analyze(
             )
         )
     else:
+        details = {"inertia_keys": [list(k) for k in keys]}
+        if gap_pairs:
+            details["overruled_by"] = proof
         findings.append(
-            RuleFinding(
-                "R8",
-                True,
-                Conclusion.NO_CONCLUSION,
-                _REASONS["R8"],
-                details={"inertia_keys": [list(k) for k in keys]},
-            )
+            RuleFinding("R8", True, Conclusion.NO_CONCLUSION, _REASONS["R8"], details=details)
         )
 
     # R9: tree-pattern frequency evidence through the edge-flipped pattern

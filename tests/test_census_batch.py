@@ -6,12 +6,15 @@ sampler and classifier, so the comparison does not lean on the code under
 test.  Agreement must be exact: counts, frequencies, failures and the raw
 bytes of every representative.  A census resumed from a shorter one must
 equal a fresh census to the same standard, and so must a census that reads
-its magnitudes from blocks other censuses left in the shared cache.
+its magnitudes from blocks other censuses left in the shared cache, and
+so must a census whose block solves overlap on the thread pool.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from signum import spectra
-from signum.cycles import directed_cycle_from_vertices
-from signum.errors import EigenFailure
+from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
+from signum.errors import EigenFailure, NoStabilization
 from signum.fixtures import FIXTURES
 from signum.graphs import build_digraph
 from signum.patterns import SignPattern
@@ -277,7 +280,10 @@ def test_census_eigensolver_failures(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
-    got = census(pattern, cfg)
+    # The plain loop, so every count is made on this thread;
+    # test_pooled_fallback_solves_in_a_worker covers the pool.
+    with cpus(1):
+        got = census(pattern, cfg)
     # Stacks of 256, 256 and 88 trials; trials 4 and 301 spoil the first two.
     assert calls["stack"] == 3
     assert calls["single"] == 2 * 256
@@ -286,7 +292,8 @@ def test_census_eigensolver_failures(monkeypatch):
     assert sum(got.inertia_counts.values()) + got.failures == cfg.trials
     assert_same_census(got, want)
     # Resumed past the first bad trial, the prior's failure carries over.
-    resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=100)))
+    with cpus(1):
+        resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=100)))
     assert_same_census(resumed, want)
 
 
@@ -341,3 +348,246 @@ def test_cache_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(spectra, "_MAGS_CAP", block_bytes - 1)
     assert_same_census(census(pattern, cfg), want)
     assert not spectra._MAGS
+
+
+@contextmanager
+def cpus(count: int, min_order: int = 1):
+    """Censuses as on a process that may use ``count`` CPUs, on a pool of their own.
+
+    The default ``min_order`` sends stacks of every order to the pool.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectra, "_cpus", lambda: count)
+        m.setattr(spectra, "_POOL", None)
+        m.setattr(spectra, "_POOL_MIN_ORDER", min_order)
+        try:
+            yield
+        finally:
+            if spectra._POOL is not None:
+                spectra._POOL.shutdown()
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    pattern=patterns(),
+    two_laws=st.booleans(),
+    law=st.sampled_from(sorted(LAWS)),
+    seed=st.integers(0, 2**32 - 1),
+    workers=st.sampled_from((2, 3, 5)),
+)
+def test_pooled_census_equals_one_cpu(pattern, two_laws, law, seed, workers):
+    lo, hi = LAWS[law]
+    runs = {}
+    for count in (1, workers):
+        with cpus(count):
+            prior, runs[count] = None, []
+            # 600 and 1000 end inside a block, so each resumed census starts unaligned.
+            for trials in (600, 1000, 2000):
+                cfg = SampleConfig(lo=lo, hi=hi, trials=trials, seed=seed)
+                prior = census(pattern, cfg, two_laws, prior=prior)
+                runs[count].append(prior)
+            if count > 1:
+                # The calling thread solves one stack of each round itself.
+                assert spectra._POOL._max_workers == count - 1
+    for got, want in zip(runs[workers], runs[1]):
+        assert_same_census(got, want)
+
+
+@pytest.mark.parametrize(
+    "count, name, trials",
+    [(1, "PAT_TWOSQ9", 1000), (4, "PAT_TWOSQ9", 256), (4, "PAT_P6", 1000)],
+    ids=["one-cpu", "one-stack", "below-min-order"],
+)
+def test_census_without_pool_starts_no_thread(monkeypatch, count, name, trials):
+    """One CPU, one stack, or small matrices: the plain loop on the calling thread."""
+    pattern = FIXTURES[name].pattern
+    cfg = SampleConfig(trials=trials, seed=5)
+    callers = set()
+    original = np.linalg.eigvals
+
+    def eigvals(a):
+        callers.add(threading.get_ident())
+        return original(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    threads = set(threading.enumerate())
+    with cpus(count, min_order=spectra._POOL_MIN_ORDER):
+        got = census(pattern, cfg)
+        assert spectra._POOL is None
+    assert set(threading.enumerate()) == threads
+    assert callers == {threading.get_ident()}
+    assert_same_census(got, oracle_census(pattern, cfg))
+
+
+def wait_for_pool(monkeypatch):
+    """Collect every pool solve from the pool, never taking one back."""
+    monkeypatch.setattr(spectra, "_collect", lambda mats, solve: (mats, *solve.result()))
+
+
+def test_pooled_fallback_solves_in_a_worker(monkeypatch):
+    """A failing stack is redone matrix by matrix on the pool thread that solved it."""
+    pattern = FIXTURES["PAT_EX26"].pattern
+    cfg = SampleConfig(trials=1000, seed=23)
+    narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
+    # Stacks 0 and 2 of each round-of-two census go to the pool.
+    bad = [scalar_sample(pattern, cfg, 4), scalar_sample(pattern, narrow, 601)]
+    original = np.linalg.eigvals
+    single_threads = []
+
+    def eigvals(a):
+        a = np.asarray(a)
+        if a.ndim == 2:
+            single_threads.append(threading.current_thread().name)
+        if any(np.array_equal(m, b) for m in a.reshape(-1, *a.shape[-2:]) for b in bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    wait_for_pool(monkeypatch)
+    with cpus(2):
+        got = census(pattern, cfg)
+        resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=512)))
+    # Trials 4 and 601 spoil one stack each in every census that draws them.
+    assert len(single_threads) == 4 * 256
+    assert all(name.startswith("signum-census") for name in single_threads)
+    want = oracle_census(pattern, cfg)
+    assert got.failures == want.failures == 2
+    assert_same_census(got, want)
+    assert_same_census(resumed, want)
+
+
+def test_unstarted_pool_solves_are_taken_back(monkeypatch):
+    """With the pool's one thread held up, the calling thread solves every stack."""
+    pattern = FIXTURES["PAT_TWOSQ9"].pattern
+    cfg = SampleConfig(trials=1000, seed=8)
+    callers = []
+    original = np.linalg.eigvals
+
+    def eigvals(a):
+        callers.append(threading.get_ident())
+        return original(a)
+
+    release = threading.Event()
+    with cpus(2):
+        pool = spectra._census_pool(1)
+        held = pool.submit(release.wait, 60)
+        monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+        try:
+            got = census(pattern, cfg)
+        finally:
+            release.set()
+        assert held.result(timeout=60)
+    assert callers == [threading.get_ident()] * 4
+    assert_same_census(got, oracle_census(pattern, cfg))
+
+
+def test_pooled_census_propagates_other_errors(monkeypatch):
+    pattern = FIXTURES["PAT_EX26"].pattern
+    cfg = SampleConfig(trials=2000, seed=3)
+    third_block = scalar_sample(pattern, cfg, 2 * spectra._BLOCK)
+    original = np.linalg.eigvals
+    raised_in = []
+
+    def eigvals(a):
+        if np.array_equal(a[0], third_block):
+            raised_in.append(threading.current_thread().name)
+            raise MemoryError("no room for the stack")
+        return original(a)
+
+    wait_for_pool(monkeypatch)
+    with cpus(2):
+        monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+        with pytest.raises(MemoryError, match="no room"):
+            census(pattern, cfg)
+        assert len(raised_in) == 1 and raised_in[0].startswith("signum-census")
+        # The pool outlives the error and the next census is whole.
+        monkeypatch.setattr(spectra.np.linalg, "eigvals", original)
+        assert_same_census(census(pattern, cfg), oracle_census(pattern, cfg))
+
+
+def full_stack_stabilize(pattern: SignPattern, spec):
+    """The epsilon walk that solves every step of the schedule as one stack."""
+    base = build_witness(pattern, replace(spec, epsilon=0.0))
+    rest = np.where(base == 0, pattern.to_array(), 0)
+    schedule = spectra.EPSILON_SCHEDULE
+    mats = base + np.array(schedule)[:, None, None] * rest
+    eig = np.linalg.eigvals(mats)
+    tol, floor = spectra._stack_thresholds(mats)
+    inertia = spectra._classify(eig, tol, floor).inertia
+    same = (inertia[1:] == inertia[:-1]).all(axis=1)
+    settled = np.flatnonzero(same[:-1] & same[1:])
+    if not len(settled):
+        raise NoStabilization("never settled")
+    t = int(settled[0])
+    return mats[t].copy(), schedule[t], spectra._profile(eig[t], tol[t], floor[t]), t
+
+
+def fixture_specs():
+    """Every orientation of every listed cycle and every single edge of each valid fixture."""
+    for name in sorted(FIXTURES):
+        pattern = FIXTURES[name].pattern
+        facts = PatternAnalysis(pattern)
+        if not facts.flags.all_ok():
+            continue
+        parts = [
+            (directed_cycle_from_vertices(facts.digraph, c),)
+            for cyc in facts.shape.cycles
+            for c in (cyc, cyc[::-1])
+        ]
+        edges = sorted(facts.graph.negative_edges()) + sorted(facts.graph.positive_edges())
+        parts += [matching_parts(pattern, [e]) for e in edges]
+        for part in parts:
+            for base in (10.0, 2.0):
+                yield name, pattern, ladder_spec(pattern, part, base=base)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    original = np.linalg.eigvals
+
+    def eigvals(a):
+        calls.append(np.ndim(a))
+        return original(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    return calls
+
+
+def test_stabilize_matches_full_stack(monkeypatch):
+    seen = 0
+    for name, pattern, spec in fixture_specs():
+        try:
+            want = full_stack_stabilize(pattern, spec)
+        except NoStabilization:
+            with pytest.raises(NoStabilization):
+                stabilize_epsilon(pattern, spec)
+            continue
+        with monkeypatch.context() as m:
+            calls = count_solves(m)
+            try:
+                mat, eps, prof = stabilize_epsilon(pattern, spec)
+            except spectra.DegenerateBase:
+                continue
+        seen += 1
+        assert (mat.tobytes(), eps, prof) == (want[0].tobytes(), want[1], want[2]), name
+        # The base, then one solve per step up to the settled triple.
+        assert calls == [2] * (want[3] + 4), name
+    assert seen > 100
+
+
+def test_stabilize_never_settling_solves_every_step(monkeypatch):
+    """Inertias alternate when the schedule does, so no triple settles."""
+    pattern = FIXTURES["PAT_EG06"].pattern
+    spec = ladder_spec(pattern, matching_parts(pattern, [(0, 1)]))
+    monkeypatch.setattr(spectra, "EPSILON_SCHEDULE", (1e-1, 1e-12) * 6)
+    with pytest.raises(NoStabilization):
+        full_stack_stabilize(pattern, spec)
+    calls = count_solves(monkeypatch)
+    with pytest.raises(NoStabilization):
+        stabilize_epsilon(pattern, spec)
+    assert calls == [2] * 13

@@ -85,17 +85,18 @@ def test_one_sample_equals_its_row_in_a_block(start):
 
 
 def test_jump_constants_not_built_at_import():
-    """Neither the jump constants nor the census magnitude cache is built at import."""
+    """Neither the jump constants, the census magnitude cache nor the census pool is built at import."""
     code = (
-        "import signum.cli, signum._rng as r, signum.spectra as s;"
-        " print(r._jump.cache_info().currsize, len(s._MAGS))"
+        "import sys, signum.cli, signum._rng as r, signum.spectra as s;"
+        " print(r._jump.cache_info().currsize, len(s._MAGS), s._POOL,"
+        " 'concurrent.futures' in sys.modules)"
     )
     src = str(Path(signum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "None", "False"]
 
 
 def old_tally(keys: np.ndarray, mask: np.ndarray):

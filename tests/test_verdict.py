@@ -238,3 +238,25 @@ def test_r2_decides_odd_cycles_above_the_enumeration_cap(n):
     v = analyze(positive, cfg=CFG)
     assert v.overall is Overall.REQUIRES_UNIQUE
     assert rule(v, "R2").details == {"determinant_sign": AmbSign.PLUS.value}
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 13, 15, 17, 19])
+def test_sampled_gap_does_not_overrule_r2(n):
+    """R2 proves these odd cycles sign-nonsingular: Re p(iy) = -det A != 0 on the axis.
+
+    The census still shows solid keys with different zero-real-part counts
+    (eigenvalue pairs whose real parts are roundoff), so R8 must defer.
+    """
+    forward = [1 if t % 2 == 0 else -1 for t in range(n)]
+    if forward.count(-1) % 2 == 0:
+        forward[-1] = -1
+    v = analyze(cycle_pattern(list(range(n)), forward, [-1] * n))
+    assert rule(v, "R2").conclusion is Conclusion.REQUIRES_UNIQUE
+    assert rule(v, "R2").details == {"determinant_sign": AmbSign.MINUS.value}
+    r8 = rule(v, "R8")
+    assert r8.conclusion is Conclusion.NO_CONCLUSION
+    assert r8.witness is None
+    assert r8.details["overruled_by"] == "R2"
+    assert len({key[2] for key in r8.details["inertia_keys"]}) > 1
+    assert v.overall is Overall.REQUIRES_UNIQUE
+    assert v.witness_pair() is None
