@@ -386,10 +386,6 @@ def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # _stack_eigvals runs there, a pure function of its stack.
 _POOL = None
 _POOL_LOCK = threading.Lock()
-# Below this order a stack of 256 solves in about 2 ms or less: half of that
-# is all the pool can save, and a pool thread whose CPU the host lends out
-# for a few milliseconds costs more (see BENCH_9.json).
-_POOL_MIN_ORDER = 8
 
 
 def _cpus() -> int:
@@ -400,14 +396,21 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _census_pool(threads: int):
-    """The census thread pool, built with ``threads`` threads on first use."""
+def _census_pool():
+    """The census thread pool, built on first use with one thread fewer than ``_cpus()``.
+
+    The first census that pools fixes the size.  Should the process's CPUs
+    change later, rounds follow the new count; a round larger than the pool
+    leaves a stack queued, which the calling thread then takes back.
+    """
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _POOL = ThreadPoolExecutor(threads, thread_name_prefix="signum-census")
+            _POOL = ThreadPoolExecutor(
+                max(_cpus() - 1, 1), thread_name_prefix="signum-census"
+            )
         return _POOL
 
 
@@ -421,26 +424,25 @@ def _collect(mats: np.ndarray, solve) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _solved(
-    blocks: Iterable[np.ndarray], count: int, order: int
+    blocks: Iterable[np.ndarray], count: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(mats, eig, ok) of each of the ``count`` stacks of ``blocks``, in order.
 
     Every stack is filled on the calling thread, in order.  Where the
-    process may use several CPUs and the matrices are of order at least
-    ``_POOL_MIN_ORDER``, the stacks go in rounds of one per CPU: the pool
-    solves all but the last of a round while the calling thread fills and
-    solves the last, so the pool has one thread fewer than the CPUs.  A
-    pool solve not yet started when its result is due is taken back and
-    done here, so a pool thread slow to start costs little.  Each solve
-    reads only its own stack, so the results are the plain loop's whatever
-    the threads' timing.  Otherwise, and always with one CPU or one stack,
-    this is the plain loop and no thread starts.
+    process may use several CPUs, the stacks go in rounds of one per CPU:
+    the pool solves all but the last of a round while the calling thread
+    fills and solves the last, so the pool has one thread fewer than the
+    CPUs.  A pool solve not yet started when its result is due is taken
+    back and done here, so a pool thread slow to start costs little.  Each
+    solve reads only its own stack, so the results are the plain loop's
+    whatever the threads' timing.  With one CPU, or at most one stack, this is the
+    plain loop and no thread starts.
     """
     cpus = _cpus()
-    if min(cpus, count) == 1 or order < _POOL_MIN_ORDER:
+    if min(cpus, count) <= 1:
         yield from map(_with_eigvals, blocks)
         return
-    pool = _census_pool(cpus - 1)
+    pool = _census_pool()
     blocks = iter(blocks)
     sent: list = []
     try:
@@ -560,7 +562,7 @@ def census(
         _fill(pattern, support, cfg.seed, laws, start, min(start + _BLOCK, cfg.trials))
         for start in starts
     )
-    for mats, eig, ok in _solved(blocks, len(starts), pattern.n):
+    for mats, eig, ok in _solved(blocks, len(starts)):
         failures += int(np.count_nonzero(~ok))
         c = _classify(eig, *_stack_thresholds(mats))
         inertia = c.inertia

@@ -351,15 +351,11 @@ def test_cache_stays_within_its_cap(monkeypatch):
 
 
 @contextmanager
-def cpus(count: int, min_order: int = 1):
-    """Censuses as on a process that may use ``count`` CPUs, on a pool of their own.
-
-    The default ``min_order`` sends stacks of every order to the pool.
-    """
+def cpus(count: int):
+    """Censuses as on a process that may use ``count`` CPUs, on a pool of their own."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(spectra, "_cpus", lambda: count)
         m.setattr(spectra, "_POOL", None)
-        m.setattr(spectra, "_POOL_MIN_ORDER", min_order)
         try:
             yield
         finally:
@@ -399,14 +395,20 @@ def test_pooled_census_equals_one_cpu(pattern, two_laws, law, seed, workers):
 
 
 @pytest.mark.parametrize(
-    "count, name, trials",
-    [(1, "PAT_TWOSQ9", 1000), (4, "PAT_TWOSQ9", 256), (4, "PAT_P6", 1000)],
-    ids=["one-cpu", "one-stack", "below-min-order"],
+    "count, trials, resumed",
+    [(1, 1000, False), (4, 256, False), (1, 1000, True), (4, 1000, True)],
+    ids=["one-cpu", "one-stack", "no-stack-one-cpu", "no-stack"],
 )
-def test_census_without_pool_starts_no_thread(monkeypatch, count, name, trials):
-    """One CPU, one stack, or small matrices: the plain loop on the calling thread."""
-    pattern = FIXTURES[name].pattern
+def test_census_without_pool_starts_no_thread(monkeypatch, count, trials, resumed):
+    """One CPU or at most one stack: the plain loop on the calling thread.
+
+    A census resumed from a prior of as many trials has no stack to solve
+    and returns the prior's tallies.
+    """
+    pattern = FIXTURES["PAT_TWOSQ9"].pattern
     cfg = SampleConfig(trials=trials, seed=5)
+    want = oracle_census(pattern, cfg)
+    prior = want if resumed else None
     callers = set()
     original = np.linalg.eigvals
 
@@ -416,12 +418,12 @@ def test_census_without_pool_starts_no_thread(monkeypatch, count, name, trials):
 
     monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
     threads = set(threading.enumerate())
-    with cpus(count, min_order=spectra._POOL_MIN_ORDER):
-        got = census(pattern, cfg)
+    with cpus(count):
+        got = census(pattern, cfg, prior=prior)
         assert spectra._POOL is None
     assert set(threading.enumerate()) == threads
-    assert callers == {threading.get_ident()}
-    assert_same_census(got, oracle_census(pattern, cfg))
+    assert callers == (set() if resumed else {threading.get_ident()})
+    assert_same_census(got, want)
 
 
 def wait_for_pool(monkeypatch):
@@ -474,7 +476,7 @@ def test_unstarted_pool_solves_are_taken_back(monkeypatch):
 
     release = threading.Event()
     with cpus(2):
-        pool = spectra._census_pool(1)
+        pool = spectra._census_pool()
         held = pool.submit(release.wait, 60)
         monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
         try:
