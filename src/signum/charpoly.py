@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFinite, OrderCapExceeded, ZeroLeading
-from .graphs import SignedDigraph, build_digraph
+from .graphs import build_digraph
 from .patterns import AmbSign, SignPattern
 from .cycles import composite_cycles_of_length
 
@@ -107,17 +107,12 @@ def ek_sign(pattern: SignPattern, k: int) -> EkSign:
     agree, AMBIGUOUS when both signs occur.  Loops count as length-1
     cycles.  Exhaustive, so capped at order 16.
     """
-    return _ek_sign(build_digraph(pattern), k)
-
-
-def _ek_sign(digraph: SignedDigraph, k: int) -> EkSign:
-    """``ek_sign`` of the pattern whose signed digraph is given."""
-    if not 1 <= k <= digraph.n:
-        raise ValueError(f"k={k} out of range 1..{digraph.n}")
-    if digraph.n > EK_ORDER_CAP:
+    if not 1 <= k <= pattern.n:
+        raise ValueError(f"k={k} out of range 1..{pattern.n}")
+    if pattern.n > EK_ORDER_CAP:
         raise OrderCapExceeded(f"cycle-sum sign enumeration capped at order {EK_ORDER_CAP}")
     acc = AmbSign.ZERO
-    for comp in composite_cycles_of_length(digraph, k, include_loops=True):
+    for comp in composite_cycles_of_length(build_digraph(pattern), k, include_loops=True):
         acc = acc.add(AmbSign.from_int(comp.sign))
         if acc is AmbSign.AMBIGUOUS:
             break
@@ -169,9 +164,4 @@ def sign_det(pattern: SignPattern) -> DetSign:
     attainable.  The determinant terms are exactly the spanning composite
     cycles with their proper signs.
     """
-    return _det_sign(build_digraph(pattern))
-
-
-def _det_sign(digraph: SignedDigraph) -> DetSign:
-    """``sign_det`` of the pattern whose signed digraph is given."""
-    return DetSign(_ek_sign(digraph, digraph.n).sign)
+    return DetSign(ek_sign(pattern, pattern.n).sign)

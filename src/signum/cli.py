@@ -70,6 +70,8 @@ def _load_pattern(path: str | None, fixture: str | None) -> SignPattern:
             return parse_pattern(handle.read())
     except OSError as exc:
         raise click.ClickException(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(f"cannot read {path}: not UTF-8 text ({exc.reason})")
 
 
 @click.group()
@@ -83,23 +85,12 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="emit the JSON verdict")
 @click.option("--trials", default=1000, show_default=True, help="census sample count")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="sampling seed")
-@click.option(
-    "--strict-distance",
-    is_flag=True,
-    help=(
-        "use only the connecting-path edge count for the cycle-distance parity."
-        " This cannot change R7's decision: every cycle pair R7 lists is joined"
-        " by a path of bridges, so that count always equals the raw distance."
-        " The flag is kept, and echoed as \"strict\" in R7's details, so that"
-        " verdict bytes stay stable"
-    ),
-)
-def cmd_analyze(path, fixture, as_json, trials, seed, strict_distance) -> None:
+def cmd_analyze(path, fixture, as_json, trials, seed) -> None:
     """Run the rule battery on a pattern and print the verdict."""
     try:
         pattern = _load_pattern(path, fixture)
         cfg = SampleConfig(trials=trials, seed=seed if seed is not None else _default_seed())
-        verdict = analyze(pattern, cfg=cfg, strict_distance=strict_distance)
+        verdict = analyze(pattern, cfg=cfg)
     except (SignumError, click.ClickException, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)

@@ -345,7 +345,7 @@ def _pair_distance_check(
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
         report = cycle_structure(facts.graph)
-        got = sorted(link for (_, _, link, _) in report.path_adjacent_pairs)
+        got = sorted(link for (_, _, link) in report.path_adjacent_pairs)
         return got == sorted(expected_edge_counts), f"path-adjacent edge counts {got}"
 
     return Check(check_id, tag, source, fn)

@@ -192,16 +192,16 @@ class MaximalSignedRun:
 class CycleStructureReport:
     """Undirected cycle inventory with leaf distances and cycle-pair links.
 
-    ``path_adjacent_pairs`` entries are (cycle_a, cycle_b, edge_count,
-    raw_distance): edge_count is the length of the shortest connecting path
-    whose interior avoids every cycle vertex, raw_distance the unrestricted
-    shortest distance between the two vertex sets.
+    ``path_adjacent_pairs`` entries are (cycle_a, cycle_b, edge_count):
+    edge_count is the length of the shortest connecting path whose interior
+    avoids every cycle vertex.  It is also the unrestricted distance
+    between the two vertex sets (see ``cycle_structure``).
     """
 
     cycles: tuple[tuple[int, ...], ...]
     cycle_edge_signs: tuple[tuple[int, ...], ...]
     leaf_cycle_distances: tuple[tuple[int, int, int], ...]
-    path_adjacent_pairs: tuple[tuple[int, int, int, int], ...]
+    path_adjacent_pairs: tuple[tuple[int, int, int], ...]
 
 
 def build_digraph(pattern: SignPattern) -> SignedDigraph:
@@ -328,35 +328,24 @@ def cycle_edge_order(
     return edges, tuple(graph.sign_of(*e) for e in edges)
 
 
-def _distances_from(graph: SignedGraph, sources: set[int]) -> dict[int, int]:
-    dist = {v: 0 for v in sources}
-    frontier = sorted(sources)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in graph.adjacency[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = sorted(nxt)
-    return dist
-
-
 def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     """Cycle inventory: every simple cycle, leaf distances, cycle-pair links.
 
     A pair of cycles is listed only if some connecting path has all interior
     vertices off every cycle; the reported edge count is minimal among such
-    paths.  The unrestricted distance between the two vertex sets is
-    reported alongside so both parity conventions can be checked.
+    paths.  It is also the unrestricted distance between the two vertex
+    sets.  A link of one edge is trivially so, the cycles being disjoint.  A
+    longer link's every edge has an end off every cycle, so the edge lies on
+    no cycle and is a bridge; every route between the two cycles crosses
+    each such bridge, so none is shorter than the link.
 
     Cycles are read as bitmasks of their indices: ``on[v]`` marks the
     cycles through vertex v, so its union over a vertex mask gives every
-    cycle that mask touches.  Each cycle gets one BFS stepping only onto
-    vertices off every cycle, whose levels name the later disjoint cycles
-    first touched at each link length, and, if any is touched, one
-    unrestricted BFS for their raw distances.  No pair is tested on its
-    own, so the work follows the cycles and the pairs listed.
+    cycle that mask touches.  Each leaf gets one BFS, whose levels name the
+    cycles first touched at each distance.  Each cycle gets one BFS stepping
+    only onto vertices off every cycle, whose levels name the later
+    disjoint cycles first touched at each link length.  No pair is tested
+    on its own, so the work follows the cycles and the pairs listed.
     """
     if not graph.is_connected():
         raise Disconnected("cycle structure needs a connected graph")
@@ -367,21 +356,25 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
         for cyc in cycles
     )
 
-    leaf_rows = []
-    for leaf in graph.leaves():
-        dist = _distances_from(graph, {leaf})
-        for c_idx, cyc in enumerate(cycles):
-            leaf_rows.append((leaf, c_idx, min(dist[v] for v in cyc)))
-
     adj = [sum(1 << w for w in graph.adjacency[v]) for v in range(graph.n)]
     on = [0] * graph.n
     for c, cyc in enumerate(cycles):
         for v in cyc:
             on[v] |= 1 << c
-    everything = (1 << graph.n) - 1
     off_cycle = sum(1 << v for v in range(graph.n) if not on[v])
-
     all_cycles = (1 << len(cycles)) - 1
+
+    leaf_rows = []
+    for leaf in graph.leaves():
+        dist: dict[int, int] = {}
+        pending = all_cycles
+        for t, level in enumerate(_bfs_levels(adj, 1 << leaf, (1 << graph.n) - 1)):
+            touched = _union(on, level) & pending
+            pending ^= touched
+            for c in _bits(touched):
+                dist[c] = t
+        leaf_rows += [(leaf, c, dist[c]) for c in range(len(cycles))]
+
     pair_rows = []
     for a, cyc in enumerate(cycles):
         va = sum(1 << v for v in cyc)
@@ -396,18 +389,7 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
             pending ^= touched
             for b in _bits(touched):
                 link[b] = t + 1
-        if not link:
-            continue
-        raw: dict[int, int] = {}
-        pending = sum(1 << b for b in link)
-        for t, level in enumerate(_bfs_levels(adj, va, everything)):
-            touched = _union(on, level) & pending
-            pending ^= touched
-            for b in _bits(touched):
-                raw[b] = t
-            if not pending:
-                break
-        pair_rows += [(a, b, link[b], raw[b]) for b in sorted(link)]
+        pair_rows += [(a, b, link[b]) for b in sorted(link)]
     return CycleStructureReport(cycles, signs, tuple(leaf_rows), tuple(pair_rows))
 
 

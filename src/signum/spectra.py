@@ -361,6 +361,14 @@ def _stack_thresholds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _thresholds(np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]))
 
 
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one matrix; a LAPACK failure raises EigenFailure."""
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(str(exc)) from exc
+
+
 def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of every matrix of a stack, and which solves succeeded.
 
@@ -460,23 +468,15 @@ def _solved(
             solve.cancel()
 
 
-def spectral_profile(a: np.ndarray, tol: float | None = None) -> SpectralProfile:
+def spectral_profile(a: np.ndarray) -> SpectralProfile:
     """Classify the spectrum of a real matrix.
 
-    Real parts within +-tol count as zero real part, moduli within tol as
-    zero eigenvalues, imaginary parts within tol as real eigenvalues.
+    With tol = 1e-8 * (1 + ||a||_F), real parts within +-tol count as zero
+    real part, moduli within tol as zero eigenvalues, imaginary parts within
+    tol as real eigenvalues.
     """
     a = np.asarray(a, dtype=float)
-    default_tol, floor = _thresholds(float(np.linalg.norm(a)))
-    if tol is None:
-        tol = default_tol
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    try:
-        eig = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    return _profile(eig, tol, floor)
+    return _profile(_eigvals(a), *_thresholds(float(np.linalg.norm(a))))
 
 
 NEAR_ONE_LO, NEAR_ONE_HI = 0.5, 2.0
@@ -518,27 +518,26 @@ def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], in
 def census(
     pattern: SignPattern,
     cfg: SampleConfig,
-    two_laws: bool = True,
     prior: Census | None = None,
 ) -> Census:
     """Profile cfg.trials samples and bucket them by inertia.
 
-    With ``two_laws`` every other trial draws magnitudes near 1 instead of
-    from the wide law, which catches classes whose spectra degenerate only
-    at comparable scales.  Trials are independently seeded by index and run
-    as stacks of ``_BLOCK`` (one fill, one eigensolve, one classification
-    each), so the result depends neither on evaluation order nor on where
-    the blocks split, nor on which blocks of magnitudes earlier censuses
-    left in the ``_block_magnitudes`` cache.  The eigensolves of a census
-    overlap on the CPUs the process may use (``_solved``); everything else
-    runs on the calling thread, in block order.  A sample is recorded as
-    solid evidence only if its profile is not suspect and its claimed
-    zero-eigenvalue count matches the generic multiplicity.
+    Every other trial draws magnitudes near 1 instead of from the wide law,
+    which catches classes whose spectra degenerate only at comparable
+    scales.  Trials are independently seeded by index and run as stacks of
+    ``_BLOCK`` (one fill, one eigensolve, one classification each), so the
+    result depends neither on evaluation order nor on where the blocks
+    split, nor on which blocks of magnitudes earlier censuses left in the
+    ``_block_magnitudes`` cache.  The eigensolves of a census overlap on the
+    CPUs the process may use (``_solved``); everything else runs on the
+    calling thread, in block order.  A sample is recorded as solid evidence
+    only if its profile is not suspect and its claimed zero-eigenvalue count
+    matches the generic multiplicity.
 
-    ``prior``, a census of the same pattern with the same seed, laws and
-    ``two_laws`` but fewer trials, is resumed rather than redrawn: its
-    tallies are copied and only trials ``prior.trials .. cfg.trials - 1``
-    are drawn, so the result equals a fresh census of cfg.trials trials.
+    ``prior``, a census of the same pattern with the same seed and laws but
+    fewer trials, is resumed rather than redrawn: its tallies are copied and
+    only trials ``prior.trials .. cfg.trials - 1`` are drawn, so the result
+    equals a fresh census of cfg.trials trials.
     Raises ValueError if the prior has more trials than cfg.
     """
     if prior is not None and prior.trials > cfg.trials:
@@ -548,7 +547,7 @@ def census(
     lo, hi = max(cfg.lo, NEAR_ONE_LO), min(cfg.hi, NEAR_ONE_HI)
     if lo > hi:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
-    laws = [(cfg.lo, cfg.hi), (lo, hi)] if two_laws else [(cfg.lo, cfg.hi)]
+    laws = [(cfg.lo, cfg.hi), (lo, hi)]
     generic_zeros = _generic_zero_count(pattern)
     support = _support(pattern)
     prior = prior or Census(0, {}, {}, {})
@@ -640,12 +639,13 @@ def stabilize_epsilon(
     Walks epsilon down 10^-1 .. 10^-12 and returns the first value whose
     inertia agrees with the next two smaller ones.  The emphasized parts'
     nonzero eigenvalues must be pairwise distinct, otherwise closeness of
-    the perturbed spectrum pins down nothing.
+    the perturbed spectrum pins down nothing.  An eigensolver failure, on
+    the base or on any step, raises EigenFailure.
     """
     if not spec.parts:
         raise CycleNotInPattern("nothing to emphasize")
     base = build_witness(pattern, replace(spec, epsilon=0.0))
-    base_eigs = np.linalg.eigvals(base)
+    base_eigs = _eigvals(base)
     scale = 1.0 + float(np.max(np.abs(base_eigs)))
     # Vertices outside the emphasized parts contribute exact zeros, which
     # are fine; the parts' own (nonzero) eigenvalues must stay apart.
@@ -663,11 +663,9 @@ def stabilize_epsilon(
     steps: list[tuple[np.ndarray, float, SpectralProfile]] = []
     for eps in EPSILON_SCHEDULE:
         mat = base + eps * rest
-        try:
-            eig = np.linalg.eigvals(mat)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(str(exc)) from exc
-        steps.append((mat, eps, _profile(eig, *_thresholds(float(np.linalg.norm(mat))))))
+        steps.append(
+            (mat, eps, _profile(_eigvals(mat), *_thresholds(float(np.linalg.norm(mat)))))
+        )
         if len(steps) >= 3 and len({prof.inertia for _, _, prof in steps[-3:]}) == 1:
             return steps[-3]
     raise NoStabilization("inertia never settled over the epsilon schedule")
@@ -695,7 +693,7 @@ def _try_pair(
     try:
         mat_a, eps_a, prof_a = stabilize_epsilon(pattern, spec_a)
         mat_b, eps_b, prof_b = stabilize_epsilon(pattern, spec_b)
-    except (NoStabilization, DegenerateBase, CycleNotInPattern, SignMismatch):
+    except (NoStabilization, DegenerateBase, CycleNotInPattern, SignMismatch, EigenFailure):
         return None
     if prof_a.inertia == prof_b.inertia:
         return None

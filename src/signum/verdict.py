@@ -178,7 +178,6 @@ def _cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
 def analyze(
     pattern: SignPattern,
     cfg: SampleConfig | None = None,
-    strict_distance: bool = False,
     witness_budget: int = 2000,
 ) -> Verdict:
     """Run the rule battery and aggregate the strongest justified conclusion.
@@ -361,13 +360,13 @@ def analyze(
     # R7: several cycles, no leaf, path-adjacent cycles at odd distance
     if shape.kind is ShapeKind.MULTI_CYCLE_NO_LEAF:
         report = cycle_structure(graph)
+        # The link is also the raw distance (see cycle_structure), which
+        # "raw_distance" and "strict" still report to keep verdict bytes.
         pair_info = [
-            {"cycles": [a, b], "edge_count": link, "raw_distance": raw}
-            for (a, b, link, raw) in report.path_adjacent_pairs
+            {"cycles": [a, b], "edge_count": link, "raw_distance": link}
+            for (a, b, link) in report.path_adjacent_pairs
         ]
-        link_odd = all(link % 2 == 1 for (_, _, link, _) in report.path_adjacent_pairs)
-        raw_odd = all(raw % 2 == 1 for (_, _, _, raw) in report.path_adjacent_pairs)
-        distance_ok = link_odd if strict_distance else (link_odd and raw_odd)
+        distance_ok = all(link % 2 == 1 for (_, _, link) in report.path_adjacent_pairs)
         all_even = all(len(c) % 2 == 0 for c in report.cycles)
         fired = []
         # Whether a cycle extends depends only on the vertices it leaves over.
@@ -405,7 +404,7 @@ def analyze(
                     "path_adjacent_pairs": pair_info,
                     "distance_convention": "edge count of the cycle-avoiding"
                     " connecting path; raw vertex-set distance must agree unless strict",
-                    "strict": strict_distance,
+                    "strict": False,
                     "distances_odd": distance_ok,
                     "all_cycles_even": all_even,
                     "conditions_fired": fired,
@@ -566,7 +565,7 @@ def _plain(value):
     return value
 
 
-def verdict_to_json(verdict: Verdict, indent: int | None = 2) -> str:
+def verdict_to_json(verdict: Verdict) -> str:
     """Serialize with a stable key order."""
     doc = {
         "pattern": verdict.pattern.to_text().splitlines(),
@@ -613,4 +612,4 @@ def verdict_to_json(verdict: Verdict, indent: int | None = 2) -> str:
             "failures": verdict.census.failures,
         },
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)

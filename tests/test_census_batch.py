@@ -92,7 +92,7 @@ def scalar_profile(a: np.ndarray) -> SpectralProfile:
     )
 
 
-def oracle_census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True) -> Census:
+def oracle_census(pattern: SignPattern, cfg: SampleConfig) -> Census:
     """One sample and one profile per trial, in trial order."""
     lo, hi = max(cfg.lo, NEAR_ONE_LO), min(cfg.hi, NEAR_ONE_HI)
     if lo > hi:
@@ -101,7 +101,7 @@ def oracle_census(pattern: SignPattern, cfg: SampleConfig, two_laws: bool = True
     generic_zeros = spectra._generic_zero_count(pattern)
     counts, reps, solid, freqs, failures = {}, {}, {}, {}, 0
     for t in range(cfg.trials):
-        law = narrow if (two_laws and t % 2) else cfg
+        law = narrow if t % 2 else cfg
         mat = scalar_sample(pattern, law, index=t)
         try:
             prof = scalar_profile(mat)
@@ -156,14 +156,13 @@ LAWS = {"wide": (1e-2, 1e2), "narrow-fallback": (3.0, 5.0)}
 @given(
     pattern=patterns(),
     trials=st.sampled_from((1, 255, 256, 257, 1000)),
-    two_laws=st.booleans(),
     law=st.sampled_from(sorted(LAWS)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_census_matches_per_trial_oracle(pattern, trials, two_laws, law, seed):
+def test_census_matches_per_trial_oracle(pattern, trials, law, seed):
     lo, hi = LAWS[law]
     cfg = SampleConfig(lo=lo, hi=hi, trials=trials, seed=seed)
-    assert_same_census(census(pattern, cfg, two_laws), oracle_census(pattern, cfg, two_laws))
+    assert_same_census(census(pattern, cfg), oracle_census(pattern, cfg))
 
 
 @settings(
@@ -176,14 +175,13 @@ def test_census_matches_per_trial_oracle(pattern, trials, two_laws, law, seed):
     pattern=patterns(),
     prior_trials=st.sampled_from((1, 255, 256, 257, 512, 1000)),
     extra=st.sampled_from((0, 1, 255, 256, 300, 1000)),
-    two_laws=st.booleans(),
     law=st.sampled_from(sorted(LAWS)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_resumed_census_equals_fresh(pattern, prior_trials, extra, two_laws, law, seed):
+def test_resumed_census_equals_fresh(pattern, prior_trials, extra, law, seed):
     lo, hi = LAWS[law]
     cfg = SampleConfig(lo=lo, hi=hi, trials=prior_trials + extra, seed=seed)
-    prior = census(pattern, replace(cfg, trials=prior_trials), two_laws)
+    prior = census(pattern, replace(cfg, trials=prior_trials))
     before = replace(
         prior,
         inertia_counts=dict(prior.inertia_counts),
@@ -191,7 +189,7 @@ def test_resumed_census_equals_fresh(pattern, prior_trials, extra, two_laws, law
         frequency_counts=dict(prior.frequency_counts),
         solid_representatives=dict(prior.solid_representatives),
     )
-    assert_same_census(census(pattern, cfg, two_laws, prior=prior), census(pattern, cfg, two_laws))
+    assert_same_census(census(pattern, cfg, prior=prior), census(pattern, cfg))
     assert_same_census(prior, before)
 
 
@@ -297,22 +295,17 @@ def test_census_eigensolver_failures(monkeypatch):
     assert_same_census(resumed, want)
 
 
-def cold_census(monkeypatch, pattern, cfg, two_laws):
+def cold_census(monkeypatch, pattern, cfg):
     """A fresh census that starts from an empty magnitude cache and leaves the shared one alone."""
     with monkeypatch.context() as m:
         m.setattr(spectra, "_MAGS", {})
-        return census(pattern, cfg, two_laws)
+        return census(pattern, cfg)
 
 
 # Support sizes 10 and 20: the narrow one reads prefixes of the wide one's rows.
 NARROW, WIDE = FIXTURES["PAT_P6"].pattern, FIXTURES["PAT_TWOSQ9"].pattern
-# The first three share a seed, so a cache key that dropped the laws would mix them.
-CACHE_CASES = [
-    (SampleConfig(), True),
-    (SampleConfig(), False),
-    (SampleConfig(lo=0.1, hi=30.0), True),
-    (SampleConfig(seed=2**40 + 7), True),
-]
+# The first two share a seed, so a cache key that dropped the laws would mix them.
+CACHE_CASES = [SampleConfig(), SampleConfig(lo=0.1, hi=30.0), SampleConfig(seed=2**40 + 7)]
 
 
 @pytest.mark.parametrize(
@@ -320,14 +313,14 @@ CACHE_CASES = [
 )
 def test_warm_cache_census_equals_cold(monkeypatch, first, second):
     monkeypatch.setattr(spectra, "_MAGS", {})
-    for cfg, two_laws in CACHE_CASES:
+    for cfg in CACHE_CASES:
         for pattern in (first, second):
             prior = None
             # 600 and 1000 end inside a block, so each resumed census starts unaligned.
             for trials in (600, 1000, 2000):
                 fresh = replace(cfg, trials=trials)
-                got = census(pattern, fresh, two_laws, prior=prior)
-                assert_same_census(got, cold_census(monkeypatch, pattern, fresh, two_laws))
+                got = census(pattern, fresh, prior=prior)
+                assert_same_census(got, cold_census(monkeypatch, pattern, fresh))
                 prior = got
     # Eight blocks per case, each kept at the wider support size whichever came first.
     assert len(spectra._MAGS) == 8 * len(CACHE_CASES)
@@ -338,7 +331,7 @@ def test_cache_stays_within_its_cap(monkeypatch):
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=10 * spectra._BLOCK + 5, seed=11)
     block_bytes = spectra._BLOCK * len(pattern.support()) * 8
-    want = cold_census(monkeypatch, pattern, cfg, True)
+    want = cold_census(monkeypatch, pattern, cfg)
     monkeypatch.setattr(spectra, "_MAGS", {})
     monkeypatch.setattr(spectra, "_MAGS_CAP", 3 * block_bytes)
     assert_same_census(census(pattern, cfg), want)
@@ -371,12 +364,11 @@ def cpus(count: int):
 )
 @given(
     pattern=patterns(),
-    two_laws=st.booleans(),
     law=st.sampled_from(sorted(LAWS)),
     seed=st.integers(0, 2**32 - 1),
     workers=st.sampled_from((2, 3, 5)),
 )
-def test_pooled_census_equals_one_cpu(pattern, two_laws, law, seed, workers):
+def test_pooled_census_equals_one_cpu(pattern, law, seed, workers):
     lo, hi = LAWS[law]
     runs = {}
     for count in (1, workers):
@@ -385,7 +377,7 @@ def test_pooled_census_equals_one_cpu(pattern, two_laws, law, seed, workers):
             # 600 and 1000 end inside a block, so each resumed census starts unaligned.
             for trials in (600, 1000, 2000):
                 cfg = SampleConfig(lo=lo, hi=hi, trials=trials, seed=seed)
-                prior = census(pattern, cfg, two_laws, prior=prior)
+                prior = census(pattern, cfg, prior=prior)
                 runs[count].append(prior)
             if count > 1:
                 # The calling thread solves one stack of each round itself.

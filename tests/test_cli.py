@@ -75,6 +75,25 @@ def test_analyze_parse_error(tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("command", ["graph", "analyze", "census", "witness"])
+def test_non_utf8_file_is_an_error(tmp_path, command):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("0 + \u00b1\n+ 0 +\n0 + 0\n".encode("latin-1"))
+    result = run(command, str(bad))
+    assert result.exit_code == 3
+    assert "error:" in result.output and "not UTF-8" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_analyze_options_are_pinned():
+    """A new analyze knob shows up here as a test diff."""
+    params = [p.name for p in main.commands["analyze"].params]
+    assert params == ["path", "fixture", "as_json", "trials", "seed"]
+    result = run("analyze", "--fixture", "PAT_TWOCYC82", "--strict-distance")
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
 def test_analyze_unknown_fixture_is_an_error():
     result = run("analyze", "--fixture", "NO_SUCH_PATTERN")
     assert result.exit_code == 3

@@ -220,7 +220,12 @@ def _restricted_link(
 
 
 def oracle_cycle_structure(graph: SignedGraph) -> CycleStructureReport:
-    """One BFS per cycle pair for the link, one more for the raw distance."""
+    """One BFS per cycle pair for the link, one more for the raw distance.
+
+    Every listed link must equal the pair's raw distance: the interior edges
+    of a cycle-avoiding path are bridges, so every route between the two
+    cycles runs along it.
+    """
     cycles = graph.cycles
     signs = tuple(cycle_edge_order(graph, cyc)[1] for cyc in cycles)
     on_cycle = {v for cyc in cycles for v in cyc}
@@ -237,7 +242,8 @@ def oracle_cycle_structure(graph: SignedGraph) -> CycleStructureReport:
             if link is None:
                 continue
             raw = min(_distances(graph, va)[v] for v in sorted(vb))
-            pair_rows.append((a, b, link, raw))
+            assert raw == link, (cycles[a], cycles[b], link, raw)
+            pair_rows.append((a, b, link))
     return CycleStructureReport(cycles, signs, tuple(leaf_rows), tuple(pair_rows))
 
 
@@ -370,10 +376,8 @@ def test_cycle_structure_through_off_cycle_vertices():
     A and B are linked by the off-cycle path 2-10-11-3, which carries a
     pendant leaf 12; B and C by the edge 5-6.  A reaches C and D, and B
     reaches D, only through the vertices of another cycle, so those pairs
-    are not listed though their raw distances are finite.  No listed pair
-    can have a link longer than its raw distance: the interior edges of a
-    cycle-avoiding path are bridges, so every path between the two cycles
-    runs along it.
+    are not listed though their raw distances are finite.  The oracle checks
+    that each listed link is the pair's raw distance.
     """
     cycle_edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     cycle_edges += [(6, 7), (7, 8), (8, 9), (6, 9), (8, 13), (13, 14), (8, 14)]
@@ -382,7 +386,7 @@ def test_cycle_structure_through_off_cycle_vertices():
     graph = SignedGraph(15, tuple(sorted(zip(cycle_edges + bridges, signs))))
     report = cycle_structure(graph)
     assert report.cycles == ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9), (8, 13, 14))
-    assert report.path_adjacent_pairs == ((0, 1, 3, 3), (1, 2, 1, 1))
+    assert report.path_adjacent_pairs == ((0, 1, 3), (1, 2, 1))
     assert report.leaf_cycle_distances == ((12, 0, 2), (12, 1, 3), (12, 2, 5), (12, 3, 7))
     assert report == oracle_cycle_structure(graph)
 

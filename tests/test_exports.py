@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import signum
+from signum.spectra import census, spectral_profile
+from signum.verdict import analyze, verdict_to_json
 
 MODULES = sorted(f"signum.{m.name}" for m in pkgutil.iter_modules(signum.__path__))
 
@@ -33,3 +36,17 @@ def test_package_imports_resolve():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"signum.{module}"), name), (module, name)
         assert hasattr(signum, name), name
+
+
+PINNED_PARAMETERS = {
+    analyze: ["pattern", "cfg", "witness_budget"],
+    census: ["pattern", "cfg", "prior"],
+    spectral_profile: ["a"],
+    verdict_to_json: ["verdict"],
+}
+
+
+@pytest.mark.parametrize("function", PINNED_PARAMETERS, ids=lambda f: f.__name__)
+def test_entry_point_parameters_are_pinned(function):
+    """A new keyword parameter shows up here as a test diff."""
+    assert list(inspect.signature(function).parameters) == PINNED_PARAMETERS[function]

@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_tree_pattern
 from signum.errors import Disconnected, NotCombinatoriallySymmetric
 from signum.graphs import (
     ShapeKind,
@@ -137,8 +135,7 @@ def test_cycle_structure_pair_distance(pat):
     _, g = build_graphs(pat("PAT_TWOSQ9"))
     report = cycle_structure(g)
     assert len(report.cycles) == 2
-    (a, b, link, raw) = report.path_adjacent_pairs[0]
-    assert (link, raw) == (2, 2)
+    assert report.path_adjacent_pairs == ((0, 1, 2),)
 
 
 def test_cycle_structure_single_cycle(pat):
@@ -146,22 +143,6 @@ def test_cycle_structure_single_cycle(pat):
     report = cycle_structure(g)
     assert report.leaf_cycle_distances == ()
     assert report.path_adjacent_pairs == ()
-
-
-def test_distance_triangle_inequality():
-    rng = np.random.default_rng(11)
-    from signum.graphs import _distances_from
-
-    for _ in range(20):
-        p = random_tree_pattern(rng, int(rng.integers(3, 9)))
-        _, g = build_graphs(p)
-        dist = {v: _distances_from(g, {v}) for v in range(g.n)}
-        for u in range(g.n):
-            assert dist[u][u] == 0
-            for v in range(g.n):
-                assert dist[u][v] == dist[v][u]
-                for w in range(g.n):
-                    assert dist[u][w] <= dist[u][v] + dist[v][w]
 
 
 def test_dot_directed(pat):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from signum.charpoly import _det_sign
+from signum import spectra
+from signum.charpoly import sign_det
 from signum.cycles import PatternAnalysis
 from signum.fixtures import FIXTURES
 from signum.graphs import ShapeKind
@@ -76,9 +77,12 @@ def test_r9_reports_flip_census(pat):
     assert "flipped_frequencies" in r9.details
 
 
-def test_strict_distance_flag(pat):
-    v = analyze(pat("PAT_TWOCYC82"), cfg=CFG, strict_distance=True)
-    assert rule(v, "R7").conclusion is Conclusion.DOES_NOT_REQUIRE
+def test_r7_reports_link_as_raw_distance(pat):
+    r7 = rule(analyze(pat("PAT_TWOCYC82"), cfg=CFG), "R7")
+    assert r7.conclusion is Conclusion.DOES_NOT_REQUIRE
+    assert r7.details["strict"] is False
+    pairs = r7.details["path_adjacent_pairs"]
+    assert pairs and all(p["raw_distance"] == p["edge_count"] for p in pairs)
 
 
 def test_witness_attached_and_confirmed(pat):
@@ -89,6 +93,36 @@ def test_witness_attached_and_confirmed(pat):
         pa = spectral_profile(np.asarray(pair.a))
         pb = spectral_profile(np.asarray(pair.b))
         assert pa.inertia != pb.inertia
+
+
+@pytest.mark.parametrize("failing", ["base", "steps"])
+@pytest.mark.parametrize("name", ["PAT_XXEG22", "PAT_P6", "PAT_TWOCYC82"])
+def test_witness_eigensolver_failure_is_a_failed_construction(monkeypatch, pat, name, failing):
+    """A LAPACK failure inside stabilize_epsilon fails that construction, not analyze."""
+    want = analyze(pat(name), cfg=CFG).overall
+    original_eigvals, original_stabilize = np.linalg.eigvals, spectra.stabilize_epsilon
+    solves = []  # solve count of each stabilize_epsilon call in progress
+    entered = []
+
+    def eigvals(a):
+        if solves:
+            solves[-1] += 1
+            if (solves[-1] == 1) == (failing == "base"):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original_eigvals(a)
+
+    def stabilize_epsilon(pattern, spec):
+        entered.append(spec)
+        solves.append(0)
+        try:
+            return original_stabilize(pattern, spec)
+        finally:
+            assert solves.pop() > 0
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(spectra, "stabilize_epsilon", stabilize_epsilon)
+    assert analyze(pat(name), cfg=CFG).overall is want
+    assert entered
 
 
 def test_r4_sees_through_signature_similarity(pat):
@@ -203,7 +237,7 @@ def assert_r2_sign_matches_enumeration(pattern: SignPattern) -> None:
     facts = PatternAnalysis(pattern)
     assert facts.shape.kind is ShapeKind.SINGLE_CYCLE and pattern.n % 2 == 1
     got = _odd_cycle_det_sign(facts.digraph, facts.shape.cycles[0])
-    assert got is _det_sign(facts.digraph).value
+    assert got is sign_det(pattern).value
 
 
 def test_r2_sign_matches_enumeration_on_fixtures():
