@@ -5,6 +5,8 @@ cycles: the coefficient of x^(n-k) is (-1)^k times the properly signed sum
 of all length-k cycles.  Working over the pattern alone therefore gives
 each coefficient a symbolic sign (possibly ambiguous), and counting sign
 variations bounds the number of positive and negative real eigenvalues.
+The numeric polynomial of one realization (``char_poly``) is numpy's
+product over its eigenvalues.
 """
 
 from __future__ import annotations
@@ -66,38 +68,20 @@ class DetSign:
 
 
 def char_poly(matrix: np.ndarray) -> CharPoly:
-    """Monic characteristic polynomial via Hessenberg reduction.
+    """Monic characteristic polynomial, multiplied out from the eigenvalues.
 
-    After the orthogonal reduction, the leading principal characteristic
-    polynomials of an upper Hessenberg matrix satisfy a short recurrence
-    whose subdiagonal products are the only couplings.  scipy.linalg is
-    imported on first use, which keeps it off the import path.
+    ``np.poly`` expands the product of (x - lambda) over the eigenvalues;
+    a real matrix has a real polynomial, so the rounding left in the
+    imaginary parts is dropped.
     """
-    import scipy.linalg
-
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("char_poly needs a square matrix")
     if not np.all(np.isfinite(a)):
         raise NonFinite("matrix has non-finite entries")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:  # np.poly rejects an empty matrix
         return CharPoly((1.0,))
-    h = scipy.linalg.hessenberg(a)
-    # polys[k] holds the ascending coefficients of det(xI - H[:k, :k])
-    polys: list[np.ndarray] = [np.array([1.0])]
-    for k in range(1, n + 1):
-        term = np.zeros(k + 1)
-        shifted = polys[k - 1]
-        term[1 : k + 1] += shifted
-        term[:k] -= h[k - 1, k - 1] * shifted
-        subdiag = 1.0
-        for m in range(1, k):
-            subdiag *= h[k - m, k - m - 1]
-            low = h[k - 1 - m, k - 1] * subdiag
-            term[: k - m] -= low * polys[k - 1 - m]
-        polys.append(term)
-    return CharPoly(tuple(float(c) for c in polys[n]))
+    return CharPoly(tuple(float(c) for c in np.real(np.poly(a))[::-1]))
 
 
 def ek_sign(pattern: SignPattern, k: int) -> EkSign:

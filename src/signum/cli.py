@@ -183,21 +183,29 @@ def cmd_census(path, fixture, trials, seed, lo, hi) -> None:
     click.echo(f"consistent frequency observed: {cen.consistent_observed}")
 
 
-def _parse_vertices(text: str) -> tuple[int, ...]:
+def _vertex(number: int, n: int) -> int:
+    """The 0-based index of a 1-based vertex number, checked against the order."""
+    if not 1 <= number <= n:
+        raise click.ClickException(f"vertex {number} is not in 1..{n}: the pattern has order {n}")
+    return number - 1
+
+
+def _parse_vertices(text: str, n: int) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) - 1 for tok in text.replace(" ", "").split(","))
+        numbers = [int(tok) for tok in text.replace(" ", "").split(",")]
     except ValueError:
         raise click.ClickException(f"expected comma-separated vertex numbers, got {text!r}")
+    return tuple(_vertex(v, n) for v in numbers)
 
 
-def _parse_matching(text: str) -> list[tuple[int, int]]:
+def _parse_matching(text: str, n: int) -> list[tuple[int, int]]:
     edges = []
     for part in text.replace(" ", "").split(","):
         try:
-            u, v = part.split("-")
-            edges.append((int(u) - 1, int(v) - 1))
+            u, v = (int(tok) for tok in part.split("-"))
         except ValueError:
             raise click.ClickException(f"expected edges like 1-2,3-4, got {text!r}")
+        edges.append((_vertex(u, n), _vertex(v, n)))
     return edges
 
 
@@ -214,9 +222,9 @@ def cmd_witness(path, fixture, cycle, matching) -> None:
             raise click.ClickException("give exactly one of --cycle or --matching")
         if cycle is not None:
             digraph = build_digraph(pattern)
-            parts = (directed_cycle_from_vertices(digraph, _parse_vertices(cycle)),)
+            parts = (directed_cycle_from_vertices(digraph, _parse_vertices(cycle, pattern.n)),)
         else:
-            parts = matching_parts(pattern, _parse_matching(matching))
+            parts = matching_parts(pattern, _parse_matching(matching, pattern.n))
         spec = ladder_spec(pattern, parts)
         mat, eps, prof = stabilize_epsilon(pattern, spec)
     except (SignumError, click.ClickException, ValueError) as exc:
@@ -236,7 +244,9 @@ def cmd_witness(path, fixture, cycle, matching) -> None:
 @click.option(
     "--order", type=click.IntRange(min=1), default=6, show_default=True, help="pattern order"
 )
-@click.option("--trials", default=50, show_default=True, help="number of random patterns")
+@click.option(
+    "--trials", type=click.IntRange(min=1), default=50, show_default=True, help="number of random patterns"
+)
 @click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option(
     "--target",

@@ -4,10 +4,10 @@ A simple cycle through vertices (i1, ..., ik) carries the sign
 (-1)^(k-1) times the product of its arc signs; vertex-disjoint unions of
 simple cycles are composite cycles, and the length-n ones are exactly the
 nonzero determinant terms.  This module enumerates composite cycles,
-computes the maximum composite length by an assignment relaxation with
-zero-cost self slack, tests whether a cycle extends to a spanning
-composite cycle, and builds the alternating matchings used by the
-even-cycle decision rules.
+finds a maximum composite cycle by an assignment relaxation with zero-cost
+self slack (one solver, whose cover gives the maximum length too), tests
+whether a cycle extends to a spanning composite cycle, and builds the
+alternating matchings used by the even-cycle decision rules.
 
 A composite cycle on a vertex set S is a permutation of S along arcs, so S
 carries one exactly when the bipartite graph of arcs inside S (rows to
@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import (
     CycleBudgetExceeded,
@@ -193,86 +191,72 @@ def _pattern_cycle(pattern: SignPattern, vertices: Sequence[int]) -> SimpleCycle
     return SimpleCycle(verts, _cycle_sign(sign_of, verts))
 
 
-def _cover_costs(
-    n: int, arcs: Iterable[tuple[int, int]], include_loops: bool
-) -> list[list[int]]:
-    """Assignment costs whose optimum is a maximum-support composite cycle.
+def _max_cover(n: int, arcs: Iterable[tuple[int, int]], include_loops: bool) -> dict[int, int]:
+    """Successor map of one maximum-support composite cycle on vertices 0..n-1.
 
-    Arcs cost -1, the diagonal is free slack meaning "vertex unused" (a loop
-    costs -1 instead when loops count), and every other entry costs n + 1,
-    more than any assignment can save, so it is never chosen.
+    An assignment problem: arcs cost -1, the diagonal is free slack meaning
+    "vertex unused" (a loop costs -1 instead when loops count), and every
+    other entry costs n + 1, more than any assignment can save, so it is
+    never chosen.  The cover is the optimum's entries of cost -1.
+
+    Solved exactly by Crouse's shortest augmenting path (IEEE TAES 52(4),
+    2016), the algorithm of scipy's ``linear_sum_assignment``, making its
+    choices: rows join in order, the free columns are listed in reverse,
+    and a tie for the shortest path goes to an unassigned column.
+    Witnesses depend on which of several optimal covers is found, so these
+    choices are part of the output.  The costs are small integers, so the
+    arithmetic is exact.
     """
     cost = [[n + 1] * n for _ in range(n)]
-    for v in range(n):
-        cost[v][v] = 0
+    for w in range(n):
+        cost[w][w] = 0
     for i, j in arcs:
         if i != j or include_loops:
             cost[i][j] = -1
-    return cost
-
-
-def _max_cover_length(n: int, arcs: Iterable[tuple[int, int]], include_loops: bool) -> int:
-    """Vertices covered by a maximum-support composite cycle on vertices 0..n-1.
-
-    Solves the assignment problem of ``_cover_costs`` exactly with the
-    O(n^3) Hungarian method (row and column potentials, one shortest
-    augmenting path per row).  The vertices covered number minus the
-    optimal cost, whichever optimal assignment is found, so this equals
-    the support of any exact solver's answer.
-    """
-    cost = _cover_costs(n, arcs, include_loops)
-    # Rows and columns are 1-based; column 0 is the root of each search.
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    owner = [0] * (n + 1)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        owner[0] = i
-        j0 = 0
-        minv = [math.inf] * (n + 1)
-        used = [False] * (n + 1)
-        while owner[j0]:
-            used[j0] = True
-            i0 = owner[j0]
-            row, ui = cost[i0 - 1], u[i0]
-            delta, j1 = math.inf, 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j], way[j] = cur, j0
-                    if minv[j] < delta:
-                        delta, j1 = minv[j], j
-            for j in range(n + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-        while j0:
-            j1 = way[j0]
-            owner[j0] = owner[j1]
-            j0 = j1
-    return sum(1 for j in range(1, n + 1) if cost[owner[j] - 1][j - 1] < 0)
-
-
-def _max_cover_successors(
-    n: int, arcs: Iterable[tuple[int, int]], include_loops: bool
-) -> dict[int, int]:
-    """Successor map of one maximum-support composite cycle on vertices 0..n-1.
-
-    The cover returned is scipy's optimum of ``_cover_costs``: witnesses
-    depend on which of several optimal covers it picks, so this keeps that
-    solver, imported on first use.
-    """
-    if n == 0:
-        return {}
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.array(_cover_costs(n, arcs, include_loops), dtype=float)
-    rows, cols = linear_sum_assignment(cost)
-    return {int(i): int(j) for i, j in zip(rows, cols) if cost[i, j] < 0}
+    u = [0] * n
+    v = [0] * n
+    path = [-1] * n
+    row4col = [-1] * n
+    col4row = [-1] * n
+    for cur in range(n):
+        # One Dijkstra search from row cur over reduced costs, ending at the
+        # first unassigned column it settles.
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val, sink = cur, 0, -1
+        while sink < 0:
+            rows_seen.append(i)
+            row, base = cost[i], min_val - u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = base + row[j] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return {i: j for i, j in enumerate(col4row) if cost[i][j] < 0}
 
 
 def max_composite_length(digraph: SignedDigraph) -> int:
@@ -282,12 +266,12 @@ def max_composite_length(digraph: SignedDigraph) -> int:
     supported on l vertices with every arc present, so this is the support
     of an optimal assignment.
     """
-    return _max_cover_length(digraph.n, digraph.arc_sign, include_loops=False)
+    return len(_max_cover(digraph.n, digraph.arc_sign, include_loops=False))
 
 
 def max_composite_cover(digraph: SignedDigraph) -> CompositeCycle | None:
     """One composite cycle achieving the maximum length, or None if none exist."""
-    succ = _max_cover_successors(digraph.n, digraph.arc_sign, include_loops=False)
+    succ = _max_cover(digraph.n, digraph.arc_sign, include_loops=False)
     parts = []
     seen: set[int] = set()
     for start in sorted(succ):

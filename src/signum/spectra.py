@@ -27,7 +27,7 @@ from ._rng import uniforms
 from .cycles import (
     PatternAnalysis,
     SimpleCycle,
-    _max_cover_length,
+    _max_cover,
     _pattern_cycle,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
@@ -492,7 +492,7 @@ def _generic_zero_count(pattern: SignPattern) -> int:
     other count caught a measure-zero or mis-thresholded configuration and
     must not serve as evidence.
     """
-    return pattern.n - _max_cover_length(pattern.n, pattern.support(), include_loops=True)
+    return pattern.n - len(_max_cover(pattern.n, pattern.support(), include_loops=True))
 
 
 def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:

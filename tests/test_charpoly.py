@@ -39,6 +39,7 @@ def test_char_poly_examples(pat):
     assert np.allclose(char_poly(b4).coeffs, [4, 0, 5, 0, 1], atol=1e-8)
 
     assert char_poly(np.zeros((2, 2))).coeffs == (0.0, 0.0, 1.0)
+    assert char_poly(np.zeros((0, 0))).coeffs == (1.0,)
 
 
 def test_char_poly_against_minor_sums():

@@ -5,13 +5,13 @@ sort-key order, pruning with a perfect-matching test; ``cycle_structure``
 links cycle pairs from one BFS per cycle, read through per-vertex masks of
 the cycles; ``SignedGraph.cycles`` lists
 undirected cycles with its own depth-first search; and the maximum
-composite length comes from a pure-Python assignment solver.  The oracles
-below are what they replaced: composites combined from networkx's list of
-directed simple cycles, the keep-the-minimum sign set, the scipy
-bipartite-matching cover test, one BFS per cycle pair, networkx's
-undirected cycles in canonical form, and the support of scipy's
-``linear_sum_assignment``.  Agreement must be exact, down to the order of
-the composites.
+composite cover comes from a pure-Python port of scipy's assignment
+solver.  The oracles below are what they replaced: composites combined
+from networkx's list of directed simple cycles, the keep-the-minimum sign
+set, the scipy bipartite-matching cover test, one BFS per cycle pair,
+networkx's undirected cycles in canonical form, and the cover that scipy's
+``linear_sum_assignment`` picks.  Agreement must be exact, down to the
+order of the composites and the choice among optimal covers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
@@ -35,7 +35,7 @@ from signum.cycles import (
     CompositeCycle,
     SignSet,
     SimpleCycle,
-    _max_cover_length,
+    _max_cover,
     composite_cycles_of_length,
     cover_extension_exists,
     directed_cycle_from_vertices,
@@ -105,17 +105,17 @@ def oracle_undirected_cycles(graph: SignedGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def oracle_cover_length(n: int, arcs, include_loops: bool) -> int:
-    """Support of scipy's optimal assignment: arcs cost -1, the diagonal is free slack."""
+def oracle_cover(n: int, arcs, include_loops: bool) -> dict[int, int]:
+    """Arcs of scipy's optimal assignment: arcs cost -1, the diagonal is free slack."""
     if n == 0:
-        return 0
+        return {}
     cost = np.full((n, n), float(n + 1))
     np.fill_diagonal(cost, 0.0)
     for i, j in arcs:
         if i != j or include_loops:
             cost[i, j] = -1.0
     rows, cols = linear_sum_assignment(cost)
-    return int(np.count_nonzero(cost[rows, cols] < 0))
+    return {int(i): int(j) for i, j in zip(rows, cols) if cost[i, j] < 0}
 
 
 def oracle_composites(
@@ -153,7 +153,7 @@ def oracle_composites(
 
 def oracle_sign_set(digraph: SignedDigraph) -> SignSet:
     """Keep the smallest-sort-key composite of each sign over all maximum composites."""
-    m = oracle_cover_length(digraph.n, digraph.arc_sign, include_loops=False)
+    m = len(oracle_cover(digraph.n, digraph.arc_sign, include_loops=False))
     if m == 0:
         return SignSet(False, False)
     best: dict[int, CompositeCycle] = {}
@@ -436,9 +436,15 @@ def arc_sets(draw, max_n: int = 40):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=arc_sets(), include_loops=st.booleans())
+@example(case=(0, []), include_loops=False)
+@example(case=(0, []), include_loops=True)
+@example(case=(6, []), include_loops=False)
+@example(case=(6, []), include_loops=True)
+@example(case=(3, [(0, 0), (1, 1), (2, 2)]), include_loops=True)
+@example(case=(3, [(0, 0), (1, 1), (2, 2)]), include_loops=False)
 def test_cover_length_matches_assignment_support(case, include_loops):
     n, arcs = case
-    assert _max_cover_length(n, arcs, include_loops) == oracle_cover_length(n, arcs, include_loops)
+    assert _max_cover(n, arcs, include_loops) == oracle_cover(n, arcs, include_loops)
 
 
 def test_simple_cycles_example(pat):

@@ -6,6 +6,8 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from signum.spectra import census, spectral_profile
 from signum.verdict import analyze, verdict_to_json
 
 MODULES = sorted(f"signum.{m.name}" for m in pkgutil.iter_modules(signum.__path__))
+PACKAGE_DIR = Path(signum.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -50,3 +53,19 @@ PINNED_PARAMETERS = {
 def test_entry_point_parameters_are_pinned(function):
     """A new keyword parameter shows up here as a test diff."""
     assert list(inspect.signature(function).parameters) == PINNED_PARAMETERS[function]
+
+
+def test_runtime_imports_match_declared_dependencies():
+    """The third-party packages the source imports, lazily or not, are the declared ones."""
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"signum"}
+    project = tomllib.loads((PACKAGE_DIR.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
+    assert third_party == declared
