@@ -295,7 +295,9 @@ def p_minus(pattern: SignPattern) -> SignPattern:
     """Flip every undirected edge sign of a tree pattern.
 
     The sign of edge {i, j} is the sign of p_ij * p_ji; flipping it rotates
-    the spectrum of every realization by a quarter turn.  The representative
+    the spectrum of every realization by a quarter turn.  R9 relies on that
+    rotation: it reads the flipped pattern's frequencies off the census of
+    the pattern itself (``verdict._flipped_frequencies``).  The representative
     is fixed by negating the above-diagonal entry and leaving the entry
     below the diagonal unchanged, so output is deterministic.
     """

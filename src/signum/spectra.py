@@ -275,8 +275,6 @@ class _Classes(NamedTuple):
     i_zero: np.ndarray
     i_z: np.ndarray
     k_real: np.ndarray
-    borderline: np.ndarray
-    suspect: np.ndarray
     suspect_inertia: np.ndarray
 
     @property
@@ -291,56 +289,53 @@ def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
     Row r uses threshold tol[r]: real parts within it count as zero real
     part, moduli within it as zero eigenvalues, imaginary parts within it as
     real eigenvalues.  floor[r] is the roundoff scale of the row's matrix.
+    Only the bands a census reads are computed here; ``_profile`` adds the
+    borderline and suspect bands of a single matrix.
     """
     tol = np.asarray(tol, dtype=float)[:, None]
     floor = np.asarray(floor, dtype=float)[:, None]
-    big = 10 * tol
-    re, im, mod = np.abs(eig.real), np.abs(eig.imag), np.abs(eig)
     i_plus = np.sum(eig.real > tol, axis=1)
     i_minus = np.sum(eig.real < -tol, axis=1)
-    borderline = (
-        np.any((re > tol) & (re <= big), axis=1)
-        | np.any((mod > tol) & (mod <= big), axis=1)
-        | np.any((im > tol) & (im <= big), axis=1)
-    )
     # Values forced to zero by structure (even polynomials, skewness, rank
     # deficits) land at roundoff scale; anything between that floor and ten
     # thresholds could be a misclassified near-miss.  The real-part band
-    # alone undermines the inertia; the modulus and imaginary bands only
-    # undermine the refined split and the frequency.
-    suspect_inertia = np.any((re > floor) & (re <= big), axis=1)
-    suspect = (
-        suspect_inertia
-        | np.any((mod > floor) & (mod <= big), axis=1)
-        | np.any((im > floor) & (im <= big), axis=1)
-    )
+    # alone undermines the inertia.
+    re = np.abs(eig.real)
     return _Classes(
         i_plus=i_plus,
         i_minus=i_minus,
         i_zero=eig.shape[1] - i_plus - i_minus,
-        i_z=np.sum(mod <= tol, axis=1),
-        k_real=np.sum(im <= tol, axis=1),
-        borderline=borderline,
-        suspect=suspect,
-        suspect_inertia=suspect_inertia,
+        i_z=np.sum(np.abs(eig) <= tol, axis=1),
+        k_real=np.sum(np.abs(eig.imag) <= tol, axis=1),
+        suspect_inertia=np.any((re > floor) & (re <= 10 * tol), axis=1),
     )
 
 
 def _profile(eig: np.ndarray, tol: float, floor: float) -> SpectralProfile:
-    """The profile of one eigenvalue list, through the stack classifier."""
+    """The profile of one eigenvalue list, through the stack classifier.
+
+    borderline marks a real part, modulus or imaginary part within a decade
+    above tol.  The modulus and imaginary bands from floor to ten
+    thresholds undermine only the refined split and the frequency, so they
+    make the profile suspect but leave ``suspect_inertia`` alone.
+    """
     eig = eig[np.lexsort((eig.imag, eig.real))]
     c = _classify(eig[None], [tol], [floor])
     i_plus, i_minus, i_zero = int(c.i_plus[0]), int(c.i_minus[0]), int(c.i_zero[0])
     i_z, k_real = int(c.i_z[0]), int(c.k_real[0])
+    suspect_inertia = bool(c.suspect_inertia[0])
+    re, mod, im = np.abs(eig.real), np.abs(eig), np.abs(eig.imag)
+    big = 10 * tol
     return SpectralProfile(
         inertia=(i_plus, i_minus, i_zero),
         refined=(i_plus, i_minus, i_z, i_zero - i_z),
         frequency=(k_real, len(eig) - k_real),
         eigenvalues=tuple(complex(v) for v in eig),
         tol=float(tol),
-        borderline=bool(c.borderline[0]),
-        suspect=bool(c.suspect[0]),
-        suspect_inertia=bool(c.suspect_inertia[0]),
+        borderline=any(bool(np.any((x > tol) & (x <= big))) for x in (re, mod, im)),
+        suspect=suspect_inertia
+        or any(bool(np.any((x > floor) & (x <= big))) for x in (mod, im)),
+        suspect_inertia=suspect_inertia,
     )
 
 

@@ -175,6 +175,29 @@ def _cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
     }
 
 
+def _flipped_frequencies(
+    flipped: SignPattern, cen: Census, cfg: SampleConfig
+) -> dict[tuple[int, int], int]:
+    """(real, nonreal) counts of a census of ``flipped`` under ``cfg``.
+
+    ``flipped`` is ``p_minus`` of the tree pattern ``cen`` sampled under
+    ``cfg``.  Trial t of both censuses has the same magnitudes, hence the
+    same tolerance, and the flip turns its spectrum a quarter turn, so the
+    flipped trial's real count is the main trial's zero-real-part count:
+    the frequencies are ``cen``'s inertia counts grouped by i_zero.  A
+    trial whose main solve failed is missing from ``cen`` while its flipped
+    matrix may solve, so a census with failures is drawn again on
+    ``flipped``.
+    """
+    if cen.failures:
+        return census(flipped, cfg).frequency_counts
+    n = flipped.n
+    freqs: dict[tuple[int, int], int] = {}
+    for (_, _, zero), count in cen.inertia_counts.items():
+        freqs[zero, n - zero] = freqs.get((zero, n - zero), 0) + count
+    return freqs
+
+
 def analyze(
     pattern: SignPattern,
     cfg: SampleConfig | None = None,
@@ -453,10 +476,11 @@ def analyze(
             RuleFinding("R8", True, Conclusion.NO_CONCLUSION, _REASONS["R8"], details=details)
         )
 
-    # R9: tree-pattern frequency evidence through the edge-flipped pattern
+    # R9: tree-pattern frequency evidence through the edge-flipped pattern,
+    # read off the main census
     if shape.kind in (ShapeKind.PATH, ShapeKind.TREE):
         flipped = p_minus(pattern)
-        flip_cen = census(flipped, cfg)
+        flipped_freqs = _flipped_frequencies(flipped, cen, cfg)
         findings.append(
             RuleFinding(
                 "R9",
@@ -466,9 +490,9 @@ def analyze(
                 details={
                     "flipped_pattern": flipped.to_text().splitlines(),
                     "flipped_frequencies": {
-                        str(list(k)): v for k, v in sorted(flip_cen.frequency_counts.items())
+                        str(list(k)): v for k, v in sorted(flipped_freqs.items())
                     },
-                    "flipped_consistent_observed": flip_cen.consistent_observed,
+                    "flipped_consistent_observed": len(flipped_freqs) == 1,
                 },
             )
         )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from signum import cycles, graphs, patterns, spectra
+from signum import cycles, fixtures, graphs, patterns, spectra
 from signum.cycles import PatternAnalysis, max_composite_length, max_composite_sign_set
 from signum.errors import NotCombinatoriallySymmetric
 from signum.fixtures import FIXTURES
@@ -25,6 +25,7 @@ COUNTED = {
     "build_digraph": graphs.build_digraph,
     "classify_shape": graphs.classify_shape,
     "max_composite_sign_set": cycles.max_composite_sign_set,
+    "census": spectra.census,
 }
 
 
@@ -70,6 +71,24 @@ def test_each_fact_computed_once_per_analyze(monkeypatch):
         assert calls["max_composite_sign_set"] == 1
         assert calls["validate"] == 1
         assert calls["build_digraph"] <= 1
+
+
+def test_r9_reads_the_main_census(monkeypatch):
+    """R9 folds the main census instead of drawing one of the flipped pattern."""
+    calls = _count_calls(monkeypatch)
+    # PAT_P6P's witness is a construction; PAT_P8P's resumes the main census.
+    for name, method, count in (
+        ("PAT_P6P", "negative-vs-positive-matching", 1),
+        ("PAT_P8P", "sampled", 2),
+    ):
+        calls.clear()
+        verdict = analyze(FIXTURES[name].pattern, SampleConfig())
+        assert verdict.witness_pair().method == method
+        assert calls["census"] == count
+    calls.clear()
+    fixtures.verify()
+    # Seven verdict checks of verify analyze a tree, each once.
+    assert calls["census"] == 33
 
 
 def test_sampling_witness_resumes_the_main_census(monkeypatch):

@@ -8,6 +8,11 @@ bytes of every representative.  A census resumed from a shorter one must
 equal a fresh census to the same standard, and so must a census that reads
 its magnitudes from blocks other censuses left in the shared cache, and
 so must a census whose block solves overlap on the thread pool.
+
+R9 reads the edge-flipped pattern's frequencies off the main census; a real
+census of the flipped pattern is its oracle.  The stack classifier computes
+only the bands a census reads; the full classifier it was cut from is kept
+below as the oracle for those fields and for the profile's own bands.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
 from signum.errors import EigenFailure, NoStabilization
 from signum.fixtures import FIXTURES
 from signum.graphs import build_digraph
-from signum.patterns import SignPattern
+from signum.patterns import SignPattern, p_minus
 from signum.spectra import (
     EPSILON_SCHEDULE,
     NEAR_ONE_HI,
@@ -43,6 +48,7 @@ from signum.spectra import (
     spectral_profile,
     stabilize_epsilon,
 )
+from signum.verdict import _flipped_frequencies, analyze
 
 
 def scalar_sample(pattern: SignPattern, cfg: SampleConfig, index: int = 0) -> np.ndarray:
@@ -585,3 +591,206 @@ def test_stabilize_never_settling_solves_every_step(monkeypatch):
     with pytest.raises(NoStabilization):
         stabilize_epsilon(pattern, spec)
     assert calls == [2] * 13
+
+
+@st.composite
+def trees(draw, max_n: int = 24) -> SignPattern:
+    """A path or a random-attach tree, randomly labelled, with random arc signs."""
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        parents = list(range(n - 1))
+    else:
+        parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    grid = [[0] * n for _ in range(n)]
+    for v, u in enumerate(parents, start=1):
+        grid[label[u]][label[v]] = draw(st.sampled_from((-1, 1)))
+        grid[label[v]][label[u]] = draw(st.sampled_from((-1, 1)))
+    return SignPattern.from_rows(grid)
+
+
+def r9_frequencies(cen: Census) -> dict:
+    return {str(list(k)): v for k, v in sorted(cen.frequency_counts.items())}
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    pattern=trees(),
+    trials=st.sampled_from((1, 255, 256, 257, 600)),
+    seed=st.integers(0, 2**40),
+)
+def test_r9_fold_equals_flipped_census(pattern, trials, seed):
+    cfg = SampleConfig(trials=trials, seed=seed)
+    flipped = p_minus(pattern)
+    want = census(flipped, cfg)
+    # A budget of cfg.trials resumes the main census with nothing left to draw.
+    verdict = analyze(pattern, cfg, witness_budget=trials)
+    assert verdict.census.failures == want.failures == 0
+    assert _flipped_frequencies(flipped, verdict.census, cfg) == want.frequency_counts
+    r9 = next(f for f in verdict.findings if f.rule_id == "R9")
+    assert r9.details == {
+        "flipped_pattern": flipped.to_text().splitlines(),
+        "flipped_frequencies": r9_frequencies(want),
+        "flipped_consistent_observed": want.consistent_observed,
+    }
+
+
+def test_r9_fold_adds_up_inertias_with_one_zero_count():
+    cen = Census(10, {(2, 1, 1): 3, (1, 2, 1): 4, (2, 2, 0): 3}, {}, {})
+    flipped = p_minus(FIXTURES["PAT_P4"].pattern)
+    assert _flipped_frequencies(flipped, cen, SampleConfig(trials=10)) == {(1, 3): 7, (0, 4): 3}
+
+
+def test_r9_draws_the_flipped_census_after_a_failed_solve(monkeypatch):
+    """A failed main trial may solve when flipped, so the fold would miss it."""
+    pattern = FIXTURES["PAT_P8P"].pattern
+    cfg = SampleConfig(trials=600, seed=23)
+    narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
+    bad = [scalar_sample(pattern, cfg, 4), scalar_sample(pattern, narrow, 301)]
+    original = np.linalg.eigvals
+
+    def eigvals(a):
+        a = np.asarray(a)
+        if any(np.array_equal(m, b) for m in a.reshape(-1, *a.shape[-2:]) for b in bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    with cpus(1):
+        verdict = analyze(pattern, cfg)
+        want = census(p_minus(pattern), cfg)
+    assert verdict.census.failures == 2
+    assert want.failures == 0
+    r9 = next(f for f in verdict.findings if f.rule_id == "R9")
+    assert r9.details["flipped_frequencies"] == r9_frequencies(want)
+    assert sum(want.frequency_counts.values()) == cfg.trials
+    assert sum(verdict.census.inertia_counts.values()) == cfg.trials - 2
+
+
+def full_classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> dict:
+    """Every band of the classifier as it stood before the census dropped two."""
+    tol = np.asarray(tol, dtype=float)[:, None]
+    floor = np.asarray(floor, dtype=float)[:, None]
+    big = 10 * tol
+    re, im, mod = np.abs(eig.real), np.abs(eig.imag), np.abs(eig)
+    i_plus = np.sum(eig.real > tol, axis=1)
+    i_minus = np.sum(eig.real < -tol, axis=1)
+    borderline = (
+        np.any((re > tol) & (re <= big), axis=1)
+        | np.any((mod > tol) & (mod <= big), axis=1)
+        | np.any((im > tol) & (im <= big), axis=1)
+    )
+    suspect_inertia = np.any((re > floor) & (re <= big), axis=1)
+    suspect = (
+        suspect_inertia
+        | np.any((mod > floor) & (mod <= big), axis=1)
+        | np.any((im > floor) & (im <= big), axis=1)
+    )
+    return dict(
+        i_plus=i_plus,
+        i_minus=i_minus,
+        i_zero=eig.shape[1] - i_plus - i_minus,
+        i_z=np.sum(mod <= tol, axis=1),
+        k_real=np.sum(im <= tol, axis=1),
+        borderline=borderline,
+        suspect=suspect,
+        suspect_inertia=suspect_inertia,
+    )
+
+
+def band_parts(rng: np.random.Generator, shape, tol: np.ndarray) -> np.ndarray:
+    """Signed values from exact zeros up to 100 thresholds, many on a band edge."""
+    scale = 10.0 ** rng.uniform(-6, 2, shape)
+    edges = np.array([0.0, 1e-4, 1e-3, 0.5, 1.0, 2.0, 10.0, 20.0])
+    scale = np.where(rng.random(shape) < 0.5, edges[rng.integers(0, len(edges), shape)], scale)
+    return rng.choice((-1.0, 1.0), shape) * scale * tol[:, None]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 300),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classify_matches_full_classifier(rows, n, seed):
+    rng = np.random.default_rng(seed)
+    tol = 10.0 ** rng.uniform(-9, -5, rows)
+    floor = tol * 1e-4
+    eig = band_parts(rng, (rows, n), tol) + 1j * band_parts(rng, (rows, n), tol)
+    got = spectra._classify(eig, tol, floor)
+    want = full_classify(eig, tol, floor)
+    for name in got._fields:
+        assert np.array_equal(getattr(got, name), want[name]), name
+
+
+MULTIPLES = (0.5, 1.0, 2.0, 10.0, 20.0)
+BANDS = ("borderline", "suspect", "suspect_inertia")
+
+
+def hand_spectra(tol: float, floor: float) -> list[list[complex]]:
+    """Real parts, imaginary parts and moduli at multiples of tol and between floor and tol.
+
+    Each spectrum also holds the eigenvalue 1, so a matrix realizing it has
+    a norm of order one, as the thresholds passed in assume.
+    """
+    values = [m * tol for m in MULTIPLES] + [10 * floor, 0.5 * (floor + tol)]
+    out = []
+    for v in values:
+        w = v / math.sqrt(2)
+        out += [[v], [-v], [1j * v, -1j * v], [1 + 1j * v, 1 - 1j * v], [v + 1j, v - 1j]]
+        out += [[w + 1j * w, w - 1j * w], [-w + 1j * w, -w - 1j * w]]
+    return [[1.0] + spec for spec in out]
+
+
+def oracle_bands(eig: np.ndarray, tol: float, floor: float) -> tuple[bool, ...]:
+    eig = eig[np.lexsort((eig.imag, eig.real))]
+    want = full_classify(eig[None], [tol], [floor])
+    return tuple(bool(want[k][0]) for k in BANDS)
+
+
+def realize(spectrum: list[complex]) -> np.ndarray:
+    """A block-diagonal real matrix with the given spectrum (pairs given as a, conj(a))."""
+    blocks, values = [], list(spectrum)
+    while values:
+        z = values.pop(0)
+        if z.imag == 0:
+            blocks.append(np.array([[z.real]]))
+        else:
+            assert values.pop(0) == z.conjugate()
+            blocks.append(np.array([[z.real, z.imag], [-z.imag, z.real]]))
+    n = sum(len(b) for b in blocks)
+    a, at = np.zeros((n, n)), 0
+    for b in blocks:
+        a[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return a
+
+
+def test_profile_bands_match_full_classifier():
+    tol, floor = spectra._thresholds(1.0)
+    seen = set()
+    for spectrum in hand_spectra(tol, floor):
+        # The eigenvalues as given, so the bands' edges are hit exactly.
+        eig = np.array(spectrum, dtype=complex)
+        prof = spectra._profile(eig, tol, floor)
+        bands = tuple(getattr(prof, k) for k in BANDS)
+        assert bands == oracle_bands(eig, tol, floor)
+        seen.add(bands)
+        # A matrix with that spectrum, through spectral_profile.
+        mat = realize(spectrum)
+        prof = spectral_profile(mat)
+        want = oracle_bands(np.linalg.eigvals(mat), *spectra._thresholds(float(np.linalg.norm(mat))))
+        assert tuple(getattr(prof, k) for k in BANDS) == want
+    # Every combination the bands allow shows up; a borderline profile is suspect.
+    assert seen == {
+        (False, False, False),
+        (False, True, False),
+        (False, True, True),
+        (True, True, False),
+        (True, True, True),
+    }
