@@ -55,7 +55,6 @@ from .patterns import (
     Negation,
     PatternFlags,
     PermutationSimilarity,
-    Sign,
     SignPattern,
     SignatureSimilarity,
     Transposition,

@@ -154,6 +154,10 @@ class SignSet:
 
 
 def _canonical_rotation(vertices: Sequence[int]) -> tuple[int, ...]:
+    """The rotation starting at the smallest vertex; a repeated vertex raises CycleNotInPattern."""
+    if len(set(vertices)) < len(vertices):
+        repeated = next(v for t, v in enumerate(vertices) if v in vertices[:t])
+        raise CycleNotInPattern(f"vertex {repeated + 1} repeats: a cycle visits each vertex once")
     k = len(vertices)
     start = min(range(k), key=lambda t: vertices[t])
     return tuple(vertices[(start + t) % k] for t in range(k))

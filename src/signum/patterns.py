@@ -7,16 +7,14 @@ equivalence transforms (permutation similarity, signature similarity,
 negation, transposition), the edge-sign flip transform for tree patterns,
 and principal-subpattern search.
 
-Entries are stored as plain ints in {-1, 0, +1}; the :class:`Sign` enum
-names them at API boundaries.  Indices are 0-based throughout the API;
-positions in error messages and reports are 1-based.
+Entries are stored as plain ints in {-1, 0, +1}.  Indices are 0-based
+throughout the API; positions in error messages and reports are 1-based.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -26,13 +24,11 @@ from .errors import (
     NonSquare,
     NotCombinatoriallySymmetric,
     NotTreePattern,
-    OrderCapExceeded,
     RaggedRows,
     UnknownToken,
 )
 
 __all__ = [
-    "Sign",
     "AmbSign",
     "SignPattern",
     "PatternFlags",
@@ -50,16 +46,6 @@ __all__ = [
 
 _TOKEN_TO_INT = {"+": 1, "-": -1, "0": 0}
 _INT_TO_TOKEN = {1: "+", -1: "-", 0: "0"}
-
-SUBSET_SEARCH_CAP = 12
-
-
-class Sign(IntEnum):
-    """Entry sign; the int value is usable directly in products."""
-
-    MINUS = -1
-    ZERO = 0
-    PLUS = 1
 
 
 class AmbSign(Enum):
@@ -312,28 +298,13 @@ def p_minus(pattern: SignPattern) -> SignPattern:
     return SignPattern.from_rows(rows)
 
 
-def find_principal_subpattern(
-    pattern: SignPattern, query: SignPattern, all_subsets: bool = False
-) -> list[tuple[int, ...]]:
-    """Find index sets where ``query`` appears as a principal subpattern.
+def find_principal_subpattern(pattern: SignPattern, query: SignPattern) -> list[tuple[int, ...]]:
+    """Contiguous windows [l, l+k) where ``query`` appears as a principal subpattern.
 
-    The default searches contiguous windows [l, l+k), which is the relevant
-    notion for tridiagonal patterns (any tridiagonal principal block is
-    contiguous after relabeling).  With ``all_subsets=True`` every sorted
-    index subset is tried, capped at order 12.
+    Windows are the relevant notion for tridiagonal patterns: any
+    tridiagonal principal block is contiguous after relabeling.
     """
-    n, k = pattern.n, query.n
-    if k > n:
-        return []
-    hits: list[tuple[int, ...]] = []
-    if all_subsets:
-        if n > SUBSET_SEARCH_CAP:
-            raise OrderCapExceeded(f"subset search capped at order {SUBSET_SEARCH_CAP}")
-        candidates: Iterable[tuple[int, ...]] = itertools.combinations(range(n), k)
-    else:
-        candidates = (tuple(range(l, l + k)) for l in range(n - k + 1))
-    for idx in candidates:
-        if pattern.principal(idx) == query:
-            hits.append(idx)
-    return hits
+    k = query.n
+    windows = (tuple(range(l, l + k)) for l in range(pattern.n - k + 1))
+    return [idx for idx in windows if pattern.principal(idx) == query]
 

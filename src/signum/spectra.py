@@ -40,6 +40,7 @@ from .errors import (
     DegenerateBase,
     Disconnected,
     EigenFailure,
+    NonFinite,
     NoStabilization,
     NotCombinatoriallySymmetric,
     RunNotOdd,
@@ -85,8 +86,8 @@ class SampleConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if not (0 < self.lo <= self.hi):
-            raise ValueError("need 0 < lo <= hi")
+        if not (0 < self.lo <= self.hi < math.inf):
+            raise ValueError("need 0 < lo <= hi < inf")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:
@@ -353,7 +354,8 @@ def _stack_thresholds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``matmul`` products takes the same ``dot`` for each matrix.
     """
     flat = mats.reshape(len(mats), -1)
-    return _thresholds(np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]))
+    with np.errstate(over="ignore"):  # an infinite norm fails its trial
+        return _thresholds(np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]))
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
@@ -468,10 +470,15 @@ def spectral_profile(a: np.ndarray) -> SpectralProfile:
 
     With tol = 1e-8 * (1 + ||a||_F), real parts within +-tol count as zero
     real part, moduli within tol as zero eigenvalues, imaginary parts within
-    tol as real eigenvalues.
+    tol as real eigenvalues.  A matrix whose norm is not finite has no
+    such tol and raises NonFinite.
     """
     a = np.asarray(a, dtype=float)
-    return _profile(_eigvals(a), *_thresholds(float(np.linalg.norm(a))))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise NonFinite(f"matrix norm is {norm}, so its spectrum cannot be classified")
+    return _profile(_eigvals(a), *_thresholds(norm))
 
 
 NEAR_ONE_LO, NEAR_ONE_HI = 0.5, 2.0
@@ -527,7 +534,9 @@ def census(
     CPUs the process may use (``_solved``); everything else runs on the
     calling thread, in block order.  A sample is recorded as solid evidence
     only if its profile is not suspect and its claimed zero-eigenvalue count
-    matches the generic multiplicity.
+    matches the generic multiplicity.  A trial whose eigensolve fails, or
+    whose norm overflows so that no tolerance can classify it, counts as a
+    failure.
 
     ``prior``, a census of the same pattern with the same seed and laws but
     fewer trials, is resumed rather than redrawn: its tallies are copied and
@@ -557,8 +566,10 @@ def census(
         for start in starts
     )
     for mats, eig, ok in _solved(blocks, len(starts)):
+        tol, floor = _stack_thresholds(mats)
+        ok = ok & np.isfinite(tol)
         failures += int(np.count_nonzero(~ok))
-        c = _classify(eig, *_stack_thresholds(mats))
+        c = _classify(eig, tol, floor)
         inertia = c.inertia
         frequency = np.stack([c.k_real, pattern.n - c.k_real], axis=1)
         # Copies, not views: a view would keep its whole block alive.

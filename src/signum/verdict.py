@@ -11,12 +11,13 @@ realizations with distinct inertias is attached when one can be built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .cycles import (
+    SIGN_SET_ORDER_CAP,
     PatternAnalysis,
     cover_extension_exists,
     directed_cycle_from_vertices,
@@ -128,9 +129,11 @@ _FORBIDDEN_EDGE_SIGNS = {
 }
 
 _REASONS = {
+    "R0": "preconditions failed: the rules need an irreducible combinatorially"
+    " symmetric pattern with zero diagonal",
     "R1": "maximum-length composite cycles occur with both signs, so the top"
     " coefficient of the characteristic polynomial takes both signs over the class",
-    "R2+": "the graph is an odd cycle and every determinant term has the same sign,"
+    "R2": "the graph is an odd cycle and every determinant term has the same sign,"
     " so no realization has an eigenvalue with zero real part",
     "R2-": "the graph is an odd cycle whose two spanning cycles disagree in sign,"
     " so the determinant takes both signs over the class",
@@ -148,6 +151,17 @@ _REASONS = {
     "R9": "for tree patterns, requiring a unique inertia is equivalent to frequency"
     " consistency of the edge-flipped pattern; its census is reported as evidence",
 }
+
+
+def _finding(rule_id: str, fires: bool, details: dict, reason: str | None = None) -> RuleFinding:
+    """An applicable finding that concludes does-not-require exactly when it fires."""
+    return RuleFinding(
+        rule_id,
+        True,
+        Conclusion.DOES_NOT_REQUIRE if fires else Conclusion.NO_CONCLUSION,
+        reason or _REASONS[rule_id],
+        details=details,
+    )
 
 
 def _odd_cycle_det_sign(digraph: SignedDigraph, cycle: tuple[int, ...]) -> AmbSign:
@@ -198,6 +212,220 @@ def _flipped_frequencies(
     return freqs
 
 
+# The rules.  Each takes (facts, census, cfg, earlier findings) and returns
+# its finding; or, when the pattern is out of its scope, None, or a note
+# naming the cap that rules it out.
+_Outcome = RuleFinding | str | None
+
+
+def _r1(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Sign clash among maximum-length composite cycles."""
+    if facts.pattern.n > SIGN_SET_ORDER_CAP:
+        return f"order {facts.pattern.n} above enumeration cap {SIGN_SET_ORDER_CAP}"
+    sign_set, m = facts.sign_set, facts.max_composite_length
+    return _finding(
+        "R1",
+        sign_set.ambiguous and m >= 2,
+        {
+            "max_composite_length": m,
+            "signs": {"plus": sign_set.contains_plus, "minus": sign_set.contains_minus},
+        },
+    )
+
+
+def _r2(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Odd single cycle, decided by the determinant sign."""
+    if facts.shape.kind is not ShapeKind.SINGLE_CYCLE or facts.pattern.n % 2 == 0:
+        return None
+    det = _odd_cycle_det_sign(facts.digraph, facts.shape.cycles[0])
+    details = {"determinant_sign": det.value}
+    if det in (AmbSign.PLUS, AmbSign.MINUS):
+        return RuleFinding("R2", True, Conclusion.REQUIRES_UNIQUE, _REASONS["R2"], details=details)
+    return _finding("R2", True, details, _REASONS["R2-"])
+
+
+def _r3(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Tridiagonal odd-run count."""
+    if facts.shape.kind is not ShapeKind.PATH or facts.pattern.n < 2:
+        return None
+    runs = maximal_signed_runs(facts.path_edges[1], cyclic=False)
+    odd = [r.length for r in runs if r.length % 2 == 1]
+    return _finding(
+        "R3", len(odd) >= 2, {"run_lengths": [r.length for r in runs], "odd_run_count": len(odd)}
+    )
+
+
+def _r4(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Forbidden tridiagonal blocks.
+
+    Inertia behavior is invariant under signature similarity, and two path
+    patterns are signature-similar exactly when their edge-sign sequences
+    agree, so blocks are matched by edge signs along the path rather than
+    entry by entry.  Positions are 1-based path positions, which equal
+    matrix window starts for patterns labeled consecutively along the path.
+    """
+    if facts.shape.kind is not ShapeKind.PATH or facts.pattern.n < 2:
+        return None
+    _, signs = facts.path_edges
+    hits: dict[str, list[int]] = {}
+    for name, block_signs in _FORBIDDEN_EDGE_SIGNS.items():
+        width = len(block_signs)
+        starts = [
+            t + 1
+            for t in range(len(signs) - width + 1)
+            if tuple(signs[t : t + width]) == block_signs
+        ]
+        if starts:
+            hits[name] = starts
+    return _finding("R4", bool(hits), {"blocks_found": hits})
+
+
+def _r5(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Single-cycle conditions."""
+    if facts.shape.kind is not ShapeKind.SINGLE_CYCLE:
+        return None
+    _, signs = cycle_edge_order(facts.graph, facts.shape.cycles[0])
+    conds = _cycle_conditions(signs)
+    return _finding("R5", any(conds.values()), {"conditions": conds})
+
+
+def _r6(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Unicyclic with even leaf distances."""
+    if facts.shape.kind is not ShapeKind.UNICYCLIC:
+        return None
+    report = cycle_structure(facts.graph)
+    distances = [d for (_, _, d) in report.leaf_cycle_distances]
+    all_even = all(d % 2 == 0 for d in distances)
+    conds = _cycle_conditions(report.cycle_edge_signs[0])
+    # The rule's accounting needs the top composite length to split as
+    # cycle length plus the best packing of the rest; even leaf
+    # distances guarantee it, but check the identity directly.
+    the_cycle = report.cycles[0]
+    rest = facts.digraph.without_vertices(set(the_cycle))
+    additive = facts.max_composite_length == len(the_cycle) + max_composite_length(rest)
+    return _finding(
+        "R6",
+        all_even and additive and any(conds.values()),
+        {
+            "leaf_cycle_distances": distances,
+            "all_leaf_distances_even": all_even,
+            "length_splits_additively": additive,
+            "conditions": conds,
+        },
+    )
+
+
+def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Several cycles, no leaf, path-adjacent cycles at odd distance."""
+    if facts.shape.kind is not ShapeKind.MULTI_CYCLE_NO_LEAF:
+        return None
+    report = cycle_structure(facts.graph)
+    # The link is also the raw distance (see cycle_structure), which
+    # "raw_distance" and "strict" still report to keep verdict bytes.
+    pair_info = [
+        {"cycles": [a, b], "edge_count": link, "raw_distance": link}
+        for (a, b, link) in report.path_adjacent_pairs
+    ]
+    distance_ok = all(link % 2 == 1 for (_, _, link) in report.path_adjacent_pairs)
+    all_even = all(len(c) % 2 == 0 for c in report.cycles)
+    fired = []
+    # Whether a cycle extends depends only on the vertices it leaves over.
+    extends_by_vertices: dict[frozenset[int], bool] = {}
+    for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
+        conds = _cycle_conditions(signs)
+        hits = [c for c, ok in conds.items() if ok]
+        if not conds["odd_negative_count"] and not all_even:
+            continue
+        if not hits:
+            continue
+        # The witnesses sit on this cycle plus a packing of everything
+        # else, so the cycle must extend to a spanning composite cycle;
+        # cycles sharing vertices can fail this even when every
+        # path-adjacent distance is vacuously odd.
+        directed = directed_cycle_from_vertices(facts.digraph, cyc)
+        vertices = frozenset(cyc)
+        if vertices not in extends_by_vertices:
+            extends_by_vertices[vertices] = cover_extension_exists(facts.digraph, directed)
+        extends = extends_by_vertices[vertices]
+        for cond in hits:
+            if cond != "odd_negative_count" and not all_even:
+                continue
+            fired.append({"cycle": list(cyc), "condition": cond, "extends_to_cover": extends})
+    return _finding(
+        "R7",
+        distance_ok and any(f["extends_to_cover"] for f in fired),
+        {
+            "path_adjacent_pairs": pair_info,
+            "distance_convention": "edge count of the cycle-avoiding"
+            " connecting path; raw vertex-set distance must agree unless strict",
+            "strict": False,
+            "distances_odd": distance_ok,
+            "all_cycles_even": all_even,
+            "conditions_fired": fired,
+        },
+    )
+
+
+def _r8(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Sampled zero-real-part gap, solidly classified samples only.
+
+    A rule that proved a unique inertia outranks it: the gap is then a
+    roundoff artefact, so R8 names that rule and concludes nothing.
+    """
+    keys = cen.solid_keys()
+    details = {"inertia_keys": [list(k) for k in keys]}
+    gap_pairs = [(a, b) for a in keys for b in keys if a < b and a[2] != b[2]]
+    proof = next(
+        (f.rule_id for f in findings if f.conclusion is Conclusion.REQUIRES_UNIQUE), None
+    )
+    if not gap_pairs or proof is not None:
+        if gap_pairs:
+            details["overruled_by"] = proof
+        return _finding("R8", False, details)
+    a_key, b_key = max(gap_pairs, key=lambda ab: (abs(ab[0][2] - ab[1][2]), ab))
+    mat_a, mat_b = cen.solid_representatives[a_key], cen.solid_representatives[b_key]
+    finding = _finding("R8", True, details)
+    finding.witness = WitnessPair(
+        mat_a,
+        mat_b,
+        spectral_profile(mat_a),
+        spectral_profile(mat_b),
+        "census",
+        {"keys": [list(a_key), list(b_key)]},
+    )
+    return finding
+
+
+def _r9(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
+    """Tree-pattern frequency evidence of the edge-flipped pattern, off the main census."""
+    if facts.shape.kind not in (ShapeKind.PATH, ShapeKind.TREE):
+        return None
+    flipped = p_minus(facts.pattern)
+    flipped_freqs = _flipped_frequencies(flipped, cen, cfg)
+    return _finding(
+        "R9",
+        False,
+        {
+            "flipped_pattern": flipped.to_text().splitlines(),
+            "flipped_frequencies": {str(list(k)): v for k, v in sorted(flipped_freqs.items())},
+            "flipped_consistent_observed": len(flipped_freqs) == 1,
+        },
+    )
+
+
+_RULES = (
+    ("R1", _r1),
+    ("R2", _r2),
+    ("R3", _r3),
+    ("R4", _r4),
+    ("R5", _r5),
+    ("R6", _r6),
+    ("R7", _r7),
+    ("R8", _r8),
+    ("R9", _r9),
+)
+
+
 def analyze(
     pattern: SignPattern,
     cfg: SampleConfig | None = None,
@@ -208,296 +436,31 @@ def analyze(
     Patterns must be irreducible, combinatorially symmetric, and have a
     zero diagonal; otherwise a single precondition finding is returned.
     The census always runs so inconclusive verdicts still carry evidence.
-    Every rule and the witness search read one ``PatternAnalysis``, so each
-    structural fact is derived once.
+    The rules of ``_RULES`` run in order; every rule and the witness search
+    read one ``PatternAnalysis``, so each structural fact is derived once.
     """
     cfg = cfg or SampleConfig()
     facts = PatternAnalysis(pattern)
     flags = facts.flags
     if not flags.all_ok():
         finding = RuleFinding(
-            "R0",
-            True,
-            Conclusion.NO_CONCLUSION,
-            "preconditions failed: the rules need an irreducible combinatorially"
-            " symmetric pattern with zero diagonal",
-            details={
-                "combinatorially_symmetric": flags.combinatorially_symmetric,
-                "zero_diagonal": flags.zero_diagonal,
-                "irreducible": flags.irreducible,
-            },
+            "R0", True, Conclusion.NO_CONCLUSION, _REASONS["R0"], details=asdict(flags)
         )
         return Verdict(pattern, flags, None, [finding], Overall.INCONCLUSIVE, None)
 
-    digraph, graph, shape = facts.digraph, facts.graph, facts.shape
     cen = census(pattern, cfg)
     findings: list[RuleFinding] = []
-
-    # R1: sign clash among maximum-length composite cycles
-    if pattern.n <= 16:
-        sign_set = facts.sign_set
-        m = facts.max_composite_length
-        ambiguous = sign_set.ambiguous and m >= 2
-        findings.append(
-            RuleFinding(
-                "R1",
-                True,
-                Conclusion.DOES_NOT_REQUIRE if ambiguous else Conclusion.NO_CONCLUSION,
-                _REASONS["R1"],
-                details={
-                    "max_composite_length": m,
-                    "signs": {"plus": sign_set.contains_plus, "minus": sign_set.contains_minus},
-                },
-            )
-        )
-    else:
-        findings.append(
-            RuleFinding(
-                "R1",
+    for rule_id, rule in _RULES:
+        found = rule(facts, cen, cfg, findings)
+        if not isinstance(found, RuleFinding):
+            found = RuleFinding(
+                rule_id,
                 False,
                 Conclusion.NO_CONCLUSION,
-                _REASONS["R1"],
-                details={"skipped": f"order {pattern.n} above enumeration cap 16"},
+                _REASONS[rule_id],
+                details={} if found is None else {"skipped": found},
             )
-        )
-
-    # R2: odd single cycle, decided by the determinant sign
-    if shape.kind is ShapeKind.SINGLE_CYCLE and pattern.n % 2 == 1:
-        det = _odd_cycle_det_sign(digraph, shape.cycles[0])
-        if det in (AmbSign.PLUS, AmbSign.MINUS):
-            findings.append(
-                RuleFinding(
-                    "R2",
-                    True,
-                    Conclusion.REQUIRES_UNIQUE,
-                    _REASONS["R2+"],
-                    details={"determinant_sign": det.value},
-                )
-            )
-        else:
-            findings.append(
-                RuleFinding(
-                    "R2",
-                    True,
-                    Conclusion.DOES_NOT_REQUIRE,
-                    _REASONS["R2-"],
-                    details={"determinant_sign": det.value},
-                )
-            )
-    else:
-        findings.append(RuleFinding("R2", False, Conclusion.NO_CONCLUSION, _REASONS["R2+"]))
-
-    # R3: tridiagonal odd-run count
-    if shape.kind is ShapeKind.PATH and pattern.n >= 2:
-        _, signs = facts.path_edges
-        runs = maximal_signed_runs(signs, cyclic=False)
-        odd = [r.length for r in runs if r.length % 2 == 1]
-        findings.append(
-            RuleFinding(
-                "R3",
-                True,
-                Conclusion.DOES_NOT_REQUIRE if len(odd) >= 2 else Conclusion.NO_CONCLUSION,
-                _REASONS["R3"],
-                details={"run_lengths": [r.length for r in runs], "odd_run_count": len(odd)},
-            )
-        )
-    else:
-        findings.append(RuleFinding("R3", False, Conclusion.NO_CONCLUSION, _REASONS["R3"]))
-
-    # R4: forbidden tridiagonal blocks.  Inertia behavior is invariant under
-    # signature similarity, and two path patterns are signature-similar
-    # exactly when their edge-sign sequences agree, so blocks are matched by
-    # edge signs along the path rather than entry by entry.  Positions are
-    # 1-based path positions, which equal matrix window starts for patterns
-    # labeled consecutively along the path.
-    if shape.kind is ShapeKind.PATH and pattern.n >= 2:
-        _, signs = facts.path_edges
-        hits: dict[str, list[int]] = {}
-        for name, block_signs in _FORBIDDEN_EDGE_SIGNS.items():
-            width = len(block_signs)
-            starts = [
-                t + 1
-                for t in range(len(signs) - width + 1)
-                if tuple(signs[t : t + width]) == block_signs
-            ]
-            if starts:
-                hits[name] = starts
-        findings.append(
-            RuleFinding(
-                "R4",
-                True,
-                Conclusion.DOES_NOT_REQUIRE if hits else Conclusion.NO_CONCLUSION,
-                _REASONS["R4"],
-                details={"blocks_found": hits},
-            )
-        )
-    else:
-        findings.append(RuleFinding("R4", False, Conclusion.NO_CONCLUSION, _REASONS["R4"]))
-
-    # R5: single-cycle conditions
-    if shape.kind is ShapeKind.SINGLE_CYCLE:
-        _, signs = cycle_edge_order(graph, shape.cycles[0])
-        conds = _cycle_conditions(signs)
-        findings.append(
-            RuleFinding(
-                "R5",
-                True,
-                Conclusion.DOES_NOT_REQUIRE if any(conds.values()) else Conclusion.NO_CONCLUSION,
-                _REASONS["R5"],
-                details={"conditions": conds},
-            )
-        )
-    else:
-        findings.append(RuleFinding("R5", False, Conclusion.NO_CONCLUSION, _REASONS["R5"]))
-
-    # R6: unicyclic with even leaf distances
-    if shape.kind is ShapeKind.UNICYCLIC:
-        report = cycle_structure(graph)
-        distances = [d for (_, _, d) in report.leaf_cycle_distances]
-        all_even = all(d % 2 == 0 for d in distances)
-        conds = _cycle_conditions(report.cycle_edge_signs[0])
-        # The rule's accounting needs the top composite length to split as
-        # cycle length plus the best packing of the rest; even leaf
-        # distances guarantee it, but check the identity directly.
-        the_cycle = report.cycles[0]
-        rest = digraph.without_vertices(set(the_cycle))
-        additive = facts.max_composite_length == len(the_cycle) + max_composite_length(rest)
-        fire = all_even and additive and any(conds.values())
-        findings.append(
-            RuleFinding(
-                "R6",
-                True,
-                Conclusion.DOES_NOT_REQUIRE if fire else Conclusion.NO_CONCLUSION,
-                _REASONS["R6"],
-                details={
-                    "leaf_cycle_distances": distances,
-                    "all_leaf_distances_even": all_even,
-                    "length_splits_additively": additive,
-                    "conditions": conds,
-                },
-            )
-        )
-    else:
-        findings.append(RuleFinding("R6", False, Conclusion.NO_CONCLUSION, _REASONS["R6"]))
-
-    # R7: several cycles, no leaf, path-adjacent cycles at odd distance
-    if shape.kind is ShapeKind.MULTI_CYCLE_NO_LEAF:
-        report = cycle_structure(graph)
-        # The link is also the raw distance (see cycle_structure), which
-        # "raw_distance" and "strict" still report to keep verdict bytes.
-        pair_info = [
-            {"cycles": [a, b], "edge_count": link, "raw_distance": link}
-            for (a, b, link) in report.path_adjacent_pairs
-        ]
-        distance_ok = all(link % 2 == 1 for (_, _, link) in report.path_adjacent_pairs)
-        all_even = all(len(c) % 2 == 0 for c in report.cycles)
-        fired = []
-        # Whether a cycle extends depends only on the vertices it leaves over.
-        extends_by_vertices: dict[frozenset[int], bool] = {}
-        for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
-            conds = _cycle_conditions(signs)
-            hits = [c for c, ok in conds.items() if ok]
-            if not conds["odd_negative_count"] and not all_even:
-                continue
-            if not hits:
-                continue
-            # The witnesses sit on this cycle plus a packing of everything
-            # else, so the cycle must extend to a spanning composite cycle;
-            # cycles sharing vertices can fail this even when every
-            # path-adjacent distance is vacuously odd.
-            directed = directed_cycle_from_vertices(digraph, cyc)
-            vertices = frozenset(cyc)
-            if vertices not in extends_by_vertices:
-                extends_by_vertices[vertices] = cover_extension_exists(digraph, directed)
-            extends = extends_by_vertices[vertices]
-            for cond in hits:
-                if cond != "odd_negative_count" and not all_even:
-                    continue
-                fired.append(
-                    {"cycle": list(cyc), "condition": cond, "extends_to_cover": extends}
-                )
-        fire = distance_ok and any(f["extends_to_cover"] for f in fired)
-        findings.append(
-            RuleFinding(
-                "R7",
-                True,
-                Conclusion.DOES_NOT_REQUIRE if fire else Conclusion.NO_CONCLUSION,
-                _REASONS["R7"],
-                details={
-                    "path_adjacent_pairs": pair_info,
-                    "distance_convention": "edge count of the cycle-avoiding"
-                    " connecting path; raw vertex-set distance must agree unless strict",
-                    "strict": False,
-                    "distances_odd": distance_ok,
-                    "all_cycles_even": all_even,
-                    "conditions_fired": fired,
-                },
-            )
-        )
-    else:
-        findings.append(RuleFinding("R7", False, Conclusion.NO_CONCLUSION, _REASONS["R7"]))
-
-    # R8: sampled zero-real-part gap, solidly classified samples only.  A
-    # rule that proved a unique inertia outranks it: the gap is then a
-    # roundoff artefact, so R8 names that rule and concludes nothing.
-    keys = cen.solid_keys()
-    gap_pairs = [
-        (a, b) for a in keys for b in keys if a < b and a[2] != b[2]
-    ]
-    proof = next(
-        (f.rule_id for f in findings if f.conclusion is Conclusion.REQUIRES_UNIQUE), None
-    )
-    if gap_pairs and proof is None:
-        a_key, b_key = max(gap_pairs, key=lambda ab: (abs(ab[0][2] - ab[1][2]), ab))
-        mat_a, mat_b = cen.solid_representatives[a_key], cen.solid_representatives[b_key]
-        witness = WitnessPair(
-            mat_a,
-            mat_b,
-            spectral_profile(mat_a),
-            spectral_profile(mat_b),
-            "census",
-            {"keys": [list(a_key), list(b_key)]},
-        )
-        findings.append(
-            RuleFinding(
-                "R8",
-                True,
-                Conclusion.DOES_NOT_REQUIRE,
-                _REASONS["R8"],
-                witness=witness,
-                details={"inertia_keys": [list(k) for k in keys]},
-            )
-        )
-    else:
-        details = {"inertia_keys": [list(k) for k in keys]}
-        if gap_pairs:
-            details["overruled_by"] = proof
-        findings.append(
-            RuleFinding("R8", True, Conclusion.NO_CONCLUSION, _REASONS["R8"], details=details)
-        )
-
-    # R9: tree-pattern frequency evidence through the edge-flipped pattern,
-    # read off the main census
-    if shape.kind in (ShapeKind.PATH, ShapeKind.TREE):
-        flipped = p_minus(pattern)
-        flipped_freqs = _flipped_frequencies(flipped, cen, cfg)
-        findings.append(
-            RuleFinding(
-                "R9",
-                True,
-                Conclusion.NO_CONCLUSION,
-                _REASONS["R9"],
-                details={
-                    "flipped_pattern": flipped.to_text().splitlines(),
-                    "flipped_frequencies": {
-                        str(list(k)): v for k, v in sorted(flipped_freqs.items())
-                    },
-                    "flipped_consistent_observed": len(flipped_freqs) == 1,
-                },
-            )
-        )
-    else:
-        findings.append(RuleFinding("R9", False, Conclusion.NO_CONCLUSION, _REASONS["R9"]))
+        findings.append(found)
 
     concluded = {f.conclusion for f in findings}
     if Conclusion.DOES_NOT_REQUIRE in concluded:
@@ -520,20 +483,13 @@ def analyze(
                 first.witness = pair
             else:
                 first.details["witness_found"] = False
-    return Verdict(pattern, flags, shape, findings, overall, cen)
-
+    return Verdict(pattern, flags, facts.shape, findings, overall, cen)
 
 def explain(verdict: Verdict) -> str:
     """Deterministic human-readable report."""
     lines = ["pattern:"]
     lines += ["  " + row for row in verdict.pattern.to_text().splitlines()]
-    lines.append(
-        "flags: combinatorially_symmetric={0} zero_diagonal={1} irreducible={2}".format(
-            verdict.flags.combinatorially_symmetric,
-            verdict.flags.zero_diagonal,
-            verdict.flags.irreducible,
-        )
-    )
+    lines.append("flags: " + " ".join(f"{k}={v}" for k, v in asdict(verdict.flags).items()))
     if verdict.shape is not None:
         lines.append(f"shape: {verdict.shape.kind.value}")
         if verdict.shape.cycles:
@@ -593,11 +549,7 @@ def verdict_to_json(verdict: Verdict) -> str:
     """Serialize with a stable key order."""
     doc = {
         "pattern": verdict.pattern.to_text().splitlines(),
-        "flags": {
-            "combinatorially_symmetric": verdict.flags.combinatorially_symmetric,
-            "zero_diagonal": verdict.flags.zero_diagonal,
-            "irreducible": verdict.flags.irreducible,
-        },
+        "flags": asdict(verdict.flags),
         "shape": None
         if verdict.shape is None
         else {

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from signum import spectra
 from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
-from signum.errors import EigenFailure, NoStabilization
+from signum.errors import EigenFailure, NonFinite, NoStabilization
 from signum.fixtures import FIXTURES
 from signum.graphs import build_digraph
 from signum.patterns import SignPattern, p_minus
@@ -64,6 +64,8 @@ def scalar_sample(pattern: SignPattern, cfg: SampleConfig, index: int = 0) -> np
 def scalar_profile(a: np.ndarray) -> SpectralProfile:
     a = np.asarray(a, dtype=float)
     tol = 1e-8 * (1.0 + float(np.linalg.norm(a)))
+    if not math.isfinite(tol):
+        raise NonFinite("norm overflows")
     try:
         eig = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -111,7 +113,7 @@ def oracle_census(pattern: SignPattern, cfg: SampleConfig) -> Census:
         mat = scalar_sample(pattern, law, index=t)
         try:
             prof = scalar_profile(mat)
-        except EigenFailure:
+        except (EigenFailure, NonFinite):
             failures += 1
             continue
         counts[prof.inertia] = counts.get(prof.inertia, 0) + 1
@@ -134,6 +136,15 @@ def assert_same_census(got: Census, want: Census) -> None:
     assert list(got.frequency_counts.items()) == list(want.frequency_counts.items())
     assert _raw(got.representatives) == _raw(want.representatives)
     assert _raw(got.solid_representatives) == _raw(want.solid_representatives)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_census_overflowing_law_matches_oracle(pat):
+    """Trials whose norm overflows are failures in both, and everything else agrees."""
+    cfg = SampleConfig(lo=1e-300, hi=1e300, trials=300, seed=11)
+    got = census(pat("PAT_TWOCYC82"), cfg)
+    assert got.failures > 0
+    assert_same_census(got, oracle_census(pat("PAT_TWOCYC82"), cfg))
 
 
 @st.composite

@@ -168,6 +168,19 @@ def test_census_command():
     assert "consistent frequency observed: True" in result.output
 
 
+def test_census_rejects_an_infinite_law():
+    result = run("census", "--fixture", "PAT_P4", "--hi", "inf")
+    assert result.exit_code == 3
+    assert "error: need 0 < lo <= hi < inf" in result.output
+
+
+def test_census_counts_overflowing_trials_as_failures():
+    result = run("census", "--fixture", "PAT_P4", "--lo", "1e-300", "--hi", "1e300", "--trials", "50")
+    assert result.exit_code == 0
+    assert "failures: 0" not in result.output
+    assert "inertia (0, 0, 4): 25" not in result.output
+
+
 @pytest.mark.parametrize(
     "option, value, vertex",
     [("--cycle", "0,1", 0), ("--cycle", "1,5", 5), ("--matching", "1-5", 5)],
@@ -294,3 +307,17 @@ def test_fuzz_repeated_imaginary_smoke():
     )
     assert result.exit_code == 0
     assert "examined" in result.output
+
+
+@pytest.mark.parametrize(
+    "rows, cycle, vertex",
+    [("0 + 0 0\n+ 0 + 0\n0 + 0 +\n0 0 + 0\n", "1,2,1,2", 1), ("+ +\n+ 0\n", "1,2,1", 1)],
+)
+def test_witness_repeated_cycle_vertex_is_an_error(tmp_path, rows, cycle, vertex):
+    """A cycle visits each vertex once, even where every arc it names is in the pattern."""
+    path = tmp_path / "pattern.txt"
+    path.write_text(rows)
+    result = run("witness", str(path), "--cycle", cycle)
+    assert result.exit_code == 3
+    assert f"error: vertex {vertex} repeats" in result.output
+    assert "parts:" not in result.output

@@ -164,6 +164,15 @@ def test_cover_extension_rejects_missing_arcs(pat):
         cover_extension_exists(d, SimpleCycle((0, 2), 1))
 
 
+def test_cycle_with_a_repeated_vertex_is_rejected(pat):
+    from signum.cycles import _pattern_cycle
+
+    with pytest.raises(CycleNotInPattern, match="vertex 2 repeats"):
+        directed_cycle_from_vertices(digraph_of(pat, "PAT_P4"), (1, 2, 1, 2))
+    with pytest.raises(CycleNotInPattern, match="vertex 2 repeats"):
+        _pattern_cycle(pat("PAT_P4"), (1, 2, 1, 2))
+
+
 def _run_for(signs, start, length):
     return MaximalSignedRun(signs[start], tuple((start + t) % len(signs) for t in range(length)))
 

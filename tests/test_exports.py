@@ -69,3 +69,44 @@ def test_runtime_imports_match_declared_dependencies():
     project = tomllib.loads((PACKAGE_DIR.parents[1] / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
     assert third_party == declared
+
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Module-level imported names that the module neither reads nor re-exports.
+
+    A name is read when it appears as a loaded ``Name`` anywhere in the
+    module, annotations included, and re-exported when ``__all__`` lists it.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+# The package __init__ imports only to re-export: its imports are the package API.
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_module_level_import(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_an_unused_name():
+    source = "from __future__ import annotations\nimport os, json as js\nfrom x import a, b\n"
+    assert _unused_imports(source + "print(a, os.sep)\n") == ["js (line 2)", "b (line 3)"]
+    assert _unused_imports(source + "__all__ = ['b']\nprint(a)\n") == ["os (line 2)", "js (line 2)"]

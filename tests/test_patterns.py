@@ -7,7 +7,6 @@ from signum.errors import (
     NonSquare,
     NotCombinatoriallySymmetric,
     NotTreePattern,
-    OrderCapExceeded,
     RaggedRows,
     UnknownToken,
 )
@@ -158,14 +157,6 @@ def test_subpattern_self(pat):
 
 def test_subpattern_too_small(pat):
     assert find_principal_subpattern(pat("PAT_EX26"), pat("PAT_P4")) == []
-
-
-def test_subpattern_all_subsets(pat):
-    hits = find_principal_subpattern(pat("PAT_P6"), pat("PAT_P4"), all_subsets=True)
-    assert (1, 2, 3, 4) in hits
-    big = SignPattern.from_rows([[0] * 13 for _ in range(13)])
-    with pytest.raises(OrderCapExceeded):
-        find_principal_subpattern(big, pat("PAT_P4"), all_subsets=True)
 
 
 def test_window_extraction_matches(pat):

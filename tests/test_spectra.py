@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_tree_pattern
 from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
-from signum.errors import CycleNotInPattern, SignMismatch
+from signum.errors import CycleNotInPattern, EigenFailure, NonFinite, SignMismatch
 from signum.graphs import build_digraph
 from signum.patterns import (
     Negation,
@@ -81,6 +81,40 @@ def test_census_unique_inertia(pat):
     cen = census(pat("PAT_EG06"), SampleConfig(trials=300, seed=5))
     assert cen.inertia_keys() == [(1, 1, 2)]
     assert sum(cen.inertia_counts.values()) + cen.failures == 300
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-2, INF), (INF, INF), (NAN, 1.0), (1e-2, NAN)])
+def test_sample_config_rejects_non_finite_law(lo, hi):
+    with pytest.raises(ValueError, match="hi < inf"):
+        SampleConfig(lo=lo, hi=hi)
+
+
+def test_profile_of_an_overflowing_norm_is_an_error():
+    with pytest.raises(NonFinite):
+        spectral_profile(np.array([[0.0, 1e300], [-1e300, 0.0]]))
+    with pytest.raises(NonFinite):
+        spectral_profile(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+
+def test_census_counts_an_overflowing_norm_as_a_failure(pat):
+    """Every entry is finite, but with magnitudes up to 1e300 some norms are not."""
+    p = pat("PAT_P4")
+    cfg = SampleConfig(lo=1e-300, hi=1e300, trials=50)
+    overflowing = 0
+    # Odd trials draw from the near-one law, so only even ones can overflow.
+    for t in range(0, cfg.trials, 2):
+        try:
+            spectral_profile(sample(p, cfg, index=t))
+        except (NonFinite, EigenFailure):
+            overflowing += 1
+    cen = census(p, cfg)
+    assert overflowing > 0
+    assert cen.failures == overflowing
+    assert sum(cen.inertia_counts.values()) == cfg.trials - overflowing
+    assert all(np.isfinite(np.linalg.norm(m)) for m in cen.representatives.values())
 
 
 def test_census_trivial_order_one():

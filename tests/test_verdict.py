@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -294,3 +296,75 @@ def test_sampled_gap_does_not_overrule_r2(n):
     assert len({key[2] for key in r8.details["inertia_keys"]}) > 1
     assert v.overall is Overall.REQUIRES_UNIQUE
     assert v.witness_pair() is None
+
+
+# Bytes that tests/golden_census.json does not pin.  Each digest is the
+# sha256 of ``verdict_to_json`` followed by ``explain`` under CFG.
+
+# Each pattern fails exactly the flag it is keyed by.
+PRECONDITION_FAILURES = {
+    "combinatorially_symmetric": [[0, 1, 0], [0, 0, 1], [1, 1, 0]],
+    "zero_diagonal": [[1, 1], [1, 0]],
+    "irreducible": [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+}
+RECORDED_BYTES = {
+    "combinatorially_symmetric": "d1425136053493333d1d28da055b39851f7214f698d7ee38d48a4e034deb513d",
+    "zero_diagonal": "86809a6c9b5576184fcfce8cd7bbb9f78b43c51faa9b299ff1c7e7b667acc6ee",
+    "irreducible": "c332a50b72f125baa3b8ef407309f3e9d0ca8db2854ce7ca984c1e2bac116593",
+    "odd_cycle_17": "50a0ed569c0c76ddec67f817e4f8a724211e3fbcebb942ab92d865497d62569d",
+}
+RECORDED_EXPLAIN = {
+    "PAT_ALLNEG4": "5672b9e5d154401a5a57786221329972996f8bd5062f8d07ae86888f0294354b",
+    "PAT_ALLPLUS4": "ca5afec19d4873458c18ce7a0ee3044e7f746d1a68e45be05d5fa31e665f3cbc",
+    "PAT_EG06": "168703e5edcfc97cddc644eeca666a39f8ec5fa9314601aeecb51539cfdfabf2",
+    "PAT_EX26": "61160b7119a7d5430871cec23d50cca9269413471206254b5036f1fa5332d0d9",
+    "PAT_HEX6": "cdc255547d79ea2ae78cd3bf98be6860646fe7064a58ec757086d5deede3f1fa",
+    "PAT_P4": "9b249a4d73697c0dceb7b876dc5e7d82132f3dc26cb9da91a864762b254c8085",
+    "PAT_P4M": "bb68c9147d6270904586e4ee006d38031e25c84d3039c0c46cfdbae724aa3173",
+    "PAT_P6": "4e60bb1b7bd4aa00a676dfe59aaf0d0d788486256579bd43cec8ec8182bcfd81",
+    "PAT_P6P": "f888e4d2657c1139ed2330ca6eb8034e90ee20a34e07baee5e450dbd171b7791",
+    "PAT_P8P": "504731508fd02e1541417901f5b0f6ae961fae9b1c93c9c19b7204a8b995c673",
+    "PAT_PMINUS4": "81bcaa294216a89248e6bb682c437a63d78988564245c1792fb660f16950c669",
+    "PAT_SQTRI8": "7fe4d34bd717d7fbb6b8b59398b66d2e9e3e884b6e0d40107290eceb37a21d13",
+    "PAT_TRIPATH6": "4cb9aa577006e5cebee9b571dc9c44a247727bfc920143f9016202580232e8bb",
+    "PAT_TWOCYC81": "39dcc55377f625f389a6c00e790cbf05d42d28b6ee763cd49b457d6fa672696a",
+    "PAT_TWOCYC82": "93cc5d8346b11bc3b0a4fdf34f6c72e0d16e909214c730927f97117322a8e074",
+    "PAT_TWOCYC83": "1ca170f0e91067664054bb54decf707613f5e16715d16d0372eb1f87663e0fbd",
+    "PAT_TWOSQ9": "6a6f4c7a911998b7d76c34f45ee816b12f189a4907653e30dfc72fb99a483ea3",
+    "PAT_UNI61": "20d2ca00a2d21dd411db486ef0ba67ea6eadbf2743de7950c7f607ee17e71bb3",
+    "PAT_UNI62": "326591f13587d2ee4f6abe719696d67d7ac9cca162d62635bb398c7ab69e9982",
+    "PAT_X16": "795912030868f76b844aa453f4d657081d0b9a8d9eca7b421d65c26921e842f3",
+    "PAT_XEG1": "d74757ccc566c8e06b0d348c7fbb37fce7f2eec3a3e6902107bb876f46a7139f",
+    "PAT_XNFIG2": "1b8fcf3658fa0d620ef3072314fe9f17332da77ce144df63366f633d11166c22",
+    "PAT_XX1": "0451a252aa1c2d727c9bffc1a2b033c44609301436d9800c3eff93a53561c92f",
+    "PAT_XX2": "bc0241d32729de4315fa5f23781e13621e4d65c9099173466568afa90bde4f6b",
+    "PAT_XXEG22": "7bb33e22fa2610ddbb36394e6f208fa06011368fe9cf349521e70a33fba59a58",
+}
+
+
+def bytes_digest(pattern: SignPattern) -> str:
+    v = analyze(pattern, cfg=CFG)
+    return hashlib.sha256((verdict_to_json(v) + explain(v)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("failing", sorted(PRECONDITION_FAILURES))
+def test_precondition_failure_bytes(failing):
+    pattern = SignPattern.from_rows(PRECONDITION_FAILURES[failing])
+    flags = dataclasses.asdict(analyze(pattern, cfg=CFG).flags)
+    assert [name for name, ok in flags.items() if not ok] == [failing]
+    assert bytes_digest(pattern) == RECORDED_BYTES[failing]
+
+
+def test_odd_cycle_above_the_enumeration_cap_bytes():
+    """R1 is skipped at order 17 and R2 decides from the two orientations."""
+    mixed = cycle_pattern(list(range(17)), [-1] + [1] * 16, [1] * 17)
+    assert rule(analyze(mixed, cfg=CFG), "R1").details == {
+        "skipped": "order 17 above enumeration cap 16"
+    }
+    assert bytes_digest(mixed) == RECORDED_BYTES["odd_cycle_17"]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_catalog_explain_bytes(name):
+    text = explain(analyze(FIXTURES[name].pattern, cfg=CFG))
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_EXPLAIN[name]
