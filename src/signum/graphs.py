@@ -341,11 +341,14 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
 
     Cycles are read as bitmasks of their indices: ``on[v]`` marks the
     cycles through vertex v, so its union over a vertex mask gives every
-    cycle that mask touches.  Each leaf gets one BFS, whose levels name the
-    cycles first touched at each distance.  Each cycle gets one BFS stepping
-    only onto vertices off every cycle, whose levels name the later
-    disjoint cycles first touched at each link length.  No pair is tested
-    on its own, so the work follows the cycles and the pairs listed.
+    cycle that mask touches, and ``near[v]``, the union of ``on`` over v's
+    neighbours, marks the cycles one edge from v.  Each leaf gets one BFS,
+    whose levels name the cycles first touched at each distance.  Each
+    cycle gets one BFS stepping only onto vertices off every cycle; the
+    union of ``near`` over its level t names the later disjoint cycles
+    first touched at link length t + 1.  One walk over a cycle's vertices
+    gives its vertex mask and the cycles it overlaps.  No pair is tested on
+    its own, so the work follows the cycles and the pairs listed.
     """
     if not graph.is_connected():
         raise Disconnected("cycle structure needs a connected graph")
@@ -361,6 +364,7 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     for c, cyc in enumerate(cycles):
         for v in cyc:
             on[v] |= 1 << c
+    near = [_union(on, adj[v]) for v in range(graph.n)]
     off_cycle = sum(1 << v for v in range(graph.n) if not on[v])
     all_cycles = (1 << len(cycles)) - 1
 
@@ -377,15 +381,18 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
 
     pair_rows = []
     for a, cyc in enumerate(cycles):
-        va = sum(1 << v for v in cyc)
+        va = overlap = 0
+        for v in cyc:
+            va |= 1 << v
+            overlap |= on[v]
         # Later cycles sharing no vertex with cycle a.
-        pending = all_cycles & ~((2 << a) - 1) & ~_union(on, va)
+        pending = all_cycles & ~((2 << a) - 1) & ~overlap
         link: dict[int, int] = {}
         for t, level in enumerate(_bfs_levels(adj, va, off_cycle)):
             if not pending:
                 break
             # Cycles adjacent to level t of the cycle-avoiding BFS are t + 1 edges away.
-            touched = _union(on, _union(adj, level)) & pending
+            touched = _union(near, level) & pending
             pending ^= touched
             for b in _bits(touched):
                 link[b] = t + 1

@@ -19,7 +19,7 @@ import numpy as np
 from .cycles import (
     SIGN_SET_ORDER_CAP,
     PatternAnalysis,
-    cover_extension_exists,
+    _has_perfect_matching,
     directed_cycle_from_vertices,
     max_composite_length,
 )
@@ -176,12 +176,30 @@ def _odd_cycle_det_sign(digraph: SignedDigraph, cycle: tuple[int, ...]) -> AmbSi
 
 
 def _cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
+    """The distinct-inertia conditions of a cycle, read off its negative-edge mask.
+
+    Bit t of the mask is set when edge t is negative, and the negative
+    count is its popcount.  The odd-run condition asks an even cycle of
+    length k for a maximal cyclic run of odd length below k, so the cycle
+    must carry both signs.  Its sign changes, the positions t where edges
+    t - 1 and t differ, are the set bits of the mask XOR the mask rotated
+    by one.  Each run's length is the gap from one change to the next
+    around the cycle.  As k is even, all gaps are even exactly when all
+    changes share one parity, so an odd run exists exactly when the
+    changes fall on both parities.  No run is built.
+    """
     k = len(signs)
-    n_neg = sum(1 for s in signs if s < 0)
-    # Only an even cycle can meet the odd-run condition, so only its runs are read.
-    odd_run = k % 2 == 0 and any(
-        r.length % 2 == 1 and r.length < k for r in maximal_signed_runs(signs, cyclic=True)
-    )
+    neg = 0
+    for t, s in enumerate(signs):
+        if s < 0:
+            neg |= 1 << t
+    n_neg = neg.bit_count()
+    odd_run = False
+    if k % 2 == 0 and 0 < n_neg < k:
+        full = (1 << k) - 1
+        changes = neg ^ ((neg << 1 | neg >> (k - 1)) & full)
+        # full // 3 sets the even positions 0, 2, ..., k - 2.
+        odd_run = changes & full // 3 not in (0, changes)
     return {
         "odd_negative_count": n_neg % 2 == 1,
         "all_negative": n_neg == k,
@@ -329,8 +347,10 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     distance_ok = all(link % 2 == 1 for (_, _, link) in report.path_adjacent_pairs)
     all_even = all(len(c) % 2 == 0 for c in report.cycles)
     fired = []
+    succ = facts.digraph.successor_masks
+    everything = (1 << facts.pattern.n) - 1
     # Whether a cycle extends depends only on the vertices it leaves over.
-    extends_by_vertices: dict[frozenset[int], bool] = {}
+    extends_by_leftover: dict[int, bool] = {}
     for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
         conds = _cycle_conditions(signs)
         hits = [c for c, ok in conds.items() if ok]
@@ -339,14 +359,20 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
         if not hits:
             continue
         # The witnesses sit on this cycle plus a packing of everything
-        # else, so the cycle must extend to a spanning composite cycle;
-        # cycles sharing vertices can fail this even when every
-        # path-adjacent distance is vacuously odd.
-        directed = directed_cycle_from_vertices(facts.digraph, cyc)
-        vertices = frozenset(cyc)
-        if vertices not in extends_by_vertices:
-            extends_by_vertices[vertices] = cover_extension_exists(facts.digraph, directed)
-        extends = extends_by_vertices[vertices]
+        # else, so the cycle must extend to a spanning composite cycle:
+        # the arcs among the leftover vertices must match them one to one.
+        # Cycles sharing vertices can fail this even when every
+        # path-adjacent distance is vacuously odd.  Both directions of
+        # each cycle edge are arcs of a combinatorially symmetric pattern,
+        # so the cycle itself is always there.
+        leftover = everything
+        for v in cyc:
+            leftover ^= 1 << v
+        extends = extends_by_leftover.get(leftover)
+        if extends is None:
+            extends = extends_by_leftover[leftover] = _has_perfect_matching(
+                leftover, leftover, succ
+            )
         for cond in hits:
             if cond != "odd_negative_count" and not all_even:
                 continue

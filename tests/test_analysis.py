@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from signum import cycles, fixtures, graphs, patterns, spectra
+from signum import cycles, fixtures, graphs, patterns, spectra, verdict
 from signum.cycles import PatternAnalysis, max_composite_length, max_composite_sign_set
 from signum.errors import NotCombinatoriallySymmetric
 from signum.fixtures import FIXTURES
@@ -26,6 +26,9 @@ COUNTED = {
     "classify_shape": graphs.classify_shape,
     "max_composite_sign_set": cycles.max_composite_sign_set,
     "census": spectra.census,
+    "directed_cycle_from_vertices": cycles.directed_cycle_from_vertices,
+    "cover_extension_exists": cycles.cover_extension_exists,
+    "_has_perfect_matching": cycles._has_perfect_matching,
 }
 
 
@@ -89,6 +92,21 @@ def test_r9_reads_the_main_census(monkeypatch):
     fixtures.verify()
     # Seven verdict checks of verify analyze a tree, each once.
     assert calls["census"] == 33
+
+
+def test_r7_matches_each_leftover_vertex_set_once(monkeypatch):
+    """R7 builds no directed cycle and tests extension on leftover masks, memoized."""
+    facts = PatternAnalysis(_ladder_pattern("ladder-n12-0"))
+    assert facts.shape.kind is graphs.ShapeKind.MULTI_CYCLE_NO_LEAF
+    calls = _count_calls(monkeypatch)
+    fired = verdict._r7(facts, None, None, []).details["conditions_fired"]
+    # Several hit cycles can run through one vertex set.
+    hit_cycles = {tuple(hit["cycle"]) for hit in fired}
+    leftovers = {frozenset(cycle) for cycle in hit_cycles}
+    assert len(hit_cycles) > len(leftovers) > 100
+    assert calls["directed_cycle_from_vertices"] == 0
+    assert calls["cover_extension_exists"] == 0
+    assert calls["_has_perfect_matching"] == len(leftovers)
 
 
 def test_sampling_witness_resumes_the_main_census(monkeypatch):

@@ -4,18 +4,23 @@
 sort-key order, pruning with a perfect-matching test; ``cycle_structure``
 links cycle pairs from one BFS per cycle, read through per-vertex masks of
 the cycles; ``SignedGraph.cycles`` lists
-undirected cycles with its own depth-first search; and the maximum
+undirected cycles with its own depth-first search; the maximum
 composite cover comes from a pure-Python port of scipy's assignment
-solver.  The oracles below are what they replaced: composites combined
-from networkx's list of directed simple cycles, the keep-the-minimum sign
-set, the scipy bipartite-matching cover test, one BFS per cycle pair,
-networkx's undirected cycles in canonical form, and the cover that scipy's
-``linear_sum_assignment`` picks.  Agreement must be exact, down to the
-order of the composites and the choice among optimal covers.
+solver; and R7 reads each cycle's conditions off its negative-edge mask
+and tests extension with the matcher on the leftover vertex mask.  The
+oracles below are what they replaced: composites combined from networkx's
+list of directed simple cycles, the keep-the-minimum sign set, the scipy
+bipartite-matching cover test, one BFS per cycle pair, networkx's
+undirected cycles in canonical form, the cover that scipy's
+``linear_sum_assignment`` picks, and R7 built from maximal sign runs,
+``directed_cycle_from_vertices`` and ``cover_extension_exists``.
+Agreement must be exact, down to the order of the composites and the
+choice among optimal covers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -24,15 +29,17 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from signum import verdict
 from signum.cycles import (
     SIMPLE_CYCLE_BUDGET,
     CompositeCycle,
+    PatternAnalysis,
     SignSet,
     SimpleCycle,
     _max_cover,
@@ -46,12 +53,14 @@ from signum.errors import CycleBudgetExceeded
 from signum.graphs import (
     UNDIRECTED_CYCLE_BUDGET,
     CycleStructureReport,
+    ShapeKind,
     SignedDigraph,
     SignedGraph,
     build_digraph,
     build_graphs,
     cycle_edge_order,
     cycle_structure,
+    maximal_signed_runs,
 )
 from signum.patterns import SignPattern, parse_pattern
 
@@ -247,6 +256,37 @@ def oracle_cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     return CycleStructureReport(cycles, signs, tuple(leaf_rows), tuple(pair_rows))
 
 
+def oracle_cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
+    """The three cycle conditions, the odd run read off the maximal cyclic runs."""
+    k = len(signs)
+    n_neg = sum(1 for s in signs if s < 0)
+    odd_run = k % 2 == 0 and any(
+        r.length % 2 == 1 and r.length < k for r in maximal_signed_runs(signs, cyclic=True)
+    )
+    return {
+        "odd_negative_count": n_neg % 2 == 1,
+        "all_negative": n_neg == k,
+        "even_length_odd_run": odd_run,
+    }
+
+
+def oracle_r7_fired(facts: PatternAnalysis) -> list[dict]:
+    """R7's ``conditions_fired``, each hit cycle built as a directed cycle and
+    tested with ``cover_extension_exists``."""
+    report = cycle_structure(facts.graph)
+    all_even = all(len(c) % 2 == 0 for c in report.cycles)
+    fired = []
+    for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
+        conds = oracle_cycle_conditions(signs)
+        hits = [c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")]
+        if not hits:
+            continue
+        directed = directed_cycle_from_vertices(facts.digraph, cyc)
+        extends = cover_extension_exists(facts.digraph, directed)
+        fired += [{"cycle": list(cyc), "condition": c, "extends_to_cover": extends} for c in hits]
+    return fired
+
+
 @st.composite
 def digraph_patterns(draw, max_n: int = 8) -> SignPattern:
     """Random sign patterns, loops allowed; at most 3n arcs above order 6.
@@ -389,6 +429,61 @@ def test_cycle_structure_through_off_cycle_vertices():
     assert report.path_adjacent_pairs == ((0, 1, 3), (1, 2, 1))
     assert report.leaf_cycle_distances == ((12, 0, 2), (12, 1, 3), (12, 2, 5), (12, 3, 7))
     assert report == oracle_cycle_structure(graph)
+
+
+def test_cycle_conditions_match_runs_on_every_short_sign_sequence():
+    """All 32,766 sequences of signs of lengths 1-14."""
+    checked = 0
+    for k in range(1, 15):
+        for signs in itertools.product((1, -1), repeat=k):
+            assert verdict._cycle_conditions(signs) == oracle_cycle_conditions(signs), signs
+            checked += 1
+    assert checked == 2**15 - 2
+
+
+def _edge_signed(n: int, signed_edges) -> SignPattern:
+    """p_ij = +1 and p_ji = the edge sign, for each ((i, j), sign)."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), s in signed_edges:
+        rows[i][j], rows[j][i] = 1, s
+    return SignPattern.from_rows(rows)
+
+
+# Bipartite graphs, whose cycles are all even, so every condition can fire:
+# K_{2,3} and K_{3,3} with every edge negative, and a three-rung ladder
+# whose squares have an odd run.
+_ALL_EVEN = (
+    _edge_signed(5, [((i, j), -1) for i in (0, 1) for j in (2, 3, 4)]),
+    _edge_signed(6, [((i, j), -1) for i in (0, 1, 2) for j in (3, 4, 5)]),
+    _edge_signed(
+        6,
+        [((0, 1), 1), ((1, 2), -1), ((3, 4), -1), ((4, 5), -1), ((0, 3), 1), ((1, 4), 1)]
+        + [((2, 5), -1)],
+    ),
+)
+
+
+@ORACLE_SETTINGS
+@given(pattern=st.one_of(linked_cycles(), tree_plus_chords(dense=True)))
+@example(pattern=_ALL_EVEN[0])
+@example(pattern=_ALL_EVEN[1])
+@example(pattern=_ALL_EVEN[2])
+def test_r7_matches_run_and_cover_oracle(pattern):
+    facts = PatternAnalysis(pattern)
+    try:
+        kind = facts.shape.kind
+    except CycleBudgetExceeded:
+        kind = None
+    assume(kind is ShapeKind.MULTI_CYCLE_NO_LEAF)
+    finding = verdict._r7(facts, None, None, [])
+    fired = oracle_r7_fired(facts)
+    assert finding.details["conditions_fired"] == fired
+    pairs = cycle_structure(facts.graph).path_adjacent_pairs
+    distance_ok = all(link % 2 == 1 for (_, _, link) in pairs)
+    assert finding.details["distances_odd"] == distance_ok
+    assert (finding.conclusion is verdict.Conclusion.DOES_NOT_REQUIRE) == (
+        distance_ok and any(f["extends_to_cover"] for f in fired)
+    )
 
 
 @ORACLE_SETTINGS
