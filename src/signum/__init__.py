@@ -10,26 +10,22 @@ recorded expectations).
 
 from .charpoly import (
     CharPoly,
-    DetSign,
-    EkSign,
     Variations,
     char_poly,
     descartes,
     ek_sign,
-    sign_det,
 )
 from .cycles import (
     CompositeCycle,
     Matching,
     PatternAnalysis,
-    SignSet,
     SimpleCycle,
+    composite_signs,
     cover_extension_exists,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
     max_composite_cover,
     max_composite_length,
-    max_composite_sign_set,
 )
 from .errors import SignumError
 from .graphs import (

@@ -1,10 +1,12 @@
 """Characteristic polynomials, cycle-sum signs, and sign-variation counts.
 
 The characteristic polynomial of any realization expands over composite
-cycles: the coefficient of x^(n-k) is (-1)^k times the properly signed sum
-of all length-k cycles.  Working over the pattern alone therefore gives
-each coefficient a symbolic sign (possibly ambiguous), and counting sign
-variations bounds the number of positive and negative real eigenvalues.
+cycles: the coefficient of x^(n-k) is (-1)^k times E_k, the properly
+signed sum of all length-k cycles.  Working over the pattern alone
+therefore gives each coefficient a symbolic sign (possibly ambiguous),
+read off ``cycles.composite_signs``; the determinant sign is E_n's.
+Counting sign variations bounds the number of positive and negative real
+eigenvalues.
 The numeric polynomial of one realization (``char_poly``) is numpy's
 product over its eigenvalues.
 """
@@ -16,24 +18,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonFinite, OrderCapExceeded, ZeroLeading
+from .cycles import composite_signs
+from .errors import NonFinite, ZeroLeading
 from .graphs import build_digraph
 from .patterns import AmbSign, SignPattern
-from .cycles import composite_cycles_of_length
 
 __all__ = [
     "CharPoly",
-    "EkSign",
     "Variations",
-    "DetSign",
     "char_poly",
     "ek_sign",
     "descartes",
-    "sign_det",
     "coefficient_sign_threshold",
 ]
-
-EK_ORDER_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -51,20 +48,9 @@ class CharPoly:
 
 
 @dataclass(frozen=True)
-class EkSign:
-    k: int
-    sign: AmbSign
-
-
-@dataclass(frozen=True)
 class Variations:
     v_plus: int
     v_minus: int
-
-
-@dataclass(frozen=True)
-class DetSign:
-    value: AmbSign
 
 
 def char_poly(matrix: np.ndarray) -> CharPoly:
@@ -84,23 +70,21 @@ def char_poly(matrix: np.ndarray) -> CharPoly:
     return CharPoly(tuple(float(c) for c in np.real(np.poly(a))[::-1]))
 
 
-def ek_sign(pattern: SignPattern, k: int) -> EkSign:
-    """Symbolic sign of the properly signed sum of length-k cycles.
+def ek_sign(pattern: SignPattern, k: int) -> AmbSign:
+    """Symbolic sign of E_k, the properly signed sum of length-k cycles.
 
     ZERO when no length-k composite cycle exists, PLUS or MINUS when all
     agree, AMBIGUOUS when both signs occur.  Loops count as length-1
-    cycles.  Exhaustive, so capped at order 16.
+    cycles.  At k = n this is the determinant sign over the qualitative
+    class: PLUS or MINUS certify sign nonsingularity, ZERO sign
+    singularity.  Raises OrderCapExceeded above ``cycles.SIGN_ORDER_CAP``.
     """
     if not 1 <= k <= pattern.n:
         raise ValueError(f"k={k} out of range 1..{pattern.n}")
-    if pattern.n > EK_ORDER_CAP:
-        raise OrderCapExceeded(f"cycle-sum sign enumeration capped at order {EK_ORDER_CAP}")
     acc = AmbSign.ZERO
-    for comp in composite_cycles_of_length(build_digraph(pattern), k, include_loops=True):
-        acc = acc.add(AmbSign.from_int(comp.sign))
-        if acc is AmbSign.AMBIGUOUS:
-            break
-    return EkSign(k, acc)
+    for sign in composite_signs(build_digraph(pattern), k):
+        acc = acc.add(AmbSign.from_int(sign))
+    return acc
 
 
 def coefficient_sign_threshold(coeffs: Sequence[float]) -> float:
@@ -138,14 +122,3 @@ def descartes(poly) -> Variations:
     degree = len(signs) - 1
     flipped = [s if (degree - t) % 2 == 0 else -s for t, s in enumerate(signs)]
     return Variations(_variations(signs), _variations(flipped))
-
-
-def sign_det(pattern: SignPattern) -> DetSign:
-    """Determinant sign over the qualitative class.
-
-    PLUS or MINUS certify sign nonsingularity, ZERO certifies sign
-    singularity, AMBIGUOUS means both a zero and a nonzero determinant are
-    attainable.  The determinant terms are exactly the spanning composite
-    cycles with their proper signs.
-    """
-    return DetSign(ek_sign(pattern, pattern.n).sign)

@@ -14,9 +14,14 @@ carries one exactly when the bipartite graph of arcs inside S (rows to
 columns) has a perfect matching; the enumerator and the cover test share
 one small augmenting-path matcher over vertex bitmasks.
 
+``composite_signs`` is the one answer to which signs the length-k composite
+cycles take, loops included: R1, the sign-clash witness, the fixture
+checks and ``charpoly.ek_sign`` all read it.
+
 ``PatternAnalysis`` bundles the structural facts the decision rules read
 (flags, both graphs, the shape, the path edges, the maximum composite
-length and its sign set), each derived once per analysis object.
+length and the signs at that length), each derived once per analysis
+object.
 """
 
 from __future__ import annotations
@@ -52,11 +57,10 @@ __all__ = [
     "SimpleCycle",
     "CompositeCycle",
     "Matching",
-    "SignSet",
     "max_composite_length",
     "max_composite_cover",
     "composite_cycles_of_length",
-    "max_composite_sign_set",
+    "composite_signs",
     "cover_extension_exists",
     "gamma_matchings_from_odd_run",
     "directed_cycle_from_vertices",
@@ -64,7 +68,7 @@ __all__ = [
 ]
 
 SIMPLE_CYCLE_BUDGET = 1_000_000
-SIGN_SET_ORDER_CAP = 16
+SIGN_ORDER_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -139,18 +143,6 @@ class Matching:
     @property
     def length(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class SignSet:
-    contains_plus: bool
-    contains_minus: bool
-    plus_witness: CompositeCycle | None = None
-    minus_witness: CompositeCycle | None = None
-
-    @property
-    def ambiguous(self) -> bool:
-        return self.contains_plus and self.contains_minus
 
 
 def _canonical_rotation(vertices: Sequence[int]) -> tuple[int, ...]:
@@ -389,25 +381,25 @@ def composite_cycles_of_length(
             yield from complete(mask, ())
 
 
-def max_composite_sign_set(digraph: SignedDigraph, length: int) -> SignSet:
-    """Signs occurring among maximum-length composite cycles, with witnesses.
+def composite_signs(digraph: SignedDigraph, length: int) -> dict[int, CompositeCycle]:
+    """The signs the length-k composite cycles take, each with its first witness.
 
-    ``length`` is the digraph's maximum composite length, as
-    ``max_composite_length`` gives it; callers usually hold it already.
-    Witness choice is deterministic: the first composite of each sign in
-    sort-key order (smallest vertex set, then smallest part layout).  The
-    enumeration stops once both signs have appeared.
+    Maps each sign that occurs (+1, -1) to the first composite cycle of
+    that sign in sort-key order (smallest vertex set, then smallest part
+    layout).  Loops count as length-1 cycles, as they do in the
+    characteristic coefficient E_k.  The walk stops once both signs have
+    appeared, and length 0, asking for no cycle, gives ``{}``.  Exhaustive,
+    so capped at order ``SIGN_ORDER_CAP``.
     """
-    if digraph.n > SIGN_SET_ORDER_CAP:
-        raise OrderCapExceeded(f"sign-set enumeration capped at order {SIGN_SET_ORDER_CAP}")
-    if length == 0:
-        return SignSet(False, False)
+    if digraph.n > SIGN_ORDER_CAP:
+        raise OrderCapExceeded(f"composite-sign enumeration capped at order {SIGN_ORDER_CAP}")
     first: dict[int, CompositeCycle] = {}
-    for comp in composite_cycles_of_length(digraph, length):
-        first.setdefault(comp.sign, comp)
-        if len(first) == 2:
-            break
-    return SignSet(1 in first, -1 in first, first.get(1), first.get(-1))
+    if length:
+        for comp in composite_cycles_of_length(digraph, length, include_loops=True):
+            first.setdefault(comp.sign, comp)
+            if len(first) == 2:
+                break
+    return first
 
 
 def cover_extension_exists(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
@@ -473,7 +465,7 @@ class PatternAnalysis:
     the rules and witness strategies of one ``analyze`` share them while
     nothing outlives the analysis.  A field that raises (``graph`` on a
     pattern that is not combinatorially symmetric, ``shape`` on a
-    disconnected graph, ``path_edges`` off a path, ``sign_set`` above the
+    disconnected graph, ``path_edges`` off a path, ``top_signs`` above the
     order cap) raises again on every read.
     """
 
@@ -504,5 +496,6 @@ class PatternAnalysis:
         return max_composite_length(self.digraph)
 
     @cached_property
-    def sign_set(self) -> SignSet:
-        return max_composite_sign_set(self.digraph, self.max_composite_length)
+    def top_signs(self) -> dict[int, CompositeCycle]:
+        """``composite_signs`` at the maximum composite length."""
+        return composite_signs(self.digraph, self.max_composite_length)

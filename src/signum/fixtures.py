@@ -288,8 +288,8 @@ def _sign_set_check(
     check_id: str, tag: str, source: str, plus: bool, minus: bool
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        ss = facts.sign_set
-        got = (ss.contains_plus, ss.contains_minus)
+        signs = facts.top_signs
+        got = (1 in signs, -1 in signs)
         return got == (plus, minus), f"top-length sign set plus={got[0]} minus={got[1]}"
 
     return Check(check_id, tag, source, fn)
@@ -412,7 +412,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "derived",
                     "all three 2-cycles are positive",
                     lambda facts: (
-                        (sign := ek_sign(facts.pattern, 2).sign) is AmbSign.PLUS,
+                        (sign := ek_sign(facts.pattern, 2)) is AmbSign.PLUS,
                         f"length-2 cycle sum sign {sign.value}",
                     ),
                 ),

@@ -25,6 +25,7 @@ import numpy as np
 
 from ._rng import uniforms
 from .cycles import (
+    SIGN_ORDER_CAP,
     PatternAnalysis,
     SimpleCycle,
     _max_cover,
@@ -713,22 +714,20 @@ def _pair_from_sign_clash(facts: PatternAnalysis) -> WitnessPair | None:
     """Oppositely signed maximum composite cycles, each emphasized."""
     pattern = facts.pattern
     try:
-        sign_set = facts.sign_set
+        signs = facts.top_signs
     except CycleBudgetExceeded:
         return None
-    if not sign_set.ambiguous:
+    if len(signs) < 2:
         return None
-    assert sign_set.plus_witness and sign_set.minus_witness
-    spec_a = ladder_spec(pattern, sign_set.plus_witness.parts)
-    spec_b = ladder_spec(pattern, sign_set.minus_witness.parts)
+    plus, minus = signs[1].parts, signs[-1].parts
     return _try_pair(
         pattern,
-        spec_a,
-        spec_b,
+        ladder_spec(pattern, plus),
+        ladder_spec(pattern, minus),
         "max-composite-sign-clash",
         {
-            "plus_parts": [p.vertices for p in sign_set.plus_witness.parts],
-            "minus_parts": [p.vertices for p in sign_set.minus_witness.parts],
+            "plus_parts": [p.vertices for p in plus],
+            "minus_parts": [p.vertices for p in minus],
         },
     )
 
@@ -936,7 +935,7 @@ def find_witness_pair(
     sampling fallback instead of being drawn again.
     """
     cfg = cfg or SampleConfig()
-    if facts.pattern.n <= 16:
+    if facts.pattern.n <= SIGN_ORDER_CAP:
         strategies = [_pair_from_sign_clash]
         if facts.flags.combinatorially_symmetric and facts.flags.irreducible:
             strategies += [_pair_from_matchings, _pair_from_cycle_conditions]

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .cycles import (
-    SIGN_SET_ORDER_CAP,
+    SIGN_ORDER_CAP,
     PatternAnalysis,
     _has_perfect_matching,
     directed_cycle_from_vertices,
@@ -238,16 +238,13 @@ _Outcome = RuleFinding | str | None
 
 def _r1(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
     """Sign clash among maximum-length composite cycles."""
-    if facts.pattern.n > SIGN_SET_ORDER_CAP:
-        return f"order {facts.pattern.n} above enumeration cap {SIGN_SET_ORDER_CAP}"
-    sign_set, m = facts.sign_set, facts.max_composite_length
+    if facts.pattern.n > SIGN_ORDER_CAP:
+        return f"order {facts.pattern.n} above enumeration cap {SIGN_ORDER_CAP}"
+    signs, m = facts.top_signs, facts.max_composite_length
     return _finding(
         "R1",
-        sign_set.ambiguous and m >= 2,
-        {
-            "max_composite_length": m,
-            "signs": {"plus": sign_set.contains_plus, "minus": sign_set.contains_minus},
-        },
+        len(signs) == 2 and m >= 2,
+        {"max_composite_length": m, "signs": {"plus": 1 in signs, "minus": -1 in signs}},
     )
 
 
@@ -464,7 +461,11 @@ def analyze(
     The census always runs so inconclusive verdicts still carry evidence.
     The rules of ``_RULES`` run in order; every rule and the witness search
     read one ``PatternAnalysis``, so each structural fact is derived once.
+    ``witness_budget``, the trial budget of the sampling witness search,
+    must be at least 1.
     """
+    if witness_budget < 1:
+        raise ValueError(f"witness_budget must be at least 1, got {witness_budget}")
     cfg = cfg or SampleConfig()
     facts = PatternAnalysis(pattern)
     flags = facts.flags

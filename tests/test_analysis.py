@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from signum import cycles, fixtures, graphs, patterns, spectra, verdict
-from signum.cycles import PatternAnalysis, max_composite_length, max_composite_sign_set
+from signum.cycles import PatternAnalysis, composite_signs, max_composite_length
 from signum.errors import NotCombinatoriallySymmetric
 from signum.fixtures import FIXTURES
 from signum.graphs import build_digraph, build_graphs, classify_shape, path_edge_signs
@@ -24,7 +24,7 @@ COUNTED = {
     "validate": patterns.validate,
     "build_digraph": graphs.build_digraph,
     "classify_shape": graphs.classify_shape,
-    "max_composite_sign_set": cycles.max_composite_sign_set,
+    "composite_signs": cycles.composite_signs,
     "census": spectra.census,
     "directed_cycle_from_vertices": cycles.directed_cycle_from_vertices,
     "cover_extension_exists": cycles.cover_extension_exists,
@@ -71,7 +71,7 @@ def test_each_fact_computed_once_per_analyze(monkeypatch):
         verdict = analyze(pattern, SampleConfig())
         assert verdict.witness_pair() is not None  # the witness search ran too
         assert calls["classify_shape"] == 1
-        assert calls["max_composite_sign_set"] == 1
+        assert calls["composite_signs"] == 1
         assert calls["validate"] == 1
         assert calls["build_digraph"] <= 1
 
@@ -135,7 +135,7 @@ def test_analysis_matches_direct_computation(name):
     assert facts.graph == graph
     assert facts.shape == classify_shape(graph)
     assert facts.max_composite_length == max_composite_length(digraph)
-    assert facts.sign_set == max_composite_sign_set(digraph, max_composite_length(digraph))
+    assert facts.top_signs == composite_signs(digraph, max_composite_length(digraph))
     if facts.shape.kind is graphs.ShapeKind.PATH:
         assert facts.path_edges == path_edge_signs(graph)
     else:

@@ -9,9 +9,8 @@ from signum.charpoly import (
     char_poly,
     descartes,
     ek_sign,
-    sign_det,
 )
-from signum.errors import NonFinite, OrderCapExceeded, ZeroLeading
+from signum.errors import NonFinite, ZeroLeading
 from signum.patterns import AmbSign, SignPattern
 from signum.spectra import SampleConfig, sample
 
@@ -59,28 +58,21 @@ def test_char_poly_rejects_nonfinite():
 
 
 def test_ek_sign_examples(pat):
-    assert ek_sign(pat("PAT_EX26"), 2).sign is AmbSign.PLUS
-    assert ek_sign(pat("PAT_EX26"), 3).sign is AmbSign.AMBIGUOUS
+    assert ek_sign(pat("PAT_EX26"), 2) is AmbSign.PLUS
+    assert ek_sign(pat("PAT_EX26"), 3) is AmbSign.AMBIGUOUS
     # even-order tree: no odd-length composite cycles at all
-    assert ek_sign(pat("PAT_P6"), 3).sign is AmbSign.ZERO
-    assert ek_sign(pat("PAT_P6"), 5).sign is AmbSign.ZERO
-    assert ek_sign(pat("PAT_P4"), 4).sign is AmbSign.PLUS
+    assert ek_sign(pat("PAT_P6"), 3) is AmbSign.ZERO
+    assert ek_sign(pat("PAT_P6"), 5) is AmbSign.ZERO
+    assert ek_sign(pat("PAT_P4"), 4) is AmbSign.PLUS
 
 
 def test_ek_sign_counts_loops():
     diag = SignPattern.from_rows([[1, 0], [0, 1]])
-    assert ek_sign(diag, 1).sign is AmbSign.PLUS
-    assert ek_sign(diag, 2).sign is AmbSign.PLUS
-    assert sign_det(diag).value is AmbSign.PLUS
+    assert ek_sign(diag, 1) is AmbSign.PLUS
+    assert ek_sign(diag, 2) is AmbSign.PLUS
     mixed = SignPattern.from_rows([[1, 0], [0, -1]])
-    assert ek_sign(mixed, 1).sign is AmbSign.AMBIGUOUS
-    assert sign_det(mixed).value is AmbSign.MINUS
-
-
-def test_ek_sign_cap():
-    big = SignPattern.from_rows([[0] * 17 for _ in range(17)])
-    with pytest.raises(OrderCapExceeded):
-        ek_sign(big, 2)
+    assert ek_sign(mixed, 1) is AmbSign.AMBIGUOUS
+    assert ek_sign(mixed, 2) is AmbSign.MINUS
 
 
 def test_descartes_recorded_cases():
@@ -102,10 +94,11 @@ def test_descartes_zero_leading():
 
 
 def test_sign_det_examples(pat):
-    assert sign_det(pat("PAT_XX2")).value is AmbSign.PLUS
-    assert sign_det(pat("PAT_XX1")).value is AmbSign.AMBIGUOUS
+    # E_n is the determinant sign over the qualitative class
+    for name, want in (("PAT_XX2", AmbSign.PLUS), ("PAT_XX1", AmbSign.AMBIGUOUS)):
+        assert ek_sign(pat(name), pat(name).n) is want
     odd_path = SignPattern.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    assert sign_det(odd_path).value is AmbSign.ZERO
+    assert ek_sign(odd_path, 3) is AmbSign.ZERO
 
 
 def test_tree_pattern_even_power_coefficients():
@@ -141,10 +134,10 @@ def test_ek_sign_matches_sampled_cycle_sums(pat):
     for t in range(20):
         mat = sample(p6, cfg, index=t)
         scale = 1 + np.abs(mat).max() ** 3
-        assert ek_sign(p6, 3).sign is AmbSign.ZERO
+        assert ek_sign(p6, 3) is AmbSign.ZERO
         assert abs(numeric_ek(mat, 3)) <= 1e-8 * scale
         mat26 = sample(ex26, cfg, index=t)
-        assert ek_sign(ex26, 2).sign is AmbSign.PLUS
+        assert ek_sign(ex26, 2) is AmbSign.PLUS
         assert numeric_ek(mat26, 2) > 0
 
 

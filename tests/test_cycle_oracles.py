@@ -9,9 +9,10 @@ composite cover comes from a pure-Python port of scipy's assignment
 solver; and R7 reads each cycle's conditions off its negative-edge mask
 and tests extension with the matcher on the leftover vertex mask.  The
 oracles below are what they replaced: composites combined from networkx's
-list of directed simple cycles, the keep-the-minimum sign set, the scipy
-bipartite-matching cover test, one BFS per cycle pair, networkx's
-undirected cycles in canonical form, the cover that scipy's
+list of directed simple cycles, the keep-the-minimum composite of each
+sign (which ``composite_signs`` and ``ek_sign`` must match at every
+length), the scipy bipartite-matching cover test, one BFS per cycle pair,
+networkx's undirected cycles in canonical form, the cover that scipy's
 ``linear_sum_assignment`` picks, and R7 built from maximal sign runs,
 ``directed_cycle_from_vertices`` and ``cover_extension_exists``.
 Agreement must be exact, down to the order of the composites and the
@@ -36,18 +37,17 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from signum import verdict
+from signum.charpoly import ek_sign
 from signum.cycles import (
     SIMPLE_CYCLE_BUDGET,
     CompositeCycle,
     PatternAnalysis,
-    SignSet,
     SimpleCycle,
     _max_cover,
     composite_cycles_of_length,
+    composite_signs,
     cover_extension_exists,
     directed_cycle_from_vertices,
-    max_composite_length,
-    max_composite_sign_set,
 )
 from signum.errors import CycleBudgetExceeded
 from signum.graphs import (
@@ -62,7 +62,7 @@ from signum.graphs import (
     cycle_structure,
     maximal_signed_runs,
 )
-from signum.patterns import SignPattern, parse_pattern
+from signum.patterns import AmbSign, SignPattern, parse_pattern
 
 GOLDEN = Path(__file__).with_name("golden_census.json")
 
@@ -160,17 +160,14 @@ def oracle_composites(
     return out
 
 
-def oracle_sign_set(digraph: SignedDigraph) -> SignSet:
-    """Keep the smallest-sort-key composite of each sign over all maximum composites."""
-    m = len(oracle_cover(digraph.n, digraph.arc_sign, include_loops=False))
-    if m == 0:
-        return SignSet(False, False)
+def oracle_composite_signs(digraph: SignedDigraph, length: int) -> dict[int, CompositeCycle]:
+    """Keep the smallest-sort-key nonempty composite of each sign, loops included."""
     best: dict[int, CompositeCycle] = {}
-    for comp in oracle_composites(digraph, m):
+    for comp in oracle_composites(digraph, length, include_loops=True):
         prev = best.get(comp.sign)
-        if prev is None or comp.sort_key() < prev.sort_key():
+        if comp.parts and (prev is None or comp.sort_key() < prev.sort_key()):
             best[comp.sign] = comp
-    return SignSet(1 in best, -1 in best, best.get(1), best.get(-1))
+    return best
 
 
 def oracle_cover_extension(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
@@ -375,11 +372,16 @@ def test_composites_match_oracle_in_sort_key_order(pattern, include_loops):
 
 @ORACLE_SETTINGS
 @given(pattern=digraph_patterns())
-def test_sign_set_matches_min_witness_oracle(pattern):
+def test_composite_signs_match_min_witness_oracle(pattern):
     digraph = build_digraph(pattern)
-    assert max_composite_sign_set(digraph, max_composite_length(digraph)) == oracle_sign_set(
-        digraph
-    )
+    for length in range(pattern.n + 1):
+        want = oracle_composite_signs(digraph, length)
+        assert composite_signs(digraph, length) == want
+        if length:
+            acc = AmbSign.ZERO
+            for sign in want:
+                acc = acc.add(AmbSign.from_int(sign))
+            assert ek_sign(pattern, length) is acc
 
 
 @ORACLE_SETTINGS

@@ -6,13 +6,14 @@ import pytest
 from signum.cycles import (
     Matching,
     composite_cycles_of_length,
+    composite_signs,
     cover_extension_exists,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
     max_composite_cover,
     max_composite_length,
-    max_composite_sign_set,
 )
+from signum.charpoly import ek_sign
 from signum.errors import (
     CycleBudgetExceeded,
     CycleNotEven,
@@ -110,29 +111,33 @@ def test_composite_budget_counts_composites(pat):
         next(first)
 
 
-def sign_set_of(digraph):
-    return max_composite_sign_set(digraph, max_composite_length(digraph))
+def top_signs_of(digraph):
+    return composite_signs(digraph, max_composite_length(digraph))
 
 
 def test_sign_set_examples(pat):
-    assert sign_set_of(digraph_of(pat, "PAT_EX26")).ambiguous
-    ss = sign_set_of(digraph_of(pat, "PAT_XXEG22"))
-    assert (ss.contains_plus, ss.contains_minus) == (True, False)
-    ss2 = sign_set_of(digraph_of(pat, "PAT_XX2"))
-    assert (ss2.contains_plus, ss2.contains_minus) == (True, False)
+    assert sorted(top_signs_of(digraph_of(pat, "PAT_EX26"))) == [-1, 1]
+    assert list(top_signs_of(digraph_of(pat, "PAT_XXEG22"))) == [1]
+    assert list(top_signs_of(digraph_of(pat, "PAT_XX2"))) == [1]
 
 
 def test_sign_set_witness_signs(pat):
-    ss = sign_set_of(digraph_of(pat, "PAT_EX26"))
-    assert ss.plus_witness.sign == 1
-    assert ss.minus_witness.sign == -1
-    assert ss.plus_witness.length == ss.minus_witness.length == 3
+    signs = top_signs_of(digraph_of(pat, "PAT_EX26"))
+    assert signs[1].sign == 1
+    assert signs[-1].sign == -1
+    assert signs[1].length == signs[-1].length == 3
 
 
-def test_sign_set_order_cap():
+def test_sign_order_cap():
+    """composite_signs, and ek_sign through it, enumerate up to order 16 only."""
+    at_cap = build_digraph(SignPattern.from_rows([[0] * 16 for _ in range(16)]))
+    assert composite_signs(at_cap, 2) == {}
     big = SignPattern.from_rows([[0] * 17 for _ in range(17)])
+    for length in (0, 2):
+        with pytest.raises(OrderCapExceeded):
+            composite_signs(build_digraph(big), length)
     with pytest.raises(OrderCapExceeded):
-        sign_set_of(build_digraph(big))
+        ek_sign(big, 2)
 
 
 def test_cover_extension_cases(pat):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from signum import spectra
-from signum.charpoly import sign_det
+from signum.charpoly import ek_sign
 from signum.cycles import PatternAnalysis
 from signum.fixtures import FIXTURES
 from signum.graphs import ShapeKind
@@ -217,6 +217,17 @@ def test_order_one_pattern_analyzes():
     v = analyze(SignPattern.from_rows([[0]]), cfg=SampleConfig(trials=30, seed=1))
     assert v.overall is Overall.INCONCLUSIVE
     assert v.census.inertia_keys() == [(0, 0, 1)]
+    # length 0 asks for no cycle, so the empty composite lends R1 no sign
+    r1 = next(f for f in v.findings if f.rule_id == "R1")
+    assert r1.details == {"max_composite_length": 0, "signs": {"plus": False, "minus": False}}
+
+
+@pytest.mark.parametrize("name", ["PAT_P8P", "PAT_EX26"])
+def test_witness_budget_below_one_is_rejected(pat, name):
+    # PAT_P8P's witness comes from the sampling fallback, PAT_EX26's from a
+    # construction; both reject the budget before any work
+    with pytest.raises(ValueError, match="witness_budget"):
+        analyze(pat(name), cfg=CFG, witness_budget=0)
 
 
 def test_json_deterministic(pat):
@@ -239,7 +250,7 @@ def assert_r2_sign_matches_enumeration(pattern: SignPattern) -> None:
     facts = PatternAnalysis(pattern)
     assert facts.shape.kind is ShapeKind.SINGLE_CYCLE and pattern.n % 2 == 1
     got = _odd_cycle_det_sign(facts.digraph, facts.shape.cycles[0])
-    assert got is sign_det(pattern).value
+    assert got is ek_sign(pattern, pattern.n)
 
 
 def test_r2_sign_matches_enumeration_on_fixtures():
