@@ -10,7 +10,7 @@ from signum.charpoly import (
     descartes,
     ek_sign,
 )
-from signum.errors import NonFinite, ZeroLeading
+from signum.errors import NonFinite, OrderCapExceeded, ZeroLeading
 from signum.patterns import AmbSign, SignPattern
 from signum.spectra import SampleConfig, sample
 
@@ -73,6 +73,15 @@ def test_ek_sign_counts_loops():
     mixed = SignPattern.from_rows([[1, 0], [0, -1]])
     assert ek_sign(mixed, 1) is AmbSign.AMBIGUOUS
     assert ek_sign(mixed, 2) is AmbSign.MINUS
+
+
+def test_ek_sign_cap():
+    """ek_sign shares composite_signs' cap: order 16 is allowed, 17 is not."""
+    at_cap = SignPattern.from_rows([[0] * 16 for _ in range(16)])
+    assert ek_sign(at_cap, 2) is AmbSign.ZERO
+    big = SignPattern.from_rows([[0] * 17 for _ in range(17)])
+    with pytest.raises(OrderCapExceeded):
+        ek_sign(big, 2)
 
 
 def test_descartes_recorded_cases():

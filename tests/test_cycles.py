@@ -13,7 +13,6 @@ from signum.cycles import (
     max_composite_cover,
     max_composite_length,
 )
-from signum.charpoly import ek_sign
 from signum.errors import (
     CycleBudgetExceeded,
     CycleNotEven,
@@ -128,16 +127,14 @@ def test_sign_set_witness_signs(pat):
     assert signs[1].length == signs[-1].length == 3
 
 
-def test_sign_order_cap():
-    """composite_signs, and ek_sign through it, enumerate up to order 16 only."""
+def test_sign_set_order_cap():
+    """composite_signs enumerates up to order 16 only."""
     at_cap = build_digraph(SignPattern.from_rows([[0] * 16 for _ in range(16)]))
     assert composite_signs(at_cap, 2) == {}
     big = SignPattern.from_rows([[0] * 17 for _ in range(17)])
     for length in (0, 2):
         with pytest.raises(OrderCapExceeded):
             composite_signs(build_digraph(big), length)
-    with pytest.raises(OrderCapExceeded):
-        ek_sign(big, 2)
 
 
 def test_cover_extension_cases(pat):
