@@ -1,4 +1,4 @@
-"""Golden bytes for every catalog fixture and six order-12 ladder patterns.
+"""Golden bytes for every catalog fixture, six ladder and eight tree patterns.
 
 Pins, per fixture, the sha256 of ``verdict_to_json(analyze(p,
 SampleConfig()))`` and the census at ``fixtures.CENSUS_CFG``: inertia and
@@ -9,7 +9,11 @@ eigensolving or classification that moves a single bit shows up here.
 The ``ladder`` entries are the six patterns of the benchmark's ``ladder``
 workload at seed 1 (order 12, 2n edges: the cycle-heavy case the catalog
 never reaches), stored as pattern text rows, with the sha256 of their
-verdict JSON; the digests equal the benchmark's seed-1 reference.
+verdict JSON; the digests equal the benchmark's seed-1 reference.  The
+``trees`` entries are stored the same way: the first path and the first
+random-attach tree of each order 12, 16, 20 and 24 in the benchmark's
+``trees`` workload at seed 1.  Their verdicts carry witness matrices up to
+24 x 24, so they pin the text of many floats.
 
 Regenerate (only for a deliberate, documented change of output) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -65,7 +69,7 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-def _ladder_pattern(entry: dict) -> SignPattern:
+def _rows_pattern(entry: dict) -> SignPattern:
     return parse_pattern("\n".join(entry["rows"]))
 
 
@@ -80,13 +84,21 @@ def test_golden_fixture(name):
 
 @pytest.mark.parametrize("entry", _golden()["ladder"], ids=lambda e: e["label"])
 def test_golden_ladder(entry):
-    assert verdict_digest(_ladder_pattern(entry)) == entry["verdict_sha256"]
+    assert verdict_digest(_rows_pattern(entry)) == entry["verdict_sha256"]
+
+
+@pytest.mark.parametrize("entry", _golden()["trees"], ids=lambda e: e["label"])
+def test_golden_trees(entry):
+    assert verdict_digest(_rows_pattern(entry)) == entry["verdict_sha256"]
 
 
 if __name__ == "__main__":
     data = _golden()
     data["fixtures"] = {name: snapshot(name) for name in sorted(FIXTURES)}
-    for entry in data["ladder"]:
-        entry["verdict_sha256"] = verdict_digest(_ladder_pattern(entry))
+    for entry in data["ladder"] + data["trees"]:
+        entry["verdict_sha256"] = verdict_digest(_rows_pattern(entry))
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(data['fixtures'])} fixtures and {len(data['ladder'])} ladder patterns")
+    print(
+        f"wrote {len(data['fixtures'])} fixtures, {len(data['ladder'])} ladder"
+        f" and {len(data['trees'])} tree patterns"
+    )
