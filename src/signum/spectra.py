@@ -125,7 +125,8 @@ class Census:
 
     ``representatives`` holds the first sample per inertia,
     ``solid_representatives`` the first whose profile is not suspect;
-    only the latter count as evidence.
+    only the latter count as evidence.  When a key's first sample is
+    solid, both dicts hold the same array for it; neither is written to.
     """
 
     trials: int
@@ -573,15 +574,21 @@ def census(
         c = _classify(eig, tol, floor)
         inertia = c.inertia
         frequency = np.stack([c.k_real, pattern.n - c.k_real], axis=1)
-        # Copies, not views: a view would keep its whole block alive.
+        # Copies, not views: a view would keep its whole block alive.  Each
+        # key's matrix is copied once, when the key is new.
+        new_rows = {}
         for key, first, count in _tally(inertia, ok):
             counts[key] = counts.get(key, 0) + count
-            reps.setdefault(key, mats[first].copy())
+            if key not in reps:
+                reps[key] = mats[first].copy()
+                new_rows[key] = first
         for key, _, count in _tally(frequency, ok):
             freqs[key] = freqs.get(key, 0) + count
         firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
         for key, first, _ in _tally(inertia, firm):
-            solid.setdefault(key, mats[first].copy())
+            if key not in solid:
+                # A key whose first sample is solid shares that sample's copy.
+                solid[key] = reps[key] if new_rows.get(key) == first else mats[first].copy()
         del mats, eig, ok  # the plain loop frees each block before it fills the next
     return Census(cfg.trials, counts, reps, freqs, failures, solid)
 

@@ -11,6 +11,7 @@ realizations with distinct inertias is attached when one can be built.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -512,6 +513,7 @@ def analyze(
                 first.details["witness_found"] = False
     return Verdict(pattern, flags, facts.shape, findings, overall, cen)
 
+
 def explain(verdict: Verdict) -> str:
     """Deterministic human-readable report."""
     lines = ["pattern:"]
@@ -555,25 +557,104 @@ def _witness_json(pair: WitnessPair) -> dict:
         "inertias": [list(ia), list(ib)],
         "matrix_a": [[float(v) for v in row] for row in np.asarray(pair.a)],
         "matrix_b": [[float(v) for v in row] for row in np.asarray(pair.b)],
-        "detail": _plain(pair.detail),
+        "detail": pair.detail,
     }
 
 
-def _plain(value):
-    """Recursively coerce to JSON-serializable builtins with stable ordering."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """json's text of a float: its repr, with NaN and the infinities spelled as json does."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# The text json writes for a value of exactly one of these types.  Exact
+# types keep bool apart from int; subclasses and numpy scalars take the
+# slower path in _write.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _write(value, out: list[str], indent: str) -> None:
+    """Append the text ``json.dumps(value, indent=2)`` gives ``value`` at depth ``indent``.
+
+    Keys become ``str(k)``, tuples print as lists, and numpy integers and
+    floats print as the Python numbers they equal; any other type raises
+    TypeError, as json does.  A list whose items share one scalar type is
+    written with one join.
+    """
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if scalar is _float_text and all(map(math.isfinite, value)):
+            scalar = float.__repr__
+        if scalar is not None:
+            out.append("[\n" + inner + sep.join(map(scalar, value)) + "\n" + indent + "]")
+            return
+        out.append("[\n" + inner)
+        for i, v in enumerate(value):
+            if i:
+                out.append(sep)
+            _write(v, out, inner)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{\n" + inner)
+        # Keys are str(k); keys equal after str() keep the first place and
+        # the last value, as the dict they used to be copied into did.
+        for i, (k, v) in enumerate({str(k): v for k, v in value.items()}.items()):
+            if i:
+                out.append(",\n" + inner)
+            out.append(_encode_str(k) + ": ")
+            _write(v, out, inner)
+        out.append("\n" + indent + "}")
+    elif isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, np.integer):
+        out.append(int.__repr__(int(value)))
+    elif isinstance(value, np.floating):
+        out.append(_float_text(float(value)))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def verdict_to_json(verdict: Verdict) -> str:
-    """Serialize with a stable key order."""
+    """Serialize with a stable key order.
+
+    The text is identical to ``json.dumps(doc, indent=2)``, with detail keys
+    as ``str(k)``, tuples as lists and numpy numbers as the Python numbers
+    they equal.  It is written in one pass by ``_write``, without an
+    intermediate copy of the details, and joined once.  A detail value of
+    any other type raises TypeError.
+    """
     doc = {
         "pattern": verdict.pattern.to_text().splitlines(),
         "flags": asdict(verdict.flags),
@@ -590,7 +671,7 @@ def verdict_to_json(verdict: Verdict) -> str:
                 "applicable": f.applicable,
                 "conclusion": f.conclusion.value,
                 "citation": f.reason,
-                "details": _plain(f.details),
+                "details": f.details,
                 **({"witness": _witness_json(f.witness)} if f.witness else {}),
             }
             for f in verdict.findings
@@ -615,4 +696,6 @@ def verdict_to_json(verdict: Verdict) -> str:
             "failures": verdict.census.failures,
         },
     }
-    return json.dumps(doc, indent=2)
+    out: list[str] = []
+    _write(doc, out, "")
+    return "".join(out)

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from signum import spectra
 from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
 from signum.errors import EigenFailure, NonFinite, NoStabilization
-from signum.fixtures import FIXTURES
+from signum.fixtures import CENSUS_CFG, FIXTURES
 from signum.graphs import build_digraph
 from signum.patterns import SignPattern, p_minus
 from signum.spectra import (
@@ -128,6 +128,11 @@ def _raw(reps: dict) -> list:
     return [(k, m.dtype.str, m.shape, m.tobytes()) for k, m in reps.items()]
 
 
+def _shared(cen: Census) -> list:
+    """Solid keys whose matrix is the very array of the key's first sample."""
+    return [k for k, m in cen.solid_representatives.items() if m is cen.representatives.get(k)]
+
+
 def assert_same_census(got: Census, want: Census) -> None:
     assert got.trials == want.trials
     assert got.failures == want.failures
@@ -136,6 +141,9 @@ def assert_same_census(got: Census, want: Census) -> None:
     assert list(got.frequency_counts.items()) == list(want.frequency_counts.items())
     assert _raw(got.representatives) == _raw(want.representatives)
     assert _raw(got.solid_representatives) == _raw(want.solid_representatives)
+    # The oracle stores one array per sample, so it shares exactly where a
+    # key's first sample is solid; the census must share the same keys.
+    assert _shared(got) == _shared(want)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -208,6 +216,31 @@ def test_resumed_census_equals_fresh(pattern, prior_trials, extra, law, seed):
     )
     assert_same_census(census(pattern, cfg, prior=prior), census(pattern, cfg))
     assert_same_census(prior, before)
+
+
+def test_census_shares_a_solid_first_sample():
+    """A key whose first sample is solid stores one array for both dicts.
+
+    On PAT_HEX6 every key's first sample is solid, so all four are shared.
+    Across the catalog a solid matrix is shared exactly when it equals the
+    key's first sample, so no key shares a sample it does not have (PAT_SQTRI8
+    has a solid key whose first sample is not solid).  The golden test pins
+    the bytes of both dicts.
+    """
+    clean = census(FIXTURES["PAT_HEX6"].pattern, CENSUS_CFG)
+    assert len(clean.solid_representatives) == 4
+    assert _shared(clean) == list(clean.solid_representatives)
+    unshared = 0
+    for fixture in FIXTURES.values():
+        cen = census(fixture.pattern, CENSUS_CFG)
+        equal = [
+            k
+            for k, m in cen.solid_representatives.items()
+            if np.array_equal(m, cen.representatives[k])
+        ]
+        assert _shared(cen) == equal
+        unshared += len(cen.solid_representatives) - len(equal)
+    assert unshared > 0
 
 
 def test_census_refuses_a_longer_prior():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signum import spectra
 from signum.charpoly import ek_sign
@@ -16,6 +18,7 @@ from signum.verdict import (
     Conclusion,
     Overall,
     _odd_cycle_det_sign,
+    _write,
     analyze,
     explain,
     verdict_to_json,
@@ -234,6 +237,98 @@ def test_json_deterministic(pat):
     a = verdict_to_json(analyze(pat("PAT_EG06"), cfg=CFG))
     b = verdict_to_json(analyze(pat("PAT_EG06"), cfg=CFG))
     assert a == b
+
+
+def old_plain(value):
+    """The deep copy the verdict writer replaced, kept here as its oracle."""
+    if isinstance(value, dict):
+        return {str(k): old_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [old_plain(v) for v in value]
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    return value
+
+
+def write(doc) -> str:
+    out: list[str] = []
+    _write(doc, out, "")
+    return "".join(out)
+
+
+NASTY_FLOATS = [
+    -0.0, 0.0, 5e-324, 1e16, 0.1, 1e-7, 2.5e300, float("nan"), float("inf"), -float("inf")
+]
+NASTY_TEXT = [
+    '"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f", "\n\t\r\b\f", "é", "ünïcode — ∑", "\U0001f600", ""
+]
+
+SCALARS = [
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from(NASTY_FLOATS),
+    st.floats().map(np.float64),
+    st.sampled_from(NASTY_FLOATS).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(),
+    st.sampled_from(NASTY_TEXT),
+]
+KEYS = st.one_of(st.text(), st.sampled_from(NASTY_TEXT), st.integers(-5, 5), st.booleans())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(KEYS, children, max_size=5),
+        # one scalar type throughout, the case written with one join
+        st.one_of(*(st.lists(s, min_size=1, max_size=6) for s in SCALARS)),
+    )
+
+
+DOCS = st.recursive(st.one_of(*SCALARS), _containers, max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=DOCS)
+def test_writer_matches_plain_and_json_dumps(doc):
+    assert write(doc) == json.dumps(old_plain(doc), indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[], {}]},
+        {1: "int key", "1": "str key", True: "bool key", None: "none key"},
+        [1, 2, 3],
+        [1.5, float("nan"), float("inf"), -float("inf"), -0.0],
+        [True, 1, 1.0],
+        (np.int64(7), np.float64(0.1), np.float32(0.1)),
+        {"cycles": [[1, 2, 3], (4, 5)], "strict": False, "none": None},
+    ],
+)
+def test_writer_matches_json_dumps_on_edge_cases(doc):
+    assert write(doc) == json.dumps(old_plain(doc), indent=2)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, np.bool_(True), np.array([1.0]), object()])
+def test_writer_rejects_what_json_rejects(pat, bad):
+    with pytest.raises(TypeError):
+        json.dumps(old_plain({"x": [bad]}), indent=2)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write({"x": [bad]})
+    v = analyze(pat("PAT_P4"), cfg=CFG)
+    v.findings[0].details["bad"] = bad
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        verdict_to_json(v)
 
 
 def cycle_pattern(order, forward, backward) -> SignPattern:
