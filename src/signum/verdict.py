@@ -562,16 +562,15 @@ def _witness_json(pair: WitnessPair) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 
 def _float_text(x: float) -> str:
     """json's text of a float: its repr, with NaN and the infinities spelled as json does."""
     if x != x:
         return "NaN"
-    if x == _INF:
+    if x == math.inf:
         return "Infinity"
-    if x == -_INF:
+    if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
 
@@ -624,8 +623,8 @@ def _write(value, out: list[str], indent: str) -> None:
             return
         inner = indent + "  "
         out.append("{\n" + inner)
-        # Keys are str(k); keys equal after str() keep the first place and
-        # the last value, as the dict they used to be copied into did.
+        # Keys are str(k).  Keys equal after str() merge as in a dict of
+        # str keys: the first one's place, the last one's value.
         for i, (k, v) in enumerate({str(k): v for k, v in value.items()}.items()):
             if i:
                 out.append(",\n" + inner)

@@ -223,9 +223,9 @@ def test_census_shares_a_solid_first_sample():
 
     On PAT_HEX6 every key's first sample is solid, so all four are shared.
     Across the catalog a solid matrix is shared exactly when it equals the
-    key's first sample, so no key shares a sample it does not have (PAT_SQTRI8
-    has a solid key whose first sample is not solid).  The golden test pins
-    the bytes of both dicts.
+    key's first sample, so no key shares a matrix that is not its first
+    sample (PAT_SQTRI8 has a solid key whose first sample is not solid).
+    The golden test pins the bytes of both dicts.
     """
     clean = census(FIXTURES["PAT_HEX6"].pattern, CENSUS_CFG)
     assert len(clean.solid_representatives) == 4
