@@ -205,7 +205,12 @@ def _parse_matching(text: str, n: int) -> list[tuple[int, int]]:
             u, v = (int(tok) for tok in part.split("-"))
         except ValueError:
             raise click.ClickException(f"expected edges like 1-2,3-4, got {text!r}")
-        edges.append((_vertex(u, n), _vertex(v, n)))
+        edge = (_vertex(u, n), _vertex(v, n))
+        if u == v:
+            raise click.ClickException(
+                f"edge {u}-{v} joins a vertex to itself: a matching's edges join two vertices"
+            )
+        edges.append(edge)
     return edges
 
 

@@ -292,8 +292,9 @@ def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
     Row r uses threshold tol[r]: real parts within it count as zero real
     part, moduli within it as zero eigenvalues, imaginary parts within it as
     real eigenvalues.  floor[r] is the roundoff scale of the row's matrix.
-    Only the bands a census reads are computed here; ``_profile`` adds the
-    borderline and suspect bands of a single matrix.
+    This is the census's classifier, and it computes only the bands a
+    census reads.  ``_profile`` makes the same comparisons on a single
+    matrix, value by value, and adds the borderline and suspect bands.
     """
     tol = np.asarray(tol, dtype=float)[:, None]
     floor = np.asarray(floor, dtype=float)[:, None]
@@ -315,29 +316,51 @@ def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
 
 
 def _profile(eig: np.ndarray, tol: float, floor: float) -> SpectralProfile:
-    """The profile of one eigenvalue list, through the stack classifier.
+    """The profile of one eigenvalue list, classified value by value.
 
-    borderline marks a real part, modulus or imaginary part within a decade
-    above tol.  The modulus and imaginary bands from floor to ten
-    thresholds undermine only the refined split and the frequency, so they
-    make the profile suspect but leave ``suspect_inertia`` alone.
+    The eigenvalues are sorted by real part, then imaginary part, and each
+    is compared with tol and floor as Python floats: the comparisons
+    ``_classify`` makes on a stack, with moduli taken from ``np.abs`` so
+    each is numpy's to the bit.  borderline marks a real part, modulus or
+    imaginary part within a decade above tol.  The modulus and imaginary
+    bands from floor to ten thresholds undermine only the refined split and
+    the frequency, so they make the profile suspect but leave
+    ``suspect_inertia`` alone.
     """
+    # eigvals gives a float array when every eigenvalue is real.
+    eig = np.asarray(eig, dtype=complex)
     eig = eig[np.lexsort((eig.imag, eig.real))]
-    c = _classify(eig[None], [tol], [floor])
-    i_plus, i_minus, i_zero = int(c.i_plus[0]), int(c.i_minus[0]), int(c.i_zero[0])
-    i_z, k_real = int(c.i_z[0]), int(c.k_real[0])
-    suspect_inertia = bool(c.suspect_inertia[0])
-    re, mod, im = np.abs(eig.real), np.abs(eig), np.abs(eig.imag)
+    tol, floor = float(tol), float(floor)
     big = 10 * tol
+    i_plus = i_minus = i_z = k_real = 0
+    borderline = suspect = suspect_inertia = False
+    values = eig.tolist()
+    for z, mod in zip(values, np.abs(eig).tolist()):
+        x, im = z.real, abs(z.imag)
+        if x > tol:
+            i_plus += 1
+        elif x < -tol:
+            i_minus += 1
+        if mod <= tol:
+            i_z += 1
+        if im <= tol:
+            k_real += 1
+        re = abs(x)
+        if floor < re <= big:
+            suspect_inertia = True
+        if floor < mod <= big or floor < im <= big:
+            suspect = True
+        if tol < re <= big or tol < mod <= big or tol < im <= big:
+            borderline = True
+    i_zero = len(values) - i_plus - i_minus
     return SpectralProfile(
         inertia=(i_plus, i_minus, i_zero),
         refined=(i_plus, i_minus, i_z, i_zero - i_z),
-        frequency=(k_real, len(eig) - k_real),
-        eigenvalues=tuple(complex(v) for v in eig),
-        tol=float(tol),
-        borderline=any(bool(np.any((x > tol) & (x <= big))) for x in (re, mod, im)),
-        suspect=suspect_inertia
-        or any(bool(np.any((x > floor) & (x <= big))) for x in (mod, im)),
+        frequency=(k_real, len(values) - k_real),
+        eigenvalues=tuple(values),
+        tol=tol,
+        borderline=borderline,
+        suspect=suspect or suspect_inertia,
         suspect_inertia=suspect_inertia,
     )
 
@@ -529,16 +552,19 @@ def census(
     Every other trial draws magnitudes near 1 instead of from the wide law,
     which catches classes whose spectra degenerate only at comparable
     scales.  Trials are independently seeded by index and run as stacks of
-    ``_BLOCK`` (one fill, one eigensolve, one classification each), so the
-    result depends neither on evaluation order nor on where the blocks
-    split, nor on which blocks of magnitudes earlier censuses left in the
-    ``_block_magnitudes`` cache.  The eigensolves of a census overlap on the
-    CPUs the process may use (``_solved``); everything else runs on the
-    calling thread, in block order.  A sample is recorded as solid evidence
-    only if its profile is not suspect and its claimed zero-eigenvalue count
-    matches the generic multiplicity.  A trial whose eigensolve fails, or
-    whose norm overflows so that no tolerance can classify it, counts as a
-    failure.
+    ``_BLOCK`` (one fill, one eigensolve, one classification and one tally
+    each), so the result depends neither on evaluation order nor on where
+    the blocks split, nor on which blocks of magnitudes earlier censuses
+    left in the ``_block_magnitudes`` cache.  The eigensolves of a census
+    overlap on the CPUs the process may use (``_solved``); everything else
+    runs on the calling thread, in block order.  A sample is recorded as
+    solid evidence only if its profile is not suspect and its claimed
+    zero-eigenvalue count matches the generic multiplicity.  A trial whose
+    eigensolve fails, or whose norm overflows so that no tolerance can
+    classify it, counts as a failure.  A block's one tally groups its
+    trials by inertia, real count and solidity together; the inertia
+    counts, the frequencies and both kinds of representative are all read
+    off it, and each dict gets its keys in order of first sample.
 
     ``prior``, a census of the same pattern with the same seed and laws but
     fewer trials, is resumed rather than redrawn: its tallies are copied and
@@ -572,23 +598,23 @@ def census(
         ok = ok & np.isfinite(tol)
         failures += int(np.count_nonzero(~ok))
         c = _classify(eig, tol, floor)
-        inertia = c.inertia
-        frequency = np.stack([c.k_real, pattern.n - c.k_real], axis=1)
-        # Copies, not views: a view would keep its whole block alive.  Each
-        # key's matrix is copied once, when the key is new.
-        new_rows = {}
-        for key, first, count in _tally(inertia, ok):
+        firm = ~c.suspect_inertia & (c.i_z == generic_zeros)
+        # One tally over (inertia, real count, firm): rows come in order of
+        # first row, so every dict below gets its keys in order of first
+        # sample, and a key's first firm row heads its first firm group.
+        rows = np.stack([c.i_plus, c.i_minus, c.i_zero, c.k_real, firm], axis=1)
+        for (i_plus, i_minus, i_zero, k_real, is_firm), first, count in _tally(rows, ok):
+            key, frequency = (i_plus, i_minus, i_zero), (k_real, pattern.n - k_real)
             counts[key] = counts.get(key, 0) + count
-            if key not in reps:
+            freqs[frequency] = freqs.get(frequency, 0) + count
+            # Copies, not views: a view would keep its whole block alive.
+            # Each key's matrix is copied once, when the key is new.
+            new = key not in reps
+            if new:
                 reps[key] = mats[first].copy()
-                new_rows[key] = first
-        for key, _, count in _tally(frequency, ok):
-            freqs[key] = freqs.get(key, 0) + count
-        firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
-        for key, first, _ in _tally(inertia, firm):
-            if key not in solid:
+            if is_firm and key not in solid:
                 # A key whose first sample is solid shares that sample's copy.
-                solid[key] = reps[key] if new_rows.get(key) == first else mats[first].copy()
+                solid[key] = reps[key] if new else mats[first].copy()
         del mats, eig, ok  # the plain loop frees each block before it fills the next
     return Census(cfg.trials, counts, reps, freqs, failures, solid)
 
@@ -673,15 +699,27 @@ def stabilize_epsilon(
     # Every support position the parts leave empty gets +-epsilon; adding
     # those to the base reproduces build_witness bit for bit.  Steps are
     # solved one at a time, each on its own, until three in a row agree.
+    # A step's inertia is fixed by two counts, real parts above tol and
+    # below -tol, as _profile makes them; only the step returned is
+    # profiled in full.
     rest = np.where(base == 0, pattern.to_array(), 0)
-    steps: list[tuple[np.ndarray, float, SpectralProfile]] = []
+    steps: list[tuple[np.ndarray, float, np.ndarray, float, float]] = []
+    counts: list[tuple[int, int]] = []
     for eps in EPSILON_SCHEDULE:
         mat = base + eps * rest
-        steps.append(
-            (mat, eps, _profile(_eigvals(mat), *_thresholds(float(np.linalg.norm(mat)))))
-        )
-        if len(steps) >= 3 and len({prof.inertia for _, _, prof in steps[-3:]}) == 1:
-            return steps[-3]
+        eig = _eigvals(mat)
+        tol, floor = _thresholds(float(np.linalg.norm(mat)))
+        steps.append((mat, eps, eig, tol, floor))
+        above = below = 0
+        for x in eig.real.tolist():
+            if x > tol:
+                above += 1
+            elif x < -tol:
+                below += 1
+        counts.append((above, below))
+        if len(steps) >= 3 and len(set(counts[-3:])) == 1:
+            mat, eps, eig, tol, floor = steps[-3]
+            return mat, eps, _profile(eig, tol, floor)
     raise NoStabilization("inertia never settled over the epsilon schedule")
 
 

@@ -13,6 +13,8 @@ R9 reads the edge-flipped pattern's frequencies off the main census; a real
 census of the flipped pattern is its oracle.  The stack classifier computes
 only the bands a census reads; the full classifier it was cut from is kept
 below as the oracle for those fields and for the profile's own bands.
+``_profile`` classifies value by value; the whole-array numpy profile built
+on that full classifier is its oracle.
 """
 
 from __future__ import annotations
@@ -241,6 +243,41 @@ def test_census_shares_a_solid_first_sample():
         assert _shared(cen) == equal
         unshared += len(cen.solid_representatives) - len(equal)
     assert unshared > 0
+
+
+def test_one_tally_keeps_late_solid_keys_and_non_firm_frequencies():
+    """Each block's one tally feeds every dict, firm rows and others alike.
+
+    On PAT_SQTRI8 at the default seed, inertia (3, 3, 2) first shows at
+    trial 18 but is first solid at trial 312, a block later; frequency
+    (8, 0) first shows at trial 0, which is not firm.  Resumed from 100 or
+    300 trials, the key's first sample is in the prior and its first solid
+    sample in the part drawn on resuming.
+    """
+    pattern = FIXTURES["PAT_SQTRI8"].pattern
+    cfg = SampleConfig(trials=600)
+    narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
+    generic_zeros = spectra._generic_zero_count(pattern)
+    firm, inertias = [], []
+    for t in range(313):
+        prof = scalar_profile(scalar_sample(pattern, narrow if t % 2 else cfg, t))
+        firm.append(not prof.suspect_inertia and prof.refined[2] == generic_zeros)
+        inertias.append(prof.inertia)
+        if t == 0:
+            assert prof.frequency == (8, 0) and not firm[0]
+    late = [t for t, key in enumerate(inertias) if key == (3, 3, 2)]
+    assert late[0] == 18 and not firm[18]
+    assert [t for t in late if firm[t]][0] == 312
+    want = oracle_census(pattern, cfg)
+    assert next(iter(want.frequency_counts)) == (8, 0)
+    got = census(pattern, cfg)
+    assert_same_census(got, want)
+    assert got.solid_representatives[(3, 3, 2)] is not got.representatives[(3, 3, 2)]
+    for prior_trials in (100, 300):
+        prior = census(pattern, replace(cfg, trials=prior_trials))
+        assert (3, 3, 2) in prior.representatives
+        assert (3, 3, 2) not in prior.solid_representatives
+        assert_same_census(census(pattern, cfg, prior=prior), want)
 
 
 def test_census_refuses_a_longer_prior():
@@ -637,6 +674,41 @@ def test_stabilize_never_settling_solves_every_step(monkeypatch):
     assert calls == [2] * 13
 
 
+def count_profiles(monkeypatch):
+    calls = []
+    original = spectra._profile
+
+    def profile(eig, tol, floor):
+        calls.append(len(eig))
+        return original(eig, tol, floor)
+
+    monkeypatch.setattr(spectra, "_profile", profile)
+    return calls
+
+
+def test_stabilize_profiles_only_the_step_it_returns(monkeypatch):
+    """Every other step is classified by its inertia alone."""
+    calls = count_profiles(monkeypatch)
+    returned = 0
+    for name, pattern, spec in fixture_specs():
+        calls.clear()
+        try:
+            stabilize_epsilon(pattern, spec)
+        except (NoStabilization, spectra.DegenerateBase):
+            assert calls == [], name
+            continue
+        returned += 1
+        assert calls == [pattern.n], name
+    assert returned > 100
+    # A walk that never settles profiles nothing.
+    pattern = FIXTURES["PAT_EG06"].pattern
+    monkeypatch.setattr(spectra, "EPSILON_SCHEDULE", (1e-1, 1e-12) * 6)
+    calls.clear()
+    with pytest.raises(NoStabilization):
+        stabilize_epsilon(pattern, ladder_spec(pattern, matching_parts(pattern, [(0, 1)])))
+    assert calls == []
+
+
 @st.composite
 def trees(draw, max_n: int = 24) -> SignPattern:
     """A path or a random-attach tree, randomly labelled, with random arc signs."""
@@ -838,3 +910,63 @@ def test_profile_bands_match_full_classifier():
         (True, True, False),
         (True, True, True),
     }
+
+
+def numpy_profile(eig: np.ndarray, tol: float, floor: float) -> SpectralProfile:
+    """The profile by whole-array numpy reductions over the full classifier."""
+    eig = eig[np.lexsort((eig.imag, eig.real))]
+    c = {k: v[0] for k, v in full_classify(eig[None], [tol], [floor]).items()}
+    i_plus, i_minus, i_zero = int(c["i_plus"]), int(c["i_minus"]), int(c["i_zero"])
+    i_z, k_real = int(c["i_z"]), int(c["k_real"])
+    return SpectralProfile(
+        inertia=(i_plus, i_minus, i_zero),
+        refined=(i_plus, i_minus, i_z, i_zero - i_z),
+        frequency=(k_real, len(eig) - k_real),
+        eigenvalues=tuple(complex(v) for v in eig),
+        tol=float(tol),
+        borderline=bool(c["borderline"]),
+        suspect=bool(c["suspect"]),
+        suspect_inertia=bool(c["suspect_inertia"]),
+    )
+
+
+@st.composite
+def band_spectra(draw):
+    """Thresholds and an eigenvalue array with parts on and near every band edge.
+
+    Parts are drawn from 0, -0.0, floor, tol and 10 tol (either sign, and
+    just past each edge) or from a wide range.  All-real spectra come as
+    float arrays, as ``eigvals`` returns them; some values repeat.
+    """
+    tol, floor = spectra._thresholds(draw(st.sampled_from((0.0, 1.0, 37.5, 1e6))))
+    edges = [floor, tol, 10 * tol]
+    marks = [0.0, -0.0] + edges + [np.nextafter(e, math.inf) for e in edges]
+    marks += [-m for m in marks] + [tol / math.sqrt(2), 1.0]
+    part = st.one_of(
+        st.sampled_from(marks),
+        st.floats(-1e3, 1e3),
+    )
+    n = draw(st.integers(1, 8))
+    re = draw(st.lists(part, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        eig = np.array(re, dtype=float)
+    else:
+        im = draw(st.lists(part, min_size=n, max_size=n))
+        eig = np.array(re) + 1j * np.array(im)
+    repeats = draw(st.integers(0, n))
+    eig = np.concatenate([eig, eig[:repeats]])
+    return eig, tol, floor
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=band_spectra())
+def test_profile_matches_numpy_profile(case):
+    eig, tol, floor = case
+    got = spectra._profile(eig, tol, floor)
+    want = numpy_profile(eig, tol, floor)
+    for name in SpectralProfile.__dataclass_fields__:
+        assert getattr(got, name) == getattr(want, name), name
+    # repr tells -0.0 from 0.0, and a float from the equal complex.
+    assert repr(got) == repr(want)
+    assert all(type(z) is complex for z in got.eigenvalues)
+    assert type(got.tol) is float

@@ -121,6 +121,14 @@ def test_witness_adjacent_matching_is_an_error():
     assert "composite cycle" in result.output
 
 
+@pytest.mark.parametrize("matching", ["1-1", "1-2,3-3"])
+def test_witness_matching_loop_is_an_error(matching):
+    result = run("witness", "--fixture", "PAT_P4", "--matching", matching)
+    assert result.exit_code == 3
+    assert "joins a vertex to itself: a matching's edges join two vertices" in result.output
+    assert "cycle" not in result.output
+
+
 def test_analyze_inconclusive_exit_code():
     result = run("analyze", "--fixture", "PAT_EG06", "--trials", "200")
     assert result.exit_code == 2
