@@ -210,6 +210,14 @@ def _parse_matching(text: str, n: int) -> list[tuple[int, int]]:
             raise click.ClickException(
                 f"edge {u}-{v} joins a vertex to itself: a matching's edges join two vertices"
             )
+        for i, j in edges:
+            shared = {i + 1, j + 1} & {u, v}
+            if shared:
+                clash = "repeats" if len(shared) == 2 else f"shares vertex {min(shared)} with"
+                raise click.ClickException(
+                    f"edge {u}-{v} {clash} edge {i + 1}-{j + 1}: the 2-cycles on a"
+                    " matching's edges must form a composite cycle"
+                )
         edges.append(edge)
     return edges
 

@@ -18,17 +18,18 @@ one small augmenting-path matcher over vertex bitmasks.
 cycles take, loops included: R1, the sign-clash witness, the fixture
 checks and ``charpoly.ek_sign`` all read it.
 
-``PatternAnalysis`` bundles the structural facts the decision rules read
-(flags, both graphs, the shape, the path edges, the maximum composite
-length and the signs at that length), each derived once per analysis
-object.
+``PatternAnalysis`` bundles the structural facts the decision rules and
+witness strategies read (flags, both graphs, the shape, the path edges,
+the cycle report, the maximum composite length, the signs at that length
+and the covers left over by each cycle tried), each derived once per
+analysis object.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,6 +42,7 @@ from .errors import (
     SignMismatch,
 )
 from .graphs import (
+    CycleStructureReport,
     GraphShape,
     MaximalSignedRun,
     SignedDigraph,
@@ -49,6 +51,7 @@ from .graphs import (
     build_digraph,
     build_graph,
     classify_shape,
+    cycle_structure,
     path_edge_signs,
 )
 from .patterns import PatternFlags, SignPattern, validate
@@ -463,13 +466,17 @@ class PatternAnalysis:
 
     Every field is computed on first use and kept on this object only, so
     the rules and witness strategies of one ``analyze`` share them while
-    nothing outlives the analysis.  A field that raises (``graph`` on a
-    pattern that is not combinatorially symmetric, ``shape`` on a
-    disconnected graph, ``path_edges`` off a path, ``top_signs`` above the
-    order cap) raises again on every read.
+    nothing outlives the analysis; ``cover_without`` keeps one answer per
+    vertex set the same way.  A field that raises (``graph`` on a pattern
+    that is not combinatorially symmetric, ``shape`` and ``cycle_report``
+    on a disconnected graph, ``path_edges`` off a path, ``top_signs`` above
+    the order cap) raises again on every read.
     """
 
     pattern: SignPattern
+    _covers: dict[frozenset[int], tuple[SimpleCycle, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def flags(self) -> PatternFlags:
@@ -492,6 +499,10 @@ class PatternAnalysis:
         return path_edge_signs(self.graph)
 
     @cached_property
+    def cycle_report(self) -> CycleStructureReport:
+        return cycle_structure(self.graph)
+
+    @cached_property
     def max_composite_length(self) -> int:
         return max_composite_length(self.digraph)
 
@@ -499,3 +510,11 @@ class PatternAnalysis:
     def top_signs(self) -> dict[int, CompositeCycle]:
         """``composite_signs`` at the maximum composite length."""
         return composite_signs(self.digraph, self.max_composite_length)
+
+    def cover_without(self, vertices: Iterable[int]) -> tuple[SimpleCycle, ...]:
+        """The parts of one maximum composite cycle avoiding ``vertices``, solved once per set."""
+        key = frozenset(vertices)
+        if key not in self._covers:
+            cover = max_composite_cover(self.digraph.without_vertices(key))
+            self._covers[key] = cover.parts if cover is not None else ()
+        return self._covers[key]

@@ -26,10 +26,9 @@ from .graphs import (
     ShapeKind,
     build_graph,
     cycle_edge_order,
-    cycle_structure,
     maximal_signed_runs,
 )
-from .patterns import AmbSign, SignPattern, find_principal_subpattern, p_minus
+from .patterns import AmbSign, SignPattern, find_principal_subpattern, p_minus, parse_pattern
 from .spectra import (
     SampleConfig,
     build_witness,
@@ -244,7 +243,7 @@ def _runs_check(
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
         if cyclic:
-            _, signs = cycle_edge_order(facts.graph, facts.shape.cycles[0])
+            signs = facts.cycle_report.cycle_edge_signs[0]
         else:
             _, signs = facts.path_edges
         runs = maximal_signed_runs(signs, cyclic=cyclic)
@@ -333,8 +332,7 @@ def _leaf_distance_check(
     """expected: (leaf, distance) pairs, 0-based leaves, for the first cycle."""
 
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        report = cycle_structure(facts.graph)
-        got = sorted((leaf, d) for (leaf, c, d) in report.leaf_cycle_distances if c == 0)
+        got = sorted((leaf, d) for leaf, c, d in facts.cycle_report.leaf_cycle_distances if c == 0)
         return got == sorted(expected), f"leaf distances {got}"
 
     return Check(check_id, tag, source, fn)
@@ -344,8 +342,7 @@ def _pair_distance_check(
     check_id: str, tag: str, source: str, expected_edge_counts: list[int]
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        report = cycle_structure(facts.graph)
-        got = sorted(link for (_, _, link) in report.path_adjacent_pairs)
+        got = sorted(link for (_, _, link) in facts.cycle_report.path_adjacent_pairs)
         return got == sorted(expected_edge_counts), f"path-adjacent edge counts {got}"
 
     return Check(check_id, tag, source, fn)
@@ -361,12 +358,6 @@ def _pminus_edges_check(
     return Check(check_id, tag, source, fn)
 
 
-def _rows(grid: str) -> SignPattern:
-    return SignPattern.from_rows(
-        [[{"+": 1, "-": -1, "0": 0}[tok] for tok in line.split()] for line in grid.strip().splitlines()]
-    )
-
-
 _DNR = Conclusion.DOES_NOT_REQUIRE
 _REQ = Conclusion.REQUIRES_UNIQUE
 
@@ -375,7 +366,7 @@ def _build_fixtures() -> dict[str, Fixture]:
     fixtures: list[Fixture] = []
 
     # --- order-3 single cycles -------------------------------------------
-    ex26 = _rows("0 + -\n- 0 +\n+ - 0")
+    ex26 = parse_pattern("0 + -\n- 0 +\n+ - 0")
     fixtures.append(
         Fixture(
             "PAT_EX26",
@@ -421,7 +412,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    xx1 = _rows("0 + +\n+ 0 +\n- + 0")
+    xx1 = parse_pattern("0 + +\n+ 0 +\n- + 0")
     fixtures.append(
         Fixture(
             "PAT_XX1",
@@ -441,7 +432,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    xx2 = _rows("0 + +\n+ 0 +\n+ + 0")
+    xx2 = parse_pattern("0 + +\n+ 0 +\n+ + 0")
     fixtures.append(
         Fixture(
             "PAT_XX2",
@@ -455,7 +446,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    xeg1 = _rows("0 - +\n+ 0 -\n+ + 0")
+    xeg1 = parse_pattern("0 - +\n+ 0 -\n+ + 0")
     fixtures.append(
         Fixture(
             "PAT_XEG1",
@@ -468,7 +459,7 @@ def _build_fixtures() -> dict[str, Fixture]:
     )
 
     # --- tridiagonal family ----------------------------------------------
-    p4 = _rows("0 + 0 0\n+ 0 - 0\n0 + 0 +\n0 0 + 0")
+    p4 = parse_pattern("0 + 0 0\n+ 0 - 0\n0 + 0 +\n0 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_P4",
@@ -517,7 +508,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    p4m = _rows("0 - 0 0\n+ 0 + 0\n0 + 0 -\n0 0 + 0")
+    p4m = parse_pattern("0 - 0 0\n+ 0 + 0\n0 + 0 -\n0 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_P4M",
@@ -547,7 +538,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    p6 = _rows("0 + 0 0 0 0\n+ 0 + 0 0 0\n0 + 0 - 0 0\n0 0 + 0 + 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
+    p6 = parse_pattern("0 + 0 0 0 0\n+ 0 + 0 0 0\n0 + 0 - 0 0\n0 0 + 0 + 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_P6",
@@ -607,7 +598,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    p6p = _rows("0 + 0 0 0 0\n+ 0 - 0 0 0\n0 + 0 - 0 0\n0 0 + 0 - 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
+    p6p = parse_pattern("0 + 0 0 0 0\n+ 0 - 0 0 0\n0 + 0 - 0 0\n0 0 + 0 - 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_P6P",
@@ -666,7 +657,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    p8p = _rows(
+    p8p = parse_pattern(
         "0 + 0 0 0 0 0 0\n+ 0 + 0 0 0 0 0\n0 + 0 - 0 0 0 0\n0 0 + 0 - 0 0 0\n"
         "0 0 0 + 0 - 0 0\n0 0 0 0 + 0 + 0\n0 0 0 0 0 + 0 +\n0 0 0 0 0 0 + 0"
     )
@@ -736,7 +727,7 @@ def _build_fixtures() -> dict[str, Fixture]:
     )
 
     # --- order-4 single cycles -------------------------------------------
-    eg06 = _rows("0 - 0 +\n+ 0 - 0\n0 + 0 +\n+ 0 + 0")
+    eg06 = parse_pattern("0 - 0 +\n+ 0 - 0\n0 + 0 +\n+ 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_EG06",
@@ -762,7 +753,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    allplus4 = _rows("0 + 0 +\n+ 0 + 0\n0 + 0 +\n+ 0 + 0")
+    allplus4 = parse_pattern("0 + 0 +\n+ 0 + 0\n0 + 0 +\n+ 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_ALLPLUS4",
@@ -793,7 +784,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    xxeg22 = _rows("0 + 0 +\n- 0 + 0\n0 + 0 -\n+ 0 + 0")
+    xxeg22 = parse_pattern("0 + 0 +\n- 0 + 0\n0 + 0 -\n+ 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_XXEG22",
@@ -843,7 +834,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    xnfig2 = _rows("0 + 0 +\n- 0 + 0\n0 + 0 +\n+ 0 - 0")
+    xnfig2 = parse_pattern("0 + 0 +\n- 0 + 0\n0 + 0 +\n+ 0 - 0")
     fixtures.append(
         Fixture(
             "PAT_XNFIG2",
@@ -855,7 +846,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    allneg4 = _rows("0 + 0 -\n- 0 + 0\n0 - 0 +\n+ 0 - 0")
+    allneg4 = parse_pattern("0 + 0 -\n- 0 + 0\n0 - 0 +\n+ 0 - 0")
     fixtures.append(
         Fixture(
             "PAT_ALLNEG4",
@@ -868,7 +859,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    hex6 = _rows("0 + 0 0 0 +\n- 0 + 0 0 0\n0 - 0 + 0 0\n0 0 - 0 + 0\n0 0 0 + 0 +\n+ 0 0 0 + 0")
+    hex6 = parse_pattern("0 + 0 0 0 +\n- 0 + 0 0 0\n0 - 0 + 0 0\n0 0 - 0 + 0\n0 0 0 + 0 +\n+ 0 0 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_HEX6",
@@ -882,7 +873,7 @@ def _build_fixtures() -> dict[str, Fixture]:
     )
 
     # --- trees -------------------------------------------------------------
-    pminus4 = _rows("0 + 0 0\n+ 0 + +\n0 - 0 0\n0 + 0 0")
+    pminus4 = parse_pattern("0 + 0 0\n+ 0 + +\n0 - 0 0\n0 + 0 0")
     fixtures.append(
         Fixture(
             "PAT_PMINUS4",
@@ -911,7 +902,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    x16 = _rows("0 - 0 0 0 0\n+ 0 + 0 0 0\n0 + 0 + 0 +\n0 0 + 0 - 0\n0 0 0 + 0 0\n0 0 + 0 0 0")
+    x16 = parse_pattern("0 - 0 0 0 0\n+ 0 + 0 0 0\n0 + 0 + 0 +\n0 0 + 0 - 0\n0 0 0 + 0 0\n0 0 + 0 0 0")
     fixtures.append(
         Fixture(
             "PAT_X16",
@@ -926,7 +917,7 @@ def _build_fixtures() -> dict[str, Fixture]:
     )
 
     # --- unicyclic ----------------------------------------------------------
-    uni61 = _rows("0 + 0 + 0 0\n- 0 + 0 0 0\n0 + 0 + 0 0\n+ 0 + 0 + 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
+    uni61 = parse_pattern("0 + 0 + 0 0\n- 0 + 0 0 0\n0 + 0 + 0 0\n+ 0 + 0 + 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_UNI61",
@@ -941,7 +932,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    uni62 = _rows("0 + 0 - 0 0\n- 0 + 0 0 0\n0 - 0 + 0 0\n+ 0 - 0 + 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
+    uni62 = parse_pattern("0 + 0 - 0 0\n- 0 + 0 0 0\n0 - 0 + 0 0\n+ 0 - 0 + 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_UNI62",
@@ -954,7 +945,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    tripath6 = _rows("0 + + 0 0 0\n+ 0 + 0 0 0\n+ + 0 + 0 0\n0 0 + 0 + 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
+    tripath6 = parse_pattern("0 + + 0 0 0\n+ 0 + 0 0 0\n+ + 0 + 0 0\n0 0 + 0 + 0\n0 0 0 + 0 +\n0 0 0 0 + 0")
     fixtures.append(
         Fixture(
             "PAT_TRIPATH6",
@@ -970,7 +961,7 @@ def _build_fixtures() -> dict[str, Fixture]:
     )
 
     # --- several cycles -------------------------------------------------------
-    twocyc81 = _rows(
+    twocyc81 = parse_pattern(
         "0 + + 0 0 0 0 0\n- 0 + 0 0 0 0 0\n+ + 0 + 0 0 0 0\n0 0 + 0 + 0 0 0\n"
         "0 0 0 - 0 + 0 0\n0 0 0 0 + 0 + +\n0 0 0 0 0 + 0 +\n0 0 0 0 0 + + 0"
     )
@@ -987,7 +978,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    twocyc82 = _rows(
+    twocyc82 = parse_pattern(
         "0 + 0 - 0 0 0 0\n- 0 + 0 0 0 0 0\n0 - 0 + 0 0 0 0\n+ 0 - 0 + 0 0 0\n"
         "0 0 0 + 0 + 0 +\n0 0 0 0 + 0 + 0\n0 0 0 0 0 + 0 +\n0 0 0 0 + 0 + 0"
     )
@@ -1004,7 +995,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    twocyc83 = _rows(
+    twocyc83 = parse_pattern(
         "0 + 0 + 0 0 0 0\n- 0 + 0 0 0 0 0\n0 + 0 + 0 0 0 0\n+ 0 + 0 + 0 0 0\n"
         "0 0 0 + 0 + 0 +\n0 0 0 0 + 0 + 0\n0 0 0 0 0 + 0 +\n0 0 0 0 + 0 + 0"
     )
@@ -1019,7 +1010,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    twosq9 = _rows(
+    twosq9 = parse_pattern(
         "0 + 0 + 0 0 0 0 0\n+ 0 + 0 0 0 0 0 0\n0 + 0 + 0 0 0 0 0\n+ 0 + 0 + 0 0 0 0\n"
         "0 0 0 + 0 + 0 0 0\n0 0 0 0 + 0 + 0 +\n0 0 0 0 0 + 0 + 0\n0 0 0 0 0 0 + 0 +\n"
         "0 0 0 0 0 + 0 + 0"
@@ -1037,7 +1028,7 @@ def _build_fixtures() -> dict[str, Fixture]:
         )
     )
 
-    sqtri8 = _rows(
+    sqtri8 = parse_pattern(
         "0 + 0 + 0 0 0 0\n+ 0 + 0 0 0 0 0\n0 + 0 + 0 0 0 0\n+ 0 + 0 + 0 0 0\n"
         "0 0 0 + 0 + 0 0\n0 0 0 0 + 0 + +\n0 0 0 0 0 + 0 +\n0 0 0 0 0 + + 0"
     )

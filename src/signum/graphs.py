@@ -5,7 +5,8 @@ entry's sign.  For combinatorially symmetric patterns the undirected graph
 G has an edge {i, j} whose sign is the sign of p_ij * p_ji.  The shape of
 G (path, tree, single cycle, unicyclic, ...) routes the decision rules;
 this module also computes maximal constant-sign runs along paths and
-cycles, leaf-to-cycle distances, and path-adjacent cycle pairs.
+cycles, leaf-to-cycle distances, path-adjacent cycle pairs, and (the one
+place this is decided) the distinct-inertia conditions a cycle meets.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetric
 from .patterns import SignPattern
@@ -32,6 +33,7 @@ __all__ = [
     "maximal_signed_runs",
     "path_edge_signs",
     "cycle_edge_order",
+    "cycle_conditions",
     "cycle_structure",
     "digraph_to_dot",
     "graph_to_dot",
@@ -60,7 +62,7 @@ class SignedDigraph:
                 succ[i] |= 1 << j
         return tuple(succ)
 
-    def without_vertices(self, removed: set[int]) -> "SignedDigraph":
+    def without_vertices(self, removed: AbstractSet[int]) -> "SignedDigraph":
         """Subgraph on the complementary vertex set, original labels kept."""
         keep = [(i, j, s) for i, j, s in self.arcs if i not in removed and j not in removed]
         return SignedDigraph(self.n, tuple(keep))
@@ -326,6 +328,38 @@ def cycle_edge_order(
         for t in range(k)
     )
     return edges, tuple(graph.sign_of(*e) for e in edges)
+
+
+def cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
+    """The distinct-inertia conditions of a cycle, read off its negative-edge mask.
+
+    Bit t of the mask is set when edge t is negative, and the negative
+    count is its popcount.  The odd-run condition asks an even cycle of
+    length k for a maximal cyclic run of odd length below k, so the cycle
+    must carry both signs.  Its sign changes, the positions t where edges
+    t - 1 and t differ, are the set bits of the mask XOR the mask rotated
+    by one.  Each run's length is the gap from one change to the next
+    around the cycle.  As k is even, all gaps are even exactly when all
+    changes share one parity, so an odd run exists exactly when the
+    changes fall on both parities.  No run is built.
+    """
+    k = len(signs)
+    neg = 0
+    for t, s in enumerate(signs):
+        if s < 0:
+            neg |= 1 << t
+    n_neg = neg.bit_count()
+    odd_run = False
+    if k % 2 == 0 and 0 < n_neg < k:
+        full = (1 << k) - 1
+        changes = neg ^ ((neg << 1 | neg >> (k - 1)) & full)
+        # full // 3 sets the even positions 0, 2, ..., k - 2.
+        odd_run = changes & full // 3 not in (0, changes)
+    return {
+        "odd_negative_count": n_neg % 2 == 1,
+        "all_negative": n_neg == k,
+        "even_length_odd_run": odd_run,
+    }
 
 
 def cycle_structure(graph: SignedGraph) -> CycleStructureReport:

@@ -19,7 +19,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,11 +32,9 @@ from .cycles import (
     _pattern_cycle,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
-    max_composite_cover,
 )
 from .errors import (
     CycleBudgetExceeded,
-    CycleNotEven,
     CycleNotInPattern,
     DegenerateBase,
     Disconnected,
@@ -44,11 +42,11 @@ from .errors import (
     NonFinite,
     NoStabilization,
     NotCombinatoriallySymmetric,
-    RunNotOdd,
     SignMismatch,
 )
 from .graphs import (
     ShapeKind,
+    cycle_conditions,
     cycle_edge_order,
     maximal_signed_runs,
 )
@@ -650,14 +648,15 @@ def build_witness(pattern: SignPattern, spec: WitnessSpec) -> np.ndarray:
     covered: set[int] = set()
     for part, mag in zip(spec.parts, spec.magnitudes):
         recomputed = _pattern_cycle(pattern, part.vertices)
+        named = tuple(v + 1 for v in part.vertices)
         if recomputed.sign != part.sign:
             raise SignMismatch(
-                f"part {part.vertices} declares sign {part.sign:+d}"
+                f"part {named} declares sign {part.sign:+d}"
                 f" but the pattern gives {recomputed.sign:+d}"
             )
         if covered.intersection(part.vertices):
             raise ValueError(
-                f"part {part.vertices} overlaps an earlier part; the emphasized"
+                f"part {named} overlaps an earlier part; the emphasized"
                 " parts must form a composite cycle"
             )
         covered.update(part.vertices)
@@ -801,15 +800,15 @@ def _pair_from_matchings(facts: PatternAnalysis) -> WitnessPair | None:
 
 
 def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
-    """Constructions driven by one cycle of the undirected graph.
+    """Constructions driven by the ``cycle_conditions`` of each reported cycle.
 
     For a cycle with an odd number of negative edges the two traversal
     directions are oppositely signed top-length composites.  For an even
     all-negative cycle an alternating matching gives a purely imaginary
     block while the full cycle does not.  For an even cycle with an
     odd-length sign run the alternating near-cover splits into a negative
-    and a positive matching.  The rest of the digraph rides along as a
-    fixed ladder of vertex-disjoint cycles.
+    and a positive matching.  The rest of the digraph rides along as
+    ``facts.cover_without`` the cycle, a fixed ladder of vertex-disjoint cycles.
     """
     if facts.shape.kind not in (
         ShapeKind.SINGLE_CYCLE,
@@ -818,69 +817,50 @@ def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
     ):
         return None
     pattern, digraph = facts.pattern, facts.digraph
-    covers: dict[frozenset[int], tuple[SimpleCycle, ...]] = {}
-
-    def outside(cyc: tuple[int, ...]) -> tuple[SimpleCycle, ...]:
-        # A maximum composite off the cycle's vertices, solved once per
-        # vertex set and only when a construction is about to run.
-        vertices = frozenset(cyc)
-        if vertices not in covers:
-            cover = max_composite_cover(digraph.without_vertices(set(cyc)))
-            covers[vertices] = cover.parts if cover is not None else ()
-        return covers[vertices]
-
-    for cyc in facts.shape.cycles:
-        edges, signs = cycle_edge_order(facts.graph, cyc)
-        n_neg = sum(1 for s in signs if s < 0)
-        if n_neg % 2 == 1:
+    report = facts.cycle_report
+    for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
+        conds = cycle_conditions(signs)
+        if conds["odd_negative_count"]:
             fwd = directed_cycle_from_vertices(digraph, cyc)
             rev = directed_cycle_from_vertices(digraph, tuple(reversed(cyc)))
+            rest = facts.cover_without(cyc)
             pair = _try_pair(
                 pattern,
-                ladder_spec(pattern, (fwd,) + outside(cyc)),
-                ladder_spec(pattern, (rev,) + outside(cyc)),
+                ladder_spec(pattern, (fwd,) + rest),
+                ladder_spec(pattern, (rev,) + rest),
                 "cycle-orientation-sign-clash",
                 {"cycle": list(cyc)},
             )
             if pair is not None:
                 return pair
-        if len(cyc) % 2 == 0 and n_neg == len(cyc):
-            alt = tuple(edges[t] for t in range(0, len(edges), 2))
+        if conds["all_negative"] and len(cyc) % 2 == 0:
+            alt = cycle_edge_order(facts.graph, cyc)[0][::2]
+            rest = facts.cover_without(cyc)
             pair = _try_pair(
                 pattern,
-                ladder_spec(pattern, matching_parts(pattern, alt) + outside(cyc)),
-                ladder_spec(
-                    pattern, (directed_cycle_from_vertices(digraph, cyc),) + outside(cyc)
-                ),
+                ladder_spec(pattern, matching_parts(pattern, alt) + rest),
+                ladder_spec(pattern, (directed_cycle_from_vertices(digraph, cyc),) + rest),
                 "all-negative-cycle",
                 {"cycle": list(cyc), "matching": list(alt)},
             )
             if pair is not None:
                 return pair
-        if len(cyc) % 2 == 0:
-            runs = maximal_signed_runs(signs, cyclic=True)
-            odd_runs = [r for r in runs if r.length % 2 == 1 and r.length < len(cyc)]
-            if odd_runs:
-                try:
-                    m_neg, m_pos = gamma_matchings_from_odd_run(
-                        tuple(zip(edges, signs)), odd_runs[0]
-                    )
-                except (SignMismatch, CycleNotEven, RunNotOdd):
-                    continue
-                if m_neg.edges and m_pos.edges:
-                    pair = _try_pair(
-                        pattern,
-                        ladder_spec(
-                            pattern, matching_parts(pattern, m_neg.edges) + outside(cyc)
-                        ),
-                        ladder_spec(
-                            pattern, matching_parts(pattern, m_pos.edges) + outside(cyc)
-                        ),
-                        "odd-run-alternating-matchings",
-                        {"cycle": list(cyc), "m1": list(m_neg.edges), "m2": list(m_pos.edges)},
-                    )
-                    if pair is not None:
-                        return pair
+        if conds["even_length_odd_run"]:
+            # The cycle carries both signs, so every maximal run is shorter
+            # than the cycle; the first odd one drives the construction.
+            edges, _ = cycle_edge_order(facts.graph, cyc)
+            run = next(r for r in maximal_signed_runs(signs, cyclic=True) if r.length % 2)
+            m_neg, m_pos = gamma_matchings_from_odd_run(tuple(zip(edges, signs)), run)
+            rest = facts.cover_without(cyc)
+            pair = _try_pair(
+                pattern,
+                ladder_spec(pattern, matching_parts(pattern, m_neg.edges) + rest),
+                ladder_spec(pattern, matching_parts(pattern, m_pos.edges) + rest),
+                "odd-run-alternating-matchings",
+                {"cycle": list(cyc), "m1": list(m_neg.edges), "m2": list(m_pos.edges)},
+            )
+            if pair is not None:
+                return pair
     return None
 
 
@@ -923,6 +903,25 @@ def _path_probe_matrices(facts: PatternAnalysis) -> list[tuple[str, np.ndarray]]
     return out
 
 
+def _widest_gap_pair(
+    mats: dict[tuple[int, int, int], np.ndarray],
+    method: str,
+    detail: Callable[[tuple[int, int, int], tuple[int, int, int]], dict],
+) -> WitnessPair:
+    """The two keys of ``mats`` widest apart in zero-real-part count, re-profiled as a witness.
+
+    Ties go to the lexicographically largest key pair, and
+    ``detail(key_a, key_b)`` gives the pair's detail.  Needs two keys or more.
+    """
+    keys = sorted(mats)
+    key_a, key_b = max(
+        ((a, b) for a in keys for b in keys if a < b),
+        key=lambda ab: (abs(ab[0][2] - ab[1][2]), ab),
+    )
+    profiles = spectral_profile(mats[key_a]), spectral_profile(mats[key_b])
+    return WitnessPair(mats[key_a], mats[key_b], *profiles, method, detail(key_a, key_b))
+
+
 def _pair_from_sampling(
     facts: PatternAnalysis, budget: int, cfg: SampleConfig, prior: Census | None
 ) -> WitnessPair | None:
@@ -942,24 +941,12 @@ def _pair_from_sampling(
     cen = census(facts.pattern, replace(cfg, trials=budget), prior=prior)
     for key in cen.solid_keys():
         pool.setdefault(key, ("census", cen.solid_representatives[key]))
-    keys = sorted(pool)
-    if len(keys) < 2:
+    if len(pool) < 2:
         return None
-    # prefer the pair with the widest zero-real-part gap, then lexicographic
-    best = max(
-        ((a, b) for a in keys for b in keys if a < b),
-        key=lambda ab: (abs(ab[0][2] - ab[1][2]), ab),
-    )
-    (key_a, key_b) = best
-    src_a, mat_a = pool[key_a]
-    src_b, mat_b = pool[key_b]
-    return WitnessPair(
-        mat_a,
-        mat_b,
-        spectral_profile(mat_a),
-        spectral_profile(mat_b),
+    return _widest_gap_pair(
+        {key: mat for key, (_, mat) in pool.items()},
         "sampled",
-        {"source_a": src_a, "source_b": src_b},
+        lambda a, b: {"source_a": pool[a][0], "source_b": pool[b][0]},
     )
 
 

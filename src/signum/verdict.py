@@ -22,14 +22,12 @@ from .cycles import (
     PatternAnalysis,
     _has_perfect_matching,
     directed_cycle_from_vertices,
-    max_composite_length,
 )
 from .graphs import (
     GraphShape,
     ShapeKind,
     SignedDigraph,
-    cycle_edge_order,
-    cycle_structure,
+    cycle_conditions,
     maximal_signed_runs,
 )
 from .patterns import AmbSign, PatternFlags, SignPattern, p_minus
@@ -37,9 +35,9 @@ from .spectra import (
     Census,
     SampleConfig,
     WitnessPair,
+    _widest_gap_pair,
     census,
     find_witness_pair,
-    spectral_profile,
 )
 
 __all__ = [
@@ -176,38 +174,6 @@ def _odd_cycle_det_sign(digraph: SignedDigraph, cycle: tuple[int, ...]) -> AmbSi
     return AmbSign.from_int(forward.sign).add(AmbSign.from_int(backward.sign))
 
 
-def _cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
-    """The distinct-inertia conditions of a cycle, read off its negative-edge mask.
-
-    Bit t of the mask is set when edge t is negative, and the negative
-    count is its popcount.  The odd-run condition asks an even cycle of
-    length k for a maximal cyclic run of odd length below k, so the cycle
-    must carry both signs.  Its sign changes, the positions t where edges
-    t - 1 and t differ, are the set bits of the mask XOR the mask rotated
-    by one.  Each run's length is the gap from one change to the next
-    around the cycle.  As k is even, all gaps are even exactly when all
-    changes share one parity, so an odd run exists exactly when the
-    changes fall on both parities.  No run is built.
-    """
-    k = len(signs)
-    neg = 0
-    for t, s in enumerate(signs):
-        if s < 0:
-            neg |= 1 << t
-    n_neg = neg.bit_count()
-    odd_run = False
-    if k % 2 == 0 and 0 < n_neg < k:
-        full = (1 << k) - 1
-        changes = neg ^ ((neg << 1 | neg >> (k - 1)) & full)
-        # full // 3 sets the even positions 0, 2, ..., k - 2.
-        odd_run = changes & full // 3 not in (0, changes)
-    return {
-        "odd_negative_count": n_neg % 2 == 1,
-        "all_negative": n_neg == k,
-        "even_length_odd_run": odd_run,
-    }
-
-
 def _flipped_frequencies(
     flipped: SignPattern, cen: Census, cfg: SampleConfig
 ) -> dict[tuple[int, int], int]:
@@ -300,8 +266,7 @@ def _r5(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Single-cycle conditions."""
     if facts.shape.kind is not ShapeKind.SINGLE_CYCLE:
         return None
-    _, signs = cycle_edge_order(facts.graph, facts.shape.cycles[0])
-    conds = _cycle_conditions(signs)
+    conds = cycle_conditions(facts.cycle_report.cycle_edge_signs[0])
     return _finding("R5", any(conds.values()), {"conditions": conds})
 
 
@@ -309,16 +274,16 @@ def _r6(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Unicyclic with even leaf distances."""
     if facts.shape.kind is not ShapeKind.UNICYCLIC:
         return None
-    report = cycle_structure(facts.graph)
+    report = facts.cycle_report
     distances = [d for (_, _, d) in report.leaf_cycle_distances]
     all_even = all(d % 2 == 0 for d in distances)
-    conds = _cycle_conditions(report.cycle_edge_signs[0])
+    conds = cycle_conditions(report.cycle_edge_signs[0])
     # The rule's accounting needs the top composite length to split as
-    # cycle length plus the best packing of the rest; even leaf
-    # distances guarantee it, but check the identity directly.
+    # cycle length plus the best packing of the rest, the cover the cycle's
+    # witnesses ride on; even leaf distances guarantee it, but check it.
     the_cycle = report.cycles[0]
-    rest = facts.digraph.without_vertices(set(the_cycle))
-    additive = facts.max_composite_length == len(the_cycle) + max_composite_length(rest)
+    rest = sum(part.length for part in facts.cover_without(the_cycle))
+    additive = facts.max_composite_length == len(the_cycle) + rest
     return _finding(
         "R6",
         all_even and additive and any(conds.values()),
@@ -335,7 +300,7 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Several cycles, no leaf, path-adjacent cycles at odd distance."""
     if facts.shape.kind is not ShapeKind.MULTI_CYCLE_NO_LEAF:
         return None
-    report = cycle_structure(facts.graph)
+    report = facts.cycle_report
     # The link is also the raw distance (see cycle_structure), which
     # "raw_distance" and "strict" still report to keep verdict bytes.
     pair_info = [
@@ -350,10 +315,12 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     # Whether a cycle extends depends only on the vertices it leaves over.
     extends_by_leftover: dict[int, bool] = {}
     for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
-        conds = _cycle_conditions(signs)
-        hits = [c for c, ok in conds.items() if ok]
-        if not conds["odd_negative_count"] and not all_even:
-            continue
+        # Unless every cycle is even, only an odd negative count counts.
+        hits = [
+            c
+            for c, ok in cycle_conditions(signs).items()
+            if ok and (all_even or c == "odd_negative_count")
+        ]
         if not hits:
             continue
         # The witnesses sit on this cycle plus a packing of everything
@@ -371,10 +338,7 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
             extends = extends_by_leftover[leftover] = _has_perfect_matching(
                 leftover, leftover, succ
             )
-        for cond in hits:
-            if cond != "odd_negative_count" and not all_even:
-                continue
-            fired.append({"cycle": list(cyc), "condition": cond, "extends_to_cover": extends})
+        fired += [{"cycle": list(cyc), "condition": c, "extends_to_cover": extends} for c in hits]
     return _finding(
         "R7",
         distance_ok and any(f["extends_to_cover"] for f in fired),
@@ -398,24 +362,18 @@ def _r8(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """
     keys = cen.solid_keys()
     details = {"inertia_keys": [list(k) for k in keys]}
-    gap_pairs = [(a, b) for a in keys for b in keys if a < b and a[2] != b[2]]
+    gap = len({k[2] for k in keys}) > 1
     proof = next(
         (f.rule_id for f in findings if f.conclusion is Conclusion.REQUIRES_UNIQUE), None
     )
-    if not gap_pairs or proof is not None:
-        if gap_pairs:
+    if not gap or proof is not None:
+        if gap:
             details["overruled_by"] = proof
         return _finding("R8", False, details)
-    a_key, b_key = max(gap_pairs, key=lambda ab: (abs(ab[0][2] - ab[1][2]), ab))
-    mat_a, mat_b = cen.solid_representatives[a_key], cen.solid_representatives[b_key]
     finding = _finding("R8", True, details)
-    finding.witness = WitnessPair(
-        mat_a,
-        mat_b,
-        spectral_profile(mat_a),
-        spectral_profile(mat_b),
-        "census",
-        {"keys": [list(a_key), list(b_key)]},
+    # Some pair has a gap, so the widest-gap pair is one of them.
+    finding.witness = _widest_gap_pair(
+        cen.solid_representatives, "census", lambda a, b: {"keys": [list(a), list(b)]}
     )
     return finding
 

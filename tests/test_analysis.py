@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 from signum import cycles, fixtures, graphs, patterns, spectra, verdict
-from signum.cycles import PatternAnalysis, composite_signs, max_composite_length
+from signum.cycles import (
+    PatternAnalysis,
+    composite_signs,
+    max_composite_cover,
+    max_composite_length,
+)
 from signum.errors import NotCombinatoriallySymmetric
 from signum.fixtures import FIXTURES
 from signum.graphs import build_digraph, build_graphs, classify_shape, path_edge_signs
@@ -29,6 +34,9 @@ COUNTED = {
     "directed_cycle_from_vertices": cycles.directed_cycle_from_vertices,
     "cover_extension_exists": cycles.cover_extension_exists,
     "_has_perfect_matching": cycles._has_perfect_matching,
+    "_max_cover": cycles._max_cover,
+    "cycle_structure": graphs.cycle_structure,
+    "cycle_edge_order": graphs.cycle_edge_order,
 }
 
 
@@ -74,6 +82,38 @@ def test_each_fact_computed_once_per_analyze(monkeypatch):
         assert calls["composite_signs"] == 1
         assert calls["validate"] == 1
         assert calls["build_digraph"] <= 1
+
+
+def test_cycle_report_read_once_and_edges_ordered_only_for_constructions(monkeypatch):
+    """R7 and the cycle witness strategy share one cycle report.
+
+    The strategy decides each cycle's constructions from the report's signs
+    and orders a cycle's edges only for a matching construction: 13 of the
+    cycles it walks on ``ladder-n12-0`` before the orientation clash holds.
+    """
+    calls = _count_calls(monkeypatch)
+    verdict = analyze(_ladder_pattern("ladder-n12-0"), SampleConfig())
+    assert verdict.witness_pair().method == "cycle-orientation-sign-clash"
+    assert calls["cycle_structure"] == 1
+    assert calls["cycle_edge_order"] == 13
+
+
+@pytest.mark.parametrize(
+    "name, method",
+    [("PAT_UNI61", "cycle-orientation-sign-clash"), ("PAT_UNI62", "all-negative-cycle")],
+)
+def test_r6_and_cycle_witness_share_the_leftover_cover(monkeypatch, name, method):
+    facts = PatternAnalysis(FIXTURES[name].pattern)
+    assert facts.shape.kind is graphs.ShapeKind.UNICYCLIC
+    facts.max_composite_length  # the whole pattern's cover, solved before counting
+    calls = _count_calls(monkeypatch)
+    finding = verdict._r6(facts, None, None, [])
+    assert finding.details["length_splits_additively"]
+    assert spectra._pair_from_cycle_conditions(facts).method == method
+    assert calls["_max_cover"] == 1
+    (cycle,) = facts.cycle_report.cycles
+    assert facts.cover_without(cycle) == facts.cover_without(reversed(cycle))
+    assert calls["_max_cover"] == 1
 
 
 def test_r9_reads_the_main_census(monkeypatch):
@@ -136,6 +176,10 @@ def test_analysis_matches_direct_computation(name):
     assert facts.shape == classify_shape(graph)
     assert facts.max_composite_length == max_composite_length(digraph)
     assert facts.top_signs == composite_signs(digraph, max_composite_length(digraph))
+    assert facts.cycle_report == graphs.cycle_structure(graph)
+    for cycle in facts.cycle_report.cycles:
+        cover = max_composite_cover(digraph.without_vertices(set(cycle)))
+        assert facts.cover_without(cycle) == (cover.parts if cover else ())
     if facts.shape.kind is graphs.ShapeKind.PATH:
         assert facts.path_edges == path_edge_signs(graph)
     else:

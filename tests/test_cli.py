@@ -121,6 +121,24 @@ def test_witness_adjacent_matching_is_an_error():
     assert "composite cycle" in result.output
 
 
+@pytest.mark.parametrize(
+    "matching, clash",
+    [
+        ("1-2,1-2", "edge 1-2 repeats edge 1-2"),
+        ("1-2,2-1", "edge 2-1 repeats edge 1-2"),
+        ("1-2,2-3", "edge 2-3 shares vertex 2 with edge 1-2"),
+        ("3-4,2-3", "edge 2-3 shares vertex 3 with edge 3-4"),
+    ],
+)
+def test_witness_matching_edges_must_be_disjoint(matching, clash):
+    """Clashing edges are named in 1-based vertex numbers before any part is built."""
+    result = run("witness", "--fixture", "PAT_P4", "--matching", matching)
+    assert result.exit_code == 3
+    assert clash in result.output
+    assert "composite cycle" in result.output
+    assert "(0, 1)" not in result.output
+
+
 @pytest.mark.parametrize("matching", ["1-1", "1-2,3-3"])
 def test_witness_matching_loop_is_an_error(matching):
     result = run("witness", "--fixture", "PAT_P4", "--matching", matching)

@@ -6,8 +6,9 @@ links cycle pairs from one BFS per cycle, read through per-vertex masks of
 the cycles; ``SignedGraph.cycles`` lists
 undirected cycles with its own depth-first search; the maximum
 composite cover comes from a pure-Python port of scipy's assignment
-solver; and R7 reads each cycle's conditions off its negative-edge mask
-and tests extension with the matcher on the leftover vertex mask.  The
+solver; and ``graphs.cycle_conditions``, which R5-R7 and the cycle
+witness strategy read, decides a cycle's conditions off its negative-edge
+mask, while R7 tests extension with the matcher on the leftover vertex mask.  The
 oracles below are what they replaced: composites combined from networkx's
 list of directed simple cycles, the keep-the-minimum composite of each
 sign (which ``composite_signs`` and ``ek_sign`` must match at every
@@ -58,6 +59,7 @@ from signum.graphs import (
     SignedGraph,
     build_digraph,
     build_graphs,
+    cycle_conditions,
     cycle_edge_order,
     cycle_structure,
     maximal_signed_runs,
@@ -438,7 +440,7 @@ def test_cycle_conditions_match_runs_on_every_short_sign_sequence():
     checked = 0
     for k in range(1, 15):
         for signs in itertools.product((1, -1), repeat=k):
-            assert verdict._cycle_conditions(signs) == oracle_cycle_conditions(signs), signs
+            assert cycle_conditions(signs) == oracle_cycle_conditions(signs), signs
             checked += 1
     assert checked == 2**15 - 2
 

@@ -155,7 +155,8 @@ def test_build_witness_epsilon_zero_base(pat):
 def test_build_witness_rejects_overlapping_parts(pat):
     p = pat("PAT_P4")
     parts = matching_parts(p, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="composite cycle"):
+    # Vertices are named 1-based, as everywhere else in messages.
+    with pytest.raises(ValueError, match=r"part \(2, 3\) overlaps .* composite cycle"):
         build_witness(p, WitnessSpec(parts, (10.0, 100.0), 1e-3))
 
 
@@ -168,7 +169,7 @@ def test_build_witness_rejects_bad_cycle(pat):
     from dataclasses import replace
 
     lying = replace(good, sign=-good.sign)
-    with pytest.raises(SignMismatch):
+    with pytest.raises(SignMismatch, match=r"part \(1, 2\) declares sign"):
         build_witness(p, WitnessSpec((lying,), (1.0,), 0.0))
 
 
