@@ -378,9 +378,10 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     cycle that mask touches, and ``near[v]``, the union of ``on`` over v's
     neighbours, marks the cycles one edge from v.  Each leaf gets one BFS,
     whose levels name the cycles first touched at each distance.  Each
-    cycle gets one BFS stepping only onto vertices off every cycle; the
-    union of ``near`` over its level t names the later disjoint cycles
-    first touched at link length t + 1.  One walk over a cycle's vertices
+    cycle with a later disjoint cycle gets one BFS stepping only onto
+    vertices off every cycle; the union of ``near`` over its level t names
+    the later disjoint cycles first touched at link length t + 1.  A cycle
+    with none gets no BFS.  One walk over a cycle's vertices
     gives its vertex mask and the cycles it overlaps.  No pair is tested on
     its own, so the work follows the cycles and the pairs listed.
     """
@@ -421,6 +422,9 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
             overlap |= on[v]
         # Later cycles sharing no vertex with cycle a.
         pending = all_cycles & ~((2 << a) - 1) & ~overlap
+        if not pending:
+            # The loop below would break at level 0 with nothing linked.
+            continue
         link: dict[int, int] = {}
         for t, level in enumerate(_bfs_levels(adj, va, off_cycle)):
             if not pending:

@@ -741,14 +741,22 @@ def _try_pair(
     method: str,
     detail: dict,
 ) -> WitnessPair | None:
+    """Both specs' stabilized matrices, when their inertias are firm and differ.
+
+    A walk that fails, a ``suspect_inertia`` profile on either side, or
+    equal inertias give ``None``.  The second walk runs only when the first
+    settles on a profile without ``suspect_inertia``.
+    """
     try:
         mat_a, eps_a, prof_a = stabilize_epsilon(pattern, spec_a)
+        if prof_a.suspect_inertia:
+            # A suspect profile on either side gives None, so walk b cannot
+            # change the answer.
+            return None
         mat_b, eps_b, prof_b = stabilize_epsilon(pattern, spec_b)
     except (NoStabilization, DegenerateBase, CycleNotInPattern, SignMismatch, EigenFailure):
         return None
-    if prof_a.inertia == prof_b.inertia:
-        return None
-    if prof_a.suspect_inertia or prof_b.suspect_inertia:
+    if prof_a.inertia == prof_b.inertia or prof_b.suspect_inertia:
         return None
     detail = dict(detail, epsilon_a=eps_a, epsilon_b=eps_b)
     return WitnessPair(mat_a, mat_b, prof_a, prof_b, method, detail)

@@ -16,12 +16,19 @@ from signum.cycles import (
     max_composite_cover,
     max_composite_length,
 )
-from signum.errors import NotCombinatoriallySymmetric
+from signum.errors import (
+    CycleNotInPattern,
+    DegenerateBase,
+    EigenFailure,
+    NoStabilization,
+    NotCombinatoriallySymmetric,
+    SignMismatch,
+)
 from signum.fixtures import FIXTURES
 from signum.graphs import build_digraph, build_graphs, classify_shape, path_edge_signs
 from signum.patterns import SignPattern, parse_pattern, validate
 from signum.spectra import SampleConfig
-from signum.verdict import analyze
+from signum.verdict import analyze, verdict_to_json
 
 GOLDEN = Path(__file__).with_name("golden_census.json")
 
@@ -37,6 +44,8 @@ COUNTED = {
     "_max_cover": cycles._max_cover,
     "cycle_structure": graphs.cycle_structure,
     "cycle_edge_order": graphs.cycle_edge_order,
+    "stabilize_epsilon": spectra.stabilize_epsilon,
+    "_bfs_levels": graphs._bfs_levels,
 }
 
 
@@ -66,15 +75,22 @@ def _count_calls(monkeypatch) -> Counter:
     return calls
 
 
-def _ladder_pattern(label: str) -> SignPattern:
-    entry = next(e for e in json.loads(GOLDEN.read_text())["ladder"] if e["label"] == label)
-    return parse_pattern("\n".join(entry["rows"]))
+def _golden_patterns() -> dict[str, SignPattern]:
+    """Every catalog fixture and every golden ``ladder`` and ``trees`` pattern."""
+    data = json.loads(GOLDEN.read_text())
+    named = {name: FIXTURES[name].pattern for name in sorted(FIXTURES)}
+    for entry in data["ladder"] + data["trees"]:
+        named[entry["label"]] = parse_pattern("\n".join(entry["rows"]))
+    return named
+
+
+GOLDEN_PATTERNS = _golden_patterns()
 
 
 def test_each_fact_computed_once_per_analyze(monkeypatch):
     calls = _count_calls(monkeypatch)
     # PAT_EX26 is an odd single cycle, so R2 reads the determinant sign too.
-    for pattern in (_ladder_pattern("ladder-n12-0"), FIXTURES["PAT_EX26"].pattern):
+    for pattern in (GOLDEN_PATTERNS["ladder-n12-0"], FIXTURES["PAT_EX26"].pattern):
         calls.clear()
         verdict = analyze(pattern, SampleConfig())
         assert verdict.witness_pair() is not None  # the witness search ran too
@@ -92,7 +108,7 @@ def test_cycle_report_read_once_and_edges_ordered_only_for_constructions(monkeyp
     cycles it walks on ``ladder-n12-0`` before the orientation clash holds.
     """
     calls = _count_calls(monkeypatch)
-    verdict = analyze(_ladder_pattern("ladder-n12-0"), SampleConfig())
+    verdict = analyze(GOLDEN_PATTERNS["ladder-n12-0"], SampleConfig())
     assert verdict.witness_pair().method == "cycle-orientation-sign-clash"
     assert calls["cycle_structure"] == 1
     assert calls["cycle_edge_order"] == 13
@@ -136,7 +152,7 @@ def test_r9_reads_the_main_census(monkeypatch):
 
 def test_r7_matches_each_leftover_vertex_set_once(monkeypatch):
     """R7 builds no directed cycle and tests extension on leftover masks, memoized."""
-    facts = PatternAnalysis(_ladder_pattern("ladder-n12-0"))
+    facts = PatternAnalysis(GOLDEN_PATTERNS["ladder-n12-0"])
     assert facts.shape.kind is graphs.ShapeKind.MULTI_CYCLE_NO_LEAF
     calls = _count_calls(monkeypatch)
     fired = verdict._r7(facts, None, None, []).details["conditions_fired"]
@@ -159,7 +175,7 @@ def test_sampling_witness_resumes_the_main_census(monkeypatch):
         return fill(pattern, support, seed, laws, start, stop)
 
     monkeypatch.setattr(spectra, "_fill", counting)
-    verdict = analyze(_ladder_pattern("ladder-n12-1"), SampleConfig())
+    verdict = analyze(GOLDEN_PATTERNS["ladder-n12-1"], SampleConfig())
     assert verdict.witness_pair().method == "sampled"
     assert verdict.census.trials == 1000
     assert sum(drawn) == 2000
@@ -195,3 +211,53 @@ def test_analysis_field_errors_repeat():
     for _ in range(2):
         with pytest.raises(NotCombinatoriallySymmetric):
             facts.graph
+
+
+def _try_pair_both_walks(pattern, spec_a, spec_b, method, detail):
+    """Reference ``_try_pair``: both walks always run before anything is checked."""
+    try:
+        mat_a, eps_a, prof_a = spectra.stabilize_epsilon(pattern, spec_a)
+        mat_b, eps_b, prof_b = spectra.stabilize_epsilon(pattern, spec_b)
+    except (NoStabilization, DegenerateBase, CycleNotInPattern, SignMismatch, EigenFailure):
+        return None
+    if prof_a.inertia == prof_b.inertia:
+        return None
+    if prof_a.suspect_inertia or prof_b.suspect_inertia:
+        return None
+    detail = dict(detail, epsilon_a=eps_a, epsilon_b=eps_b)
+    return spectra.WitnessPair(mat_a, mat_b, prof_a, prof_b, method, detail)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PATTERNS))
+def test_witness_pair_stops_at_first_suspect_walk_byte_for_byte(monkeypatch, name):
+    """Skipping the second walk after a suspect first one changes no byte."""
+    pattern = GOLDEN_PATTERNS[name]
+    fast = verdict_to_json(analyze(pattern, SampleConfig()))
+    monkeypatch.setattr(spectra, "_try_pair", _try_pair_both_walks)
+    assert verdict_to_json(analyze(pattern, SampleConfig())) == fast
+
+
+def test_witness_pairs_walk_second_only_after_a_firm_first(monkeypatch):
+    """47 of the 53 pairs tried on the golden ladder stop at a suspect first walk."""
+    calls = _count_calls(monkeypatch)
+    walks = {}
+    for label in (f"ladder-n12-{i}" for i in range(6)):
+        calls.clear()
+        analyze(GOLDEN_PATTERNS[label], SampleConfig())
+        walks[label] = calls["stabilize_epsilon"]
+    assert walks["ladder-n12-0"] == 32
+    assert sum(walks.values()) == 59
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PATTERNS))
+def test_cycle_structure_runs_a_bfs_only_where_a_link_can_exist(monkeypatch, name):
+    """One BFS per leaf, and one per cycle that has a later disjoint cycle."""
+    graph = PatternAnalysis(GOLDEN_PATTERNS[name]).graph
+    calls = _count_calls(monkeypatch)
+    report = graphs.cycle_structure(graph)
+    cycles = [set(cycle) for cycle in report.cycles]
+    linkable = sum(
+        any(cycle.isdisjoint(later) for later in cycles[a + 1 :])
+        for a, cycle in enumerate(cycles)
+    )
+    assert calls["_bfs_levels"] == len(graph.leaves()) + linkable
