@@ -39,10 +39,6 @@ class CharPoly:
 
     coeffs: tuple[float, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def descending(self) -> tuple[float, ...]:
         return tuple(reversed(self.coeffs))
 

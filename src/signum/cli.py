@@ -16,26 +16,17 @@ import numpy as np
 
 from . import fixtures as fixture_catalog
 from .errors import SignumError
-from .graphs import (
-    build_digraph,
-    build_graph,
-    digraph_to_dot,
-    graph_to_dot,
-    maximal_signed_runs,
-)
+from .graphs import build_digraph, build_graph, digraph_to_dot, graph_to_dot
 from .patterns import SignPattern, parse_pattern
 from .spectra import (
     DEFAULT_SEED,
     SampleConfig,
     census,
-    find_witness_pair,
     ladder_spec,
     matching_parts,
-    sample,
-    spectral_profile,
     stabilize_epsilon,
 )
-from .cycles import PatternAnalysis, directed_cycle_from_vertices
+from .cycles import directed_cycle_from_vertices
 from .verdict import Overall, analyze, explain, verdict_to_json
 
 EXIT_REQUIRES = 0
@@ -251,69 +242,6 @@ def cmd_witness(path, fixture, cycle, matching) -> None:
     click.echo("matrix:")
     for row in np.asarray(mat):
         click.echo("  " + " ".join(f"{v:.6g}" for v in row))
-
-
-@main.command("fuzz")
-@click.option(
-    "--order", type=click.IntRange(min=1), default=6, show_default=True, help="pattern order"
-)
-@click.option(
-    "--trials", type=click.IntRange(min=1), default=50, show_default=True, help="number of random patterns"
-)
-@click.option("--seed", type=click.IntRange(min=0), default=None)
-@click.option(
-    "--target",
-    type=click.Choice(["odd-run-interior", "repeated-imaginary"]),
-    default="odd-run-interior",
-    show_default=True,
-)
-def cmd_fuzz(order, trials, seed, target) -> None:
-    """Hunt for interesting tridiagonal patterns.
-
-    odd-run-interior: patterns whose only odd sign run avoids both ends of
-    the path; reports whether a distinct-inertia pair was found for each.
-    repeated-imaginary: reports the sampled minimum gap between imaginary
-    eigenvalue levels, flagging patterns that may allow collisions.
-    """
-    rng = np.random.default_rng(seed if seed is not None else _default_seed())
-    examined = hits = 0
-    for t in range(trials):
-        signs = rng.choice((-1, 1), size=order - 1)
-        rows = [[0] * order for _ in range(order)]
-        for i, s in enumerate(signs):
-            rows[i][i + 1] = 1
-            rows[i + 1][i] = int(s)
-        pattern = SignPattern.from_rows(rows)
-        edge_signs = [int(rows[i][i + 1] * rows[i + 1][i]) for i in range(order - 1)]
-        runs = maximal_signed_runs(edge_signs, cyclic=False)
-        odd = [r for r in runs if r.length % 2 == 1]
-        if target == "odd-run-interior":
-            if len(odd) != 1:
-                continue
-            run = odd[0]
-            if 0 in run.indices or (order - 2) in run.indices:
-                continue
-            examined += 1
-            pair = find_witness_pair(PatternAnalysis(pattern), budget=400)
-            found = pair is not None
-            hits += found
-            verdictish = "pair found" if found else "no pair within budget"
-            click.echo(f"pattern #{t} runs={[r.length for r in runs]}: {verdictish}")
-        else:
-            examined += 1
-            cfg = SampleConfig(trials=40, seed=int(rng.integers(2**31)))
-            min_gap = float("inf")
-            for k in range(cfg.trials):
-                prof = spectral_profile(sample(pattern, cfg, index=k))
-                levels = sorted(
-                    {round(v.imag, 9) for v in prof.eigenvalues if abs(v.real) <= prof.tol and v.imag > 0}
-                )
-                for a, b in zip(levels, levels[1:]):
-                    min_gap = min(min_gap, b - a)
-            if min_gap < 1e-2:
-                hits += 1
-                click.echo(f"pattern #{t} signs={list(map(int, signs))}: near-collision gap {min_gap:.2e}")
-    click.echo(f"examined {examined} patterns, {hits} notable")
 
 
 if __name__ == "__main__":

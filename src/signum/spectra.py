@@ -10,7 +10,9 @@ small epsilon, so the spectrum stays close to that of the emphasized part.
 Two samples of one pattern with different inertias certify that the
 pattern does not force a unique inertia; ``find_witness_pair`` looks for
 such a pair with cycle-structure constructions first and random sampling
-last, so returned witnesses are reproducible.
+last, so returned witnesses are reproducible.  The constructions only
+propose candidates (``_candidates``); ``find_witness_pair`` is the one loop
+that certifies them, walking both sides with ``_try_pair``.
 """
 
 from __future__ import annotations
@@ -111,10 +113,6 @@ class SpectralProfile:
     borderline: bool = False
     suspect: bool = False
     suspect_inertia: bool = False
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
 
 
 @dataclass
@@ -762,29 +760,29 @@ def _try_pair(
     return WitnessPair(mat_a, mat_b, prof_a, prof_b, method, detail)
 
 
-def _pair_from_sign_clash(facts: PatternAnalysis) -> WitnessPair | None:
+# A constructed candidate: the parts to emphasize on each side, the method
+# name and the detail a certified pair carries.
+_Candidate = tuple[tuple[SimpleCycle, ...], tuple[SimpleCycle, ...], str, dict]
+
+
+def _sign_clash_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
     """Oppositely signed maximum composite cycles, each emphasized."""
-    pattern = facts.pattern
     try:
         signs = facts.top_signs
     except CycleBudgetExceeded:
-        return None
+        return
     if len(signs) < 2:
-        return None
+        return
     plus, minus = signs[1].parts, signs[-1].parts
-    return _try_pair(
-        pattern,
-        ladder_spec(pattern, plus),
-        ladder_spec(pattern, minus),
+    yield (
+        plus,
+        minus,
         "max-composite-sign-clash",
-        {
-            "plus_parts": [p.vertices for p in plus],
-            "minus_parts": [p.vertices for p in minus],
-        },
+        {"plus_parts": [p.vertices for p in plus], "minus_parts": [p.vertices for p in minus]},
     )
 
 
-def _pair_from_matchings(facts: PatternAnalysis) -> WitnessPair | None:
+def _matching_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
     """Negative-edge matching versus positive-edge matching, both emphasized.
 
     Negative edges carry imaginary eigenvalue pairs, positive edges real
@@ -794,20 +792,16 @@ def _pair_from_matchings(facts: PatternAnalysis) -> WitnessPair | None:
     pattern = facts.pattern
     neg = _max_matching(facts.graph.negative_edges())
     pos = _max_matching(facts.graph.positive_edges())
-    if not neg or not pos:
-        return None
-    spec_a = ladder_spec(pattern, matching_parts(pattern, neg))
-    spec_b = ladder_spec(pattern, matching_parts(pattern, pos))
-    return _try_pair(
-        pattern,
-        spec_a,
-        spec_b,
-        "negative-vs-positive-matching",
-        {"negative_matching": list(neg), "positive_matching": list(pos)},
-    )
+    if neg and pos:
+        yield (
+            matching_parts(pattern, neg),
+            matching_parts(pattern, pos),
+            "negative-vs-positive-matching",
+            {"negative_matching": list(neg), "positive_matching": list(pos)},
+        )
 
 
-def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
+def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
     """Constructions driven by the ``cycle_conditions`` of each reported cycle.
 
     For a cycle with an odd number of negative edges the two traversal
@@ -823,7 +817,7 @@ def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
         ShapeKind.UNICYCLIC,
         ShapeKind.MULTI_CYCLE_NO_LEAF,
     ):
-        return None
+        return
     pattern, digraph = facts.pattern, facts.digraph
     report = facts.cycle_report
     for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
@@ -832,27 +826,16 @@ def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
             fwd = directed_cycle_from_vertices(digraph, cyc)
             rev = directed_cycle_from_vertices(digraph, tuple(reversed(cyc)))
             rest = facts.cover_without(cyc)
-            pair = _try_pair(
-                pattern,
-                ladder_spec(pattern, (fwd,) + rest),
-                ladder_spec(pattern, (rev,) + rest),
-                "cycle-orientation-sign-clash",
-                {"cycle": list(cyc)},
-            )
-            if pair is not None:
-                return pair
+            yield (fwd,) + rest, (rev,) + rest, "cycle-orientation-sign-clash", {"cycle": list(cyc)}
         if conds["all_negative"] and len(cyc) % 2 == 0:
             alt = cycle_edge_order(facts.graph, cyc)[0][::2]
             rest = facts.cover_without(cyc)
-            pair = _try_pair(
-                pattern,
-                ladder_spec(pattern, matching_parts(pattern, alt) + rest),
-                ladder_spec(pattern, (directed_cycle_from_vertices(digraph, cyc),) + rest),
+            yield (
+                matching_parts(pattern, alt) + rest,
+                (directed_cycle_from_vertices(digraph, cyc),) + rest,
                 "all-negative-cycle",
                 {"cycle": list(cyc), "matching": list(alt)},
             )
-            if pair is not None:
-                return pair
         if conds["even_length_odd_run"]:
             # The cycle carries both signs, so every maximal run is shorter
             # than the cycle; the first odd one drives the construction.
@@ -860,16 +843,25 @@ def _pair_from_cycle_conditions(facts: PatternAnalysis) -> WitnessPair | None:
             run = next(r for r in maximal_signed_runs(signs, cyclic=True) if r.length % 2)
             m_neg, m_pos = gamma_matchings_from_odd_run(tuple(zip(edges, signs)), run)
             rest = facts.cover_without(cyc)
-            pair = _try_pair(
-                pattern,
-                ladder_spec(pattern, matching_parts(pattern, m_neg.edges) + rest),
-                ladder_spec(pattern, matching_parts(pattern, m_pos.edges) + rest),
+            yield (
+                matching_parts(pattern, m_neg.edges) + rest,
+                matching_parts(pattern, m_pos.edges) + rest,
                 "odd-run-alternating-matchings",
                 {"cycle": list(cyc), "m1": list(m_neg.edges), "m2": list(m_pos.edges)},
             )
-            if pair is not None:
-                return pair
-    return None
+
+
+def _candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
+    """Every constructed candidate in the order tried: sign clash, matchings, cycles.
+
+    The last two need a combinatorially symmetric irreducible pattern.
+    Candidates are built lazily, so a caller that stops early pays for no
+    later cover or cycle.
+    """
+    yield from _sign_clash_candidates(facts)
+    if facts.flags.combinatorially_symmetric and facts.flags.irreducible:
+        yield from _matching_candidates(facts)
+        yield from _cycle_condition_candidates(facts)
 
 
 def _path_probe_matrices(facts: PatternAnalysis) -> list[tuple[str, np.ndarray]]:
@@ -966,21 +958,21 @@ def find_witness_pair(
 ) -> WitnessPair | None:
     """Two realizations of the analysed pattern with different inertias, or None.
 
-    Constructive strategies run first so that, when they apply, the
-    returned pair is reproducible and independent of the sampling seed.
-    They read the structural facts from ``facts``, so a caller that has
-    already derived them does not pay for them twice.  Every returned pair
-    has been checked numerically.  ``prior``, a census of the pattern drawn
-    under ``cfg`` with at most ``budget`` trials, is resumed by the
-    sampling fallback instead of being drawn again.
+    Constructed candidates are certified first, in ``_candidates`` order,
+    so that, when one holds, the returned pair is reproducible and
+    independent of the sampling seed.  They read the structural facts from
+    ``facts``, so a caller that has already derived them does not pay for
+    them twice.  Every returned pair has been checked numerically.
+    ``prior``, a census of the pattern drawn under ``cfg`` with at most
+    ``budget`` trials, is resumed by the sampling fallback instead of being
+    drawn again.
     """
     cfg = cfg or SampleConfig()
     if facts.pattern.n <= SIGN_ORDER_CAP:
-        strategies = [_pair_from_sign_clash]
-        if facts.flags.combinatorially_symmetric and facts.flags.irreducible:
-            strategies += [_pair_from_matchings, _pair_from_cycle_conditions]
-        for strategy in strategies:
-            pair = strategy(facts)
+        pattern = facts.pattern
+        for parts_a, parts_b, method, detail in _candidates(facts):
+            spec_a, spec_b = ladder_spec(pattern, parts_a), ladder_spec(pattern, parts_b)
+            pair = _try_pair(pattern, spec_a, spec_b, method, detail)
             if pair is not None:
                 return pair
     return _pair_from_sampling(facts, budget, cfg, prior)

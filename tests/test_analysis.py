@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from collections import Counter
@@ -45,6 +46,7 @@ COUNTED = {
     "cycle_structure": graphs.cycle_structure,
     "cycle_edge_order": graphs.cycle_edge_order,
     "stabilize_epsilon": spectra.stabilize_epsilon,
+    "_try_pair": spectra._try_pair,
     "_bfs_levels": graphs._bfs_levels,
 }
 
@@ -125,7 +127,13 @@ def test_r6_and_cycle_witness_share_the_leftover_cover(monkeypatch, name, method
     calls = _count_calls(monkeypatch)
     finding = verdict._r6(facts, None, None, [])
     assert finding.details["length_splits_additively"]
-    assert spectra._pair_from_cycle_conditions(facts).method == method
+    pattern = facts.pattern
+    specs = (
+        (spectra.ladder_spec(pattern, a), spectra.ladder_spec(pattern, b), m, d)
+        for a, b, m, d in spectra._cycle_condition_candidates(facts)
+    )
+    pairs = (spectra._try_pair(pattern, *args) for args in specs)
+    assert next(pair for pair in pairs if pair is not None).method == method
     assert calls["_max_cover"] == 1
     (cycle,) = facts.cycle_report.cycles
     assert facts.cover_without(cycle) == facts.cover_without(reversed(cycle))
@@ -238,15 +246,36 @@ def test_witness_pair_stops_at_first_suspect_walk_byte_for_byte(monkeypatch, nam
 
 
 def test_witness_pairs_walk_second_only_after_a_firm_first(monkeypatch):
-    """47 of the 53 pairs tried on the golden ladder stop at a suspect first walk."""
+    """47 of the 53 pairs tried on the golden ladder stop at a suspect first walk.
+
+    Candidates are built only as the certifying loop asks for them, so no
+    extra pair is tried and no extra cover solved.
+    """
     calls = _count_calls(monkeypatch)
-    walks = {}
+    walks, tried, covers = {}, [], []
     for label in (f"ladder-n12-{i}" for i in range(6)):
         calls.clear()
         analyze(GOLDEN_PATTERNS[label], SampleConfig())
         walks[label] = calls["stabilize_epsilon"]
+        tried.append(calls["_try_pair"])
+        covers.append(calls["_max_cover"])
     assert walks["ladder-n12-0"] == 32
     assert sum(walks.values()) == 59
+    assert tried == [31, 2, 1, 14, 1, 4]
+    assert covers == [18, 3, 2, 11, 2, 4]
+
+
+def test_candidates_propose_and_never_walk(monkeypatch):
+    """Strategies only propose; the loop in ``find_witness_pair`` certifies."""
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a candidate strategy walked epsilon")
+
+    monkeypatch.setattr(spectra, "stabilize_epsilon", no_walk)
+    facts = PatternAnalysis(GOLDEN_PATTERNS["ladder-n12-0"])
+    candidates = list(itertools.islice(spectra._candidates(facts), 20))
+    assert len(candidates) == 20
+    assert candidates[0][2] == "max-composite-sign-clash"
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_PATTERNS))

@@ -230,6 +230,15 @@ def test_witness_matching_command():
     assert "inertia: (0, 0, 4)" in result.output
 
 
+def test_readme_lists_every_command_and_no_other():
+    """The README's CLI block names exactly the commands ``main`` has."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("signum ")}
+    assert named == set(main.commands)
+
+
 def test_fixtures_listing():
     result = run("fixtures")
     assert result.exit_code == 0
@@ -270,37 +279,11 @@ def test_verify_negative_control(monkeypatch):
     assert "FAIL" in result.output
 
 
-def test_fuzz_smoke_deterministic():
-    a = run("fuzz", "--order", "6", "--trials", "12", "--seed", "2")
-    b = run("fuzz", "--order", "6", "--trials", "12", "--seed", "2")
-    assert a.exit_code == 0
-    assert a.output == b.output
-    assert "examined" in a.output
-
-
-@pytest.mark.parametrize("trials", ["0", "-2"])
-def test_fuzz_rejects_nonpositive_trials(trials):
-    result = run("fuzz", "--order", "4", "--trials", trials)
-    assert result.exit_code == 2
-    assert "Usage:" in result.output
-    assert "--trials" in result.output
-    assert "examined" not in result.output
-
-
-def test_fuzz_rejects_order_zero():
-    result = run("fuzz", "--order", "0", "--trials", "1")
-    assert result.exit_code == 2
-    assert "Usage:" in result.output
-    assert "--order" in result.output
-    assert "Traceback" not in result.output
-
-
 @pytest.mark.parametrize(
     "args",
     [
         ("analyze", "--fixture", "PAT_P4", "--trials", "10"),
         ("census", "--fixture", "PAT_P4", "--trials", "10"),
-        ("fuzz", "--order", "4", "--trials", "1"),
     ],
 )
 def test_negative_seed_is_a_usage_error(args):
@@ -316,7 +299,6 @@ def test_negative_seed_is_a_usage_error(args):
     [
         (("analyze", "--fixture", "PAT_P4", "--trials", "10"), 3),
         (("census", "--fixture", "PAT_P4", "--trials", "10"), 3),
-        (("fuzz", "--order", "4", "--trials", "1"), 1),
     ],
 )
 def test_negative_seed_env_is_an_error(args, code):
@@ -324,15 +306,6 @@ def test_negative_seed_env_is_an_error(args, code):
     assert result.exit_code == code
     assert "SIGNUM_SEED must be nonnegative" in result.output
     assert "Traceback" not in result.output
-
-
-def test_fuzz_repeated_imaginary_smoke():
-    result = run(
-        "fuzz", "--order", "5", "--trials", "6", "--seed", "3",
-        "--target", "repeated-imaginary",
-    )
-    assert result.exit_code == 0
-    assert "examined" in result.output
 
 
 @pytest.mark.parametrize(
