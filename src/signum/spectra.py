@@ -2,10 +2,12 @@
 
 A sample of a pattern draws log-uniform magnitudes onto the nonzero
 positions with the pattern's signs.  Profiles classify eigenvalues by the
-sign of their real part under a relative tolerance, a census aggregates
-profiles over many samples, and witness construction emphasizes chosen
-cycles with large magnitudes while every other nonzero position gets a
-small epsilon, so the spectrum stays close to that of the emphasized part.
+sign of their real part under a relative tolerance.  A census aggregates
+profiles over many samples, in rounds as large as a byte bound allows,
+each round's eigensolve split across the CPUs.  Witness construction
+emphasizes chosen cycles with large magnitudes while every other nonzero
+position gets a small epsilon, so the spectrum stays close to that of the
+emphasized part.
 
 Two samples of one pattern with different inertias certify that the
 pattern does not force a unique inertia; ``find_witness_pair`` looks for
@@ -73,8 +75,12 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 EPSILON_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 13))
-# Trials per census stack: bounds transient memory whatever the trial count.
+# Trials per cached block of census magnitudes, and the fewest rows worth a
+# census round or a thread's slice of its eigensolve.
 _BLOCK = 256
+# Bytes of realizations one census round may hold, so that transient memory
+# stays bounded whatever the trial count.
+_ROUND_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -426,8 +432,9 @@ def _census_pool():
     """The census thread pool, built on first use with one thread fewer than ``_cpus()``.
 
     The first census that pools fixes the size.  Should the process's CPUs
-    change later, rounds follow the new count; a round larger than the pool
-    leaves a stack queued, which the calling thread then takes back.
+    change later, rounds are sliced for the new count; a round with more
+    pool slices than threads leaves a slice queued, which the calling thread
+    then takes back.
     """
     global _POOL
     with _POOL_LOCK:
@@ -440,50 +447,38 @@ def _census_pool():
         return _POOL
 
 
-def _with_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (mats, *_stack_eigvals(mats))
+def _round_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_stack_eigvals`` of a census round, its slices solved side by side.
 
-
-def _collect(mats: np.ndarray, solve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A pool solve's result; one that has not started is taken back and done here."""
-    return _with_eigvals(mats) if solve.cancel() else (mats, *solve.result())
-
-
-def _solved(
-    blocks: Iterable[np.ndarray], count: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(mats, eig, ok) of each of the ``count`` stacks of ``blocks``, in order.
-
-    Every stack is filled on the calling thread, in order.  Where the
-    process may use several CPUs, the stacks go in rounds of one per CPU:
-    the pool solves all but the last of a round while the calling thread
-    fills and solves the last, so the pool has one thread fewer than the
-    CPUs.  A pool solve not yet started when its result is due is taken
-    back and done here, so a pool thread slow to start costs little.  Each
-    solve reads only its own stack, so the results are the plain loop's
-    whatever the threads' timing.  With one CPU, or at most one stack, this is the
-    plain loop and no thread starts.
+    The stack is cut into ``min(_cpus(), ceil(rows / _BLOCK))`` contiguous
+    slices of near-equal size.  The pool solves all but the last while the
+    calling thread solves the last, so the pool has one thread fewer than
+    the CPUs.  A pool slice not yet started when its result is due is taken
+    back and solved here, so a pool thread slow to start costs little.  A
+    failing slice is redone one matrix at a time on the thread that solved
+    it; any other error is raised here and the slices still pending are
+    cancelled.  Each solve reads only its own rows, so the result is the
+    plain loop's whatever the threads' timing.  With one slice no thread
+    starts.
     """
-    cpus = _cpus()
-    if min(cpus, count) <= 1:
-        yield from map(_with_eigvals, blocks)
-        return
+    count = min(_cpus(), -(-len(mats) // _BLOCK))
+    if count <= 1:
+        return _stack_eigvals(mats)
+    *pooled, last = np.array_split(mats, count)
     pool = _census_pool()
-    blocks = iter(blocks)
-    sent: list = []
+    solves = [pool.submit(_stack_eigvals, part) for part in pooled]
     try:
-        for first in range(0, count, cpus):
-            for _ in range(min(cpus, count - first) - 1):
-                mats = next(blocks)
-                sent.append((mats, pool.submit(_stack_eigvals, mats)))
-            here = _with_eigvals(next(blocks))
-            while sent:
-                yield _collect(*sent.pop(0))
-            yield here
+        here = _stack_eigvals(last)
+        parts = [
+            _stack_eigvals(part) if solve.cancel() else solve.result()
+            for part, solve in zip(pooled, solves)
+        ] + [here]
     finally:
-        # Left over only when a solve raised or the census was abandoned.
-        for _, solve in sent:
+        # Left pending only when a solve raised.
+        for solve in solves:
             solve.cancel()
+    eig, ok = zip(*parts)
+    return np.concatenate(eig), np.concatenate(ok)
 
 
 def spectral_profile(a: np.ndarray) -> SpectralProfile:
@@ -547,17 +542,19 @@ def census(
 
     Every other trial draws magnitudes near 1 instead of from the wide law,
     which catches classes whose spectra degenerate only at comparable
-    scales.  Trials are independently seeded by index and run as stacks of
-    ``_BLOCK`` (one fill, one eigensolve, one classification and one tally
-    each), so the result depends neither on evaluation order nor on where
-    the blocks split, nor on which blocks of magnitudes earlier censuses
-    left in the ``_block_magnitudes`` cache.  The eigensolves of a census
-    overlap on the CPUs the process may use (``_solved``); everything else
-    runs on the calling thread, in block order.  A sample is recorded as
+    scales.  Trials are independently seeded by index and run in rounds of
+    ``max(_BLOCK, _ROUND_BYTES // (8 n^2))`` trials, so a round of more
+    than ``_BLOCK`` trials holds at most ``_ROUND_BYTES`` of matrices, and
+    a round makes one fill, one eigensolve, one classification and one tally.
+    The result depends neither on evaluation order nor on where the rounds
+    split, nor on which blocks of magnitudes earlier censuses left in the
+    ``_block_magnitudes`` cache.  A round's eigensolve is split across the
+    CPUs the process may use (``_round_eigvals``); everything else runs on
+    the calling thread, in trial order.  A sample is recorded as
     solid evidence only if its profile is not suspect and its claimed
     zero-eigenvalue count matches the generic multiplicity.  A trial whose
     eigensolve fails, or whose norm overflows so that no tolerance can
-    classify it, counts as a failure.  A block's one tally groups its
+    classify it, counts as a failure.  A round's one tally groups its
     trials by inertia, real count and solidity together; the inertia
     counts, the frequencies and both kinds of representative are all read
     off it, and each dict gets its keys in order of first sample.
@@ -584,12 +581,10 @@ def census(
     solid = dict(prior.solid_representatives)
     freqs = dict(prior.frequency_counts)
     failures = prior.failures
-    starts = range(prior.trials, cfg.trials, _BLOCK)
-    blocks = (
-        _fill(pattern, support, cfg.seed, laws, start, min(start + _BLOCK, cfg.trials))
-        for start in starts
-    )
-    for mats, eig, ok in _solved(blocks, len(starts)):
+    step = max(_BLOCK, _ROUND_BYTES // (8 * max(pattern.n, 1) ** 2))
+    for start in range(prior.trials, cfg.trials, step):
+        mats = _fill(pattern, support, cfg.seed, laws, start, min(start + step, cfg.trials))
+        eig, ok = _round_eigvals(mats)
         tol, floor = _stack_thresholds(mats)
         ok = ok & np.isfinite(tol)
         failures += int(np.count_nonzero(~ok))
@@ -603,7 +598,7 @@ def census(
             key, frequency = (i_plus, i_minus, i_zero), (k_real, pattern.n - k_real)
             counts[key] = counts.get(key, 0) + count
             freqs[frequency] = freqs.get(frequency, 0) + count
-            # Copies, not views: a view would keep its whole block alive.
+            # Copies, not views: a view would keep its whole round alive.
             # Each key's matrix is copied once, when the key is new.
             new = key not in reps
             if new:
@@ -611,7 +606,7 @@ def census(
             if is_firm and key not in solid:
                 # A key whose first sample is solid shares that sample's copy.
                 solid[key] = reps[key] if new else mats[first].copy()
-        del mats, eig, ok  # the plain loop frees each block before it fills the next
+        del mats, eig, ok  # free each round before filling the next
     return Census(cfg.trials, counts, reps, freqs, failures, solid)
 
 

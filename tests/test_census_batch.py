@@ -1,13 +1,13 @@
 """The batched census against a per-trial oracle.
 
-``census`` draws, eigensolves and classifies its trials a block at a time.
+``census`` draws, eigensolves and classifies its trials a round at a time.
 The oracle below is the per-trial loop it replaced, with its own scalar
 sampler and classifier, so the comparison does not lean on the code under
 test.  Agreement must be exact: counts, frequencies, failures and the raw
 bytes of every representative.  A census resumed from a shorter one must
 equal a fresh census to the same standard, and so must a census that reads
 its magnitudes from blocks other censuses left in the shared cache, and
-so must a census whose block solves overlap on the thread pool.
+so must a census whose round solves are split across the thread pool.
 
 R9 reads the edge-flipped pattern's frequencies off the main census; a real
 census of the flipped pattern is its oracle.  The stack classifier computes
@@ -348,7 +348,7 @@ def test_stabilize_matches_per_epsilon_loop(name, cycle, matching):
 
 
 def test_census_eigensolver_failures(monkeypatch):
-    """A failing stack is redone matrix by matrix; only the bad trials fail."""
+    """A failing slice is redone matrix by matrix; only the bad trials fail."""
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=600, seed=23)
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
@@ -369,9 +369,9 @@ def test_census_eigensolver_failures(monkeypatch):
     # test_pooled_fallback_solves_in_a_worker covers the pool.
     with cpus(1):
         got = census(pattern, cfg)
-    # Stacks of 256, 256 and 88 trials; trials 4 and 301 spoil the first two.
-    assert calls["stack"] == 3
-    assert calls["single"] == 2 * 256
+    # One round of 600 trials in one stack, which trials 4 and 301 spoil.
+    assert calls["stack"] == 1
+    assert calls["single"] == 600
     want = oracle_census(pattern, cfg)
     assert got.failures == want.failures == 2
     assert sum(got.inertia_counts.values()) + got.failures == cfg.trials
@@ -467,7 +467,7 @@ def test_pooled_census_equals_one_cpu(pattern, law, seed, workers):
                 prior = census(pattern, cfg, prior=prior)
                 runs[count].append(prior)
             if count > 1:
-                # The calling thread solves one stack of each round itself.
+                # The calling thread solves one slice of each round itself.
                 assert spectra._POOL._max_workers == count - 1
     for got, want in zip(runs[workers], runs[1]):
         assert_same_census(got, want)
@@ -505,18 +505,34 @@ def test_census_without_pool_starts_no_thread(monkeypatch, count, trials, resume
     assert_same_census(got, want)
 
 
+class _Started:
+    """A pool solve that claims to have started, so it is never taken back."""
+
+    def __init__(self, solve):
+        self.solve = solve
+
+    def cancel(self) -> bool:
+        return False
+
+    def result(self):
+        return self.solve.result()
+
+
 def wait_for_pool(monkeypatch):
-    """Collect every pool solve from the pool, never taking one back."""
-    monkeypatch.setattr(spectra, "_collect", lambda mats, solve: (mats, *solve.result()))
+    """Collect every pool slice from the pool, never taking one back."""
+    pool = spectra._census_pool()
+    submit = pool.submit
+    monkeypatch.setattr(pool, "submit", lambda fn, *args: _Started(submit(fn, *args)))
 
 
 def test_pooled_fallback_solves_in_a_worker(monkeypatch):
-    """A failing stack is redone matrix by matrix on the pool thread that solved it."""
+    """A failing slice is redone matrix by matrix on the pool thread that solved it."""
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=1000, seed=23)
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
-    # Stacks 0 and 2 of each round-of-two census go to the pool.
-    bad = [scalar_sample(pattern, cfg, 4), scalar_sample(pattern, narrow, 601)]
+    # Each census is one round in two slices; trials 0-499 of the
+    # 1000-trial census and 0-255 of the 512-trial prior go to the pool.
+    bad = [scalar_sample(pattern, cfg, 4), scalar_sample(pattern, narrow, 201)]
     original = np.linalg.eigvals
     single_threads = []
 
@@ -529,12 +545,12 @@ def test_pooled_fallback_solves_in_a_worker(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
-    wait_for_pool(monkeypatch)
     with cpus(2):
+        wait_for_pool(monkeypatch)
         got = census(pattern, cfg)
         resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=512)))
-    # Trials 4 and 601 spoil one stack each in every census that draws them.
-    assert len(single_threads) == 4 * 256
+    # Trials 4 and 201 spoil the pool's slice of each census that draws them.
+    assert len(single_threads) == 500 + 256
     assert all(name.startswith("signum-census") for name in single_threads)
     want = oracle_census(pattern, cfg)
     assert got.failures == want.failures == 2
@@ -543,7 +559,7 @@ def test_pooled_fallback_solves_in_a_worker(monkeypatch):
 
 
 def test_unstarted_pool_solves_are_taken_back(monkeypatch):
-    """With the pool's one thread held up, the calling thread solves every stack."""
+    """With the pool's one thread held up, the calling thread solves every slice."""
     pattern = FIXTURES["PAT_TWOSQ9"].pattern
     cfg = SampleConfig(trials=1000, seed=8)
     callers = []
@@ -563,25 +579,26 @@ def test_unstarted_pool_solves_are_taken_back(monkeypatch):
         finally:
             release.set()
         assert held.result(timeout=60)
-    assert callers == [threading.get_ident()] * 4
+    assert callers == [threading.get_ident()] * 2
     assert_same_census(got, oracle_census(pattern, cfg))
 
 
 def test_pooled_census_propagates_other_errors(monkeypatch):
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=2000, seed=3)
-    third_block = scalar_sample(pattern, cfg, 2 * spectra._BLOCK)
+    # One round in two slices; the pool's slice starts at trial 0.
+    pool_first = scalar_sample(pattern, cfg, 0)
     original = np.linalg.eigvals
     raised_in = []
 
     def eigvals(a):
-        if np.array_equal(a[0], third_block):
+        if np.array_equal(a[0], pool_first):
             raised_in.append(threading.current_thread().name)
             raise MemoryError("no room for the stack")
         return original(a)
 
-    wait_for_pool(monkeypatch)
     with cpus(2):
+        wait_for_pool(monkeypatch)
         monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
         with pytest.raises(MemoryError, match="no room"):
             census(pattern, cfg)
@@ -589,6 +606,74 @@ def test_pooled_census_propagates_other_errors(monkeypatch):
         # The pool outlives the error and the next census is whole.
         monkeypatch.setattr(spectra.np.linalg, "eigvals", original)
         assert_same_census(census(pattern, cfg), oracle_census(pattern, cfg))
+
+
+def count_round_work(monkeypatch) -> dict:
+    """Rows of each census fill, the thread of each stack solve, and the tallies."""
+    work = {"fills": [], "stacks": [], "tallies": 0}
+    fill, tally, original = spectra._fill, spectra._tally, np.linalg.eigvals
+
+    def counted_fill(*args):
+        mats = fill(*args)
+        work["fills"].append(len(mats))
+        return mats
+
+    def counted_tally(*args):
+        work["tallies"] += 1
+        return tally(*args)
+
+    def eigvals(a):
+        if np.ndim(a) == 3:
+            work["stacks"].append(threading.current_thread().name)
+        return original(a)
+
+    monkeypatch.setattr(spectra, "_fill", counted_fill)
+    monkeypatch.setattr(spectra, "_tally", counted_tally)
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    return work
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_census_round_makes_one_fill_one_tally_and_a_solve_per_cpu(monkeypatch, count):
+    pattern = FIXTURES["PAT_TWOSQ9"].pattern
+    cfg = SampleConfig(trials=1000, seed=5)
+    want = oracle_census(pattern, cfg)
+    with cpus(count):
+        if count > 1:
+            wait_for_pool(monkeypatch)
+        work = count_round_work(monkeypatch)
+        got = census(pattern, cfg)
+    assert work["fills"] == [1000]
+    assert work["tallies"] == 1
+    assert len(work["stacks"]) == count
+    pooled = [name for name in work["stacks"] if name.startswith("signum-census")]
+    assert len(pooled) == count - 1
+    assert_same_census(got, want)
+
+
+@pytest.mark.parametrize("bound_rows", [0, 300], ids=["block-floor", "300-rows"])
+def test_census_rounds_stay_within_the_byte_bound(monkeypatch, bound_rows):
+    """No round holds more matrices than the byte bound allows, or fewer than a block."""
+    pattern = FIXTURES["PAT_EX26"].pattern
+    cfg = SampleConfig(trials=1000, seed=23)
+    want = oracle_census(pattern, cfg)
+    matrix_bytes = 8 * pattern.n**2
+    monkeypatch.setattr(spectra, "_ROUND_BYTES", (bound_rows + 1) * matrix_bytes - 1)
+    rows = max(spectra._BLOCK, spectra._ROUND_BYTES // matrix_bytes)
+    assert rows == max(spectra._BLOCK, bound_rows)
+    with cpus(2):
+        work = count_round_work(monkeypatch)
+        fresh = census(pattern, cfg)
+        resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=100)))
+    def rounds(trials):
+        return [min(rows, trials - start) for start in range(0, trials, rows)]
+
+    # The fresh census, the 100-trial prior, then trials 100-999.
+    assert work["fills"] == rounds(1000) + [100] + rounds(900)
+    assert work["tallies"] == len(work["fills"])
+    assert len(work["stacks"]) == sum(min(2, math.ceil(r / spectra._BLOCK)) for r in work["fills"])
+    assert_same_census(fresh, want)
+    assert_same_census(resumed, want)
 
 
 def full_stack_stabilize(pattern: SignPattern, spec):
