@@ -51,6 +51,7 @@ from .graphs import (
     build_digraph,
     build_graph,
     classify_shape,
+    cycle_conditions,
     cycle_structure,
     path_edge_signs,
 )
@@ -501,6 +502,18 @@ class PatternAnalysis:
     @cached_property
     def cycle_report(self) -> CycleStructureReport:
         return cycle_structure(self.graph)
+
+    @cached_property
+    def conditions_by_cycle(self) -> tuple[dict[str, bool], ...]:
+        """``cycle_conditions`` of each ``cycle_report`` cycle, index for index.
+
+        Shared by R7 and the cycle-driven witness strategy; cycles with the
+        same edge signs share one dict, so a rule that puts a cycle's
+        conditions into its details copies it.
+        """
+        signs = self.cycle_report.cycle_edge_signs
+        by_signs = {s: cycle_conditions(s) for s in dict.fromkeys(signs)}
+        return tuple(map(by_signs.__getitem__, signs))
 
     @cached_property
     def max_composite_length(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Iterator, NamedTuple
 
 from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetric
 from .patterns import SignPattern
@@ -22,6 +22,7 @@ from .patterns import SignPattern
 __all__ = [
     "SignedDigraph",
     "SignedGraph",
+    "CycleTable",
     "ShapeKind",
     "GraphShape",
     "MaximalSignedRun",
@@ -68,6 +69,19 @@ class SignedDigraph:
         return SignedDigraph(self.n, tuple(keep))
 
 
+class CycleTable(NamedTuple):
+    """The simple cycles of a graph with, index for index, their edge signs and vertex masks.
+
+    ``signs[c][t]`` is the sign of the edge from ``cycles[c][t]`` to the
+    next vertex around the cycle, and bit v of ``masks[c]`` is set when v
+    lies on cycle c.
+    """
+
+    cycles: tuple[tuple[int, ...], ...]
+    signs: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Undirected edges ((i, j), sign) with i < j; loops are left out."""
@@ -88,8 +102,8 @@ class SignedGraph:
         return {v: tuple(sorted(ws)) for v, ws in adj.items()}
 
     @cached_property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Every simple cycle, canonically rotated and reflected, in sorted order.
+    def cycle_table(self) -> CycleTable:
+        """Every simple cycle with its edge signs and vertex mask, in lexicographic order.
 
         A cycle is written from its smallest vertex s towards the smaller of
         s's two neighbours on it.  A depth-first search from each s steps
@@ -97,21 +111,35 @@ class SignedGraph:
         its second vertex is below its last, so each cycle comes out once,
         already in that form.  A path steps only onto vertices from which a
         neighbour of s that can still close it is reachable off the path, so
-        every step leads to a cycle.  Raises CycleBudgetExceeded past
-        UNDIRECTED_CYCLE_BUDGET cycles.
+        every step leads to a cycle.  Each path is emitted before its
+        extensions, and s and each step go in increasing order, so the
+        cycles come out sorted.  The search carries the path's edge signs and
+        vertex mask, so a cycle's signs and mask are recorded as it is
+        emitted.  Raises CycleBudgetExceeded past UNDIRECTED_CYCLE_BUDGET
+        cycles.
         """
-        adj = [sum(1 << w for w in self.adjacency[v]) for v in range(self.n)]
-        out: list[tuple[int, ...]] = []
+        n = self.n
+        adj = [sum(1 << w for w in self.adjacency[v]) for v in range(n)]
+        sign = [[0] * n for _ in range(n)]
+        for (i, j), s_ij in self.edges:
+            sign[i][j] = sign[j][i] = s_ij
+        cycles: list[tuple[int, ...]] = []
+        signs: list[tuple[int, ...]] = []
+        masks: list[int] = []
 
-        def grow(path: list[int], on_path: int, above: int, closers: int) -> None:
+        def grow(
+            path: list[int], path_signs: list[int], on_path: int, above: int, closers: int
+        ) -> None:
             # closers: neighbours of path[0] above path[1]; only they end a cycle.
             tail = path[-1]
             if closers >> tail & 1:
-                if len(out) >= UNDIRECTED_CYCLE_BUDGET:
+                if len(cycles) >= UNDIRECTED_CYCLE_BUDGET:
                     raise CycleBudgetExceeded(
                         f"more than {UNDIRECTED_CYCLE_BUDGET} undirected cycles"
                     )
-                out.append(tuple(path))
+                cycles.append(tuple(path))
+                signs.append((*path_signs, sign[tail][path[0]]))
+                masks.append(on_path)
             free = above & ~on_path
             if not adj[tail] & free:
                 return
@@ -120,18 +148,26 @@ class SignedGraph:
             while frontier:
                 frontier = _union(adj, frontier) & free & ~live
                 live |= frontier
+            row = sign[tail]
             for w in _bits(adj[tail] & live):
                 path.append(w)
-                grow(path, on_path | 1 << w, above, closers)
+                path_signs.append(row[w])
+                grow(path, path_signs, on_path | 1 << w, above, closers)
                 path.pop()
+                path_signs.pop()
 
-        for s in range(self.n):
+        for s in range(n):
             above = ~((2 << s) - 1)
             for first in _bits(adj[s] & above):
                 closers = adj[s] & ~((2 << first) - 1)
                 if closers:
-                    grow([s, first], 1 << s | 1 << first, above, closers)
-        return tuple(sorted(out))
+                    grow([s, first], [sign[s][first]], 1 << s | 1 << first, above, closers)
+        return CycleTable(tuple(cycles), tuple(signs), tuple(masks))
+
+    @property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Every simple cycle, as listed by ``cycle_table``."""
+        return self.cycle_table.cycles
 
     def sign_of(self, u: int, v: int) -> int:
         return self.edge_sign[(min(u, v), max(u, v))]
@@ -373,26 +409,23 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     no cycle and is a bridge; every route between the two cycles crosses
     each such bridge, so none is shorter than the link.
 
-    Cycles are read as bitmasks of their indices: ``on[v]`` marks the
-    cycles through vertex v, so its union over a vertex mask gives every
-    cycle that mask touches, and ``near[v]``, the union of ``on`` over v's
+    The cycles, their edge signs and their vertex masks come from the
+    graph's ``cycle_table``, so no sign is looked up again here.  Cycles
+    are read as bitmasks of their indices: ``on[v]`` marks the cycles
+    through vertex v, so its union over a vertex mask gives every cycle
+    that mask touches, and ``near[v]``, the union of ``on`` over v's
     neighbours, marks the cycles one edge from v.  Each leaf gets one BFS,
     whose levels name the cycles first touched at each distance.  Each
     cycle with a later disjoint cycle gets one BFS stepping only onto
     vertices off every cycle; the union of ``near`` over its level t names
     the later disjoint cycles first touched at link length t + 1.  A cycle
-    with none gets no BFS.  One walk over a cycle's vertices
-    gives its vertex mask and the cycles it overlaps.  No pair is tested on
-    its own, so the work follows the cycles and the pairs listed.
+    with none gets no BFS.  The union of ``on`` over a cycle's mask gives
+    the cycles it overlaps.  No pair is tested on its own, so the work
+    follows the cycles and the pairs listed.
     """
     if not graph.is_connected():
         raise Disconnected("cycle structure needs a connected graph")
-    cycles = graph.cycles
-    edge_sign = graph.edge_sign
-    signs = tuple(
-        tuple(edge_sign[(u, v) if u < v else (v, u)] for u, v in zip(cyc, cyc[1:] + cyc[:1]))
-        for cyc in cycles
-    )
+    cycles, signs, masks = graph.cycle_table
 
     adj = [sum(1 << w for w in graph.adjacency[v]) for v in range(graph.n)]
     on = [0] * graph.n
@@ -415,13 +448,9 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
         leaf_rows += [(leaf, c, dist[c]) for c in range(len(cycles))]
 
     pair_rows = []
-    for a, cyc in enumerate(cycles):
-        va = overlap = 0
-        for v in cyc:
-            va |= 1 << v
-            overlap |= on[v]
+    for a, va in enumerate(masks):
         # Later cycles sharing no vertex with cycle a.
-        pending = all_cycles & ~((2 << a) - 1) & ~overlap
+        pending = all_cycles & ~((2 << a) - 1) & ~_union(on, va)
         if not pending:
             # The loop below would break at level 0 with nothing linked.
             continue

@@ -50,7 +50,6 @@ from .errors import (
 )
 from .graphs import (
     ShapeKind,
-    cycle_conditions,
     cycle_edge_order,
     maximal_signed_runs,
 )
@@ -797,7 +796,7 @@ def _matching_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
 
 
 def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
-    """Constructions driven by the ``cycle_conditions`` of each reported cycle.
+    """Constructions driven by each reported cycle's ``facts.conditions_by_cycle``.
 
     For a cycle with an odd number of negative edges the two traversal
     directions are oppositely signed top-length composites.  For an even
@@ -815,8 +814,9 @@ def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
         return
     pattern, digraph = facts.pattern, facts.digraph
     report = facts.cycle_report
-    for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
-        conds = cycle_conditions(signs)
+    for cyc, signs, conds in zip(
+        report.cycles, report.cycle_edge_signs, facts.conditions_by_cycle
+    ):
         if conds["odd_negative_count"]:
             fwd = directed_cycle_from_vertices(digraph, cyc)
             rev = directed_cycle_from_vertices(digraph, tuple(reversed(cyc)))

@@ -10,6 +10,7 @@ realizations with distinct inertias is attached when one can be built.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -27,7 +28,6 @@ from .graphs import (
     GraphShape,
     ShapeKind,
     SignedDigraph,
-    cycle_conditions,
     maximal_signed_runs,
 )
 from .patterns import AmbSign, PatternFlags, SignPattern, p_minus
@@ -266,7 +266,7 @@ def _r5(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Single-cycle conditions."""
     if facts.shape.kind is not ShapeKind.SINGLE_CYCLE:
         return None
-    conds = cycle_conditions(facts.cycle_report.cycle_edge_signs[0])
+    conds = dict(facts.conditions_by_cycle[0])
     return _finding("R5", any(conds.values()), {"conditions": conds})
 
 
@@ -277,7 +277,7 @@ def _r6(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     report = facts.cycle_report
     distances = [d for (_, _, d) in report.leaf_cycle_distances]
     all_even = all(d % 2 == 0 for d in distances)
-    conds = cycle_conditions(report.cycle_edge_signs[0])
+    conds = dict(facts.conditions_by_cycle[0])
     # The rule's accounting needs the top composite length to split as
     # cycle length plus the best packing of the rest, the cover the cycle's
     # witnesses ride on; even leaf distances guarantee it, but check it.
@@ -314,13 +314,11 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     everything = (1 << facts.pattern.n) - 1
     # Whether a cycle extends depends only on the vertices it leaves over.
     extends_by_leftover: dict[int, bool] = {}
-    for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
+    for cyc, mask, conds in zip(
+        report.cycles, facts.graph.cycle_table.masks, facts.conditions_by_cycle
+    ):
         # Unless every cycle is even, only an odd negative count counts.
-        hits = [
-            c
-            for c, ok in cycle_conditions(signs).items()
-            if ok and (all_even or c == "odd_negative_count")
-        ]
+        hits = [c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")]
         if not hits:
             continue
         # The witnesses sit on this cycle plus a packing of everything
@@ -330,9 +328,7 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
         # path-adjacent distance is vacuously odd.  Both directions of
         # each cycle edge are arcs of a combinatorially symmetric pattern,
         # so the cycle itself is always there.
-        leftover = everything
-        for v in cyc:
-            leftover ^= 1 << v
+        leftover = everything ^ mask
         extends = extends_by_leftover.get(leftover)
         if extends is None:
             extends = extends_by_leftover[leftover] = _has_perfect_matching(
@@ -545,13 +541,67 @@ _SCALAR_TEXT = {
 }
 
 
+_SEQUENCES = {list, tuple}
+
+
+def _int_lists(items) -> bool:
+    """Whether every item is a non-empty list or tuple of exact ints."""
+    return (
+        set(map(type, items)) <= _SEQUENCES
+        and all(items)
+        and set(map(type, itertools.chain.from_iterable(items))) == {int}
+    )
+
+
+def _int_list_texts(lists, indent: str) -> list[str]:
+    """The text of each non-empty list of exact ints in ``lists``, at depth ``indent``."""
+    inner = indent + "  "
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+    return [head + sep.join(map(int.__repr__, items)) + tail for items in lists]
+
+
+def _records_text(records: list[dict], indent: str) -> str | None:
+    """The text of a list of records at depth ``indent``; None if not all are records.
+
+    Records are dicts with the first one's tuple of keys, in its order, all
+    of exact type ``str``.  Under each key the values are exact scalars of
+    one type, or non-empty lists of exact ints.  The text is built one key
+    at a time, each column with one writer.
+    """
+    keys = tuple(records[0])
+    if not keys or set(map(type, itertools.chain.from_iterable(records))) != {str}:
+        return None
+    if set(map(tuple, records)) != {keys}:
+        return None
+    inner = indent + "  "
+    field = inner + "  "
+    columns = []
+    for key in keys:
+        cells = [record[key] for record in records]
+        kinds = set(map(type, cells))
+        scalar = _SCALAR_TEXT.get(next(iter(kinds))) if len(kinds) == 1 else None
+        if scalar is not None:
+            texts = map(scalar, cells)
+        elif _int_lists(cells):
+            texts = _int_list_texts(cells, field)
+        else:
+            return None
+        head = _encode_str(key) + ": "
+        columns.append([head + text for text in texts])
+    head, sep, tail = "{\n" + field, ",\n" + field, "\n" + inner + "}"
+    rows = (",\n" + inner).join(head + sep.join(row) + tail for row in zip(*columns))
+    return "[\n" + inner + rows + "\n" + indent + "]"
+
+
 def _write(value, out: list[str], indent: str) -> None:
     """Append the text ``json.dumps(value, indent=2)`` gives ``value`` at depth ``indent``.
 
     Keys become ``str(k)``, tuples print as lists, and numpy integers and
     floats print as the Python numbers they equal; any other type raises
-    TypeError, as json does.  A list whose items share one scalar type is
-    written with one join.
+    TypeError, as json does.  Three kinds of list are written with joins,
+    without a call per item: a list whose items share one scalar type, a
+    list of non-empty lists of exact ints, and a list of records
+    (``_records_text``).  Every other value takes the recursive path.
     """
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
@@ -563,11 +613,19 @@ def _write(value, out: list[str], indent: str) -> None:
         inner = indent + "  "
         sep = ",\n" + inner
         kinds = set(map(type, value))
-        scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        scalar = _SCALAR_TEXT.get(next(iter(kinds))) if len(kinds) == 1 else None
         if scalar is _float_text and all(map(math.isfinite, value)):
             scalar = float.__repr__
         if scalar is not None:
             out.append("[\n" + inner + sep.join(map(scalar, value)) + "\n" + indent + "]")
+            return
+        if _int_lists(value):
+            rows = sep.join(_int_list_texts(value, inner))
+            out.append("[\n" + inner + rows + "\n" + indent + "]")
+            return
+        text = _records_text(value, indent) if kinds == {dict} else None
+        if text is not None:
+            out.append(text)
             return
         out.append("[\n" + inner)
         for i, v in enumerate(value):

@@ -45,6 +45,7 @@ COUNTED = {
     "_max_cover": cycles._max_cover,
     "cycle_structure": graphs.cycle_structure,
     "cycle_edge_order": graphs.cycle_edge_order,
+    "cycle_conditions": graphs.cycle_conditions,
     "stabilize_epsilon": spectra.stabilize_epsilon,
     "_try_pair": spectra._try_pair,
     "_bfs_levels": graphs._bfs_levels,
@@ -114,6 +115,35 @@ def test_cycle_report_read_once_and_edges_ordered_only_for_constructions(monkeyp
     assert verdict.witness_pair().method == "cycle-orientation-sign-clash"
     assert calls["cycle_structure"] == 1
     assert calls["cycle_edge_order"] == 13
+
+
+def test_cycle_conditions_decided_once_per_sign_tuple(monkeypatch):
+    """R7 and the cycle witness strategy read one conditions table.
+
+    ``ladder-n12-0`` runs both; each distinct cycle sign tuple is decided
+    once, and the table is what R7 would have decided cycle by cycle.
+    """
+    calls = _count_calls(monkeypatch)
+    pattern = GOLDEN_PATTERNS["ladder-n12-0"]
+    found = analyze(pattern, SampleConfig())
+    assert found.witness_pair().method == "cycle-orientation-sign-clash"
+    r7 = next(f for f in found.findings if f.rule_id == "R7")
+    assert r7.applicable and r7.details["conditions_fired"]
+    facts = PatternAnalysis(pattern)
+    signs = facts.cycle_report.cycle_edge_signs
+    assert calls["cycle_conditions"] == len(set(signs)) < len(signs)
+    monkeypatch.undo()
+    assert facts.conditions_by_cycle == tuple(map(graphs.cycle_conditions, signs))
+
+
+@pytest.mark.parametrize("name", ["PAT_EX26", "PAT_UNI61"])
+def test_single_cycle_rules_copy_the_shared_conditions(name):
+    """R5 and R6 put a dict of their own in their details."""
+    facts = PatternAnalysis(FIXTURES[name].pattern)
+    rule = verdict._r5 if facts.shape.kind is graphs.ShapeKind.SINGLE_CYCLE else verdict._r6
+    conds = rule(facts, None, None, []).details["conditions"]
+    assert conds == facts.conditions_by_cycle[0]
+    assert conds is not facts.conditions_by_cycle[0]
 
 
 @pytest.mark.parametrize(

@@ -524,6 +524,43 @@ def test_undirected_cycle_budget_boundary():
         _bouquet([141, 16, 5, 2]).cycles
 
 
+def assert_cycle_table_matches_rebuild(graph: SignedGraph) -> None:
+    """Recorded signs and masks equal the ones rebuilt from the cycles, in sorted order."""
+    table = graph.cycle_table
+    assert graph.cycles is table.cycles
+    assert len(table.signs) == len(table.masks) == len(table.cycles)
+    assert list(table.cycles) == sorted(table.cycles)
+    for cyc, signs, mask in zip(*table):
+        steps = zip(cyc, cyc[1:] + cyc[:1])
+        assert signs == tuple(graph.edge_sign[min(u, v), max(u, v)] for u, v in steps)
+        assert mask == sum(1 << v for v in cyc)
+
+
+@ORACLE_SETTINGS
+@given(pattern=st.one_of(tree_plus_chords(max_n=10, dense=True), linked_cycles(max_n=10)))
+def test_cycle_table_matches_rebuild(pattern):
+    """Graphs up to order 10; the search emits the cycles already sorted."""
+    assert_cycle_table_matches_rebuild(build_graphs(pattern)[1])
+
+
+def test_cycle_table_matches_rebuild_on_ladder():
+    for entry in json.loads(GOLDEN.read_text())["ladder"]:
+        _, graph = build_graphs(parse_pattern("\n".join(entry["rows"])))
+        assert len(graph.cycles) > 700
+        assert_cycle_table_matches_rebuild(graph)
+
+
+def test_cycle_table_budget(monkeypatch):
+    """K_{2,5} has 10 cycles: at a budget of 10 it lists them, at 9 it raises."""
+    from signum import graphs
+
+    monkeypatch.setattr(graphs, "UNDIRECTED_CYCLE_BUDGET", 10)
+    assert len(_bouquet([5]).cycle_table.cycles) == 10
+    monkeypatch.setattr(graphs, "UNDIRECTED_CYCLE_BUDGET", 9)
+    with pytest.raises(CycleBudgetExceeded, match="more than 9"):
+        _bouquet([5]).cycle_table
+
+
 @st.composite
 def arc_sets(draw, max_n: int = 40):
     n = draw(st.integers(0, max_n))

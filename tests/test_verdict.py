@@ -282,6 +282,59 @@ SCALARS = [
 KEYS = st.one_of(st.text(), st.sampled_from(NASTY_TEXT), st.integers(-5, 5), st.booleans())
 
 
+INT_LIST = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4)
+# Lists that miss the int-list join: empty, tuples, or holding bools, numpy ints or floats.
+NEAR_INT_LIST = st.one_of(
+    INT_LIST.map(tuple),
+    st.lists(
+        st.one_of(
+            st.integers(-5, 5),
+            st.booleans(),
+            st.integers(-5, 5).map(np.int64),
+            st.floats(),
+            st.sampled_from(NASTY_FLOATS),
+        ),
+        max_size=4,
+    ),
+)
+INT_LISTS = st.lists(INT_LIST, min_size=1, max_size=5)
+NEAR_INT_LISTS = st.lists(st.one_of(INT_LIST, NEAR_INT_LIST), min_size=1, max_size=5)
+RECORD_VALUES = st.one_of(*SCALARS, INT_LIST, NEAR_INT_LIST)
+STR_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT))
+# Distinct keys that json writes as the same text.
+CLASHING_KEYS = st.sampled_from([[1, "1"], ["True", True], [None, "None"], ["x", -1, "-1"]])
+
+
+@st.composite
+def records(draw, values=RECORD_VALUES):
+    """A list of dicts sharing one tuple of keys, now and then perturbed.
+
+    Rare draws put one record's keys in another order, add or drop a key,
+    or put a scalar, a list or an empty dict among the records; keys may be
+    non-str, and some pairs of keys are equal after ``str()``.
+    """
+    keys = draw(
+        st.one_of(
+            st.lists(STR_KEYS, min_size=1, max_size=4, unique=True),
+            st.lists(KEYS, min_size=1, max_size=4, unique=True),
+            CLASHING_KEYS,
+        )
+    )
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        order = draw(st.permutations(keys)) if draw(st.integers(0, 4)) == 0 else keys
+        record = {k: draw(values) for k in order}
+        if draw(st.integers(0, 6)) == 0:
+            record[draw(KEYS)] = draw(values)
+        if draw(st.integers(0, 6)) == 0:
+            record.pop(draw(st.sampled_from(order)))
+        out.append(record)
+    if draw(st.integers(0, 4)) == 0:
+        other = draw(st.one_of(*SCALARS, INT_LIST, st.just({})))
+        out.insert(draw(st.integers(0, len(out))), other)
+    return out
+
+
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=5),
@@ -289,6 +342,10 @@ def _containers(children):
         st.dictionaries(KEYS, children, max_size=5),
         # one scalar type throughout, the case written with one join
         st.one_of(*(st.lists(s, min_size=1, max_size=6) for s in SCALARS)),
+        # the int-list and record joins, and lists that just miss them
+        INT_LISTS,
+        NEAR_INT_LISTS,
+        records(st.one_of(RECORD_VALUES, children)),
     )
 
 
@@ -301,11 +358,64 @@ def test_writer_matches_plain_and_json_dumps(doc):
     assert write(doc) == json.dumps(old_plain(doc), indent=2)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=st.one_of(INT_LISTS, NEAR_INT_LISTS, records()), depth=st.integers(0, 2))
+def test_list_joins_match_json_dumps(doc, depth):
+    """The int-list and record joins, at the top level and nested."""
+    for _ in range(depth):
+        doc = {"x": [doc]}
+    assert write(doc) == json.dumps(old_plain(doc), indent=2)
+
+
+def test_cycle_lists_take_the_joins(monkeypatch, pat):
+    """Shape cycles and R7's records are written by the joins, not item by item."""
+    from signum import verdict as verdict_module
+
+    written = []
+    for name in ("_int_list_texts", "_records_text"):
+        real = getattr(verdict_module, name)
+
+        def spy(items, indent, real=real, name=name):
+            text = real(items, indent)
+            if text is not None:
+                written.append((name, len(items)))
+            return text
+
+        monkeypatch.setattr(verdict_module, name, spy)
+    found = analyze(pat("PAT_TWOCYC82"), cfg=CFG)
+    r7 = rule(found, "R7")
+    doc = json.loads(verdict_to_json(found))
+    assert ("_int_list_texts", len(found.shape.cycles)) in written
+    for key in ("path_adjacent_pairs", "conditions_fired"):
+        assert r7.details[key] and ("_records_text", len(r7.details[key])) in written
+    assert doc["findings"][6]["details"] == json.loads(json.dumps(r7.details))
+
+
 @pytest.mark.parametrize(
     "doc",
     [
         {},
         [],
+        [[1, 2], [3]],
+        [[1, 2], []],
+        [[1], [True]],
+        [[1], [np.int64(2)]],
+        [[1], [2.0]],
+        [(1, 2), [3]],
+        [{"a": 1, "b": [1, 2]}, {"a": 2, "b": (3,)}],
+        [{"a": 1, "b": [1, 2]}, {"b": [3], "a": 2}],
+        [{"a": 1}, {"a": 2, "b": 3}],
+        [{1: "x"}, {1: "y"}],
+        [{1: "x", "1": "y"}, {1: "z", "1": "w"}],
+        [{"a": float("nan"), "b": float("inf")}, {"a": -float("inf"), "b": 1.5}],
+        [{"a": 1, "b": None}, {"a": True, "b": "s"}],
+        [{"a": []}, {"a": [1]}],
+        [{"a": [True]}],
+        [{"a": np.int64(1)}],
+        [{"a": {}}],
+        [{"a": 1}, 2, {"a": 3}],
+        [{"a": 1}, [1, 2]],
+        [{}, {}],
         {"a": [], "b": {}, "c": [[], {}]},
         {1: "int key", "1": "str key", True: "bool key", None: "none key"},
         [1, 2, 3],
