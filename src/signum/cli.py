@@ -229,7 +229,7 @@ def cmd_witness(path, fixture, cycle, matching) -> None:
             parts = (directed_cycle_from_vertices(digraph, _parse_vertices(cycle, pattern.n)),)
         else:
             parts = matching_parts(pattern, _parse_matching(matching, pattern.n))
-        spec = ladder_spec(pattern, parts)
+        spec = ladder_spec(parts)
         mat, eps, prof = stabilize_epsilon(pattern, spec)
     except (SignumError, click.ClickException, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -71,7 +71,7 @@ __all__ = [
     "PatternAnalysis",
 ]
 
-SIMPLE_CYCLE_BUDGET = 1_000_000
+COMPOSITE_CYCLE_BUDGET = 1_000_000
 SIGN_ORDER_CAP = 16
 
 
@@ -331,7 +331,6 @@ def composite_cycles_of_length(
     digraph: SignedDigraph,
     length: int,
     include_loops: bool = False,
-    budget: int = SIMPLE_CYCLE_BUDGET,
 ) -> Iterator[CompositeCycle]:
     """All composite cycles of exactly the given length, each exactly once.
 
@@ -342,8 +341,8 @@ def composite_cycles_of_length(
     ``include_loops``), then extends through its successors in increasing
     order, and a step is taken only if the vertices left over can still
     complete it (a perfect-matching test).  Every step therefore leads to
-    a composite, and ``budget`` counts composites yielded: asking for one
-    more raises CycleBudgetExceeded.
+    a composite, and ``COMPOSITE_CYCLE_BUDGET`` counts composites yielded:
+    asking for one more raises CycleBudgetExceeded.
     """
     succ = list(digraph.successor_masks)
     if include_loops:
@@ -351,6 +350,7 @@ def composite_cycles_of_length(
             if i == j:
                 succ[i] |= 1 << i
     arc_sign = digraph.arc_sign
+    budget = COMPOSITE_CYCLE_BUDGET
     emitted = 0
 
     def complete(rest: int, parts: tuple[SimpleCycle, ...]) -> Iterator[CompositeCycle]:

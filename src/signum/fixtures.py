@@ -216,10 +216,9 @@ def _census_check(
     source: str,
     exact_keys: set[tuple[int, int, int]] | None = None,
     superset: set[tuple[int, int, int]] | None = None,
-    cfg: SampleConfig = CENSUS_CFG,
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        cen = census(facts.pattern, cfg)
+        cen = census(facts.pattern, CENSUS_CFG)
         keys = set(cen.inertia_keys())
         if exact_keys is not None and keys != exact_keys:
             return False, f"census keys {sorted(keys)}, expected {sorted(exact_keys)}"
@@ -304,7 +303,7 @@ def _stabilize_check(
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
         pattern = facts.pattern
         part = directed_cycle_from_vertices(facts.digraph, cycle)
-        _, eps, prof = stabilize_epsilon(pattern, ladder_spec(pattern, (part,)))
+        _, eps, prof = stabilize_epsilon(pattern, ladder_spec((part,)))
         ok = prof.inertia == inertia
         return ok, f"stabilized inertia {prof.inertia} at epsilon {eps}"
 
@@ -316,7 +315,7 @@ def _skew_check(check_id: str, tag: str, source: str) -> Check:
         pattern = facts.pattern
         edges, _ = cycle_edge_order(facts.graph, facts.shape.cycles[0])
         matching = tuple(edges[t] for t in range(0, len(edges), 2))
-        spec = ladder_spec(pattern, matching_parts(pattern, matching), epsilon=1e-3)
+        spec = ladder_spec(matching_parts(pattern, matching), epsilon=1e-3)
         mat = build_witness(pattern, spec)
         if not np.array_equal(mat, -mat.T):
             return False, "witness is not exactly skew-symmetric"

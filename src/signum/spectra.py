@@ -80,6 +80,8 @@ _BLOCK = 256
 # Bytes of realizations one census round may hold, so that transient memory
 # stays bounded whatever the trial count.
 _ROUND_BYTES = 8 << 20
+# The fewest trials the sampling witness search draws.
+_WITNESS_TRIALS = 2000
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,6 @@ class SpectralProfile:
     refined: tuple[int, int, int, int]
     frequency: tuple[int, int]
     eigenvalues: tuple[complex, ...]
-    tol: float
     borderline: bool = False
     suspect: bool = False
     suspect_inertia: bool = False
@@ -247,10 +248,12 @@ def _fill(
     Trial t takes its magnitudes from the log-uniform law
     ``laws[t % len(laws)]`` (a (lo, hi) pair), driven by the first k doubles
     of ``default_rng((seed, t))`` in row-major support order, so it equals
-    the realization ``sample`` gives for index t bit for bit whatever else
-    shares its stack.  A stack of several trials reads its rows from the
-    shared ``_block_magnitudes`` blocks it spans; a single trial builds its
-    one generator, which costs far less than a block.
+    ``sample`` at index t under that law and seed bit for bit, whatever
+    else shares its stack.  A census passes two laws, so its odd trials
+    equal ``sample`` under the near-one law, not under cfg's.  A stack of
+    several trials reads its rows from the shared ``_block_magnitudes``
+    blocks it spans; a single trial builds its one generator, which costs
+    far less than a block.
     """
     rows, cols, signs = support
     k = len(signs)
@@ -280,11 +283,6 @@ class _Classes(NamedTuple):
     i_z: np.ndarray
     k_real: np.ndarray
     suspect_inertia: np.ndarray
-
-    @property
-    def inertia(self) -> np.ndarray:
-        """(rows, 3) stack of (i_plus, i_minus, i_zero)."""
-        return np.stack([self.i_plus, self.i_minus, self.i_zero], axis=1)
 
 
 def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
@@ -359,7 +357,6 @@ def _profile(eig: np.ndarray, tol: float, floor: float) -> SpectralProfile:
         refined=(i_plus, i_minus, i_z, i_zero - i_z),
         frequency=(k_real, len(values) - k_real),
         eigenvalues=tuple(values),
-        tol=tol,
         borderline=borderline,
         suspect=suspect or suspect_inertia,
         suspect_inertia=suspect_inertia,
@@ -614,18 +611,13 @@ def matching_parts(pattern: SignPattern, edges: Iterable[tuple[int, int]]) -> tu
     return tuple(_pattern_cycle(pattern, (min(e), max(e))) for e in sorted(edges))
 
 
-def ladder_spec(
-    pattern: SignPattern,
-    parts: Sequence[SimpleCycle],
-    base: float = 10.0,
-    epsilon: float = 0.0,
-) -> WitnessSpec:
-    """Emphasize parts with magnitudes base, base^2, ... in listed order.
+def ladder_spec(parts: Sequence[SimpleCycle], epsilon: float = 0.0) -> WitnessSpec:
+    """Emphasize parts with magnitudes 10, 100, 1000, ... in listed order.
 
     Distinct magnitudes keep the unperturbed eigenvalues of different parts
     apart, which the stabilization step requires.
     """
-    mags = tuple(base ** (p + 1) for p in range(len(parts)))
+    mags = tuple(10.0 ** (p + 1) for p in range(len(parts)))
     return WitnessSpec(tuple(parts), mags, epsilon)
 
 
@@ -918,11 +910,12 @@ def _widest_gap_pair(
 
 
 def _pair_from_sampling(
-    facts: PatternAnalysis, budget: int, cfg: SampleConfig, prior: Census | None
+    facts: PatternAnalysis, cfg: SampleConfig, prior: Census | None
 ) -> WitnessPair | None:
     """Structured probes, then a random census; pair keys with distinct inertia.
 
-    The census of ``budget`` trials resumes ``prior`` when one is given.
+    The census of ``max(_WITNESS_TRIALS, cfg.trials)`` trials resumes
+    ``prior`` when one is given.
     """
     pool: dict[tuple[int, int, int], tuple[str, np.ndarray]] = {}
     try:
@@ -933,7 +926,8 @@ def _pair_from_sampling(
         prof = spectral_profile(mat)
         if not prof.suspect_inertia:
             pool.setdefault(prof.inertia, (f"probe:{name}", mat))
-    cen = census(facts.pattern, replace(cfg, trials=budget), prior=prior)
+    trials = max(_WITNESS_TRIALS, cfg.trials)
+    cen = census(facts.pattern, replace(cfg, trials=trials), prior=prior)
     for key in cen.solid_keys():
         pool.setdefault(key, ("census", cen.solid_representatives[key]))
     if len(pool) < 2:
@@ -947,7 +941,6 @@ def _pair_from_sampling(
 
 def find_witness_pair(
     facts: PatternAnalysis,
-    budget: int = 2000,
     cfg: SampleConfig | None = None,
     prior: Census | None = None,
 ) -> WitnessPair | None:
@@ -958,16 +951,16 @@ def find_witness_pair(
     independent of the sampling seed.  They read the structural facts from
     ``facts``, so a caller that has already derived them does not pay for
     them twice.  Every returned pair has been checked numerically.
-    ``prior``, a census of the pattern drawn under ``cfg`` with at most
-    ``budget`` trials, is resumed by the sampling fallback instead of being
-    drawn again.
+    The sampling fallback draws a census of ``max(2000, cfg.trials)``
+    trials under ``cfg``'s seed and laws.  ``prior``, a census of the
+    pattern drawn under ``cfg``, is resumed by it instead of being drawn
+    again; trials are seeded by index, so the result is the same.
     """
     cfg = cfg or SampleConfig()
     if facts.pattern.n <= SIGN_ORDER_CAP:
         pattern = facts.pattern
         for parts_a, parts_b, method, detail in _candidates(facts):
-            spec_a, spec_b = ladder_spec(pattern, parts_a), ladder_spec(pattern, parts_b)
-            pair = _try_pair(pattern, spec_a, spec_b, method, detail)
+            pair = _try_pair(pattern, ladder_spec(parts_a), ladder_spec(parts_b), method, detail)
             if pair is not None:
                 return pair
-    return _pair_from_sampling(facts, budget, cfg, prior)
+    return _pair_from_sampling(facts, cfg, prior)

@@ -90,42 +90,24 @@ class Verdict:
         return None
 
 
-def _forbidden_blocks() -> dict[str, SignPattern]:
-    p4 = SignPattern.from_rows(
-        [[0, 1, 0, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
-    )
-    p4m = SignPattern.from_rows(
-        [[0, -1, 0, 0], [1, 0, 1, 0], [0, 1, 0, -1], [0, 0, 1, 0]]
-    )
-    p6p = SignPattern.from_rows(
-        [
-            [0, 1, 0, 0, 0, 0],
-            [1, 0, -1, 0, 0, 0],
-            [0, 1, 0, -1, 0, 0],
-            [0, 0, 1, 0, -1, 0],
-            [0, 0, 0, 1, 0, 1],
-            [0, 0, 0, 0, 1, 0],
-        ]
-    )
-    p6pm = SignPattern.from_rows(
-        [
-            [0, -1, 0, 0, 0, 0],
-            [1, 0, 1, 0, 0, 0],
-            [0, 1, 0, 1, 0, 0],
-            [0, 0, 1, 0, 1, 0],
-            [0, 0, 0, 1, 0, -1],
-            [0, 0, 0, 0, 1, 0],
-        ]
-    )
-    return {"block4": p4, "block4_flip": p4m, "block6": p6p, "block6_flip": p6pm}
+def _path_pattern(edge_signs: tuple[int, ...]) -> SignPattern:
+    """The path pattern with + below the diagonal and the edge signs above it."""
+    n = len(edge_signs) + 1
+    rows = [[0] * n for _ in range(n)]
+    for i, sign in enumerate(edge_signs):
+        rows[i][i + 1], rows[i + 1][i] = sign, 1
+    return SignPattern.from_rows(rows)
 
 
-FORBIDDEN_BLOCKS = _forbidden_blocks()
-
-
+# R4's forbidden tridiagonal blocks, as edge signs along the path.
 _FORBIDDEN_EDGE_SIGNS = {
-    name: PatternAnalysis(block).path_edges[1] for name, block in FORBIDDEN_BLOCKS.items()
+    "block4": (1, -1, 1),
+    "block4_flip": (-1, 1, -1),
+    "block6": (1, -1, -1, -1, 1),
+    "block6_flip": (-1, 1, 1, 1, -1),
 }
+
+FORBIDDEN_BLOCKS = {name: _path_pattern(signs) for name, signs in _FORBIDDEN_EDGE_SIGNS.items()}
 
 _REASONS = {
     "R0": "preconditions failed: the rules need an irreducible combinatorially"
@@ -407,7 +389,6 @@ _RULES = (
 def analyze(
     pattern: SignPattern,
     cfg: SampleConfig | None = None,
-    witness_budget: int = 2000,
 ) -> Verdict:
     """Run the rule battery and aggregate the strongest justified conclusion.
 
@@ -416,11 +397,7 @@ def analyze(
     The census always runs so inconclusive verdicts still carry evidence.
     The rules of ``_RULES`` run in order; every rule and the witness search
     read one ``PatternAnalysis``, so each structural fact is derived once.
-    ``witness_budget``, the trial budget of the sampling witness search,
-    must be at least 1.
     """
-    if witness_budget < 1:
-        raise ValueError(f"witness_budget must be at least 1, got {witness_budget}")
     cfg = cfg or SampleConfig()
     facts = PatternAnalysis(pattern)
     flags = facts.flags
@@ -457,10 +434,9 @@ def analyze(
             f for f in findings if f.conclusion is Conclusion.DOES_NOT_REQUIRE
         )
         if first.witness is None:
-            # The sampling fallback draws a longer census under the same
-            # seed and laws, so it extends the main one instead of redrawing it.
-            prior = cen if witness_budget >= cfg.trials else None
-            pair = find_witness_pair(facts, budget=witness_budget, cfg=cfg, prior=prior)
+            # The sampling fallback draws at least as long a census under the
+            # same seed and laws, so it extends the main one instead of redrawing it.
+            pair = find_witness_pair(facts, cfg=cfg, prior=cen)
             if pair is not None:
                 first.witness = pair
             else:
@@ -509,8 +485,8 @@ def _witness_json(pair: WitnessPair) -> dict:
     return {
         "method": pair.method,
         "inertias": [list(ia), list(ib)],
-        "matrix_a": [[float(v) for v in row] for row in np.asarray(pair.a)],
-        "matrix_b": [[float(v) for v in row] for row in np.asarray(pair.b)],
+        "matrix_a": np.asarray(pair.a, dtype=float).tolist(),
+        "matrix_b": np.asarray(pair.b, dtype=float).tolist(),
         "detail": pair.detail,
     }
 

@@ -19,6 +19,7 @@ from signum.graphs import build_digraph
 from signum.patterns import SignPattern
 from signum.spectra import (
     SampleConfig,
+    WitnessSpec,
     build_witness,
     census,
     ladder_spec,
@@ -303,7 +304,7 @@ def test_criterion_10_witness_constructions():
         for n in (4, 6, 8):
             p = _all_negative_cycle(n)
             matching = [(2 * t, 2 * t + 1) for t in range(n // 2)]
-            spec = ladder_spec(p, matching_parts(p, matching), epsilon=1e-3)
+            spec = ladder_spec(matching_parts(p, matching), epsilon=1e-3)
             mat = build_witness(p, spec)
             assert np.array_equal(mat, -mat.T), f"order {n} witness is not skew"
             # exact antisymmetry pins the inertia at (0, 0, n) with no eigensolve
@@ -312,7 +313,7 @@ def test_criterion_10_witness_constructions():
             p = FIXTURES[name].pattern
             d = build_digraph(p)
             part = directed_cycle_from_vertices(d, cycle)
-            spec = ladder_spec(p, (part,), base=100.0)
+            spec = WitnessSpec((part,), (100.0,))
             mat, _, prof = stabilize_epsilon(p, spec)
             magnitude = spec.magnitudes[0]
             prod = 1

@@ -159,7 +159,7 @@ def test_r6_and_cycle_witness_share_the_leftover_cover(monkeypatch, name, method
     assert finding.details["length_splits_additively"]
     pattern = facts.pattern
     specs = (
-        (spectra.ladder_spec(pattern, a), spectra.ladder_spec(pattern, b), m, d)
+        (spectra.ladder_spec(a), spectra.ladder_spec(b), m, d)
         for a, b, m, d in spectra._cycle_condition_candidates(facts)
     )
     pairs = (spectra._try_pair(pattern, *args) for args in specs)

@@ -42,8 +42,10 @@ from signum.spectra import (
     Census,
     SampleConfig,
     SpectralProfile,
+    WitnessSpec,
     build_witness,
     census,
+    find_witness_pair,
     ladder_spec,
     matching_parts,
     sample,
@@ -95,7 +97,6 @@ def scalar_profile(a: np.ndarray) -> SpectralProfile:
         refined=(i_plus, i_minus, i_z, i_zero - i_z),
         frequency=(k_real, len(eig) - k_real),
         eigenvalues=tuple(complex(v) for v in eig),
-        tol=float(tol),
         borderline=borderline,
         suspect=suspect,
         suspect_inertia=suspect_inertia,
@@ -333,7 +334,7 @@ def test_stabilize_matches_per_epsilon_loop(name, cycle, matching):
         parts = (directed_cycle_from_vertices(build_digraph(pattern), cycle),)
     else:
         parts = matching_parts(pattern, matching)
-    spec = ladder_spec(pattern, parts)
+    spec = ladder_spec(parts)
     profiles = []
     for eps in EPSILON_SCHEDULE:
         mat = build_witness(pattern, replace(spec, epsilon=eps))
@@ -609,13 +610,14 @@ def test_pooled_census_propagates_other_errors(monkeypatch):
 
 
 def count_round_work(monkeypatch) -> dict:
-    """Rows of each census fill, the thread of each stack solve, and the tallies."""
-    work = {"fills": [], "stacks": [], "tallies": 0}
+    """Rows and first four matrices of each census fill, each stack solve's thread, the tallies."""
+    work = {"fills": [], "heads": [], "stacks": [], "tallies": 0}
     fill, tally, original = spectra._fill, spectra._tally, np.linalg.eigvals
 
     def counted_fill(*args):
         mats = fill(*args)
         work["fills"].append(len(mats))
+        work["heads"].append(mats[:4].copy())
         return mats
 
     def counted_tally(*args):
@@ -649,6 +651,42 @@ def test_census_round_makes_one_fill_one_tally_and_a_solve_per_cpu(monkeypatch, 
     pooled = [name for name in work["stacks"] if name.startswith("signum-census")]
     assert len(pooled) == count - 1
     assert_same_census(got, want)
+    # Even trials are samples under cfg's law, odd ones under the near-one law.
+    narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
+    (head,) = work["heads"]
+    for t, law in enumerate((cfg, narrow, cfg, narrow)):
+        assert head[t].tobytes() == sample(pattern, law, t).tobytes()
+    assert head[1].tobytes() != sample(pattern, cfg, 1).tobytes()
+
+
+def count_solved_rows(monkeypatch) -> list[int]:
+    """Rows of each census round handed to the eigensolver."""
+    rows = []
+    original = spectra._round_eigvals
+
+    def round_eigvals(mats):
+        rows.append(len(mats))
+        return original(mats)
+
+    monkeypatch.setattr(spectra, "_round_eigvals", round_eigvals)
+    return rows
+
+
+@pytest.mark.parametrize("trials", [1000, 2500])
+def test_witness_census_resumes_the_main_census(monkeypatch, trials):
+    """PAT_TWOCYC81's witness comes from sampling, which extends the main census."""
+    rows = count_solved_rows(monkeypatch)
+    verdict = analyze(FIXTURES["PAT_TWOCYC81"].pattern, SampleConfig(trials=trials))
+    assert verdict.witness_pair().method == "sampled"
+    assert sum(rows) == max(2000, trials)
+
+
+@pytest.mark.parametrize("trials", [300, 2500])
+def test_witness_census_draws_at_least_its_floor(monkeypatch, trials):
+    facts = PatternAnalysis(FIXTURES["PAT_TWOCYC81"].pattern)
+    rows = count_solved_rows(monkeypatch)
+    assert find_witness_pair(facts, SampleConfig(trials=trials)).method == "sampled"
+    assert sum(rows) == max(2000, trials)
 
 
 @pytest.mark.parametrize("bound_rows", [0, 300], ids=["block-floor", "300-rows"])
@@ -684,7 +722,8 @@ def full_stack_stabilize(pattern: SignPattern, spec):
     mats = base + np.array(schedule)[:, None, None] * rest
     eig = np.linalg.eigvals(mats)
     tol, floor = spectra._stack_thresholds(mats)
-    inertia = spectra._classify(eig, tol, floor).inertia
+    c = spectra._classify(eig, tol, floor)
+    inertia = np.stack([c.i_plus, c.i_minus, c.i_zero], axis=1)
     same = (inertia[1:] == inertia[:-1]).all(axis=1)
     settled = np.flatnonzero(same[:-1] & same[1:])
     if not len(settled):
@@ -708,8 +747,8 @@ def fixture_specs():
         edges = sorted(facts.graph.negative_edges()) + sorted(facts.graph.positive_edges())
         parts += [matching_parts(pattern, [e]) for e in edges]
         for part in parts:
-            for base in (10.0, 2.0):
-                yield name, pattern, ladder_spec(pattern, part, base=base)
+            for magnitude in (10.0, 2.0):
+                yield name, pattern, WitnessSpec(part, (magnitude,))
 
 
 def count_solves(monkeypatch):
@@ -749,7 +788,7 @@ def test_stabilize_matches_full_stack(monkeypatch):
 def test_stabilize_never_settling_solves_every_step(monkeypatch):
     """Inertias alternate when the schedule does, so no triple settles."""
     pattern = FIXTURES["PAT_EG06"].pattern
-    spec = ladder_spec(pattern, matching_parts(pattern, [(0, 1)]))
+    spec = ladder_spec(matching_parts(pattern, [(0, 1)]))
     monkeypatch.setattr(spectra, "EPSILON_SCHEDULE", (1e-1, 1e-12) * 6)
     with pytest.raises(NoStabilization):
         full_stack_stabilize(pattern, spec)
@@ -790,7 +829,7 @@ def test_stabilize_profiles_only_the_step_it_returns(monkeypatch):
     monkeypatch.setattr(spectra, "EPSILON_SCHEDULE", (1e-1, 1e-12) * 6)
     calls.clear()
     with pytest.raises(NoStabilization):
-        stabilize_epsilon(pattern, ladder_spec(pattern, matching_parts(pattern, [(0, 1)])))
+        stabilize_epsilon(pattern, ladder_spec(matching_parts(pattern, [(0, 1)])))
     assert calls == []
 
 
@@ -829,8 +868,7 @@ def test_r9_fold_equals_flipped_census(pattern, trials, seed):
     cfg = SampleConfig(trials=trials, seed=seed)
     flipped = p_minus(pattern)
     want = census(flipped, cfg)
-    # A budget of cfg.trials resumes the main census with nothing left to draw.
-    verdict = analyze(pattern, cfg, witness_budget=trials)
+    verdict = analyze(pattern, cfg)
     assert verdict.census.failures == want.failures == 0
     assert _flipped_frequencies(flipped, verdict.census, cfg) == want.frequency_counts
     r9 = next(f for f in verdict.findings if f.rule_id == "R9")
@@ -1008,7 +1046,6 @@ def numpy_profile(eig: np.ndarray, tol: float, floor: float) -> SpectralProfile:
         refined=(i_plus, i_minus, i_z, i_zero - i_z),
         frequency=(k_real, len(eig) - k_real),
         eigenvalues=tuple(complex(v) for v in eig),
-        tol=float(tol),
         borderline=bool(c["borderline"]),
         suspect=bool(c["suspect"]),
         suspect_inertia=bool(c["suspect_inertia"]),
@@ -1054,4 +1091,3 @@ def test_profile_matches_numpy_profile(case):
     # repr tells -0.0 from 0.0, and a float from the equal complex.
     assert repr(got) == repr(want)
     assert all(type(z) is complex for z in got.eigenvalues)
-    assert type(got.tol) is float

@@ -40,7 +40,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from signum import verdict
 from signum.charpoly import ek_sign
 from signum.cycles import (
-    SIMPLE_CYCLE_BUDGET,
+    COMPOSITE_CYCLE_BUDGET,
     CompositeCycle,
     PatternAnalysis,
     SimpleCycle,
@@ -72,7 +72,7 @@ GOLDEN = Path(__file__).with_name("golden_census.json")
 def simple_cycles(
     digraph: SignedDigraph,
     max_len: int | None = None,
-    budget: int = SIMPLE_CYCLE_BUDGET,
+    budget: int = COMPOSITE_CYCLE_BUDGET,
 ) -> Iterator[SimpleCycle]:
     """Every directed simple cycle of length <= max_len, exactly once, from networkx.
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from signum import cycles
 from signum.cycles import (
     Matching,
     composite_cycles_of_length,
@@ -99,12 +100,14 @@ def test_composite_enumeration_counts(pat):
     assert len(list(composite_cycles_of_length(d26, 2))) == 3
 
 
-def test_composite_budget_counts_composites(pat):
+def test_composite_budget_counts_composites(pat, monkeypatch):
     d = digraph_of(pat, "PAT_EX26")
-    assert len(list(composite_cycles_of_length(d, 3, budget=2))) == 2
+    monkeypatch.setattr(cycles, "COMPOSITE_CYCLE_BUDGET", 2)
+    assert len(list(composite_cycles_of_length(d, 3))) == 2
+    monkeypatch.setattr(cycles, "COMPOSITE_CYCLE_BUDGET", 1)
     with pytest.raises(CycleBudgetExceeded):
-        list(composite_cycles_of_length(d, 3, budget=1))
-    first = composite_cycles_of_length(d, 3, budget=1)
+        list(composite_cycles_of_length(d, 3))
+    first = composite_cycles_of_length(d, 3)
     assert next(first).sort_key() == ((0, 1, 2), ((0, 1, 2),))
     with pytest.raises(CycleBudgetExceeded):
         next(first)

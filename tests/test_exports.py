@@ -13,11 +13,13 @@ from pathlib import Path
 import pytest
 
 import signum
-from signum.spectra import census, spectral_profile
+from signum.cycles import composite_cycles_of_length
+from signum.spectra import census, find_witness_pair, ladder_spec, spectral_profile
 from signum.verdict import analyze, verdict_to_json
 
 MODULES = sorted(f"signum.{m.name}" for m in pkgutil.iter_modules(signum.__path__))
 PACKAGE_DIR = Path(signum.__file__).resolve().parent
+BENCH_DIR = PACKAGE_DIR.parents[1] / "bench"
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -42,8 +44,11 @@ def test_package_imports_resolve():
 
 
 PINNED_PARAMETERS = {
-    analyze: ["pattern", "cfg", "witness_budget"],
+    analyze: ["pattern", "cfg"],
     census: ["pattern", "cfg", "prior"],
+    composite_cycles_of_length: ["digraph", "length", "include_loops"],
+    find_witness_pair: ["facts", "cfg", "prior"],
+    ladder_spec: ["parts", "epsilon"],
     spectral_profile: ["a"],
     verdict_to_json: ["verdict"],
 }
@@ -53,6 +58,78 @@ PINNED_PARAMETERS = {
 def test_entry_point_parameters_are_pinned(function):
     """A new keyword parameter shows up here as a test diff."""
     assert list(inspect.signature(function).parameters) == PINNED_PARAMETERS[function]
+
+
+def _unset_optional_parameters(functions: dict, sources: list[str], modules: set[str]) -> set:
+    """(function, parameter) for each optional parameter that no call in sources passes.
+
+    A call is ``f(...)`` or ``m.f(...)`` with m one of ``modules``.  It passes
+    a parameter by keyword, by enough positional arguments, or by a
+    ``*args`` or ``**kwargs`` that could hold it.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                calls.setdefault(func.id, []).append(node)
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in modules:
+                calls.setdefault(func.attr, []).append(node)
+
+    def passes(call: ast.Call, position: int, param: inspect.Parameter) -> bool:
+        if any(kw.arg in (param.name, None) for kw in call.keywords):
+            return True
+        if param.kind is param.KEYWORD_ONLY:
+            return False
+        return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+    unset = set()
+    for name, function in functions.items():
+        for position, param in enumerate(inspect.signature(function).parameters.values()):
+            if param.default is param.empty:
+                continue
+            if not any(passes(call, position, param) for call in calls.get(name, ())):
+                unset.add((name, param.name))
+    return unset
+
+
+# Optional parameters of the package's functions that no call in src/ or
+# bench/ passes, each with the reason it stays.
+UNSET_PARAMETERS = {
+    ("sample", "index"): "trial t of a census is defined as sample(pattern, cfg, t) under its law",
+}
+
+
+def test_every_optional_parameter_has_a_caller():
+    """An optional parameter that only tests set is a knob to retire, or to list above."""
+    functions = {
+        name: obj
+        for name, obj in vars(signum).items()
+        if inspect.isfunction(obj) and not name.startswith("_")
+    }
+    paths = sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py"))
+    modules = {"signum"} | {m.rpartition(".")[2] for m in MODULES}
+    unset = _unset_optional_parameters(functions, [p.read_text() for p in paths], modules)
+    assert unset == set(UNSET_PARAMETERS)
+
+
+def test_unset_parameter_scan_sees_each_way_of_passing():
+    def f(a, b=1, c=2, *, d=3):
+        pass
+
+    def g(a=0):
+        pass
+
+    def scan(source: str) -> set:
+        return _unset_optional_parameters({"f": f, "g": g}, [source], {"m"})
+
+    every = {("f", "b"), ("f", "c"), ("f", "d"), ("g", "a")}
+    assert scan("f(0)\nx.g(1)\n") == every
+    assert scan("f(0, 1)\nm.g(a=1)\n") == {("f", "c"), ("f", "d")}
+    assert scan("m.f(0, c=1)\nf(*xs)\n") == {("f", "d"), ("g", "a")}
+    assert scan("f(0, 1, 2, 3)\nf(**kw)\ng()\n") == {("g", "a")}
 
 
 def test_runtime_imports_match_declared_dependencies():

@@ -66,7 +66,7 @@ def patterns_and_ops(draw):
 
 
 def decision(pattern: SignPattern):
-    v = analyze(pattern, cfg=CFG, witness_budget=CFG.trials)
+    v = analyze(pattern, cfg=CFG)
     rules = [
         (f.rule_id, f.applicable, f.conclusion)
         for f in v.findings

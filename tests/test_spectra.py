@@ -139,7 +139,7 @@ def test_build_witness_empty_spec_gives_zero(pat):
 def test_build_witness_sign_fidelity(pat):
     p = pat("PAT_XXEG22")
     d = build_digraph(p)
-    spec = ladder_spec(p, (directed_cycle_from_vertices(d, (0, 1, 2, 3)),), epsilon=1e-3)
+    spec = ladder_spec((directed_cycle_from_vertices(d, (0, 1, 2, 3)),), epsilon=1e-3)
     mat = build_witness(p, spec)
     assert np.array_equal(np.sign(mat).astype(int), p.to_array())
 
@@ -147,7 +147,7 @@ def test_build_witness_sign_fidelity(pat):
 def test_build_witness_epsilon_zero_base(pat):
     p = pat("PAT_XXEG22")
     d = build_digraph(p)
-    spec = ladder_spec(p, (directed_cycle_from_vertices(d, (0, 1, 2, 3)),))
+    spec = ladder_spec((directed_cycle_from_vertices(d, (0, 1, 2, 3)),))
     base = build_witness(p, spec)
     assert np.count_nonzero(base) == 4
 
@@ -176,7 +176,7 @@ def test_build_witness_rejects_bad_cycle(pat):
 def test_stabilize_full_cycle(pat):
     p = pat("PAT_XXEG22")
     d = build_digraph(p)
-    spec = ladder_spec(p, (directed_cycle_from_vertices(d, (0, 1, 2, 3)),))
+    spec = ladder_spec((directed_cycle_from_vertices(d, (0, 1, 2, 3)),))
     _, eps, prof = stabilize_epsilon(p, spec)
     assert prof.inertia == (2, 2, 0)
     assert eps > 0
@@ -187,7 +187,7 @@ def test_stabilize_negative_triangle(pat):
     d = build_digraph(p)
     cyc = directed_cycle_from_vertices(d, (0, 1, 2))
     assert cyc.sign == -1
-    _, _, prof = stabilize_epsilon(p, ladder_spec(p, (cyc,)))
+    _, _, prof = stabilize_epsilon(p, ladder_spec((cyc,)))
     assert prof.inertia == (2, 1, 0)
 
 
@@ -198,7 +198,7 @@ def test_stabilize_rejects_empty(pat):
 
 def test_skew_witness_all_negative(pat):
     p = pat("PAT_ALLNEG4")
-    spec = ladder_spec(p, matching_parts(p, [(0, 1), (2, 3)]), epsilon=1e-4)
+    spec = ladder_spec(matching_parts(p, [(0, 1), (2, 3)]), epsilon=1e-4)
     mat = build_witness(p, spec)
     assert np.array_equal(mat, -mat.T)
     assert spectral_profile(mat).inertia == (0, 0, 4)
@@ -217,7 +217,7 @@ def test_find_witness_pair_p6(pat):
 
 
 def test_find_witness_pair_unique_inertia_pattern(pat):
-    assert find_witness_pair(PatternAnalysis(pat("PAT_EG06")), budget=400) is None
+    assert find_witness_pair(PatternAnalysis(pat("PAT_EG06"))) is None
 
 
 def test_witness_pair_matrices_in_class(pat):

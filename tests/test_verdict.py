@@ -15,6 +15,8 @@ from signum.graphs import ShapeKind
 from signum.patterns import AmbSign, SignPattern
 from signum.spectra import SampleConfig, sample, spectral_profile
 from signum.verdict import (
+    FORBIDDEN_BLOCKS,
+    _FORBIDDEN_EDGE_SIGNS,
     Conclusion,
     Overall,
     _odd_cycle_det_sign,
@@ -142,6 +144,32 @@ def test_r4_sees_through_signature_similarity(pat):
     assert r4.details["blocks_found"]["block4"] == [2]
 
 
+def test_forbidden_blocks_are_pinned():
+    """Each block is a path with + below the diagonal and its edge signs above."""
+    assert {name: block.rows for name, block in FORBIDDEN_BLOCKS.items()} == {
+        "block4": ((0, 1, 0, 0), (1, 0, -1, 0), (0, 1, 0, 1), (0, 0, 1, 0)),
+        "block4_flip": ((0, -1, 0, 0), (1, 0, 1, 0), (0, 1, 0, -1), (0, 0, 1, 0)),
+        "block6": (
+            (0, 1, 0, 0, 0, 0),
+            (1, 0, -1, 0, 0, 0),
+            (0, 1, 0, -1, 0, 0),
+            (0, 0, 1, 0, -1, 0),
+            (0, 0, 0, 1, 0, 1),
+            (0, 0, 0, 0, 1, 0),
+        ),
+        "block6_flip": (
+            (0, -1, 0, 0, 0, 0),
+            (1, 0, 1, 0, 0, 0),
+            (0, 1, 0, 1, 0, 0),
+            (0, 0, 1, 0, 1, 0),
+            (0, 0, 0, 1, 0, -1),
+            (0, 0, 0, 0, 1, 0),
+        ),
+    }
+    for name, block in FORBIDDEN_BLOCKS.items():
+        assert PatternAnalysis(block).path_edges[1] == _FORBIDDEN_EDGE_SIGNS[name]
+
+
 def test_r7_requires_spanning_extension():
     # complete support on four vertices with one negative edge: the cycles
     # share vertices, so no pair is path-adjacent and the distance test is
@@ -171,7 +199,7 @@ def test_battery_consistency_on_fuzz_corpus():
                     grid[i][j] = int(rng.choice((-1, 1)))
                     grid[j][i] = int(rng.choice((-1, 1)))
         p = SignPattern.from_rows(grid)
-        v = analyze(p, cfg=cfg, witness_budget=400)
+        v = analyze(p, cfg=cfg)
         conclusions = {f.conclusion for f in v.findings}
         assert not (
             Conclusion.REQUIRES_UNIQUE in conclusions
@@ -223,14 +251,6 @@ def test_order_one_pattern_analyzes():
     # length 0 asks for no cycle, so the empty composite lends R1 no sign
     r1 = next(f for f in v.findings if f.rule_id == "R1")
     assert r1.details == {"max_composite_length": 0, "signs": {"plus": False, "minus": False}}
-
-
-@pytest.mark.parametrize("name", ["PAT_P8P", "PAT_EX26"])
-def test_witness_budget_below_one_is_rejected(pat, name):
-    # PAT_P8P's witness comes from the sampling fallback, PAT_EX26's from a
-    # construction; both reject the budget before any work
-    with pytest.raises(ValueError, match="witness_budget"):
-        analyze(pat(name), cfg=CFG, witness_budget=0)
 
 
 def test_json_deterministic(pat):
