@@ -505,13 +505,13 @@ class PatternAnalysis:
 
     @cached_property
     def conditions_by_cycle(self) -> tuple[dict[str, bool], ...]:
-        """``cycle_conditions`` of each ``cycle_report`` cycle, index for index.
+        """``cycle_conditions`` of each cycle of ``graph.cycle_table``, index for index.
 
-        Shared by R7 and the cycle-driven witness strategy; cycles with the
-        same edge signs share one dict, so a rule that puts a cycle's
+        Shared by R5-R7 and the cycle-driven witness strategy; cycles with
+        the same edge signs share one dict, so a rule that puts a cycle's
         conditions into its details copies it.
         """
-        signs = self.cycle_report.cycle_edge_signs
+        signs = self.graph.cycle_table.signs
         by_signs = {s: cycle_conditions(s) for s in dict.fromkeys(signs)}
         return tuple(map(by_signs.__getitem__, signs))
 

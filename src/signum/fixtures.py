@@ -242,7 +242,7 @@ def _runs_check(
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
         if cyclic:
-            signs = facts.cycle_report.cycle_edge_signs[0]
+            signs = facts.graph.cycle_table.signs[0]
         else:
             _, signs = facts.path_edges
         runs = maximal_signed_runs(signs, cyclic=cyclic)

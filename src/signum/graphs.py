@@ -7,6 +7,13 @@ G (path, tree, single cycle, unicyclic, ...) routes the decision rules;
 this module also computes maximal constant-sign runs along paths and
 cycles, leaf-to-cycle distances, path-adjacent cycle pairs, and (the one
 place this is decided) the distinct-inertia conditions a cycle meets.
+
+Each graph keeps its neighbour bitmasks as one cached property.
+Connectivity runs the package's one reachability routine
+(``patterns._reaches_all``) over them, and ``SignedGraph.cycle_table`` is
+the one listing of the undirected cycles, with their edge signs and vertex
+masks: the shape, the cycle report, the rules and the witness search all
+read it.
 """
 
 from __future__ import annotations
@@ -14,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Iterator, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple, Sequence
 
 from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetric
-from .patterns import SignPattern
+from .patterns import SignPattern, _reaches_all, _union
 
 __all__ = [
     "SignedDigraph",
@@ -94,12 +101,18 @@ class SignedGraph:
         return {e: s for e, s in self.edges}
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bitmask of each vertex's neighbours, read by connectivity and every cycle search."""
+        adj = [0] * self.n
         for (i, j), _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return tuple(adj)
+
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours in increasing order, read off ``neighbour_masks``."""
+        return {v: tuple(_bits(mask)) for v, mask in enumerate(self.neighbour_masks)}
 
     @cached_property
     def cycle_table(self) -> CycleTable:
@@ -119,7 +132,7 @@ class SignedGraph:
         cycles.
         """
         n = self.n
-        adj = [sum(1 << w for w in self.adjacency[v]) for v in range(n)]
+        adj = self.neighbour_masks
         sign = [[0] * n for _ in range(n)]
         for (i, j), s_ij in self.edges:
             sign[i][j] = sign[j][i] = s_ij
@@ -164,11 +177,6 @@ class SignedGraph:
                     grow([s, first], [sign[s][first]], 1 << s | 1 << first, above, closers)
         return CycleTable(tuple(cycles), tuple(signs), tuple(masks))
 
-    @property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Every simple cycle, as listed by ``cycle_table``."""
-        return self.cycle_table.cycles
-
     def sign_of(self, u: int, v: int) -> int:
         return self.edge_sign[(min(u, v), max(u, v))]
 
@@ -185,17 +193,7 @@ class SignedGraph:
         return tuple(e for e, s in self.edges if s > 0)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return _reaches_all(self.neighbour_masks)
 
 
 class ShapeKind(Enum):
@@ -228,16 +226,15 @@ class MaximalSignedRun:
 
 @dataclass(frozen=True)
 class CycleStructureReport:
-    """Undirected cycle inventory with leaf distances and cycle-pair links.
+    """Leaf distances and cycle-pair links, cycles numbered as in the graph's ``cycle_table``.
 
+    ``leaf_cycle_distances`` entries are (leaf, cycle, distance).
     ``path_adjacent_pairs`` entries are (cycle_a, cycle_b, edge_count):
     edge_count is the length of the shortest connecting path whose interior
     avoids every cycle vertex.  It is also the unrestricted distance
     between the two vertex sets (see ``cycle_structure``).
     """
 
-    cycles: tuple[tuple[int, ...], ...]
-    cycle_edge_signs: tuple[tuple[int, ...], ...]
     leaf_cycle_distances: tuple[tuple[int, int, int], ...]
     path_adjacent_pairs: tuple[tuple[int, int, int], ...]
 
@@ -289,7 +286,7 @@ def classify_shape(graph: SignedGraph) -> GraphShape:
     if m == n - 1:
         kind = ShapeKind.PATH if all(graph.degree(v) <= 2 for v in range(n)) else ShapeKind.TREE
         return GraphShape(kind, (), leaves)
-    cycles = graph.cycles
+    cycles = graph.cycle_table.cycles
     if m == n:
         if all(graph.degree(v) == 2 for v in range(n)):
             return GraphShape(ShapeKind.SINGLE_CYCLE, cycles, leaves)
@@ -399,7 +396,7 @@ def cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
 
 
 def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
-    """Cycle inventory: every simple cycle, leaf distances, cycle-pair links.
+    """Leaf-to-cycle distances and cycle-pair links over the graph's ``cycle_table``.
 
     A pair of cycles is listed only if some connecting path has all interior
     vertices off every cycle; the reported edge count is minimal among such
@@ -409,25 +406,25 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     no cycle and is a bridge; every route between the two cycles crosses
     each such bridge, so none is shorter than the link.
 
-    The cycles, their edge signs and their vertex masks come from the
-    graph's ``cycle_table``, so no sign is looked up again here.  Cycles
-    are read as bitmasks of their indices: ``on[v]`` marks the cycles
-    through vertex v, so its union over a vertex mask gives every cycle
-    that mask touches, and ``near[v]``, the union of ``on`` over v's
-    neighbours, marks the cycles one edge from v.  Each leaf gets one BFS,
-    whose levels name the cycles first touched at each distance.  Each
-    cycle with a later disjoint cycle gets one BFS stepping only onto
-    vertices off every cycle; the union of ``near`` over its level t names
-    the later disjoint cycles first touched at link length t + 1.  A cycle
-    with none gets no BFS.  The union of ``on`` over a cycle's mask gives
+    The cycles and their vertex masks come from the graph's
+    ``cycle_table`` and the adjacency from its ``neighbour_masks``, so no
+    cycle is listed and no adjacency built again here.  Cycles are read as
+    bitmasks of their indices: ``on[v]`` marks the cycles through vertex v,
+    so its union over a vertex mask gives every cycle that mask touches,
+    and ``near[v]``, the union of ``on`` over v's neighbours, marks the
+    cycles one edge from v.  Each leaf gets one BFS, whose levels name the
+    cycles first touched at each distance.  Each cycle with a later
+    disjoint cycle gets one BFS stepping only onto vertices off every
+    cycle; the union of ``near`` over its level t names the later disjoint
+    cycles first touched at link length t + 1.  A cycle with none gets no
+    BFS.  The union of ``on`` over a cycle's mask gives
     the cycles it overlaps.  No pair is tested on its own, so the work
     follows the cycles and the pairs listed.
     """
     if not graph.is_connected():
         raise Disconnected("cycle structure needs a connected graph")
-    cycles, signs, masks = graph.cycle_table
-
-    adj = [sum(1 << w for w in graph.adjacency[v]) for v in range(graph.n)]
+    cycles, _, masks = graph.cycle_table
+    adj = graph.neighbour_masks
     on = [0] * graph.n
     for c, cyc in enumerate(cycles):
         for v in cyc:
@@ -464,20 +461,10 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
             for b in _bits(touched):
                 link[b] = t + 1
         pair_rows += [(a, b, link[b]) for b in sorted(link)]
-    return CycleStructureReport(cycles, signs, tuple(leaf_rows), tuple(pair_rows))
+    return CycleStructureReport(tuple(leaf_rows), tuple(pair_rows))
 
 
-def _union(rows: list[int], mask: int) -> int:
-    """OR of rows[v] over the set bits v of mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _bfs_levels(adj: list[int], sources: int, allowed: int) -> list[int]:
+def _bfs_levels(adj: Sequence[int], sources: int, allowed: int) -> list[int]:
     """Vertex masks at each BFS level from sources, stepping only onto allowed vertices."""
     levels = []
     seen = frontier = sources

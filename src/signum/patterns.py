@@ -5,7 +5,11 @@ whose entries match it in sign.  This module owns the pattern
 representation and text format, validation flags, the inertia-preserving
 equivalence transforms (permutation similarity, signature similarity,
 negation, transposition), the edge-sign flip transform for tree patterns,
-and principal-subpattern search.
+and principal-subpattern search.  It also holds the package's one
+reachability routine over vertex bitmasks, ``_reaches_all``, which decides
+irreducibility here, connectivity in ``graphs``, and so tree support: a
+combinatorially symmetric, zero-diagonal pattern is a tree pattern exactly
+when it is irreducible with n - 1 undirected edges.
 
 Entries are stored as plain ints in {-1, 0, +1}.  Indices are 0-based
 throughout the API; positions in error messages and reports are 1-based.
@@ -79,6 +83,8 @@ class SignPattern:
 
     def __post_init__(self) -> None:
         n = len(self.rows)
+        if not n:
+            raise NonSquare("a pattern needs at least one row")
         for r in self.rows:
             if len(r) != n:
                 raise NonSquare(f"got {len(r)} columns in a pattern of {n} rows")
@@ -183,37 +189,45 @@ def parse_pattern(text: str) -> SignPattern:
 def validate(pattern: SignPattern) -> PatternFlags:
     """Compute the structural flags used as preconditions by the rule battery.
 
-    Irreducibility is strong connectivity of the digraph of nonzero entries.
+    Irreducibility is strong connectivity of the digraph of nonzero entries:
+    vertex 0 reaches every vertex along successors and along predecessors.
+    The two mask lists agree exactly when the pattern is combinatorially
+    symmetric, and then one pass decides it.
     """
     n = pattern.n
-    rows = pattern.rows
-    comb_sym = all(
-        (rows[i][j] != 0) == (rows[j][i] != 0) for i in range(n) for j in range(i + 1, n)
-    )
-    zero_diag = all(rows[i][i] == 0 for i in range(n))
-    irreducible = _strongly_connected(pattern)
+    succ, pred = [0] * n, [0] * n
+    for i, row in enumerate(pattern.rows):
+        for j, v in enumerate(row):
+            if v and i != j:
+                succ[i] |= 1 << j
+                pred[j] |= 1 << i
+    comb_sym = succ == pred
+    zero_diag = all(pattern.rows[i][i] == 0 for i in range(n))
+    irreducible = _reaches_all(succ) and (comb_sym or _reaches_all(pred))
     return PatternFlags(comb_sym, zero_diag, irreducible)
 
 
-def _strongly_connected(pattern: SignPattern) -> bool:
-    n = pattern.n
-    if n == 1:
-        return True
-    fwd = [[j for j in range(n) if pattern.rows[i][j] and i != j] for i in range(n)]
-    bwd = [[j for j in range(n) if pattern.rows[j][i] and i != j] for i in range(n)]
+def _reaches_all(masks: Sequence[int]) -> bool:
+    """Whether vertex 0 reaches every vertex, bit w of ``masks[v]`` marking a step v -> w.
 
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == n
+    The one reachability routine: ``validate`` runs it for irreducibility
+    and ``SignedGraph.is_connected`` over the undirected neighbour masks.
+    """
+    seen = frontier = 1
+    while frontier:
+        frontier = _union(masks, frontier) & ~seen
+        seen |= frontier
+    return seen == (1 << len(masks)) - 1
 
-    return reach(fwd) and reach(bwd)
+
+def _union(rows: Sequence[int], mask: int) -> int:
+    """OR of rows[v] over the set bits v of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def apply_equivalence(pattern: SignPattern, op: EquivalenceOp) -> SignPattern:
@@ -246,37 +260,6 @@ def apply_equivalence(pattern: SignPattern, op: EquivalenceOp) -> SignPattern:
     raise TypeError(f"not an equivalence op: {op!r}")
 
 
-def _undirected_support(pattern: SignPattern) -> list[tuple[int, int]]:
-    n = pattern.n
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if pattern.rows[i][j] or pattern.rows[j][i]
-    ]
-
-
-def _is_tree_support(pattern: SignPattern) -> bool:
-    n = pattern.n
-    edges = _undirected_support(pattern)
-    if len(edges) != n - 1:
-        return False
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-    return True
-
-
 def p_minus(pattern: SignPattern) -> SignPattern:
     """Flip every undirected edge sign of a tree pattern.
 
@@ -290,10 +273,13 @@ def p_minus(pattern: SignPattern) -> SignPattern:
     flags = validate(pattern)
     if not flags.combinatorially_symmetric:
         raise NotCombinatoriallySymmetric("edge signs need p_ij != 0 iff p_ji != 0")
-    if not (flags.zero_diagonal and _is_tree_support(pattern)):
+    n, rows = pattern.n, [list(r) for r in pattern.rows]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+    # Irreducible means G is connected, here where p_ij != 0 iff p_ji != 0,
+    # and a connected graph on n vertices is a tree exactly when it has n - 1 edges.
+    if not (flags.zero_diagonal and flags.irreducible and len(edges) == n - 1):
         raise NotTreePattern("edge-sign flip is defined for tree patterns with zero diagonal")
-    rows = [list(r) for r in pattern.rows]
-    for i, j in _undirected_support(pattern):
+    for i, j in edges:
         rows[i][j] = -rows[i][j]
     return SignPattern.from_rows(rows)
 

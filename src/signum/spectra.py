@@ -96,6 +96,9 @@ class SampleConfig:
     def __post_init__(self) -> None:
         if not (0 < self.lo <= self.hi < math.inf):
             raise ValueError("need 0 < lo <= hi < inf")
+        # bool is an int subclass: True would run a census of one trial.
+        if any(type(v) is not int for v in (self.trials, self.seed)):
+            raise ValueError("trials and seed must be ints")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:
@@ -805,10 +808,8 @@ def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
     ):
         return
     pattern, digraph = facts.pattern, facts.digraph
-    report = facts.cycle_report
-    for cyc, signs, conds in zip(
-        report.cycles, report.cycle_edge_signs, facts.conditions_by_cycle
-    ):
+    table = facts.graph.cycle_table
+    for cyc, signs, conds in zip(table.cycles, table.signs, facts.conditions_by_cycle):
         if conds["odd_negative_count"]:
             fwd = directed_cycle_from_vertices(digraph, cyc)
             rev = directed_cycle_from_vertices(digraph, tuple(reversed(cyc)))

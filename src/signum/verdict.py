@@ -256,14 +256,13 @@ def _r6(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Unicyclic with even leaf distances."""
     if facts.shape.kind is not ShapeKind.UNICYCLIC:
         return None
-    report = facts.cycle_report
-    distances = [d for (_, _, d) in report.leaf_cycle_distances]
+    distances = [d for (_, _, d) in facts.cycle_report.leaf_cycle_distances]
     all_even = all(d % 2 == 0 for d in distances)
     conds = dict(facts.conditions_by_cycle[0])
     # The rule's accounting needs the top composite length to split as
     # cycle length plus the best packing of the rest, the cover the cycle's
     # witnesses ride on; even leaf distances guarantee it, but check it.
-    the_cycle = report.cycles[0]
+    the_cycle = facts.graph.cycle_table.cycles[0]
     rest = sum(part.length for part in facts.cover_without(the_cycle))
     additive = facts.max_composite_length == len(the_cycle) + rest
     return _finding(
@@ -290,15 +289,14 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
         for (a, b, link) in report.path_adjacent_pairs
     ]
     distance_ok = all(link % 2 == 1 for (_, _, link) in report.path_adjacent_pairs)
-    all_even = all(len(c) % 2 == 0 for c in report.cycles)
+    table = facts.graph.cycle_table
+    all_even = all(len(c) % 2 == 0 for c in table.cycles)
     fired = []
     succ = facts.digraph.successor_masks
     everything = (1 << facts.pattern.n) - 1
     # Whether a cycle extends depends only on the vertices it leaves over.
     extends_by_leftover: dict[int, bool] = {}
-    for cyc, mask, conds in zip(
-        report.cycles, facts.graph.cycle_table.masks, facts.conditions_by_cycle
-    ):
+    for cyc, mask, conds in zip(table.cycles, table.masks, facts.conditions_by_cycle):
         # Unless every cycle is even, only an odd negative count counts.
         hits = [c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")]
         if not hits:

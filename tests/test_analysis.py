@@ -130,7 +130,7 @@ def test_cycle_conditions_decided_once_per_sign_tuple(monkeypatch):
     r7 = next(f for f in found.findings if f.rule_id == "R7")
     assert r7.applicable and r7.details["conditions_fired"]
     facts = PatternAnalysis(pattern)
-    signs = facts.cycle_report.cycle_edge_signs
+    signs = facts.graph.cycle_table.signs
     assert calls["cycle_conditions"] == len(set(signs)) < len(signs)
     monkeypatch.undo()
     assert facts.conditions_by_cycle == tuple(map(graphs.cycle_conditions, signs))
@@ -165,7 +165,7 @@ def test_r6_and_cycle_witness_share_the_leftover_cover(monkeypatch, name, method
     pairs = (spectra._try_pair(pattern, *args) for args in specs)
     assert next(pair for pair in pairs if pair is not None).method == method
     assert calls["_max_cover"] == 1
-    (cycle,) = facts.cycle_report.cycles
+    (cycle,) = facts.graph.cycle_table.cycles
     assert facts.cover_without(cycle) == facts.cover_without(reversed(cycle))
     assert calls["_max_cover"] == 1
 
@@ -231,7 +231,7 @@ def test_analysis_matches_direct_computation(name):
     assert facts.max_composite_length == max_composite_length(digraph)
     assert facts.top_signs == composite_signs(digraph, max_composite_length(digraph))
     assert facts.cycle_report == graphs.cycle_structure(graph)
-    for cycle in facts.cycle_report.cycles:
+    for cycle in facts.graph.cycle_table.cycles:
         cover = max_composite_cover(digraph.without_vertices(set(cycle)))
         assert facts.cover_without(cycle) == (cover.parts if cover else ())
     if facts.shape.kind is graphs.ShapeKind.PATH:
@@ -314,7 +314,7 @@ def test_cycle_structure_runs_a_bfs_only_where_a_link_can_exist(monkeypatch, nam
     graph = PatternAnalysis(GOLDEN_PATTERNS[name]).graph
     calls = _count_calls(monkeypatch)
     report = graphs.cycle_structure(graph)
-    cycles = [set(cycle) for cycle in report.cycles]
+    cycles = [set(cycle) for cycle in graph.cycle_table.cycles]
     linkable = sum(
         any(cycle.isdisjoint(later) for later in cycles[a + 1 :])
         for a, cycle in enumerate(cycles)

@@ -3,7 +3,7 @@
 ``composite_cycles_of_length`` walks vertex sets and part layouts in
 sort-key order, pruning with a perfect-matching test; ``cycle_structure``
 links cycle pairs from one BFS per cycle, read through per-vertex masks of
-the cycles; ``SignedGraph.cycles`` lists
+the cycles; ``SignedGraph.cycle_table`` lists
 undirected cycles with its own depth-first search; the maximum
 composite cover comes from a pure-Python port of scipy's assignment
 solver; and ``graphs.cycle_conditions``, which R5-R7 and the cycle
@@ -60,7 +60,6 @@ from signum.graphs import (
     build_digraph,
     build_graphs,
     cycle_conditions,
-    cycle_edge_order,
     cycle_structure,
     maximal_signed_runs,
 )
@@ -234,8 +233,7 @@ def oracle_cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     of a cycle-avoiding path are bridges, so every route between the two
     cycles runs along it.
     """
-    cycles = graph.cycles
-    signs = tuple(cycle_edge_order(graph, cyc)[1] for cyc in cycles)
+    cycles = graph.cycle_table.cycles
     on_cycle = {v for cyc in cycles for v in cyc}
     leaf_rows = []
     for leaf in graph.leaves():
@@ -252,7 +250,7 @@ def oracle_cycle_structure(graph: SignedGraph) -> CycleStructureReport:
             raw = min(_distances(graph, va)[v] for v in sorted(vb))
             assert raw == link, (cycles[a], cycles[b], link, raw)
             pair_rows.append((a, b, link))
-    return CycleStructureReport(cycles, signs, tuple(leaf_rows), tuple(pair_rows))
+    return CycleStructureReport(tuple(leaf_rows), tuple(pair_rows))
 
 
 def oracle_cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
@@ -272,10 +270,10 @@ def oracle_cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
 def oracle_r7_fired(facts: PatternAnalysis) -> list[dict]:
     """R7's ``conditions_fired``, each hit cycle built as a directed cycle and
     tested with ``cover_extension_exists``."""
-    report = cycle_structure(facts.graph)
-    all_even = all(len(c) % 2 == 0 for c in report.cycles)
+    table = facts.graph.cycle_table
+    all_even = all(len(c) % 2 == 0 for c in table.cycles)
     fired = []
-    for cyc, signs in zip(report.cycles, report.cycle_edge_signs):
+    for cyc, signs in zip(table.cycles, table.signs):
         conds = oracle_cycle_conditions(signs)
         hits = [c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")]
         if not hits:
@@ -410,7 +408,7 @@ def test_cycle_structure_matches_pairwise_oracle_on_ladder(label):
     entry = next(e for e in json.loads(GOLDEN.read_text())["ladder"] if e["label"] == label)
     _, graph = build_graphs(parse_pattern("\n".join(entry["rows"])))
     report = cycle_structure(graph)
-    assert len(report.cycles) > 800 and len(report.path_adjacent_pairs) > 300
+    assert len(graph.cycle_table.cycles) > 800 and len(report.path_adjacent_pairs) > 300
     assert report == oracle_cycle_structure(graph)
 
 
@@ -429,7 +427,7 @@ def test_cycle_structure_through_off_cycle_vertices():
     signs = [(-1) ** (i * j) for i, j in cycle_edges + bridges]
     graph = SignedGraph(15, tuple(sorted(zip(cycle_edges + bridges, signs))))
     report = cycle_structure(graph)
-    assert report.cycles == ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9), (8, 13, 14))
+    assert graph.cycle_table.cycles == ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9), (8, 13, 14))
     assert report.path_adjacent_pairs == ((0, 1, 3), (1, 2, 1))
     assert report.leaf_cycle_distances == ((12, 0, 2), (12, 1, 3), (12, 2, 5), (12, 3, 7))
     assert report == oracle_cycle_structure(graph)
@@ -499,9 +497,9 @@ def test_undirected_cycles_match_networkx(pattern):
         want = oracle_undirected_cycles(graph)
     except CycleBudgetExceeded:
         with pytest.raises(CycleBudgetExceeded):
-            graph.cycles
+            graph.cycle_table
         return
-    assert graph.cycles == want
+    assert graph.cycle_table.cycles == want
 
 
 def _bouquet(block_sizes: list[int]) -> SignedGraph:
@@ -518,16 +516,15 @@ def _bouquet(block_sizes: list[int]) -> SignedGraph:
 def test_undirected_cycle_budget_boundary():
     # 141*140/2 + 16*15/2 + 5*4/2 = 9870 + 120 + 10
     at_budget = _bouquet([141, 16, 5])
-    assert len(at_budget.cycles) == UNDIRECTED_CYCLE_BUDGET
-    assert at_budget.cycles == oracle_undirected_cycles(at_budget)
+    assert len(at_budget.cycle_table.cycles) == UNDIRECTED_CYCLE_BUDGET
+    assert at_budget.cycle_table.cycles == oracle_undirected_cycles(at_budget)
     with pytest.raises(CycleBudgetExceeded):
-        _bouquet([141, 16, 5, 2]).cycles
+        _bouquet([141, 16, 5, 2]).cycle_table
 
 
 def assert_cycle_table_matches_rebuild(graph: SignedGraph) -> None:
     """Recorded signs and masks equal the ones rebuilt from the cycles, in sorted order."""
     table = graph.cycle_table
-    assert graph.cycles is table.cycles
     assert len(table.signs) == len(table.masks) == len(table.cycles)
     assert list(table.cycles) == sorted(table.cycles)
     for cyc, signs, mask in zip(*table):
@@ -546,7 +543,7 @@ def test_cycle_table_matches_rebuild(pattern):
 def test_cycle_table_matches_rebuild_on_ladder():
     for entry in json.loads(GOLDEN.read_text())["ladder"]:
         _, graph = build_graphs(parse_pattern("\n".join(entry["rows"])))
-        assert len(graph.cycles) > 700
+        assert len(graph.cycle_table.cycles) > 700
         assert_cycle_table_matches_rebuild(graph)
 
 

@@ -132,6 +132,61 @@ def test_unset_parameter_scan_sees_each_way_of_passing():
     assert scan("f(0, 1, 2, 3)\nf(**kw)\ng()\n") == {("g", "a")}
 
 
+def _unconsumed_exports(exports: dict[str, list[str]], sources: dict[str, str]) -> set[str]:
+    """Names in an ``__all__`` that no source reads outside the name's own definition.
+
+    ``exports`` and ``sources`` are keyed by short module name.  A read is a
+    loaded ``Name``, or ``m.name`` with m a module of ``exports``, so an
+    import, an ``__all__`` string or ``rng.sample`` is none.  Reads inside
+    the top-level statement that defines the name in its own module do not
+    count.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+    read = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owners = {stmt.name}
+            else:
+                owners = {t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in exports:
+                    name = node.attr
+                else:
+                    continue
+                if not (name in owners and home.get(name) == module):
+                    read.add(name)
+    return set(home) - read
+
+
+# Exported names that nothing in src/ or bench/ reads, each with the reason it stays.
+UNCONSUMED_EXPORTS = {
+    "sample": "the census's reference: trial t of a census is sample(pattern, cfg, t)",
+    "apply_equivalence": "ROADMAP item 2 builds the class atlas's representatives with it",
+    "descartes": "acceptance criterion 6 pins the Descartes sign-rule engine",
+}
+
+
+def test_every_export_has_a_consumer():
+    """An exported name whose only caller is its own test gets a consumer, a reason, or goes."""
+    exports = {
+        m.rpartition(".")[2]: list(getattr(importlib.import_module(m), "__all__", ()))
+        for m in MODULES
+    }
+    paths = sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py"))
+    sources = {p.stem: p.read_text() for p in paths}
+    assert _unconsumed_exports(exports, sources) == set(UNCONSUMED_EXPORTS)
+
+
+def test_export_scan_sees_only_reads_outside_the_definition():
+    exports = {"m": ["f", "g", "h", "k"]}
+    own = "from x import h\ndef f():\n    return f()\ng = 1\n"
+    other = "rng.h()\nm.k()\n__all__ = ['f']\ndef h():\n    return g\n"
+    assert _unconsumed_exports(exports, {"m": own, "n": other}) == {"f", "h"}
+
+
 def test_runtime_imports_match_declared_dependencies():
     """The third-party packages the source imports, lazily or not, are the declared ones."""
     tomllib = pytest.importorskip("tomllib")

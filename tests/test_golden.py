@@ -15,6 +15,10 @@ random-attach tree of each order 12, 16, 20 and 24 in the benchmark's
 ``trees`` workload at seed 1.  Their verdicts carry witness matrices up to
 24 x 24, so they pin the text of many floats.
 
+``verify_sha256`` pins what ``signum verify-paper`` reports: the sha256
+of the JSON list of every ``fixtures.verify()`` outcome, in order, as
+[fixture, check id, tag, passed, detail].
+
 Regenerate (only for a deliberate, documented change of output) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from signum.fixtures import CENSUS_CFG, FIXTURES
+from signum.fixtures import CENSUS_CFG, FIXTURES, verify
 from signum.patterns import SignPattern, parse_pattern
 from signum.spectra import SampleConfig, census
 from signum.verdict import analyze, verdict_to_json
@@ -65,6 +69,11 @@ def snapshot(name: str) -> dict:
     }
 
 
+def verify_digest() -> str:
+    outcomes = [[o.fixture, o.check_id, o.tag, bool(o.passed), o.detail] for o in verify()]
+    return _digest(json.dumps(outcomes).encode())
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -82,6 +91,10 @@ def test_golden_fixture(name):
     assert snapshot(name) == _golden()["fixtures"][name]
 
 
+def test_golden_verify():
+    assert verify_digest() == _golden()["verify_sha256"]
+
+
 @pytest.mark.parametrize("entry", _golden()["ladder"], ids=lambda e: e["label"])
 def test_golden_ladder(entry):
     assert verdict_digest(_rows_pattern(entry)) == entry["verdict_sha256"]
@@ -97,6 +110,7 @@ if __name__ == "__main__":
     data["fixtures"] = {name: snapshot(name) for name in sorted(FIXTURES)}
     for entry in data["ladder"] + data["trees"]:
         entry["verdict_sha256"] = verdict_digest(_rows_pattern(entry))
+    data["verify_sha256"] = verify_digest()
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(
         f"wrote {len(data['fixtures'])} fixtures, {len(data['ladder'])} ladder"

@@ -127,14 +127,14 @@ def test_runs_partition_properties(signs, cyclic):
 def test_cycle_structure_leaf_distance(pat):
     _, g = build_graphs(pat("PAT_TRIPATH6"))
     report = cycle_structure(g)
-    assert report.cycles == ((0, 1, 2),)
+    assert g.cycle_table.cycles == ((0, 1, 2),)
     assert report.leaf_cycle_distances == ((5, 0, 3),)
 
 
 def test_cycle_structure_pair_distance(pat):
     _, g = build_graphs(pat("PAT_TWOSQ9"))
     report = cycle_structure(g)
-    assert len(report.cycles) == 2
+    assert len(g.cycle_table.cycles) == 2
     assert report.path_adjacent_pairs == ((0, 1, 2),)
 
 

@@ -1,3 +1,8 @@
+import random
+from collections import Counter
+from typing import Iterator
+
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +66,14 @@ def test_parse_ragged_rows():
 def test_parse_non_square():
     with pytest.raises(NonSquare):
         parse_pattern("0 + 0\n+ 0 +")
+
+
+def test_order_zero_pattern_rejected():
+    """An empty pattern is refused when built, as empty text is when parsed."""
+    with pytest.raises(NonSquare):
+        SignPattern(())
+    with pytest.raises(NonSquare):
+        SignPattern.from_rows([])
 
 
 @given(patterns_st)
@@ -136,6 +149,9 @@ def test_p_minus_two_vertex_path():
 def test_p_minus_rejects_cycles(pat):
     with pytest.raises(NotTreePattern):
         p_minus(pat("PAT_EX26"))
+    # A triangle plus an isolated vertex has n - 1 edges but is no tree.
+    with pytest.raises(NotTreePattern):
+        p_minus(parse_pattern("0 + + 0\n+ 0 + 0\n+ + 0 0\n0 0 0 0"))
     with pytest.raises(NotCombinatoriallySymmetric):
         p_minus(SignPattern.from_rows([[0, 1], [0, 0]]))
 
@@ -163,3 +179,70 @@ def test_window_extraction_matches(pat):
     p6, p4 = pat("PAT_P6"), pat("PAT_P4")
     for window in find_principal_subpattern(p6, p4):
         assert p6.principal(window) == p4
+
+
+def _random_patterns(rng: random.Random, count: int) -> Iterator[SignPattern]:
+    """Patterns of orders 1-8 from five families, in turn.
+
+    Symmetric at a random density (connected and disconnected graphs),
+    symmetric with n - 1 random edges (trees, and cycles plus an isolated
+    part), random trees, asymmetric digraphs, and symmetric graphs with
+    loops.
+    """
+    for k in range(count):
+        n = rng.randint(1, 8)
+        family = k % 5
+        rows = [[0] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if family == 0:
+            density = rng.random()
+            edges = [e for e in pairs if rng.random() < density]
+        elif family in (1, 4):
+            edges = rng.sample(pairs, n - 1)
+        elif family == 2:
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+        else:
+            edges = []
+            density = rng.random()
+            for i in range(n):
+                for j in range(n):
+                    if i != j and rng.random() < density:
+                        rows[i][j] = rng.choice((-1, 1))
+        for i, j in edges:
+            rows[i][j], rows[j][i] = rng.choice((-1, 1)), rng.choice((-1, 1))
+        if family == 4:
+            for v in rng.sample(range(n), rng.randint(1, n)):
+                rows[v][v] = rng.choice((-1, 1))
+        yield SignPattern.from_rows(rows)
+
+
+def test_reachability_matches_networkx():
+    """Irreducibility, connectivity and tree support against networkx on 2,000 patterns."""
+    seen = Counter()
+    for p in _random_patterns(random.Random(20261019), 2000):
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(range(p.n))
+        digraph.add_edges_from((i, j) for i, j in p.support() if i != j)
+        flags = validate(p)
+        assert flags.irreducible == nx.is_strongly_connected(digraph), p.rows
+        if not flags.combinatorially_symmetric:
+            seen["asymmetric"] += 1
+            with pytest.raises(NotCombinatoriallySymmetric):
+                build_graphs(p)
+            with pytest.raises(NotCombinatoriallySymmetric):
+                p_minus(p)
+            continue
+        graph = digraph.to_undirected()
+        connected = nx.is_connected(graph)
+        assert build_graphs(p)[1].is_connected() == connected, p.rows
+        tree = flags.zero_diagonal and nx.is_tree(graph)
+        try:
+            p_minus(p)
+            accepted = True
+        except NotTreePattern:
+            accepted = False
+        assert accepted == tree, p.rows
+        seen["looped" if not flags.zero_diagonal else "tree" if tree else "other"] += 1
+        seen["disconnected"] += not connected
+        seen["n-1 edge non-tree"] += graph.number_of_edges() == p.n - 1 and not connected
+    assert min(seen.values()) > 100, seen

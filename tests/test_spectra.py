@@ -92,6 +92,15 @@ def test_sample_config_rejects_non_finite_law(lo, hi):
         SampleConfig(lo=lo, hi=hi)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("trials", True), ("trials", 1000.0), ("seed", 1.5), ("seed", False)]
+)
+def test_sample_config_rejects_non_int_trials_and_seed(field, value):
+    """A bool would run a census of True trials; a float fails deep inside ``census``."""
+    with pytest.raises(ValueError, match="must be ints"):
+        SampleConfig(**{field: value})
+
+
 def test_profile_of_an_overflowing_norm_is_an_error():
     with pytest.raises(NonFinite):
         spectral_profile(np.array([[0.0, 1e300], [-1e300, 0.0]]))
