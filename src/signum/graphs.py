@@ -8,12 +8,12 @@ this module also computes maximal constant-sign runs along paths and
 cycles, leaf-to-cycle distances, path-adjacent cycle pairs, and (the one
 place this is decided) the distinct-inertia conditions a cycle meets.
 
-Each graph keeps its neighbour bitmasks as one cached property.
-Connectivity runs the package's one reachability routine
-(``patterns._reaches_all``) over them, and ``SignedGraph.cycle_table`` is
-the one listing of the undirected cycles, with their edge signs and vertex
-masks: the shape, the cycle report, the rules and the witness search all
-read it.
+Each graph keeps its neighbour bitmasks and its connectivity as cached
+properties: the package's one reachability routine (``patterns._reaches_all``)
+decides connectivity once per graph for the shape, the path order and the
+cycle report.  ``SignedGraph.cycle_table`` is the one listing of the
+undirected cycles, with their edge signs and vertex masks: the shape, the
+cycle report, the rules and the witness search all read it.
 """
 
 from __future__ import annotations
@@ -192,6 +192,7 @@ class SignedGraph:
     def positive_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(e for e, s in self.edges if s > 0)
 
+    @cached_property
     def is_connected(self) -> bool:
         return _reaches_all(self.neighbour_masks)
 
@@ -279,7 +280,7 @@ def classify_shape(graph: SignedGraph) -> GraphShape:
     exactly n edges, and the multi-cycle kind additionally requires that
     there is no leaf.
     """
-    if not graph.is_connected():
+    if not graph.is_connected:
         raise Disconnected("shape classification needs a connected graph")
     n, m = graph.n, len(graph.edges)
     leaves = graph.leaves()
@@ -334,7 +335,7 @@ def path_edge_signs(graph: SignedGraph) -> tuple[tuple[tuple[int, int], ...], tu
     A path is a connected graph with n - 1 edges and no degree above two,
     which needs no cycle listing, so the shape is not classified here.
     """
-    if not graph.is_connected():
+    if not graph.is_connected:
         raise Disconnected("edge ordering along a path needs a connected graph")
     if len(graph.edges) != graph.n - 1 or any(graph.degree(v) > 2 for v in range(graph.n)):
         raise ValueError("edge ordering along a path needs a path graph")
@@ -421,7 +422,7 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     the cycles it overlaps.  No pair is tested on its own, so the work
     follows the cycles and the pairs listed.
     """
-    if not graph.is_connected():
+    if not graph.is_connected:
         raise Disconnected("cycle structure needs a connected graph")
     cycles, _, masks = graph.cycle_table
     adj = graph.neighbour_masks

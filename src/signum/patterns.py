@@ -273,15 +273,18 @@ def p_minus(pattern: SignPattern) -> SignPattern:
     flags = validate(pattern)
     if not flags.combinatorially_symmetric:
         raise NotCombinatoriallySymmetric("edge signs need p_ij != 0 iff p_ji != 0")
-    n, rows = pattern.n, [list(r) for r in pattern.rows]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+    edges = sum(1 for i, j in pattern.support() if i < j)
     # Irreducible means G is connected, here where p_ij != 0 iff p_ji != 0,
     # and a connected graph on n vertices is a tree exactly when it has n - 1 edges.
-    if not (flags.zero_diagonal and flags.irreducible and len(edges) == n - 1):
+    if not (flags.zero_diagonal and flags.irreducible and edges == pattern.n - 1):
         raise NotTreePattern("edge-sign flip is defined for tree patterns with zero diagonal")
-    for i, j in edges:
-        rows[i][j] = -rows[i][j]
-    return SignPattern.from_rows(rows)
+    return _flip_edges(pattern)
+
+
+def _flip_edges(pattern: SignPattern) -> SignPattern:
+    """``p_minus`` without its checks, for a caller that knows it holds a tree pattern."""
+    a = pattern.to_array()
+    return SignPattern.from_rows(np.tril(a) - np.triu(a, 1))
 
 
 def find_principal_subpattern(pattern: SignPattern, query: SignPattern) -> list[tuple[int, ...]]:

@@ -128,20 +128,16 @@ class SpectralProfile:
 class Census:
     """Aggregated profiles over sampled realizations.
 
-    ``representatives`` holds the first sample per inertia,
-    ``solid_representatives`` the first whose profile is not suspect;
-    only the latter count as evidence.  When a key's first sample is
-    solid, both dicts hold the same array for it; neither is written to.
+    ``solid_representatives`` holds, per inertia, the first sample whose
+    inertia is not suspect and whose zero-eigenvalue count is the generic
+    one.  Only such samples count as evidence, and no other sample is kept.
     """
 
     trials: int
     inertia_counts: dict[tuple[int, int, int], int]
-    representatives: dict[tuple[int, int, int], np.ndarray]
     frequency_counts: dict[tuple[int, int], int]
-    failures: int = 0
-    solid_representatives: dict[tuple[int, int, int], np.ndarray] = field(
-        default_factory=dict
-    )
+    failures: int
+    solid_representatives: dict[tuple[int, int, int], np.ndarray]
 
     @property
     def consistent_observed(self) -> bool:
@@ -173,17 +169,20 @@ class WitnessSpec:
 
 @dataclass
 class WitnessPair:
-    """Two realizations of one pattern with different inertias."""
+    """Two realizations of one pattern, stating their different inertias (+, -, 0).
+
+    ``spectral_profile`` of ``a`` and of ``b`` gives ``inertia_a`` and ``inertia_b`` again.
+    """
 
     a: np.ndarray
     b: np.ndarray
-    profile_a: SpectralProfile
-    profile_b: SpectralProfile
+    inertia_a: tuple[int, int, int]
+    inertia_b: tuple[int, int, int]
     method: str
     detail: dict = field(default_factory=dict)
 
     def inertias(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        return self.profile_a.inertia, self.profile_b.inertia
+        return self.inertia_a, self.inertia_b
 
 
 def _support(pattern: SignPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -555,7 +554,7 @@ def census(
     eigensolve fails, or whose norm overflows so that no tolerance can
     classify it, counts as a failure.  A round's one tally groups its
     trials by inertia, real count and solidity together; the inertia
-    counts, the frequencies and both kinds of representative are all read
+    counts, the frequencies and the solid representatives are all read
     off it, and each dict gets its keys in order of first sample.
 
     ``prior``, a census of the same pattern with the same seed and laws but
@@ -574,9 +573,8 @@ def census(
     laws = [(cfg.lo, cfg.hi), (lo, hi)]
     generic_zeros = _generic_zero_count(pattern)
     support = _support(pattern)
-    prior = prior or Census(0, {}, {}, {})
+    prior = prior or Census(0, {}, {}, 0, {})
     counts = dict(prior.inertia_counts)
-    reps = dict(prior.representatives)
     solid = dict(prior.solid_representatives)
     freqs = dict(prior.frequency_counts)
     failures = prior.failures
@@ -597,16 +595,11 @@ def census(
             key, frequency = (i_plus, i_minus, i_zero), (k_real, pattern.n - k_real)
             counts[key] = counts.get(key, 0) + count
             freqs[frequency] = freqs.get(frequency, 0) + count
-            # Copies, not views: a view would keep its whole round alive.
-            # Each key's matrix is copied once, when the key is new.
-            new = key not in reps
-            if new:
-                reps[key] = mats[first].copy()
             if is_firm and key not in solid:
-                # A key whose first sample is solid shares that sample's copy.
-                solid[key] = reps[key] if new else mats[first].copy()
+                # A copy, not a view: a view would keep its whole round alive.
+                solid[key] = mats[first].copy()
         del mats, eig, ok  # free each round before filling the next
-    return Census(cfg.trials, counts, reps, freqs, failures, solid)
+    return Census(cfg.trials, counts, freqs, failures, solid)
 
 
 def matching_parts(pattern: SignPattern, edges: Iterable[tuple[int, int]]) -> tuple[SimpleCycle, ...]:
@@ -746,7 +739,7 @@ def _try_pair(
     if prof_a.inertia == prof_b.inertia or prof_b.suspect_inertia:
         return None
     detail = dict(detail, epsilon_a=eps_a, epsilon_b=eps_b)
-    return WitnessPair(mat_a, mat_b, prof_a, prof_b, method, detail)
+    return WitnessPair(mat_a, mat_b, prof_a.inertia, prof_b.inertia, method, detail)
 
 
 # A constructed candidate: the parts to emphasize on each side, the method
@@ -896,9 +889,10 @@ def _widest_gap_pair(
     method: str,
     detail: Callable[[tuple[int, int, int], tuple[int, int, int]], dict],
 ) -> WitnessPair:
-    """The two keys of ``mats`` widest apart in zero-real-part count, re-profiled as a witness.
+    """The two matrices of ``mats`` widest apart in zero-real-part count, as a witness.
 
-    Ties go to the lexicographically largest key pair, and
+    Each key of ``mats`` is its matrix's firm inertia, so the pair states
+    the two keys.  Ties go to the lexicographically largest key pair, and
     ``detail(key_a, key_b)`` gives the pair's detail.  Needs two keys or more.
     """
     keys = sorted(mats)
@@ -906,8 +900,7 @@ def _widest_gap_pair(
         ((a, b) for a in keys for b in keys if a < b),
         key=lambda ab: (abs(ab[0][2] - ab[1][2]), ab),
     )
-    profiles = spectral_profile(mats[key_a]), spectral_profile(mats[key_b])
-    return WitnessPair(mats[key_a], mats[key_b], *profiles, method, detail(key_a, key_b))
+    return WitnessPair(mats[key_a], mats[key_b], key_a, key_b, method, detail(key_a, key_b))
 
 
 def _pair_from_sampling(

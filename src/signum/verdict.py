@@ -30,7 +30,7 @@ from .graphs import (
     SignedDigraph,
     maximal_signed_runs,
 )
-from .patterns import AmbSign, PatternFlags, SignPattern, p_minus
+from .patterns import AmbSign, PatternFlags, SignPattern, _flip_edges
 from .spectra import (
     Census,
     SampleConfig,
@@ -358,7 +358,9 @@ def _r9(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Tree-pattern frequency evidence of the edge-flipped pattern, off the main census."""
     if facts.shape.kind not in (ShapeKind.PATH, ShapeKind.TREE):
         return None
-    flipped = p_minus(facts.pattern)
+    # analyze runs the rules only on patterns whose flags passed, so this
+    # shape is a tree pattern, flipped without p_minus validating it again.
+    flipped = _flip_edges(facts.pattern)
     flipped_freqs = _flipped_frequencies(flipped, cen, cfg)
     return _finding(
         "R9",

@@ -36,6 +36,7 @@ GOLDEN = Path(__file__).with_name("golden_census.json")
 COUNTED = {
     "validate": patterns.validate,
     "build_digraph": graphs.build_digraph,
+    "build_graph": graphs.build_graph,
     "classify_shape": graphs.classify_shape,
     "composite_signs": cycles.composite_signs,
     "census": spectra.census,
@@ -101,6 +102,34 @@ def test_each_fact_computed_once_per_analyze(monkeypatch):
         assert calls["composite_signs"] == 1
         assert calls["validate"] == 1
         assert calls["build_digraph"] <= 1
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_analyze_validates_once_and_decides_connectivity_once(monkeypatch, name):
+    """One ``validate``, at most one connectivity run per graph, no witness key re-profiled.
+
+    R9 flips the tree it analyses without validating it again, the shape,
+    the path order and the cycle report share the graph's one connectivity
+    answer, and ``_widest_gap_pair`` states the census keys it picked.
+    """
+    calls = _count_calls(monkeypatch)
+    runs, profiled_by = Counter(), Counter()
+    reaches_all, profile = graphs._reaches_all, spectra.spectral_profile
+
+    def connectivity(masks):
+        runs["connectivity"] += 1
+        return reaches_all(masks)
+
+    def profiling(a):
+        profiled_by[sys._getframe(1).f_code.co_name] += 1
+        return profile(a)
+
+    monkeypatch.setattr(graphs, "_reaches_all", connectivity)
+    monkeypatch.setattr(spectra, "spectral_profile", profiling)
+    analyze(FIXTURES[name].pattern, SampleConfig())
+    assert calls["validate"] == 1
+    assert runs["connectivity"] <= calls["build_graph"] <= 1
+    assert profiled_by["_widest_gap_pair"] == 0
 
 
 def test_cycle_report_read_once_and_edges_ordered_only_for_constructions(monkeypatch):
@@ -263,7 +292,7 @@ def _try_pair_both_walks(pattern, spec_a, spec_b, method, detail):
     if prof_a.suspect_inertia or prof_b.suspect_inertia:
         return None
     detail = dict(detail, epsilon_a=eps_a, epsilon_b=eps_b)
-    return spectra.WitnessPair(mat_a, mat_b, prof_a, prof_b, method, detail)
+    return spectra.WitnessPair(mat_a, mat_b, prof_a.inertia, prof_b.inertia, method, detail)
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_PATTERNS))

@@ -4,10 +4,10 @@
 The oracle below is the per-trial loop it replaced, with its own scalar
 sampler and classifier, so the comparison does not lean on the code under
 test.  Agreement must be exact: counts, frequencies, failures and the raw
-bytes of every representative.  A census resumed from a shorter one must
-equal a fresh census to the same standard, and so must a census that reads
-its magnitudes from blocks other censuses left in the shared cache, and
-so must a census whose round solves are split across the thread pool.
+bytes of every solid representative.  A census resumed from a shorter one
+must equal a fresh census to the same standard, and so must a census that
+reads its magnitudes from blocks other censuses left in the shared cache,
+and so must a census whose round solves are split across the thread pool.
 
 R9 reads the edge-flipped pattern's frequencies off the main census; a real
 census of the flipped pattern is its oracle.  The stack classifier computes
@@ -110,7 +110,7 @@ def oracle_census(pattern: SignPattern, cfg: SampleConfig) -> Census:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
     narrow = replace(cfg, lo=lo, hi=hi)
     generic_zeros = spectra._generic_zero_count(pattern)
-    counts, reps, solid, freqs, failures = {}, {}, {}, {}, 0
+    counts, solid, freqs, failures = {}, {}, {}, 0
     for t in range(cfg.trials):
         law = narrow if t % 2 else cfg
         mat = scalar_sample(pattern, law, index=t)
@@ -121,19 +121,13 @@ def oracle_census(pattern: SignPattern, cfg: SampleConfig) -> Census:
             continue
         counts[prof.inertia] = counts.get(prof.inertia, 0) + 1
         freqs[prof.frequency] = freqs.get(prof.frequency, 0) + 1
-        reps.setdefault(prof.inertia, mat)
         if not prof.suspect_inertia and prof.refined[2] == generic_zeros:
             solid.setdefault(prof.inertia, mat)
-    return Census(cfg.trials, counts, reps, freqs, failures, solid)
+    return Census(cfg.trials, counts, freqs, failures, solid)
 
 
 def _raw(reps: dict) -> list:
     return [(k, m.dtype.str, m.shape, m.tobytes()) for k, m in reps.items()]
-
-
-def _shared(cen: Census) -> list:
-    """Solid keys whose matrix is the very array of the key's first sample."""
-    return [k for k, m in cen.solid_representatives.items() if m is cen.representatives.get(k)]
 
 
 def assert_same_census(got: Census, want: Census) -> None:
@@ -142,11 +136,7 @@ def assert_same_census(got: Census, want: Census) -> None:
     # Item lists, not dicts: insertion order (first occurrence) must match too.
     assert list(got.inertia_counts.items()) == list(want.inertia_counts.items())
     assert list(got.frequency_counts.items()) == list(want.frequency_counts.items())
-    assert _raw(got.representatives) == _raw(want.representatives)
     assert _raw(got.solid_representatives) == _raw(want.solid_representatives)
-    # The oracle stores one array per sample, so it shares exactly where a
-    # key's first sample is solid; the census must share the same keys.
-    assert _shared(got) == _shared(want)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -213,7 +203,6 @@ def test_resumed_census_equals_fresh(pattern, prior_trials, extra, law, seed):
     before = replace(
         prior,
         inertia_counts=dict(prior.inertia_counts),
-        representatives=dict(prior.representatives),
         frequency_counts=dict(prior.frequency_counts),
         solid_representatives=dict(prior.solid_representatives),
     )
@@ -221,29 +210,19 @@ def test_resumed_census_equals_fresh(pattern, prior_trials, extra, law, seed):
     assert_same_census(prior, before)
 
 
-def test_census_shares_a_solid_first_sample():
-    """A key whose first sample is solid stores one array for both dicts.
+def test_census_keeps_owned_copies_of_solid_samples_only():
+    """Each solid representative owns its bytes: a view would keep its whole round alive.
 
-    On PAT_HEX6 every key's first sample is solid, so all four are shared.
-    Across the catalog a solid matrix is shared exactly when it equals the
-    key's first sample, so no key shares a matrix that is not its first
-    sample (PAT_SQTRI8 has a solid key whose first sample is not solid).
-    The golden test pins the bytes of both dicts.
+    A key never sampled solidly keeps its count and no matrix; the catalog
+    has such keys.  The golden test pins the bytes of every kept matrix.
     """
-    clean = census(FIXTURES["PAT_HEX6"].pattern, CENSUS_CFG)
-    assert len(clean.solid_representatives) == 4
-    assert _shared(clean) == list(clean.solid_representatives)
-    unshared = 0
+    unkept = 0
     for fixture in FIXTURES.values():
         cen = census(fixture.pattern, CENSUS_CFG)
-        equal = [
-            k
-            for k, m in cen.solid_representatives.items()
-            if np.array_equal(m, cen.representatives[k])
-        ]
-        assert _shared(cen) == equal
-        unshared += len(cen.solid_representatives) - len(equal)
-    assert unshared > 0
+        assert all(m.base is None for m in cen.solid_representatives.values())
+        assert set(cen.solid_representatives) <= set(cen.inertia_counts)
+        unkept += len(cen.inertia_counts) - len(cen.solid_representatives)
+    assert unkept > 0
 
 
 def test_one_tally_keeps_late_solid_keys_and_non_firm_frequencies():
@@ -273,10 +252,9 @@ def test_one_tally_keeps_late_solid_keys_and_non_firm_frequencies():
     assert next(iter(want.frequency_counts)) == (8, 0)
     got = census(pattern, cfg)
     assert_same_census(got, want)
-    assert got.solid_representatives[(3, 3, 2)] is not got.representatives[(3, 3, 2)]
     for prior_trials in (100, 300):
         prior = census(pattern, replace(cfg, trials=prior_trials))
-        assert (3, 3, 2) in prior.representatives
+        assert (3, 3, 2) in prior.inertia_counts
         assert (3, 3, 2) not in prior.solid_representatives
         assert_same_census(census(pattern, cfg, prior=prior), want)
 
@@ -880,7 +858,7 @@ def test_r9_fold_equals_flipped_census(pattern, trials, seed):
 
 
 def test_r9_fold_adds_up_inertias_with_one_zero_count():
-    cen = Census(10, {(2, 1, 1): 3, (1, 2, 1): 4, (2, 2, 0): 3}, {}, {})
+    cen = Census(10, {(2, 1, 1): 3, (1, 2, 1): 4, (2, 2, 0): 3}, {}, 0, {})
     flipped = p_minus(FIXTURES["PAT_P4"].pattern)
     assert _flipped_frequencies(flipped, cen, SampleConfig(trials=10)) == {(1, 3): 7, (0, 4): 3}
 

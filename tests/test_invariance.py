@@ -33,10 +33,10 @@ COMBINATORIAL_RULES = {f"R{k}" for k in range(1, 8)}
 
 
 @st.composite
-def valid_patterns(draw, max_n: int = 8) -> SignPattern:
+def valid_patterns(draw, min_n: int = 2, max_n: int = 8) -> SignPattern:
     """Irreducible, combinatorially symmetric and zero-diagonal: a spanning
     tree plus chords, each arc signed on its own."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
     if others:

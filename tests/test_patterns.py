@@ -234,7 +234,7 @@ def test_reachability_matches_networkx():
             continue
         graph = digraph.to_undirected()
         connected = nx.is_connected(graph)
-        assert build_graphs(p)[1].is_connected() == connected, p.rows
+        assert build_graphs(p)[1].is_connected == connected, p.rows
         tree = flags.zero_diagonal and nx.is_tree(graph)
         try:
             p_minus(p)

@@ -123,7 +123,7 @@ def test_census_counts_an_overflowing_norm_as_a_failure(pat):
     assert overflowing > 0
     assert cen.failures == overflowing
     assert sum(cen.inertia_counts.values()) == cfg.trials - overflowing
-    assert all(np.isfinite(np.linalg.norm(m)) for m in cen.representatives.values())
+    assert all(np.isfinite(np.linalg.norm(m)) for m in cen.solid_representatives.values())
 
 
 def test_census_trivial_order_one():
