@@ -2,11 +2,15 @@
 
 Each fixture bundles a pattern with executable checks: recorded spectra
 of explicit realizations, combinatorial facts about cycle structure, and
-the expected verdict.  Tags say where an expected value comes from:
+the expected verdict.  A realization is a magnitude map over the fixture's
+own pattern (``_realize``): it lists only the entries whose magnitude is
+not 1, so every realization lies in the pattern's class by construction.
+Tags say where an expected value comes from:
 ``catalog`` values are recorded for the benchmark configuration, ``derived``
 values were computed by an independent route and frozen, ``trivial`` values
 follow from definitions.  The ``verify`` entry point recomputes everything
-and is what the ``verify-paper`` command runs.
+and is what the ``verify-paper`` command runs; it analyzes each fixture
+once, and every check, the verdict check included, reads that analysis.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .spectra import (
     spectral_profile,
     stabilize_epsilon,
 )
-from .verdict import FORBIDDEN_BLOCKS, Conclusion, Overall, analyze
+from .verdict import FORBIDDEN_BLOCKS, Conclusion, Overall, _analyze
 
 __all__ = ["Fixture", "CheckOutcome", "FIXTURES", "fixture", "verify", "fixture_names"]
 
@@ -78,11 +82,33 @@ def _close_multisets(got: Iterable[complex], want: Iterable[complex], tol: float
     return len(got) == len(want) and all(abs(a - b) <= tol for a, b in zip(got, want))
 
 
+def _realize(
+    pattern: SignPattern, magnitudes: dict[tuple[int, int], float] | None = None
+) -> np.ndarray:
+    """The pattern's signs times the magnitudes, keyed by 0-based entry; unlisted ones are 1."""
+    scale = np.ones((pattern.n, pattern.n))
+    support = set(pattern.support())
+    for (i, j), m in (magnitudes or {}).items():
+        if (i, j) not in support:
+            raise ValueError(f"entry ({i + 1},{j + 1}) is not on the pattern's support")
+        if not (np.isfinite(m) and m > 0):
+            raise ValueError(f"entry ({i + 1},{j + 1}) has magnitude {m}, not finite and positive")
+        scale[i, j] = m
+    realization = pattern.to_array() * scale
+    realization.flags.writeable = False  # several checks may read one realization
+    return realization
+
+
+def _below(*magnitudes: float) -> dict[tuple[int, int], float]:
+    """Magnitudes along the subdiagonal, as the sources quote them for paths."""
+    return {(i + 1, i): m for i, m in enumerate(magnitudes) if m != 1}
+
+
 def _eig_check(
     check_id: str,
     tag: str,
     source: str,
-    matrix: list[list[float]],
+    realization: np.ndarray,
     inertia: tuple[int, int, int],
     eigenvalues: list[complex] | None = None,
     tol: float = 1e-8,
@@ -90,7 +116,7 @@ def _eig_check(
     frequency: tuple[int, int] | None = None,
 ) -> Check:
     def fn(_: PatternAnalysis) -> tuple[bool, str]:
-        prof = spectral_profile(np.array(matrix, dtype=float))
+        prof = spectral_profile(realization)
         if prof.inertia != inertia:
             return False, f"inertia {prof.inertia}, expected {inertia}"
         if refined is not None and prof.refined != refined:
@@ -110,13 +136,13 @@ def _abs_eig_check(
     check_id: str,
     tag: str,
     source: str,
-    matrix: list[list[float]],
+    realization: np.ndarray,
     inertia: tuple[int, int, int],
     moduli: list[float],
     tol: float,
 ) -> Check:
     def fn(_: PatternAnalysis) -> tuple[bool, str]:
-        prof = spectral_profile(np.array(matrix, dtype=float))
+        prof = spectral_profile(realization)
         if prof.inertia != inertia:
             return False, f"inertia {prof.inertia}, expected {inertia}"
         got = sorted({round(abs(v), 6) for v in prof.eigenvalues})
@@ -128,10 +154,10 @@ def _abs_eig_check(
 
 
 def _charpoly_check(
-    check_id: str, tag: str, source: str, matrix: list[list[float]], ascending: list[float]
+    check_id: str, tag: str, source: str, realization: np.ndarray, ascending: list[float]
 ) -> Check:
     def fn(_: PatternAnalysis) -> tuple[bool, str]:
-        got = char_poly(np.array(matrix, dtype=float)).coeffs
+        got = char_poly(realization).coeffs
         scale = 1.0 + max(abs(c) for c in ascending)
         ok = len(got) == len(ascending) and all(
             abs(a - b) <= 1e-8 * scale for a, b in zip(got, ascending)
@@ -142,13 +168,12 @@ def _charpoly_check(
 
 
 def _det_expansion_check(
-    check_id: str, tag: str, source: str, matrix: list[list[float]], expected: float
+    check_id: str, tag: str, source: str, realization: np.ndarray, expected: float
 ) -> Check:
     def fn(_: PatternAnalysis) -> tuple[bool, str]:
         from itertools import permutations
 
-        a = np.array(matrix, dtype=float)
-        n = a.shape[0]
+        n = realization.shape[0]
         total = 0.0
         for perm in permutations(range(n)):
             sign, seen = 1, [False] * n
@@ -163,7 +188,7 @@ def _det_expansion_check(
                 sign *= (-1) ** (length - 1)
             term = sign
             for i in range(n):
-                term *= a[i, perm[i]]
+                term *= realization[i, perm[i]]
             total += term
         ok = abs(total - expected) <= 1e-8 * (1 + abs(expected))
         return ok, f"determinant by permutation expansion {total}"
@@ -181,7 +206,7 @@ def _verdict_check(
     needs_witness: bool = False,
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        verdict = analyze(facts.pattern, cfg=VERDICT_CFG)
+        verdict = _analyze(facts, VERDICT_CFG)
         if verdict.overall is not overall:
             return False, f"overall {verdict.overall.value}, expected {overall.value}"
         by_rule = {f.rule_id: f.conclusion for f in verdict.findings}
@@ -195,6 +220,9 @@ def _verdict_check(
         if pair is not None:
             pa = spectral_profile(np.asarray(pair.a))
             pb = spectral_profile(np.asarray(pair.b))
+            replayed = (pa.inertia, pb.inertia)
+            if replayed != pair.inertias():
+                return False, f"witness replays as {replayed}, stated {pair.inertias()}"
             if pa.inertia == pb.inertia:
                 return False, "witness pair does not separate inertias"
             if witness_inertias is not None:
@@ -366,6 +394,7 @@ def _build_fixtures() -> dict[str, Fixture]:
 
     # --- order-3 single cycles -------------------------------------------
     ex26 = parse_pattern("0 + -\n- 0 +\n+ - 0")
+    ex26_unit = _realize(ex26)
     fixtures.append(
         Fixture(
             "PAT_EX26",
@@ -377,7 +406,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "unit-realization",
                     "catalog",
                     "all magnitudes 1",
-                    [[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
+                    ex26_unit,
                     (0, 0, 3),
                     eigenvalues=[0, 1.7320508075688772j, -1.7320508075688772j],
                     refined=(0, 0, 1, 2),
@@ -387,14 +416,14 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "bumped-realization",
                     "catalog",
                     "entry (1,2) raised to 2",
-                    [[0, 2, -1], [-1, 0, 1], [1, -1, 0]],
+                    _realize(ex26, {(0, 1): 2}),
                     (1, 2, 0),
                 ),
                 _charpoly_check(
                     "charpoly",
                     "catalog",
                     "cubic with pure linear term",
-                    [[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
+                    ex26_unit,
                     [0.0, 3.0, 0.0, 1.0],
                 ),
                 Check(
@@ -459,6 +488,7 @@ def _build_fixtures() -> dict[str, Fixture]:
 
     # --- tridiagonal family ----------------------------------------------
     p4 = parse_pattern("0 + 0 0\n+ 0 - 0\n0 + 0 +\n0 0 + 0")
+    p4_imaginary = _realize(p4, _below(1, 10, 4))
     fixtures.append(
         Fixture(
             "PAT_P4",
@@ -470,7 +500,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "unit-realization",
                     "catalog",
                     "all magnitudes 1",
-                    [[0, 1, 0, 0], [1, 0, -1, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+                    _realize(p4),
                     (2, 2, 0),
                     eigenvalues=[
                         0.8660254037844386 + 0.5j,
@@ -483,7 +513,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "imaginary-realization",
                     "catalog",
                     "magnitudes 1, 10, 4 below the diagonal",
-                    [[0, 1, 0, 0], [1, 0, -1, 0], [0, 10, 0, 1], [0, 0, 4, 0]],
+                    p4_imaginary,
                     (0, 0, 4),
                     eigenvalues=[1j, -1j, 2j, -2j],
                 ),
@@ -491,7 +521,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "charpoly",
                     "catalog",
                     "factors as (x^2+1)(x^2+4)",
-                    [[0, 1, 0, 0], [1, 0, -1, 0], [0, 10, 0, 1], [0, 0, 4, 0]],
+                    p4_imaginary,
                     [4.0, 0.0, 5.0, 0.0, 1.0],
                 ),
                 _window_check("self-window", "trivial", "block matches itself", "block4", 1),
@@ -518,7 +548,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "real-pairs",
                     "catalog",
                     "magnitudes a=c=1, b=4",
-                    [[0, -1, 0, 0], [1, 0, 1, 0], [0, 4, 0, -1], [0, 0, 1, 0]],
+                    _realize(p4m, _below(1, 4, 1)),
                     (2, 2, 0),
                     eigenvalues=[1, 1, -1, -1],
                     tol=1e-6,
@@ -527,7 +557,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "imaginary-pairs",
                     "catalog",
                     "magnitudes a=8, b=c=2",
-                    [[0, -1, 0, 0], [8, 0, 1, 0], [0, 2, 0, -1], [0, 0, 2, 0]],
+                    _realize(p4m, _below(8, 2, 2)),
                     (0, 0, 4),
                     eigenvalues=[2j, 2j, -2j, -2j],
                     tol=1e-6,
@@ -549,14 +579,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "imaginary-realization",
                     "catalog",
                     "magnitudes 1/20, 5, 20, 5, 1/20 below the diagonal",
-                    [
-                        [0, 1, 0, 0, 0, 0],
-                        [0.05, 0, 1, 0, 0, 0],
-                        [0, 5, 0, -1, 0, 0],
-                        [0, 0, 20, 0, 1, 0],
-                        [0, 0, 0, 5, 0, 1],
-                        [0, 0, 0, 0, 0.05, 0],
-                    ],
+                    _realize(p6, _below(1 / 20, 5, 20, 5, 1 / 20)),
                     (0, 0, 6),
                     [2.4401, 1.9859, 0.0461],
                     1e-3,
@@ -565,14 +588,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "unit-realization",
                     "catalog",
                     "all magnitudes 1",
-                    [
-                        [0, 1, 0, 0, 0, 0],
-                        [1, 0, 1, 0, 0, 0],
-                        [0, 1, 0, -1, 0, 0],
-                        [0, 0, 1, 0, 1, 0],
-                        [0, 0, 0, 1, 0, 1],
-                        [0, 0, 0, 0, 1, 0],
-                    ],
+                    _realize(p6),
                     (2, 2, 2),
                     eigenvalues=[
                         -1.3071 + 0.2151j,
@@ -609,14 +625,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "mixed-realization",
                     "catalog",
                     "magnitude a=10, rest 1",
-                    [
-                        [0, 1, 0, 0, 0, 0],
-                        [10, 0, -1, 0, 0, 0],
-                        [0, 1, 0, -1, 0, 0],
-                        [0, 0, 1, 0, -1, 0],
-                        [0, 0, 0, 1, 0, 1],
-                        [0, 0, 0, 0, 1, 0],
-                    ],
+                    _realize(p6p, _below(10)),
                     (2, 2, 2),
                     eigenvalues=[
                         3.0148,
@@ -632,14 +641,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "imaginary-realization",
                     "catalog",
                     "magnitudes 1/20, 5, 20, 5, 1/20",
-                    [
-                        [0, 1, 0, 0, 0, 0],
-                        [0.05, 0, -1, 0, 0, 0],
-                        [0, 5, 0, -1, 0, 0],
-                        [0, 0, 20, 0, -1, 0],
-                        [0, 0, 0, 5, 0, 1],
-                        [0, 0, 0, 0, 0.05, 0],
-                    ],
+                    _realize(p6p, _below(1 / 20, 5, 20, 5, 1 / 20)),
                     (0, 0, 6),
                     eigenvalues=[
                         5.3970j,
@@ -670,16 +672,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "unit-realization",
                     "catalog",
                     "all magnitudes 1",
-                    [
-                        [0, 1, 0, 0, 0, 0, 0, 0],
-                        [1, 0, 1, 0, 0, 0, 0, 0],
-                        [0, 1, 0, -1, 0, 0, 0, 0],
-                        [0, 0, 1, 0, -1, 0, 0, 0],
-                        [0, 0, 0, 1, 0, -1, 0, 0],
-                        [0, 0, 0, 0, 1, 0, 1, 0],
-                        [0, 0, 0, 0, 0, 1, 0, 1],
-                        [0, 0, 0, 0, 0, 0, 1, 0],
-                    ],
+                    _realize(p8p),
                     (2, 2, 4),
                     eigenvalues=[
                         -1.3096 + 0.0611j,
@@ -697,16 +690,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "imaginary-realization",
                     "catalog",
                     "magnitudes 1/20, 5, 20, 5, 20, 5, 1/20",
-                    [
-                        [0, 1, 0, 0, 0, 0, 0, 0],
-                        [0.05, 0, 1, 0, 0, 0, 0, 0],
-                        [0, 5, 0, -1, 0, 0, 0, 0],
-                        [0, 0, 20, 0, -1, 0, 0, 0],
-                        [0, 0, 0, 5, 0, -1, 0, 0],
-                        [0, 0, 0, 0, 20, 0, 1, 0],
-                        [0, 0, 0, 0, 0, 5, 0, 1],
-                        [0, 0, 0, 0, 0, 0, 0.05, 0],
-                    ],
+                    _realize(p8p, _below(1 / 20, 5, 20, 5, 20, 5, 1 / 20)),
                     (0, 0, 8),
                     eigenvalues=[
                         5.3989j,
@@ -737,7 +721,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "unit-realization",
                     "derived",
                     "all magnitudes 1",
-                    [[0, -1, 0, 1], [1, 0, -1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],
+                    _realize(eg06),
                     (1, 1, 2),
                 ),
                 _census_check("census", "catalog", "single inertia over the class", exact_keys={(1, 1, 2)}),
@@ -763,7 +747,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "unit-realization",
                     "catalog",
                     "all magnitudes 1",
-                    [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]],
+                    _realize(allplus4),
                     (1, 1, 2),
                     eigenvalues=[0, 0, 2, -2],
                     tol=1e-6,
@@ -772,7 +756,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "spread-realization",
                     "catalog",
                     "magnitudes 2 on one diagonal pairing",
-                    [[0, 2, 0, 1], [2, 0, 1, 0], [0, 1, 0, 2], [1, 0, 2, 0]],
+                    _realize(allplus4, {(0, 1): 2, (1, 0): 2, (2, 3): 2, (3, 2): 2}),
                     (2, 2, 0),
                     eigenvalues=[3, 1, -1, -3],
                     tol=1e-6,
@@ -784,6 +768,7 @@ def _build_fixtures() -> dict[str, Fixture]:
     )
 
     xxeg22 = parse_pattern("0 + 0 +\n- 0 + 0\n0 + 0 -\n+ 0 + 0")
+    xxeg22_bumped = _realize(xxeg22, {(0, 1): 11})
     fixtures.append(
         Fixture(
             "PAT_XXEG22",
@@ -795,7 +780,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "unit-realization",
                     "catalog",
                     "all magnitudes 1",
-                    [[0, 1, 0, 1], [-1, 0, 1, 0], [0, 1, 0, -1], [1, 0, 1, 0]],
+                    _realize(xxeg22),
                     (2, 2, 0),
                     eigenvalues=[1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j],
                 ),
@@ -803,7 +788,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "bumped-realization",
                     "catalog",
                     "entry (1,2) raised to 11",
-                    [[0, 11, 0, 1], [-1, 0, 1, 0], [0, 1, 0, -1], [1, 0, 1, 0]],
+                    xxeg22_bumped,
                     (0, 0, 4),
                     eigenvalues=[2j, -2j, 2.449489742783178j, -2.449489742783178j],
                 ),
@@ -811,14 +796,14 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "charpoly",
                     "catalog",
                     "factors as (x^2+4)(x^2+6)",
-                    [[0, 11, 0, 1], [-1, 0, 1, 0], [0, 1, 0, -1], [1, 0, 1, 0]],
+                    xxeg22_bumped,
                     [24.0, 0.0, 10.0, 0.0, 1.0],
                 ),
                 _det_expansion_check(
                     "det-expansion",
                     "catalog",
                     "24 by direct permutation expansion",
-                    [[0, 11, 0, 1], [-1, 0, 1, 0], [0, 1, 0, -1], [1, 0, 1, 0]],
+                    xxeg22_bumped,
                     24.0,
                 ),
                 _stabilize_check(

@@ -398,9 +398,12 @@ def analyze(
     The rules of ``_RULES`` run in order; every rule and the witness search
     read one ``PatternAnalysis``, so each structural fact is derived once.
     """
-    cfg = cfg or SampleConfig()
-    facts = PatternAnalysis(pattern)
-    flags = facts.flags
+    return _analyze(PatternAnalysis(pattern), cfg or SampleConfig())
+
+
+def _analyze(facts: PatternAnalysis, cfg: SampleConfig) -> Verdict:
+    """``analyze`` on a pattern whose analysis the caller already holds."""
+    pattern, flags = facts.pattern, facts.flags
     if not flags.all_ok():
         finding = RuleFinding(
             "R0", True, Conclusion.NO_CONCLUSION, _REASONS["R0"], details=asdict(flags)

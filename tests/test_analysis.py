@@ -212,9 +212,18 @@ def test_r9_reads_the_main_census(monkeypatch):
         assert verdict.witness_pair().method == method
         assert calls["census"] == count
     calls.clear()
+    init = PatternAnalysis.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls["PatternAnalysis"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PatternAnalysis, "__init__", counting_init)
     fixtures.verify()
     # Seven verdict checks of verify analyze a tree, each once.
     assert calls["census"] == 33
+    # One analysis per fixture: the verdict checks read the one verify holds.
+    assert calls["PatternAnalysis"] == len(FIXTURES) == 25
 
 
 def test_r7_matches_each_leftover_vertex_set_once(monkeypatch):
