@@ -8,12 +8,16 @@ this module also computes maximal constant-sign runs along paths and
 cycles, leaf-to-cycle distances, path-adjacent cycle pairs, and (the one
 place this is decided) the distinct-inertia conditions a cycle meets.
 
-Each graph keeps its neighbour bitmasks and its connectivity as cached
-properties: the package's one reachability routine (``patterns._reaches_all``)
-decides connectivity once per graph for the shape, the path order and the
-cycle report.  ``SignedGraph.cycle_table`` is the one listing of the
-undirected cycles, with their edge signs and vertex masks: the shape, the
-cycle report, the rules and the witness search all read it.
+Each graph keeps its neighbour bitmasks, their union function and its
+connectivity as cached properties: the package's one reachability routine
+(``patterns._reaches_all``) decides connectivity once per graph for the
+shape, the path order and the cycle report.  Every union of bitmask rows
+here, in the cycle search's liveness flood, the BFS levels and the cycle
+report's membership masks, goes through the package's one union routine
+(``patterns._union_table``), one table lookup per 8 vertices.
+``SignedGraph.cycle_table`` is the one listing of the undirected cycles,
+with their edge signs and vertex masks: the shape, the cycle report, the
+rules and the witness search all read it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetric
-from .patterns import SignPattern, _reaches_all, _union
+from .patterns import SignPattern, _reaches_all, _union_table
 
 __all__ = [
     "SignedDigraph",
@@ -110,6 +116,11 @@ class SignedGraph:
         return tuple(adj)
 
     @cached_property
+    def neighbour_union(self) -> Callable[[int], int]:
+        """The union of ``neighbour_masks`` over a vertex mask: the neighbours of the set."""
+        return _union_table(self.neighbour_masks)
+
+    @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Each vertex's neighbours in increasing order, read off ``neighbour_masks``."""
         return {v: tuple(_bits(mask)) for v, mask in enumerate(self.neighbour_masks)}
@@ -133,6 +144,7 @@ class SignedGraph:
         """
         n = self.n
         adj = self.neighbour_masks
+        neighbours = self.neighbour_union
         sign = [[0] * n for _ in range(n)]
         for (i, j), s_ij in self.edges:
             sign[i][j] = sign[j][i] = s_ij
@@ -159,13 +171,17 @@ class SignedGraph:
             # live: vertices off the path that reach a closer off the path.
             live = frontier = closers & ~on_path
             while frontier:
-                frontier = _union(adj, frontier) & free & ~live
+                frontier = neighbours(frontier) & free & ~live
                 live |= frontier
             row = sign[tail]
-            for w in _bits(adj[tail] & live):
+            steps = adj[tail] & live
+            while steps:
+                low = steps & -steps
+                steps ^= low
+                w = low.bit_length() - 1
                 path.append(w)
                 path_signs.append(row[w])
-                grow(path, path_signs, on_path | 1 << w, above, closers)
+                grow(path, path_signs, on_path | low, above, closers)
                 path.pop()
                 path_signs.pop()
 
@@ -194,7 +210,7 @@ class SignedGraph:
 
     @cached_property
     def is_connected(self) -> bool:
-        return _reaches_all(self.neighbour_masks)
+        return _reaches_all(self.neighbour_union, self.n)
 
 
 class ShapeKind(Enum):
@@ -413,33 +429,34 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     bitmasks of their indices: ``on[v]`` marks the cycles through vertex v,
     so its union over a vertex mask gives every cycle that mask touches,
     and ``near[v]``, the union of ``on`` over v's neighbours, marks the
-    cycles one edge from v.  Each leaf gets one BFS, whose levels name the
-    cycles first touched at each distance.  Each cycle with a later
-    disjoint cycle gets one BFS stepping only onto vertices off every
-    cycle; the union of ``near`` over its level t names the later disjoint
-    cycles first touched at link length t + 1.  A cycle with none gets no
-    BFS.  The union of ``on`` over a cycle's mask gives
-    the cycles it overlaps.  No pair is tested on its own, so the work
+    cycles one edge from v.  ``on`` is the cycle masks transposed as one
+    bit matrix, and each union is a ``patterns._union_table`` lookup.
+    Each leaf gets one BFS, whose levels name the cycles first touched at
+    each distance.  Each cycle with a later disjoint cycle gets one BFS
+    stepping only onto vertices off every cycle; the union of ``near`` over
+    its level t names the later disjoint cycles first touched at link
+    length t + 1.  A cycle with none gets no BFS.  The union of ``on`` over
+    a cycle's mask gives the cycles it overlaps.  No pair is tested on its own, so the work
     follows the cycles and the pairs listed.
     """
     if not graph.is_connected:
         raise Disconnected("cycle structure needs a connected graph")
+    n = graph.n
     cycles, _, masks = graph.cycle_table
-    adj = graph.neighbour_masks
-    on = [0] * graph.n
-    for c, cyc in enumerate(cycles):
-        for v in cyc:
-            on[v] |= 1 << c
-    near = [_union(on, adj[v]) for v in range(graph.n)]
-    off_cycle = sum(1 << v for v in range(graph.n) if not on[v])
+    step = graph.neighbour_union
+    on = _transpose(masks, n)
+    touching = _union_table(on)
+    near = [touching(nbrs) for nbrs in graph.neighbour_masks]
+    adjacent = _union_table(near)
+    off_cycle = sum(1 << v for v in range(n) if not on[v])
     all_cycles = (1 << len(cycles)) - 1
 
     leaf_rows = []
     for leaf in graph.leaves():
         dist: dict[int, int] = {}
         pending = all_cycles
-        for t, level in enumerate(_bfs_levels(adj, 1 << leaf, (1 << graph.n) - 1)):
-            touched = _union(on, level) & pending
+        for t, level in enumerate(_bfs_levels(step, 1 << leaf, (1 << n) - 1)):
+            touched = touching(level) & pending
             pending ^= touched
             for c in _bits(touched):
                 dist[c] = t
@@ -448,16 +465,16 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     pair_rows = []
     for a, va in enumerate(masks):
         # Later cycles sharing no vertex with cycle a.
-        pending = all_cycles & ~((2 << a) - 1) & ~_union(on, va)
+        pending = all_cycles & ~((2 << a) - 1) & ~touching(va)
         if not pending:
             # The loop below would break at level 0 with nothing linked.
             continue
         link: dict[int, int] = {}
-        for t, level in enumerate(_bfs_levels(adj, va, off_cycle)):
+        for t, level in enumerate(_bfs_levels(step, va, off_cycle)):
             if not pending:
                 break
             # Cycles adjacent to level t of the cycle-avoiding BFS are t + 1 edges away.
-            touched = _union(near, level) & pending
+            touched = adjacent(level) & pending
             pending ^= touched
             for b in _bits(touched):
                 link[b] = t + 1
@@ -465,13 +482,29 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     return CycleStructureReport(tuple(leaf_rows), tuple(pair_rows))
 
 
-def _bfs_levels(adj: Sequence[int], sources: int, allowed: int) -> list[int]:
-    """Vertex masks at each BFS level from sources, stepping only onto allowed vertices."""
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """Bit c of entry v is bit v of ``masks[c]``: the masks transposed as a bit matrix.
+
+    Each mask is unpacked to a row of ``width`` bits, and each column of
+    the matrix is packed back into one int, in one pass over the bytes.
+    """
+    size = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
+    columns = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(column.tobytes(), "little") for column in columns]
+
+
+def _bfs_levels(step: Callable[[int], int], sources: int, allowed: int) -> list[int]:
+    """Vertex masks at each BFS level from sources, stepping only onto allowed vertices.
+
+    ``step`` maps a vertex mask to the mask of its neighbours.
+    """
     levels = []
     seen = frontier = sources
     while frontier:
         levels.append(frontier)
-        frontier = _union(adj, frontier) & allowed & ~seen
+        frontier = step(frontier) & allowed & ~seen
         seen |= frontier
     return levels
 

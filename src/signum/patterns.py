@@ -5,11 +5,13 @@ whose entries match it in sign.  This module owns the pattern
 representation and text format, validation flags, the inertia-preserving
 equivalence transforms (permutation similarity, signature similarity,
 negation, transposition), the edge-sign flip transform for tree patterns,
-and principal-subpattern search.  It also holds the package's one
-reachability routine over vertex bitmasks, ``_reaches_all``, which decides
-irreducibility here, connectivity in ``graphs``, and so tree support: a
-combinatorially symmetric, zero-diagonal pattern is a tree pattern exactly
-when it is irreducible with n - 1 undirected edges.
+and principal-subpattern search.  It also holds the package's one union
+routine over vertex bitmasks, ``_union_table``, which ORs rows by table
+lookup one byte of the mask at a time, and its one reachability routine,
+``_reaches_all``, which decides irreducibility here, connectivity in
+``graphs``, and so tree support: a combinatorially symmetric, zero-diagonal
+pattern is a tree pattern exactly when it is irreducible with n - 1
+undirected edges.
 
 Entries are stored as plain ints in {-1, 0, +1}.  Indices are 0-based
 throughout the API; positions in error messages and reports are 1-based.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -203,31 +205,53 @@ def validate(pattern: SignPattern) -> PatternFlags:
                 pred[j] |= 1 << i
     comb_sym = succ == pred
     zero_diag = all(pattern.rows[i][i] == 0 for i in range(n))
-    irreducible = _reaches_all(succ) and (comb_sym or _reaches_all(pred))
+    irreducible = _reaches_all(_union_table(succ), n) and (
+        comb_sym or _reaches_all(_union_table(pred), n)
+    )
     return PatternFlags(comb_sym, zero_diag, irreducible)
 
 
-def _reaches_all(masks: Sequence[int]) -> bool:
-    """Whether vertex 0 reaches every vertex, bit w of ``masks[v]`` marking a step v -> w.
+def _reaches_all(step: Callable[[int], int], n: int) -> bool:
+    """Whether vertex 0 reaches every vertex of ``range(n)``.
 
-    The one reachability routine: ``validate`` runs it for irreducibility
-    and ``SignedGraph.is_connected`` over the undirected neighbour masks.
+    ``step`` maps a vertex mask to the mask of the vertices one step from
+    it, a ``_union_table`` of successor masks.  The one reachability
+    routine: ``validate`` runs it for irreducibility and
+    ``SignedGraph.is_connected`` over the graph's cached neighbour union.
     """
     seen = frontier = 1
     while frontier:
-        frontier = _union(masks, frontier) & ~seen
+        frontier = step(frontier) & ~seen
         seen |= frontier
-    return seen == (1 << len(masks)) - 1
+    return seen == (1 << n) - 1
 
 
-def _union(rows: Sequence[int], mask: int) -> int:
-    """OR of rows[v] over the set bits v of mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _union_table(rows: Sequence[int]) -> Callable[[int], int]:
+    """The function taking a mask to the OR of ``rows[v]`` over its set bits v.
+
+    The package's one union routine.  The rows are cut into chunks of 8,
+    and entry m of chunk c's table is the OR of ``rows[8c + b]`` over the
+    set bits b of m.  The function looks the mask's low byte up in chunk
+    0's table and hands the mask shifted down a byte to the function of
+    the later chunks, so a union costs one lookup per 8 vertices, not one
+    OR per set bit.  Masks must lie within ``range(len(rows))``.
+    """
+    union = None
+    for c in reversed(range(0, max(len(rows), 1), 8)):
+        table = [0]
+        for row in rows[c : c + 8]:
+            table += [t | row for t in table]
+        union = table.__getitem__ if union is None else _chained(table, union)
+    return union
+
+
+def _chained(table: list[int], rest: Callable[[int], int]) -> Callable[[int], int]:
+    """The union over one chunk's table for a mask's low byte, and ``rest`` for the bytes above."""
+
+    def union(mask: int) -> int:
+        return table[mask & 255] | rest(mask >> 8)
+
+    return union
 
 
 def apply_equivalence(pattern: SignPattern, op: EquivalenceOp) -> SignPattern:

@@ -294,11 +294,17 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     fired = []
     succ = facts.digraph.successor_masks
     everything = (1 << facts.pattern.n) - 1
-    # Whether a cycle extends depends only on the vertices it leaves over.
+    # Whether a cycle extends depends only on the vertices it leaves over,
+    # and its hits only on its conditions dict, one per sign tuple.
     extends_by_leftover: dict[int, bool] = {}
+    hits_by_conds: dict[int, list[str]] = {}
     for cyc, mask, conds in zip(table.cycles, table.masks, facts.conditions_by_cycle):
-        # Unless every cycle is even, only an odd negative count counts.
-        hits = [c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")]
+        hits = hits_by_conds.get(id(conds))
+        if hits is None:
+            # Unless every cycle is even, only an odd negative count counts.
+            hits = hits_by_conds[id(conds)] = [
+                c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")
+            ]
         if not hits:
             continue
         # The witnesses sit on this cycle plus a packing of everything
@@ -532,11 +538,36 @@ def _int_lists(items) -> bool:
     )
 
 
-def _int_list_texts(lists, indent: str) -> list[str]:
-    """The text of each non-empty list of exact ints in ``lists``, at depth ``indent``."""
+def _int_list_texts(lists, indent: str, text=int.__repr__) -> list[str]:
+    """The text of each non-empty list of exact ints in ``lists``, at depth ``indent``.
+
+    ``text`` gives each item's text: by default its repr, for vertex lists
+    a lookup in a table of vertex names.
+    """
     inner = indent + "  "
     head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-    return [head + sep.join(map(int.__repr__, items)) + tail for items in lists]
+    return [head + sep.join(map(text, items)) + tail for items in lists]
+
+
+@dataclass(frozen=True)
+class _VertexLists:
+    """Lists of 0-based vertices, which the verdict writer writes 1-based.
+
+    The text is what json gives ``[[v + 1 for v in c] for c in lists]``,
+    but no shifted copy is made: each vertex's name is written once into
+    a table of ``n`` names, and every list is joined from it.
+    """
+
+    lists: tuple[tuple[int, ...], ...]
+    n: int
+
+    def text(self, indent: str) -> str:
+        if not self.lists:
+            return "[]"
+        names = list(map(str, range(1, self.n + 1)))
+        inner = indent + "  "
+        rows = (",\n" + inner).join(_int_list_texts(self.lists, inner, names.__getitem__))
+        return "[\n" + inner + rows + "\n" + indent + "]"
 
 
 def _records_text(records: list[dict], indent: str) -> str | None:
@@ -580,7 +611,8 @@ def _write(value, out: list[str], indent: str) -> None:
     TypeError, as json does.  Three kinds of list are written with joins,
     without a call per item: a list whose items share one scalar type, a
     list of non-empty lists of exact ints, and a list of records
-    (``_records_text``).  Every other value takes the recursive path.
+    (``_records_text``).  Every other value takes the recursive path, but
+    for ``_VertexLists``, which writes its own text.
     """
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
@@ -636,6 +668,8 @@ def _write(value, out: list[str], indent: str) -> None:
         out.append(int.__repr__(int(value)))
     elif isinstance(value, np.floating):
         out.append(_float_text(float(value)))
+    elif isinstance(value, _VertexLists):
+        out.append(value.text(indent))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -644,10 +678,10 @@ def verdict_to_json(verdict: Verdict) -> str:
     """Serialize with a stable key order.
 
     The text is identical to ``json.dumps(doc, indent=2)``, with detail keys
-    as ``str(k)``, tuples as lists and numpy numbers as the Python numbers
-    they equal.  It is written in one pass by ``_write``, without an
-    intermediate copy of the details, and joined once.  A detail value of
-    any other type raises TypeError.
+    as ``str(k)``, tuples as lists, numpy numbers as the Python numbers
+    they equal and the shape's cycles 1-based.  It is written in one pass
+    by ``_write``, without an intermediate copy of the details, and joined
+    once.  A detail value of any other type raises TypeError.
     """
     doc = {
         "pattern": verdict.pattern.to_text().splitlines(),
@@ -656,7 +690,7 @@ def verdict_to_json(verdict: Verdict) -> str:
         if verdict.shape is None
         else {
             "kind": verdict.shape.kind.value,
-            "cycles": [[v + 1 for v in c] for c in verdict.shape.cycles],
+            "cycles": _VertexLists(verdict.shape.cycles, verdict.pattern.n),
             "leaves": [v + 1 for v in verdict.shape.leaves],
         },
         "findings": [

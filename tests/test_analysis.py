@@ -116,9 +116,9 @@ def test_analyze_validates_once_and_decides_connectivity_once(monkeypatch, name)
     runs, profiled_by = Counter(), Counter()
     reaches_all, profile = graphs._reaches_all, spectra.spectral_profile
 
-    def connectivity(masks):
+    def connectivity(*args):
         runs["connectivity"] += 1
-        return reaches_all(masks)
+        return reaches_all(*args)
 
     def profiling(a):
         profiled_by[sys._getframe(1).f_code.co_name] += 1

@@ -322,15 +322,17 @@ def tree_plus_chords(draw, max_n: int = 11, dense: bool = False) -> SignPattern:
 
 
 @st.composite
-def linked_cycles(draw, max_n: int = 11) -> SignPattern:
+def linked_cycles(draw, max_n: int = 11, min_n: int = 0) -> SignPattern:
     """Two or three disjoint short cycles joined by paths, a few extra edges, relabelled.
 
     Tree-plus-chord graphs mostly have overlapping cycles; here many pairs
-    are disjoint, some joined only through another cycle.
+    are disjoint, some joined only through another cycle.  With ``min_n``,
+    cycles are added until they hold at least ``min_n`` vertices.
     """
     rings: list[list[int]] = []
     n = 0
-    for _ in range(draw(st.integers(2, 3))):
+    count = draw(st.integers(2, 3))
+    while len(rings) < count or n < min_n:
         k = draw(st.integers(3, 4))
         if n + k > max_n:
             break
@@ -349,6 +351,9 @@ def linked_cycles(draw, max_n: int = 11) -> SignPattern:
     relabelled = {tuple(sorted((label[i], label[j]))) for i, j in edges if i != j}
     return _symmetric(draw, n, sorted(relabelled))
 
+
+# Orders 17-24, whose vertex masks span three bytes of the union tables.
+WIDE_LINKED_CYCLES = linked_cycles(max_n=24, min_n=17)
 
 ORACLE_SETTINGS = settings(
     max_examples=150,
@@ -396,7 +401,7 @@ def test_cover_extension_matches_bipartite_oracle(pattern):
 
 
 @ORACLE_SETTINGS
-@given(pattern=st.one_of(tree_plus_chords(), linked_cycles()))
+@given(pattern=st.one_of(tree_plus_chords(), linked_cycles(), WIDE_LINKED_CYCLES))
 def test_cycle_structure_matches_pairwise_oracle(pattern):
     _, graph = build_graphs(pattern)
     assert cycle_structure(graph) == oracle_cycle_structure(graph)
@@ -489,9 +494,9 @@ def test_r7_matches_run_and_cover_oracle(pattern):
 
 
 @ORACLE_SETTINGS
-@given(pattern=st.one_of(tree_plus_chords(dense=True), linked_cycles()))
+@given(pattern=st.one_of(tree_plus_chords(dense=True), linked_cycles(), WIDE_LINKED_CYCLES))
 def test_undirected_cycles_match_networkx(pattern):
-    """Connected graphs up to order 11, dense ones past the cycle budget included."""
+    """Connected graphs up to order 24, dense ones past the cycle budget included."""
     _, graph = build_graphs(pattern)
     try:
         want = oracle_undirected_cycles(graph)
@@ -534,9 +539,13 @@ def assert_cycle_table_matches_rebuild(graph: SignedGraph) -> None:
 
 
 @ORACLE_SETTINGS
-@given(pattern=st.one_of(tree_plus_chords(max_n=10, dense=True), linked_cycles(max_n=10)))
+@given(
+    pattern=st.one_of(
+        tree_plus_chords(max_n=10, dense=True), linked_cycles(max_n=10), WIDE_LINKED_CYCLES
+    )
+)
 def test_cycle_table_matches_rebuild(pattern):
-    """Graphs up to order 10; the search emits the cycles already sorted."""
+    """Graphs up to order 24; the search emits the cycles already sorted."""
     assert_cycle_table_matches_rebuild(build_graphs(pattern)[1])
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from signum.errors import Disconnected, NotCombinatoriallySymmetric
 from signum.graphs import (
     ShapeKind,
+    _transpose,
     build_digraph,
     build_graphs,
     classify_shape,
@@ -162,3 +165,13 @@ def test_dot_trivial_pattern():
     _, g = build_graphs(parse_pattern("0"))
     dot = graph_to_dot(g)
     assert "--" not in dot
+
+
+def test_transpose_matches_per_bit_rebuild():
+    """Bit c of ``_transpose(masks, n)[v]`` is bit v of ``masks[c]``, across byte boundaries."""
+    rnd = random.Random(31)
+    for n in (1, 7, 8, 9, 16, 17, 24, 40):
+        for count in (0, 1, 5, 1000):
+            masks = [rnd.getrandbits(n) for _ in range(count)]
+            want = [sum((m >> v & 1) << c for c, m in enumerate(masks)) for v in range(n)]
+            assert _transpose(masks, n) == want, (n, count)

@@ -22,6 +22,7 @@ from signum.patterns import (
     SignPattern,
     SignatureSimilarity,
     Transposition,
+    _union_table,
     apply_equivalence,
     find_principal_subpattern,
     p_minus,
@@ -246,3 +247,31 @@ def test_reachability_matches_networkx():
         seen["disconnected"] += not connected
         seen["n-1 edge non-tree"] += graph.number_of_edges() == p.n - 1 and not connected
     assert min(seen.values()) > 100, seen
+
+
+def _union_per_bit(rows, mask: int) -> int:
+    """The per-set-bit OR that ``_union_table`` replaced, kept as its oracle."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def test_union_table_matches_per_bit_or():
+    """Orders 1-40, so every byte boundary, with rows of up to about 1,000 bits.
+
+    Each order is tried with vertex-wide rows (neighbour masks) and with
+    wide ones (cycle membership masks), on the empty mask, the full mask,
+    every single bit and random masks.
+    """
+    rnd = random.Random(20261019)
+    for n in range(1, 41):
+        for width in (n, rnd.randint(900, 1100)):
+            rows = [rnd.getrandbits(width) for _ in range(n)]
+            union = _union_table(rows)
+            masks = [0, (1 << n) - 1, *(1 << v for v in range(n))]
+            masks += [rnd.getrandbits(n) & rnd.getrandbits(n) for _ in range(30)]
+            for mask in masks:
+                assert union(mask) == _union_per_bit(rows, mask), (n, width, mask)

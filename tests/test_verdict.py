@@ -395,8 +395,8 @@ def test_cycle_lists_take_the_joins(monkeypatch, pat):
     for name in ("_int_list_texts", "_records_text"):
         real = getattr(verdict_module, name)
 
-        def spy(items, indent, real=real, name=name):
-            text = real(items, indent)
+        def spy(items, indent, *rest, real=real, name=name):
+            text = real(items, indent, *rest)
             if text is not None:
                 written.append((name, len(items)))
             return text
