@@ -507,13 +507,14 @@ class PatternAnalysis:
     def conditions_by_cycle(self) -> tuple[dict[str, bool], ...]:
         """``cycle_conditions`` of each cycle of ``graph.cycle_table``, index for index.
 
-        Shared by R5-R7 and the cycle-driven witness strategy; cycles with
-        the same edge signs share one dict, so a rule that puts a cycle's
-        conditions into its details copies it.
+        Shared by R5-R7 and the cycle-driven witness strategy; each distinct
+        (negative-edge mask, length) is decided once and its cycles share one
+        dict, so a rule that puts a cycle's conditions into its details copies it.
         """
-        signs = self.graph.cycle_table.signs
-        by_signs = {s: cycle_conditions(s) for s in dict.fromkeys(signs)}
-        return tuple(map(by_signs.__getitem__, signs))
+        table = self.graph.cycle_table
+        keys = [(neg, len(cyc)) for neg, cyc in zip(table.negatives, table.cycles)]
+        by_key = {key: cycle_conditions(*key) for key in dict.fromkeys(keys)}
+        return tuple(map(by_key.__getitem__, keys))
 
     @cached_property
     def max_composite_length(self) -> int:

@@ -270,7 +270,7 @@ def _runs_check(
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
         if cyclic:
-            signs = facts.graph.cycle_table.signs[0]
+            _, signs = cycle_edge_order(facts.graph, facts.graph.cycle_table.cycles[0])
         else:
             _, signs = facts.path_edges
         runs = maximal_signed_runs(signs, cyclic=cyclic)

@@ -8,16 +8,18 @@ this module also computes maximal constant-sign runs along paths and
 cycles, leaf-to-cycle distances, path-adjacent cycle pairs, and (the one
 place this is decided) the distinct-inertia conditions a cycle meets.
 
-Each graph keeps its neighbour bitmasks, their union function and its
-connectivity as cached properties: the package's one reachability routine
-(``patterns._reaches_all``) decides connectivity once per graph for the
-shape, the path order and the cycle report.  Every union of bitmask rows
+Each graph keeps two bitmask rows per vertex, ``neighbour_masks`` and
+``negative_masks`` (its neighbours across any edge and across a negative
+one), which every sign and degree query reads.  Their union function and
+the graph's connectivity are cached as well: the package's one
+reachability routine (``patterns._reaches_all``) decides connectivity once
+per graph for the shape, the path order and the cycle report.  Every union of bitmask rows
 here, in the cycle search's liveness flood, the BFS levels and the cycle
 report's membership masks, goes through the package's one union routine
 (``patterns._union_table``), one table lookup per 8 vertices.
 ``SignedGraph.cycle_table`` is the one listing of the undirected cycles,
-with their edge signs and vertex masks: the shape, the cycle report, the
-rules and the witness search all read it.
+with their negative-edge and vertex masks: the shape, the cycle report,
+the rules and the witness search all read it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,15 +85,15 @@ class SignedDigraph:
 
 
 class CycleTable(NamedTuple):
-    """The simple cycles of a graph with, index for index, their edge signs and vertex masks.
+    """The simple cycles of a graph with, index for index, their negative-edge and vertex masks.
 
-    ``signs[c][t]`` is the sign of the edge from ``cycles[c][t]`` to the
-    next vertex around the cycle, and bit v of ``masks[c]`` is set when v
-    lies on cycle c.
+    Bit t of ``negatives[c]`` is set when the edge from ``cycles[c][t]`` to
+    the next vertex around the cycle is negative, and bit v of ``masks[c]``
+    is set when v lies on cycle c.
     """
 
     cycles: tuple[tuple[int, ...], ...]
-    signs: tuple[tuple[int, ...], ...]
+    negatives: tuple[int, ...]
     masks: tuple[int, ...]
 
 
@@ -103,17 +105,14 @@ class SignedGraph:
     edges: tuple[tuple[tuple[int, int], int], ...]
 
     @cached_property
-    def edge_sign(self) -> dict[tuple[int, int], int]:
-        return {e: s for e, s in self.edges}
-
-    @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """Bitmask of each vertex's neighbours, read by connectivity and every cycle search."""
-        adj = [0] * self.n
-        for (i, j), _ in self.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return tuple(adj)
+        return _edge_masks(self.n, (e for e, _ in self.edges))
+
+    @cached_property
+    def negative_masks(self) -> tuple[int, ...]:
+        """Bitmask of each vertex's neighbours across a negative edge, read by every sign query."""
+        return _edge_masks(self.n, (e for e, s in self.edges if s < 0))
 
     @cached_property
     def neighbour_union(self) -> Callable[[int], int]:
@@ -121,13 +120,8 @@ class SignedGraph:
         return _union_table(self.neighbour_masks)
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Each vertex's neighbours in increasing order, read off ``neighbour_masks``."""
-        return {v: tuple(_bits(mask)) for v, mask in enumerate(self.neighbour_masks)}
-
-    @cached_property
     def cycle_table(self) -> CycleTable:
-        """Every simple cycle with its edge signs and vertex mask, in lexicographic order.
+        """Every simple cycle with its negative-edge and vertex masks, in lexicographic order.
 
         A cycle is written from its smallest vertex s towards the smaller of
         s's two neighbours on it.  A depth-first search from each s steps
@@ -137,33 +131,28 @@ class SignedGraph:
         neighbour of s that can still close it is reachable off the path, so
         every step leads to a cycle.  Each path is emitted before its
         extensions, and s and each step go in increasing order, so the
-        cycles come out sorted.  The search carries the path's edge signs and
-        vertex mask, so a cycle's signs and mask are recorded as it is
-        emitted.  Raises CycleBudgetExceeded past UNDIRECTED_CYCLE_BUDGET
-        cycles.
+        cycles come out sorted.  The search carries the path's negative-edge
+        and vertex masks, so a cycle's masks are recorded as it is emitted.
+        Raises CycleBudgetExceeded past UNDIRECTED_CYCLE_BUDGET cycles.
         """
         n = self.n
-        adj = self.neighbour_masks
+        adj, neg = self.neighbour_masks, self.negative_masks
         neighbours = self.neighbour_union
-        sign = [[0] * n for _ in range(n)]
-        for (i, j), s_ij in self.edges:
-            sign[i][j] = sign[j][i] = s_ij
         cycles: list[tuple[int, ...]] = []
-        signs: list[tuple[int, ...]] = []
+        negatives: list[int] = []
         masks: list[int] = []
 
-        def grow(
-            path: list[int], path_signs: list[int], on_path: int, above: int, closers: int
-        ) -> None:
+        def grow(path: list[int], path_neg: int, on_path: int, above: int, closers: int) -> None:
             # closers: neighbours of path[0] above path[1]; only they end a cycle.
             tail = path[-1]
+            last = len(path) - 1  # the index of the edge from tail
             if closers >> tail & 1:
                 if len(cycles) >= UNDIRECTED_CYCLE_BUDGET:
                     raise CycleBudgetExceeded(
                         f"more than {UNDIRECTED_CYCLE_BUDGET} undirected cycles"
                     )
                 cycles.append(tuple(path))
-                signs.append((*path_signs, sign[tail][path[0]]))
+                negatives.append(path_neg | (neg[tail] >> path[0] & 1) << last)
                 masks.append(on_path)
             free = above & ~on_path
             if not adj[tail] & free:
@@ -173,31 +162,32 @@ class SignedGraph:
             while frontier:
                 frontier = neighbours(frontier) & free & ~live
                 live |= frontier
-            row = sign[tail]
+            row = neg[tail]
             steps = adj[tail] & live
             while steps:
                 low = steps & -steps
                 steps ^= low
                 w = low.bit_length() - 1
                 path.append(w)
-                path_signs.append(row[w])
-                grow(path, path_signs, on_path | low, above, closers)
+                grow(path, path_neg | (row >> w & 1) << last, on_path | low, above, closers)
                 path.pop()
-                path_signs.pop()
 
         for s in range(n):
             above = ~((2 << s) - 1)
             for first in _bits(adj[s] & above):
                 closers = adj[s] & ~((2 << first) - 1)
                 if closers:
-                    grow([s, first], [sign[s][first]], 1 << s | 1 << first, above, closers)
-        return CycleTable(tuple(cycles), tuple(signs), tuple(masks))
+                    grow([s, first], neg[s] >> first & 1, 1 << s | 1 << first, above, closers)
+        return CycleTable(tuple(cycles), tuple(negatives), tuple(masks))
 
     def sign_of(self, u: int, v: int) -> int:
-        return self.edge_sign[(min(u, v), max(u, v))]
+        """Sign of the edge {u, v}; raises KeyError when it is not an edge."""
+        if not (0 <= u < self.n and 0 <= v < self.n and self.neighbour_masks[u] >> v & 1):
+            raise KeyError((min(u, v), max(u, v)))
+        return -1 if self.negative_masks[u] >> v & 1 else 1
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.neighbour_masks[v].bit_count()
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.degree(v) == 1)
@@ -313,6 +303,15 @@ def classify_shape(graph: SignedGraph) -> GraphShape:
     return GraphShape(ShapeKind.OTHER, cycles, leaves)
 
 
+def _edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Bitmask of each vertex's neighbours across the given edges."""
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Set bit positions of a vertex mask, in increasing order."""
     while mask:
@@ -357,13 +356,13 @@ def path_edge_signs(graph: SignedGraph) -> tuple[tuple[tuple[int, int], ...], tu
         raise ValueError("edge ordering along a path needs a path graph")
     if graph.n == 1:
         return (), ()
-    start = min(graph.leaves())
-    order = [start]
-    prev = None
+    order = [min(graph.leaves())]
+    seen = 1 << order[0]
     while len(order) < graph.n:
-        nxt = [w for w in graph.adjacency[order[-1]] if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
+        # A path vertex has at most one neighbour not yet walked.
+        step = graph.neighbour_masks[order[-1]] & ~seen
+        seen |= step
+        order.append(step.bit_length() - 1)
     edges = tuple((min(a, b), max(a, b)) for a, b in zip(order, order[1:]))
     return edges, tuple(graph.sign_of(*e) for e in edges)
 
@@ -380,29 +379,26 @@ def cycle_edge_order(
     return edges, tuple(graph.sign_of(*e) for e in edges)
 
 
-def cycle_conditions(signs: tuple[int, ...]) -> dict[str, bool]:
+def cycle_conditions(negatives: int, length: int) -> dict[str, bool]:
     """The distinct-inertia conditions of a cycle, read off its negative-edge mask.
 
-    Bit t of the mask is set when edge t is negative, and the negative
-    count is its popcount.  The odd-run condition asks an even cycle of
-    length k for a maximal cyclic run of odd length below k, so the cycle
-    must carry both signs.  Its sign changes, the positions t where edges
-    t - 1 and t differ, are the set bits of the mask XOR the mask rotated
-    by one.  Each run's length is the gap from one change to the next
-    around the cycle.  As k is even, all gaps are even exactly when all
-    changes share one parity, so an odd run exists exactly when the
-    changes fall on both parities.  No run is built.
+    Bit t of ``negatives`` is set when edge t of the cycle is negative, as
+    in ``CycleTable.negatives``, and the negative count is its popcount.
+    The odd-run condition asks an even cycle of length k for a maximal
+    cyclic run of odd length below k, so the cycle must carry both signs.
+    Its sign changes, the positions t where edges t - 1 and t differ, are
+    the set bits of the mask XOR the mask rotated by one.  Each run's
+    length is the gap from one change to the next around the cycle.  As k
+    is even, all gaps are even exactly when all changes share one parity,
+    so an odd run exists exactly when the changes fall on both parities.
+    No run is built.
     """
-    k = len(signs)
-    neg = 0
-    for t, s in enumerate(signs):
-        if s < 0:
-            neg |= 1 << t
-    n_neg = neg.bit_count()
+    k = length
+    n_neg = negatives.bit_count()
     odd_run = False
     if k % 2 == 0 and 0 < n_neg < k:
         full = (1 << k) - 1
-        changes = neg ^ ((neg << 1 | neg >> (k - 1)) & full)
+        changes = negatives ^ ((negatives << 1 | negatives >> (k - 1)) & full)
         # full // 3 sets the even positions 0, 2, ..., k - 2.
         odd_run = changes & full // 3 not in (0, changes)
     return {

@@ -801,8 +801,7 @@ def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
     ):
         return
     pattern, digraph = facts.pattern, facts.digraph
-    table = facts.graph.cycle_table
-    for cyc, signs, conds in zip(table.cycles, table.signs, facts.conditions_by_cycle):
+    for cyc, conds in zip(facts.graph.cycle_table.cycles, facts.conditions_by_cycle):
         if conds["odd_negative_count"]:
             fwd = directed_cycle_from_vertices(digraph, cyc)
             rev = directed_cycle_from_vertices(digraph, tuple(reversed(cyc)))
@@ -820,7 +819,7 @@ def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
         if conds["even_length_odd_run"]:
             # The cycle carries both signs, so every maximal run is shorter
             # than the cycle; the first odd one drives the construction.
-            edges, _ = cycle_edge_order(facts.graph, cyc)
+            edges, signs = cycle_edge_order(facts.graph, cyc)
             run = next(r for r in maximal_signed_runs(signs, cyclic=True) if r.length % 2)
             m_neg, m_pos = gamma_matchings_from_odd_run(tuple(zip(edges, signs)), run)
             rest = facts.cover_without(cyc)

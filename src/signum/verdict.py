@@ -295,14 +295,15 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     succ = facts.digraph.successor_masks
     everything = (1 << facts.pattern.n) - 1
     # Whether a cycle extends depends only on the vertices it leaves over,
-    # and its hits only on its conditions dict, one per sign tuple.
+    # and its hits only on its three condition values, at most 8 keys.
     extends_by_leftover: dict[int, bool] = {}
-    hits_by_conds: dict[int, list[str]] = {}
+    hits_by_conds: dict[tuple[bool, ...], list[str]] = {}
     for cyc, mask, conds in zip(table.cycles, table.masks, facts.conditions_by_cycle):
-        hits = hits_by_conds.get(id(conds))
+        values = tuple(conds.values())
+        hits = hits_by_conds.get(values)
         if hits is None:
             # Unless every cycle is even, only an odd negative count counts.
-            hits = hits_by_conds[id(conds)] = [
+            hits = hits_by_conds[values] = [
                 c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")
             ]
         if not hits:

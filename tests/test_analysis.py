@@ -135,7 +135,7 @@ def test_analyze_validates_once_and_decides_connectivity_once(monkeypatch, name)
 def test_cycle_report_read_once_and_edges_ordered_only_for_constructions(monkeypatch):
     """R7 and the cycle witness strategy share one cycle report.
 
-    The strategy decides each cycle's constructions from the report's signs
+    The strategy decides each cycle's constructions from the conditions table
     and orders a cycle's edges only for a matching construction: 13 of the
     cycles it walks on ``ladder-n12-0`` before the orientation clash holds.
     """
@@ -146,11 +146,12 @@ def test_cycle_report_read_once_and_edges_ordered_only_for_constructions(monkeyp
     assert calls["cycle_edge_order"] == 13
 
 
-def test_cycle_conditions_decided_once_per_sign_tuple(monkeypatch):
+def test_cycle_conditions_decided_once_per_mask_and_length(monkeypatch):
     """R7 and the cycle witness strategy read one conditions table.
 
-    ``ladder-n12-0`` runs both; each distinct cycle sign tuple is decided
-    once, and the table is what R7 would have decided cycle by cycle.
+    ``ladder-n12-0`` runs both; each distinct (negative-edge mask, length)
+    of its cycles is decided once, and the table is what R7 would have
+    decided cycle by cycle.
     """
     calls = _count_calls(monkeypatch)
     pattern = GOLDEN_PATTERNS["ladder-n12-0"]
@@ -159,10 +160,11 @@ def test_cycle_conditions_decided_once_per_sign_tuple(monkeypatch):
     r7 = next(f for f in found.findings if f.rule_id == "R7")
     assert r7.applicable and r7.details["conditions_fired"]
     facts = PatternAnalysis(pattern)
-    signs = facts.graph.cycle_table.signs
-    assert calls["cycle_conditions"] == len(set(signs)) < len(signs)
+    table = facts.graph.cycle_table
+    keys = [(neg, len(cyc)) for neg, cyc in zip(table.negatives, table.cycles)]
+    assert calls["cycle_conditions"] == len(set(keys)) < len(keys)
     monkeypatch.undo()
-    assert facts.conditions_by_cycle == tuple(map(graphs.cycle_conditions, signs))
+    assert facts.conditions_by_cycle == tuple(graphs.cycle_conditions(*key) for key in keys)
 
 
 @pytest.mark.parametrize("name", ["PAT_EX26", "PAT_UNI61"])

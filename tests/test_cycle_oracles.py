@@ -188,13 +188,29 @@ def oracle_cover_extension(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
     return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
 
 
-def _distances(graph: SignedGraph, sources: set[int]) -> dict[int, int]:
+def oracle_adjacency(graph: SignedGraph) -> dict[int, list[int]]:
+    """Each vertex's neighbours in increasing order, from the edge list."""
+    adjacency: dict[int, list[int]] = {v: [] for v in range(graph.n)}
+    for (i, j), _ in graph.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    return {v: sorted(ws) for v, ws in adjacency.items()}
+
+
+def oracle_cycle_signs(graph: SignedGraph, cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """The sign of each edge around a cycle, from the edge list: edge t leaves ``cycle[t]``."""
+    sign = dict(graph.edges)
+    steps = zip(cycle, cycle[1:] + cycle[:1])
+    return tuple(sign[min(u, v), max(u, v)] for u, v in steps)
+
+
+def _distances(adjacency: dict[int, list[int]], sources: set[int]) -> dict[int, int]:
     dist = {v: 0 for v in sources}
     frontier = sorted(sources)
     while frontier:
         nxt = []
         for u in frontier:
-            for w in graph.adjacency[u]:
+            for w in adjacency[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     nxt.append(w)
@@ -203,7 +219,7 @@ def _distances(graph: SignedGraph, sources: set[int]) -> dict[int, int]:
 
 
 def _restricted_link(
-    graph: SignedGraph, va: set[int], vb: set[int], on_cycle: set[int]
+    adjacency: dict[int, list[int]], va: set[int], vb: set[int], on_cycle: set[int]
 ) -> int | None:
     if va & vb:
         return None
@@ -213,7 +229,7 @@ def _restricted_link(
     while frontier:
         nxt = []
         for u in frontier:
-            for w in graph.adjacency[u]:
+            for w in adjacency[u]:
                 if w in vb:
                     cand = dist[u] + 1
                     best = cand if best is None else min(best, cand)
@@ -234,20 +250,21 @@ def oracle_cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     cycles runs along it.
     """
     cycles = graph.cycle_table.cycles
+    adjacency = oracle_adjacency(graph)
     on_cycle = {v for cyc in cycles for v in cyc}
     leaf_rows = []
-    for leaf in graph.leaves():
-        dist = _distances(graph, {leaf})
+    for leaf in (v for v, ws in adjacency.items() if len(ws) == 1):
+        dist = _distances(adjacency, {leaf})
         for c_idx, cyc in enumerate(cycles):
             leaf_rows.append((leaf, c_idx, min(dist[v] for v in cyc)))
     pair_rows = []
     for a in range(len(cycles)):
         for b in range(a + 1, len(cycles)):
             va, vb = set(cycles[a]), set(cycles[b])
-            link = _restricted_link(graph, va, vb, on_cycle)
+            link = _restricted_link(adjacency, va, vb, on_cycle)
             if link is None:
                 continue
-            raw = min(_distances(graph, va)[v] for v in sorted(vb))
+            raw = min(_distances(adjacency, va)[v] for v in sorted(vb))
             assert raw == link, (cycles[a], cycles[b], link, raw)
             pair_rows.append((a, b, link))
     return CycleStructureReport(tuple(leaf_rows), tuple(pair_rows))
@@ -273,8 +290,8 @@ def oracle_r7_fired(facts: PatternAnalysis) -> list[dict]:
     table = facts.graph.cycle_table
     all_even = all(len(c) % 2 == 0 for c in table.cycles)
     fired = []
-    for cyc, signs in zip(table.cycles, table.signs):
-        conds = oracle_cycle_conditions(signs)
+    for cyc in table.cycles:
+        conds = oracle_cycle_conditions(oracle_cycle_signs(facts.graph, cyc))
         hits = [c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")]
         if not hits:
             continue
@@ -439,11 +456,12 @@ def test_cycle_structure_through_off_cycle_vertices():
 
 
 def test_cycle_conditions_match_runs_on_every_short_sign_sequence():
-    """All 32,766 sequences of signs of lengths 1-14."""
+    """All 32,766 sequences of signs of lengths 1-14, each given as its negative-edge mask."""
     checked = 0
     for k in range(1, 15):
         for signs in itertools.product((1, -1), repeat=k):
-            assert cycle_conditions(signs) == oracle_cycle_conditions(signs), signs
+            negatives = sum(1 << t for t, s in enumerate(signs) if s < 0)
+            assert cycle_conditions(negatives, k) == oracle_cycle_conditions(signs), signs
             checked += 1
     assert checked == 2**15 - 2
 
@@ -528,13 +546,18 @@ def test_undirected_cycle_budget_boundary():
 
 
 def assert_cycle_table_matches_rebuild(graph: SignedGraph) -> None:
-    """Recorded signs and masks equal the ones rebuilt from the cycles, in sorted order."""
+    """Recorded masks equal the ones rebuilt from the cycles, in sorted order.
+
+    Bit t of a cycle's negative-edge mask is checked against the sign of its
+    edge t in the edge list, and no bit past its last edge may be set.
+    """
     table = graph.cycle_table
-    assert len(table.signs) == len(table.masks) == len(table.cycles)
+    assert len(table.negatives) == len(table.masks) == len(table.cycles)
     assert list(table.cycles) == sorted(table.cycles)
-    for cyc, signs, mask in zip(*table):
-        steps = zip(cyc, cyc[1:] + cyc[:1])
-        assert signs == tuple(graph.edge_sign[min(u, v), max(u, v)] for u, v in steps)
+    for cyc, negatives, mask in zip(*table):
+        assert negatives >> len(cyc) == 0
+        for t, sign in enumerate(oracle_cycle_signs(graph, cyc)):
+            assert negatives >> t & 1 == (sign < 0), (cyc, t)
         assert mask == sum(1 << v for v in cyc)
 
 

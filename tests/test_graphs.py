@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from signum.errors import Disconnected, NotCombinatoriallySymmetric
 from signum.graphs import (
     ShapeKind,
+    SignedGraph,
     _transpose,
     build_digraph,
     build_graphs,
@@ -175,3 +177,39 @@ def test_transpose_matches_per_bit_rebuild():
             masks = [rnd.getrandbits(n) for _ in range(count)]
             want = [sum((m >> v & 1) << c for c, m in enumerate(masks)) for v in range(n)]
             assert _transpose(masks, n) == want, (n, count)
+
+
+def test_sign_queries_match_edge_list_oracle():
+    """``sign_of``, ``degree``, ``leaves`` and ``path_edge_signs`` agree with the edge list.
+
+    Seeded random graphs of orders 1-40, every other one a path in random
+    vertex order; every vertex pair is queried, and a non-edge, a loop or a
+    vertex out of range raises KeyError.
+    """
+    rnd = random.Random(32)
+    for trial in range(60):
+        n = rnd.randint(1, 40)
+        order = rnd.sample(range(n), n)
+        if trial % 2:
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.15]
+        else:
+            pairs = list(zip(order, order[1:]))
+        sign = {(min(u, v), max(u, v)): rnd.choice((-1, 1)) for u, v in pairs}
+        g = SignedGraph(n, tuple(sorted(sign.items())))
+        for u in range(n):
+            for v in range(n):
+                if (min(u, v), max(u, v)) in sign:
+                    assert g.sign_of(u, v) == sign[min(u, v), max(u, v)]
+                else:
+                    with pytest.raises(KeyError):
+                        g.sign_of(u, v)
+        for u, v in ((-1, 0), (0, n), (n, 0)):
+            with pytest.raises(KeyError):
+                g.sign_of(u, v)
+        degree = Counter(v for edge in sign for v in edge)
+        assert [g.degree(v) for v in range(n)] == [degree[v] for v in range(n)]
+        assert g.leaves() == tuple(v for v in range(n) if degree[v] == 1)
+        if not trial % 2:
+            walk = order if order[0] <= order[-1] else order[::-1]
+            edges = tuple((min(a, b), max(a, b)) for a, b in zip(walk, walk[1:]))
+            assert path_edge_signs(g) == (edges, tuple(sign[e] for e in edges))
