@@ -1,11 +1,11 @@
 """Analysis toolkit for sign pattern matrices and the unique-inertia question.
 
-The package is layered bottom-up: patterns (representation and transforms),
-graphs (signed digraph and undirected graph structure), cycles (directed
-cycle combinatorics), charpoly (cycle sums and sign variations), spectra
-(sampling, censuses, witness matrices), verdict (the decision-rule
-battery), and fixtures (a built-in catalog of benchmark patterns with
-recorded expectations).
+The package is layered bottom-up: patterns (representation and transforms;
+a pattern is its own signed digraph), graphs (signed undirected graph
+structure), cycles (directed cycle combinatorics), charpoly (cycle sums and
+sign variations), spectra (sampling, censuses, witness matrices), verdict
+(the decision-rule battery), and fixtures (a built-in catalog of benchmark
+patterns with recorded expectations).
 """
 
 from .charpoly import (
@@ -24,7 +24,6 @@ from .cycles import (
     cover_extension_exists,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
-    max_composite_cover,
     max_composite_length,
 )
 from .errors import SignumError
@@ -33,9 +32,7 @@ from .graphs import (
     GraphShape,
     MaximalSignedRun,
     ShapeKind,
-    SignedDigraph,
     SignedGraph,
-    build_digraph,
     build_graph,
     build_graphs,
     classify_shape,

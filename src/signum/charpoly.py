@@ -20,7 +20,6 @@ import numpy as np
 
 from .cycles import composite_signs
 from .errors import NonFinite, ZeroLeading
-from .graphs import build_digraph
 from .patterns import AmbSign, SignPattern
 
 __all__ = [
@@ -78,7 +77,7 @@ def ek_sign(pattern: SignPattern, k: int) -> AmbSign:
     if not 1 <= k <= pattern.n:
         raise ValueError(f"k={k} out of range 1..{pattern.n}")
     acc = AmbSign.ZERO
-    for sign in composite_signs(build_digraph(pattern), k):
+    for sign in composite_signs(pattern, k):
         acc = acc.add(AmbSign.from_int(sign))
     return acc
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fixtures as fixture_catalog
 from .errors import SignumError
-from .graphs import build_digraph, build_graph, digraph_to_dot, graph_to_dot
+from .graphs import build_graph, digraph_to_dot, graph_to_dot
 from .patterns import SignPattern, parse_pattern
 from .spectra import (
     DEFAULT_SEED,
@@ -138,7 +138,7 @@ def cmd_graph(path, fixture, directed) -> None:
     try:
         pattern = _load_pattern(path, fixture)
         if directed:
-            text = digraph_to_dot(build_digraph(pattern))
+            text = digraph_to_dot(pattern)
         else:
             text = graph_to_dot(build_graph(pattern))
     except (SignumError, click.ClickException) as exc:
@@ -225,8 +225,7 @@ def cmd_witness(path, fixture, cycle, matching) -> None:
         if (cycle is None) == (matching is None):
             raise click.ClickException("give exactly one of --cycle or --matching")
         if cycle is not None:
-            digraph = build_digraph(pattern)
-            parts = (directed_cycle_from_vertices(digraph, _parse_vertices(cycle, pattern.n)),)
+            parts = (directed_cycle_from_vertices(pattern, _parse_vertices(cycle, pattern.n)),)
         else:
             parts = matching_parts(pattern, _parse_matching(matching, pattern.n))
         spec = ladder_spec(parts)

@@ -1,5 +1,8 @@
 """Directed cycle combinatorics of a sign pattern.
 
+The pattern is its own digraph, arc i -> j being the nonzero entry p_ij,
+so every function here takes the pattern.
+
 A simple cycle through vertices (i1, ..., ik) carries the sign
 (-1)^(k-1) times the product of its arc signs; vertex-disjoint unions of
 simple cycles are composite cycles, and the length-n ones are exactly the
@@ -19,10 +22,10 @@ cycles take, loops included: R1, the sign-clash witness, the fixture
 checks and ``charpoly.ek_sign`` all read it.
 
 ``PatternAnalysis`` bundles the structural facts the decision rules and
-witness strategies read (flags, both graphs, the shape, the path edges,
-the cycle report, the maximum composite length, the signs at that length
-and the covers left over by each cycle tried), each derived once per
-analysis object.
+witness strategies read (flags, the undirected graph, the shape, the path
+edges, the cycle report, the maximum composite length, the signs at that
+length and the covers left over by each cycle tried), each derived once
+per analysis object.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CycleBudgetExceeded,
@@ -45,10 +48,8 @@ from .graphs import (
     CycleStructureReport,
     GraphShape,
     MaximalSignedRun,
-    SignedDigraph,
     SignedGraph,
     _bits,
-    build_digraph,
     build_graph,
     classify_shape,
     cycle_conditions,
@@ -62,7 +63,6 @@ __all__ = [
     "CompositeCycle",
     "Matching",
     "max_composite_length",
-    "max_composite_cover",
     "composite_cycles_of_length",
     "composite_signs",
     "cover_extension_exists",
@@ -159,36 +159,27 @@ def _canonical_rotation(vertices: Sequence[int]) -> tuple[int, ...]:
     return tuple(vertices[(start + t) % k] for t in range(k))
 
 
-def _cycle_sign(sign_of: Callable[[int, int], int], vertices: Sequence[int]) -> int:
-    """Cycle sign from ``sign_of(i, j)``, the sign of arc i -> j or 0 when it is absent."""
-    k = len(vertices)
-    prod = 1
+def _arc_entry(pattern: SignPattern, i: int, j: int) -> int:
+    """The sign p_ij of arc i -> j; raises CycleNotInPattern when the pattern has no such arc.
+
+    An end outside 0..n-1 names no arc: a negative index must not wrap
+    around to the end of a row.
+    """
+    n = pattern.n
+    sign = pattern.rows[i][j] if 0 <= i < n and 0 <= j < n else 0
+    if not sign:
+        raise CycleNotInPattern(f"arc {i + 1}->{j + 1} is not in the pattern")
+    return sign
+
+
+def directed_cycle_from_vertices(pattern: SignPattern, vertices: Sequence[int]) -> SimpleCycle:
+    """Build a SimpleCycle from a vertex sequence, checking every arc is in the pattern."""
+    verts = _canonical_rotation(list(vertices))
+    k = len(verts)
+    sign = (-1) ** (k - 1)
     for t in range(k):
-        a = (vertices[t], vertices[(t + 1) % k]) if k > 1 else (vertices[0], vertices[0])
-        s = sign_of(*a)
-        if not s:
-            raise CycleNotInPattern(f"arc {a[0] + 1}->{a[1] + 1} is not in the pattern")
-        prod *= s
-    return prod * (-1) ** (k - 1)
-
-
-def directed_cycle_from_vertices(
-    digraph: SignedDigraph, vertices: Sequence[int]
-) -> SimpleCycle:
-    """Build a SimpleCycle from a vertex sequence, checking every arc exists."""
-    verts = _canonical_rotation(list(vertices))
-    return SimpleCycle(verts, _cycle_sign(lambda i, j: digraph.arc_sign.get((i, j), 0), verts))
-
-
-def _pattern_cycle(pattern: SignPattern, vertices: Sequence[int]) -> SimpleCycle:
-    """``directed_cycle_from_vertices`` read off the pattern's rows, with no digraph built."""
-    rows, n = pattern.rows, pattern.n
-
-    def sign_of(i: int, j: int) -> int:
-        return rows[i][j] if 0 <= i < n and 0 <= j < n else 0
-
-    verts = _canonical_rotation(list(vertices))
-    return SimpleCycle(verts, _cycle_sign(sign_of, verts))
+        sign *= _arc_entry(pattern, verts[t], verts[(t + 1) % k])
+    return SimpleCycle(verts, sign)
 
 
 def _max_cover(n: int, arcs: Iterable[tuple[int, int]], include_loops: bool) -> dict[int, int]:
@@ -259,34 +250,14 @@ def _max_cover(n: int, arcs: Iterable[tuple[int, int]], include_loops: bool) -> 
     return {i: j for i, j in enumerate(col4row) if cost[i][j] < 0}
 
 
-def max_composite_length(digraph: SignedDigraph) -> int:
+def max_composite_length(pattern: SignPattern) -> int:
     """Maximum total length of vertex-disjoint directed cycles, loops excluded.
 
     A composite cycle of length l is a fixed-point-free partial permutation
     supported on l vertices with every arc present, so this is the support
     of an optimal assignment.
     """
-    return len(_max_cover(digraph.n, digraph.arc_sign, include_loops=False))
-
-
-def max_composite_cover(digraph: SignedDigraph) -> CompositeCycle | None:
-    """One composite cycle achieving the maximum length, or None if none exist."""
-    succ = _max_cover(digraph.n, digraph.arc_sign, include_loops=False)
-    parts = []
-    seen: set[int] = set()
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        cyc = [start]
-        v = succ[start]
-        while v != start:
-            cyc.append(v)
-            v = succ[v]
-        seen.update(cyc)
-        parts.append(directed_cycle_from_vertices(digraph, cyc))
-    if not parts:
-        return None
-    return CompositeCycle(tuple(sorted(parts, key=lambda p: p.vertices)))
+    return len(_max_cover(pattern.n, pattern.support(), include_loops=False))
 
 
 def _has_perfect_matching(rows: int, cols: int, succ: Sequence[int]) -> bool:
@@ -328,7 +299,7 @@ def _has_perfect_matching(rows: int, cols: int, succ: Sequence[int]) -> bool:
 
 
 def composite_cycles_of_length(
-    digraph: SignedDigraph,
+    pattern: SignPattern,
     length: int,
     include_loops: bool = False,
 ) -> Iterator[CompositeCycle]:
@@ -344,12 +315,12 @@ def composite_cycles_of_length(
     a composite, and ``COMPOSITE_CYCLE_BUDGET`` counts composites yielded:
     asking for one more raises CycleBudgetExceeded.
     """
-    succ = list(digraph.successor_masks)
+    rows = pattern.rows
+    succ = list(pattern.successor_masks)
     if include_loops:
-        for i, j, _ in digraph.arcs:
-            if i == j:
+        for i in range(pattern.n):
+            if rows[i][i]:
                 succ[i] |= 1 << i
-    arc_sign = digraph.arc_sign
     budget = COMPOSITE_CYCLE_BUDGET
     emitted = 0
 
@@ -371,21 +342,21 @@ def composite_cycles_of_length(
         # vertices off the path, and (rest + tail) -> (rest + start) matches.
         tail = path[-1]
         if succ[tail] >> start & 1 and _has_perfect_matching(rest, rest, succ):
-            sign = prod * arc_sign[(tail, start)] * (-1) ** (len(path) - 1)
+            sign = prod * rows[tail][start] * (-1) ** (len(path) - 1)
             yield from complete(rest, parts + (SimpleCycle(tuple(path), sign),))
         for w in _bits(succ[tail] & rest):
             if _has_perfect_matching(rest, rest ^ (1 << w) | 1 << start, succ):
                 path.append(w)
-                yield from grow(start, path, prod * arc_sign[(tail, w)], rest ^ (1 << w), parts)
+                yield from grow(start, path, prod * rows[tail][w], rest ^ (1 << w), parts)
                 path.pop()
 
-    for combo in itertools.combinations(range(digraph.n), length):
+    for combo in itertools.combinations(range(pattern.n), length):
         mask = sum(1 << v for v in combo)
         if _has_perfect_matching(mask, mask, succ):
             yield from complete(mask, ())
 
 
-def composite_signs(digraph: SignedDigraph, length: int) -> dict[int, CompositeCycle]:
+def composite_signs(pattern: SignPattern, length: int) -> dict[int, CompositeCycle]:
     """The signs the length-k composite cycles take, each with its first witness.
 
     Maps each sign that occurs (+1, -1) to the first composite cycle of
@@ -395,30 +366,30 @@ def composite_signs(digraph: SignedDigraph, length: int) -> dict[int, CompositeC
     appeared, and length 0, asking for no cycle, gives ``{}``.  Exhaustive,
     so capped at order ``SIGN_ORDER_CAP``.
     """
-    if digraph.n > SIGN_ORDER_CAP:
+    if pattern.n > SIGN_ORDER_CAP:
         raise OrderCapExceeded(f"composite-sign enumeration capped at order {SIGN_ORDER_CAP}")
     first: dict[int, CompositeCycle] = {}
     if length:
-        for comp in composite_cycles_of_length(digraph, length, include_loops=True):
+        for comp in composite_cycles_of_length(pattern, length, include_loops=True):
             first.setdefault(comp.sign, comp)
             if len(first) == 2:
                 break
     return first
 
 
-def cover_extension_exists(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
+def cover_extension_exists(pattern: SignPattern, cycle: SimpleCycle) -> bool:
     """Whether some length-n composite cycle contains the given cycle.
 
     Equivalent to the off-diagonal arcs on the remaining vertices having a
-    perfect matching (rows to columns).
+    perfect matching (rows to columns).  Raises CycleNotInPattern when an
+    arc of the cycle is not in the pattern.
     """
     for i, j in cycle.arcs():
-        if (i, j) not in digraph.arc_sign:
-            raise CycleNotInPattern(f"arc {i + 1}->{j + 1} is not in the pattern")
-    remaining = (1 << digraph.n) - 1
+        _arc_entry(pattern, i, j)
+    remaining = (1 << pattern.n) - 1
     for v in cycle.vertices:
         remaining &= ~(1 << v)
-    return _has_perfect_matching(remaining, remaining, digraph.successor_masks)
+    return _has_perfect_matching(remaining, remaining, pattern.successor_masks)
 
 
 def gamma_matchings_from_odd_run(
@@ -484,10 +455,6 @@ class PatternAnalysis:
         return validate(self.pattern)
 
     @cached_property
-    def digraph(self) -> SignedDigraph:
-        return build_digraph(self.pattern)
-
-    @cached_property
     def graph(self) -> SignedGraph:
         return build_graph(self.pattern)
 
@@ -518,17 +485,32 @@ class PatternAnalysis:
 
     @cached_property
     def max_composite_length(self) -> int:
-        return max_composite_length(self.digraph)
+        return max_composite_length(self.pattern)
 
     @cached_property
     def top_signs(self) -> dict[int, CompositeCycle]:
         """``composite_signs`` at the maximum composite length."""
-        return composite_signs(self.digraph, self.max_composite_length)
+        return composite_signs(self.pattern, self.max_composite_length)
 
     def cover_without(self, vertices: Iterable[int]) -> tuple[SimpleCycle, ...]:
-        """The parts of one maximum composite cycle avoiding ``vertices``, solved once per set."""
+        """The parts of one maximum composite cycle avoiding ``vertices``, solved once per set.
+
+        The assignment runs over the pattern's arcs with neither end in
+        ``vertices``, so no smaller pattern is built.
+        """
         key = frozenset(vertices)
         if key not in self._covers:
-            cover = max_composite_cover(self.digraph.without_vertices(key))
-            self._covers[key] = cover.parts if cover is not None else ()
+            pattern = self.pattern
+            arcs = [(i, j) for i, j in pattern.support() if i not in key and j not in key]
+            succ = _max_cover(pattern.n, arcs, include_loops=False)
+            parts, seen = [], set()
+            # Each part starts at its smallest vertex, so the parts come out ordered.
+            for start in sorted(succ):
+                if start not in seen:
+                    cyc = [start]
+                    while succ[cyc[-1]] != start:
+                        cyc.append(succ[cyc[-1]])
+                    seen.update(cyc)
+                    parts.append(directed_cycle_from_vertices(pattern, cyc))
+            self._covers[key] = tuple(parts)
         return self._covers[key]

@@ -292,8 +292,8 @@ def _cover_check(
     check_id: str, tag: str, source: str, cycle: tuple[int, ...], expected: bool
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        digraph = facts.digraph
-        got = cover_extension_exists(digraph, directed_cycle_from_vertices(digraph, cycle))
+        pattern = facts.pattern
+        got = cover_extension_exists(pattern, directed_cycle_from_vertices(pattern, cycle))
         return got is expected, f"cover extension {got}"
 
     return Check(check_id, tag, source, fn)
@@ -330,7 +330,7 @@ def _stabilize_check(
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
         pattern = facts.pattern
-        part = directed_cycle_from_vertices(facts.digraph, cycle)
+        part = directed_cycle_from_vertices(pattern, cycle)
         _, eps, prof = stabilize_epsilon(pattern, ladder_spec((part,)))
         ok = prof.inertia == inertia
         return ok, f"stabilized inertia {prof.inertia} at epsilon {eps}"

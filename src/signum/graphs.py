@@ -1,8 +1,9 @@
-"""Signed directed and undirected graphs of a sign pattern.
+"""The signed undirected graph of a sign pattern, and the DOT text of both graphs.
 
-The digraph D has an arc (i, j) for every nonzero entry, carrying that
-entry's sign.  For combinatorially symmetric patterns the undirected graph
-G has an edge {i, j} whose sign is the sign of p_ij * p_ji.  The shape of
+The signed digraph D, an arc (i, j) for every nonzero entry carrying that
+entry's sign, is the pattern itself, so no digraph object is built.  For
+combinatorially symmetric patterns the undirected graph G has an edge
+{i, j} whose sign is the sign of p_ij * p_ji.  The shape of
 G (path, tree, single cycle, unicyclic, ...) routes the decision rules;
 this module also computes maximal constant-sign runs along paths and
 cycles, leaf-to-cycle distances, path-adjacent cycle pairs, and (the one
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetr
 from .patterns import SignPattern, _reaches_all, _union_table
 
 __all__ = [
-    "SignedDigraph",
     "SignedGraph",
     "CycleTable",
     "ShapeKind",
@@ -44,7 +44,6 @@ __all__ = [
     "CycleStructureReport",
     "build_graph",
     "build_graphs",
-    "build_digraph",
     "classify_shape",
     "maximal_signed_runs",
     "path_edge_signs",
@@ -56,32 +55,6 @@ __all__ = [
 ]
 
 UNDIRECTED_CYCLE_BUDGET = 10_000
-
-
-@dataclass(frozen=True)
-class SignedDigraph:
-    """Directed arcs (i, j, sign) of a pattern, including any loops."""
-
-    n: int
-    arcs: tuple[tuple[int, int, int], ...]
-
-    @cached_property
-    def arc_sign(self) -> dict[tuple[int, int], int]:
-        return {(i, j): s for i, j, s in self.arcs}
-
-    @cached_property
-    def successor_masks(self) -> tuple[int, ...]:
-        """Bitmask of each vertex's successors, loops left out."""
-        succ = [0] * self.n
-        for i, j, _ in self.arcs:
-            if i != j:
-                succ[i] |= 1 << j
-        return tuple(succ)
-
-    def without_vertices(self, removed: AbstractSet[int]) -> "SignedDigraph":
-        """Subgraph on the complementary vertex set, original labels kept."""
-        keep = [(i, j, s) for i, j, s in self.arcs if i not in removed and j not in removed]
-        return SignedDigraph(self.n, tuple(keep))
 
 
 class CycleTable(NamedTuple):
@@ -246,17 +219,6 @@ class CycleStructureReport:
     path_adjacent_pairs: tuple[tuple[int, int, int], ...]
 
 
-def build_digraph(pattern: SignPattern) -> SignedDigraph:
-    """The signed digraph: one arc per nonzero entry."""
-    arcs = tuple(
-        (i, j, pattern.rows[i][j])
-        for i in range(pattern.n)
-        for j in range(pattern.n)
-        if pattern.rows[i][j]
-    )
-    return SignedDigraph(pattern.n, arcs)
-
-
 def build_graph(pattern: SignPattern) -> SignedGraph:
     """The undirected signed graph G; needs combinatorial symmetry."""
     rows = pattern.rows
@@ -272,10 +234,9 @@ def build_graph(pattern: SignPattern) -> SignedGraph:
     return SignedGraph(pattern.n, tuple(edges))
 
 
-def build_graphs(pattern: SignPattern) -> tuple[SignedDigraph, SignedGraph]:
-    """Build D and G; G needs combinatorial symmetry."""
-    graph = build_graph(pattern)
-    return build_digraph(pattern), graph
+def build_graphs(pattern: SignPattern) -> tuple[SignPattern, SignedGraph]:
+    """D and G, where the pattern is its own digraph D; G needs combinatorial symmetry."""
+    return pattern, build_graph(pattern)
 
 
 def classify_shape(graph: SignedGraph) -> GraphShape:
@@ -505,13 +466,13 @@ def _bfs_levels(step: Callable[[int], int], sources: int, allowed: int) -> list[
     return levels
 
 
-def digraph_to_dot(digraph: SignedDigraph) -> str:
-    """Deterministic DOT text; arc labels carry the sign."""
+def digraph_to_dot(pattern: SignPattern) -> str:
+    """Deterministic DOT text of the pattern's digraph, arcs row by row; labels carry the sign."""
     lines = ["digraph pattern {"]
-    for v in range(digraph.n):
+    for v in range(pattern.n):
         lines.append(f"  {v + 1};")
-    for i, j, s in sorted(digraph.arcs):
-        label = "+" if s > 0 else "-"
+    for i, j in pattern.support():
+        label = "+" if pattern.rows[i][j] > 0 else "-"
         lines.append(f'  {i + 1} -> {j + 1} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

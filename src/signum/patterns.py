@@ -5,13 +5,19 @@ whose entries match it in sign.  This module owns the pattern
 representation and text format, validation flags, the inertia-preserving
 equivalence transforms (permutation similarity, signature similarity,
 negation, transposition), the edge-sign flip transform for tree patterns,
-and principal-subpattern search.  It also holds the package's one union
-routine over vertex bitmasks, ``_union_table``, which ORs rows by table
-lookup one byte of the mask at a time, and its one reachability routine,
-``_reaches_all``, which decides irreducibility here, connectivity in
-``graphs``, and so tree support: a combinatorially symmetric, zero-diagonal
-pattern is a tree pattern exactly when it is irreducible with n - 1
-undirected edges.
+and principal-subpattern search.
+
+A pattern is its own signed digraph: arc i -> j, carrying the sign p_ij,
+is the nonzero entry at row i, column j, so every digraph question in the
+package reads ``rows`` and no second copy of the arcs is built.
+``SignPattern.successor_masks`` is the package's one builder of successor
+bitmasks; irreducibility, the composite-cycle walk and every cover test
+read it.  This module also holds the package's one union routine over
+vertex bitmasks, ``_union_table``, which ORs rows by table lookup one byte
+of the mask at a time, and its one reachability routine, ``_reaches_all``,
+which decides irreducibility here, connectivity in ``graphs``, and so tree
+support: a combinatorially symmetric, zero-diagonal pattern is a tree
+pattern exactly when it is irreducible with n - 1 undirected edges.
 
 Entries are stored as plain ints in {-1, 0, +1}.  Indices are 0-based
 throughout the API; positions in error messages and reports are 1-based.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -112,8 +119,20 @@ class SignPattern:
         return "\n".join(" ".join(_INT_TO_TOKEN[v] for v in row) for row in self.rows)
 
     def support(self) -> list[tuple[int, int]]:
-        """Positions (i, j) of nonzero entries, row-major order."""
+        """Positions (i, j) of nonzero entries, row-major order: the digraph's arcs."""
         return [(i, j) for i in range(self.n) for j in range(self.n) if self.rows[i][j]]
+
+    @cached_property
+    def successor_masks(self) -> tuple[int, ...]:
+        """Bitmask of each vertex's successors in the digraph, loops left out.
+
+        Bit j of entry i is set when p_ij != 0 and i != j.  The one place
+        successor masks are built.
+        """
+        return tuple(
+            sum(1 << j for j, v in enumerate(row) if v) & ~(1 << i)
+            for i, row in enumerate(self.rows)
+        )
 
     def principal(self, indices: Sequence[int]) -> "SignPattern":
         """Principal subpattern on the given (sorted) index list."""
@@ -193,16 +212,13 @@ def validate(pattern: SignPattern) -> PatternFlags:
 
     Irreducibility is strong connectivity of the digraph of nonzero entries:
     vertex 0 reaches every vertex along successors and along predecessors.
+    The predecessor masks are the pattern's ``successor_masks`` transposed.
     The two mask lists agree exactly when the pattern is combinatorially
     symmetric, and then one pass decides it.
     """
     n = pattern.n
-    succ, pred = [0] * n, [0] * n
-    for i, row in enumerate(pattern.rows):
-        for j, v in enumerate(row):
-            if v and i != j:
-                succ[i] |= 1 << j
-                pred[j] |= 1 << i
+    succ = pattern.successor_masks
+    pred = tuple(sum((row >> j & 1) << i for i, row in enumerate(succ)) for j in range(n))
     comb_sym = succ == pred
     zero_diag = all(pattern.rows[i][i] == 0 for i in range(n))
     irreducible = _reaches_all(_union_table(succ), n) and (

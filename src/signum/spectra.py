@@ -33,7 +33,6 @@ from .cycles import (
     PatternAnalysis,
     SimpleCycle,
     _max_cover,
-    _pattern_cycle,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
 )
@@ -604,7 +603,7 @@ def census(
 
 def matching_parts(pattern: SignPattern, edges: Iterable[tuple[int, int]]) -> tuple[SimpleCycle, ...]:
     """Directed 2-cycles sitting on the given undirected matching edges."""
-    return tuple(_pattern_cycle(pattern, (min(e), max(e))) for e in sorted(edges))
+    return tuple(directed_cycle_from_vertices(pattern, (min(e), max(e))) for e in sorted(edges))
 
 
 def ladder_spec(parts: Sequence[SimpleCycle], epsilon: float = 0.0) -> WitnessSpec:
@@ -627,7 +626,7 @@ def build_witness(pattern: SignPattern, spec: WitnessSpec) -> np.ndarray:
     emphasized: set[tuple[int, int]] = set()
     covered: set[int] = set()
     for part, mag in zip(spec.parts, spec.magnitudes):
-        recomputed = _pattern_cycle(pattern, part.vertices)
+        recomputed = directed_cycle_from_vertices(pattern, part.vertices)
         named = tuple(v + 1 for v in part.vertices)
         if recomputed.sign != part.sign:
             raise SignMismatch(
@@ -791,7 +790,7 @@ def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
     all-negative cycle an alternating matching gives a purely imaginary
     block while the full cycle does not.  For an even cycle with an
     odd-length sign run the alternating near-cover splits into a negative
-    and a positive matching.  The rest of the digraph rides along as
+    and a positive matching.  The rest of the pattern rides along as
     ``facts.cover_without`` the cycle, a fixed ladder of vertex-disjoint cycles.
     """
     if facts.shape.kind not in (
@@ -800,11 +799,11 @@ def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
         ShapeKind.MULTI_CYCLE_NO_LEAF,
     ):
         return
-    pattern, digraph = facts.pattern, facts.digraph
+    pattern = facts.pattern
     for cyc, conds in zip(facts.graph.cycle_table.cycles, facts.conditions_by_cycle):
         if conds["odd_negative_count"]:
-            fwd = directed_cycle_from_vertices(digraph, cyc)
-            rev = directed_cycle_from_vertices(digraph, tuple(reversed(cyc)))
+            fwd = directed_cycle_from_vertices(pattern, cyc)
+            rev = directed_cycle_from_vertices(pattern, tuple(reversed(cyc)))
             rest = facts.cover_without(cyc)
             yield (fwd,) + rest, (rev,) + rest, "cycle-orientation-sign-clash", {"cycle": list(cyc)}
         if conds["all_negative"] and len(cyc) % 2 == 0:
@@ -812,7 +811,7 @@ def _cycle_condition_candidates(facts: PatternAnalysis) -> Iterator[_Candidate]:
             rest = facts.cover_without(cyc)
             yield (
                 matching_parts(pattern, alt) + rest,
-                (directed_cycle_from_vertices(digraph, cyc),) + rest,
+                (directed_cycle_from_vertices(pattern, cyc),) + rest,
                 "all-negative-cycle",
                 {"cycle": list(cyc), "matching": list(alt)},
             )

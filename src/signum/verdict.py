@@ -27,7 +27,6 @@ from .cycles import (
 from .graphs import (
     GraphShape,
     ShapeKind,
-    SignedDigraph,
     maximal_signed_runs,
 )
 from .patterns import AmbSign, PatternFlags, SignPattern, _flip_edges
@@ -145,14 +144,14 @@ def _finding(rule_id: str, fires: bool, details: dict, reason: str | None = None
     )
 
 
-def _odd_cycle_det_sign(digraph: SignedDigraph, cycle: tuple[int, ...]) -> AmbSign:
+def _odd_cycle_det_sign(pattern: SignPattern, cycle: tuple[int, ...]) -> AmbSign:
     """Determinant sign of an odd single-cycle pattern with zero diagonal.
 
     Its only spanning composite cycles are the cycle's two orientations, and
     an odd cycle is an even permutation, so each term's sign is its cycle
     sign.  Two terms, so no enumeration and no order cap.
     """
-    forward, backward = (directed_cycle_from_vertices(digraph, c) for c in (cycle, cycle[::-1]))
+    forward, backward = (directed_cycle_from_vertices(pattern, c) for c in (cycle, cycle[::-1]))
     return AmbSign.from_int(forward.sign).add(AmbSign.from_int(backward.sign))
 
 
@@ -201,7 +200,7 @@ def _r2(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Odd single cycle, decided by the determinant sign."""
     if facts.shape.kind is not ShapeKind.SINGLE_CYCLE or facts.pattern.n % 2 == 0:
         return None
-    det = _odd_cycle_det_sign(facts.digraph, facts.shape.cycles[0])
+    det = _odd_cycle_det_sign(facts.pattern, facts.shape.cycles[0])
     details = {"determinant_sign": det.value}
     if det in (AmbSign.PLUS, AmbSign.MINUS):
         return RuleFinding("R2", True, Conclusion.REQUIRES_UNIQUE, _REASONS["R2"], details=details)
@@ -292,7 +291,7 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     table = facts.graph.cycle_table
     all_even = all(len(c) % 2 == 0 for c in table.cycles)
     fired = []
-    succ = facts.digraph.successor_masks
+    succ = facts.pattern.successor_masks
     everything = (1 << facts.pattern.n) - 1
     # Whether a cycle extends depends only on the vertices it leaves over,
     # and its hits only on its three condition values, at most 8 keys.

@@ -15,7 +15,6 @@ from test_cycles import brute_max_composite
 from signum.charpoly import char_poly, descartes
 from signum.cycles import directed_cycle_from_vertices, max_composite_length, cover_extension_exists
 from signum.fixtures import FIXTURES, verify
-from signum.graphs import build_digraph
 from signum.patterns import SignPattern
 from signum.spectra import (
     SampleConfig,
@@ -222,14 +221,13 @@ def test_criterion_7_combinatorial_oracles():
                     if i != j and rng.random() < density:
                         rows[i][j] = 1
                         arcs.add((i, j))
-            d = build_digraph(SignPattern.from_rows(rows))
-            assert max_composite_length(d) == brute_max_composite(arcs, n)
+            assert max_composite_length(SignPattern.from_rows(rows)) == brute_max_composite(arcs, n)
 
-        assert max_composite_length(build_digraph(FIXTURES["PAT_TWOSQ9"].pattern)) == 8
-        assert max_composite_length(build_digraph(FIXTURES["PAT_TRIPATH6"].pattern)) == 6
-        d = build_digraph(FIXTURES["PAT_SQTRI8"].pattern)
-        triangle = directed_cycle_from_vertices(d, (5, 6, 7))
-        assert cover_extension_exists(d, triangle) is False
+        assert max_composite_length(FIXTURES["PAT_TWOSQ9"].pattern) == 8
+        assert max_composite_length(FIXTURES["PAT_TRIPATH6"].pattern) == 6
+        sq_tri = FIXTURES["PAT_SQTRI8"].pattern
+        triangle = directed_cycle_from_vertices(sq_tri, (5, 6, 7))
+        assert cover_extension_exists(sq_tri, triangle) is False
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0, f"combinatorial oracles took {elapsed:.2f}s"
 
@@ -311,8 +309,7 @@ def test_criterion_10_witness_constructions():
 
         for name, cycle in (("PAT_XX2", (0, 1, 2)), ("PAT_ALLNEG4", (0, 1, 2, 3)), ("PAT_XXEG22", (0, 1, 2, 3))):
             p = FIXTURES[name].pattern
-            d = build_digraph(p)
-            part = directed_cycle_from_vertices(d, cycle)
+            part = directed_cycle_from_vertices(p, cycle)
             spec = WitnessSpec((part,), (100.0,))
             mat, _, prof = stabilize_epsilon(p, spec)
             magnitude = spec.magnitudes[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
@@ -14,7 +15,6 @@ from signum import cycles, fixtures, graphs, patterns, spectra, verdict
 from signum.cycles import (
     PatternAnalysis,
     composite_signs,
-    max_composite_cover,
     max_composite_length,
 )
 from signum.errors import (
@@ -26,7 +26,7 @@ from signum.errors import (
     SignMismatch,
 )
 from signum.fixtures import FIXTURES
-from signum.graphs import build_digraph, build_graphs, classify_shape, path_edge_signs
+from signum.graphs import build_graphs, classify_shape, path_edge_signs
 from signum.patterns import SignPattern, parse_pattern, validate
 from signum.spectra import SampleConfig
 from signum.verdict import analyze, verdict_to_json
@@ -35,7 +35,6 @@ GOLDEN = Path(__file__).with_name("golden_census.json")
 
 COUNTED = {
     "validate": patterns.validate,
-    "build_digraph": graphs.build_digraph,
     "build_graph": graphs.build_graph,
     "classify_shape": graphs.classify_shape,
     "composite_signs": cycles.composite_signs,
@@ -93,15 +92,28 @@ GOLDEN_PATTERNS = _golden_patterns()
 
 def test_each_fact_computed_once_per_analyze(monkeypatch):
     calls = _count_calls(monkeypatch)
+    masks_built: Counter = Counter()
+    build_masks = SignPattern.successor_masks.func
+
+    def counting_masks(pattern):
+        masks_built[pattern.rows] += 1
+        return build_masks(pattern)
+
+    counted = functools.cached_property(counting_masks)
+    counted.__set_name__(SignPattern, "successor_masks")
+    monkeypatch.setattr(SignPattern, "successor_masks", counted)
     # PAT_EX26 is an odd single cycle, so R2 reads the determinant sign too.
-    for pattern in (GOLDEN_PATTERNS["ladder-n12-0"], FIXTURES["PAT_EX26"].pattern):
+    for shared in (GOLDEN_PATTERNS["ladder-n12-0"], FIXTURES["PAT_EX26"].pattern):
+        pattern = SignPattern(shared.rows)  # nothing cached on a fresh object
         calls.clear()
+        masks_built.clear()
         verdict = analyze(pattern, SampleConfig())
         assert verdict.witness_pair() is not None  # the witness search ran too
         assert calls["classify_shape"] == 1
         assert calls["composite_signs"] == 1
         assert calls["validate"] == 1
-        assert calls["build_digraph"] <= 1
+        # validate, the composite walk and R7 share the analyzed pattern's masks.
+        assert masks_built == Counter({pattern.rows: 1})
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -265,15 +277,20 @@ def test_analysis_matches_direct_computation(name):
     facts = PatternAnalysis(pattern)
     digraph, graph = build_graphs(pattern)
     assert facts.flags == validate(pattern)
-    assert facts.digraph == digraph == build_digraph(pattern)
+    assert digraph is pattern
     assert facts.graph == graph
     assert facts.shape == classify_shape(graph)
-    assert facts.max_composite_length == max_composite_length(digraph)
-    assert facts.top_signs == composite_signs(digraph, max_composite_length(digraph))
+    assert facts.max_composite_length == max_composite_length(pattern)
+    assert facts.top_signs == composite_signs(pattern, max_composite_length(pattern))
     assert facts.cycle_report == graphs.cycle_structure(graph)
     for cycle in facts.graph.cycle_table.cycles:
-        cover = max_composite_cover(digraph.without_vertices(set(cycle)))
-        assert facts.cover_without(cycle) == (cover.parts if cover else ())
+        # The cover avoiding the cycle is the maximum cover of the pattern
+        # with the cycle's rows and columns zeroed.
+        zeroed = SignPattern.from_rows(
+            [0 if i in cycle or j in cycle else v for j, v in enumerate(row)]
+            for i, row in enumerate(pattern.rows)
+        )
+        assert facts.cover_without(cycle) == PatternAnalysis(zeroed).cover_without(())
     if facts.shape.kind is graphs.ShapeKind.PATH:
         assert facts.path_edges == path_edge_signs(graph)
     else:
@@ -285,7 +302,7 @@ def test_analysis_field_errors_repeat():
     lopsided = SignPattern.from_rows([[0, 1], [0, 0]])
     facts = PatternAnalysis(lopsided)
     assert not facts.flags.combinatorially_symmetric
-    assert facts.digraph.arcs == ((0, 1, 1),)
+    assert facts.pattern.successor_masks == (0b10, 0)
     for _ in range(2):
         with pytest.raises(NotCombinatoriallySymmetric):
             facts.graph

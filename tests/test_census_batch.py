@@ -33,7 +33,6 @@ from signum import spectra
 from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
 from signum.errors import EigenFailure, NonFinite, NoStabilization
 from signum.fixtures import CENSUS_CFG, FIXTURES
-from signum.graphs import build_digraph
 from signum.patterns import SignPattern, p_minus
 from signum.spectra import (
     EPSILON_SCHEDULE,
@@ -309,7 +308,7 @@ def test_stack_thresholds_match_per_matrix_norm(rows, n, density, seed):
 def test_stabilize_matches_per_epsilon_loop(name, cycle, matching):
     pattern = FIXTURES[name].pattern
     if cycle:
-        parts = (directed_cycle_from_vertices(build_digraph(pattern), cycle),)
+        parts = (directed_cycle_from_vertices(pattern, cycle),)
     else:
         parts = matching_parts(pattern, matching)
     spec = ladder_spec(parts)
@@ -718,7 +717,7 @@ def fixture_specs():
         if not facts.flags.all_ok():
             continue
         parts = [
-            (directed_cycle_from_vertices(facts.digraph, c),)
+            (directed_cycle_from_vertices(pattern, c),)
             for cyc in facts.shape.cycles
             for c in (cyc, cyc[::-1])
         ]

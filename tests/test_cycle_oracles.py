@@ -55,9 +55,7 @@ from signum.graphs import (
     UNDIRECTED_CYCLE_BUDGET,
     CycleStructureReport,
     ShapeKind,
-    SignedDigraph,
     SignedGraph,
-    build_digraph,
     build_graphs,
     cycle_conditions,
     cycle_structure,
@@ -69,7 +67,7 @@ GOLDEN = Path(__file__).with_name("golden_census.json")
 
 
 def simple_cycles(
-    digraph: SignedDigraph,
+    pattern: SignPattern,
     max_len: int | None = None,
     budget: int = COMPOSITE_CYCLE_BUDGET,
 ) -> Iterator[SimpleCycle]:
@@ -79,14 +77,14 @@ def simple_cycles(
     emission budget.
     """
     g = nx.DiGraph()
-    g.add_nodes_from(range(digraph.n))
-    g.add_edges_from((i, j) for i, j, _ in digraph.arcs)
+    g.add_nodes_from(range(pattern.n))
+    g.add_edges_from(pattern.support())
     count = 0
     for cyc in nx.simple_cycles(g, length_bound=max_len):
         count += 1
         if count > budget:
             raise CycleBudgetExceeded(f"more than {budget} simple cycles")
-        yield directed_cycle_from_vertices(digraph, cyc)
+        yield directed_cycle_from_vertices(pattern, cyc)
 
 
 def _canonical_cycle(vertices: list[int]) -> tuple[int, ...]:
@@ -129,16 +127,16 @@ def oracle_cover(n: int, arcs, include_loops: bool) -> dict[int, int]:
 
 
 def oracle_composites(
-    digraph: SignedDigraph, length: int, include_loops: bool = False
+    pattern: SignPattern, length: int, include_loops: bool = False
 ) -> list[CompositeCycle]:
     """Every composite of the given length, combined from the simple cycles."""
     cycles = [
         c
-        for c in simple_cycles(digraph, max_len=length)
+        for c in simple_cycles(pattern, max_len=length)
         if include_loops or c.length > 1
     ]
     cycles.sort(key=lambda c: (c.vertices[0], c.length, c.vertices, -c.sign))
-    free = digraph.n
+    free = pattern.n
     out: list[CompositeCycle] = []
 
     def rec(start: int, chosen: list[SimpleCycle], used: set[int], cur: int) -> None:
@@ -161,23 +159,23 @@ def oracle_composites(
     return out
 
 
-def oracle_composite_signs(digraph: SignedDigraph, length: int) -> dict[int, CompositeCycle]:
+def oracle_composite_signs(pattern: SignPattern, length: int) -> dict[int, CompositeCycle]:
     """Keep the smallest-sort-key nonempty composite of each sign, loops included."""
     best: dict[int, CompositeCycle] = {}
-    for comp in oracle_composites(digraph, length, include_loops=True):
+    for comp in oracle_composites(pattern, length, include_loops=True):
         prev = best.get(comp.sign)
         if comp.parts and (prev is None or comp.sort_key() < prev.sort_key()):
             best[comp.sign] = comp
     return best
 
 
-def oracle_cover_extension(digraph: SignedDigraph, cycle: SimpleCycle) -> bool:
-    remaining = sorted(set(range(digraph.n)) - set(cycle.vertices))
+def oracle_cover_extension(pattern: SignPattern, cycle: SimpleCycle) -> bool:
+    remaining = sorted(set(range(pattern.n)) - set(cycle.vertices))
     if not remaining:
         return True
     pos = {v: t for t, v in enumerate(remaining)}
     rows, cols = [], []
-    for i, j, _ in digraph.arcs:
+    for i, j in pattern.support():
         if i != j and i in pos and j in pos:
             rows.append(pos[i])
             cols.append(pos[j])
@@ -295,8 +293,8 @@ def oracle_r7_fired(facts: PatternAnalysis) -> list[dict]:
         hits = [c for c, ok in conds.items() if ok and (all_even or c == "odd_negative_count")]
         if not hits:
             continue
-        directed = directed_cycle_from_vertices(facts.digraph, cyc)
-        extends = cover_extension_exists(facts.digraph, directed)
+        directed = directed_cycle_from_vertices(facts.pattern, cyc)
+        extends = cover_extension_exists(facts.pattern, directed)
         fired += [{"cycle": list(cyc), "condition": c, "extends_to_cover": extends} for c in hits]
     return fired
 
@@ -383,22 +381,20 @@ ORACLE_SETTINGS = settings(
 @ORACLE_SETTINGS
 @given(pattern=digraph_patterns(), include_loops=st.booleans())
 def test_composites_match_oracle_in_sort_key_order(pattern, include_loops):
-    digraph = build_digraph(pattern)
     for length in range(pattern.n + 1):
-        got = list(composite_cycles_of_length(digraph, length, include_loops))
+        got = list(composite_cycles_of_length(pattern, length, include_loops))
         keys = [c.sort_key() for c in got]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        want = oracle_composites(digraph, length, include_loops)
+        want = oracle_composites(pattern, length, include_loops)
         assert got == sorted(want, key=lambda c: c.sort_key())
 
 
 @ORACLE_SETTINGS
 @given(pattern=digraph_patterns())
 def test_composite_signs_match_min_witness_oracle(pattern):
-    digraph = build_digraph(pattern)
     for length in range(pattern.n + 1):
-        want = oracle_composite_signs(digraph, length)
-        assert composite_signs(digraph, length) == want
+        want = oracle_composite_signs(pattern, length)
+        assert composite_signs(pattern, length) == want
         if length:
             acc = AmbSign.ZERO
             for sign in want:
@@ -409,11 +405,10 @@ def test_composite_signs_match_min_witness_oracle(pattern):
 @ORACLE_SETTINGS
 @given(pattern=digraph_patterns())
 def test_cover_extension_matches_bipartite_oracle(pattern):
-    digraph = build_digraph(pattern)
-    for cycle in simple_cycles(digraph):
+    for cycle in simple_cycles(pattern):
         if cycle.length > 1:
-            assert cover_extension_exists(digraph, cycle) == oracle_cover_extension(
-                digraph, cycle
+            assert cover_extension_exists(pattern, cycle) == oracle_cover_extension(
+                pattern, cycle
             )
 
 
@@ -613,8 +608,7 @@ def test_cover_length_matches_assignment_support(case, include_loops):
 
 
 def test_simple_cycles_example(pat):
-    d = build_digraph(pat("PAT_EX26"))
-    cycles = list(simple_cycles(d))
+    cycles = list(simple_cycles(pat("PAT_EX26")))
     two = sorted(c.vertices for c in cycles if c.length == 2)
     assert two == [(0, 1), (0, 2), (1, 2)]
     assert all(c.sign == 1 for c in cycles if c.length == 2)
@@ -623,27 +617,24 @@ def test_simple_cycles_example(pat):
 
 
 def test_simple_cycles_all_positive_triangle(pat):
-    d = build_digraph(pat("PAT_XX2"))
-    three = {c.vertices: c.sign for c in simple_cycles(d) if c.length == 3}
+    three = {c.vertices: c.sign for c in simple_cycles(pat("PAT_XX2")) if c.length == 3}
     assert three == {(0, 1, 2): 1, (0, 2, 1): 1}
 
 
 def test_two_cycle_sign_rule():
-    d = build_digraph(SignPattern.from_rows([[0, 1], [1, 0]]))
-    cycles = list(simple_cycles(d))
+    cycles = list(simple_cycles(SignPattern.from_rows([[0, 1], [1, 0]])))
     assert len(cycles) == 1 and cycles[0].sign == -1
 
 
 def test_cycle_sign_recomputes(pat):
-    d = build_digraph(pat("PAT_TWOCYC81"))
-    for c in simple_cycles(d):
+    p = pat("PAT_TWOCYC81")
+    for c in simple_cycles(p):
         prod = 1
         for i, j in c.arcs():
-            prod *= d.arc_sign[(i, j)]
+            prod *= p.rows[i][j]
         assert c.sign == prod * (-1) ** (len(c.vertices) - 1)
 
 
 def test_simple_cycles_budget(pat):
-    d = build_digraph(pat("PAT_TWOSQ9"))
     with pytest.raises(CycleBudgetExceeded):
-        list(simple_cycles(d, budget=2))
+        list(simple_cycles(pat("PAT_TWOSQ9"), budget=2))

@@ -6,12 +6,13 @@ import pytest
 from signum import cycles
 from signum.cycles import (
     Matching,
+    PatternAnalysis,
+    SimpleCycle,
     composite_cycles_of_length,
     composite_signs,
     cover_extension_exists,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
-    max_composite_cover,
     max_composite_length,
 )
 from signum.errors import (
@@ -21,18 +22,14 @@ from signum.errors import (
     OrderCapExceeded,
     RunNotOdd,
 )
-from signum.graphs import MaximalSignedRun, build_digraph, maximal_signed_runs
+from signum.graphs import MaximalSignedRun, maximal_signed_runs
 from signum.patterns import SignPattern
 
 
-def digraph_of(pat, name):
-    return build_digraph(pat(name))
-
-
 def test_max_composite_examples(pat):
-    assert max_composite_length(digraph_of(pat, "PAT_TWOSQ9")) == 8
-    assert max_composite_length(digraph_of(pat, "PAT_TRIPATH6")) == 6
-    assert max_composite_length(digraph_of(pat, "PAT_P4")) == 4
+    assert max_composite_length(pat("PAT_TWOSQ9")) == 8
+    assert max_composite_length(pat("PAT_TRIPATH6")) == 6
+    assert max_composite_length(pat("PAT_P4")) == 4
 
 
 def brute_max_composite(arcs: set, n: int) -> int:
@@ -73,58 +70,57 @@ def test_max_composite_matches_brute_force():
                 if i != j and rng.random() < density:
                     arcs.add((i, j))
                     rows[i][j] = 1
-        d = build_digraph(SignPattern.from_rows(rows))
-        assert max_composite_length(d) == brute_max_composite(arcs, n)
+        assert max_composite_length(SignPattern.from_rows(rows)) == brute_max_composite(arcs, n)
 
 
 def test_max_composite_excludes_loops():
     diag = SignPattern.from_rows([[1, 0], [0, 1]])
-    assert max_composite_length(build_digraph(diag)) == 0
+    assert max_composite_length(diag) == 0
 
 
 def test_max_composite_cover_is_valid(pat):
-    d = digraph_of(pat, "PAT_TWOSQ9")
-    cover = max_composite_cover(d)
-    assert cover is not None and cover.length == 8
+    p = pat("PAT_TWOSQ9")
+    parts = PatternAnalysis(p).cover_without(())
+    assert sum(part.length for part in parts) == 8
     seen = set()
-    for part in cover.parts:
+    for part in parts:
         assert not seen.intersection(part.vertices)
         seen.update(part.vertices)
 
 
 def test_composite_enumeration_counts(pat):
-    d = digraph_of(pat, "PAT_P4")
-    assert len(list(composite_cycles_of_length(d, 4))) == 1
-    d26 = digraph_of(pat, "PAT_EX26")
-    assert len(list(composite_cycles_of_length(d26, 3))) == 2
-    assert len(list(composite_cycles_of_length(d26, 2))) == 3
+    p = pat("PAT_P4")
+    assert len(list(composite_cycles_of_length(p, 4))) == 1
+    p26 = pat("PAT_EX26")
+    assert len(list(composite_cycles_of_length(p26, 3))) == 2
+    assert len(list(composite_cycles_of_length(p26, 2))) == 3
 
 
 def test_composite_budget_counts_composites(pat, monkeypatch):
-    d = digraph_of(pat, "PAT_EX26")
+    p = pat("PAT_EX26")
     monkeypatch.setattr(cycles, "COMPOSITE_CYCLE_BUDGET", 2)
-    assert len(list(composite_cycles_of_length(d, 3))) == 2
+    assert len(list(composite_cycles_of_length(p, 3))) == 2
     monkeypatch.setattr(cycles, "COMPOSITE_CYCLE_BUDGET", 1)
     with pytest.raises(CycleBudgetExceeded):
-        list(composite_cycles_of_length(d, 3))
-    first = composite_cycles_of_length(d, 3)
+        list(composite_cycles_of_length(p, 3))
+    first = composite_cycles_of_length(p, 3)
     assert next(first).sort_key() == ((0, 1, 2), ((0, 1, 2),))
     with pytest.raises(CycleBudgetExceeded):
         next(first)
 
 
-def top_signs_of(digraph):
-    return composite_signs(digraph, max_composite_length(digraph))
+def top_signs_of(pattern):
+    return composite_signs(pattern, max_composite_length(pattern))
 
 
 def test_sign_set_examples(pat):
-    assert sorted(top_signs_of(digraph_of(pat, "PAT_EX26"))) == [-1, 1]
-    assert list(top_signs_of(digraph_of(pat, "PAT_XXEG22"))) == [1]
-    assert list(top_signs_of(digraph_of(pat, "PAT_XX2"))) == [1]
+    assert sorted(top_signs_of(pat("PAT_EX26"))) == [-1, 1]
+    assert list(top_signs_of(pat("PAT_XXEG22"))) == [1]
+    assert list(top_signs_of(pat("PAT_XX2"))) == [1]
 
 
 def test_sign_set_witness_signs(pat):
-    signs = top_signs_of(digraph_of(pat, "PAT_EX26"))
+    signs = top_signs_of(pat("PAT_EX26"))
     assert signs[1].sign == 1
     assert signs[-1].sign == -1
     assert signs[1].length == signs[-1].length == 3
@@ -132,50 +128,54 @@ def test_sign_set_witness_signs(pat):
 
 def test_sign_set_order_cap():
     """composite_signs enumerates up to order 16 only."""
-    at_cap = build_digraph(SignPattern.from_rows([[0] * 16 for _ in range(16)]))
+    at_cap = SignPattern.from_rows([[0] * 16 for _ in range(16)])
     assert composite_signs(at_cap, 2) == {}
     big = SignPattern.from_rows([[0] * 17 for _ in range(17)])
     for length in (0, 2):
         with pytest.raises(OrderCapExceeded):
-            composite_signs(build_digraph(big), length)
+            composite_signs(big, length)
 
 
 def test_cover_extension_cases(pat):
-    d82 = digraph_of(pat, "PAT_TWOCYC82")
-    square = directed_cycle_from_vertices(d82, (0, 1, 2, 3))
-    assert cover_extension_exists(d82, square) is True
+    p82 = pat("PAT_TWOCYC82")
+    square = directed_cycle_from_vertices(p82, (0, 1, 2, 3))
+    assert cover_extension_exists(p82, square) is True
 
-    d_sq_tri = digraph_of(pat, "PAT_SQTRI8")
-    triangle = directed_cycle_from_vertices(d_sq_tri, (5, 6, 7))
-    assert cover_extension_exists(d_sq_tri, triangle) is False
+    p_sq_tri = pat("PAT_SQTRI8")
+    triangle = directed_cycle_from_vertices(p_sq_tri, (5, 6, 7))
+    assert cover_extension_exists(p_sq_tri, triangle) is False
 
-    d_xx2 = digraph_of(pat, "PAT_XX2")
-    full = directed_cycle_from_vertices(d_xx2, (0, 1, 2))
-    assert cover_extension_exists(d_xx2, full) is True
+    p_xx2 = pat("PAT_XX2")
+    full = directed_cycle_from_vertices(p_xx2, (0, 1, 2))
+    assert cover_extension_exists(p_xx2, full) is True
 
 
 def test_cover_extension_implies_spanning(pat):
-    d = digraph_of(pat, "PAT_TWOCYC82")
-    square = directed_cycle_from_vertices(d, (0, 1, 2, 3))
-    assert cover_extension_exists(d, square)
-    assert max_composite_length(d) == d.n
+    p = pat("PAT_TWOCYC82")
+    square = directed_cycle_from_vertices(p, (0, 1, 2, 3))
+    assert cover_extension_exists(p, square)
+    assert max_composite_length(p) == p.n
 
 
 def test_cover_extension_rejects_missing_arcs(pat):
-    d = digraph_of(pat, "PAT_P4")
-    from signum.cycles import SimpleCycle
-
+    p = pat("PAT_P4")
     with pytest.raises(CycleNotInPattern):
-        cover_extension_exists(d, SimpleCycle((0, 2), 1))
+        cover_extension_exists(p, SimpleCycle((0, 2), 1))
+
+
+@pytest.mark.parametrize("vertices", [(2, -1), (-1, -2), (-4, -3), (3, 4), (4, 3)])
+def test_vertex_outside_the_pattern_is_rejected(pat, vertices):
+    """A vertex outside 0..n-1 names no arc, even where a negative index would wrap onto one."""
+    p = pat("PAT_P4")  # the path 0-1-2-3: rows[2][-1] is rows[2][3], a nonzero entry
+    with pytest.raises(CycleNotInPattern):
+        directed_cycle_from_vertices(p, vertices)
+    with pytest.raises(CycleNotInPattern):
+        cover_extension_exists(p, SimpleCycle(tuple(vertices), 1))
 
 
 def test_cycle_with_a_repeated_vertex_is_rejected(pat):
-    from signum.cycles import _pattern_cycle
-
     with pytest.raises(CycleNotInPattern, match="vertex 2 repeats"):
-        directed_cycle_from_vertices(digraph_of(pat, "PAT_P4"), (1, 2, 1, 2))
-    with pytest.raises(CycleNotInPattern, match="vertex 2 repeats"):
-        _pattern_cycle(pat("PAT_P4"), (1, 2, 1, 2))
+        directed_cycle_from_vertices(pat("PAT_P4"), (1, 2, 1, 2))
 
 
 def _run_for(signs, start, length):
@@ -263,6 +263,8 @@ def test_unicyclic_extension_lemma():
         p, k = _random_even_tailed_unicyclic(rng)
         if p.n > 12:
             continue
-        d = build_digraph(p)
-        rest = d.without_vertices(set(range(k)))
-        assert max_composite_length(d) == k + max_composite_length(rest)
+        # The pattern with the cycle's rows and columns zeroed.
+        rest = SignPattern.from_rows(
+            [0 if i < k or j < k else v for j, v in enumerate(row)] for i, row in enumerate(p.rows)
+        )
+        assert max_composite_length(p) == k + max_composite_length(rest)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from signum import fixtures
 from signum.errors import Disconnected, NotCombinatoriallySymmetric
 from signum.graphs import (
     ShapeKind,
     SignedGraph,
     _transpose,
-    build_digraph,
     build_graphs,
     classify_shape,
     cycle_edge_order,
@@ -36,8 +37,10 @@ def test_build_hexagon_edges(pat):
 
 
 def test_build_example_graphs(pat):
-    d, g = build_graphs(pat("PAT_EX26"))
-    assert len(d.arcs) == 6
+    p = pat("PAT_EX26")
+    d, g = build_graphs(p)
+    assert d is p  # the pattern is its own digraph
+    assert len(d.support()) == 6
     assert [s for _, s in g.edges] == [-1, -1, -1]
 
 
@@ -151,9 +154,22 @@ def test_cycle_structure_single_cycle(pat):
 
 
 def test_dot_directed(pat):
-    dot = digraph_to_dot(build_digraph(pat("PAT_EX26")))
+    dot = digraph_to_dot(pat("PAT_EX26"))
     assert dot.count("->") == 6
-    assert dot == digraph_to_dot(build_digraph(pat("PAT_EX26")))
+    assert dot == digraph_to_dot(pat("PAT_EX26"))
+
+
+# sha256 of the directed DOT text of every catalog fixture, in catalog order:
+# the export's bytes are part of the CLI's output contract.
+CATALOG_DOT_SHA256 = "54aba88e78e250c2502fed58997171c83ba86dee5d63c52022c68361cd134957"
+
+
+def test_dot_directed_catalog_is_pinned():
+    text = "".join(
+        digraph_to_dot(fixtures.fixture(name).pattern) for name in fixtures.fixture_names()
+    )
+    assert len(fixtures.fixture_names()) == 25
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DOT_SHA256
 
 
 def test_dot_undirected_dashes(pat):

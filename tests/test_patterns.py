@@ -275,3 +275,39 @@ def test_union_table_matches_per_bit_or():
             masks += [rnd.getrandbits(n) & rnd.getrandbits(n) for _ in range(30)]
             for mask in masks:
                 assert union(mask) == _union_per_bit(rows, mask), (n, width, mask)
+
+
+def test_successor_masks_match_support_oracle():
+    """``successor_masks`` against the support list on 300 patterns of orders 1-40.
+
+    Each pattern has its own density and, in turn, a symmetric support, an
+    arbitrary support, or either with a random diagonal, so loops (which
+    the masks leave out) and asymmetric patterns both occur.
+    """
+    rng = random.Random(20261020)
+    seen = Counter()
+    for k in range(300):
+        n = rng.randint(1, 40)
+        density = rng.random()
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < density:
+                    rows[i][j] = rng.choice((-1, 1))
+                    if k % 2 == 0:
+                        rows[j][i] = rng.choice((-1, 1))
+        if k % 4 >= 2:
+            for v in range(n):
+                rows[v][v] = rng.choice((-1, 0, 1))
+        p = SignPattern.from_rows(rows)
+        support = p.support()
+        want = [0] * n
+        for i, j in support:
+            if i != j:
+                want[i] |= 1 << j
+        assert p.successor_masks == tuple(want), p.rows
+        symmetric = set(support) == {(j, i) for i, j in support}
+        assert validate(p).combinatorially_symmetric == symmetric, p.rows
+        seen["loops" if any(rows[v][v] for v in range(n)) else "no loops"] += 1
+        seen["symmetric" if symmetric else "asymmetric"] += 1
+    assert min(seen.values()) >= 50, seen

@@ -4,7 +4,6 @@ import pytest
 from conftest import random_tree_pattern
 from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
 from signum.errors import CycleNotInPattern, EigenFailure, NonFinite, SignMismatch
-from signum.graphs import build_digraph
 from signum.patterns import (
     Negation,
     PermutationSimilarity,
@@ -147,16 +146,14 @@ def test_build_witness_empty_spec_gives_zero(pat):
 
 def test_build_witness_sign_fidelity(pat):
     p = pat("PAT_XXEG22")
-    d = build_digraph(p)
-    spec = ladder_spec((directed_cycle_from_vertices(d, (0, 1, 2, 3)),), epsilon=1e-3)
+    spec = ladder_spec((directed_cycle_from_vertices(p, (0, 1, 2, 3)),), epsilon=1e-3)
     mat = build_witness(p, spec)
     assert np.array_equal(np.sign(mat).astype(int), p.to_array())
 
 
 def test_build_witness_epsilon_zero_base(pat):
     p = pat("PAT_XXEG22")
-    d = build_digraph(p)
-    spec = ladder_spec((directed_cycle_from_vertices(d, (0, 1, 2, 3)),))
+    spec = ladder_spec((directed_cycle_from_vertices(p, (0, 1, 2, 3)),))
     base = build_witness(p, spec)
     assert np.count_nonzero(base) == 4
 
@@ -171,10 +168,9 @@ def test_build_witness_rejects_overlapping_parts(pat):
 
 def test_build_witness_rejects_bad_cycle(pat):
     p = pat("PAT_P4")
-    d = build_digraph(p)
     with pytest.raises(CycleNotInPattern):
-        directed_cycle_from_vertices(d, (0, 2))
-    good = directed_cycle_from_vertices(d, (0, 1))
+        directed_cycle_from_vertices(p, (0, 2))
+    good = directed_cycle_from_vertices(p, (0, 1))
     from dataclasses import replace
 
     lying = replace(good, sign=-good.sign)
@@ -184,8 +180,7 @@ def test_build_witness_rejects_bad_cycle(pat):
 
 def test_stabilize_full_cycle(pat):
     p = pat("PAT_XXEG22")
-    d = build_digraph(p)
-    spec = ladder_spec((directed_cycle_from_vertices(d, (0, 1, 2, 3)),))
+    spec = ladder_spec((directed_cycle_from_vertices(p, (0, 1, 2, 3)),))
     _, eps, prof = stabilize_epsilon(p, spec)
     assert prof.inertia == (2, 2, 0)
     assert eps > 0
@@ -193,8 +188,7 @@ def test_stabilize_full_cycle(pat):
 
 def test_stabilize_negative_triangle(pat):
     p = pat("PAT_XX1")
-    d = build_digraph(p)
-    cyc = directed_cycle_from_vertices(d, (0, 1, 2))
+    cyc = directed_cycle_from_vertices(p, (0, 1, 2))
     assert cyc.sign == -1
     _, _, prof = stabilize_epsilon(p, ladder_spec((cyc,)))
     assert prof.inertia == (2, 1, 0)

@@ -474,7 +474,7 @@ def cycle_pattern(order, forward, backward) -> SignPattern:
 def assert_r2_sign_matches_enumeration(pattern: SignPattern) -> None:
     facts = PatternAnalysis(pattern)
     assert facts.shape.kind is ShapeKind.SINGLE_CYCLE and pattern.n % 2 == 1
-    got = _odd_cycle_det_sign(facts.digraph, facts.shape.cycles[0])
+    got = _odd_cycle_det_sign(pattern, facts.shape.cycles[0])
     assert got is ek_sign(pattern, pattern.n)
 
 
