@@ -2,10 +2,11 @@
 
 The package is layered bottom-up: patterns (representation and transforms;
 a pattern is its own signed digraph), graphs (signed undirected graph
-structure), cycles (directed cycle combinatorics), charpoly (cycle sums and
-sign variations), spectra (sampling, censuses, witness matrices), verdict
-(the decision-rule battery), and fixtures (a built-in catalog of benchmark
-patterns with recorded expectations).
+structure, a view of the pattern's cached masks), cycles (directed cycle
+combinatorics), charpoly (cycle sums and sign variations), spectra
+(sampling, censuses, witness matrices), verdict (the decision-rule
+battery), and fixtures (a built-in catalog of benchmark patterns with
+recorded expectations).
 """
 
 from .charpoly import (
@@ -33,7 +34,6 @@ from .graphs import (
     MaximalSignedRun,
     ShapeKind,
     SignedGraph,
-    build_graph,
     build_graphs,
     classify_shape,
     cycle_structure,

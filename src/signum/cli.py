@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fixtures as fixture_catalog
 from .errors import SignumError
-from .graphs import build_graph, digraph_to_dot, graph_to_dot
+from .graphs import SignedGraph, digraph_to_dot, graph_to_dot
 from .patterns import SignPattern, parse_pattern
 from .spectra import (
     DEFAULT_SEED,
@@ -140,7 +140,7 @@ def cmd_graph(path, fixture, directed) -> None:
         if directed:
             text = digraph_to_dot(pattern)
         else:
-            text = graph_to_dot(build_graph(pattern))
+            text = graph_to_dot(SignedGraph(pattern))
     except (SignumError, click.ClickException) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)

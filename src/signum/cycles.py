@@ -50,7 +50,6 @@ from .graphs import (
     MaximalSignedRun,
     SignedGraph,
     _bits,
-    build_graph,
     classify_shape,
     cycle_conditions,
     cycle_structure,
@@ -456,7 +455,7 @@ class PatternAnalysis:
 
     @cached_property
     def graph(self) -> SignedGraph:
-        return build_graph(self.pattern)
+        return SignedGraph(self.pattern)
 
     @cached_property
     def shape(self) -> GraphShape:

@@ -28,7 +28,7 @@ from .cycles import (
 )
 from .graphs import (
     ShapeKind,
-    build_graph,
+    SignedGraph,
     cycle_edge_order,
     maximal_signed_runs,
 )
@@ -379,7 +379,7 @@ def _pminus_edges_check(
     check_id: str, tag: str, source: str, expected_signs: dict[tuple[int, int], int]
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        got = dict(build_graph(p_minus(facts.pattern)).edges)
+        got = dict(SignedGraph(p_minus(facts.pattern)).edges)
         return got == expected_signs, f"flipped edge signs {got}"
 
     return Check(check_id, tag, source, fn)
@@ -876,7 +876,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     "trivial",
                     "flipping twice restores every edge sign",
                     lambda facts: (
-                        build_graph(p_minus(p_minus(facts.pattern))).edges
+                        SignedGraph(p_minus(p_minus(facts.pattern))).edges
                         == facts.graph.edges,
                         "edge signs restored",
                     ),

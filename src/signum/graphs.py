@@ -9,15 +9,13 @@ this module also computes maximal constant-sign runs along paths and
 cycles, leaf-to-cycle distances, path-adjacent cycle pairs, and (the one
 place this is decided) the distinct-inertia conditions a cycle meets.
 
-Each graph keeps two bitmask rows per vertex, ``neighbour_masks`` and
-``negative_masks`` (its neighbours across any edge and across a negative
-one), which every sign and degree query reads.  Their union function and
-the graph's connectivity are cached as well: the package's one
-reachability routine (``patterns._reaches_all``) decides connectivity once
-per graph for the shape, the path order and the cycle report.  Every union of bitmask rows
-here, in the cycle search's liveness flood, the BFS levels and the cycle
-report's membership masks, goes through the package's one union routine
-(``patterns._union_table``), one table lookup per 8 vertices.
+G is a view of the pattern: its ``neighbour_masks`` and their union are
+the pattern's cached ``successor_masks`` and ``successor_union``; sign and
+degree queries read them and ``negative_masks`` (neighbours across a
+negative edge), and the shape, path order and cycle report share one
+connectivity answer from ``patterns._reaches_all``.  Every union of bitmask
+rows here (the cycle search's flood, the BFS levels, the cycle report's
+membership masks) is a ``patterns._union_table`` lookup per 8 vertices.
 ``SignedGraph.cycle_table`` is the one listing of the undirected cycles,
 with their negative-edge and vertex masks: the shape, the cycle report,
 the rules and the witness search all read it.
@@ -28,12 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetric
-from .patterns import SignPattern, _reaches_all, _union_table
+from .patterns import SignPattern, _reaches_all, _transpose, _union_table
 
 __all__ = [
     "SignedGraph",
@@ -42,7 +38,6 @@ __all__ = [
     "GraphShape",
     "MaximalSignedRun",
     "CycleStructureReport",
-    "build_graph",
     "build_graphs",
     "classify_shape",
     "maximal_signed_runs",
@@ -72,25 +67,46 @@ class CycleTable(NamedTuple):
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """Undirected edges ((i, j), sign) with i < j; loops are left out."""
+    """The undirected graph of a pattern, loops left out; needs combinatorial symmetry."""
 
-    n: int
-    edges: tuple[tuple[tuple[int, int], int], ...]
+    pattern: SignPattern
 
-    @cached_property
+    def __post_init__(self) -> None:
+        if self.pattern.predecessor_masks != self.pattern.successor_masks:
+            raise NotCombinatoriallySymmetric("undirected edge signs need p_ij != 0 iff p_ji != 0")
+
+    @property
+    def n(self) -> int:
+        return self.pattern.n
+
+    @property
     def neighbour_masks(self) -> tuple[int, ...]:
         """Bitmask of each vertex's neighbours, read by connectivity and every cycle search."""
-        return _edge_masks(self.n, (e for e, _ in self.edges))
+        return self.pattern.successor_masks
+
+    @property
+    def neighbour_union(self) -> Callable[[int], int]:
+        """The union of ``neighbour_masks`` over a vertex mask: the neighbours of the set."""
+        return self.pattern.successor_union
 
     @cached_property
     def negative_masks(self) -> tuple[int, ...]:
-        """Bitmask of each vertex's neighbours across a negative edge, read by every sign query."""
-        return _edge_masks(self.n, (e for e, s in self.edges if s < 0))
+        """Bitmask of each vertex's neighbours across a negative edge {i, j}: p_ij != p_ji."""
+        rows = self.pattern.rows
+        return tuple(
+            sum(1 << j for j in _bits(adj) if row[j] != rows[j][i])
+            for i, (row, adj) in enumerate(zip(rows, self.neighbour_masks))
+        )
 
     @cached_property
-    def neighbour_union(self) -> Callable[[int], int]:
-        """The union of ``neighbour_masks`` over a vertex mask: the neighbours of the set."""
-        return _union_table(self.neighbour_masks)
+    def edges(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """Undirected edges ((i, j), sign) with i < j, in row-major order."""
+        rows = self.pattern.rows
+        return tuple(
+            ((i, j), rows[i][j] * rows[j][i])
+            for i, adj in enumerate(self.neighbour_masks)
+            for j in _bits(adj >> i + 1 << i + 1)
+        )
 
     @cached_property
     def cycle_table(self) -> CycleTable:
@@ -219,24 +235,9 @@ class CycleStructureReport:
     path_adjacent_pairs: tuple[tuple[int, int, int], ...]
 
 
-def build_graph(pattern: SignPattern) -> SignedGraph:
-    """The undirected signed graph G; needs combinatorial symmetry."""
-    rows = pattern.rows
-    edges = []
-    for i in range(pattern.n):
-        for j in range(i + 1, pattern.n):
-            if (rows[i][j] != 0) != (rows[j][i] != 0):
-                raise NotCombinatoriallySymmetric(
-                    "undirected edge signs need p_ij != 0 iff p_ji != 0"
-                )
-            if rows[i][j]:
-                edges.append(((i, j), rows[i][j] * rows[j][i]))
-    return SignedGraph(pattern.n, tuple(edges))
-
-
 def build_graphs(pattern: SignPattern) -> tuple[SignPattern, SignedGraph]:
     """D and G, where the pattern is its own digraph D; G needs combinatorial symmetry."""
-    return pattern, build_graph(pattern)
+    return pattern, SignedGraph(pattern)
 
 
 def classify_shape(graph: SignedGraph) -> GraphShape:
@@ -262,15 +263,6 @@ def classify_shape(graph: SignedGraph) -> GraphShape:
     if not leaves:
         return GraphShape(ShapeKind.MULTI_CYCLE_NO_LEAF, cycles, leaves)
     return GraphShape(ShapeKind.OTHER, cycles, leaves)
-
-
-def _edge_masks(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Bitmask of each vertex's neighbours across the given edges."""
-    rows = [0] * n
-    for i, j in edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return tuple(rows)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -437,19 +429,6 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
                 link[b] = t + 1
         pair_rows += [(a, b, link[b]) for b in sorted(link)]
     return CycleStructureReport(tuple(leaf_rows), tuple(pair_rows))
-
-
-def _transpose(masks: Sequence[int], width: int) -> list[int]:
-    """Bit c of entry v is bit v of ``masks[c]``: the masks transposed as a bit matrix.
-
-    Each mask is unpacked to a row of ``width`` bits, and each column of
-    the matrix is packed back into one int, in one pass over the bytes.
-    """
-    size = (width + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), np.uint8)
-    bits = np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
-    columns = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(column.tobytes(), "little") for column in columns]
 
 
 def _bfs_levels(step: Callable[[int], int], sources: int, allowed: int) -> list[int]:

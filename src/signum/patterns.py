@@ -9,15 +9,15 @@ and principal-subpattern search.
 
 A pattern is its own signed digraph: arc i -> j, carrying the sign p_ij,
 is the nonzero entry at row i, column j, so every digraph question in the
-package reads ``rows`` and no second copy of the arcs is built.
-``SignPattern.successor_masks`` is the package's one builder of successor
-bitmasks; irreducibility, the composite-cycle walk and every cover test
-read it.  This module also holds the package's one union routine over
-vertex bitmasks, ``_union_table``, which ORs rows by table lookup one byte
-of the mask at a time, and its one reachability routine, ``_reaches_all``,
-which decides irreducibility here, connectivity in ``graphs``, and so tree
-support: a combinatorially symmetric, zero-diagonal pattern is a tree
-pattern exactly when it is irreducible with n - 1 undirected edges.
+package reads ``rows`` and no second copy of the arcs is built.  Each
+pattern caches its one build of successor bitmasks (``successor_masks``),
+their one transpose (``predecessor_masks``, by the package's one bit
+transpose ``_transpose``) and their one union table (``successor_union``,
+by the one union routine ``_union_table``, a lookup per byte of the mask).
+``_reaches_all``, the one reachability routine, decides irreducibility
+here, connectivity in ``graphs``, and so tree support: a combinatorially
+symmetric, zero-diagonal pattern is a tree pattern exactly when it is
+irreducible with n - 1 undirected edges.
 
 Entries are stored as plain ints in {-1, 0, +1}.  Indices are 0-based
 throughout the API; positions in error messages and reports are 1-based.
@@ -134,6 +134,19 @@ class SignPattern:
             for i, row in enumerate(self.rows)
         )
 
+    @cached_property
+    def predecessor_masks(self) -> tuple[int, ...]:
+        """``successor_masks`` transposed; equal to them exactly when p_ij != 0 iff p_ji != 0."""
+        return tuple(_transpose(self.successor_masks, self.n))
+
+    @cached_property
+    def successor_union(self) -> Callable[[int], int]:
+        """The union of ``successor_masks`` over a vertex mask: the successors of the set."""
+        return _union_table(self.successor_masks)
+
+    def __reduce__(self):  # pickle the rows alone: a cached union table is a closure
+        return SignPattern, (self.rows,)
+
     def principal(self, indices: Sequence[int]) -> "SignPattern":
         """Principal subpattern on the given (sorted) index list."""
         idx = tuple(indices)
@@ -212,16 +225,15 @@ def validate(pattern: SignPattern) -> PatternFlags:
 
     Irreducibility is strong connectivity of the digraph of nonzero entries:
     vertex 0 reaches every vertex along successors and along predecessors.
-    The predecessor masks are the pattern's ``successor_masks`` transposed.
-    The two mask lists agree exactly when the pattern is combinatorially
-    symmetric, and then one pass decides it.
+    The pattern's cached ``predecessor_masks`` agree with its
+    ``successor_masks`` exactly when it is combinatorially symmetric, and
+    then one pass over its cached ``successor_union`` decides it.
     """
     n = pattern.n
-    succ = pattern.successor_masks
-    pred = tuple(sum((row >> j & 1) << i for i, row in enumerate(succ)) for j in range(n))
-    comb_sym = succ == pred
+    pred = pattern.predecessor_masks
+    comb_sym = pattern.successor_masks == pred
     zero_diag = all(pattern.rows[i][i] == 0 for i in range(n))
-    irreducible = _reaches_all(_union_table(succ), n) and (
+    irreducible = _reaches_all(pattern.successor_union, n) and (
         comb_sym or _reaches_all(_union_table(pred), n)
     )
     return PatternFlags(comb_sym, zero_diag, irreducible)
@@ -232,8 +244,8 @@ def _reaches_all(step: Callable[[int], int], n: int) -> bool:
 
     ``step`` maps a vertex mask to the mask of the vertices one step from
     it, a ``_union_table`` of successor masks.  The one reachability
-    routine: ``validate`` runs it for irreducibility and
-    ``SignedGraph.is_connected`` over the graph's cached neighbour union.
+    routine: ``validate`` and ``SignedGraph.is_connected`` run it over the
+    pattern's cached ``successor_union``.
     """
     seen = frontier = 1
     while frontier:
@@ -268,6 +280,19 @@ def _chained(table: list[int], rest: Callable[[int], int]) -> Callable[[int], in
         return table[mask & 255] | rest(mask >> 8)
 
     return union
+
+
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """Bit c of entry v is bit v of ``masks[c]``: the package's one bit-matrix transpose.
+
+    Each mask is unpacked to a row of ``width`` bits, and each column of
+    the matrix is packed back into one int, in one pass over the bytes.
+    """
+    size = (width + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
+    columns = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(column.tobytes(), "little") for column in columns]
 
 
 def apply_equivalence(pattern: SignPattern, op: EquivalenceOp) -> SignPattern:

@@ -251,20 +251,16 @@ def _fill(
     of ``default_rng((seed, t))`` in row-major support order, so it equals
     ``sample`` at index t under that law and seed bit for bit, whatever
     else shares its stack.  A census passes two laws, so its odd trials
-    equal ``sample`` under the near-one law, not under cfg's.  A stack of
-    several trials reads its rows from the shared ``_block_magnitudes``
-    blocks it spans; a single trial builds its one generator, which costs
-    far less than a block.
+    equal ``sample`` under the near-one law, not under cfg's.  Every stack,
+    a single trial's included, reads its rows from the shared
+    ``_block_magnitudes`` blocks it spans.
     """
     rows, cols, signs = support
     k = len(signs)
-    if stop - start == 1:
-        mags = _magnitudes(np.random.default_rng((seed, start)).random((1, k)), laws, start)
-    else:
-        laws = tuple(laws)
-        first, last = start // _BLOCK, (stop - 1) // _BLOCK
-        blocks = [_block_magnitudes(seed, laws, b, k)[:, :k] for b in range(first, last + 1)]
-        mags = np.concatenate(blocks)[start - first * _BLOCK : stop - first * _BLOCK]
+    laws = tuple(laws)
+    first, last = start // _BLOCK, (stop - 1) // _BLOCK
+    blocks = [_block_magnitudes(seed, laws, b, k)[:, :k] for b in range(first, last + 1)]
+    mags = np.concatenate(blocks)[start - first * _BLOCK : stop - first * _BLOCK]
     out = np.zeros((stop - start, pattern.n, pattern.n))
     out[:, rows, cols] = signs * mags
     return out

@@ -35,7 +35,6 @@ GOLDEN = Path(__file__).with_name("golden_census.json")
 
 COUNTED = {
     "validate": patterns.validate,
-    "build_graph": graphs.build_graph,
     "classify_shape": graphs.classify_shape,
     "composite_signs": cycles.composite_signs,
     "census": spectra.census,
@@ -67,15 +66,19 @@ def _count_calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    wrappers = {id(fn): (fn, counting(name, fn)) for name, fn in COUNTED.items()}
+    for name, fn in COUNTED.items():
+        _rebind(monkeypatch, fn, counting(name, fn))
+    return calls
+
+
+def _rebind(monkeypatch, fn, wrapper) -> None:
+    """Point every ``signum.*`` module binding of ``fn`` at ``wrapper``."""
     for mod_name, module in sorted(sys.modules.items()):
         if module is None or not (mod_name == "signum" or mod_name.startswith("signum.")):
             continue
         for attr, obj in list(vars(module).items()):
-            hit = wrappers.get(id(obj))
-            if hit is not None and hit[0] is obj:
-                monkeypatch.setattr(module, attr, hit[1])
-    return calls
+            if obj is fn:
+                monkeypatch.setattr(module, attr, wrapper)
 
 
 def _golden_patterns() -> dict[str, SignPattern]:
@@ -90,8 +93,22 @@ def _golden_patterns() -> dict[str, SignPattern]:
 GOLDEN_PATTERNS = _golden_patterns()
 
 
+def _count_by_rows(monkeypatch, fn) -> Counter:
+    """Wrap every ``signum.*`` module binding of ``fn``, counting calls by their first argument."""
+    seen: Counter = Counter()
+
+    def wrapper(rows, *args):
+        seen[tuple(rows)] += 1
+        return fn(rows, *args)
+
+    _rebind(monkeypatch, fn, wrapper)
+    return seen
+
+
 def test_each_fact_computed_once_per_analyze(monkeypatch):
     calls = _count_calls(monkeypatch)
+    transposed = _count_by_rows(monkeypatch, patterns._transpose)
+    tabulated = _count_by_rows(monkeypatch, patterns._union_table)
     masks_built: Counter = Counter()
     build_masks = SignPattern.successor_masks.func
 
@@ -105,15 +122,18 @@ def test_each_fact_computed_once_per_analyze(monkeypatch):
     # PAT_EX26 is an odd single cycle, so R2 reads the determinant sign too.
     for shared in (GOLDEN_PATTERNS["ladder-n12-0"], FIXTURES["PAT_EX26"].pattern):
         pattern = SignPattern(shared.rows)  # nothing cached on a fresh object
-        calls.clear()
-        masks_built.clear()
+        for counter in (calls, masks_built, transposed, tabulated):
+            counter.clear()
         verdict = analyze(pattern, SampleConfig())
         assert verdict.witness_pair() is not None  # the witness search ran too
         assert calls["classify_shape"] == 1
         assert calls["composite_signs"] == 1
         assert calls["validate"] == 1
-        # validate, the composite walk and R7 share the analyzed pattern's masks.
+        # validate, the composite walk, R7 and the graph share the analyzed pattern's masks,
+        # their one transpose and their one union table.
         assert masks_built == Counter({pattern.rows: 1})
+        assert transposed[pattern.successor_masks] == 1
+        assert tabulated[pattern.successor_masks] == 1
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -127,6 +147,11 @@ def test_analyze_validates_once_and_decides_connectivity_once(monkeypatch, name)
     calls = _count_calls(monkeypatch)
     runs, profiled_by = Counter(), Counter()
     reaches_all, profile = graphs._reaches_all, spectra.spectral_profile
+    post_init = graphs.SignedGraph.__post_init__
+
+    def building(graph):
+        calls["SignedGraph"] += 1
+        post_init(graph)
 
     def connectivity(*args):
         runs["connectivity"] += 1
@@ -138,9 +163,10 @@ def test_analyze_validates_once_and_decides_connectivity_once(monkeypatch, name)
 
     monkeypatch.setattr(graphs, "_reaches_all", connectivity)
     monkeypatch.setattr(spectra, "spectral_profile", profiling)
+    monkeypatch.setattr(graphs.SignedGraph, "__post_init__", building)
     analyze(FIXTURES[name].pattern, SampleConfig())
     assert calls["validate"] == 1
-    assert runs["connectivity"] <= calls["build_graph"] <= 1
+    assert runs["connectivity"] <= calls["SignedGraph"] <= 1
     assert profiled_by["_widest_gap_pair"] == 0
 
 

@@ -187,6 +187,14 @@ def test_graph_trivial_pattern(tmp_path):
     assert "--" not in result.output
 
 
+def test_graph_undirected_needs_combinatorial_symmetry(tmp_path):
+    f = tmp_path / "arc.txt"
+    f.write_text("0 +\n0 0\n")
+    result = run("graph", str(f), "--undirected")
+    assert result.exit_code == 3
+    assert "error: undirected edge signs need p_ij != 0 iff p_ji != 0" in result.output
+
+
 def test_census_command():
     result = run("census", "--fixture", "PAT_EG06", "--trials", "200")
     assert result.exit_code == 0

@@ -442,7 +442,7 @@ def test_cycle_structure_through_off_cycle_vertices():
     cycle_edges += [(6, 7), (7, 8), (8, 9), (6, 9), (8, 13), (13, 14), (8, 14)]
     bridges = [(2, 10), (10, 11), (3, 11), (10, 12), (5, 6)]
     signs = [(-1) ** (i * j) for i, j in cycle_edges + bridges]
-    graph = SignedGraph(15, tuple(sorted(zip(cycle_edges + bridges, signs))))
+    graph = SignedGraph(_edge_signed(15, zip(cycle_edges + bridges, signs)))
     report = cycle_structure(graph)
     assert graph.cycle_table.cycles == ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9), (8, 13, 14))
     assert report.path_adjacent_pairs == ((0, 1, 3), (1, 2, 1))
@@ -528,7 +528,7 @@ def _bouquet(block_sizes: list[int]) -> SignedGraph:
         pole, mids = n, range(n + 1, n + 1 + k)
         edges += [((0, m), 1) for m in mids] + [((pole, m), 1) for m in mids]
         n += 1 + k
-    return SignedGraph(n, tuple(sorted(edges)))
+    return SignedGraph(_edge_signed(n, edges))
 
 
 def test_undirected_cycle_budget_boundary():

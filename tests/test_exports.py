@@ -98,7 +98,7 @@ def _unset_optional_parameters(functions: dict, sources: list[str], modules: set
 # Optional parameters of the package's functions that no call in src/ or
 # bench/ passes, each with the reason it stays.
 UNSET_PARAMETERS = {
-    ("sample", "index"): "trial t of a census is defined as sample(pattern, cfg, t) under its law",
+    ("sample", "index"): "one realization by trial index: trial t of a census under its law",
 }
 
 
@@ -163,7 +163,7 @@ def _unconsumed_exports(exports: dict[str, list[str]], sources: dict[str, str]) 
 
 # Exported names that nothing in src/ or bench/ reads, each with the reason it stays.
 UNCONSUMED_EXPORTS = {
-    "sample": "the census's reference: trial t of a census is sample(pattern, cfg, t)",
+    "sample": "the one-realization API: it reads trial t from the census's magnitude blocks",
     "apply_equivalence": "ROADMAP item 2 builds the class atlas's representatives with it",
     "descartes": "acceptance criterion 6 pins the Descartes sign-rule engine",
 }

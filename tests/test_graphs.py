@@ -11,7 +11,6 @@ from signum.errors import Disconnected, NotCombinatoriallySymmetric
 from signum.graphs import (
     ShapeKind,
     SignedGraph,
-    _transpose,
     build_graphs,
     classify_shape,
     cycle_edge_order,
@@ -21,7 +20,7 @@ from signum.graphs import (
     maximal_signed_runs,
     path_edge_signs,
 )
-from signum.patterns import SignPattern, parse_pattern
+from signum.patterns import SignPattern, _transpose, parse_pattern, validate
 
 
 def test_build_hexagon_edges(pat):
@@ -195,6 +194,14 @@ def test_transpose_matches_per_bit_rebuild():
             assert _transpose(masks, n) == want, (n, count)
 
 
+def _signed_pattern(n: int, sign: dict[tuple[int, int], int]) -> SignPattern:
+    """The symmetric pattern with p_ij = sign and p_ji = +1 for each edge (i, j): sign."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), s in sign.items():
+        rows[i][j], rows[j][i] = s, 1
+    return SignPattern.from_rows(rows)
+
+
 def test_sign_queries_match_edge_list_oracle():
     """``sign_of``, ``degree``, ``leaves`` and ``path_edge_signs`` agree with the edge list.
 
@@ -211,7 +218,7 @@ def test_sign_queries_match_edge_list_oracle():
         else:
             pairs = list(zip(order, order[1:]))
         sign = {(min(u, v), max(u, v)): rnd.choice((-1, 1)) for u, v in pairs}
-        g = SignedGraph(n, tuple(sorted(sign.items())))
+        g = SignedGraph(_signed_pattern(n, sign))
         for u in range(n):
             for v in range(n):
                 if (min(u, v), max(u, v)) in sign:
@@ -229,3 +236,72 @@ def test_sign_queries_match_edge_list_oracle():
             walk = order if order[0] <= order[-1] else order[::-1]
             edges = tuple((min(a, b), max(a, b)) for a, b in zip(walk, walk[1:]))
             assert path_edge_signs(g) == (edges, tuple(sign[e] for e in edges))
+
+
+def _scan_edges(pattern: SignPattern):
+    """The pairwise scan that built the edge list before the graph became a view of the pattern."""
+    rows = pattern.rows
+    edges = []
+    for i in range(pattern.n):
+        for j in range(i + 1, pattern.n):
+            if (rows[i][j] != 0) != (rows[j][i] != 0):
+                raise NotCombinatoriallySymmetric(
+                    "undirected edge signs need p_ij != 0 iff p_ji != 0"
+                )
+            if rows[i][j]:
+                edges.append(((i, j), rows[i][j] * rows[j][i]))
+    return tuple(edges)
+
+
+def _edge_masks(n: int, edges) -> tuple[int, ...]:
+    """Bitmask of each vertex's neighbours across the given edges, one edge at a time."""
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def test_graph_is_a_view_of_its_pattern():
+    """``SignedGraph(p)`` against the pairwise scan, the per-edge masks and a per-bit transpose.
+
+    Seeded random patterns of orders 1-40, with and without diagonal
+    entries, half of them combinatorially symmetric.  The graph raises
+    exactly when ``validate`` says the pattern is not combinatorially
+    symmetric, and otherwise reads its neighbour rows off the pattern.
+    """
+    rnd = random.Random(35)
+    raised = 0
+    for trial in range(300):
+        n = rnd.randint(1, 40)
+        density = rnd.choice((0.05, 0.2, 0.5))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rnd.random() < density:
+                    rows[i][j], rows[j][i] = rnd.choice((-1, 1)), rnd.choice((-1, 1))
+        if trial % 2 and n > 1:
+            # One-sided arcs break combinatorial symmetry.
+            for _ in range(rnd.randint(1, 3)):
+                i, j = rnd.sample(range(n), 2)
+                rows[i][j], rows[j][i] = rnd.choice((-1, 1)), 0
+        if trial % 3 == 0:
+            for i in range(n):
+                rows[i][i] = rnd.choice((-1, 0, 1))
+        p = SignPattern.from_rows(rows)
+        want = [sum((row[v] != 0 and v != i) << i for i, row in enumerate(rows)) for v in range(n)]
+        assert list(p.predecessor_masks) == want
+        if not validate(p).combinatorially_symmetric:
+            raised += 1
+            with pytest.raises(NotCombinatoriallySymmetric):
+                _scan_edges(p)
+            with pytest.raises(NotCombinatoriallySymmetric):
+                SignedGraph(p)
+            continue
+        g = SignedGraph(p)
+        edges = _scan_edges(p)
+        assert g.edges == edges
+        assert g.neighbour_masks is p.successor_masks
+        assert g.neighbour_masks == _edge_masks(n, (e for e, _ in edges))
+        assert g.negative_masks == _edge_masks(n, (e for e, s in edges if s < 0))
+    assert 100 < raised < 200

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 from typing import Iterator
@@ -257,6 +258,14 @@ def _union_per_bit(rows, mask: int) -> int:
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def test_pattern_pickles_after_its_facts_are_cached():
+    """A pattern past order 8 caches a chained union table, which no pickle can hold."""
+    p = SignPattern.from_rows([[int(abs(i - j) == 1) for j in range(12)] for i in range(12)])
+    assert validate(p).all_ok() and p.successor_union(1) == 2
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and copy.successor_masks == p.successor_masks
 
 
 def test_union_table_matches_per_bit_or():
