@@ -25,7 +25,6 @@ from .cycles import (
     cover_extension_exists,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
-    max_composite_length,
 )
 from .errors import SignumError
 from .graphs import (

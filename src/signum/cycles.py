@@ -7,10 +7,11 @@ A simple cycle through vertices (i1, ..., ik) carries the sign
 (-1)^(k-1) times the product of its arc signs; vertex-disjoint unions of
 simple cycles are composite cycles, and the length-n ones are exactly the
 nonzero determinant terms.  This module enumerates composite cycles,
-finds a maximum composite cycle by an assignment relaxation with zero-cost
-self slack (one solver, whose cover gives the maximum length too), tests
-whether a cycle extends to a spanning composite cycle, and builds the
-alternating matchings used by the even-cycle decision rules.
+reads a maximum composite cycle off the one assignment solver,
+``patterns._max_cover`` (whose length the pattern caches as
+``SignPattern.max_composite_length``), tests whether a cycle extends to a
+spanning composite cycle, and builds the alternating matchings used by
+the even-cycle decision rules.
 
 A composite cycle on a vertex set S is a permutation of S along arcs, so S
 carries one exactly when the bipartite graph of arcs inside S (rows to
@@ -23,7 +24,7 @@ checks and ``charpoly.ek_sign`` all read it.
 
 ``PatternAnalysis`` bundles the structural facts the decision rules and
 witness strategies read (flags, the undirected graph, the shape, the path
-edges, the cycle report, the maximum composite length, the signs at that
+edges, the cycle report, the signs at the pattern's maximum composite
 length and the covers left over by each cycle tried), each derived once
 per analysis object.
 """
@@ -31,7 +32,6 @@ per analysis object.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -55,13 +55,12 @@ from .graphs import (
     cycle_structure,
     path_edge_signs,
 )
-from .patterns import PatternFlags, SignPattern, validate
+from .patterns import PatternFlags, SignPattern, _max_cover, validate
 
 __all__ = [
     "SimpleCycle",
     "CompositeCycle",
     "Matching",
-    "max_composite_length",
     "composite_cycles_of_length",
     "composite_signs",
     "cover_extension_exists",
@@ -181,84 +180,6 @@ def directed_cycle_from_vertices(pattern: SignPattern, vertices: Sequence[int]) 
     return SimpleCycle(verts, sign)
 
 
-def _max_cover(n: int, arcs: Iterable[tuple[int, int]], include_loops: bool) -> dict[int, int]:
-    """Successor map of one maximum-support composite cycle on vertices 0..n-1.
-
-    An assignment problem: arcs cost -1, the diagonal is free slack meaning
-    "vertex unused" (a loop costs -1 instead when loops count), and every
-    other entry costs n + 1, more than any assignment can save, so it is
-    never chosen.  The cover is the optimum's entries of cost -1.
-
-    Solved exactly by Crouse's shortest augmenting path (IEEE TAES 52(4),
-    2016), the algorithm of scipy's ``linear_sum_assignment``, making its
-    choices: rows join in order, the free columns are listed in reverse,
-    and a tie for the shortest path goes to an unassigned column.
-    Witnesses depend on which of several optimal covers is found, so these
-    choices are part of the output.  The costs are small integers, so the
-    arithmetic is exact.
-    """
-    cost = [[n + 1] * n for _ in range(n)]
-    for w in range(n):
-        cost[w][w] = 0
-    for i, j in arcs:
-        if i != j or include_loops:
-            cost[i][j] = -1
-    u = [0] * n
-    v = [0] * n
-    path = [-1] * n
-    row4col = [-1] * n
-    col4row = [-1] * n
-    for cur in range(n):
-        # One Dijkstra search from row cur over reduced costs, ending at the
-        # first unassigned column it settles.
-        shortest = [math.inf] * n
-        remaining = list(range(n - 1, -1, -1))
-        rows_seen, cols_seen = [], []
-        i, min_val, sink = cur, 0, -1
-        while sink < 0:
-            rows_seen.append(i)
-            row, base = cost[i], min_val - u[i]
-            index, lowest = -1, math.inf
-            for it, j in enumerate(remaining):
-                r = base + row[j] - v[j]
-                if r < shortest[j]:
-                    path[j], shortest[j] = i, r
-                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
-                    lowest, index = shortest[j], it
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] < 0:
-                sink = j
-            else:
-                i = row4col[j]
-            cols_seen.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur] += min_val
-        for i in rows_seen[1:]:
-            u[i] += min_val - shortest[col4row[i]]
-        for j in cols_seen:
-            v[j] -= min_val - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return {i: j for i, j in enumerate(col4row) if cost[i][j] < 0}
-
-
-def max_composite_length(pattern: SignPattern) -> int:
-    """Maximum total length of vertex-disjoint directed cycles, loops excluded.
-
-    A composite cycle of length l is a fixed-point-free partial permutation
-    supported on l vertices with every arc present, so this is the support
-    of an optimal assignment.
-    """
-    return len(_max_cover(pattern.n, pattern.support(), include_loops=False))
-
-
 def _has_perfect_matching(rows: int, cols: int, succ: Sequence[int]) -> bool:
     """Whether the row vertices match one-to-one onto the column vertices along arcs.
 
@@ -297,18 +218,14 @@ def _has_perfect_matching(rows: int, cols: int, succ: Sequence[int]) -> bool:
     return True
 
 
-def composite_cycles_of_length(
-    pattern: SignPattern,
-    length: int,
-    include_loops: bool = False,
-) -> Iterator[CompositeCycle]:
+def composite_cycles_of_length(pattern: SignPattern, length: int) -> Iterator[CompositeCycle]:
     """All composite cycles of exactly the given length, each exactly once.
 
     Yields in increasing ``CompositeCycle.sort_key()`` order.  Vertex sets
     are walked as lexicographic combinations, skipping any without a cycle
     cover.  Inside a set each part starts at the smallest uncovered vertex;
-    a path first closes back to its start (a loop only with
-    ``include_loops``), then extends through its successors in increasing
+    a path first closes back to its start (at once, by a loop, for a
+    one-vertex part), then extends through its successors in increasing
     order, and a step is taken only if the vertices left over can still
     complete it (a perfect-matching test).  Every step therefore leads to
     a composite, and ``COMPOSITE_CYCLE_BUDGET`` counts composites yielded:
@@ -316,10 +233,9 @@ def composite_cycles_of_length(
     """
     rows = pattern.rows
     succ = list(pattern.successor_masks)
-    if include_loops:
-        for i in range(pattern.n):
-            if rows[i][i]:
-                succ[i] |= 1 << i
+    for i in range(pattern.n):
+        if rows[i][i]:
+            succ[i] |= 1 << i
     budget = COMPOSITE_CYCLE_BUDGET
     emitted = 0
 
@@ -369,7 +285,7 @@ def composite_signs(pattern: SignPattern, length: int) -> dict[int, CompositeCyc
         raise OrderCapExceeded(f"composite-sign enumeration capped at order {SIGN_ORDER_CAP}")
     first: dict[int, CompositeCycle] = {}
     if length:
-        for comp in composite_cycles_of_length(pattern, length, include_loops=True):
+        for comp in composite_cycles_of_length(pattern, length):
             first.setdefault(comp.sign, comp)
             if len(first) == 2:
                 break
@@ -436,12 +352,14 @@ class PatternAnalysis:
     """The structural facts the decision rules read, each derived once.
 
     Every field is computed on first use and kept on this object only, so
-    the rules and witness strategies of one ``analyze`` share them while
-    nothing outlives the analysis; ``cover_without`` keeps one answer per
-    vertex set the same way.  A field that raises (``graph`` on a pattern
-    that is not combinatorially symmetric, ``shape`` and ``cycle_report``
-    on a disconnected graph, ``path_edges`` off a path, ``top_signs`` above
-    the order cap) raises again on every read.
+    the rules and witness strategies of one ``analyze`` share them and none
+    outlives the analysis; ``cover_without`` keeps one answer per vertex set
+    the same way.  Facts of the pattern alone (its masks and
+    ``max_composite_length``) are cached on the pattern instead, so every
+    analysis and census of that object shares them.  A field that raises
+    (``graph`` on a pattern that is not combinatorially symmetric, ``shape``
+    and ``cycle_report`` on a disconnected graph, ``path_edges`` off a path,
+    ``top_signs`` above the order cap) raises again on every read.
     """
 
     pattern: SignPattern
@@ -483,13 +401,9 @@ class PatternAnalysis:
         return tuple(map(by_key.__getitem__, keys))
 
     @cached_property
-    def max_composite_length(self) -> int:
-        return max_composite_length(self.pattern)
-
-    @cached_property
     def top_signs(self) -> dict[int, CompositeCycle]:
-        """``composite_signs`` at the maximum composite length."""
-        return composite_signs(self.pattern, self.max_composite_length)
+        """``composite_signs`` at the pattern's ``max_composite_length``."""
+        return composite_signs(self.pattern, self.pattern.max_composite_length)
 
     def cover_without(self, vertices: Iterable[int]) -> tuple[SimpleCycle, ...]:
         """The parts of one maximum composite cycle avoiding ``vertices``, solved once per set.
@@ -501,7 +415,7 @@ class PatternAnalysis:
         if key not in self._covers:
             pattern = self.pattern
             arcs = [(i, j) for i, j in pattern.support() if i not in key and j not in key]
-            succ = _max_cover(pattern.n, arcs, include_loops=False)
+            succ = _max_cover(pattern.n, arcs)
             parts, seen = [], set()
             # Each part starts at its smallest vertex, so the parts come out ordered.
             for start in sorted(succ):

@@ -282,7 +282,7 @@ def _runs_check(
 
 def _max_composite_check(check_id: str, tag: str, source: str, expected: int) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        got = facts.max_composite_length
+        got = facts.pattern.max_composite_length
         return got == expected, f"max composite length {got}"
 
     return Check(check_id, tag, source, fn)

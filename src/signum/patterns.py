@@ -13,11 +13,13 @@ package reads ``rows`` and no second copy of the arcs is built.  Each
 pattern caches its one build of successor bitmasks (``successor_masks``),
 their one transpose (``predecessor_masks``, by the package's one bit
 transpose ``_transpose``) and their one union table (``successor_union``,
-by the one union routine ``_union_table``, a lookup per byte of the mask).
-``_reaches_all``, the one reachability routine, decides irreducibility
-here, connectivity in ``graphs``, and so tree support: a combinatorially
-symmetric, zero-diagonal pattern is a tree pattern exactly when it is
-irreducible with n - 1 undirected edges.
+by the one union routine ``_union_table``, a lookup per byte of the mask),
+and its maximum composite cycle length (``max_composite_length``, loops
+counted as 1-cycles as in E_k), one solve of the package's one assignment
+solver ``_max_cover``.  ``_reaches_all``, the one reachability routine,
+decides irreducibility here, connectivity in ``graphs``, and so tree
+support: a combinatorially symmetric, zero-diagonal pattern is a tree
+pattern exactly when it is irreducible with n - 1 undirected edges.
 
 Entries are stored as plain ints in {-1, 0, +1}.  Indices are 0-based
 throughout the API; positions in error messages and reports are 1-based.
@@ -25,6 +27,7 @@ throughout the API; positions in error messages and reports are 1-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -143,6 +146,18 @@ class SignPattern:
     def successor_union(self) -> Callable[[int], int]:
         """The union of ``successor_masks`` over a vertex mask: the successors of the set."""
         return _union_table(self.successor_masks)
+
+    @cached_property
+    def max_composite_length(self) -> int:
+        """Largest k with a composite cycle of length k, loops counting as 1-cycles.
+
+        That is the largest k at which E_k, the signed sum over length-k
+        composite cycles and the coefficient of x^(n-k) up to sign, has a
+        term; E_k is then a nonzero polynomial in the entries, so almost
+        every realization has exactly n - k zero eigenvalues.  One solve of
+        ``_max_cover`` per pattern, read by the census and the rules alike.
+        """
+        return len(_max_cover(self.n, self.support()))
 
     def __reduce__(self):  # pickle the rows alone: a cached union table is a closure
         return SignPattern, (self.rows,)
@@ -293,6 +308,73 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
     bits = np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
     columns = np.packbits(bits.T, axis=1, bitorder="little")
     return [int.from_bytes(column.tobytes(), "little") for column in columns]
+
+
+def _max_cover(n: int, arcs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Successor map of one maximum-support composite cycle on vertices 0..n-1.
+
+    An assignment problem: arcs cost -1, loops included, the rest of the
+    diagonal is free slack meaning "vertex unused", and every other entry
+    costs n + 1, more than any assignment can save, so it is never chosen.
+    The cover is the optimum's entries of cost -1.
+
+    Solved exactly by Crouse's shortest augmenting path (IEEE TAES 52(4),
+    2016), the algorithm of scipy's ``linear_sum_assignment``, making its
+    choices: rows join in order, the free columns are listed in reverse,
+    and a tie for the shortest path goes to an unassigned column.
+    Witnesses depend on which of several optimal covers is found, so these
+    choices are part of the output.  The costs are small integers, so the
+    arithmetic is exact.
+    """
+    cost = [[n + 1] * n for _ in range(n)]
+    for w in range(n):
+        cost[w][w] = 0
+    for i, j in arcs:
+        cost[i][j] = -1
+    u = [0] * n
+    v = [0] * n
+    path = [-1] * n
+    row4col = [-1] * n
+    col4row = [-1] * n
+    for cur in range(n):
+        # One Dijkstra search from row cur over reduced costs, ending at the
+        # first unassigned column it settles.
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val, sink = cur, 0, -1
+        while sink < 0:
+            rows_seen.append(i)
+            row, base = cost[i], min_val - u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = base + row[j] - v[j]
+                if r < shortest[j]:
+                    path[j], shortest[j] = i, r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return {i: j for i, j in enumerate(col4row) if cost[i][j] < 0}
 
 
 def apply_equivalence(pattern: SignPattern, op: EquivalenceOp) -> SignPattern:

@@ -32,7 +32,6 @@ from .cycles import (
     SIGN_ORDER_CAP,
     PatternAnalysis,
     SimpleCycle,
-    _max_cover,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
 )
@@ -493,19 +492,6 @@ def spectral_profile(a: np.ndarray) -> SpectralProfile:
 NEAR_ONE_LO, NEAR_ONE_HI = 0.5, 2.0
 
 
-def _generic_zero_count(pattern: SignPattern) -> int:
-    """Zero-eigenvalue multiplicity of almost every realization.
-
-    The lowest surviving characteristic coefficient sits at x^(n-m) where m
-    is the maximum composite-cycle support (loops included), and that
-    coefficient is a nonzero polynomial in the entries, so generic samples
-    have exactly n - m zero eigenvalues.  A sampled profile claiming any
-    other count caught a measure-zero or mis-thresholded configuration and
-    must not serve as evidence.
-    """
-    return pattern.n - len(_max_cover(pattern.n, pattern.support(), include_loops=True))
-
-
 def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
     """Distinct rows of keys[mask] as (key, first row, count), in order of first row.
 
@@ -545,7 +531,9 @@ def census(
     CPUs the process may use (``_round_eigvals``); everything else runs on
     the calling thread, in trial order.  A sample is recorded as
     solid evidence only if its profile is not suspect and its claimed
-    zero-eigenvalue count matches the generic multiplicity.  A trial whose
+    zero-eigenvalue count matches the generic multiplicity, n minus the
+    pattern's ``max_composite_length``; a sample claiming any other count
+    caught a measure-zero or mis-thresholded configuration.  A trial whose
     eigensolve fails, or whose norm overflows so that no tolerance can
     classify it, counts as a failure.  A round's one tally groups its
     trials by inertia, real count and solidity together; the inertia
@@ -566,7 +554,7 @@ def census(
     if lo > hi:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
     laws = [(cfg.lo, cfg.hi), (lo, hi)]
-    generic_zeros = _generic_zero_count(pattern)
+    generic_zeros = pattern.n - pattern.max_composite_length
     support = _support(pattern)
     prior = prior or Census(0, {}, {}, 0, {})
     counts = dict(prior.inertia_counts)

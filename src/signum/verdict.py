@@ -188,7 +188,7 @@ def _r1(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Sign clash among maximum-length composite cycles."""
     if facts.pattern.n > SIGN_ORDER_CAP:
         return f"order {facts.pattern.n} above enumeration cap {SIGN_ORDER_CAP}"
-    signs, m = facts.top_signs, facts.max_composite_length
+    signs, m = facts.top_signs, facts.pattern.max_composite_length
     return _finding(
         "R1",
         len(signs) == 2 and m >= 2,
@@ -263,7 +263,7 @@ def _r6(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     # witnesses ride on; even leaf distances guarantee it, but check it.
     the_cycle = facts.graph.cycle_table.cycles[0]
     rest = sum(part.length for part in facts.cover_without(the_cycle))
-    additive = facts.max_composite_length == len(the_cycle) + rest
+    additive = facts.pattern.max_composite_length == len(the_cycle) + rest
     return _finding(
         "R6",
         all_even and additive and any(conds.values()),

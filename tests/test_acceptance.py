@@ -13,7 +13,7 @@ import numpy as np
 from conftest import random_tree_pattern
 from test_cycles import brute_max_composite
 from signum.charpoly import char_poly, descartes
-from signum.cycles import directed_cycle_from_vertices, max_composite_length, cover_extension_exists
+from signum.cycles import directed_cycle_from_vertices, cover_extension_exists
 from signum.fixtures import FIXTURES, verify
 from signum.patterns import SignPattern
 from signum.spectra import (
@@ -221,10 +221,10 @@ def test_criterion_7_combinatorial_oracles():
                     if i != j and rng.random() < density:
                         rows[i][j] = 1
                         arcs.add((i, j))
-            assert max_composite_length(SignPattern.from_rows(rows)) == brute_max_composite(arcs, n)
+            assert SignPattern.from_rows(rows).max_composite_length == brute_max_composite(arcs, n)
 
-        assert max_composite_length(FIXTURES["PAT_TWOSQ9"].pattern) == 8
-        assert max_composite_length(FIXTURES["PAT_TRIPATH6"].pattern) == 6
+        assert FIXTURES["PAT_TWOSQ9"].pattern.max_composite_length == 8
+        assert FIXTURES["PAT_TRIPATH6"].pattern.max_composite_length == 6
         sq_tri = FIXTURES["PAT_SQTRI8"].pattern
         triangle = directed_cycle_from_vertices(sq_tri, (5, 6, 7))
         assert cover_extension_exists(sq_tri, triangle) is False

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import pickle
 import sys
 from collections import Counter
 from pathlib import Path
@@ -12,11 +13,7 @@ from pathlib import Path
 import pytest
 
 from signum import cycles, fixtures, graphs, patterns, spectra, verdict
-from signum.cycles import (
-    PatternAnalysis,
-    composite_signs,
-    max_composite_length,
-)
+from signum.cycles import PatternAnalysis, composite_signs
 from signum.errors import (
     CycleNotInPattern,
     DegenerateBase,
@@ -41,7 +38,7 @@ COUNTED = {
     "directed_cycle_from_vertices": cycles.directed_cycle_from_vertices,
     "cover_extension_exists": cycles.cover_extension_exists,
     "_has_perfect_matching": cycles._has_perfect_matching,
-    "_max_cover": cycles._max_cover,
+    "_max_cover": patterns._max_cover,
     "cycle_structure": graphs.cycle_structure,
     "cycle_edge_order": graphs.cycle_edge_order,
     "cycle_conditions": graphs.cycle_conditions,
@@ -222,7 +219,7 @@ def test_single_cycle_rules_copy_the_shared_conditions(name):
 def test_r6_and_cycle_witness_share_the_leftover_cover(monkeypatch, name, method):
     facts = PatternAnalysis(FIXTURES[name].pattern)
     assert facts.shape.kind is graphs.ShapeKind.UNICYCLIC
-    facts.max_composite_length  # the whole pattern's cover, solved before counting
+    facts.pattern.max_composite_length  # the whole pattern's cover, solved before counting
     calls = _count_calls(monkeypatch)
     finding = verdict._r6(facts, None, None, [])
     assert finding.details["length_splits_additively"]
@@ -306,8 +303,7 @@ def test_analysis_matches_direct_computation(name):
     assert digraph is pattern
     assert facts.graph == graph
     assert facts.shape == classify_shape(graph)
-    assert facts.max_composite_length == max_composite_length(pattern)
-    assert facts.top_signs == composite_signs(pattern, max_composite_length(pattern))
+    assert facts.top_signs == composite_signs(pattern, pattern.max_composite_length)
     assert facts.cycle_report == graphs.cycle_structure(graph)
     for cycle in facts.graph.cycle_table.cycles:
         # The cover avoiding the cycle is the maximum cover of the pattern
@@ -362,20 +358,34 @@ def test_witness_pairs_walk_second_only_after_a_firm_first(monkeypatch):
     """47 of the 53 pairs tried on the golden ladder stop at a suspect first walk.
 
     Candidates are built only as the certifying loop asks for them, so no
-    extra pair is tried and no extra cover solved.
+    extra pair is tried and no extra cover solved.  Each pattern is a fresh
+    copy, so its cached ``max_composite_length`` is solved here, once, and
+    the count does not depend on which tests ran before.
     """
     calls = _count_calls(monkeypatch)
     walks, tried, covers = {}, [], []
     for label in (f"ladder-n12-{i}" for i in range(6)):
         calls.clear()
-        analyze(GOLDEN_PATTERNS[label], SampleConfig())
+        analyze(SignPattern(GOLDEN_PATTERNS[label].rows), SampleConfig())
         walks[label] = calls["stabilize_epsilon"]
         tried.append(calls["_try_pair"])
         covers.append(calls["_max_cover"])
     assert walks["ladder-n12-0"] == 32
     assert sum(walks.values()) == 59
     assert tried == [31, 2, 1, 14, 1, 4]
-    assert covers == [18, 3, 2, 11, 2, 4]
+    assert covers == [17, 1, 1, 10, 1, 3]
+
+
+@pytest.mark.parametrize("name", ["PAT_TWOCYC81", "ladder-n12-1", "path-n16-0"])
+def test_cached_pattern_facts_never_move_bytes(name):
+    """A pattern analyzed again, copied, or pickled with its facts cached gives the same bytes.
+
+    PAT_TWOCYC81's witness is sampled from a resumed census.
+    """
+    pattern = SignPattern(GOLDEN_PATTERNS[name].rows)
+    first = verdict_to_json(analyze(pattern, SampleConfig()))
+    for again in (pattern, SignPattern(pattern.rows), pickle.loads(pickle.dumps(pattern))):
+        assert verdict_to_json(analyze(again, SampleConfig())) == first
 
 
 def test_candidates_propose_and_never_walk(monkeypatch):

@@ -108,7 +108,7 @@ def oracle_census(pattern: SignPattern, cfg: SampleConfig) -> Census:
     if lo > hi:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
     narrow = replace(cfg, lo=lo, hi=hi)
-    generic_zeros = spectra._generic_zero_count(pattern)
+    generic_zeros = pattern.n - pattern.max_composite_length
     counts, solid, freqs, failures = {}, {}, {}, 0
     for t in range(cfg.trials):
         law = narrow if t % 2 else cfg
@@ -236,7 +236,7 @@ def test_one_tally_keeps_late_solid_keys_and_non_firm_frequencies():
     pattern = FIXTURES["PAT_SQTRI8"].pattern
     cfg = SampleConfig(trials=600)
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
-    generic_zeros = spectra._generic_zero_count(pattern)
+    generic_zeros = pattern.n - pattern.max_composite_length
     firm, inertias = [], []
     for t in range(313):
         prof = scalar_profile(scalar_sample(pattern, narrow if t % 2 else cfg, t))

@@ -44,7 +44,6 @@ from signum.cycles import (
     CompositeCycle,
     PatternAnalysis,
     SimpleCycle,
-    _max_cover,
     composite_cycles_of_length,
     composite_signs,
     cover_extension_exists,
@@ -61,7 +60,7 @@ from signum.graphs import (
     cycle_structure,
     maximal_signed_runs,
 )
-from signum.patterns import AmbSign, SignPattern, parse_pattern
+from signum.patterns import AmbSign, SignPattern, _max_cover, parse_pattern
 
 GOLDEN = Path(__file__).with_name("golden_census.json")
 
@@ -379,13 +378,13 @@ ORACLE_SETTINGS = settings(
 
 
 @ORACLE_SETTINGS
-@given(pattern=digraph_patterns(), include_loops=st.booleans())
-def test_composites_match_oracle_in_sort_key_order(pattern, include_loops):
+@given(pattern=digraph_patterns())
+def test_composites_match_oracle_in_sort_key_order(pattern):
     for length in range(pattern.n + 1):
-        got = list(composite_cycles_of_length(pattern, length, include_loops))
+        got = list(composite_cycles_of_length(pattern, length))
         keys = [c.sort_key() for c in got]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        want = oracle_composites(pattern, length, include_loops)
+        want = oracle_composites(pattern, length, include_loops=True)
         assert got == sorted(want, key=lambda c: c.sort_key())
 
 
@@ -595,16 +594,13 @@ def arc_sets(draw, max_n: int = 40):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=arc_sets(), include_loops=st.booleans())
-@example(case=(0, []), include_loops=False)
-@example(case=(0, []), include_loops=True)
-@example(case=(6, []), include_loops=False)
-@example(case=(6, []), include_loops=True)
-@example(case=(3, [(0, 0), (1, 1), (2, 2)]), include_loops=True)
-@example(case=(3, [(0, 0), (1, 1), (2, 2)]), include_loops=False)
-def test_cover_length_matches_assignment_support(case, include_loops):
+@given(case=arc_sets())
+@example(case=(0, []))
+@example(case=(6, []))
+@example(case=(3, [(0, 0), (1, 1), (2, 2)]))
+def test_cover_length_matches_assignment_support(case):
     n, arcs = case
-    assert _max_cover(n, arcs, include_loops) == oracle_cover(n, arcs, include_loops)
+    assert _max_cover(n, arcs) == oracle_cover(n, arcs, include_loops=True)
 
 
 def test_simple_cycles_example(pat):

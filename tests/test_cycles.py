@@ -13,7 +13,6 @@ from signum.cycles import (
     cover_extension_exists,
     directed_cycle_from_vertices,
     gamma_matchings_from_odd_run,
-    max_composite_length,
 )
 from signum.errors import (
     CycleBudgetExceeded,
@@ -27,16 +26,16 @@ from signum.patterns import SignPattern
 
 
 def test_max_composite_examples(pat):
-    assert max_composite_length(pat("PAT_TWOSQ9")) == 8
-    assert max_composite_length(pat("PAT_TRIPATH6")) == 6
-    assert max_composite_length(pat("PAT_P4")) == 4
+    assert pat("PAT_TWOSQ9").max_composite_length == 8
+    assert pat("PAT_TRIPATH6").max_composite_length == 6
+    assert pat("PAT_P4").max_composite_length == 4
 
 
 def brute_max_composite(arcs: set, n: int) -> int:
-    """Largest support of a fixed-point-free partial permutation on the arcs."""
+    """Largest support of a partial permutation on the arcs, a loop (v, v) fixing v."""
 
     def has_perfect(sub):
-        adj = {v: [w for w in sub if w != v and (v, w) in arcs] for v in sub}
+        adj = {v: [w for w in sub if (v, w) in arcs] for v in sub}
         match: dict = {}
 
         def augment(v, seen):
@@ -70,12 +69,35 @@ def test_max_composite_matches_brute_force():
                 if i != j and rng.random() < density:
                     arcs.add((i, j))
                     rows[i][j] = 1
-        assert max_composite_length(SignPattern.from_rows(rows)) == brute_max_composite(arcs, n)
+        assert SignPattern.from_rows(rows).max_composite_length == brute_max_composite(arcs, n)
 
 
-def test_max_composite_excludes_loops():
+def test_max_composite_counts_loops():
+    # E_k counts a loop as a 1-cycle, so two loops make a composite cycle of length 2.
     diag = SignPattern.from_rows([[1, 0], [0, 1]])
-    assert max_composite_length(diag) == 0
+    assert diag.max_composite_length == 2
+
+
+def test_max_composite_length_is_the_top_nonzero_ek():
+    """L is the largest k whose E_k has a term: the length-L signs exist, none above L do."""
+    rng = np.random.default_rng(31)
+    for trial in range(240):
+        n = int(rng.integers(1, 9))
+        density = (0.15, 0.3, 0.5)[trial % 3]
+        loops = trial % 2
+        arcs = set()
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if (i != j or loops) and rng.random() < density:
+                    arcs.add((i, j))
+                    rows[i][j] = int(rng.choice((-1, 1)))
+        p = SignPattern.from_rows(rows)
+        top = p.max_composite_length
+        assert top == brute_max_composite(arcs, n)
+        assert bool(composite_signs(p, top)) == (top > 0)
+        for k in range(top + 1, n + 1):
+            assert composite_signs(p, k) == {}
 
 
 def test_max_composite_cover_is_valid(pat):
@@ -110,7 +132,7 @@ def test_composite_budget_counts_composites(pat, monkeypatch):
 
 
 def top_signs_of(pattern):
-    return composite_signs(pattern, max_composite_length(pattern))
+    return composite_signs(pattern, pattern.max_composite_length)
 
 
 def test_sign_set_examples(pat):
@@ -154,7 +176,7 @@ def test_cover_extension_implies_spanning(pat):
     p = pat("PAT_TWOCYC82")
     square = directed_cycle_from_vertices(p, (0, 1, 2, 3))
     assert cover_extension_exists(p, square)
-    assert max_composite_length(p) == p.n
+    assert p.max_composite_length == p.n
 
 
 def test_cover_extension_rejects_missing_arcs(pat):
@@ -267,4 +289,4 @@ def test_unicyclic_extension_lemma():
         rest = SignPattern.from_rows(
             [0 if i < k or j < k else v for j, v in enumerate(row)] for i, row in enumerate(p.rows)
         )
-        assert max_composite_length(p) == k + max_composite_length(rest)
+        assert p.max_composite_length == k + rest.max_composite_length

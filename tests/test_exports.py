@@ -46,7 +46,7 @@ def test_package_imports_resolve():
 PINNED_PARAMETERS = {
     analyze: ["pattern", "cfg"],
     census: ["pattern", "cfg", "prior"],
-    composite_cycles_of_length: ["pattern", "length", "include_loops"],
+    composite_cycles_of_length: ["pattern", "length"],
     find_witness_pair: ["facts", "cfg", "prior"],
     ladder_spec: ["parts", "epsilon"],
     spectral_profile: ["a"],
