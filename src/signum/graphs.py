@@ -384,9 +384,10 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     each distance.  Each cycle with a later disjoint cycle gets one BFS
     stepping only onto vertices off every cycle; the union of ``near`` over
     its level t names the later disjoint cycles first touched at link
-    length t + 1.  A cycle with none gets no BFS.  The union of ``on`` over
-    a cycle's mask gives the cycles it overlaps.  No pair is tested on its own, so the work
-    follows the cycles and the pairs listed.
+    length t + 1.  A cycle with none gets no BFS, and ``near`` is built
+    for the first that gets one.  The union of ``on`` over a cycle's mask
+    gives the cycles it overlaps.  No pair is tested on its own, so the
+    work follows the cycles and the pairs listed.
     """
     if not graph.is_connected:
         raise Disconnected("cycle structure needs a connected graph")
@@ -395,8 +396,7 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
     step = graph.neighbour_union
     on = _transpose(masks, n)
     touching = _union_table(on)
-    near = [touching(nbrs) for nbrs in graph.neighbour_masks]
-    adjacent = _union_table(near)
+    adjacent = None
     off_cycle = sum(1 << v for v in range(n) if not on[v])
     all_cycles = (1 << len(cycles)) - 1
 
@@ -418,6 +418,8 @@ def cycle_structure(graph: SignedGraph) -> CycleStructureReport:
         if not pending:
             # The loop below would break at level 0 with nothing linked.
             continue
+        if adjacent is None:
+            adjacent = _union_table([touching(nbrs) for nbrs in graph.neighbour_masks])
         link: dict[int, int] = {}
         for t, level in enumerate(_bfs_levels(step, va, off_cycle)):
             if not pending:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -280,17 +281,18 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     """Several cycles, no leaf, path-adjacent cycles at odd distance."""
     if facts.shape.kind is not ShapeKind.MULTI_CYCLE_NO_LEAF:
         return None
-    report = facts.cycle_report
+    pairs = facts.cycle_report.path_adjacent_pairs
     # The link is also the raw distance (see cycle_structure), which
     # "raw_distance" and "strict" still report to keep verdict bytes.
-    pair_info = [
-        {"cycles": [a, b], "edge_count": link, "raw_distance": link}
-        for (a, b, link) in report.path_adjacent_pairs
-    ]
-    distance_ok = all(link % 2 == 1 for (_, _, link) in report.path_adjacent_pairs)
+    links = tuple(link for (_, _, link) in pairs)
+    pair_info = _Records(
+        ("cycles", "edge_count", "raw_distance"), (tuple((a, b) for a, b, _ in pairs), links, links)
+    )
+    distance_ok = all(link % 2 == 1 for link in links)
     table = facts.graph.cycle_table
     all_even = all(len(c) % 2 == 0 for c in table.cycles)
-    fired = []
+    # The columns of conditions_fired; a hit's cycle is the table's own tuple.
+    hit_cycles, hit_conditions, hit_extends = hit_columns = [], [], []
     succ = facts.pattern.successor_masks
     everything = (1 << facts.pattern.n) - 1
     # Whether a cycle extends depends only on the vertices it leaves over,
@@ -320,10 +322,13 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
             extends = extends_by_leftover[leftover] = _has_perfect_matching(
                 leftover, leftover, succ
             )
-        fired += [{"cycle": list(cyc), "condition": c, "extends_to_cover": extends} for c in hits]
+        hit_cycles += [cyc] * len(hits)
+        hit_conditions += hits
+        hit_extends += [extends] * len(hits)
+    fired = _Records(("cycle", "condition", "extends_to_cover"), tuple(map(tuple, hit_columns)))
     return _finding(
         "R7",
-        distance_ok and any(f["extends_to_cover"] for f in fired),
+        distance_ok and any(hit_extends),
         {
             "path_adjacent_pairs": pair_info,
             "distance_convention": "edge count of the cycle-avoiding"
@@ -549,6 +554,18 @@ def _int_list_texts(lists, indent: str, text=int.__repr__) -> list[str]:
     return [head + sep.join(map(text, items)) + tail for items in lists]
 
 
+def _joined_texts(items, indent: str) -> list[str] | None:
+    """Each item's text at depth ``indent`` if one writer serves all: items of
+    one exact scalar type, or non-empty lists of exact ints; else None."""
+    kinds = set(map(type, items))
+    scalar = _SCALAR_TEXT.get(next(iter(kinds))) if len(kinds) == 1 else None
+    if scalar is _float_text and all(map(math.isfinite, items)):
+        scalar = float.__repr__
+    if scalar is not None:
+        return list(map(scalar, items))
+    return _int_list_texts(items, indent) if _int_lists(items) else None
+
+
 @dataclass(frozen=True)
 class _VertexLists:
     """Lists of 0-based vertices, which the verdict writer writes 1-based.
@@ -570,37 +587,47 @@ class _VertexLists:
         return "[\n" + inner + rows + "\n" + indent + "]"
 
 
-def _records_text(records: list[dict], indent: str) -> str | None:
-    """The text of a list of records at depth ``indent``; None if not all are records.
+@dataclass(frozen=True, eq=False, repr=False)
+class _Records(Sequence):
+    """A read-only list of records sharing one tuple of str keys, held as columns.
 
-    Records are dicts with the first one's tuple of keys, in its order, all
-    of exact type ``str``.  Under each key the values are exact scalars of
-    one type, or non-empty lists of exact ints.  The text is built one key
-    at a time, each column with one writer.
+    Item i, iteration, ``==`` and ``repr`` are the list of dicts', tuple cells
+    read as lists; ``text`` writes the list one column at a time.
     """
-    keys = tuple(records[0])
-    if not keys or set(map(type, itertools.chain.from_iterable(records))) != {str}:
-        return None
-    if set(map(tuple, records)) != {keys}:
-        return None
-    inner = indent + "  "
-    field = inner + "  "
-    columns = []
-    for key in keys:
-        cells = [record[key] for record in records]
-        kinds = set(map(type, cells))
-        scalar = _SCALAR_TEXT.get(next(iter(kinds))) if len(kinds) == 1 else None
-        if scalar is not None:
-            texts = map(scalar, cells)
-        elif _int_lists(cells):
-            texts = _int_list_texts(cells, field)
-        else:
-            return None
-        head = _encode_str(key) + ": "
-        columns.append([head + text for text in texts])
-    head, sep, tail = "{\n" + field, ",\n" + field, "\n" + inner + "}"
-    rows = (",\n" + inner).join(head + sep.join(row) + tail for row in zip(*columns))
-    return "[\n" + inner + rows + "\n" + indent + "]"
+
+    keys: tuple[str, ...]
+    columns: tuple[tuple, ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return {
+            k: list(c[i]) if type(c[i]) is tuple else c[i]
+            for k, c in zip(self.keys, self.columns)
+        }
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, _Records)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def text(self, indent: str) -> str:
+        if not len(self):
+            return "[]"
+        inner = indent + "  "
+        field = inner + "  "
+        columns = []
+        for key, cells in zip(self.keys, self.columns):
+            texts = _joined_texts(cells, field) or [_text(cell, field) for cell in cells]
+            head = _encode_str(key) + ": "
+            columns.append([head + text for text in texts])
+        head, sep, tail = "{\n" + field, ",\n" + field, "\n" + inner + "}"
+        rows = (",\n" + inner).join(head + sep.join(row) + tail for row in zip(*columns))
+        return "[\n" + inner + rows + "\n" + indent + "]"
 
 
 def _write(value, out: list[str], indent: str) -> None:
@@ -608,11 +635,11 @@ def _write(value, out: list[str], indent: str) -> None:
 
     Keys become ``str(k)``, tuples print as lists, and numpy integers and
     floats print as the Python numbers they equal; any other type raises
-    TypeError, as json does.  Three kinds of list are written with joins,
-    without a call per item: a list whose items share one scalar type, a
-    list of non-empty lists of exact ints, and a list of records
-    (``_records_text``).  Every other value takes the recursive path, but
-    for ``_VertexLists``, which writes its own text.
+    TypeError, as json does.  Two kinds of list are written with joins,
+    without a call per item: a list whose items share one scalar type and
+    a list of non-empty lists of exact ints.  Every other value takes the
+    recursive path, but for ``_VertexLists`` and ``_Records``, which write
+    their own text.
     """
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
@@ -623,20 +650,9 @@ def _write(value, out: list[str], indent: str) -> None:
             return
         inner = indent + "  "
         sep = ",\n" + inner
-        kinds = set(map(type, value))
-        scalar = _SCALAR_TEXT.get(next(iter(kinds))) if len(kinds) == 1 else None
-        if scalar is _float_text and all(map(math.isfinite, value)):
-            scalar = float.__repr__
-        if scalar is not None:
-            out.append("[\n" + inner + sep.join(map(scalar, value)) + "\n" + indent + "]")
-            return
-        if _int_lists(value):
-            rows = sep.join(_int_list_texts(value, inner))
-            out.append("[\n" + inner + rows + "\n" + indent + "]")
-            return
-        text = _records_text(value, indent) if kinds == {dict} else None
-        if text is not None:
-            out.append(text)
+        texts = _joined_texts(value, inner)
+        if texts is not None:
+            out.append("[\n" + inner + sep.join(texts) + "\n" + indent + "]")
             return
         out.append("[\n" + inner)
         for i, v in enumerate(value):
@@ -668,10 +684,17 @@ def _write(value, out: list[str], indent: str) -> None:
         out.append(int.__repr__(int(value)))
     elif isinstance(value, np.floating):
         out.append(_float_text(float(value)))
-    elif isinstance(value, _VertexLists):
+    elif isinstance(value, (_VertexLists, _Records)):
         out.append(value.text(indent))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _text(value, indent: str) -> str:
+    """``_write``'s text of ``value`` at depth ``indent``, joined."""
+    out: list[str] = []
+    _write(value, out, indent)
+    return "".join(out)
 
 
 def verdict_to_json(verdict: Verdict) -> str:
@@ -683,6 +706,12 @@ def verdict_to_json(verdict: Verdict) -> str:
     by ``_write``, without an intermediate copy of the details, and joined
     once.  A detail value of any other type raises TypeError.
     """
+    cen = verdict.census
+    if cen is not None:
+        keys = tuple(cen.inertia_keys())
+        solid = tuple(k in cen.solid_representatives for k in keys)
+        inertias = (keys, tuple(map(cen.inertia_counts.get, keys)), solid)
+        frequencies = tuple(zip(*sorted(cen.frequency_counts.items()))) or ((), ())
     doc = {
         "pattern": verdict.pattern.to_text().splitlines(),
         "flags": asdict(verdict.flags),
@@ -706,24 +735,12 @@ def verdict_to_json(verdict: Verdict) -> str:
         ],
         "overall": verdict.overall.value,
         "census": None
-        if verdict.census is None
+        if cen is None
         else {
-            "trials": verdict.census.trials,
-            "inertias": [
-                {
-                    "inertia": list(k),
-                    "count": verdict.census.inertia_counts[k],
-                    "solid": k in verdict.census.solid_representatives,
-                }
-                for k in verdict.census.inertia_keys()
-            ],
-            "frequencies": [
-                {"frequency": list(k), "count": v}
-                for k, v in sorted(verdict.census.frequency_counts.items())
-            ],
-            "failures": verdict.census.failures,
+            "trials": cen.trials,
+            "inertias": _Records(("inertia", "count", "solid"), inertias),
+            "frequencies": _Records(("frequency", "count"), frequencies),
+            "failures": cen.failures,
         },
     }
-    out: list[str] = []
-    _write(doc, out, "")
-    return "".join(out)
+    return _text(doc, "")

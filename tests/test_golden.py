@@ -9,11 +9,13 @@ classification that moves a single bit shows up here.
 The ``ladder`` entries are the six patterns of the benchmark's ``ladder``
 workload at seed 1 (order 12, 2n edges: the cycle-heavy case the catalog
 never reaches), stored as pattern text rows, with the sha256 of their
-verdict JSON; the digests equal the benchmark's seed-1 reference.  The
-``trees`` entries are stored the same way: the first path and the first
-random-attach tree of each order 12, 16, 20 and 24 in the benchmark's
-``trees`` workload at seed 1.  Their verdicts carry witness matrices up to
-24 x 24, so they pin the text of many floats.
+verdict JSON and of their ``explain`` text; the JSON digests equal the
+benchmark's seed-1 reference.  The ``trees`` entries are stored the same
+way: the first path and the first random-attach tree of each order 12,
+16, 20 and 24 in the benchmark's ``trees`` workload at seed 1.  Their
+verdicts carry witness matrices up to 24 x 24, so they pin the text of
+many floats.  The ``explain`` digests pin the text of R7's long record
+lists, which the catalog's short ones do not.
 
 ``verify_sha256`` pins what ``signum verify-paper`` reports: the sha256
 of the JSON list of every ``fixtures.verify()`` outcome, in order, as
@@ -43,7 +45,7 @@ from test_invariance import valid_patterns
 from signum.fixtures import CENSUS_CFG, FIXTURES, verify
 from signum.patterns import SignPattern, parse_pattern
 from signum.spectra import DEFAULT_SEED, SampleConfig, census, spectral_profile
-from signum.verdict import Verdict, analyze, verdict_to_json
+from signum.verdict import Verdict, analyze, explain, verdict_to_json
 
 GOLDEN = Path(__file__).with_name("golden_census.json")
 
@@ -64,6 +66,10 @@ def _verdict(pattern: SignPattern) -> Verdict:
 
 def verdict_digest(pattern: SignPattern) -> str:
     return _digest(verdict_to_json(_verdict(pattern)).encode())
+
+
+def explain_digest(pattern: SignPattern) -> str:
+    return _digest(explain(_verdict(pattern)).encode())
 
 
 def snapshot(name: str) -> dict:
@@ -117,6 +123,13 @@ def test_golden_trees(entry):
     assert verdict_digest(_rows_pattern(entry)) == entry["verdict_sha256"]
 
 
+@pytest.mark.parametrize(
+    "entry", _golden()["ladder"] + _golden()["trees"], ids=lambda e: e["label"]
+)
+def test_golden_explain(entry):
+    assert explain_digest(_rows_pattern(entry)) == entry["explain_sha256"]
+
+
 def assert_witnesses_replay(verdict: Verdict) -> None:
     for f in verdict.findings:
         if f.witness is not None:
@@ -147,6 +160,7 @@ if __name__ == "__main__":
     data["fixtures"] = {name: snapshot(name) for name in sorted(FIXTURES)}
     for entry in data["ladder"] + data["trees"]:
         entry["verdict_sha256"] = verdict_digest(_rows_pattern(entry))
+        entry["explain_sha256"] = explain_digest(_rows_pattern(entry))
     data["verify_sha256"] = verify_digest()
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from signum import fixtures
+from signum import fixtures, graphs
 from signum.errors import Disconnected, NotCombinatoriallySymmetric
 from signum.graphs import (
     ShapeKind,
@@ -150,6 +150,23 @@ def test_cycle_structure_single_cycle(pat):
     report = cycle_structure(g)
     assert report.leaf_cycle_distances == ()
     assert report.path_adjacent_pairs == ()
+
+
+@pytest.mark.parametrize(
+    "name, tables", [("PAT_XX2", 1), ("PAT_UNI61", 1), ("PAT_TRIPATH6", 1), ("PAT_TWOSQ9", 2)]
+)
+def test_cycle_structure_builds_link_table_only_for_disjoint_cycles(monkeypatch, pat, name, tables):
+    """The cycle-touch table always; the link table only once a cycle has a later disjoint one."""
+    built = []
+    real = graphs._union_table
+
+    def counted(rows):
+        built.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(graphs, "_union_table", counted)
+    report = cycle_structure(SignedGraph(pat(name)))
+    assert len(built) == tables == 1 + bool(report.path_adjacent_pairs)
 
 
 def test_dot_directed(pat):

@@ -1,11 +1,15 @@
 import dataclasses
+import gc
 import hashlib
 import json
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_analysis import GOLDEN_PATTERNS
 
 from signum import spectra
 from signum.charpoly import ek_sign
@@ -20,6 +24,7 @@ from signum.verdict import (
     Conclusion,
     Overall,
     _odd_cycle_det_sign,
+    _Records,
     _write,
     analyze,
     explain,
@@ -263,7 +268,7 @@ def old_plain(value):
     """The deep copy the verdict writer replaced, kept here as its oracle."""
     if isinstance(value, dict):
         return {str(k): old_plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, _Records)):
         return [old_plain(v) for v in value]
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -355,6 +360,28 @@ def records(draw, values=RECORD_VALUES):
     return out
 
 
+# One column of _Records: cells of one kind, or of any of the kinds.
+RECORD_CELLS = [
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT)),
+    st.lists(st.integers(-5, 2**40), max_size=4).map(tuple),
+]
+RECORD_COLUMNS = st.sampled_from([*RECORD_CELLS, st.one_of(*RECORD_CELLS)])
+
+
+@st.composite
+def record_columns(draw, kinds=RECORD_COLUMNS):
+    """Keys and columns of a ``_Records``, zero to five rows, each column of one of ``kinds``."""
+    keys = draw(st.lists(STR_KEYS, min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 5))
+    columns = []
+    for _ in keys:
+        cells = draw(st.lists(draw(kinds), min_size=rows, max_size=rows))
+        columns.append(tuple(cells))
+    return tuple(keys), tuple(columns)
+
+
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=5),
@@ -362,10 +389,11 @@ def _containers(children):
         st.dictionaries(KEYS, children, max_size=5),
         # one scalar type throughout, the case written with one join
         st.one_of(*(st.lists(s, min_size=1, max_size=6) for s in SCALARS)),
-        # the int-list and record joins, and lists that just miss them
+        # the int-list join and lists that just miss it, lists of dicts, and record columns
         INT_LISTS,
         NEAR_INT_LISTS,
         records(st.one_of(RECORD_VALUES, children)),
+        record_columns(st.sampled_from([*RECORD_CELLS, children])).map(lambda kc: _Records(*kc)),
     )
 
 
@@ -381,7 +409,7 @@ def test_writer_matches_plain_and_json_dumps(doc):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(doc=st.one_of(INT_LISTS, NEAR_INT_LISTS, records()), depth=st.integers(0, 2))
 def test_list_joins_match_json_dumps(doc, depth):
-    """The int-list and record joins, at the top level and nested."""
+    """The int-list join and lists of dicts, at the top level and nested."""
     for _ in range(depth):
         doc = {"x": [doc]}
     assert write(doc) == json.dumps(old_plain(doc), indent=2)
@@ -392,23 +420,98 @@ def test_cycle_lists_take_the_joins(monkeypatch, pat):
     from signum import verdict as verdict_module
 
     written = []
-    for name in ("_int_list_texts", "_records_text"):
-        real = getattr(verdict_module, name)
+    real_texts = verdict_module._int_list_texts
 
-        def spy(items, indent, *rest, real=real, name=name):
-            text = real(items, indent, *rest)
-            if text is not None:
-                written.append((name, len(items)))
-            return text
+    def spy_texts(items, indent, *rest):
+        written.append(("_int_list_texts", len(items)))
+        return real_texts(items, indent, *rest)
 
-        monkeypatch.setattr(verdict_module, name, spy)
+    real_text = _Records.text
+
+    def spy_text(records, indent):
+        written.append(("_Records.text", len(records)))
+        return real_text(records, indent)
+
+    monkeypatch.setattr(verdict_module, "_int_list_texts", spy_texts)
+    monkeypatch.setattr(_Records, "text", spy_text)
     found = analyze(pat("PAT_TWOCYC82"), cfg=CFG)
     r7 = rule(found, "R7")
     doc = json.loads(verdict_to_json(found))
     assert ("_int_list_texts", len(found.shape.cycles)) in written
     for key in ("path_adjacent_pairs", "conditions_fired"):
-        assert r7.details[key] and ("_records_text", len(r7.details[key])) in written
-    assert doc["findings"][6]["details"] == json.loads(json.dumps(r7.details))
+        records = r7.details[key]
+        assert isinstance(records, _Records) and records
+        assert ("_Records.text", len(records)) in written
+        # the cycle column of the records, joined as one column
+        assert ("_int_list_texts", len(records)) in written
+    assert doc["findings"][6]["details"] == json.loads(json.dumps(old_plain(r7.details)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=record_columns(), depth=st.integers(0, 2))
+def test_records_read_and_write_as_the_list_of_dicts(drawn, depth):
+    keys, columns = drawn
+    records = _Records(keys, columns)
+    plain = [
+        {k: list(c[i]) if isinstance(c[i], tuple) else c[i] for k, c in zip(keys, columns)}
+        for i in range(len(columns[0]))
+    ]
+    assert len(records) == len(plain)
+    assert [records[i] for i in range(len(plain))] == plain
+    assert [records[-i] for i in range(1, len(plain) + 1)] == plain[::-1]
+    assert records[1:] == plain[1:]
+    with pytest.raises(IndexError):
+        records[len(plain)]
+    assert list(records) == plain
+    assert records == plain and plain == records and not records != plain
+    assert records == _Records(keys, columns)
+    assert records != plain + [{}] and records != tuple(plain)
+    assert repr(records) == repr(plain) == str(records)
+    doc = records
+    for _ in range(depth):
+        doc = {"x": [doc]}
+    want = plain
+    for _ in range(depth):
+        want = {"x": [want]}
+    assert write(doc) == json.dumps(want, indent=2)
+
+
+def deep_size(root, held) -> int:
+    """Bytes of the objects reachable from ``root`` and not from ``held``."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen: set[int] = set()
+    total = 0
+    for start, counted in ((held, False), (root, True)):
+        stack = [start]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, skip):
+                continue
+            seen.add(id(obj))
+            total += sys.getsizeof(obj) if counted else 0
+            stack.extend(gc.get_referents(obj))
+    return total
+
+
+# R7's details, less what the shape holds, as measured on CPython 3.11 with
+# the record lists held as columns (35,002 and 1,552 bytes), plus about 25%.
+# As lists of dicts with copied cycles, ladder-n12-0's read 186,610.
+R7_DETAIL_BYTES = {"ladder-n12-0": 44_000, "PAT_TWOCYC82": 1_950}
+
+
+@pytest.mark.parametrize("name", sorted(R7_DETAIL_BYTES))
+def test_r7_records_stay_columns(name, pat):
+    """R7's record lists are columns whose cycle cells are the shape's own tuples."""
+    pattern = GOLDEN_PATTERNS[name] if name in GOLDEN_PATTERNS else pat(name)
+    found = analyze(pattern, cfg=CFG)
+    details = rule(found, "R7").details
+    assert isinstance(details["path_adjacent_pairs"], _Records)
+    fired = details["conditions_fired"]
+    assert isinstance(fired, _Records) and fired
+    shape_cycles = {id(c) for c in found.shape.cycles}
+    cycle_column = fired.columns[fired.keys.index("cycle")]
+    assert all(type(c) is tuple and id(c) in shape_cycles for c in cycle_column)
+    assert deep_size(details, found.shape) <= R7_DETAIL_BYTES[name]
 
 
 @pytest.mark.parametrize(
