@@ -22,7 +22,10 @@ support: a combinatorially symmetric, zero-diagonal pattern is a tree
 pattern exactly when it is irreducible with n - 1 undirected edges.
 
 Entries are stored as plain ints in {-1, 0, +1}.  Indices are 0-based
-throughout the API; positions in error messages and reports are 1-based.
+throughout the API, and so are the vertex lists in a verdict's rule details
+and witness details.  Error messages, the verdict's shape (its cycles and
+leaves) and the ``cycles:`` line of ``explain`` number vertices from 1, and
+R4's block positions are 1-based.
 """
 
 from __future__ import annotations

@@ -607,7 +607,6 @@ def build_witness(pattern: SignPattern, spec: WitnessSpec) -> np.ndarray:
     epsilon = 0 only the emphasized arcs are nonzero.
     """
     a = np.zeros((pattern.n, pattern.n))
-    emphasized: set[tuple[int, int]] = set()
     covered: set[int] = set()
     for part, mag in zip(spec.parts, spec.magnitudes):
         recomputed = directed_cycle_from_vertices(pattern, part.vertices)
@@ -624,12 +623,9 @@ def build_witness(pattern: SignPattern, spec: WitnessSpec) -> np.ndarray:
             )
         covered.update(part.vertices)
         for i, j in part.arcs():
-            emphasized.add((i, j))
             a[i, j] = pattern.rows[i][j] * mag
     if spec.epsilon > 0:
-        for i, j in pattern.support():
-            if (i, j) not in emphasized:
-                a[i, j] = pattern.rows[i][j] * spec.epsilon
+        a += spec.epsilon * np.where(a == 0, pattern.to_array(), 0)
     return a
 
 
@@ -658,11 +654,10 @@ def stabilize_epsilon(
                 raise DegenerateBase(
                     "emphasized parts have (nearly) repeated eigenvalues"
                 )
-    # Every support position the parts leave empty gets +-epsilon; adding
-    # those to the base reproduces build_witness bit for bit.  Steps are
-    # solved one at a time, each on its own, until three in a row agree.
-    # A step's inertia is fixed by two counts, real parts above tol and
-    # below -tol, as _profile makes them; only the step returned is
+    # Each step is build_witness's epsilon fill of the base, its mask taken
+    # once.  Steps are solved one at a time, each on its own, until three in
+    # a row agree.  A step's inertia is fixed by two counts, real parts above
+    # tol and below -tol, as _profile makes them; only the step returned is
     # profiled in full.
     rest = np.where(base == 0, pattern.to_array(), 0)
     steps: list[tuple[np.ndarray, float, np.ndarray, float, float]] = []

@@ -520,8 +520,7 @@ def _float_text(x: float) -> str:
 
 
 # The text json writes for a value of exactly one of these types.  Exact
-# types keep bool apart from int; subclasses and numpy scalars take the
-# slower path in _write.
+# types keep bool apart from int.
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
@@ -622,7 +621,10 @@ class _Records(Sequence):
         field = inner + "  "
         columns = []
         for key, cells in zip(self.keys, self.columns):
-            texts = _joined_texts(cells, field) or [_text(cell, field) for cell in cells]
+            texts = _joined_texts(cells, field)
+            if texts is None:
+                kinds = ", ".join(sorted({type(cell).__name__ for cell in cells}))
+                raise TypeError(f"records column {key!r} of {kinds} has no join")
             head = _encode_str(key) + ": "
             columns.append([head + text for text in texts])
         head, sep, tail = "{\n" + field, ",\n" + field, "\n" + inner + "}"
@@ -633,18 +635,18 @@ class _Records(Sequence):
 def _write(value, out: list[str], indent: str) -> None:
     """Append the text ``json.dumps(value, indent=2)`` gives ``value`` at depth ``indent``.
 
-    Keys become ``str(k)``, tuples print as lists, and numpy integers and
-    floats print as the Python numbers they equal; any other type raises
-    TypeError, as json does.  Two kinds of list are written with joins,
-    without a call per item: a list whose items share one scalar type and
-    a list of non-empty lists of exact ints.  Every other value takes the
-    recursive path, but for ``_VertexLists`` and ``_Records``, which write
-    their own text.
+    ``value`` holds only what verdicts hold: exact ``str``, ``int``,
+    ``float``, ``bool`` and ``None``; exact ``list`` and ``tuple``, written
+    as lists; ``dict`` with exact ``str`` keys; ``_VertexLists`` and
+    ``_Records``, whose every column one join writes.  Anything else, such
+    as a numpy scalar, a subclass of a builtin or a non-str key, raises
+    TypeError naming its type.
     """
-    scalar = _SCALAR_TEXT.get(type(value))
+    kind = type(value)
+    scalar = _SCALAR_TEXT.get(kind)
     if scalar is not None:
         out.append(scalar(value))
-    elif isinstance(value, (list, tuple)):
+    elif kind in _SEQUENCES:
         if not value:
             out.append("[]")
             return
@@ -660,51 +662,34 @@ def _write(value, out: list[str], indent: str) -> None:
                 out.append(sep)
             _write(v, out, inner)
         out.append("\n" + indent + "]")
-    elif isinstance(value, dict):
+    elif kind is dict:
         if not value:
             out.append("{}")
             return
         inner = indent + "  "
         out.append("{\n" + inner)
-        # Keys are str(k).  Keys equal after str() merge as in a dict of
-        # str keys: the first one's place, the last one's value.
-        for i, (k, v) in enumerate({str(k): v for k, v in value.items()}.items()):
+        for i, (k, v) in enumerate(value.items()):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             if i:
                 out.append(",\n" + inner)
             out.append(_encode_str(k) + ": ")
             _write(v, out, inner)
         out.append("\n" + indent + "}")
-    elif isinstance(value, str):
-        out.append(_encode_str(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, np.integer):
-        out.append(int.__repr__(int(value)))
-    elif isinstance(value, np.floating):
-        out.append(_float_text(float(value)))
-    elif isinstance(value, (_VertexLists, _Records)):
+    elif kind is _VertexLists or kind is _Records:
         out.append(value.text(indent))
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _text(value, indent: str) -> str:
-    """``_write``'s text of ``value`` at depth ``indent``, joined."""
-    out: list[str] = []
-    _write(value, out, indent)
-    return "".join(out)
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def verdict_to_json(verdict: Verdict) -> str:
     """Serialize with a stable key order.
 
-    The text is identical to ``json.dumps(doc, indent=2)``, with detail keys
-    as ``str(k)``, tuples as lists, numpy numbers as the Python numbers
-    they equal and the shape's cycles 1-based.  It is written in one pass
-    by ``_write``, without an intermediate copy of the details, and joined
-    once.  A detail value of any other type raises TypeError.
+    The text is identical to ``json.dumps(doc, indent=2)``, tuples as lists
+    and the shape's cycles 1-based.  It is written in one pass by
+    ``_write``, without an intermediate copy of the details, and joined
+    once.  A detail that holds a value ``_write`` does not take, such as a
+    numpy scalar or a non-str key, raises TypeError naming its type.
     """
     cen = verdict.census
     if cen is not None:
@@ -743,4 +728,6 @@ def verdict_to_json(verdict: Verdict) -> str:
             "failures": cen.failures,
         },
     }
-    return _text(doc, "")
+    out: list[str] = []
+    _write(doc, out, "")
+    return "".join(out)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import re
 import sys
 import types
 
@@ -267,13 +268,9 @@ def test_json_deterministic(pat):
 def old_plain(value):
     """The deep copy the verdict writer replaced, kept here as its oracle."""
     if isinstance(value, dict):
-        return {str(k): old_plain(v) for k, v in value.items()}
+        return {k: old_plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, _Records)):
         return [old_plain(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     return value
 
 
@@ -292,42 +289,28 @@ NASTY_TEXT = [
 
 SCALARS = [
     st.integers(-(2**70), 2**70),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.integers(-(2**31), 2**31 - 1).map(np.int32),
     st.booleans(),
     st.none(),
     st.floats(),
     st.sampled_from(NASTY_FLOATS),
-    st.floats().map(np.float64),
-    st.sampled_from(NASTY_FLOATS).map(np.float64),
-    st.floats(width=32).map(np.float32),
     st.text(),
     st.sampled_from(NASTY_TEXT),
 ]
-KEYS = st.one_of(st.text(), st.sampled_from(NASTY_TEXT), st.integers(-5, 5), st.booleans())
+KEYS = st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT))
 
 
 INT_LIST = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4)
-# Lists that miss the int-list join: empty, tuples, or holding bools, numpy ints or floats.
+# Lists that miss the int-list join: empty, tuples, or holding bools or floats.
 NEAR_INT_LIST = st.one_of(
     INT_LIST.map(tuple),
     st.lists(
-        st.one_of(
-            st.integers(-5, 5),
-            st.booleans(),
-            st.integers(-5, 5).map(np.int64),
-            st.floats(),
-            st.sampled_from(NASTY_FLOATS),
-        ),
+        st.one_of(st.integers(-5, 5), st.booleans(), st.floats(), st.sampled_from(NASTY_FLOATS)),
         max_size=4,
     ),
 )
 INT_LISTS = st.lists(INT_LIST, min_size=1, max_size=5)
 NEAR_INT_LISTS = st.lists(st.one_of(INT_LIST, NEAR_INT_LIST), min_size=1, max_size=5)
 RECORD_VALUES = st.one_of(*SCALARS, INT_LIST, NEAR_INT_LIST)
-STR_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT))
-# Distinct keys that json writes as the same text.
-CLASHING_KEYS = st.sampled_from([[1, "1"], ["True", True], [None, "None"], ["x", -1, "-1"]])
 
 
 @st.composite
@@ -335,16 +318,9 @@ def records(draw, values=RECORD_VALUES):
     """A list of dicts sharing one tuple of keys, now and then perturbed.
 
     Rare draws put one record's keys in another order, add or drop a key,
-    or put a scalar, a list or an empty dict among the records; keys may be
-    non-str, and some pairs of keys are equal after ``str()``.
+    or put a scalar, a list or an empty dict among the records.
     """
-    keys = draw(
-        st.one_of(
-            st.lists(STR_KEYS, min_size=1, max_size=4, unique=True),
-            st.lists(KEYS, min_size=1, max_size=4, unique=True),
-            CLASHING_KEYS,
-        )
-    )
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
     out = []
     for _ in range(draw(st.integers(1, 5))):
         order = draw(st.permutations(keys)) if draw(st.integers(0, 4)) == 0 else keys
@@ -360,24 +336,25 @@ def records(draw, values=RECORD_VALUES):
     return out
 
 
-# One column of _Records: cells of one kind, or of any of the kinds.
-RECORD_CELLS = [
-    st.integers(-(2**70), 2**70),
-    st.booleans(),
-    st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT)),
-    st.lists(st.integers(-5, 2**40), max_size=4).map(tuple),
-]
-RECORD_COLUMNS = st.sampled_from([*RECORD_CELLS, st.one_of(*RECORD_CELLS)])
+# The cells of one _Records column: each column is of one of these kinds.
+RECORD_CELLS = st.sampled_from(
+    [
+        st.integers(-(2**70), 2**70),
+        st.booleans(),
+        st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT)),
+        st.lists(st.integers(-5, 2**40), min_size=1, max_size=4).map(tuple),
+    ]
+)
 
 
 @st.composite
-def record_columns(draw, kinds=RECORD_COLUMNS):
-    """Keys and columns of a ``_Records``, zero to five rows, each column of one of ``kinds``."""
-    keys = draw(st.lists(STR_KEYS, min_size=1, max_size=4, unique=True))
+def record_columns(draw):
+    """Keys and columns of a ``_Records``, zero to five rows, each column of one kind."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
     rows = draw(st.integers(0, 5))
     columns = []
     for _ in keys:
-        cells = draw(st.lists(draw(kinds), min_size=rows, max_size=rows))
+        cells = draw(st.lists(draw(RECORD_CELLS), min_size=rows, max_size=rows))
         columns.append(tuple(cells))
     return tuple(keys), tuple(columns)
 
@@ -393,7 +370,7 @@ def _containers(children):
         INT_LISTS,
         NEAR_INT_LISTS,
         records(st.one_of(RECORD_VALUES, children)),
-        record_columns(st.sampled_from([*RECORD_CELLS, children])).map(lambda kc: _Records(*kc)),
+        record_columns().map(lambda kc: _Records(*kc)),
     )
 
 
@@ -522,29 +499,29 @@ def test_r7_records_stay_columns(name, pat):
         [[1, 2], [3]],
         [[1, 2], []],
         [[1], [True]],
-        [[1], [np.int64(2)]],
+        [[1], [None]],
         [[1], [2.0]],
         [(1, 2), [3]],
         [{"a": 1, "b": [1, 2]}, {"a": 2, "b": (3,)}],
         [{"a": 1, "b": [1, 2]}, {"b": [3], "a": 2}],
         [{"a": 1}, {"a": 2, "b": 3}],
-        [{1: "x"}, {1: "y"}],
-        [{1: "x", "1": "y"}, {1: "z", "1": "w"}],
+        [{"1": "x"}, {"1": "y"}],
+        [{"": "x", "1": "y"}, {"": "z", "1": "w"}],
         [{"a": float("nan"), "b": float("inf")}, {"a": -float("inf"), "b": 1.5}],
         [{"a": 1, "b": None}, {"a": True, "b": "s"}],
         [{"a": []}, {"a": [1]}],
         [{"a": [True]}],
-        [{"a": np.int64(1)}],
+        [{"a": 2**70}],
         [{"a": {}}],
         [{"a": 1}, 2, {"a": 3}],
         [{"a": 1}, [1, 2]],
         [{}, {}],
         {"a": [], "b": {}, "c": [[], {}]},
-        {1: "int key", "1": "str key", True: "bool key", None: "none key"},
+        {"1": "digit key", "true": "word key", "null": "json word", "": "empty key"},
         [1, 2, 3],
         [1.5, float("nan"), float("inf"), -float("inf"), -0.0],
         [True, 1, 1.0],
-        (np.int64(7), np.float64(0.1), np.float32(0.1)),
+        (7, 0.1, float(np.float32(0.1))),
         {"cycles": [[1, 2, 3], (4, 5)], "strict": False, "none": None},
     ],
 )
@@ -562,6 +539,73 @@ def test_writer_rejects_what_json_rejects(pat, bad):
     v.findings[0].details["bad"] = bad
     with pytest.raises(TypeError, match="not JSON serializable"):
         verdict_to_json(v)
+
+
+class Count(int):
+    pass
+
+
+class Name(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+# Values json.dumps takes but no verdict holds, each with the type name the
+# writer's TypeError gives.
+OUTSIDE_VERDICTS = {
+    "np.int64": (np.int64(7), "int64"),
+    "np.float64": (np.float64(0.1), "float64"),
+    "np.float32": (np.float32(0.1), "float32"),
+    "int subclass": (Count(3), "Count"),
+    "str subclass": (Name("x"), "Name"),
+    "float subclass": (Ratio(0.5), "Ratio"),
+    "int key": ({1: "x"}, "int"),
+    "bool key": ({"a": 1, True: "x"}, "bool"),
+    "None key": ({None: "x"}, "NoneType"),
+    "str subclass key": ({Name("x"): 1}, "Name"),
+    "numpy int in an int list": ([[1], [np.int64(2)]], "int64"),
+    "numpy int in a record": ([{"a": np.int64(1)}], "int64"),
+    "numpy scalars in a tuple": ((7, np.float64(0.1)), "float64"),
+    "mixed records column": (_Records(("a", "b"), ((1, "s"), (True, False))), "int, str"),
+    "empty cell in a records column": (_Records(("cycle",), (((0, 1), ()),)), "tuple"),
+}
+
+
+@pytest.mark.parametrize("bad, name", OUTSIDE_VERDICTS.values(), ids=list(OUTSIDE_VERDICTS))
+def test_writer_rejects_what_verdicts_do_not_hold(pat, bad, name):
+    """Numpy scalars, subclasses of builtins, non-str keys and unjoinable columns raise."""
+    named = rf"(?<![\w.]){re.escape(name)}\b"
+    with pytest.raises(TypeError, match=named):
+        write({"x": [bad]})
+    v = analyze(pat("PAT_P4"), cfg=CFG)
+    v.findings[0].details["bad"] = bad
+    with pytest.raises(TypeError, match=named):
+        verdict_to_json(v)
+
+
+def test_vertex_numbering(pat):
+    """Where a verdict numbers vertices from 1 and where from 0.
+
+    The shape's cycles and leaves and explain's cycles line are 1-based;
+    vertex lists in rule details and witness details are 0-based, as in
+    the API; R7's pairs name cycles by their index in the shape's list.
+    """
+    v = analyze(pat("PAT_TWOCYC82"), cfg=CFG)
+    doc = json.loads(verdict_to_json(v))
+    assert v.shape.cycles == ((0, 1, 2, 3), (4, 5, 6, 7))
+    assert doc["shape"]["cycles"] == [[1, 2, 3, 4], [5, 6, 7, 8]]
+    assert "cycles: 1-2-3-4; 5-6-7-8\n" in explain(v)
+    r1, r7 = doc["findings"][0], doc["findings"][6]
+    assert r1["witness"]["detail"]["plus_parts"] == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    assert r1["witness"]["detail"]["minus_parts"] == [[0, 1], [2, 3], [4, 5, 6, 7]]
+    assert [hit["cycle"] for hit in r7["details"]["conditions_fired"]] == [[0, 1, 2, 3]]
+    assert [pair["cycles"] for pair in r7["details"]["path_adjacent_pairs"]] == [[0, 1]]
+    unicyclic = analyze(pat("PAT_UNI61"), cfg=CFG)
+    assert unicyclic.shape.leaves == (5,)
+    assert json.loads(verdict_to_json(unicyclic))["shape"]["leaves"] == [6]
 
 
 def cycle_pattern(order, forward, backward) -> SignPattern:
