@@ -396,7 +396,7 @@ class PatternAnalysis:
         dict, so a rule that puts a cycle's conditions into its details copies it.
         """
         table = self.graph.cycle_table
-        keys = [(neg, len(cyc)) for neg, cyc in zip(table.negatives, table.cycles)]
+        keys = list(zip(table.negatives, table.cycles.lengths()))
         by_key = {key: cycle_conditions(*key) for key in dict.fromkeys(keys)}
         return tuple(map(by_key.__getitem__, keys))
 

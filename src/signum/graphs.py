@@ -18,14 +18,20 @@ rows here (the cycle search's flood, the BFS levels, the cycle report's
 membership masks) is a ``patterns._union_table`` lookup per 8 vertices.
 ``SignedGraph.cycle_table`` is the one listing of the undirected cycles,
 with their negative-edge and vertex masks: the shape, the cycle report,
-the rules and the witness search all read it.
+the rules and the witness search all read it.  Its cycles are held packed,
+as one ``_PackedTuples``: an array of every cycle's vertices and an array of
+end offsets, read as a tuple of tuples, so a verdict that keeps them keeps
+two arrays rather than one tuple per cycle.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import CycleBudgetExceeded, Disconnected, NotCombinatoriallySymmetric
@@ -52,15 +58,96 @@ __all__ = [
 UNDIRECTED_CYCLE_BUDGET = 10_000
 
 
+def _narrowest(values: list[int], top: int) -> array:
+    """``values``, none above ``top``, in the narrowest unsigned array that holds ``top``."""
+    if top < 256:
+        # bytes() converts a list of small ints several times faster than array() does.
+        return array("B", bytes(values))
+    code = next((c for c in "HI" if top >> 8 * array(c).itemsize == 0), "Q")
+    return array(code, values)
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class _PackedTuples(Sequence):
+    """A read-only tuple of tuples of non-negative ints, held as two arrays.
+
+    Row r is ``items[ends[r - 1]:ends[r]]`` (from 0 for row 0).  Indexing,
+    negative indices and slices, iteration, ``==``, ``hash`` and ``repr``
+    are the tuple of tuples': a row reads as a new tuple, a slice as a
+    tuple of rows, and the sequence equals a tuple or list of the same
+    rows.  ``spans``, ``lengths`` and ``take`` read the end offsets and
+    build no row.  It is no list, so ``json.dumps`` rejects it.
+    """
+
+    items: array
+    ends: array
+
+    @classmethod
+    def of(cls, rows: Iterable[Iterable[int]]) -> _PackedTuples:
+        items: list[int] = []
+        ends: list[int] = []
+        for row in rows:
+            items += row
+            ends.append(len(items))
+        return cls(_narrowest(items, max(items, default=0)), _narrowest(ends, len(items)))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self.ends))[i]))
+        r = range(len(self.ends))[i]
+        return tuple(self.items[self.ends[r - 1] if r else 0 : self.ends[r]])
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        items = self.items
+        return (tuple(items[start:end]) for start, end in self.spans())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is _PackedTuples:
+            return self.ends == other.ends and self.items == other.items
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """Each row's (start, end) in ``items``."""
+        return zip(chain((0,), self.ends), self.ends)
+
+    def lengths(self) -> list[int]:
+        """Each row's length, the gap between its end offsets."""
+        return [end - start for start, end in self.spans()]
+
+    def take(self, rows: Iterable[int]) -> _PackedTuples:
+        """The rows at the given indices, in that order, their items copied array to array."""
+        items, spans = self.items, list(self.spans())
+        out = array(items.typecode)
+        out_ends = []
+        for r in rows:
+            start, end = spans[r]
+            out += items[start:end]
+            out_ends.append(len(out))
+        return _PackedTuples(out, _narrowest(out_ends, len(out)))
+
+
 class CycleTable(NamedTuple):
     """The simple cycles of a graph with, index for index, their negative-edge and vertex masks.
 
     Bit t of ``negatives[c]`` is set when the edge from ``cycles[c][t]`` to
     the next vertex around the cycle is negative, and bit v of ``masks[c]``
-    is set when v lies on cycle c.
+    is set when v lies on cycle c.  The cycles are packed: ``cycles[c]``
+    builds cycle c's tuple, and ``cycles.lengths()`` reads every length
+    without one.
     """
 
-    cycles: tuple[tuple[int, ...], ...]
+    cycles: _PackedTuples
     negatives: tuple[int, ...]
     masks: tuple[int, ...]
 
@@ -127,7 +214,8 @@ class SignedGraph:
         n = self.n
         adj, neg = self.neighbour_masks, self.negative_masks
         neighbours = self.neighbour_union
-        cycles: list[tuple[int, ...]] = []
+        items: list[int] = []
+        ends: list[int] = []
         negatives: list[int] = []
         masks: list[int] = []
 
@@ -136,11 +224,12 @@ class SignedGraph:
             tail = path[-1]
             last = len(path) - 1  # the index of the edge from tail
             if closers >> tail & 1:
-                if len(cycles) >= UNDIRECTED_CYCLE_BUDGET:
+                if len(ends) >= UNDIRECTED_CYCLE_BUDGET:
                     raise CycleBudgetExceeded(
                         f"more than {UNDIRECTED_CYCLE_BUDGET} undirected cycles"
                     )
-                cycles.append(tuple(path))
+                items.extend(path)
+                ends.append(len(items))
                 negatives.append(path_neg | (neg[tail] >> path[0] & 1) << last)
                 masks.append(on_path)
             free = above & ~on_path
@@ -167,7 +256,8 @@ class SignedGraph:
                 closers = adj[s] & ~((2 << first) - 1)
                 if closers:
                     grow([s, first], neg[s] >> first & 1, 1 << s | 1 << first, above, closers)
-        return CycleTable(tuple(cycles), tuple(negatives), tuple(masks))
+        cycles = _PackedTuples(_narrowest(items, n - 1), _narrowest(ends, len(items)))
+        return CycleTable(cycles, tuple(negatives), tuple(masks))
 
     def sign_of(self, u: int, v: int) -> int:
         """Sign of the edge {u, v}; raises KeyError when it is not an edge."""
@@ -203,8 +293,10 @@ class ShapeKind(Enum):
 
 @dataclass(frozen=True)
 class GraphShape:
+    """Kind, cycles (the cycle table's packed list; () for a tree) and leaves of a graph."""
+
     kind: ShapeKind
-    cycles: tuple[tuple[int, ...], ...] = ()
+    cycles: _PackedTuples | tuple[()] = ()
     leaves: tuple[int, ...] = ()
 
 

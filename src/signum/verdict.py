@@ -28,6 +28,7 @@ from .cycles import (
 from .graphs import (
     GraphShape,
     ShapeKind,
+    _PackedTuples,
     maximal_signed_runs,
 )
 from .patterns import AmbSign, PatternFlags, SignPattern, _flip_edges
@@ -286,20 +287,21 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
     # "raw_distance" and "strict" still report to keep verdict bytes.
     links = tuple(link for (_, _, link) in pairs)
     pair_info = _Records(
-        ("cycles", "edge_count", "raw_distance"), (tuple((a, b) for a, b, _ in pairs), links, links)
+        ("cycles", "edge_count", "raw_distance"),
+        (_PackedTuples.of(pair[:2] for pair in pairs), links, links),
     )
     distance_ok = all(link % 2 == 1 for link in links)
     table = facts.graph.cycle_table
-    all_even = all(len(c) % 2 == 0 for c in table.cycles)
-    # The columns of conditions_fired; a hit's cycle is the table's own tuple.
-    hit_cycles, hit_conditions, hit_extends = hit_columns = [], [], []
+    all_even = all(k % 2 == 0 for k in table.cycles.lengths())
+    # The columns of conditions_fired; a hit's cycle is taken by its row in the table.
+    hit_rows, hit_conditions, hit_extends = [], [], []
     succ = facts.pattern.successor_masks
     everything = (1 << facts.pattern.n) - 1
     # Whether a cycle extends depends only on the vertices it leaves over,
     # and its hits only on its three condition values, at most 8 keys.
     extends_by_leftover: dict[int, bool] = {}
     hits_by_conds: dict[tuple[bool, ...], list[str]] = {}
-    for cyc, mask, conds in zip(table.cycles, table.masks, facts.conditions_by_cycle):
+    for row, (mask, conds) in enumerate(zip(table.masks, facts.conditions_by_cycle)):
         values = tuple(conds.values())
         hits = hits_by_conds.get(values)
         if hits is None:
@@ -322,10 +324,13 @@ def _r7(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
             extends = extends_by_leftover[leftover] = _has_perfect_matching(
                 leftover, leftover, succ
             )
-        hit_cycles += [cyc] * len(hits)
+        hit_rows += [row] * len(hits)
         hit_conditions += hits
         hit_extends += [extends] * len(hits)
-    fired = _Records(("cycle", "condition", "extends_to_cover"), tuple(map(tuple, hit_columns)))
+    fired = _Records(
+        ("cycle", "condition", "extends_to_cover"),
+        (table.cycles.take(hit_rows), tuple(hit_conditions), tuple(hit_extends)),
+    )
     return _finding(
         "R7",
         distance_ok and any(hit_extends),
@@ -465,10 +470,11 @@ def explain(verdict: Verdict) -> str:
     lines.append("flags: " + " ".join(f"{k}={v}" for k, v in asdict(verdict.flags).items()))
     if verdict.shape is not None:
         lines.append(f"shape: {verdict.shape.kind.value}")
-        if verdict.shape.cycles:
-            cyc = "; ".join(
-                "-".join(str(v + 1) for v in c) for c in verdict.shape.cycles
-            )
+        cycles = verdict.shape.cycles
+        if cycles:
+            names = list(map(str, range(1, verdict.pattern.n + 1)))
+            texts = list(map(names.__getitem__, cycles.items))
+            cyc = "; ".join("-".join(texts[start:end]) for start, end in cycles.spans())
             lines.append(f"cycles: {cyc}")
     for f in verdict.findings:
         status = f.conclusion.value if f.applicable else "not applicable"
@@ -542,15 +548,27 @@ def _int_lists(items) -> bool:
     )
 
 
-def _int_list_texts(lists, indent: str, text=int.__repr__) -> list[str]:
-    """The text of each non-empty list of exact ints in ``lists``, at depth ``indent``.
+def _int_list_texts(lists, indent: str) -> list[str]:
+    """The text of each non-empty list of exact ints in ``lists``, at depth ``indent``."""
+    inner = indent + "  "
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+    return [head + sep.join(map(int.__repr__, items)) + tail for items in lists]
 
-    ``text`` gives each item's text: by default its repr, for vertex lists
-    a lookup in a table of vertex names.
+
+def _packed_texts(lists: _PackedTuples, indent: str, text) -> list[str]:
+    """The text of each row of ``lists``, at depth ``indent``, joined from its item array.
+
+    ``text`` gives an item's text: ``int.__repr__``, or for vertex lists a
+    lookup in a table of vertex names.  Each item's text is taken once,
+    in one pass over the items, and each row joins a slice of those texts.
     """
     inner = indent + "  "
     head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-    return [head + sep.join(map(text, items)) + tail for items in lists]
+    texts = list(map(text, lists.items))
+    return [
+        head + sep.join(texts[start:end]) + tail if start < end else "[]"
+        for start, end in lists.spans()
+    ]
 
 
 def _joined_texts(items, indent: str) -> list[str] | None:
@@ -571,10 +589,11 @@ class _VertexLists:
 
     The text is what json gives ``[[v + 1 for v in c] for c in lists]``,
     but no shifted copy is made: each vertex's name is written once into
-    a table of ``n`` names, and every list is joined from it.
+    a table of ``n`` names, and every list is joined from it and the
+    packed list's item array.
     """
 
-    lists: tuple[tuple[int, ...], ...]
+    lists: _PackedTuples | tuple[()]
     n: int
 
     def text(self, indent: str) -> str:
@@ -582,7 +601,7 @@ class _VertexLists:
             return "[]"
         names = list(map(str, range(1, self.n + 1)))
         inner = indent + "  "
-        rows = (",\n" + inner).join(_int_list_texts(self.lists, inner, names.__getitem__))
+        rows = (",\n" + inner).join(_packed_texts(self.lists, inner, names.__getitem__))
         return "[\n" + inner + rows + "\n" + indent + "]"
 
 
@@ -591,7 +610,8 @@ class _Records(Sequence):
     """A read-only list of records sharing one tuple of str keys, held as columns.
 
     Item i, iteration, ``==`` and ``repr`` are the list of dicts', tuple cells
-    read as lists; ``text`` writes the list one column at a time.
+    read as lists; ``text`` writes the list one column at a time.  A column
+    may be a ``_PackedTuples``, whose rows are its tuple cells.
     """
 
     keys: tuple[str, ...]
@@ -603,10 +623,13 @@ class _Records(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        return {
-            k: list(c[i]) if type(c[i]) is tuple else c[i]
-            for k, c in zip(self.keys, self.columns)
-        }
+        return self._record([c[i] for c in self.columns])
+
+    def __iter__(self):
+        return map(self._record, zip(*self.columns))
+
+    def _record(self, cells) -> dict:
+        return {k: list(v) if type(v) is tuple else v for k, v in zip(self.keys, cells)}
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other) if isinstance(other, (list, _Records)) else NotImplemented
@@ -621,7 +644,10 @@ class _Records(Sequence):
         field = inner + "  "
         columns = []
         for key, cells in zip(self.keys, self.columns):
-            texts = _joined_texts(cells, field)
+            if type(cells) is _PackedTuples:
+                texts = _packed_texts(cells, field, int.__repr__)
+            else:
+                texts = _joined_texts(cells, field)
             if texts is None:
                 kinds = ", ".join(sorted({type(cell).__name__ for cell in cells}))
                 raise TypeError(f"records column {key!r} of {kinds} has no join")

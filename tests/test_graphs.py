@@ -1,15 +1,18 @@
 import hashlib
+import pickle
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signum import fixtures, graphs
 from signum.errors import Disconnected, NotCombinatoriallySymmetric
 from signum.graphs import (
     ShapeKind,
+    _PackedTuples,
     SignedGraph,
     build_graphs,
     classify_shape,
@@ -322,3 +325,80 @@ def test_graph_is_a_view_of_its_pattern():
         assert g.neighbour_masks == _edge_masks(n, (e for e, _ in edges))
         assert g.negative_masks == _edge_masks(n, (e for e, s in edges if s < 0))
     assert 100 < raised < 200
+
+
+# Tuples of non-negative ints, most small like vertex and cycle indices, some
+# up to the widest array item.
+INT_ROWS = st.lists(
+    st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2**64 - 1)), max_size=5).map(tuple),
+    max_size=8,
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=INT_ROWS, data=st.data())
+def test_packed_tuples_read_as_the_tuple_of_tuples(model, data):
+    """A packed list reads as the tuple of tuples it packs: the model here."""
+    packed = _PackedTuples.of(model)
+    n = len(model)
+    assert len(packed) == n and bool(packed) == bool(model)
+    assert [packed[i] for i in range(-n, n)] == [model[i] for i in range(-n, n)]
+    assert all(type(packed[i]) is tuple for i in range(-n, n))
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            packed[i]
+    cuts = [slice(None), slice(None, None, -1)] + [data.draw(st.slices(n)) for _ in range(4)]
+    for cut in cuts:
+        assert packed[cut] == model[cut] and type(packed[cut]) is tuple
+    assert tuple(packed) == model and list(reversed(packed)) == list(reversed(model))
+    assert packed == model and model == packed and not packed != model
+    assert packed == list(model) and list(model) == packed
+    assert packed == _PackedTuples.of(model) and packed == _PackedTuples.of(list(map(list, model)))
+    longer = model + ((0,),)
+    assert packed != longer and longer != packed and packed != _PackedTuples.of(longer)
+    if model:
+        # Rows compare as tuples, so lists of lists differ, as they do from the tuple of tuples.
+        assert packed != [list(row) for row in model]
+        bumped = model[:-1] + (model[-1] + (1,),)
+        assert packed != bumped and packed != _PackedTuples.of(bumped)
+        assert model[-1] in packed and packed.index(model[-1]) == model.index(model[-1])
+    assert packed != "not rows" and packed != {}
+    assert hash(packed) == hash(model)
+    assert repr(packed) == repr(model) == str(packed)
+    assert packed.lengths() == [len(row) for row in model]
+    ends = list(accumulate(map(len, model)))
+    assert list(packed.spans()) == list(zip([0] + ends, ends))
+    rows = data.draw(st.lists(st.integers(-n, n - 1), max_size=10)) if n else []
+    taken = packed.take(rows)
+    assert type(taken) is _PackedTuples and taken == tuple(model[r] for r in rows)
+    for kept in (packed, taken):
+        copy = pickle.loads(pickle.dumps(kept))
+        assert type(copy) is _PackedTuples and copy == kept and tuple(copy) == tuple(kept)
+
+
+def test_packed_tuples_empty_and_read_only():
+    empty = _PackedTuples.of(())
+    assert empty == () and empty == [] and not empty and len(empty) == 0
+    assert list(empty) == [] and empty.lengths() == [] and empty[:] == ()
+    assert hash(empty) == hash(()) and repr(empty) == "()"
+    assert empty.take([]) == () and _PackedTuples.of([(1, 2)]).take([]) == ()
+    with pytest.raises(IndexError):
+        empty[0]
+    with pytest.raises(IndexError):
+        _PackedTuples.of([(1, 2)]).take([1])
+    packed = _PackedTuples.of([(0, 1, 2), (), (3,)])
+    assert packed == ((0, 1, 2), (), (3,)) and packed.lengths() == [3, 0, 1]
+    with pytest.raises(AttributeError):
+        packed.items = packed.ends
+    with pytest.raises(TypeError):
+        packed[0] = (1,)
+
+
+def test_cycle_table_is_packed(pat):
+    """The graph's cycle table and the shape hold one packed list, read without rows."""
+    facts_graph = SignedGraph(pat("PAT_TWOCYC82"))
+    cycles = facts_graph.cycle_table.cycles
+    assert type(cycles) is _PackedTuples
+    assert cycles == ((0, 1, 2, 3), (4, 5, 6, 7)) and cycles.lengths() == [4, 4]
+    assert classify_shape(facts_graph).cycles is cycles
+    assert classify_shape(SignedGraph(pat("PAT_P4"))).cycles == ()

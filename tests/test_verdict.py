@@ -16,7 +16,7 @@ from signum import spectra
 from signum.charpoly import ek_sign
 from signum.cycles import PatternAnalysis
 from signum.fixtures import FIXTURES
-from signum.graphs import ShapeKind
+from signum.graphs import ShapeKind, _PackedTuples
 from signum.patterns import AmbSign, SignPattern
 from signum.spectra import SampleConfig, sample, spectral_profile
 from signum.verdict import (
@@ -26,6 +26,7 @@ from signum.verdict import (
     Overall,
     _odd_cycle_det_sign,
     _Records,
+    _VertexLists,
     _write,
     analyze,
     explain,
@@ -393,35 +394,42 @@ def test_list_joins_match_json_dumps(doc, depth):
 
 
 def test_cycle_lists_take_the_joins(monkeypatch, pat):
-    """Shape cycles and R7's records are written by the joins, not item by item."""
+    """Shape cycles and R7's two cycle columns are written by one join each, never item by item.
+
+    Each is a packed list, joined from its item array by ``_packed_texts``
+    (vertex names for the shape, ``int.__repr__`` for R7's 0-based
+    columns); the writer reads no row of it as a tuple.
+    """
     from signum import verdict as verdict_module
 
     written = []
-    real_texts = verdict_module._int_list_texts
+    real_join = verdict_module._packed_texts
 
-    def spy_texts(items, indent, *rest):
-        written.append(("_int_list_texts", len(items)))
-        return real_texts(items, indent, *rest)
+    def spy_join(lists, indent, text):
+        written.append((id(lists), len(lists), text is int.__repr__))
+        return real_join(lists, indent, text)
 
-    real_text = _Records.text
+    def no_rows(*args):
+        raise AssertionError("the writer read a packed row as a tuple")
 
-    def spy_text(records, indent):
-        written.append(("_Records.text", len(records)))
-        return real_text(records, indent)
-
-    monkeypatch.setattr(verdict_module, "_int_list_texts", spy_texts)
-    monkeypatch.setattr(_Records, "text", spy_text)
-    found = analyze(pat("PAT_TWOCYC82"), cfg=CFG)
-    r7 = rule(found, "R7")
-    doc = json.loads(verdict_to_json(found))
-    assert ("_int_list_texts", len(found.shape.cycles)) in written
-    for key in ("path_adjacent_pairs", "conditions_fired"):
-        records = r7.details[key]
-        assert isinstance(records, _Records) and records
-        assert ("_Records.text", len(records)) in written
-        # the cycle column of the records, joined as one column
-        assert ("_int_list_texts", len(records)) in written
-    assert doc["findings"][6]["details"] == json.loads(json.dumps(old_plain(r7.details)))
+    monkeypatch.setattr(verdict_module, "_packed_texts", spy_join)
+    for name in ("PAT_TWOCYC82", "ladder-n12-0"):
+        pattern = GOLDEN_PATTERNS[name] if name in GOLDEN_PATTERNS else pat(name)
+        found = analyze(pattern, cfg=CFG)
+        r7 = rule(found, "R7")
+        columns = [r7.details[k].columns[0] for k in ("path_adjacent_pairs", "conditions_fired")]
+        plain = old_plain(r7.details)
+        written.clear()
+        with monkeypatch.context() as rows_off:
+            rows_off.setattr(_PackedTuples, "__getitem__", no_rows)
+            rows_off.setattr(_PackedTuples, "__iter__", no_rows)
+            doc = json.loads(verdict_to_json(found))
+        assert sorted(written) == sorted(
+            [(id(found.shape.cycles), len(found.shape.cycles), False)]
+            + [(id(column), len(column), True) for column in columns]
+        )
+        assert all(type(column) is _PackedTuples and column for column in columns)
+        assert doc["findings"][6]["details"] == json.loads(json.dumps(plain))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -453,42 +461,118 @@ def test_records_read_and_write_as_the_list_of_dicts(drawn, depth):
     assert write(doc) == json.dumps(want, indent=2)
 
 
-def deep_size(root, held) -> int:
-    """Bytes of the objects reachable from ``root`` and not from ``held``."""
+def reachable(root, held=None) -> list:
+    """The objects reachable from ``root`` and not from ``held``, each once."""
     skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
     seen: set[int] = set()
-    total = 0
-    for start, counted in ((held, False), (root, True)):
+    found = []
+    for start, kept in ((held, False), (root, True)):
         stack = [start]
         while stack:
             obj = stack.pop()
             if id(obj) in seen or isinstance(obj, skip):
                 continue
             seen.add(id(obj))
-            total += sys.getsizeof(obj) if counted else 0
+            if kept:
+                found.append(obj)
             stack.extend(gc.get_referents(obj))
-    return total
+    return found
+
+
+def deep_size(root, held) -> int:
+    """Bytes of the objects reachable from ``root`` and not from ``held``."""
+    return sum(map(sys.getsizeof, reachable(root, held)))
 
 
 # R7's details, less what the shape holds, as measured on CPython 3.11 with
-# the record lists held as columns (35,002 and 1,552 bytes), plus about 25%.
-# As lists of dicts with copied cycles, ladder-n12-0's read 186,610.
-R7_DETAIL_BYTES = {"ladder-n12-0": 44_000, "PAT_TWOCYC82": 1_950}
+# the record lists held as columns and their cycle columns packed (14,670
+# and 1,864 bytes), plus at most 25%.  With unpacked columns, the hits'
+# cycles being the shape's own tuples, they read 35,002 and 1,552: two
+# arrays cost more than a few shared tuples.  As lists of dicts with copied
+# cycles, ladder-n12-0's read 186,610.
+R7_DETAIL_BYTES = {"ladder-n12-0": 18_400, "PAT_TWOCYC82": 1_950}
 
 
 @pytest.mark.parametrize("name", sorted(R7_DETAIL_BYTES))
 def test_r7_records_stay_columns(name, pat):
-    """R7's record lists are columns whose cycle cells are the shape's own tuples."""
+    """R7's record lists are columns; both cycle columns are packed, the hits' taken by row."""
     pattern = GOLDEN_PATTERNS[name] if name in GOLDEN_PATTERNS else pat(name)
     found = analyze(pattern, cfg=CFG)
     details = rule(found, "R7").details
-    assert isinstance(details["path_adjacent_pairs"], _Records)
+    pairs = details["path_adjacent_pairs"]
+    assert isinstance(pairs, _Records) and type(pairs.columns[0]) is _PackedTuples
+    assert all(len(pair) == 2 for pair in pairs.columns[0])
     fired = details["conditions_fired"]
     assert isinstance(fired, _Records) and fired
-    shape_cycles = {id(c) for c in found.shape.cycles}
     cycle_column = fired.columns[fired.keys.index("cycle")]
-    assert all(type(c) is tuple and id(c) in shape_cycles for c in cycle_column)
+    assert type(cycle_column) is _PackedTuples
+    assert set(cycle_column) <= set(found.shape.cycles)
     assert deep_size(details, found.shape) <= R7_DETAIL_BYTES[name]
+
+
+# The six seed-1 ladder verdicts, patterns excluded, as measured on CPython
+# 3.11 with every cycle list packed: 262,390 bytes.  With a tuple per cycle
+# they held 914,350, 577,388 of them the shapes' cycles.
+LADDER_VERDICT_BYTES = 450_000
+
+
+def test_ladder_verdicts_keep_no_cycle_tuples():
+    """The seed-1 ladder verdicts hold their cycles in arrays, not one tuple per cycle.
+
+    No tuple of three or more ints is reachable from a shape or from R7's
+    details, save the records' int columns, one tuple per column (R7's
+    link lengths); and the six verdicts stay small.
+    """
+    total = 0
+    for label in (f"ladder-n12-{i}" for i in range(6)):
+        found = analyze(GOLDEN_PATTERNS[label], SampleConfig())
+        details = rule(found, "R7").details
+        columns = {
+            id(column)
+            for records in details.values()
+            if isinstance(records, _Records)
+            for column in records.columns
+        }
+        for root in (found.shape, details):
+            int_tuples = [
+                obj
+                for obj in reachable(root)
+                if type(obj) is tuple
+                and len(obj) >= 3
+                and id(obj) not in columns
+                and all(type(x) is int for x in obj)
+            ]
+            assert int_tuples == []
+        assert len(found.shape.cycles) > 700
+        total += deep_size(found, found.pattern)
+    assert total < LADDER_VERDICT_BYTES
+
+
+# Rows of vertices or other small non-negative ints, and a depth to nest them at.
+PACKED_ROWS = st.lists(
+    st.lists(st.integers(0, 20), max_size=5).map(tuple), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=PACKED_ROWS, wide=st.integers(0, 2**64 - 1), depth=st.integers(0, 3))
+def test_packed_lists_write_as_json_dumps(rows, wide, depth):
+    """A packed list writes as ``json.dumps`` writes its rows, named 1-based or as ints."""
+    packed = _PackedTuples.of(rows)
+    n = 1 + max((v for row in rows for v in row), default=0)
+    ints = _PackedTuples.of(rows + [(wide, 0)])
+    docs = [
+        (_VertexLists(packed, n), [[v + 1 for v in row] for row in rows]),
+        (_Records(("cycle",), (ints,)), [{"cycle": list(row)} for row in rows + [(wide, 0)]]),
+    ]
+    for doc, want in docs:
+        for _ in range(depth):
+            doc, want = {"x": [doc]}, {"x": [want]}
+        assert write(doc) == json.dumps(want, indent=2)
+    with pytest.raises(TypeError):
+        json.dumps(packed)
+    with pytest.raises(TypeError, match="_PackedTuples"):
+        write({"x": packed})
 
 
 @pytest.mark.parametrize(
