@@ -132,14 +132,18 @@ def _jump(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return _halves(powers) + _halves(totals)
 
 
-def _pcg64_doubles(state: list[np.ndarray], k: int) -> np.ndarray:
-    """The first k doubles of PCG64 seeded with each row's four state words."""
+def _pcg64_doubles(state: list[np.ndarray], k: int, first: int) -> np.ndarray:
+    """Doubles first .. k - 1 of PCG64 seeded with each row's four state words.
+
+    Each draw is its own affine map of the seeded state, so the columns
+    drawn equal the tail of a draw of all k.
+    """
     s0, s1, q0, q1 = (w[:, None] for w in state)
     one = np.uint64(1)
     # srandom: inc = (initseq << 1) | 1, state = initstate + inc before a step.
     inc_h, inc_l = (q0 << one) | (q1 >> np.uint64(63)), (q1 << one) | one
     xh, xl = _add128(s0, s1, inc_h, inc_l)
-    pow_h, pow_l, sum_h, sum_l = _jump(k)
+    pow_h, pow_l, sum_h, sum_l = (c[first:] for c in _jump(k))
     hi, lo = _add128(*_mul128(xh, xl, pow_h, pow_l), *_mul128(inc_h, inc_l, sum_h, sum_l))
     # XSL-RR: fold the halves, rotate right by the top six bits.
     folded, rot = hi ^ lo, hi >> np.uint64(58)
@@ -147,15 +151,17 @@ def _pcg64_doubles(state: list[np.ndarray], k: int) -> np.ndarray:
     return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def uniforms(seed: int, indices: np.ndarray, k: int) -> np.ndarray:
-    """Row r is ``np.random.default_rng((seed, indices[r])).random(k)``, bit for bit.
+def uniforms(seed: int, indices: np.ndarray, k: int, first: int = 0) -> np.ndarray:
+    """Row r is ``np.random.default_rng((seed, indices[r])).random(k)[first:]``, bit for bit.
 
     ``seed`` is any nonnegative int and ``indices`` a uint64 array.  An
     index below 2**32 is one entropy word and a larger one two, so the rows
-    are hashed in those two groups.
+    are hashed in those two groups.  Only columns ``first .. k - 1`` are
+    drawn, so a caller holding the first columns extends them for the cost
+    of the new ones.
     """
-    out = np.empty((len(indices), k))
-    if not k:
+    out = np.empty((len(indices), max(k - first, 0)))
+    if not out.shape[1]:
         return out
     low, high = indices & np.uint64(_MASK32), indices >> np.uint64(32)
     seed_words = _words(seed)
@@ -167,5 +173,5 @@ def uniforms(seed: int, indices: np.ndarray, k: int) -> np.ndarray:
         entropy.append(low[rows].astype(np.uint32))
         if wide:
             entropy.append(high[rows].astype(np.uint32))
-        out[rows] = _pcg64_doubles(_seed_words(entropy), k)
+        out[rows] = _pcg64_doubles(_seed_words(entropy), k, first)
     return out

@@ -42,7 +42,7 @@ class OrderCapExceeded(SignumError):
 
 
 class NonFinite(SignumError):
-    """A numeric matrix contains NaN or infinite entries."""
+    """A numeric matrix has NaN or infinite entries, or a norm that overflows."""
 
 
 class ZeroLeading(SignumError):

@@ -2,12 +2,15 @@
 
 A sample of a pattern draws log-uniform magnitudes onto the nonzero
 positions with the pattern's signs.  Profiles classify eigenvalues by the
-sign of their real part under a relative tolerance.  A census aggregates
-profiles over many samples, in rounds as large as a byte bound allows,
-each round's eigensolve split across the CPUs.  Witness construction
-emphasizes chosen cycles with large magnitudes while every other nonzero
-position gets a small epsilon, so the spectrum stays close to that of the
-emphasized part.
+sign of their real part under a relative tolerance.  One routine,
+``_solve``, solves and thresholds every single matrix (a profile, each step
+of an epsilon walk, a census trial solved on its own, a characteristic
+polynomial), so a norm that is not finite raises NonFinite wherever one
+matrix is solved.  A census aggregates profiles over many samples, in
+rounds as large as a byte bound allows, each round's eigensolve one stack
+split across the CPUs.  Witness construction emphasizes chosen cycles with
+large magnitudes while every other nonzero position gets a small epsilon,
+so the spectrum stays close to that of the emphasized part.
 
 Two samples of one pattern with different inertias certify that the
 pattern does not force a unique inertia; ``find_witness_pair`` looks for
@@ -212,7 +215,9 @@ def _magnitudes(u: np.ndarray, laws: Sequence[tuple[float, float]], start: int) 
 # kept at the widest support size asked for, oldest use evicted first past
 # _MAGS_CAP bytes.  Row r of ``uniforms(seed, indices, k)`` is a prefix of
 # the same row at any larger k, so ``mags[:, :k]`` is bit for bit what a
-# fresh draw at width k gives, and no census can tell a hit from a miss.
+# fresh draw at width k gives, and no census can tell a hit from a miss.  A
+# block asked for wider is extended by its missing columns alone, which are
+# the tail of a fresh wide draw.
 _MAGS: dict[tuple, np.ndarray] = {}
 _MAGS_CAP = 4 << 20
 
@@ -223,10 +228,12 @@ def _block_magnitudes(
     """Read-only magnitudes of trials block * _BLOCK onwards, at least k wide."""
     key = (seed, laws, block)
     mags = _MAGS.pop(key, None)
-    if mags is None or mags.shape[1] < k:
+    width = 0 if mags is None else mags.shape[1]
+    if mags is None or width < k:
         start = block * _BLOCK
-        u = uniforms(seed, np.arange(start, start + _BLOCK, dtype=np.uint64), k)
-        mags = _magnitudes(u, laws, start)
+        u = uniforms(seed, np.arange(start, start + _BLOCK, dtype=np.uint64), k, width)
+        new = _magnitudes(u, laws, start)
+        mags = new if mags is None else np.hstack((mags, new))
         mags.flags.writeable = False
     _MAGS[key] = mags
     total = sum(m.nbytes for m in _MAGS.values())
@@ -377,20 +384,34 @@ def _stack_thresholds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _thresholds(np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]))
 
 
-def _eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one matrix; a LAPACK failure raises EigenFailure."""
+def _solve(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Eigenvalues of one matrix, with its classification tolerance and roundoff floor.
+
+    The one solve of a single matrix: ``spectral_profile``, every step of
+    ``stabilize_epsilon``, the census's per-matrix fallback and
+    ``char_poly`` all come here.  A matrix whose Frobenius norm is not
+    finite has no tolerance and raises NonFinite before any solve; a LAPACK
+    failure raises EigenFailure.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not math.isfinite(norm):
+        raise NonFinite(f"matrix norm is {norm}, so its spectrum cannot be classified")
     try:
-        return np.linalg.eigvals(a)
+        eig = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
+    return (eig, *_thresholds(norm))
 
 
 def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of every matrix of a stack, and which solves succeeded.
 
     One call covers the whole stack.  If it fails, each matrix is solved on
-    its own, so one bad matrix costs one failure, as a per-matrix loop
-    would count it; failed rows hold zeros.
+    its own by ``_solve``, so one bad matrix costs one failure, as a
+    per-matrix loop would count it; a row whose solve fails or whose norm
+    is not finite fails, and failed rows hold zeros.
     """
     try:
         return np.linalg.eigvals(mats), np.ones(len(mats), dtype=bool)
@@ -400,8 +421,8 @@ def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = np.ones(len(mats), dtype=bool)
     for r, mat in enumerate(mats):
         try:
-            eig[r] = np.linalg.eigvals(mat)
-        except np.linalg.LinAlgError:
+            eig[r] = _solve(mat)[0]
+        except (EigenFailure, NonFinite):
             ok[r] = False
     return eig, ok
 
@@ -478,15 +499,11 @@ def spectral_profile(a: np.ndarray) -> SpectralProfile:
 
     With tol = 1e-8 * (1 + ||a||_F), real parts within +-tol count as zero
     real part, moduli within tol as zero eigenvalues, imaginary parts within
-    tol as real eigenvalues.  A matrix whose norm is not finite has no
-    such tol and raises NonFinite.
+    tol as real eigenvalues.  The solve and the thresholds are ``_solve``'s,
+    as for every single matrix: a matrix whose norm is not finite has no
+    such tol and raises NonFinite, and a LAPACK failure raises EigenFailure.
     """
-    a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if not math.isfinite(norm):
-        raise NonFinite(f"matrix norm is {norm}, so its spectrum cannot be classified")
-    return _profile(_eigvals(a), *_thresholds(norm))
+    return _profile(*_solve(a))
 
 
 NEAR_ONE_LO, NEAR_ONE_HI = 0.5, 2.0
@@ -637,13 +654,16 @@ def stabilize_epsilon(
     Walks epsilon down 10^-1 .. 10^-12 and returns the first value whose
     inertia agrees with the next two smaller ones.  The emphasized parts'
     nonzero eigenvalues must be pairwise distinct, otherwise closeness of
-    the perturbed spectrum pins down nothing.  An eigensolver failure, on
-    the base or on any step, raises EigenFailure.
+    the perturbed spectrum pins down nothing.  The base and every step are
+    solved and thresholded by ``_solve``, as ``spectral_profile`` solves
+    the matrix returned: an eigensolver failure, on the base or on any
+    step, raises EigenFailure, and a norm that is not finite raises
+    NonFinite.
     """
     if not spec.parts:
         raise CycleNotInPattern("nothing to emphasize")
     base = build_witness(pattern, replace(spec, epsilon=0.0))
-    base_eigs = _eigvals(base)
+    base_eigs = _solve(base)[0]
     scale = 1.0 + float(np.max(np.abs(base_eigs)))
     # Vertices outside the emphasized parts contribute exact zeros, which
     # are fine; the parts' own (nonzero) eigenvalues must stay apart.
@@ -664,8 +684,7 @@ def stabilize_epsilon(
     counts: list[tuple[int, int]] = []
     for eps in EPSILON_SCHEDULE:
         mat = base + eps * rest
-        eig = _eigvals(mat)
-        tol, floor = _thresholds(float(np.linalg.norm(mat)))
+        eig, tol, floor = _solve(mat)
         steps.append((mat, eps, eig, tol, floor))
         above = below = 0
         for x in eig.real.tolist():
@@ -701,8 +720,9 @@ def _try_pair(
 ) -> WitnessPair | None:
     """Both specs' stabilized matrices, when their inertias are firm and differ.
 
-    A walk that fails, a ``suspect_inertia`` profile on either side, or
-    equal inertias give ``None``.  The second walk runs only when the first
+    A walk that fails (its eigensolve or its norm included), a
+    ``suspect_inertia`` profile on either side, or equal inertias give
+    ``None``.  The second walk runs only when the first
     settles on a profile without ``suspect_inertia``.
     """
     try:
@@ -712,7 +732,14 @@ def _try_pair(
             # change the answer.
             return None
         mat_b, eps_b, prof_b = stabilize_epsilon(pattern, spec_b)
-    except (NoStabilization, DegenerateBase, CycleNotInPattern, SignMismatch, EigenFailure):
+    except (
+        NoStabilization,
+        DegenerateBase,
+        CycleNotInPattern,
+        SignMismatch,
+        EigenFailure,
+        NonFinite,
+    ):
         return None
     if prof_a.inertia == prof_b.inertia or prof_b.suspect_inertia:
         return None

@@ -18,6 +18,7 @@ from signum.errors import (
     CycleNotInPattern,
     DegenerateBase,
     EigenFailure,
+    NonFinite,
     NoStabilization,
     NotCombinatoriallySymmetric,
     SignMismatch,
@@ -335,7 +336,14 @@ def _try_pair_both_walks(pattern, spec_a, spec_b, method, detail):
     try:
         mat_a, eps_a, prof_a = spectra.stabilize_epsilon(pattern, spec_a)
         mat_b, eps_b, prof_b = spectra.stabilize_epsilon(pattern, spec_b)
-    except (NoStabilization, DegenerateBase, CycleNotInPattern, SignMismatch, EigenFailure):
+    except (
+        NoStabilization,
+        DegenerateBase,
+        CycleNotInPattern,
+        SignMismatch,
+        EigenFailure,
+        NonFinite,
+    ):
         return None
     if prof_a.inertia == prof_b.inertia:
         return None

@@ -392,6 +392,30 @@ def test_warm_cache_census_equals_cold(monkeypatch, first, second):
     assert {m.shape[1] for m in spectra._MAGS.values()} == {len(WIDE.support())}
 
 
+def test_extended_block_equals_a_fresh_wide_draw(monkeypatch):
+    """A block asked for wider draws only its missing columns, and equals a fresh wide block."""
+    laws = ((1e-2, 1e2), (NEAR_ONE_LO, NEAR_ONE_HI))
+    drawn = []
+    uniforms = spectra.uniforms
+
+    def counted(seed, indices, k, first=0):
+        drawn.append((int(indices[0]), k, first))
+        return uniforms(seed, indices, k, first)
+
+    monkeypatch.setattr(spectra, "uniforms", counted)
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    narrow = spectra._block_magnitudes(1729, laws, 3, 10)
+    wide = spectra._block_magnitudes(1729, laws, 3, 20)
+    assert spectra._block_magnitudes(1729, laws, 3, 15) is wide
+    assert drawn == [(3 * spectra._BLOCK, 10, 0), (3 * spectra._BLOCK, 20, 10)]
+    assert not wide.flags.writeable
+    assert wide[:, :10].tobytes() == narrow.tobytes()
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    fresh = spectra._block_magnitudes(1729, laws, 3, 20)
+    assert fresh.shape == wide.shape == (spectra._BLOCK, 20)
+    assert fresh.tobytes() == wide.tobytes()
+
+
 def test_cache_stays_within_its_cap(monkeypatch):
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=10 * spectra._BLOCK + 5, seed=11)

@@ -55,6 +55,21 @@ def test_char_poly_against_minor_sums():
 def test_char_poly_rejects_nonfinite():
     with pytest.raises(NonFinite):
         char_poly(np.array([[np.nan, 0], [0, 1.0]]))
+    with pytest.raises(NonFinite):
+        char_poly(np.array([[0.0, np.inf], [1.0, 0.0]]))
+    # Finite entries, but a norm that overflows, as in spectral_profile.
+    with pytest.raises(NonFinite):
+        char_poly(np.array([[0.0, 1e300], [-1e300, 0.0]]))
+
+
+def test_char_poly_is_np_poly_of_the_matrix_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        a = rng.normal(size=(n, n)) * 10 ** rng.uniform(-3, 3, size=(n, n))
+        want = tuple(float(c) for c in np.real(np.poly(a))[::-1])
+        assert np.array(char_poly(a).coeffs).tobytes() == np.array(want).tobytes()
+    assert char_poly(np.zeros((0, 0))).coeffs == (1.0,)
 
 
 def test_ek_sign_examples(pat):

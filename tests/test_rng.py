@@ -68,6 +68,18 @@ def test_uniforms_match_default_rng_anywhere(seed, indices, k):
     assert_bits_equal(got, reference(seed, indices, k))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**140),
+    indices=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+    k=st.integers(0, 40),
+    first=st.integers(0, 45),
+)
+def test_uniforms_column_range_is_the_tail_of_a_full_draw(seed, indices, k, first):
+    got = _rng.uniforms(seed, np.array(indices, dtype=np.uint64), k, first)
+    assert_bits_equal(got, reference(seed, indices, k)[:, first:])
+
+
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError):
         SampleConfig(seed=-1)

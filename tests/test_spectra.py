@@ -1,7 +1,13 @@
+import ast
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_tree_pattern
+from signum import spectra
 from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
 from signum.errors import CycleNotInPattern, EigenFailure, NonFinite, SignMismatch
 from signum.patterns import (
@@ -105,6 +111,69 @@ def test_profile_of_an_overflowing_norm_is_an_error():
         spectral_profile(np.array([[0.0, 1e300], [-1e300, 0.0]]))
     with pytest.raises(NonFinite):
         spectral_profile(np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+
+def test_overflowing_walk_is_non_finite_like_its_profile(pat):
+    """Emphasis at 1e200 overflows every norm: the walk fails as its profile does, warning nothing.
+
+    Classified under an infinite tolerance, every step would read (0, 0, 4).
+    """
+    p = pat("PAT_P4")
+    spec = WitnessSpec(matching_parts(p, [(0, 1), (2, 3)]), (1e200, 1e199))
+    finite = ladder_spec(matching_parts(p, [(1, 2)]))
+    assert not stabilize_epsilon(p, finite)[2].suspect_inertia
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFinite):
+            stabilize_epsilon(p, spec)
+        for eps in (0.0, *spectra.EPSILON_SCHEDULE):
+            with pytest.raises(NonFinite):
+                spectral_profile(build_witness(p, replace(spec, epsilon=eps)))
+        assert spectra._try_pair(p, spec, finite, "m", {}) is None
+        assert spectra._try_pair(p, finite, spec, "m", {}) is None
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_stack_fallback_fails_rows_as_a_single_solve_does():
+    """A stack that fails is solved row by row by ``_solve``: a NaN row fails, the rest are exact."""
+    rng = np.random.default_rng(4)
+    mats = rng.normal(size=(3, 5, 5))
+    mats[1, 2, 3] = np.nan  # eigvals rejects the whole stack
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvals(mats)
+    eig, ok = spectra._stack_eigvals(mats)
+    assert ok.tolist() == [True, False, True]
+    assert not eig[1].any()
+    for r in (0, 2):
+        assert eig[r].tobytes() == np.linalg.eigvals(mats[r]).astype(complex).tobytes()
+
+
+def _calls(source: str, module: str, name: str) -> list[str]:
+    """Names of the functions of ``source`` that call ``module.name``, one per call."""
+    callers = []
+    for node in ast.parse(source).body:
+        for call in ast.walk(node):
+            func = getattr(call, "func", None)
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr == name
+                and ast.unparse(func.value) == module
+            ):
+                callers.append(getattr(node, "name", "<module>"))
+    return callers
+
+
+def test_one_solve_of_a_single_matrix():
+    """``eigvals`` runs in ``_solve`` for one matrix and ``_stack_eigvals`` for a stack, nowhere else."""
+    package = Path(spectra.__file__).parent
+    eigvals, norms = [], []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        eigvals += [(path.name, f) for f in _calls(source, "np.linalg", "eigvals")]
+        norms += [(path.name, f) for f in _calls(source, "np.linalg", "norm")]
+    assert eigvals == [("spectra.py", "_solve"), ("spectra.py", "_stack_eigvals")]
+    assert norms == [("spectra.py", "_solve")]
 
 
 def test_census_counts_an_overflowing_norm_as_a_failure(pat):

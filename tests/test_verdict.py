@@ -17,7 +17,7 @@ from signum.charpoly import ek_sign
 from signum.cycles import PatternAnalysis
 from signum.fixtures import FIXTURES
 from signum.graphs import ShapeKind, _PackedTuples
-from signum.patterns import AmbSign, SignPattern
+from signum.patterns import AmbSign, SignPattern, parse_pattern
 from signum.spectra import SampleConfig, sample, spectral_profile
 from signum.verdict import (
     FORBIDDEN_BLOCKS,
@@ -107,6 +107,61 @@ def test_witness_attached_and_confirmed(pat):
         pa = spectral_profile(np.asarray(pair.a))
         pb = spectral_profile(np.asarray(pair.b))
         assert pa.inertia != pb.inertia
+
+
+# Two wrong answers: R8 concludes does_not_require on a census pair whose
+# matrices are both (3, 3, 0) at 60 digits (smallest |Re| 6.8e-11 and
+# 4.9e-10, inside the float tolerance).
+WRONG_ANSWERS = {
+    "default-law": (
+        """
+        0 0 0 0 - 0
+        0 0 - + - 0
+        0 - 0 0 0 0
+        0 + 0 0 + +
+        + + 0 - 0 0
+        0 0 0 - 0 0
+        """,
+        SampleConfig(),
+    ),
+    "wide-law": (
+        """
+        0 - 0 0 + 0
+        - 0 0 0 0 0
+        0 0 0 + - -
+        0 0 + 0 0 -
+        + 0 + 0 0 0
+        0 0 - + 0 0
+        """,
+        SampleConfig(lo=1e-3, hi=1e3),
+    ),
+}
+
+
+def high_precision_inertia(mpmath, a: np.ndarray) -> tuple[int, int, int]:
+    """Inertia from ``mpmath.eig`` at 60 digits; a real part within 1e-40 (1 + ||a||_F) is zero."""
+    with mpmath.workdps(60):
+        m = mpmath.matrix(a.tolist())  # every float converts exactly
+        zero = mpmath.mpf(10) ** -40 * (1 + mpmath.mnorm(m, "f"))
+        re = [mpmath.re(z) for z in mpmath.eig(m, left=False, right=False)]
+        return (sum(x > zero for x in re), sum(x < -zero for x in re), sum(abs(x) <= zero for x in re))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 1a and 4: R8 concludes on a float census pair whose"
+    " two matrices have the same exact inertia, (3, 3, 0)",
+)
+@pytest.mark.parametrize("name", list(WRONG_ANSWERS))
+def test_does_not_require_rests_on_distinct_exact_inertias(name):
+    mpmath = pytest.importorskip("mpmath")
+    text, cfg = WRONG_ANSWERS[name]
+    v = analyze(parse_pattern(text), cfg=cfg)
+    for f in v.findings:
+        if f.conclusion is Conclusion.DOES_NOT_REQUIRE and f.witness is not None:
+            a, b = (high_precision_inertia(mpmath, m) for m in (f.witness.a, f.witness.b))
+            assert a != b, (f.rule_id, f.witness.inertias(), a)
 
 
 @pytest.mark.parametrize("failing", ["base", "steps"])
