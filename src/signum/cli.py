@@ -14,7 +14,6 @@ import sys
 import click
 import numpy as np
 
-from . import fixtures as fixture_catalog
 from .errors import SignumError
 from .graphs import SignedGraph, digraph_to_dot, graph_to_dot
 from .patterns import SignPattern, parse_pattern
@@ -52,6 +51,9 @@ def _load_pattern(path: str | None, fixture: str | None) -> SignPattern:
     if (path is None) == (fixture is None):
         raise click.ClickException("give exactly one of a pattern file or --fixture")
     if fixture is not None:
+        # Imported here: a pattern file needs no catalog.
+        from . import fixtures as fixture_catalog
+
         try:
             return fixture_catalog.fixture(fixture).pattern
         except KeyError as exc:
@@ -101,6 +103,8 @@ def cmd_analyze(path, fixture, as_json, trials, seed) -> None:
 @main.command("fixtures")
 def cmd_fixtures() -> None:
     """List the built-in benchmark patterns."""
+    from . import fixtures as fixture_catalog
+
     for name in fixture_catalog.fixture_names():
         fix = fixture_catalog.fixture(name)
         click.echo(f"{name} (order {fix.pattern.n}): {fix.description}")
@@ -110,6 +114,8 @@ def cmd_fixtures() -> None:
 @click.option("--filter", "name_filter", default=None, help="substring filter on fixture names")
 def cmd_verify(name_filter) -> None:
     """Recompute every catalog expectation and print one line per check."""
+    from . import fixtures as fixture_catalog
+
     names = fixture_catalog.fixture_names()
     if name_filter is not None:
         names = [n for n in names if name_filter in n]

@@ -7,8 +7,8 @@ sign of their real part under a relative tolerance.  One routine,
 of an epsilon walk, a census trial solved on its own, a characteristic
 polynomial), so a norm that is not finite raises NonFinite wherever one
 matrix is solved.  A census aggregates profiles over many samples, in
-rounds as large as a byte bound allows, each round's eigensolve one stack
-split across the CPUs.  Witness construction emphasizes chosen cycles with
+rounds as large as a byte bound allows, each round's eigensolve shared in
+chunks among the CPUs.  Witness construction emphasizes chosen cycles with
 large magnitudes while every other nonzero position gets a small epsilon,
 so the spectrum stays close to that of the emphasized part.
 
@@ -75,8 +75,8 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 EPSILON_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 13))
-# Trials per cached block of census magnitudes, and the fewest rows worth a
-# census round or a thread's slice of its eigensolve.
+# Trials per cached block of census magnitudes, the fewest trials of a
+# census round, and the rows of each chunk of its eigensolve.
 _BLOCK = 256
 # Bytes of realizations one census round may hold, so that transient memory
 # stays bounded whatever the trial count.
@@ -427,8 +427,7 @@ def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig, ok
 
 
-# The census eigensolve pool, built on first use by _census_pool.  Only
-# _stack_eigvals runs there, a pure function of its stack.
+# The census eigensolve pool, built on first use by _census_pool.
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
@@ -442,54 +441,56 @@ def _cpus() -> int:
 
 
 def _census_pool():
-    """The census thread pool, built on first use with one thread fewer than ``_cpus()``.
-
-    The first census that pools fixes the size.  Should the process's CPUs
-    change later, rounds are sliced for the new count; a round with more
-    pool slices than threads leaves a slice queued, which the calling thread
-    then takes back.
-    """
+    """The census thread pool, sized on first use to one thread fewer than ``_cpus()``."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _POOL = ThreadPoolExecutor(
-                max(_cpus() - 1, 1), thread_name_prefix="signum-census"
-            )
+            _POOL = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="signum-census")
         return _POOL
 
 
 def _round_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_stack_eigvals`` of a census round, its slices solved side by side.
+    """``_stack_eigvals`` of a census round, solved in ``_BLOCK``-row chunks.
 
-    The stack is cut into ``min(_cpus(), ceil(rows / _BLOCK))`` contiguous
-    slices of near-equal size.  The pool solves all but the last while the
-    calling thread solves the last, so the pool has one thread fewer than
-    the CPUs.  A pool slice not yet started when its result is due is taken
-    back and solved here, so a pool thread slow to start costs little.  A
-    failing slice is redone one matrix at a time on the thread that solved
-    it; any other error is raised here and the slices still pending are
-    cancelled.  Each solve reads only its own rows, so the result is the
-    plain loop's whatever the threads' timing.  With one slice no thread
-    starts.
+    The calling thread and ``min(_cpus(), chunks) - 1`` pool threads each
+    take the next unsolved chunk from one counter until none is left, so a
+    pool thread slow to start takes fewer chunks or none, and the caller
+    waits only for chunks already being solved.  On one CPU the round is one
+    chunk.  A failing chunk is redone matrix by matrix on the thread that
+    took it; any other error stops the taking and is raised here once no
+    chunk is being solved.  Each solve reads only its own rows and the parts
+    are joined in chunk order, so the result is the plain loop's whatever
+    the threads' timing.
     """
-    count = min(_cpus(), -(-len(mats) // _BLOCK))
-    if count <= 1:
-        return _stack_eigvals(mats)
-    *pooled, last = np.array_split(mats, count)
-    pool = _census_pool()
-    solves = [pool.submit(_stack_eigvals, part) for part in pooled]
-    try:
-        here = _stack_eigvals(last)
-        parts = [
-            _stack_eigvals(part) if solve.cancel() else solve.result()
-            for part, solve in zip(pooled, solves)
-        ] + [here]
-    finally:
-        # Left pending only when a solve raised.
-        for solve in solves:
-            solve.cancel()
+    size = _BLOCK if _cpus() > 1 else len(mats)
+    chunks = -(-len(mats) // size)
+    parts, errors = [None] * chunks, []
+    taken, busy, idle = 0, 0, threading.Condition()
+
+    def take() -> None:
+        nonlocal taken, busy
+        while True:
+            with idle:
+                if errors or taken == chunks:
+                    return
+                c, taken, busy = taken, taken + 1, busy + 1
+            try:
+                parts[c] = _stack_eigvals(mats[c * size : (c + 1) * size])
+            except BaseException as exc:  # raised on the calling thread below
+                errors.append(exc)
+            with idle:
+                busy -= 1
+                idle.notify()
+
+    for _ in range(min(_cpus(), chunks) - 1):
+        _census_pool().submit(take)
+    take()
+    with idle:
+        idle.wait_for(lambda: not busy)
+    if errors:
+        raise errors[0]
     eig, ok = zip(*parts)
     return np.concatenate(eig), np.concatenate(ok)
 
@@ -544,18 +545,17 @@ def census(
     a round makes one fill, one eigensolve, one classification and one tally.
     The result depends neither on evaluation order nor on where the rounds
     split, nor on which blocks of magnitudes earlier censuses left in the
-    ``_block_magnitudes`` cache.  A round's eigensolve is split across the
-    CPUs the process may use (``_round_eigvals``); everything else runs on
-    the calling thread, in trial order.  A sample is recorded as
-    solid evidence only if its profile is not suspect and its claimed
-    zero-eigenvalue count matches the generic multiplicity, n minus the
-    pattern's ``max_composite_length``; a sample claiming any other count
-    caught a measure-zero or mis-thresholded configuration.  A trial whose
-    eigensolve fails, or whose norm overflows so that no tolerance can
-    classify it, counts as a failure.  A round's one tally groups its
-    trials by inertia, real count and solidity together; the inertia
-    counts, the frequencies and the solid representatives are all read
-    off it, and each dict gets its keys in order of first sample.
+    ``_block_magnitudes`` cache.  Only the eigensolve leaves the calling
+    thread, its chunks shared among the CPUs (``_round_eigvals``).  A sample
+    is recorded as solid evidence only if its profile is not suspect and its
+    claimed zero-eigenvalue count matches the generic multiplicity, n minus
+    the pattern's ``max_composite_length``; a sample claiming any other
+    count caught a measure-zero or mis-thresholded configuration.  A trial
+    whose eigensolve fails, or whose norm overflows so that no tolerance can
+    classify it, counts as a failure.  A round's one tally groups its trials
+    by inertia, real count and solidity together; the inertia counts, the
+    frequencies and the solid representatives are all read off it, and each
+    dict gets its keys in order of first sample.
 
     ``prior``, a census of the same pattern with the same seed and laws but
     fewer trials, is resumed rather than redrawn: its tallies are copied and

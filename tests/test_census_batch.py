@@ -7,7 +7,7 @@ test.  Agreement must be exact: counts, frequencies, failures and the raw
 bytes of every solid representative.  A census resumed from a shorter one
 must equal a fresh census to the same standard, and so must a census that
 reads its magnitudes from blocks other censuses left in the shared cache,
-and so must a census whose round solves are split across the thread pool.
+and so must a census whose round's chunks are shared with the thread pool.
 
 R9 reads the edge-flipped pattern's frequencies off the main census; a real
 census of the flipped pattern is its oracle.  The stack classifier computes
@@ -20,7 +20,9 @@ on that full classifier is its oracle.
 from __future__ import annotations
 
 import math
+import sys
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -326,7 +328,7 @@ def test_stabilize_matches_per_epsilon_loop(name, cycle, matching):
 
 
 def test_census_eigensolver_failures(monkeypatch):
-    """A failing slice is redone matrix by matrix; only the bad trials fail."""
+    """A failing stack is redone matrix by matrix; only the bad trials fail."""
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=600, seed=23)
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
@@ -343,8 +345,8 @@ def test_census_eigensolver_failures(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
-    # The plain loop, so every count is made on this thread;
-    # test_pooled_fallback_solves_in_a_worker covers the pool.
+    # One CPU, so every count is made on this thread;
+    # test_pooled_fallback_solves_on_the_taking_thread covers the pool.
     with cpus(1):
         got = census(pattern, cfg)
     # One round of 600 trials in one stack, which trials 4 and 301 spoil.
@@ -469,7 +471,7 @@ def test_pooled_census_equals_one_cpu(pattern, law, seed, workers):
                 prior = census(pattern, cfg, prior=prior)
                 runs[count].append(prior)
             if count > 1:
-                # The calling thread solves one slice of each round itself.
+                # The calling thread takes chunks too.
                 assert spectra._POOL._max_workers == count - 1
     for got, want in zip(runs[workers], runs[1]):
         assert_same_census(got, want)
@@ -481,7 +483,7 @@ def test_pooled_census_equals_one_cpu(pattern, law, seed, workers):
     ids=["one-cpu", "one-stack", "no-stack-one-cpu", "no-stack"],
 )
 def test_census_without_pool_starts_no_thread(monkeypatch, count, trials, resumed):
-    """One CPU or at most one stack: the plain loop on the calling thread.
+    """One CPU or one chunk: every solve on the calling thread.
 
     A census resumed from a prior of as many trials has no stack to solve
     and returns the prior's tallies.
@@ -507,63 +509,68 @@ def test_census_without_pool_starts_no_thread(monkeypatch, count, trials, resume
     assert_same_census(got, want)
 
 
-class _Started:
-    """A pool solve that claims to have started, so it is never taken back."""
+def run_bounded(fn, timeout: float = 60):
+    """fn() on a thread of its own, joined with a timeout: a hung census fails, not hangs."""
+    out = {}
 
-    def __init__(self, solve):
-        self.solve = solve
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
 
-    def cancel(self) -> bool:
-        return False
-
-    def result(self):
-        return self.solve.result()
-
-
-def wait_for_pool(monkeypatch):
-    """Collect every pool slice from the pool, never taking one back."""
-    pool = spectra._census_pool()
-    submit = pool.submit
-    monkeypatch.setattr(pool, "submit", lambda fn, *args: _Started(submit(fn, *args)))
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
-def test_pooled_fallback_solves_in_a_worker(monkeypatch):
-    """A failing slice is redone matrix by matrix on the pool thread that solved it."""
+def test_pooled_fallback_solves_on_the_taking_thread(monkeypatch):
+    """A failing chunk is redone matrix by matrix on the thread that took it."""
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=1000, seed=23)
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
-    # Each census is one round in two slices; trials 0-499 of the
-    # 1000-trial census and 0-255 of the 512-trial prior go to the pool.
+    # Trials 4 and 201 spoil chunk 0 of the 1000-trial census and of the
+    # 512-trial prior; trials 512-999 hold neither.
     bad = [scalar_sample(pattern, cfg, 4), scalar_sample(pattern, narrow, 201)]
     original = np.linalg.eigvals
-    single_threads = []
+    spoiled, single = Counter(), Counter()
+    lock = threading.Lock()
 
     def eigvals(a):
         a = np.asarray(a)
-        if a.ndim == 2:
-            single_threads.append(threading.current_thread().name)
-        if any(np.array_equal(m, b) for m in a.reshape(-1, *a.shape[-2:]) for b in bad):
+        hit = any(np.array_equal(m, b) for m in a.reshape(-1, *a.shape[-2:]) for b in bad)
+        with lock:
+            name = threading.current_thread().name
+            if a.ndim == 2:
+                single[name] += 1
+            elif hit:
+                spoiled[name] += len(a)
+        if hit:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return original(a)
 
     monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
     with cpus(2):
-        wait_for_pool(monkeypatch)
         got = census(pattern, cfg)
         resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=512)))
-    # Trials 4 and 201 spoil the pool's slice of each census that draws them.
-    assert len(single_threads) == 500 + 256
-    assert all(name.startswith("signum-census") for name in single_threads)
+    assert sum(spoiled.values()) == 2 * spectra._BLOCK
+    assert single == spoiled
     want = oracle_census(pattern, cfg)
     assert got.failures == want.failures == 2
     assert_same_census(got, want)
     assert_same_census(resumed, want)
 
 
-def test_unstarted_pool_solves_are_taken_back(monkeypatch):
-    """With the pool's one thread held up, the calling thread solves every slice."""
+def test_held_pool_leaves_every_chunk_to_the_caller(monkeypatch):
+    """With the pool's one thread held, the calling thread solves every chunk and waits for none."""
     pattern = FIXTURES["PAT_TWOSQ9"].pattern
     cfg = SampleConfig(trials=1000, seed=8)
+    with cpus(1):
+        want = census(pattern, cfg)
     callers = []
     original = np.linalg.eigvals
 
@@ -581,33 +588,145 @@ def test_unstarted_pool_solves_are_taken_back(monkeypatch):
         finally:
             release.set()
         assert held.result(timeout=60)
-    assert callers == [threading.get_ident()] * 2
-    assert_same_census(got, oracle_census(pattern, cfg))
+    assert callers == [threading.get_ident()] * 4
+    assert_same_census(got, want)
+
+
+def test_straggling_pool_chunk_holds_up_no_other_chunk(monkeypatch):
+    """The pool thread's first chunk waits until the caller has solved every other chunk."""
+    pattern = FIXTURES["PAT_TWOSQ9"].pattern
+    cfg = SampleConfig(trials=1000, seed=8)
+    with cpus(1):
+        want = census(pattern, cfg)
+    chunks = -(-cfg.trials // spectra._BLOCK)
+    original = np.linalg.eigvals
+    pool_started, others_done = threading.Event(), threading.Event()
+    solved, released = Counter(), []
+    lock = threading.Lock()
+
+    def eigvals(a):
+        pooled = threading.current_thread().name.startswith("signum-census")
+        if pooled and not pool_started.is_set():
+            pool_started.set()
+            released.append(others_done.wait(20))
+        elif not pooled:
+            # The caller takes its chunks only once the pool thread holds one.
+            pool_started.wait(20)
+        result = original(a)
+        with lock:
+            solved["pool" if pooled else "caller"] += 1
+            if solved["caller"] == chunks - 1:
+                others_done.set()
+        return result
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    with cpus(2):
+        got = run_bounded(lambda: census(pattern, cfg))
+    assert released == [True]
+    assert solved == {"caller": chunks - 1, "pool": 1}
+    assert_same_census(got, want)
 
 
 def test_pooled_census_propagates_other_errors(monkeypatch):
+    """An error on the pool thread is raised by the caller, and no chunk is taken after it."""
     pattern = FIXTURES["PAT_EX26"].pattern
-    cfg = SampleConfig(trials=2000, seed=3)
-    # One round in two slices; the pool's slice starts at trial 0.
-    pool_first = scalar_sample(pattern, cfg, 0)
+    cfg = SampleConfig(trials=2000, seed=3)  # one round of eight chunks
     original = np.linalg.eigvals
-    raised_in = []
+    pool_took, caller_took = threading.Event(), threading.Event()
+    helpers, raised_in, solves = [], [], []
 
     def eigvals(a):
-        if np.array_equal(a[0], pool_first):
-            raised_in.append(threading.current_thread().name)
+        name = threading.current_thread().name
+        if name.startswith("signum-census") and not raised_in:
+            # Fail the pool thread's first chunk once the caller holds one.
+            pool_took.set()
+            caller_took.wait(20)
+            raised_in.append(name)
             raise MemoryError("no room for the stack")
+        caller_took.set()
+        pool_took.wait(20)
+        # Solve only once the pool thread has recorded its error and stopped.
+        helpers[0].result(timeout=20)
+        solves.append(name)
         return original(a)
 
     with cpus(2):
-        wait_for_pool(monkeypatch)
+        pool = spectra._census_pool()
+        submit = pool.submit
+
+        def tracked(*args):
+            helpers.append(submit(*args))
+            return helpers[-1]
+
+        monkeypatch.setattr(pool, "submit", tracked)
         monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
         with pytest.raises(MemoryError, match="no room"):
-            census(pattern, cfg)
+            run_bounded(lambda: census(pattern, cfg))
         assert len(raised_in) == 1 and raised_in[0].startswith("signum-census")
+        # The caller solved the chunk it held and took none after the error.
+        assert len(helpers) == len(solves) == 1
+        assert not solves[0].startswith("signum-census")
         # The pool outlives the error and the next census is whole.
         monkeypatch.setattr(spectra.np.linalg, "eigvals", original)
         assert_same_census(census(pattern, cfg), oracle_census(pattern, cfg))
+
+
+def test_caller_error_waits_for_the_pool_chunk_in_flight(monkeypatch):
+    """The caller raises its own error only once the pool thread's chunks are solved."""
+    pattern = FIXTURES["PAT_EX26"].pattern
+    cfg = SampleConfig(trials=2000, seed=3)
+    original = np.linalg.eigvals
+    pool_took, raised = threading.Event(), threading.Event()
+    started, finished = [], []
+
+    def eigvals(a):
+        if not threading.current_thread().name.startswith("signum-census"):
+            pool_took.wait(20)
+            raised.set()
+            raise MemoryError("no room for the stack")
+        started.append(True)
+        pool_took.set()
+        raised.wait(20)
+        result = original(a)
+        finished.append(True)
+        return result
+
+    def run():
+        with pytest.raises(MemoryError, match="no room"):
+            census(pattern, cfg)
+        return len(started), len(finished)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    with cpus(2):
+        taken, solved = run_bounded(run)
+    assert taken >= 1 and solved == taken
+
+
+def test_shared_counter_hands_out_each_chunk_once(monkeypatch):
+    """More threads than cores and a short switch interval: no chunk solved twice or skipped."""
+    pattern = FIXTURES["PAT_EX26"].pattern
+    cfg = SampleConfig(trials=2000, seed=3)
+    with cpus(1):
+        want = census(pattern, cfg)
+    heads = []
+    original = np.linalg.eigvals
+
+    def eigvals(a):
+        heads.append(np.asarray(a)[0].tobytes())
+        return original(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cpus(5):
+            got = run_bounded(lambda: census(pattern, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    # Chunks start at even trials, which follow cfg's law.
+    starts = range(0, cfg.trials, spectra._BLOCK)
+    assert sorted(heads) == sorted(sample(pattern, cfg, t).tobytes() for t in starts)
+    assert_same_census(got, want)
 
 
 def count_round_work(monkeypatch) -> dict:
@@ -637,20 +756,17 @@ def count_round_work(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize("count", [1, 2], ids=["one-cpu", "two-cpus"])
-def test_census_round_makes_one_fill_one_tally_and_a_solve_per_cpu(monkeypatch, count):
+def test_census_round_makes_one_fill_one_tally_and_a_solve_per_chunk(monkeypatch, count):
     pattern = FIXTURES["PAT_TWOSQ9"].pattern
     cfg = SampleConfig(trials=1000, seed=5)
     want = oracle_census(pattern, cfg)
     with cpus(count):
-        if count > 1:
-            wait_for_pool(monkeypatch)
         work = count_round_work(monkeypatch)
         got = census(pattern, cfg)
     assert work["fills"] == [1000]
     assert work["tallies"] == 1
-    assert len(work["stacks"]) == count
-    pooled = [name for name in work["stacks"] if name.startswith("signum-census")]
-    assert len(pooled) == count - 1
+    # On one CPU the round is one chunk; on two, four chunks of _BLOCK rows.
+    assert len(work["stacks"]) == (1 if count == 1 else 4)
     assert_same_census(got, want)
     # Even trials are samples under cfg's law, odd ones under the near-one law.
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
@@ -710,7 +826,7 @@ def test_census_rounds_stay_within_the_byte_bound(monkeypatch, bound_rows):
     # The fresh census, the 100-trial prior, then trials 100-999.
     assert work["fills"] == rounds(1000) + [100] + rounds(900)
     assert work["tallies"] == len(work["fills"])
-    assert len(work["stacks"]) == sum(min(2, math.ceil(r / spectra._BLOCK)) for r in work["fills"])
+    assert len(work["stacks"]) == sum(math.ceil(r / spectra._BLOCK) for r in work["fills"])
     assert_same_census(fresh, want)
     assert_same_census(resumed, want)
 

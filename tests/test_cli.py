@@ -21,11 +21,12 @@ def run(*args, env=None):
 HEAVY_PACKAGES = ("scipy", "networkx")
 
 
-def heavy_modules_loaded(code: str) -> list[str]:
-    """Run code in a fresh interpreter; the heavy package modules it left in sys.modules."""
+def heavy_modules_loaded(code: str, watched: tuple[str, ...] = HEAVY_PACKAGES) -> list[str]:
+    """Run code in a fresh interpreter; the watched modules and their submodules it left in sys.modules."""
+    prefixes = tuple(f"{name}." for name in watched)
     report = (
         "print(json.dumps(sorted(m for m in sys.modules"
-        f" if m.partition('.')[0] in {HEAVY_PACKAGES!r})))"
+        f" if m in {watched!r} or m.startswith({prefixes!r}))))"
     )
     probe = f"import json, sys\n{code}\n{report}"
     src = str(Path(signum.__file__).resolve().parents[1])
@@ -37,7 +38,9 @@ def heavy_modules_loaded(code: str) -> list[str]:
 
 
 def test_cli_import_loads_no_heavy_module():
-    assert heavy_modules_loaded("import signum.cli") == []
+    # Only --fixture, fixtures and verify-paper read the catalog, so importing builds none.
+    watched = HEAVY_PACKAGES + ("signum.fixtures",)
+    assert heavy_modules_loaded("import signum.cli", watched) == []
 
 
 def test_cli_analyze_loads_no_heavy_module():
