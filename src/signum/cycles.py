@@ -354,7 +354,8 @@ class PatternAnalysis:
     Every field is computed on first use and kept on this object only, so
     the rules and witness strategies of one ``analyze`` share them and none
     outlives the analysis; ``cover_without`` keeps one answer per vertex set
-    the same way.  Facts of the pattern alone (its masks and
+    the same way, and ``censuses`` one ``spectra.census`` record per seed
+    and law pair.  Facts of the pattern alone (its masks and
     ``max_composite_length``) are cached on the pattern instead, so every
     analysis and census of that object shares them.  A field that raises
     (``graph`` on a pattern that is not combinatorially symmetric, ``shape``
@@ -366,6 +367,7 @@ class PatternAnalysis:
     _covers: dict[frozenset[int], tuple[SimpleCycle, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    censuses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def flags(self) -> PatternFlags:

@@ -10,7 +10,8 @@ Tags say where an expected value comes from:
 values were computed by an independent route and frozen, ``trivial`` values
 follow from definitions.  The ``verify`` entry point recomputes everything
 and is what the ``verify-paper`` command runs; it analyzes each fixture
-once, and every check, the verdict check included, reads that analysis.
+once, and every check, the verdict check included, reads that analysis, so
+a census check and a verdict check read one census record.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def _census_check(
     superset: set[tuple[int, int, int]] | None = None,
 ) -> Check:
     def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        cen = census(facts.pattern, CENSUS_CFG)
+        cen = census(facts, CENSUS_CFG)
         keys = set(cen.inertia_keys())
         if exact_keys is not None and keys != exact_keys:
             return False, f"census keys {sorted(keys)}, expected {sorted(exact_keys)}"

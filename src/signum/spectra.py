@@ -6,9 +6,9 @@ sign of their real part under a relative tolerance.  One routine,
 ``_solve``, solves and thresholds every single matrix (a profile, each step
 of an epsilon walk, a census trial solved on its own, a characteristic
 polynomial), so a norm that is not finite raises NonFinite wherever one
-matrix is solved.  A census aggregates profiles over many samples, in
-rounds as large as a byte bound allows, each round's eigensolve shared in
-chunks among the CPUs.  Witness construction emphasizes chosen cycles with
+matrix is solved.  A census aggregates profiles over a prefix of the
+samples an analysis records, drawn in rounds as large as a byte bound
+allows, each round's eigensolve shared in chunks among the CPUs.  Witness construction emphasizes chosen cycles with
 large magnitudes while every other nonzero position gets a small epsilon,
 so the spectrum stays close to that of the emphasized part.
 
@@ -530,76 +530,77 @@ def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], in
     ]
 
 
-def census(
-    pattern: SignPattern,
-    cfg: SampleConfig,
-    prior: Census | None = None,
-) -> Census:
-    """Profile cfg.trials samples and bucket them by inertia.
+def census(facts: PatternAnalysis | SignPattern, cfg: SampleConfig) -> Census:
+    """Profile the first cfg.trials samples and bucket them by inertia.
 
     Every other trial draws magnitudes near 1 instead of from the wide law,
     which catches classes whose spectra degenerate only at comparable
-    scales.  Trials are independently seeded by index and run in rounds of
-    ``max(_BLOCK, _ROUND_BYTES // (8 n^2))`` trials, so a round of more
-    than ``_BLOCK`` trials holds at most ``_ROUND_BYTES`` of matrices, and
-    a round makes one fill, one eigensolve, one classification and one tally.
-    The result depends neither on evaluation order nor on where the rounds
-    split, nor on which blocks of magnitudes earlier censuses left in the
-    ``_block_magnitudes`` cache.  Only the eigensolve leaves the calling
-    thread, its chunks shared among the CPUs (``_round_eigvals``).  A sample
-    is recorded as solid evidence only if its profile is not suspect and its
-    claimed zero-eigenvalue count matches the generic multiplicity, n minus
-    the pattern's ``max_composite_length``; a sample claiming any other
-    count caught a measure-zero or mis-thresholded configuration.  A trial
-    whose eigensolve fails, or whose norm overflows so that no tolerance can
-    classify it, counts as a failure.  A round's one tally groups its trials
-    by inertia, real count and solidity together; the inertia counts, the
-    frequencies and the solid representatives are all read off it, and each
-    dict gets its keys in order of first sample.
-
-    ``prior``, a census of the same pattern with the same seed and laws but
-    fewer trials, is resumed rather than redrawn: its tallies are copied and
-    only trials ``prior.trials .. cfg.trials - 1`` are drawn, so the result
-    equals a fresh census of cfg.trials trials.
-    Raises ValueError if the prior has more trials than cfg.
+    scales.  Trials are independently seeded by index.  ``facts`` (a bare
+    pattern gets a fresh analysis) keeps one record per seed and law pair,
+    freed with it: 8 bytes per trial drawn, and a copy of each inertia's
+    first firm matrix.  A read of more trials than the record holds draws
+    the rest, and every read is one tally of the record's first cfg.trials
+    trials, so it equals a fresh census whatever was read before.  Trials
+    are drawn in rounds of ``max(_BLOCK, _ROUND_BYTES // (8 n^2))``, so a
+    round of more than ``_BLOCK`` trials holds at most ``_ROUND_BYTES`` of
+    matrices, and a round makes one fill, one eigensolve, one
+    classification and one tally of its firm trials.  The result depends
+    neither on where the rounds split nor on which blocks of magnitudes
+    earlier censuses left in the ``_block_magnitudes`` cache.  Only the
+    eigensolve leaves the calling thread, its chunks shared among the CPUs
+    (``_round_eigvals``).  A trial is firm, solid evidence, only if its
+    inertia is not suspect and its claimed zero-eigenvalue count is the
+    generic multiplicity, n minus the pattern's ``max_composite_length``; a
+    sample claiming any other count caught a measure-zero or
+    mis-thresholded configuration.  A trial whose eigensolve fails, or
+    whose norm overflows so that no tolerance can classify it, counts as a
+    failure.  Each dict gets its keys in order of first sample, or of first
+    firm sample for the solid representatives, which are the record's own.
     """
-    if prior is not None and prior.trials > cfg.trials:
-        raise ValueError(
-            f"cannot resume a census of {prior.trials} trials to {cfg.trials}"
-        )
+    facts = PatternAnalysis(facts) if isinstance(facts, SignPattern) else facts
+    pattern, n = facts.pattern, facts.pattern.n
     lo, hi = max(cfg.lo, NEAR_ONE_LO), min(cfg.hi, NEAR_ONE_HI)
     if lo > hi:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
-    laws = [(cfg.lo, cfg.hi), (lo, hi)]
-    generic_zeros = pattern.n - pattern.max_composite_length
-    support = _support(pattern)
-    prior = prior or Census(0, {}, {}, 0, {})
-    counts = dict(prior.inertia_counts)
-    solid = dict(prior.solid_representatives)
-    freqs = dict(prior.frequency_counts)
-    failures = prior.failures
-    step = max(_BLOCK, _ROUND_BYTES // (8 * max(pattern.n, 1) ** 2))
-    for start in range(prior.trials, cfg.trials, step):
-        mats = _fill(pattern, support, cfg.seed, laws, start, min(start + step, cfg.trials))
-        eig, ok = _round_eigvals(mats)
-        tol, floor = _stack_thresholds(mats)
-        ok = ok & np.isfinite(tol)
-        failures += int(np.count_nonzero(~ok))
-        c = _classify(eig, tol, floor)
-        firm = ~c.suspect_inertia & (c.i_z == generic_zeros)
-        # One tally over (inertia, real count, firm): rows come in order of
-        # first row, so every dict below gets its keys in order of first
-        # sample, and a key's first firm row heads its first firm group.
-        rows = np.stack([c.i_plus, c.i_minus, c.i_zero, c.k_real, firm], axis=1)
-        for (i_plus, i_minus, i_zero, k_real, is_firm), first, count in _tally(rows, ok):
-            key, frequency = (i_plus, i_minus, i_zero), (k_real, pattern.n - k_real)
-            counts[key] = counts.get(key, 0) + count
-            freqs[frequency] = freqs.get(frequency, 0) + count
-            if is_firm and key not in solid:
-                # A copy, not a view: a view would keep its whole round alive.
-                solid[key] = mats[first].copy()
-        del mats, eig, ok  # free each round before filling the next
-    return Census(cfg.trials, counts, freqs, failures, solid)
+    laws = ((cfg.lo, cfg.hi), (lo, hi))
+    # Row t of rows is trial t's (i_plus, i_minus, real count, state), state
+    # 0 for a failure, 1 when classified and 3 when firm too; solid maps each
+    # inertia to its first firm trial and that trial's matrix.
+    rows, solid = facts.censuses.get((cfg.seed, laws), (np.empty((0, 4), np.uint16), {}))
+    if len(rows) < cfg.trials:
+        generic_zeros = n - pattern.max_composite_length
+        support = _support(pattern)
+        grown = np.empty((cfg.trials, 4), dtype=np.uint16)
+        grown[: len(rows)] = rows
+        step = max(_BLOCK, _ROUND_BYTES // (8 * max(n, 1) ** 2))
+        for start in range(len(rows), cfg.trials, step):
+            stop = min(start + step, cfg.trials)
+            mats = _fill(pattern, support, cfg.seed, laws, start, stop)
+            eig, ok = _round_eigvals(mats)
+            tol, floor = _stack_thresholds(mats)
+            ok &= np.isfinite(tol)
+            c = _classify(eig, tol, floor)
+            firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
+            grown[start:stop] = np.stack([c.i_plus, c.i_minus, c.k_real, ok + 2 * firm], 1)
+            for (i_plus, i_minus), first, _ in _tally(grown[start:stop, :2], firm):
+                key = (i_plus, i_minus, n - i_plus - i_minus)
+                if key not in solid:
+                    # A copy, not a view: a view would keep its whole round alive.
+                    solid[key] = (start + first, mats[first].copy())
+            facts.censuses[cfg.seed, laws] = grown[:stop], solid
+            del mats, eig, ok  # free each round before filling the next
+        rows = grown
+    rows = rows[: cfg.trials]
+    ok = rows[:, 3] > 0
+    counts, freqs = {}, {}
+    # Groups come in order of first row, so each dict gets its keys in
+    # order of first sample.
+    for (i_plus, i_minus, k_real), _, count in _tally(rows[:, :3], ok):
+        key, frequency = (i_plus, i_minus, n - i_plus - i_minus), (k_real, n - k_real)
+        counts[key] = counts.get(key, 0) + count
+        freqs[frequency] = freqs.get(frequency, 0) + count
+    solid = {key: mat for key, (first, mat) in solid.items() if first < cfg.trials}
+    return Census(cfg.trials, counts, freqs, int(np.count_nonzero(~ok)), solid)
 
 
 def matching_parts(pattern: SignPattern, edges: Iterable[tuple[int, int]]) -> tuple[SimpleCycle, ...]:
@@ -907,13 +908,10 @@ def _widest_gap_pair(
     return WitnessPair(mats[key_a], mats[key_b], key_a, key_b, method, detail(key_a, key_b))
 
 
-def _pair_from_sampling(
-    facts: PatternAnalysis, cfg: SampleConfig, prior: Census | None
-) -> WitnessPair | None:
-    """Structured probes, then a random census; pair keys with distinct inertia.
+def _pair_from_sampling(facts: PatternAnalysis, cfg: SampleConfig) -> WitnessPair | None:
+    """Structured probes, then a census; pair keys with distinct inertia.
 
-    The census of ``max(_WITNESS_TRIALS, cfg.trials)`` trials resumes
-    ``prior`` when one is given.
+    The census reads ``max(_WITNESS_TRIALS, cfg.trials)`` trials of ``facts``.
     """
     pool: dict[tuple[int, int, int], tuple[str, np.ndarray]] = {}
     try:
@@ -925,7 +923,7 @@ def _pair_from_sampling(
         if not prof.suspect_inertia:
             pool.setdefault(prof.inertia, (f"probe:{name}", mat))
     trials = max(_WITNESS_TRIALS, cfg.trials)
-    cen = census(facts.pattern, replace(cfg, trials=trials), prior=prior)
+    cen = census(facts, replace(cfg, trials=trials))
     for key in cen.solid_keys():
         pool.setdefault(key, ("census", cen.solid_representatives[key]))
     if len(pool) < 2:
@@ -938,9 +936,7 @@ def _pair_from_sampling(
 
 
 def find_witness_pair(
-    facts: PatternAnalysis,
-    cfg: SampleConfig | None = None,
-    prior: Census | None = None,
+    facts: PatternAnalysis, cfg: SampleConfig | None = None
 ) -> WitnessPair | None:
     """Two realizations of the analysed pattern with different inertias, or None.
 
@@ -949,10 +945,9 @@ def find_witness_pair(
     independent of the sampling seed.  They read the structural facts from
     ``facts``, so a caller that has already derived them does not pay for
     them twice.  Every returned pair has been checked numerically.
-    The sampling fallback draws a census of ``max(2000, cfg.trials)``
-    trials under ``cfg``'s seed and laws.  ``prior``, a census of the
-    pattern drawn under ``cfg``, is resumed by it instead of being drawn
-    again; trials are seeded by index, so the result is the same.
+    The sampling fallback reads a census of ``max(2000, cfg.trials)``
+    trials of ``facts`` under ``cfg``'s seed and laws, so it draws only the
+    trials past those its record already holds.
     """
     cfg = cfg or SampleConfig()
     if facts.pattern.n <= SIGN_ORDER_CAP:
@@ -961,4 +956,4 @@ def find_witness_pair(
             pair = _try_pair(pattern, ladder_spec(parts_a), ladder_spec(parts_b), method, detail)
             if pair is not None:
                 return pair
-    return _pair_from_sampling(facts, cfg, prior)
+    return _pair_from_sampling(facts, cfg)

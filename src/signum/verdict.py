@@ -426,7 +426,7 @@ def _analyze(facts: PatternAnalysis, cfg: SampleConfig) -> Verdict:
         )
         return Verdict(pattern, flags, None, [finding], Overall.INCONCLUSIVE, None)
 
-    cen = census(pattern, cfg)
+    cen = census(facts, cfg)
     findings: list[RuleFinding] = []
     for rule_id, rule in _RULES:
         found = rule(facts, cen, cfg, findings)
@@ -453,9 +453,9 @@ def _analyze(facts: PatternAnalysis, cfg: SampleConfig) -> Verdict:
             f for f in findings if f.conclusion is Conclusion.DOES_NOT_REQUIRE
         )
         if first.witness is None:
-            # The sampling fallback draws at least as long a census under the
-            # same seed and laws, so it extends the main one instead of redrawing it.
-            pair = find_witness_pair(facts, cfg=cfg, prior=cen)
+            # The sampling fallback reads at least as long a census of facts
+            # under the same seed and laws, so it draws only the trials past cen's.
+            pair = find_witness_pair(facts, cfg=cfg)
             if pair is not None:
                 first.witness = pair
             else:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import pickle
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -293,6 +295,34 @@ def test_sampling_witness_resumes_the_main_census(monkeypatch):
     assert verdict.witness_pair().method == "sampled"
     assert verdict.census.trials == 1000
     assert sum(drawn) == 2000
+
+
+@pytest.mark.parametrize("name", ["PAT_TWOCYC81", "PAT_P8P"])
+def test_verdict_keeps_neither_the_analysis_nor_its_census_record(monkeypatch, name):
+    """Both die by reference counting once ``analyze`` returns.
+
+    Both witnesses are sampled, so the census record is extended past the
+    main census; PAT_P8P is a path, so R9 reads the record too.
+    """
+    refs = []
+    original = verdict._analyze
+
+    def watched(facts, cfg):
+        try:
+            return original(facts, cfg)
+        finally:
+            # The record's tuple and dict take no weak reference; its rows do.
+            refs.extend(map(weakref.ref, [facts, *(rows for rows, _ in facts.censuses.values())]))
+
+    monkeypatch.setattr(verdict, "_analyze", watched)
+    gc.disable()
+    try:
+        result = analyze(FIXTURES[name].pattern, SampleConfig())
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert result.witness_pair().method == "sampled"
+    assert alive == [False, False]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))

@@ -4,10 +4,11 @@
 The oracle below is the per-trial loop it replaced, with its own scalar
 sampler and classifier, so the comparison does not lean on the code under
 test.  Agreement must be exact: counts, frequencies, failures and the raw
-bytes of every solid representative.  A census resumed from a shorter one
-must equal a fresh census to the same standard, and so must a census that
-reads its magnitudes from blocks other censuses left in the shared cache,
-and so must a census whose round's chunks are shared with the thread pool.
+bytes of every solid representative.  A census read off an analysis's
+record, after reads of fewer or more trials extended it, must equal a fresh
+census to the same standard, and so must a census that reads its magnitudes
+from blocks other censuses left in the shared cache, and so must a census
+whose round's chunks are shared with the thread pool.
 
 R9 reads the edge-flipped pattern's frequencies off the main census; a real
 census of the flipped pattern is its oracle.  The stack classifier computes
@@ -28,15 +29,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from signum import spectra
+from signum import fixtures, spectra
 from signum.cycles import PatternAnalysis, directed_cycle_from_vertices
 from signum.errors import EigenFailure, NonFinite, NoStabilization
 from signum.fixtures import CENSUS_CFG, FIXTURES
 from signum.patterns import SignPattern, p_minus
 from signum.spectra import (
+    DEFAULT_SEED,
     EPSILON_SCHEDULE,
     NEAR_ONE_HI,
     NEAR_ONE_LO,
@@ -192,23 +194,24 @@ def test_census_matches_per_trial_oracle(pattern, trials, law, seed):
 )
 @given(
     pattern=patterns(),
-    prior_trials=st.sampled_from((1, 255, 256, 257, 512, 1000)),
+    drawn=st.sampled_from((1, 255, 256, 257, 512, 1000)),
     extra=st.sampled_from((0, 1, 255, 256, 300, 1000)),
     law=st.sampled_from(sorted(LAWS)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_resumed_census_equals_fresh(pattern, prior_trials, extra, law, seed):
+def test_extended_record_equals_fresh_census(pattern, drawn, extra, law, seed):
     lo, hi = LAWS[law]
-    cfg = SampleConfig(lo=lo, hi=hi, trials=prior_trials + extra, seed=seed)
-    prior = census(pattern, replace(cfg, trials=prior_trials))
+    cfg = SampleConfig(lo=lo, hi=hi, trials=drawn + extra, seed=seed)
+    facts = PatternAnalysis(pattern)
+    first = census(facts, replace(cfg, trials=drawn))
     before = replace(
-        prior,
-        inertia_counts=dict(prior.inertia_counts),
-        frequency_counts=dict(prior.frequency_counts),
-        solid_representatives=dict(prior.solid_representatives),
+        first,
+        inertia_counts=dict(first.inertia_counts),
+        frequency_counts=dict(first.frequency_counts),
+        solid_representatives=dict(first.solid_representatives),
     )
-    assert_same_census(census(pattern, cfg, prior=prior), census(pattern, cfg))
-    assert_same_census(prior, before)
+    assert_same_census(census(facts, cfg), census(pattern, cfg))
+    assert_same_census(first, before)
 
 
 def test_census_keeps_owned_copies_of_solid_samples_only():
@@ -227,13 +230,14 @@ def test_census_keeps_owned_copies_of_solid_samples_only():
 
 
 def test_one_tally_keeps_late_solid_keys_and_non_firm_frequencies():
-    """Each block's one tally feeds every dict, firm rows and others alike.
+    """A read's one tally feeds the counts and frequencies, firm rows and others alike.
 
     On PAT_SQTRI8 at the default seed, inertia (3, 3, 2) first shows at
     trial 18 but is first solid at trial 312, a block later; frequency
-    (8, 0) first shows at trial 0, which is not firm.  Resumed from 100 or
-    300 trials, the key's first sample is in the prior and its first solid
-    sample in the part drawn on resuming.
+    (8, 0) first shows at trial 0, which is not firm.  On a record of 100
+    or 300 trials the key's first sample is drawn and its first solid
+    sample is in the part drawn on extending it.  Read again once the
+    record holds trial 312, the shorter census still has no solid key.
     """
     pattern = FIXTURES["PAT_SQTRI8"].pattern
     cfg = SampleConfig(trials=600)
@@ -253,18 +257,52 @@ def test_one_tally_keeps_late_solid_keys_and_non_firm_frequencies():
     assert next(iter(want.frequency_counts)) == (8, 0)
     got = census(pattern, cfg)
     assert_same_census(got, want)
-    for prior_trials in (100, 300):
-        prior = census(pattern, replace(cfg, trials=prior_trials))
-        assert (3, 3, 2) in prior.inertia_counts
-        assert (3, 3, 2) not in prior.solid_representatives
-        assert_same_census(census(pattern, cfg, prior=prior), want)
+    for drawn in (100, 300):
+        facts = PatternAnalysis(pattern)
+        shorter = census(facts, replace(cfg, trials=drawn))
+        assert (3, 3, 2) in shorter.inertia_counts
+        assert (3, 3, 2) not in shorter.solid_representatives
+        assert_same_census(census(facts, cfg), want)
+        assert_same_census(census(facts, replace(cfg, trials=drawn)), shorter)
 
 
-def test_census_refuses_a_longer_prior():
+def test_shorter_read_after_a_longer_one_equals_fresh(monkeypatch):
+    """A read of fewer trials than the record holds draws nothing and equals a fresh census."""
     pattern = FIXTURES["PAT_EX26"].pattern
-    prior = census(pattern, SampleConfig(trials=300))
-    with pytest.raises(ValueError):
-        census(pattern, SampleConfig(trials=299), prior=prior)
+    facts = PatternAnalysis(pattern)
+    census(facts, SampleConfig(trials=300))
+    want = census(pattern, SampleConfig(trials=299))
+    rows = count_solved_rows(monkeypatch)
+    assert_same_census(census(facts, SampleConfig(trials=299)), want)
+    assert rows == []
+
+
+read_cfgs = st.builds(
+    lambda trials, seed, law: SampleConfig(lo=law[0], hi=law[1], trials=trials, seed=seed),
+    st.sampled_from((1, 255, 256, 257, 600, 1000, 2000)),
+    st.sampled_from((DEFAULT_SEED, 20240901)),
+    st.sampled_from(((1e-2, 1e2), (1e-3, 1e3))),
+)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(pattern=patterns(), reads=st.lists(read_cfgs, min_size=1, max_size=6))
+# On PAT_SQTRI8 inertia (3, 3, 2) is first seen at trial 18 and first firm
+# at trial 312 (test_one_tally_keeps_late_solid_keys_and_non_firm_frequencies).
+@example(
+    pattern=FIXTURES["PAT_SQTRI8"].pattern,
+    reads=[SampleConfig(trials=t) for t in (257, 1000, 256, 600, 1)],
+)
+def test_every_read_of_one_record_equals_a_fresh_census(pattern, reads):
+    """Reads of one analysis, longer or shorter, under either seed and law, each equal a fresh one."""
+    facts = PatternAnalysis(pattern)
+    for cfg in reads:
+        assert_same_census(census(facts, cfg), census(pattern, cfg))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -356,10 +394,12 @@ def test_census_eigensolver_failures(monkeypatch):
     assert got.failures == want.failures == 2
     assert sum(got.inertia_counts.values()) + got.failures == cfg.trials
     assert_same_census(got, want)
-    # Resumed past the first bad trial, the prior's failure carries over.
+    # Extended past the first bad trial, the record's failure carries over.
+    facts = PatternAnalysis(pattern)
     with cpus(1):
-        resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=100)))
-    assert_same_census(resumed, want)
+        census(facts, replace(cfg, trials=100))
+        extended = census(facts, cfg)
+    assert_same_census(extended, want)
 
 
 def cold_census(monkeypatch, pattern, cfg):
@@ -382,13 +422,12 @@ def test_warm_cache_census_equals_cold(monkeypatch, first, second):
     monkeypatch.setattr(spectra, "_MAGS", {})
     for cfg in CACHE_CASES:
         for pattern in (first, second):
-            prior = None
-            # 600 and 1000 end inside a block, so each resumed census starts unaligned.
+            facts = PatternAnalysis(pattern)
+            # 600 and 1000 end inside a block, so each extension starts unaligned.
             for trials in (600, 1000, 2000):
                 fresh = replace(cfg, trials=trials)
-                got = census(pattern, fresh, prior=prior)
+                got = census(facts, fresh)
                 assert_same_census(got, cold_census(monkeypatch, pattern, fresh))
-                prior = got
     # Eight blocks per case, each kept at the wider support size whichever came first.
     assert len(spectra._MAGS) == 8 * len(CACHE_CASES)
     assert {m.shape[1] for m in spectra._MAGS.values()} == {len(WIDE.support())}
@@ -464,12 +503,11 @@ def test_pooled_census_equals_one_cpu(pattern, law, seed, workers):
     runs = {}
     for count in (1, workers):
         with cpus(count):
-            prior, runs[count] = None, []
-            # 600 and 1000 end inside a block, so each resumed census starts unaligned.
+            facts, runs[count] = PatternAnalysis(pattern), []
+            # 600 and 1000 end inside a block, so each extension starts unaligned.
             for trials in (600, 1000, 2000):
                 cfg = SampleConfig(lo=lo, hi=hi, trials=trials, seed=seed)
-                prior = census(pattern, cfg, prior=prior)
-                runs[count].append(prior)
+                runs[count].append(census(facts, cfg))
             if count > 1:
                 # The calling thread takes chunks too.
                 assert spectra._POOL._max_workers == count - 1
@@ -485,13 +523,15 @@ def test_pooled_census_equals_one_cpu(pattern, law, seed, workers):
 def test_census_without_pool_starts_no_thread(monkeypatch, count, trials, resumed):
     """One CPU or one chunk: every solve on the calling thread.
 
-    A census resumed from a prior of as many trials has no stack to solve
-    and returns the prior's tallies.
+    A census read off a record of as many trials has no stack to solve.
     """
     pattern = FIXTURES["PAT_TWOSQ9"].pattern
     cfg = SampleConfig(trials=trials, seed=5)
     want = oracle_census(pattern, cfg)
-    prior = want if resumed else None
+    facts = PatternAnalysis(pattern)
+    if resumed:
+        with cpus(1):
+            census(facts, cfg)
     callers = set()
     original = np.linalg.eigvals
 
@@ -502,7 +542,7 @@ def test_census_without_pool_starts_no_thread(monkeypatch, count, trials, resume
     monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
     threads = set(threading.enumerate())
     with cpus(count):
-        got = census(pattern, cfg, prior=prior)
+        got = census(facts, cfg)
         assert spectra._POOL is None
     assert set(threading.enumerate()) == threads
     assert callers == (set() if resumed else {threading.get_ident()})
@@ -534,7 +574,7 @@ def test_pooled_fallback_solves_on_the_taking_thread(monkeypatch):
     cfg = SampleConfig(trials=1000, seed=23)
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
     # Trials 4 and 201 spoil chunk 0 of the 1000-trial census and of the
-    # 512-trial prior; trials 512-999 hold neither.
+    # 512-trial one the record is extended from; trials 512-999 hold neither.
     bad = [scalar_sample(pattern, cfg, 4), scalar_sample(pattern, narrow, 201)]
     original = np.linalg.eigvals
     spoiled, single = Counter(), Counter()
@@ -556,13 +596,15 @@ def test_pooled_fallback_solves_on_the_taking_thread(monkeypatch):
     monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
     with cpus(2):
         got = census(pattern, cfg)
-        resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=512)))
+        facts = PatternAnalysis(pattern)
+        census(facts, replace(cfg, trials=512))
+        extended = census(facts, cfg)
     assert sum(spoiled.values()) == 2 * spectra._BLOCK
     assert single == spoiled
     want = oracle_census(pattern, cfg)
     assert got.failures == want.failures == 2
     assert_same_census(got, want)
-    assert_same_census(resumed, want)
+    assert_same_census(extended, want)
 
 
 def test_held_pool_leaves_every_chunk_to_the_caller(monkeypatch):
@@ -764,7 +806,8 @@ def test_census_round_makes_one_fill_one_tally_and_a_solve_per_chunk(monkeypatch
         work = count_round_work(monkeypatch)
         got = census(pattern, cfg)
     assert work["fills"] == [1000]
-    assert work["tallies"] == 1
+    # The round's tally of its firm trials, and the read's.
+    assert work["tallies"] == 2
     # On one CPU the round is one chunk; on two, four chunks of _BLOCK rows.
     assert len(work["stacks"]) == (1 if count == 1 else 4)
     assert_same_census(got, want)
@@ -806,6 +849,22 @@ def test_witness_census_draws_at_least_its_floor(monkeypatch, trials):
     assert sum(rows) == max(2000, trials)
 
 
+def test_verify_draws_one_census_record_per_fixture(monkeypatch):
+    """verify-paper's census check and verdict check of a fixture read one record.
+
+    The census checks of PAT_XX2, PAT_EG06, PAT_ALLPLUS4 and PAT_X16 read
+    1000 trials under the verdict checks' seed and law, so each verdict's
+    600-trial census is a prefix they share: 4 x 600 trials fewer than the
+    24,600 of drawing both.
+    """
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    rows = count_solved_rows(monkeypatch)
+    outcomes = fixtures.verify()
+    assert len(outcomes) == 83
+    assert all(outcome.passed for outcome in outcomes)
+    assert sum(rows) == 22_200
+
+
 @pytest.mark.parametrize("bound_rows", [0, 300], ids=["block-floor", "300-rows"])
 def test_census_rounds_stay_within_the_byte_bound(monkeypatch, bound_rows):
     """No round holds more matrices than the byte bound allows, or fewer than a block."""
@@ -819,16 +878,20 @@ def test_census_rounds_stay_within_the_byte_bound(monkeypatch, bound_rows):
     with cpus(2):
         work = count_round_work(monkeypatch)
         fresh = census(pattern, cfg)
-        resumed = census(pattern, cfg, prior=census(pattern, replace(cfg, trials=100)))
+        facts = PatternAnalysis(pattern)
+        census(facts, replace(cfg, trials=100))
+        extended = census(facts, cfg)
+
     def rounds(trials):
         return [min(rows, trials - start) for start in range(0, trials, rows)]
 
-    # The fresh census, the 100-trial prior, then trials 100-999.
+    # The fresh census, the 100-trial read, then trials 100-999.
     assert work["fills"] == rounds(1000) + [100] + rounds(900)
-    assert work["tallies"] == len(work["fills"])
+    # One tally per round and one per read.
+    assert work["tallies"] == len(work["fills"]) + 3
     assert len(work["stacks"]) == sum(math.ceil(r / spectra._BLOCK) for r in work["fills"])
     assert_same_census(fresh, want)
-    assert_same_census(resumed, want)
+    assert_same_census(extended, want)
 
 
 def full_stack_stabilize(pattern: SignPattern, spec):

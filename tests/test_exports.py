@@ -45,9 +45,9 @@ def test_package_imports_resolve():
 
 PINNED_PARAMETERS = {
     analyze: ["pattern", "cfg"],
-    census: ["pattern", "cfg", "prior"],
+    census: ["facts", "cfg"],
     composite_cycles_of_length: ["pattern", "length"],
-    find_witness_pair: ["facts", "cfg", "prior"],
+    find_witness_pair: ["facts", "cfg"],
     ladder_spec: ["parts", "epsilon"],
     spectral_profile: ["a"],
     verdict_to_json: ["verdict"],
