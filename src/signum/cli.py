@@ -2,6 +2,9 @@
 
 Exit codes of ``analyze`` encode the verdict so shell pipelines can branch
 on it: 0 requires a unique inertia, 1 does not, 2 inconclusive, 3 error.
+Every command that reads a pattern reports any error raised while loading,
+computing or rendering as ``error: ...`` on stderr and exits 3, so an
+unexpected error is never read as a verdict; click's usage errors exit 2.
 All output is deterministic given input, flags, and seed; the environment
 variable SIGNUM_SEED overrides the default seed.
 """
@@ -10,11 +13,11 @@ from __future__ import annotations
 
 import os
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
 
-from .errors import SignumError
 from .graphs import SignedGraph, digraph_to_dot, graph_to_dot
 from .patterns import SignPattern, parse_pattern
 from .spectra import (
@@ -67,6 +70,12 @@ def _load_pattern(path: str | None, fixture: str | None) -> SignPattern:
         raise click.ClickException(f"cannot read {path}: not UTF-8 text ({exc.reason})")
 
 
+def _fail(exc: Exception) -> NoReturn:
+    """Report an error on stderr and exit 3; an exception without a message reports its type."""
+    click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
+    sys.exit(EXIT_ERROR)
+
+
 @click.group()
 def main() -> None:
     """Analyze sign patterns for the unique-inertia property."""
@@ -84,13 +93,10 @@ def cmd_analyze(path, fixture, as_json, trials, seed) -> None:
         pattern = _load_pattern(path, fixture)
         cfg = SampleConfig(trials=trials, seed=seed if seed is not None else _default_seed())
         verdict = analyze(pattern, cfg=cfg)
-    except (SignumError, click.ClickException, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    if as_json:
-        click.echo(verdict_to_json(verdict))
-    else:
-        click.echo(explain(verdict))
+        text = verdict_to_json(verdict) if as_json else explain(verdict)
+    except Exception as exc:
+        _fail(exc)
+    click.echo(text)
     sys.exit(
         {
             Overall.REQUIRES_UNIQUE: EXIT_REQUIRES,
@@ -147,9 +153,8 @@ def cmd_graph(path, fixture, directed) -> None:
             text = digraph_to_dot(pattern)
         else:
             text = graph_to_dot(SignedGraph(pattern))
-    except (SignumError, click.ClickException) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    except Exception as exc:
+        _fail(exc)
     click.echo(text, nl=False)
 
 
@@ -168,16 +173,16 @@ def cmd_census(path, fixture, trials, seed, lo, hi) -> None:
             lo=lo, hi=hi, trials=trials, seed=seed if seed is not None else _default_seed()
         )
         cen = census(pattern, cfg)
-    except (SignumError, click.ClickException, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    click.echo(f"trials: {cen.trials}  failures: {cen.failures}")
-    for key in cen.inertia_keys():
-        solid = "solid" if key in cen.solid_representatives else "tolerance-limited"
-        click.echo(f"inertia {key}: {cen.inertia_counts[key]}  [{solid}]")
-    for key, count in sorted(cen.frequency_counts.items()):
-        click.echo(f"frequency {key}: {count}")
-    click.echo(f"consistent frequency observed: {cen.consistent_observed}")
+        lines = [f"trials: {cen.trials}  failures: {cen.failures}"]
+        for key in cen.inertia_keys():
+            solid = "solid" if key in cen.solid_representatives else "tolerance-limited"
+            lines.append(f"inertia {key}: {cen.inertia_counts[key]}  [{solid}]")
+        for key, count in sorted(cen.frequency_counts.items()):
+            lines.append(f"frequency {key}: {count}")
+        lines.append(f"consistent frequency observed: {cen.consistent_observed}")
+    except Exception as exc:
+        _fail(exc)
+    click.echo("\n".join(lines))
 
 
 def _vertex(number: int, n: int) -> int:
@@ -236,17 +241,18 @@ def cmd_witness(path, fixture, cycle, matching) -> None:
             parts = matching_parts(pattern, _parse_matching(matching, pattern.n))
         spec = ladder_spec(parts)
         mat, eps, prof = stabilize_epsilon(pattern, spec)
-    except (SignumError, click.ClickException, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    click.echo(f"parts: {[tuple(v + 1 for v in p.vertices) for p in parts]}")
-    click.echo(f"magnitudes: {[float(m) for m in spec.magnitudes]}")
-    click.echo(f"stabilized epsilon: {eps}")
-    click.echo(f"inertia: {prof.inertia}")
-    click.echo(f"refined: {prof.refined}")
-    click.echo("matrix:")
-    for row in np.asarray(mat):
-        click.echo("  " + " ".join(f"{v:.6g}" for v in row))
+        lines = [
+            f"parts: {[tuple(v + 1 for v in p.vertices) for p in parts]}",
+            f"magnitudes: {[float(m) for m in spec.magnitudes]}",
+            f"stabilized epsilon: {eps}",
+            f"inertia: {prof.inertia}",
+            f"refined: {prof.refined}",
+            "matrix:",
+        ]
+        lines += ["  " + " ".join(f"{v:.6g}" for v in row) for row in np.asarray(mat)]
+    except Exception as exc:
+        _fail(exc)
+    click.echo("\n".join(lines))
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ sign of their real part under a relative tolerance.  One routine,
 ``_solve``, solves and thresholds every single matrix (a profile, each step
 of an epsilon walk, a census trial solved on its own, a characteristic
 polynomial), so a norm that is not finite raises NonFinite wherever one
-matrix is solved.  A census aggregates profiles over a prefix of the
-samples an analysis records, drawn in rounds as large as a byte bound
-allows, each round's eigensolve shared in chunks among the CPUs.  Witness construction emphasizes chosen cycles with
-large magnitudes while every other nonzero position gets a small epsilon,
-so the spectrum stays close to that of the emphasized part.
+matrix is solved.  A census tallies the rows an analysis records for its
+trials, drawn in blocks of ``_BLOCK`` trials that the CPUs take from one
+counter.  Witness construction emphasizes chosen cycles with large
+magnitudes while every other nonzero position gets a small epsilon, so the
+spectrum stays close to that of the emphasized part.
 
 Two samples of one pattern with different inertias certify that the
 pattern does not force a unique inertia; ``find_witness_pair`` looks for
@@ -75,12 +75,9 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 EPSILON_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 13))
-# Trials per cached block of census magnitudes, the fewest trials of a
-# census round, and the rows of each chunk of its eigensolve.
+# Trials per census block: the unit of the magnitude cache, of the work a
+# thread takes and of the matrices it holds.
 _BLOCK = 256
-# Bytes of realizations one census round may hold, so that transient memory
-# stays bounded whatever the trial count.
-_ROUND_BYTES = 8 << 20
 # The fewest trials the sampling witness search draws.
 _WITNESS_TRIALS = 2000
 
@@ -217,9 +214,11 @@ def _magnitudes(u: np.ndarray, laws: Sequence[tuple[float, float]], start: int) 
 # the same row at any larger k, so ``mags[:, :k]`` is bit for bit what a
 # fresh draw at width k gives, and no census can tell a hit from a miss.  A
 # block asked for wider is extended by its missing columns alone, which are
-# the tail of a fresh wide draw.
+# the tail of a fresh wide draw.  Census threads share the cache under
+# _MAGS_LOCK; an array handed out is never written, only replaced.
 _MAGS: dict[tuple, np.ndarray] = {}
 _MAGS_CAP = 4 << 20
+_MAGS_LOCK = threading.Lock()
 
 
 def _block_magnitudes(
@@ -227,19 +226,20 @@ def _block_magnitudes(
 ) -> np.ndarray:
     """Read-only magnitudes of trials block * _BLOCK onwards, at least k wide."""
     key = (seed, laws, block)
-    mags = _MAGS.pop(key, None)
-    width = 0 if mags is None else mags.shape[1]
-    if mags is None or width < k:
-        start = block * _BLOCK
-        u = uniforms(seed, np.arange(start, start + _BLOCK, dtype=np.uint64), k, width)
-        new = _magnitudes(u, laws, start)
-        mags = new if mags is None else np.hstack((mags, new))
-        mags.flags.writeable = False
-    _MAGS[key] = mags
-    total = sum(m.nbytes for m in _MAGS.values())
-    while total > _MAGS_CAP:
-        total -= _MAGS.pop(next(iter(_MAGS))).nbytes
-    return mags
+    with _MAGS_LOCK:
+        mags = _MAGS.pop(key, None)
+        width = 0 if mags is None else mags.shape[1]
+        if mags is None or width < k:
+            start = block * _BLOCK
+            u = uniforms(seed, np.arange(start, start + _BLOCK, dtype=np.uint64), k, width)
+            new = _magnitudes(u, laws, start)
+            mags = new if mags is None else np.hstack((mags, new))
+            mags.flags.writeable = False
+        _MAGS[key] = mags
+        total = sum(m.nbytes for m in _MAGS.values())
+        while total > _MAGS_CAP:
+            total -= _MAGS.pop(next(iter(_MAGS))).nbytes
+        return mags
 
 
 def _fill(
@@ -250,25 +250,21 @@ def _fill(
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Realizations of trials start .. stop - 1 as one (stop - start, n, n) stack.
+    """Realizations of trials start .. stop - 1, all of one block, as one stack.
 
     Trial t takes its magnitudes from the log-uniform law
     ``laws[t % len(laws)]`` (a (lo, hi) pair), driven by the first k doubles
     of ``default_rng((seed, t))`` in row-major support order, so it equals
     ``sample`` at index t under that law and seed bit for bit, whatever
     else shares its stack.  A census passes two laws, so its odd trials
-    equal ``sample`` under the near-one law, not under cfg's.  Every stack,
-    a single trial's included, reads its rows from the shared
-    ``_block_magnitudes`` blocks it spans.
+    equal ``sample`` under the near-one law, not under cfg's.  The rows are
+    read from the block's ``_block_magnitudes``.
     """
     rows, cols, signs = support
-    k = len(signs)
-    laws = tuple(laws)
-    first, last = start // _BLOCK, (stop - 1) // _BLOCK
-    blocks = [_block_magnitudes(seed, laws, b, k)[:, :k] for b in range(first, last + 1)]
-    mags = np.concatenate(blocks)[start - first * _BLOCK : stop - first * _BLOCK]
+    block, first = divmod(start, _BLOCK)
+    mags = _block_magnitudes(seed, tuple(laws), block, len(signs))
     out = np.zeros((stop - start, pattern.n, pattern.n))
-    out[:, rows, cols] = signs * mags
+    out[:, rows, cols] = signs * mags[first : first + stop - start, : len(signs)]
     return out
 
 
@@ -297,11 +293,13 @@ def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
     This is the census's classifier, and it computes only the bands a
     census reads.  ``_profile`` makes the same comparisons on a single
     matrix, value by value, and adds the borderline and suspect bands.
+    Each count runs down a transposed copy of the stack, so its inner loop
+    spans the rows instead of one matrix's n values.
     """
-    tol = np.asarray(tol, dtype=float)[:, None]
-    floor = np.asarray(floor, dtype=float)[:, None]
-    i_plus = np.sum(eig.real > tol, axis=1)
-    i_minus = np.sum(eig.real < -tol, axis=1)
+    eig = np.ascontiguousarray(eig.T)
+    tol, floor = np.asarray(tol, dtype=float), np.asarray(floor, dtype=float)
+    i_plus = (eig.real > tol).sum(0)
+    i_minus = (eig.real < -tol).sum(0)
     # Values forced to zero by structure (even polynomials, skewness, rank
     # deficits) land at roundoff scale; anything between that floor and ten
     # thresholds could be a misclassified near-miss.  The real-part band
@@ -310,10 +308,10 @@ def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
     return _Classes(
         i_plus=i_plus,
         i_minus=i_minus,
-        i_zero=eig.shape[1] - i_plus - i_minus,
-        i_z=np.sum(np.abs(eig) <= tol, axis=1),
-        k_real=np.sum(np.abs(eig.imag) <= tol, axis=1),
-        suspect_inertia=np.any((re > floor) & (re <= 10 * tol), axis=1),
+        i_zero=len(eig) - i_plus - i_minus,
+        i_z=(np.abs(eig) <= tol).sum(0),
+        k_real=(np.abs(eig.imag) <= tol).sum(0),
+        suspect_inertia=((re > floor) & (re <= 10 * tol)).any(0),
     )
 
 
@@ -427,7 +425,7 @@ def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eig, ok
 
 
-# The census eigensolve pool, built on first use by _census_pool.
+# The census pool, built on first use by _census_pool.
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
@@ -449,50 +447,6 @@ def _census_pool():
 
             _POOL = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="signum-census")
         return _POOL
-
-
-def _round_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_stack_eigvals`` of a census round, solved in ``_BLOCK``-row chunks.
-
-    The calling thread and ``min(_cpus(), chunks) - 1`` pool threads each
-    take the next unsolved chunk from one counter until none is left, so a
-    pool thread slow to start takes fewer chunks or none, and the caller
-    waits only for chunks already being solved.  On one CPU the round is one
-    chunk.  A failing chunk is redone matrix by matrix on the thread that
-    took it; any other error stops the taking and is raised here once no
-    chunk is being solved.  Each solve reads only its own rows and the parts
-    are joined in chunk order, so the result is the plain loop's whatever
-    the threads' timing.
-    """
-    size = _BLOCK if _cpus() > 1 else len(mats)
-    chunks = -(-len(mats) // size)
-    parts, errors = [None] * chunks, []
-    taken, busy, idle = 0, 0, threading.Condition()
-
-    def take() -> None:
-        nonlocal taken, busy
-        while True:
-            with idle:
-                if errors or taken == chunks:
-                    return
-                c, taken, busy = taken, taken + 1, busy + 1
-            try:
-                parts[c] = _stack_eigvals(mats[c * size : (c + 1) * size])
-            except BaseException as exc:  # raised on the calling thread below
-                errors.append(exc)
-            with idle:
-                busy -= 1
-                idle.notify()
-
-    for _ in range(min(_cpus(), chunks) - 1):
-        _census_pool().submit(take)
-    take()
-    with idle:
-        idle.wait_for(lambda: not busy)
-    if errors:
-        raise errors[0]
-    eig, ok = zip(*parts)
-    return np.concatenate(eig), np.concatenate(ok)
 
 
 def spectral_profile(a: np.ndarray) -> SpectralProfile:
@@ -530,6 +484,64 @@ def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], in
     ]
 
 
+def _draw(pattern: SignPattern, seed: int, laws: tuple, rows: np.ndarray, trials: int) -> np.ndarray:
+    """A census record's rows extended to ``trials`` rows, a block of trials at a time.
+
+    Row t is trial t's (i_plus, i_minus, real count, state), state 0 for a
+    failure, 1 when classified and 3 when firm too.  The first block may
+    start mid-block, where the record ends.  The calling thread and
+    ``min(_cpus(), blocks) - 1`` pool threads each take the next block from
+    one counter until none is left.  The taker fills, solves, thresholds
+    and classifies the block's matrices, which die with ``block_rows``, so
+    no more than ``_cpus()`` blocks of matrices are alive at once.  On one
+    CPU the caller takes every block and no thread is started.  A pool
+    thread slow to start takes fewer blocks or none.  An error stops the
+    taking and is raised here once no block is being worked on.  Each
+    block's rows land in their own slice, so the result is the plain
+    loop's whatever the threads' timing.
+    """
+    support, generic_zeros = _support(pattern), pattern.n - pattern.max_composite_length
+    grown = np.empty((trials, 4), dtype=np.uint16)
+    grown[: len(rows)] = rows
+    bounds = [len(rows), *range((len(rows) // _BLOCK + 1) * _BLOCK, trials, _BLOCK), trials]
+    spans = list(zip(bounds, bounds[1:]))
+    errors: list[BaseException] = []
+    taken, busy, idle = 0, 0, threading.Condition()
+
+    def block_rows(start: int, stop: int) -> np.ndarray:
+        mats = _fill(pattern, support, seed, laws, start, stop)
+        eig, ok = _stack_eigvals(mats)
+        tol, floor = _stack_thresholds(mats)
+        ok &= np.isfinite(tol)
+        c = _classify(eig, tol, floor)
+        firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
+        return np.stack([c.i_plus, c.i_minus, c.k_real, ok + 2 * firm], 1)
+
+    def take() -> None:
+        nonlocal taken, busy
+        while True:
+            with idle:
+                if errors or taken == len(spans):
+                    return
+                (start, stop), taken, busy = spans[taken], taken + 1, busy + 1
+            try:
+                grown[start:stop] = block_rows(start, stop)
+            except BaseException as exc:  # raised on the calling thread below
+                errors.append(exc)
+            with idle:
+                busy -= 1
+                idle.notify()
+
+    for _ in range(min(_cpus(), len(spans)) - 1):
+        _census_pool().submit(take)
+    take()
+    with idle:
+        idle.wait_for(lambda: not busy)
+    if errors:
+        raise errors[0]
+    return grown
+
+
 def census(facts: PatternAnalysis | SignPattern, cfg: SampleConfig) -> Census:
     """Profile the first cfg.trials samples and bucket them by inertia.
 
@@ -537,25 +549,20 @@ def census(facts: PatternAnalysis | SignPattern, cfg: SampleConfig) -> Census:
     which catches classes whose spectra degenerate only at comparable
     scales.  Trials are independently seeded by index.  ``facts`` (a bare
     pattern gets a fresh analysis) keeps one record per seed and law pair,
-    freed with it: 8 bytes per trial drawn, and a copy of each inertia's
-    first firm matrix.  A read of more trials than the record holds draws
-    the rest, and every read is one tally of the record's first cfg.trials
-    trials, so it equals a fresh census whatever was read before.  Trials
-    are drawn in rounds of ``max(_BLOCK, _ROUND_BYTES // (8 n^2))``, so a
-    round of more than ``_BLOCK`` trials holds at most ``_ROUND_BYTES`` of
-    matrices, and a round makes one fill, one eigensolve, one
-    classification and one tally of its firm trials.  The result depends
-    neither on where the rounds split nor on which blocks of magnitudes
-    earlier censuses left in the ``_block_magnitudes`` cache.  Only the
-    eigensolve leaves the calling thread, its chunks shared among the CPUs
-    (``_round_eigvals``).  A trial is firm, solid evidence, only if its
-    inertia is not suspect and its claimed zero-eigenvalue count is the
-    generic multiplicity, n minus the pattern's ``max_composite_length``; a
-    sample claiming any other count caught a measure-zero or
-    mis-thresholded configuration.  A trial whose eigensolve fails, or
-    whose norm overflows so that no tolerance can classify it, counts as a
-    failure.  Each dict gets its keys in order of first sample, or of first
-    firm sample for the solid representatives, which are the record's own.
+    freed with it: a ``uint16`` array of 8 bytes per trial drawn, and
+    nothing else.  A read of more trials than the record holds draws the
+    rest (``_draw``), and every read is one ``_tally`` of the record's first
+    cfg.trials rows, so it equals a fresh census whatever was read before.
+    A trial is firm, solid evidence, only if its inertia is not suspect and
+    its claimed zero-eigenvalue count is the generic multiplicity, n minus
+    the pattern's ``max_composite_length``; a sample claiming any other
+    count caught a measure-zero or mis-thresholded configuration.  A trial
+    whose eigensolve fails, or whose norm overflows so that no tolerance
+    can classify it, counts as a failure.  Each dict gets its keys in order
+    of first sample, or of first firm sample for the solid representatives.
+    A representative is its trial's matrix filled again from the cached
+    magnitudes, which is bit for bit the matrix classified, because a
+    trial's matrix depends only on its seed, law and index.
     """
     facts = PatternAnalysis(facts) if isinstance(facts, SignPattern) else facts
     pattern, n = facts.pattern, facts.pattern.n
@@ -563,43 +570,22 @@ def census(facts: PatternAnalysis | SignPattern, cfg: SampleConfig) -> Census:
     if lo > hi:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
     laws = ((cfg.lo, cfg.hi), (lo, hi))
-    # Row t of rows is trial t's (i_plus, i_minus, real count, state), state
-    # 0 for a failure, 1 when classified and 3 when firm too; solid maps each
-    # inertia to its first firm trial and that trial's matrix.
-    rows, solid = facts.censuses.get((cfg.seed, laws), (np.empty((0, 4), np.uint16), {}))
+    rows = facts.censuses.get((cfg.seed, laws), np.empty((0, 4), np.uint16))
     if len(rows) < cfg.trials:
-        generic_zeros = n - pattern.max_composite_length
-        support = _support(pattern)
-        grown = np.empty((cfg.trials, 4), dtype=np.uint16)
-        grown[: len(rows)] = rows
-        step = max(_BLOCK, _ROUND_BYTES // (8 * max(n, 1) ** 2))
-        for start in range(len(rows), cfg.trials, step):
-            stop = min(start + step, cfg.trials)
-            mats = _fill(pattern, support, cfg.seed, laws, start, stop)
-            eig, ok = _round_eigvals(mats)
-            tol, floor = _stack_thresholds(mats)
-            ok &= np.isfinite(tol)
-            c = _classify(eig, tol, floor)
-            firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
-            grown[start:stop] = np.stack([c.i_plus, c.i_minus, c.k_real, ok + 2 * firm], 1)
-            for (i_plus, i_minus), first, _ in _tally(grown[start:stop, :2], firm):
-                key = (i_plus, i_minus, n - i_plus - i_minus)
-                if key not in solid:
-                    # A copy, not a view: a view would keep its whole round alive.
-                    solid[key] = (start + first, mats[first].copy())
-            facts.censuses[cfg.seed, laws] = grown[:stop], solid
-            del mats, eig, ok  # free each round before filling the next
-        rows = grown
+        rows = facts.censuses[cfg.seed, laws] = _draw(pattern, cfg.seed, laws, rows, cfg.trials)
     rows = rows[: cfg.trials]
     ok = rows[:, 3] > 0
-    counts, freqs = {}, {}
+    counts, freqs, firsts = {}, {}, {}
     # Groups come in order of first row, so each dict gets its keys in
-    # order of first sample.
-    for (i_plus, i_minus, k_real), _, count in _tally(rows[:, :3], ok):
+    # order of first sample, and firsts in order of first firm sample.
+    for (i_plus, i_minus, k_real, state), first, count in _tally(rows, ok):
         key, frequency = (i_plus, i_minus, n - i_plus - i_minus), (k_real, n - k_real)
         counts[key] = counts.get(key, 0) + count
         freqs[frequency] = freqs.get(frequency, 0) + count
-    solid = {key: mat for key, (first, mat) in solid.items() if first < cfg.trials}
+        if state == 3:
+            firsts.setdefault(key, first)
+    support = _support(pattern)
+    solid = {key: _fill(pattern, support, cfg.seed, laws, t, t + 1)[0] for key, t in firsts.items()}
     return Census(cfg.trials, counts, freqs, int(np.count_nonzero(~ok)), solid)
 
 

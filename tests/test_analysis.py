@@ -284,13 +284,13 @@ def test_r7_matches_each_leftover_vertex_set_once(monkeypatch):
 def test_sampling_witness_resumes_the_main_census(monkeypatch):
     """The 2000-trial witness census extends the 1000-trial main census."""
     drawn = []
-    fill = spectra._fill
+    solve = spectra._stack_eigvals
 
-    def counting(pattern, support, seed, laws, start, stop):
-        drawn.append(stop - start)
-        return fill(pattern, support, seed, laws, start, stop)
+    def counting(mats):
+        drawn.append(len(mats))
+        return solve(mats)
 
-    monkeypatch.setattr(spectra, "_fill", counting)
+    monkeypatch.setattr(spectra, "_stack_eigvals", counting)
     verdict = analyze(GOLDEN_PATTERNS["ladder-n12-1"], SampleConfig())
     assert verdict.witness_pair().method == "sampled"
     assert verdict.census.trials == 1000
@@ -311,8 +311,8 @@ def test_verdict_keeps_neither_the_analysis_nor_its_census_record(monkeypatch, n
         try:
             return original(facts, cfg)
         finally:
-            # The record's tuple and dict take no weak reference; its rows do.
-            refs.extend(map(weakref.ref, [facts, *(rows for rows, _ in facts.censuses.values())]))
+            # Each record is one array of rows.
+            refs.extend(map(weakref.ref, [facts, *facts.censuses.values()]))
 
     monkeypatch.setattr(verdict, "_analyze", watched)
     gc.disable()

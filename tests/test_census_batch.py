@@ -1,6 +1,6 @@
 """The batched census against a per-trial oracle.
 
-``census`` draws, eigensolves and classifies its trials a round at a time.
+``census`` draws, eigensolves and classifies its trials a block at a time.
 The oracle below is the per-trial loop it replaced, with its own scalar
 sampler and classifier, so the comparison does not lean on the code under
 test.  Agreement must be exact: counts, frequencies, failures and the raw
@@ -8,7 +8,7 @@ bytes of every solid representative.  A census read off an analysis's
 record, after reads of fewer or more trials extended it, must equal a fresh
 census to the same standard, and so must a census that reads its magnitudes
 from blocks other censuses left in the shared cache, and so must a census
-whose round's chunks are shared with the thread pool.
+whose blocks are shared with the thread pool.
 
 R9 reads the edge-flipped pattern's frequencies off the main census; a real
 census of the flipped pattern is its oracle.  The stack classifier computes
@@ -23,6 +23,9 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import time
+import tracemalloc
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -215,15 +218,18 @@ def test_extended_record_equals_fresh_census(pattern, drawn, extra, law, seed):
 
 
 def test_census_keeps_owned_copies_of_solid_samples_only():
-    """Each solid representative owns its bytes: a view would keep its whole round alive.
+    """Each solid representative holds its own n x n matrix and nothing more.
 
-    A key never sampled solidly keeps its count and no matrix; the catalog
-    has such keys.  The golden test pins the bytes of every kept matrix.
+    A representative is filled again from its trial's magnitudes; a view
+    into a larger stack would keep the whole stack alive.  A key never
+    sampled solidly keeps its count and no matrix; the catalog has such
+    keys.  The golden test pins the bytes of every kept matrix.
     """
     unkept = 0
     for fixture in FIXTURES.values():
         cen = census(fixture.pattern, CENSUS_CFG)
-        assert all(m.base is None for m in cen.solid_representatives.values())
+        for m in cen.solid_representatives.values():
+            assert (m if m.base is None else m.base).nbytes == m.nbytes == 8 * m.size
         assert set(cen.solid_representatives) <= set(cen.inertia_counts)
         unkept += len(cen.inertia_counts) - len(cen.solid_representatives)
     assert unkept > 0
@@ -291,18 +297,35 @@ read_cfgs = st.builds(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(pattern=patterns(), reads=st.lists(read_cfgs, min_size=1, max_size=6))
+@given(
+    pattern=patterns(),
+    reads=st.lists(read_cfgs, min_size=1, max_size=6),
+    workers=st.sampled_from((1, 2, 3)),
+)
 # On PAT_SQTRI8 inertia (3, 3, 2) is first seen at trial 18 and first firm
 # at trial 312 (test_one_tally_keeps_late_solid_keys_and_non_firm_frequencies).
 @example(
     pattern=FIXTURES["PAT_SQTRI8"].pattern,
     reads=[SampleConfig(trials=t) for t in (257, 1000, 256, 600, 1)],
+    workers=2,
 )
-def test_every_read_of_one_record_equals_a_fresh_census(pattern, reads):
-    """Reads of one analysis, longer or shorter, under either seed and law, each equal a fresh one."""
+# Each read after the first starts mid-block: at trials 255, 257 and 600.
+@example(
+    pattern=FIXTURES["PAT_SQTRI8"].pattern,
+    reads=[SampleConfig(trials=t) for t in (255, 257, 600, 1000)],
+    workers=3,
+)
+def test_every_read_of_one_record_equals_a_fresh_census(pattern, reads, workers):
+    """Reads of one analysis, longer or shorter, under either seed and law, each equal a fresh one.
+
+    The record is drawn on ``workers`` CPUs; the fresh census on one.
+    """
     facts = PatternAnalysis(pattern)
     for cfg in reads:
-        assert_same_census(census(facts, cfg), census(pattern, cfg))
+        with cpus(workers):
+            got = census(facts, cfg)
+        with cpus(1):
+            assert_same_census(got, census(pattern, cfg))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -387,9 +410,10 @@ def test_census_eigensolver_failures(monkeypatch):
     # test_pooled_fallback_solves_on_the_taking_thread covers the pool.
     with cpus(1):
         got = census(pattern, cfg)
-    # One round of 600 trials in one stack, which trials 4 and 301 spoil.
-    assert calls["stack"] == 1
-    assert calls["single"] == 600
+    # Three blocks of 256, 256 and 88 trials; trials 4 and 301 spoil the
+    # first two, each redone matrix by matrix.
+    assert calls["stack"] == 3
+    assert calls["single"] == 2 * spectra._BLOCK
     want = oracle_census(pattern, cfg)
     assert got.failures == want.failures == 2
     assert sum(got.inertia_counts.values()) + got.failures == cfg.trials
@@ -473,6 +497,93 @@ def test_cache_stays_within_its_cap(monkeypatch):
     assert not spectra._MAGS
 
 
+def test_concurrent_censuses_widen_shared_blocks(monkeypatch):
+    """Two threads widen the same cached blocks at once; each census equals its sequential self.
+
+    NARROW and WIDE differ in support size, so whichever thread reads a
+    block second at the wider size extends it.  The cap holds five wide
+    blocks, so blocks are evicted while both threads read them.
+    """
+    cap = 5 * spectra._BLOCK * len(WIDE.support()) * 8
+    cfgs = [SampleConfig(trials=1500, seed=seed) for seed in (3, 4, 5)]
+    want = {(p, cfg): cold_census(monkeypatch, p, cfg) for p in (NARROW, WIDE) for cfg in cfgs}
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    monkeypatch.setattr(spectra, "_MAGS_CAP", cap)
+    got, interval = {}, sys.getswitchinterval()
+
+    def run(pattern, barrier):
+        for cfg in cfgs:
+            barrier.wait(20)
+            got[pattern, cfg] = census(pattern, cfg)
+
+    barrier = threading.Barrier(2)
+    threads = [threading.Thread(target=run, args=(p, barrier)) for p in (NARROW, WIDE)]
+    sys.setswitchinterval(1e-6)
+    try:
+        with cpus(1):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert_same_census(got[key], want[key])
+    assert sum(m.nbytes for m in spectra._MAGS.values()) <= cap
+
+
+def test_block_asked_for_wider_mid_draw_waits_and_extends_it(monkeypatch):
+    """A thread that asks for a block another thread is drawing waits, then extends that draw."""
+    laws = ((1e-2, 1e2), (NEAR_ONE_LO, NEAR_ONE_HI))
+    drawn, drawing = [], threading.Event()
+    uniforms = spectra.uniforms
+
+    def slow(seed, indices, k, first=0):
+        drawn.append((k, first))
+        if not drawing.is_set():
+            drawing.set()
+            time.sleep(0.2)  # the other thread asks for the block meanwhile
+        return uniforms(seed, indices, k, first)
+
+    monkeypatch.setattr(spectra, "uniforms", slow)
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    narrow = threading.Thread(target=spectra._block_magnitudes, args=(1729, laws, 3, 10))
+    narrow.start()
+    assert drawing.wait(20)
+    wide = run_bounded(lambda: spectra._block_magnitudes(1729, laws, 3, 20))
+    narrow.join(20)
+    assert drawn == [(10, 0), (20, 10)]
+    assert list(spectra._MAGS.values()) == [wide]
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    assert spectra._block_magnitudes(1729, laws, 3, 20).tobytes() == wide.tobytes()
+
+
+def test_long_read_keeps_only_its_rows(monkeypatch):
+    """A read of N trials leaves its analysis holding 8 N bytes and a few matrices, no more.
+
+    Traced on a 2 x 2 pattern, whose blocks are cheap to draw, with the
+    magnitude cache capped at one block so that it holds nothing that grows.
+    """
+    pattern = SignPattern.from_rows([[0, 1], [-1, 0]])
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    monkeypatch.setattr(spectra, "_MAGS_CAP", spectra._BLOCK * 2 * 8)
+    trials = 200 * spectra._BLOCK + 7
+    facts = PatternAnalysis(pattern)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cen = census(facts, SampleConfig(trials=trials))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cen.failures == 0 and sum(cen.inertia_counts.values()) == trials
+    (record,) = facts.censuses.values()
+    assert record.nbytes == 8 * trials
+    assert 8 * trials <= kept <= 8 * trials + (32 << 10)
+
+
 @contextmanager
 def cpus(count: int):
     """Censuses as on a process that may use ``count`` CPUs, on a pool of their own."""
@@ -509,7 +620,7 @@ def test_pooled_census_equals_one_cpu(pattern, law, seed, workers):
                 cfg = SampleConfig(lo=lo, hi=hi, trials=trials, seed=seed)
                 runs[count].append(census(facts, cfg))
             if count > 1:
-                # The calling thread takes chunks too.
+                # The calling thread takes blocks too.
                 assert spectra._POOL._max_workers == count - 1
     for got, want in zip(runs[workers], runs[1]):
         assert_same_census(got, want)
@@ -521,7 +632,7 @@ def test_pooled_census_equals_one_cpu(pattern, law, seed, workers):
     ids=["one-cpu", "one-stack", "no-stack-one-cpu", "no-stack"],
 )
 def test_census_without_pool_starts_no_thread(monkeypatch, count, trials, resumed):
-    """One CPU or one chunk: every solve on the calling thread.
+    """One CPU or one block: every solve on the calling thread.
 
     A census read off a record of as many trials has no stack to solve.
     """
@@ -569,11 +680,11 @@ def run_bounded(fn, timeout: float = 60):
 
 
 def test_pooled_fallback_solves_on_the_taking_thread(monkeypatch):
-    """A failing chunk is redone matrix by matrix on the thread that took it."""
+    """A failing block is redone matrix by matrix on the thread that took it."""
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=1000, seed=23)
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
-    # Trials 4 and 201 spoil chunk 0 of the 1000-trial census and of the
+    # Trials 4 and 201 spoil block 0 of the 1000-trial census and of the
     # 512-trial one the record is extended from; trials 512-999 hold neither.
     bad = [scalar_sample(pattern, cfg, 4), scalar_sample(pattern, narrow, 201)]
     original = np.linalg.eigvals
@@ -608,7 +719,7 @@ def test_pooled_fallback_solves_on_the_taking_thread(monkeypatch):
 
 
 def test_held_pool_leaves_every_chunk_to_the_caller(monkeypatch):
-    """With the pool's one thread held, the calling thread solves every chunk and waits for none."""
+    """With the pool's one thread held, the calling thread solves every block and waits for none."""
     pattern = FIXTURES["PAT_TWOSQ9"].pattern
     cfg = SampleConfig(trials=1000, seed=8)
     with cpus(1):
@@ -635,12 +746,12 @@ def test_held_pool_leaves_every_chunk_to_the_caller(monkeypatch):
 
 
 def test_straggling_pool_chunk_holds_up_no_other_chunk(monkeypatch):
-    """The pool thread's first chunk waits until the caller has solved every other chunk."""
+    """The pool thread's first block waits until the caller has solved every other block."""
     pattern = FIXTURES["PAT_TWOSQ9"].pattern
     cfg = SampleConfig(trials=1000, seed=8)
     with cpus(1):
         want = census(pattern, cfg)
-    chunks = -(-cfg.trials // spectra._BLOCK)
+    blocks = -(-cfg.trials // spectra._BLOCK)
     original = np.linalg.eigvals
     pool_started, others_done = threading.Event(), threading.Event()
     solved, released = Counter(), []
@@ -652,12 +763,12 @@ def test_straggling_pool_chunk_holds_up_no_other_chunk(monkeypatch):
             pool_started.set()
             released.append(others_done.wait(20))
         elif not pooled:
-            # The caller takes its chunks only once the pool thread holds one.
+            # The caller takes its blocks only once the pool thread holds one.
             pool_started.wait(20)
         result = original(a)
         with lock:
             solved["pool" if pooled else "caller"] += 1
-            if solved["caller"] == chunks - 1:
+            if solved["caller"] == blocks - 1:
                 others_done.set()
         return result
 
@@ -665,14 +776,14 @@ def test_straggling_pool_chunk_holds_up_no_other_chunk(monkeypatch):
     with cpus(2):
         got = run_bounded(lambda: census(pattern, cfg))
     assert released == [True]
-    assert solved == {"caller": chunks - 1, "pool": 1}
+    assert solved == {"caller": blocks - 1, "pool": 1}
     assert_same_census(got, want)
 
 
 def test_pooled_census_propagates_other_errors(monkeypatch):
-    """An error on the pool thread is raised by the caller, and no chunk is taken after it."""
+    """An error on the pool thread is raised by the caller, and no block is taken after it."""
     pattern = FIXTURES["PAT_EX26"].pattern
-    cfg = SampleConfig(trials=2000, seed=3)  # one round of eight chunks
+    cfg = SampleConfig(trials=2000, seed=3)  # eight blocks
     original = np.linalg.eigvals
     pool_took, caller_took = threading.Event(), threading.Event()
     helpers, raised_in, solves = [], [], []
@@ -680,7 +791,7 @@ def test_pooled_census_propagates_other_errors(monkeypatch):
     def eigvals(a):
         name = threading.current_thread().name
         if name.startswith("signum-census") and not raised_in:
-            # Fail the pool thread's first chunk once the caller holds one.
+            # Fail the pool thread's first block once the caller holds one.
             pool_took.set()
             caller_took.wait(20)
             raised_in.append(name)
@@ -705,7 +816,7 @@ def test_pooled_census_propagates_other_errors(monkeypatch):
         with pytest.raises(MemoryError, match="no room"):
             run_bounded(lambda: census(pattern, cfg))
         assert len(raised_in) == 1 and raised_in[0].startswith("signum-census")
-        # The caller solved the chunk it held and took none after the error.
+        # The caller solved the block it held and took none after the error.
         assert len(helpers) == len(solves) == 1
         assert not solves[0].startswith("signum-census")
         # The pool outlives the error and the next census is whole.
@@ -714,7 +825,7 @@ def test_pooled_census_propagates_other_errors(monkeypatch):
 
 
 def test_caller_error_waits_for_the_pool_chunk_in_flight(monkeypatch):
-    """The caller raises its own error only once the pool thread's chunks are solved."""
+    """The caller raises its own error only once the pool thread's blocks are solved."""
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=2000, seed=3)
     original = np.linalg.eigvals
@@ -745,7 +856,7 @@ def test_caller_error_waits_for_the_pool_chunk_in_flight(monkeypatch):
 
 
 def test_shared_counter_hands_out_each_chunk_once(monkeypatch):
-    """More threads than cores and a short switch interval: no chunk solved twice or skipped."""
+    """More threads than cores and a short switch interval: no block solved twice or skipped."""
     pattern = FIXTURES["PAT_EX26"].pattern
     cfg = SampleConfig(trials=2000, seed=3)
     with cpus(1):
@@ -765,21 +876,21 @@ def test_shared_counter_hands_out_each_chunk_once(monkeypatch):
             got = run_bounded(lambda: census(pattern, cfg))
     finally:
         sys.setswitchinterval(interval)
-    # Chunks start at even trials, which follow cfg's law.
+    # Blocks start at even trials, which follow cfg's law.
     starts = range(0, cfg.trials, spectra._BLOCK)
     assert sorted(heads) == sorted(sample(pattern, cfg, t).tobytes() for t in starts)
     assert_same_census(got, want)
 
 
-def count_round_work(monkeypatch) -> dict:
-    """Rows and first four matrices of each census fill, each stack solve's thread, the tallies."""
-    work = {"fills": [], "heads": [], "stacks": [], "tallies": 0}
+def count_block_work(monkeypatch) -> dict:
+    """Each census fill's trials and first four matrices, each stack solve's thread, the tallies."""
+    work = {"fills": [], "heads": {}, "stacks": [], "tallies": 0}
     fill, tally, original = spectra._fill, spectra._tally, np.linalg.eigvals
 
-    def counted_fill(*args):
-        mats = fill(*args)
-        work["fills"].append(len(mats))
-        work["heads"].append(mats[:4].copy())
+    def counted_fill(pattern, support, seed, laws, start, stop):
+        mats = fill(pattern, support, seed, laws, start, stop)
+        work["fills"].append((start, stop))
+        work["heads"][start, stop] = mats[:4].copy()
         return mats
 
     def counted_tally(*args):
@@ -798,37 +909,42 @@ def count_round_work(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize("count", [1, 2], ids=["one-cpu", "two-cpus"])
-def test_census_round_makes_one_fill_one_tally_and_a_solve_per_chunk(monkeypatch, count):
+def test_census_makes_one_fill_and_one_solve_per_block_and_one_tally(monkeypatch, count):
     pattern = FIXTURES["PAT_TWOSQ9"].pattern
     cfg = SampleConfig(trials=1000, seed=5)
     want = oracle_census(pattern, cfg)
     with cpus(count):
-        work = count_round_work(monkeypatch)
+        work = count_block_work(monkeypatch)
         got = census(pattern, cfg)
-    assert work["fills"] == [1000]
-    # The round's tally of its firm trials, and the read's.
-    assert work["tallies"] == 2
-    # On one CPU the round is one chunk; on two, four chunks of _BLOCK rows.
-    assert len(work["stacks"]) == (1 if count == 1 else 4)
+    # Four blocks, then one 1-trial fill per solid representative.
+    solid = len(want.solid_representatives)
+    blocks = [(0, 256), (256, 512), (512, 768), (768, 1000)]
+    assert sorted(work["fills"][:4]) == blocks
+    assert len(work["fills"]) == 4 + solid
+    assert all(stop == start + 1 for start, stop in work["fills"][4:])
+    assert len(work["stacks"]) == 4
+    # The read's one tally; no block tallies anything.
+    assert work["tallies"] == 1
     assert_same_census(got, want)
     # Even trials are samples under cfg's law, odd ones under the near-one law.
     narrow = replace(cfg, lo=NEAR_ONE_LO, hi=NEAR_ONE_HI)
-    (head,) = work["heads"]
-    for t, law in enumerate((cfg, narrow, cfg, narrow)):
-        assert head[t].tobytes() == sample(pattern, law, t).tobytes()
-    assert head[1].tobytes() != sample(pattern, cfg, 1).tobytes()
+    heads = dict(work["heads"])  # sample fills too
+    for (start, _), head in heads.items():
+        for t, law in enumerate((cfg, narrow, cfg, narrow)[: len(head)]):
+            assert head[t].tobytes() == sample(pattern, law, start + t).tobytes()
+    assert heads[0, 256][1].tobytes() != sample(pattern, cfg, 1).tobytes()
 
 
 def count_solved_rows(monkeypatch) -> list[int]:
-    """Rows of each census round handed to the eigensolver."""
+    """Rows of each census block handed to the eigensolver."""
     rows = []
-    original = spectra._round_eigvals
+    original = spectra._stack_eigvals
 
-    def round_eigvals(mats):
+    def stack_eigvals(mats):
         rows.append(len(mats))
         return original(mats)
 
-    monkeypatch.setattr(spectra, "_round_eigvals", round_eigvals)
+    monkeypatch.setattr(spectra, "_stack_eigvals", stack_eigvals)
     return rows
 
 
@@ -865,33 +981,39 @@ def test_verify_draws_one_census_record_per_fixture(monkeypatch):
     assert sum(rows) == 22_200
 
 
-@pytest.mark.parametrize("bound_rows", [0, 300], ids=["block-floor", "300-rows"])
-def test_census_rounds_stay_within_the_byte_bound(monkeypatch, bound_rows):
-    """No round holds more matrices than the byte bound allows, or fewer than a block."""
+@pytest.mark.parametrize("count", [1, 2, 3], ids=["one-cpu", "two-cpus", "three-cpus"])
+def test_census_holds_at_most_cpus_blocks_of_matrices(monkeypatch, count):
+    """No more than ``_cpus()`` blocks of matrices are alive at once, and the record holds none."""
     pattern = FIXTURES["PAT_EX26"].pattern
-    cfg = SampleConfig(trials=1000, seed=23)
+    cfg = SampleConfig(trials=10 * spectra._BLOCK, seed=23)
     want = oracle_census(pattern, cfg)
-    matrix_bytes = 8 * pattern.n**2
-    monkeypatch.setattr(spectra, "_ROUND_BYTES", (bound_rows + 1) * matrix_bytes - 1)
-    rows = max(spectra._BLOCK, spectra._ROUND_BYTES // matrix_bytes)
-    assert rows == max(spectra._BLOCK, bound_rows)
-    with cpus(2):
-        work = count_round_work(monkeypatch)
-        fresh = census(pattern, cfg)
-        facts = PatternAnalysis(pattern)
-        census(facts, replace(cfg, trials=100))
-        extended = census(facts, cfg)
+    fill = spectra._fill
+    alive, peak, lock = [0], [0], threading.Lock()
 
-    def rounds(trials):
-        return [min(rows, trials - start) for start in range(0, trials, rows)]
+    def dead():
+        with lock:
+            alive[0] -= 1
 
-    # The fresh census, the 100-trial read, then trials 100-999.
-    assert work["fills"] == rounds(1000) + [100] + rounds(900)
-    # One tally per round and one per read.
-    assert work["tallies"] == len(work["fills"]) + 3
-    assert len(work["stacks"]) == sum(math.ceil(r / spectra._BLOCK) for r in work["fills"])
-    assert_same_census(fresh, want)
-    assert_same_census(extended, want)
+    def tracked(pattern, support, seed, laws, start, stop):
+        mats = fill(pattern, support, seed, laws, start, stop)
+        if stop - start == spectra._BLOCK:  # a block, not a representative
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            weakref.finalize(mats, dead)
+        return mats
+
+    monkeypatch.setattr(spectra, "_fill", tracked)
+    facts = PatternAnalysis(pattern)
+    with cpus(count):
+        got = run_bounded(lambda: census(facts, cfg))
+    assert 1 <= peak[0] <= count
+    assert alive == [0]
+    assert_same_census(got, want)
+    # The record is one uint16 array of 8 bytes per trial, and nothing else.
+    (record,) = facts.censuses.values()
+    assert type(record) is np.ndarray and record.base is None
+    assert record.dtype == np.uint16 and record.shape == (cfg.trials, 4)
 
 
 def full_stack_stabilize(pattern: SignPattern, spec):

@@ -331,3 +331,30 @@ def test_witness_repeated_cycle_vertex_is_an_error(tmp_path, rows, cycle, vertex
     assert result.exit_code == 3
     assert f"error: vertex {vertex} repeats" in result.output
     assert "parts:" not in result.output
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), MemoryError()], ids=["runtime", "memory"])
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("analyze", ("analyze", "--fixture", "PAT_P4", "--trials", "10")),
+        ("explain", ("analyze", "--fixture", "PAT_P4", "--trials", "10")),
+        ("verdict_to_json", ("analyze", "--fixture", "PAT_P4", "--trials", "10", "--json")),
+        ("census", ("census", "--fixture", "PAT_P4", "--trials", "10")),
+        ("digraph_to_dot", ("graph", "--fixture", "PAT_P4")),
+        ("stabilize_epsilon", ("witness", "--fixture", "PAT_XXEG22", "--cycle", "1,2,3,4")),
+    ],
+    ids=["analyze", "explain", "json", "census", "graph", "witness"],
+)
+def test_unexpected_error_exits_3_not_a_verdict(monkeypatch, error, target, args):
+    """Any error while loading, computing or rendering exits 3, never 1 ("does not require")."""
+
+    def fail(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(f"signum.cli.{target}", fail)
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: {str(error) or type(error).__name__}\n"
+    assert "Traceback" not in result.output

@@ -87,13 +87,18 @@ def test_negative_seed_is_rejected():
 
 @pytest.mark.parametrize("start", [0, 7, 2**32 - 2])
 def test_one_sample_equals_its_row_in_a_block(start):
-    """``sample`` builds one generator; a block uses ``uniforms``."""
+    """``sample`` builds one generator; a block uses ``uniforms``.
+
+    Trials 2**32 - 2 .. 2**32 span two blocks.
+    """
     pattern = SignPattern.from_rows([[0, 1, 0], [-1, 0, 1], [0, 1, 0]])
     cfg = SampleConfig(seed=2**40 + 9)
     laws = [(cfg.lo, cfg.hi)]
-    block = spectra._fill(pattern, spectra._support(pattern), cfg.seed, laws, start, start + 3)
-    for r in range(3):
-        assert sample(pattern, cfg, start + r).tobytes() == block[r].tobytes()
+    support = spectra._support(pattern)
+    for t in range(start, start + 3):
+        first = t // spectra._BLOCK * spectra._BLOCK
+        block = spectra._fill(pattern, support, cfg.seed, laws, first, first + spectra._BLOCK)
+        assert sample(pattern, cfg, t).tobytes() == block[t - first].tobytes()
 
 
 def test_jump_constants_not_built_at_import():
