@@ -2,9 +2,10 @@
 
 Exit codes of ``analyze`` encode the verdict so shell pipelines can branch
 on it: 0 requires a unique inertia, 1 does not, 2 inconclusive, 3 error.
-Every command that reads a pattern reports any error raised while loading,
-computing or rendering as ``error: ...`` on stderr and exits 3, so an
-unexpected error is never read as a verdict; click's usage errors exit 2.
+Every command reports any error raised while loading, computing or
+rendering as ``error: ...`` on stderr and exits 3, so an unexpected error
+is never read as a verdict (or, from ``verify-paper``, as a failed check);
+click's usage errors exit 2.
 All output is deterministic given input, flags, and seed; the environment
 variable SIGNUM_SEED overrides the default seed.
 """
@@ -109,35 +110,44 @@ def cmd_analyze(path, fixture, as_json, trials, seed) -> None:
 @main.command("fixtures")
 def cmd_fixtures() -> None:
     """List the built-in benchmark patterns."""
-    from . import fixtures as fixture_catalog
+    try:
+        from . import fixtures as fixture_catalog
 
-    for name in fixture_catalog.fixture_names():
-        fix = fixture_catalog.fixture(name)
-        click.echo(f"{name} (order {fix.pattern.n}): {fix.description}")
+        lines = []
+        for name in fixture_catalog.fixture_names():
+            fix = fixture_catalog.fixture(name)
+            lines.append(f"{name} (order {fix.pattern.n}): {fix.description}")
+    except Exception as exc:
+        _fail(exc)
+    click.echo("\n".join(lines))
 
 
 @main.command("verify-paper")
 @click.option("--filter", "name_filter", default=None, help="substring filter on fixture names")
 def cmd_verify(name_filter) -> None:
     """Recompute every catalog expectation and print one line per check."""
-    from . import fixtures as fixture_catalog
+    try:
+        from . import fixtures as fixture_catalog
 
-    names = fixture_catalog.fixture_names()
-    if name_filter is not None:
-        names = [n for n in names if name_filter in n]
+        names = fixture_catalog.fixture_names()
+        if name_filter is not None:
+            names = [n for n in names if name_filter in n]
+        outcomes = fixture_catalog.verify(names)
+        lines = []
+        for o in outcomes:
+            mark = "pass" if o.passed else "FAIL"
+            line = f"[{mark}] {o.fixture}.{o.check_id} ({o.tag}): {o.detail}"
+            if not o.passed and o.source:
+                line += f"  [expected from: {o.source}]"
+            lines.append(line)
+        failed = sum(not o.passed for o in outcomes)
+        lines.append(f"{len(outcomes) - failed}/{len(outcomes)} checks passed")
+    except Exception as exc:
+        _fail(exc)
     if not names:
         click.echo("warning: no fixtures match the filter; nothing to verify")
         sys.exit(0)
-    outcomes = fixture_catalog.verify(names)
-    failed = 0
-    for o in outcomes:
-        mark = "pass" if o.passed else "FAIL"
-        line = f"[{mark}] {o.fixture}.{o.check_id} ({o.tag}): {o.detail}"
-        if not o.passed and o.source:
-            line += f"  [expected from: {o.source}]"
-        click.echo(line)
-        failed += 0 if o.passed else 1
-    click.echo(f"{len(outcomes) - failed}/{len(outcomes)} checks passed")
+    click.echo("\n".join(lines))
     sys.exit(0 if failed == 0 else 1)
 
 

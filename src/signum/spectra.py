@@ -687,15 +687,36 @@ def stabilize_epsilon(
 
 
 def _max_matching(edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """networkx's maximum matching, imported on first use: witnesses depend on its choice."""
-    if not edges:
-        return ()
-    import networkx as nx
+    """A maximum matching of an undirected graph, exact over vertex bitmasks.
 
-    g = nx.Graph()
-    g.add_edges_from(sorted(edges))
-    match = nx.max_weight_matching(g, maxcardinality=True)
-    return tuple(sorted((min(u, v), max(u, v)) for u, v in match))
+    The search takes the lowest vertex left in the mask and tries, in this
+    order, leaving it out and matching it to each neighbour in increasing
+    order; the first choice of the largest size is kept.  Witnesses depend
+    on which of several maximum matchings is found, so these choices are
+    part of the output.  The pairs come out sorted, each as (low, high).
+    Memoised per mask, the search visits at most 2^n states; its one
+    caller runs under ``find_witness_pair``'s ``n <= SIGN_ORDER_CAP`` gate.
+    """
+    adj: dict[int, int] = {}
+    for u, v in edges:
+        adj[u] = adj.get(u, 0) | 1 << v
+        adj[v] = adj.get(v, 0) | 1 << u
+    memo: dict[int, tuple[tuple[int, int], ...]] = {0: ()}
+
+    def best(mask: int) -> tuple[tuple[int, int], ...]:
+        if mask not in memo:
+            low = mask & -mask
+            u, rest = low.bit_length() - 1, mask ^ low
+            picks = [best(rest)]
+            free = adj.get(u, 0) & rest
+            while free:
+                bit = free & -free
+                picks.append(((u, bit.bit_length() - 1),) + best(rest ^ bit))
+                free ^= bit
+            memo[mask] = max(picks, key=len)
+        return memo[mask]
+
+    return best(sum(1 << w for w in adj))
 
 
 def _try_pair(

@@ -21,6 +21,13 @@ def run(*args, env=None):
 HEAVY_PACKAGES = ("scipy", "networkx")
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports signum from this checkout."""
+    src = str(Path(signum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
 def heavy_modules_loaded(code: str, watched: tuple[str, ...] = HEAVY_PACKAGES) -> list[str]:
     """Run code in a fresh interpreter; the watched modules and their submodules it left in sys.modules."""
     prefixes = tuple(f"{name}." for name in watched)
@@ -28,12 +35,8 @@ def heavy_modules_loaded(code: str, watched: tuple[str, ...] = HEAVY_PACKAGES) -
         "print(json.dumps(sorted(m for m in sys.modules"
         f" if m in {watched!r} or m.startswith({prefixes!r}))))"
     )
-    probe = f"import json, sys\n{code}\n{report}"
-    src = str(Path(signum.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    )
+    out = run_fresh(f"import json, sys\n{code}\n{report}")
+    assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
@@ -54,16 +57,30 @@ def test_cli_analyze_loads_no_heavy_module():
     assert heavy_modules_loaded(code) == []
 
 
-def test_catalog_analyze_and_verify_load_no_scipy():
-    """scipy is a test oracle only; networkx may load for the matching witness."""
+def test_catalog_runs_with_networkx_and_scipy_blocked():
+    """Both are test oracles only: with their imports blocked, the catalog analyzes and verifies.
+
+    ``PAT_P4`` reaches the matching witness, which once imported networkx.
+    """
     code = (
+        "import sys\n"
+        "sys.modules['networkx'] = sys.modules['scipy'] = None  # importing either raises\n"
         "from signum import analyze, fixtures\n"
-        "for name in fixtures.fixture_names():\n"
+        "from signum.cli import main\n"
+        "names = fixtures.fixture_names()\n"
+        "assert 'PAT_P4' in names\n"
+        "for name in names:\n"
         "    analyze(fixtures.fixture(name).pattern)\n"
-        "assert all(o.passed for o in fixtures.verify())"
+        "assert all(o.passed for o in fixtures.verify())\n"
+        "try:\n"
+        "    main(['analyze', '--fixture', 'PAT_P4'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 1, exc.code  # does not require, by the matching witness\n"
+        "else:\n"
+        "    raise AssertionError('analyze did not exit')\n"
     )
-    loaded = heavy_modules_loaded(code)
-    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
+    out = run_fresh(code)
+    assert out.returncode == 0, out.stderr
 
 
 def test_analyze_requires_unique_exit_code():
@@ -337,14 +354,16 @@ def test_witness_repeated_cycle_vertex_is_an_error(tmp_path, rows, cycle, vertex
 @pytest.mark.parametrize(
     "target, args",
     [
-        ("analyze", ("analyze", "--fixture", "PAT_P4", "--trials", "10")),
-        ("explain", ("analyze", "--fixture", "PAT_P4", "--trials", "10")),
-        ("verdict_to_json", ("analyze", "--fixture", "PAT_P4", "--trials", "10", "--json")),
-        ("census", ("census", "--fixture", "PAT_P4", "--trials", "10")),
-        ("digraph_to_dot", ("graph", "--fixture", "PAT_P4")),
-        ("stabilize_epsilon", ("witness", "--fixture", "PAT_XXEG22", "--cycle", "1,2,3,4")),
+        ("cli.analyze", ("analyze", "--fixture", "PAT_P4", "--trials", "10")),
+        ("cli.explain", ("analyze", "--fixture", "PAT_P4", "--trials", "10")),
+        ("cli.verdict_to_json", ("analyze", "--fixture", "PAT_P4", "--trials", "10", "--json")),
+        ("cli.census", ("census", "--fixture", "PAT_P4", "--trials", "10")),
+        ("cli.digraph_to_dot", ("graph", "--fixture", "PAT_P4")),
+        ("cli.stabilize_epsilon", ("witness", "--fixture", "PAT_XXEG22", "--cycle", "1,2,3,4")),
+        ("fixtures.fixture_names", ("fixtures",)),
+        ("fixtures.verify", ("verify-paper", "--filter", "PAT_XX2")),
     ],
-    ids=["analyze", "explain", "json", "census", "graph", "witness"],
+    ids=["analyze", "explain", "json", "census", "graph", "witness", "fixtures", "verify-paper"],
 )
 def test_unexpected_error_exits_3_not_a_verdict(monkeypatch, error, target, args):
     """Any error while loading, computing or rendering exits 3, never 1 ("does not require")."""
@@ -352,7 +371,7 @@ def test_unexpected_error_exits_3_not_a_verdict(monkeypatch, error, target, args
     def fail(*_args, **_kwargs):
         raise error
 
-    monkeypatch.setattr(f"signum.cli.{target}", fail)
+    monkeypatch.setattr(f"signum.{target}", fail)
     result = CliRunner().invoke(main, list(args))
     assert result.exit_code == 3
     assert result.stdout == ""

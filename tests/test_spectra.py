@@ -1,10 +1,13 @@
 import ast
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tree_pattern
 from signum import spectra
@@ -363,3 +366,52 @@ def test_census_keys_track_equivalence(pat):
         assert keys == base_keys
     neg_keys = census(apply_equivalence(p, Negation()), cfg).inertia_keys()
     assert neg_keys == [(1, 1, 2)]
+
+
+@st.composite
+def simple_graphs(draw):
+    """An order from 0 to 14 and a subset of its vertex pairs, each as (low, high)."""
+    n = draw(st.integers(0, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph=simple_graphs())
+def test_max_matching_is_maximum_against_networkx(graph):
+    """Disjoint sorted input edges, as many as networkx's maximum-cardinality matching."""
+    nx = pytest.importorskip("networkx")
+    n, edges = graph
+    match = spectra._max_matching(edges)
+    assert list(match) == sorted(match)
+    assert set(match) <= set(edges)
+    ends = [w for pair in match for w in pair]
+    assert len(ends) == len(set(ends))
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    assert len(match) == len(nx.max_weight_matching(g, maxcardinality=True))
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        ([(0, 1), (0, 2), (1, 2)], ((1, 2),)),
+        ([(0, 1), (1, 2), (2, 3)], ((0, 1), (2, 3))),
+        ([], ()),
+    ],
+    ids=["triangle", "path", "empty"],
+)
+def test_max_matching_tie_break(edges, expected):
+    """Leaving the lowest vertex out is tried first, then matching it to each neighbour in turn."""
+    assert spectra._max_matching(edges) == expected
+
+
+def test_max_matching_on_k16_is_fast():
+    """The complete graph at SIGN_ORDER_CAP visits every vertex mask: the worst case."""
+    edges = [(i, j) for i in range(16) for j in range(i + 1, 16)]
+    start = time.perf_counter()
+    match = spectra._max_matching(edges)
+    assert time.perf_counter() - start < 0.5
+    assert len(match) == 8
