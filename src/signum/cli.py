@@ -2,17 +2,16 @@
 
 Exit codes of ``analyze`` encode the verdict so shell pipelines can branch
 on it: 0 requires a unique inertia, 1 does not, 2 inconclusive, 3 error.
-Every command reports any error raised while loading, computing or
-rendering as ``error: ...`` on stderr and exits 3, so an unexpected error
-is never read as a verdict (or, from ``verify-paper``, as a failed check);
-click's usage errors exit 2.
-All output is deterministic given input, flags, and seed; the environment
-variable SIGNUM_SEED overrides the default seed.
+Every other exit is an error and exits 3, so it is never read as a verdict
+(or, from ``verify-paper``, as a failed check): any error raised while
+loading, computing or printing is reported as ``error: ...`` on stderr, a
+usage error keeps click's usage text, and an interrupt prints ``Aborted!``.
+``--help`` exits 0.  All output is deterministic given input, flags, and
+seed; ``--seed`` reads the environment variable SIGNUM_SEED when not given.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import NoReturn
 
@@ -38,19 +37,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_ERROR = 3
 
 
-def _default_seed() -> int:
-    env = os.environ.get("SIGNUM_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise click.ClickException(f"SIGNUM_SEED must be an integer, got {env!r}")
-        if seed < 0:
-            raise click.ClickException(f"SIGNUM_SEED must be nonnegative, got {env!r}")
-        return seed
-    return DEFAULT_SEED
-
-
 def _load_pattern(path: str | None, fixture: str | None) -> SignPattern:
     if (path is None) == (fixture is None):
         raise click.ClickException("give exactly one of a pattern file or --fixture")
@@ -71,13 +57,35 @@ def _load_pattern(path: str | None, fixture: str | None) -> SignPattern:
         raise click.ClickException(f"cannot read {path}: not UTF-8 text ({exc.reason})")
 
 
-def _fail(exc: Exception) -> NoReturn:
-    """Report an error on stderr and exit 3; an exception without a message reports its type."""
-    click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
-    sys.exit(EXIT_ERROR)
+class _Main(click.Group):
+    """The command group; its ``main`` holds every exit that is not a verdict's or a check's."""
+
+    def main(self, *args, **kwargs) -> NoReturn:
+        # Outside standalone mode click raises usage errors and interrupts
+        # (as Abort) instead of exiting 2 and 1, and returns --help's 0.
+        try:
+            sys.exit(super().main(*args, **kwargs, standalone_mode=False))
+        except click.UsageError as exc:
+            exc.show()
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+        except Exception as exc:  # an exception without a message reports its type
+            click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
+        sys.exit(EXIT_ERROR)
 
 
-@click.group()
+_SEED = click.option(
+    "--seed",
+    type=click.IntRange(min=0),
+    default=DEFAULT_SEED,
+    envvar="SIGNUM_SEED",
+    show_default=True,
+    show_envvar=True,
+    help="sampling seed",
+)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Analyze sign patterns for the unique-inertia property."""
 
@@ -87,16 +95,12 @@ def main() -> None:
 @click.option("--fixture", help="name of a built-in pattern")
 @click.option("--json", "as_json", is_flag=True, help="emit the JSON verdict")
 @click.option("--trials", default=1000, show_default=True, help="census sample count")
-@click.option("--seed", type=click.IntRange(min=0), default=None, help="sampling seed")
+@_SEED
 def cmd_analyze(path, fixture, as_json, trials, seed) -> None:
     """Run the rule battery on a pattern and print the verdict."""
-    try:
-        pattern = _load_pattern(path, fixture)
-        cfg = SampleConfig(trials=trials, seed=seed if seed is not None else _default_seed())
-        verdict = analyze(pattern, cfg=cfg)
-        text = verdict_to_json(verdict) if as_json else explain(verdict)
-    except Exception as exc:
-        _fail(exc)
+    pattern = _load_pattern(path, fixture)
+    verdict = analyze(pattern, cfg=SampleConfig(trials=trials, seed=seed))
+    text = verdict_to_json(verdict) if as_json else explain(verdict)
     click.echo(text)
     sys.exit(
         {
@@ -110,15 +114,12 @@ def cmd_analyze(path, fixture, as_json, trials, seed) -> None:
 @main.command("fixtures")
 def cmd_fixtures() -> None:
     """List the built-in benchmark patterns."""
-    try:
-        from . import fixtures as fixture_catalog
+    from . import fixtures as fixture_catalog
 
-        lines = []
-        for name in fixture_catalog.fixture_names():
-            fix = fixture_catalog.fixture(name)
-            lines.append(f"{name} (order {fix.pattern.n}): {fix.description}")
-    except Exception as exc:
-        _fail(exc)
+    lines = []
+    for name in fixture_catalog.fixture_names():
+        fix = fixture_catalog.fixture(name)
+        lines.append(f"{name} (order {fix.pattern.n}): {fix.description}")
     click.echo("\n".join(lines))
 
 
@@ -126,27 +127,24 @@ def cmd_fixtures() -> None:
 @click.option("--filter", "name_filter", default=None, help="substring filter on fixture names")
 def cmd_verify(name_filter) -> None:
     """Recompute every catalog expectation and print one line per check."""
-    try:
-        from . import fixtures as fixture_catalog
+    from . import fixtures as fixture_catalog
 
-        names = fixture_catalog.fixture_names()
-        if name_filter is not None:
-            names = [n for n in names if name_filter in n]
-        outcomes = fixture_catalog.verify(names)
-        lines = []
-        for o in outcomes:
-            mark = "pass" if o.passed else "FAIL"
-            line = f"[{mark}] {o.fixture}.{o.check_id} ({o.tag}): {o.detail}"
-            if not o.passed and o.source:
-                line += f"  [expected from: {o.source}]"
-            lines.append(line)
-        failed = sum(not o.passed for o in outcomes)
-        lines.append(f"{len(outcomes) - failed}/{len(outcomes)} checks passed")
-    except Exception as exc:
-        _fail(exc)
+    names = fixture_catalog.fixture_names()
+    if name_filter is not None:
+        names = [n for n in names if name_filter in n]
     if not names:
         click.echo("warning: no fixtures match the filter; nothing to verify")
         sys.exit(0)
+    outcomes = fixture_catalog.verify(names)
+    lines = []
+    for o in outcomes:
+        mark = "pass" if o.passed else "FAIL"
+        line = f"[{mark}] {o.fixture}.{o.check_id} ({o.tag}): {o.detail}"
+        if not o.passed and o.source:
+            line += f"  [expected from: {o.source}]"
+        lines.append(line)
+    failed = sum(not o.passed for o in outcomes)
+    lines.append(f"{len(outcomes) - failed}/{len(outcomes)} checks passed")
     click.echo("\n".join(lines))
     sys.exit(0 if failed == 0 else 1)
 
@@ -157,14 +155,11 @@ def cmd_verify(name_filter) -> None:
 @click.option("--directed/--undirected", default=True, help="which graph to export")
 def cmd_graph(path, fixture, directed) -> None:
     """Export the signed digraph or undirected graph as DOT."""
-    try:
-        pattern = _load_pattern(path, fixture)
-        if directed:
-            text = digraph_to_dot(pattern)
-        else:
-            text = graph_to_dot(SignedGraph(pattern))
-    except Exception as exc:
-        _fail(exc)
+    pattern = _load_pattern(path, fixture)
+    if directed:
+        text = digraph_to_dot(pattern)
+    else:
+        text = graph_to_dot(SignedGraph(pattern))
     click.echo(text, nl=False)
 
 
@@ -172,26 +167,20 @@ def cmd_graph(path, fixture, directed) -> None:
 @click.argument("path", required=False)
 @click.option("--fixture", help="name of a built-in pattern")
 @click.option("--trials", default=1000, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=None)
+@_SEED
 @click.option("--lo", default=1e-2, show_default=True, help="magnitude law lower bound")
 @click.option("--hi", default=1e2, show_default=True, help="magnitude law upper bound")
 def cmd_census(path, fixture, trials, seed, lo, hi) -> None:
     """Sample the qualitative class and tabulate observed inertias."""
-    try:
-        pattern = _load_pattern(path, fixture)
-        cfg = SampleConfig(
-            lo=lo, hi=hi, trials=trials, seed=seed if seed is not None else _default_seed()
-        )
-        cen = census(pattern, cfg)
-        lines = [f"trials: {cen.trials}  failures: {cen.failures}"]
-        for key in cen.inertia_keys():
-            solid = "solid" if key in cen.solid_representatives else "tolerance-limited"
-            lines.append(f"inertia {key}: {cen.inertia_counts[key]}  [{solid}]")
-        for key, count in sorted(cen.frequency_counts.items()):
-            lines.append(f"frequency {key}: {count}")
-        lines.append(f"consistent frequency observed: {cen.consistent_observed}")
-    except Exception as exc:
-        _fail(exc)
+    pattern = _load_pattern(path, fixture)
+    cen = census(pattern, SampleConfig(lo=lo, hi=hi, trials=trials, seed=seed))
+    lines = [f"trials: {cen.trials}  failures: {cen.failures}"]
+    for key in cen.inertia_keys():
+        solid = "solid" if key in cen.solid_representatives else "tolerance-limited"
+        lines.append(f"inertia {key}: {cen.inertia_counts[key]}  [{solid}]")
+    for key, count in sorted(cen.frequency_counts.items()):
+        lines.append(f"frequency {key}: {count}")
+    lines.append(f"consistent frequency observed: {cen.consistent_observed}")
     click.echo("\n".join(lines))
 
 
@@ -241,27 +230,24 @@ def _parse_matching(text: str, n: int) -> list[tuple[int, int]]:
 @click.option("--matching", help="undirected matching to emphasize, e.g. 1-2,3-4")
 def cmd_witness(path, fixture, cycle, matching) -> None:
     """Emphasize cycles, stabilize the perturbation, and report the inertia."""
-    try:
-        pattern = _load_pattern(path, fixture)
-        if (cycle is None) == (matching is None):
-            raise click.ClickException("give exactly one of --cycle or --matching")
-        if cycle is not None:
-            parts = (directed_cycle_from_vertices(pattern, _parse_vertices(cycle, pattern.n)),)
-        else:
-            parts = matching_parts(pattern, _parse_matching(matching, pattern.n))
-        spec = ladder_spec(parts)
-        mat, eps, prof = stabilize_epsilon(pattern, spec)
-        lines = [
-            f"parts: {[tuple(v + 1 for v in p.vertices) for p in parts]}",
-            f"magnitudes: {[float(m) for m in spec.magnitudes]}",
-            f"stabilized epsilon: {eps}",
-            f"inertia: {prof.inertia}",
-            f"refined: {prof.refined}",
-            "matrix:",
-        ]
-        lines += ["  " + " ".join(f"{v:.6g}" for v in row) for row in np.asarray(mat)]
-    except Exception as exc:
-        _fail(exc)
+    pattern = _load_pattern(path, fixture)
+    if (cycle is None) == (matching is None):
+        raise click.ClickException("give exactly one of --cycle or --matching")
+    if cycle is not None:
+        parts = (directed_cycle_from_vertices(pattern, _parse_vertices(cycle, pattern.n)),)
+    else:
+        parts = matching_parts(pattern, _parse_matching(matching, pattern.n))
+    spec = ladder_spec(parts)
+    mat, eps, prof = stabilize_epsilon(pattern, spec)
+    lines = [
+        f"parts: {[tuple(v + 1 for v in p.vertices) for p in parts]}",
+        f"magnitudes: {[float(m) for m in spec.magnitudes]}",
+        f"stabilized epsilon: {eps}",
+        f"inertia: {prof.inertia}",
+        f"refined: {prof.refined}",
+        "matrix:",
+    ]
+    lines += ["  " + " ".join(f"{v:.6g}" for v in row) for row in np.asarray(mat)]
     click.echo("\n".join(lines))
 
 

@@ -269,7 +269,10 @@ def _fill(
 
 
 def sample(pattern: SignPattern, cfg: SampleConfig, index: int = 0) -> np.ndarray:
-    """One random realization; deterministic in (seed, index)."""
+    """One random realization; deterministic in (seed, index), for an index in [0, 2**64)."""
+    # As in SampleConfig, bool is refused: True would read trial 1.
+    if type(index) is not int or not 0 <= index < 2**64:
+        raise ValueError(f"need an int index in [0, 2**64), got {index!r}")
     return _fill(pattern, _support(pattern), cfg.seed, [(cfg.lo, cfg.hi)], index, index + 1)[0]
 
 

@@ -125,7 +125,7 @@ def test_analyze_options_are_pinned():
     params = [p.name for p in main.commands["analyze"].params]
     assert params == ["path", "fixture", "as_json", "trials", "seed"]
     result = run("analyze", "--fixture", "PAT_TWOCYC82", "--strict-distance")
-    assert result.exit_code == 2
+    assert result.exit_code == 3
     assert "No such option" in result.output
 
 
@@ -178,13 +178,26 @@ def test_analyze_deterministic_output():
     assert a.output == b.output
 
 
-def test_seed_env_override():
-    direct = run("analyze", "--fixture", "PAT_EG06", "--json", "--trials", "100", "--seed", "99")
-    via_env = run(
-        "analyze", "--fixture", "PAT_EG06", "--json", "--trials", "100",
-        env={"SIGNUM_SEED": "99"},
-    )
-    assert direct.output == via_env.output
+EX26_CENSUS = ("census", "--fixture", "PAT_EX26", "--trials", "300")
+
+
+def test_seed_env_sets_the_default_seed():
+    """The census split of PAT_EX26 moves with the seed, so each source of the seed shows."""
+    default = run(*EX26_CENSUS, env={"SIGNUM_SEED": None})
+    seven = run(*EX26_CENSUS, "--seed", "7", env={"SIGNUM_SEED": None})
+    via_env = run(*EX26_CENSUS, env={"SIGNUM_SEED": "7"})
+    explicit = run(*EX26_CENSUS, "--seed", "1729", env={"SIGNUM_SEED": "7"})
+    assert "inertia (1, 2, 0): 147" in default.output
+    assert "inertia (1, 2, 0): 143" in seven.output
+    assert via_env.output == seven.output != default.output
+    assert explicit.output == default.output
+    assert {r.exit_code for r in (default, seven, via_env, explicit)} == {0}
+
+
+def test_empty_seed_env_means_unset():
+    result = run(*EX26_CENSUS, env={"SIGNUM_SEED": ""})
+    assert result.exit_code == 0
+    assert result.output == run(*EX26_CENSUS, env={"SIGNUM_SEED": None}).output
 
 
 def test_graph_directed_arcs():
@@ -316,7 +329,7 @@ def test_verify_negative_control(monkeypatch):
 )
 def test_negative_seed_is_a_usage_error(args):
     result = run(*args, "--seed", "-1")
-    assert result.exit_code == 2
+    assert result.exit_code == 3
     assert "Usage:" in result.output
     assert "--seed" in result.output
     assert "Traceback" not in result.output
@@ -332,7 +345,10 @@ def test_negative_seed_is_a_usage_error(args):
 def test_negative_seed_env_is_an_error(args, code):
     result = run(*args, env={"SIGNUM_SEED": "-5"})
     assert result.exit_code == code
-    assert "SIGNUM_SEED must be nonnegative" in result.output
+    assert (
+        "Invalid value for '--seed' (env var: 'SIGNUM_SEED'): -5 is not in the range x>=0."
+        in result.output
+    )
     assert "Traceback" not in result.output
 
 
@@ -377,3 +393,56 @@ def test_unexpected_error_exits_3_not_a_verdict(monkeypatch, error, target, args
     assert result.stdout == ""
     assert result.stderr == f"error: {str(error) or type(error).__name__}\n"
     assert "Traceback" not in result.output
+
+
+# Per command: a call with one mistyped flag, and that flag.
+USAGE_ERRORS = {
+    "analyze": (("analyze", "--fixture", "PAT_P4", "--trails", "10"), "--trails"),
+    "census": (("census", "--fixture", "PAT_P4", "--trails", "10"), "--trails"),
+    "fixtures": (("fixtures", "--all"), "--all"),
+    "verify-paper": (("verify-paper", "--filtre", "PAT_XX2"), "--filtre"),
+    "graph": (("graph", "--fixture", "PAT_P4", "--direct"), "--direct"),
+    "witness": (("witness", "--fixture", "PAT_P4", "--cycles", "1,2"), "--cycles"),
+}
+
+
+def test_usage_error_cases_cover_every_command():
+    assert set(USAGE_ERRORS) == set(main.commands)
+
+
+@pytest.mark.parametrize("args, flag", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_mistyped_flag_exits_3_not_a_verdict(args, flag):
+    """A usage error keeps click's usage text but exits 3, never 2 ("inconclusive")."""
+    result = run(*args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]")
+    assert f"Error: No such option '{flag}'" in result.stderr
+
+
+@pytest.mark.parametrize("args", [("bogus",), ()], ids=["unknown-command", "bare"])
+def test_unknown_or_missing_command_exits_3(args):
+    result = run(*args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("Usage: main [OPTIONS] COMMAND [ARGS]...")
+
+
+def test_interrupt_exits_3_not_a_verdict(monkeypatch):
+    """Ctrl-C during analyze exits 3, never 1 ("does not require")."""
+
+    def interrupt(*_args, **_kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("signum.cli.analyze", interrupt)
+    result = run("analyze", "--fixture", "PAT_P4", "--trials", "10")
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.endswith("Aborted!\n")
+
+
+def test_analyze_help_shows_the_seed_variable_and_default():
+    result = run("analyze", "--help")
+    assert result.exit_code == 0
+    assert "env var: SIGNUM_SEED" in result.output
+    assert "default: 1729" in result.output

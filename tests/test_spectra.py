@@ -55,6 +55,20 @@ def test_sample_determinism(pat):
     assert not np.array_equal(sample(p, CFG, index=3), sample(p, CFG, index=4))
 
 
+@pytest.mark.parametrize("index", [-1, 2**64, 1.5, True, np.int64(3)], ids=repr)
+def test_sample_rejects_an_index_outside_the_trials(pat, index):
+    """An index is a trial number: an int in [0, 2**64), as SampleConfig asks of a seed."""
+    with pytest.raises(ValueError, match=r"need an int index in \[0, 2\*\*64\)"):
+        sample(pat("PAT_EX26"), CFG, index=index)
+
+
+def test_sample_reaches_the_last_trial(pat):
+    p = pat("PAT_EX26")
+    last = sample(p, CFG, index=2**64 - 1)
+    assert np.array_equal(np.sign(last).astype(int), p.to_array())
+    assert not np.array_equal(last, sample(p, CFG, index=2**64 - 2))
+
+
 def test_profile_examples():
     b = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], float)
     prof = spectral_profile(b)
