@@ -8,8 +8,8 @@ read off ``cycles.composite_signs``; the determinant sign is E_n's.
 Counting sign variations bounds the number of positive and negative real
 eigenvalues.
 The numeric polynomial of one realization (``char_poly``) is numpy's
-product over its eigenvalues, which ``spectra._solve`` computes as it does
-for every single matrix.
+product over its eigenvalues, which come from the package's one eigensolve,
+``spectra._solve_stack``, as a stack of one.
 """
 
 from __future__ import annotations
@@ -53,21 +53,20 @@ class Variations:
 def char_poly(matrix: np.ndarray) -> CharPoly:
     """Monic characteristic polynomial, multiplied out from the eigenvalues.
 
-    The eigenvalues are ``spectra._solve``'s, the one solve of a single
-    matrix, so a matrix whose norm is not finite (an infinite or NaN entry,
-    or finite entries whose norm overflows) raises NonFinite, as in
+    The eigenvalues are ``spectra._solve``'s, the package's one eigensolve
+    on a stack of one, so a matrix that is not square raises ValueError,
+    one whose norm is not finite (an infinite or NaN entry, or finite
+    entries whose norm overflows) raises NonFinite, as in
     ``spectral_profile``, and a LAPACK failure raises EigenFailure.
     ``np.poly`` expands the product of (x - lambda) over them, bit for bit
     what ``np.poly`` of the matrix gives, since it solves with the same
     ``eigvals``; a real matrix has a real polynomial, so the rounding left
     in the imaginary parts is dropped.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("char_poly needs a square matrix")
-    if a.shape[0] == 0:  # np.poly of no roots is a scalar
+    eig = _solve(matrix)[0]
+    if not len(eig):  # np.poly of no roots is a scalar
         return CharPoly((1.0,))
-    return CharPoly(tuple(float(c) for c in np.real(np.poly(_solve(a)[0]))[::-1]))
+    return CharPoly(tuple(float(c) for c in np.real(np.poly(eig))[::-1]))
 
 
 def ek_sign(pattern: SignPattern, k: int) -> AmbSign:

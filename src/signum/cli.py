@@ -4,19 +4,23 @@ Exit codes of ``analyze`` encode the verdict so shell pipelines can branch
 on it: 0 requires a unique inertia, 1 does not, 2 inconclusive, 3 error.
 Every other exit is an error and exits 3, so it is never read as a verdict
 (or, from ``verify-paper``, as a failed check): any error raised while
-loading, computing or printing is reported as ``error: ...`` on stderr, a
-usage error keeps click's usage text, and an interrupt prints ``Aborted!``.
+loading, computing or printing is reported as ``error: ...`` on stderr (a
+reader that closes stdout early, as ``| head`` does, included), a usage
+error keeps click's usage text, and an interrupt prints ``Aborted!``.
 ``--help`` exits 0.  All output is deterministic given input, flags, and
-seed; ``--seed`` reads the environment variable SIGNUM_SEED when not given.
+seed; ``--seed`` reads the environment variable SIGNUM_SEED when not given,
+and its usage errors name the variable only when the value came from it.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import NoReturn
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .graphs import SignedGraph, digraph_to_dot, graph_to_dot
 from .patterns import SignPattern, parse_pattern
@@ -73,9 +77,37 @@ class _Main(click.Group):
             click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
         sys.exit(EXIT_ERROR)
 
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError as exc:
+            # Click's own main turns EPIPE into exit 1, a verdict's code, so
+            # it leaves here as another error.  Python flushes stdout again
+            # at exit, and a failed flush there exits 120: stdout's file
+            # descriptor goes to devnull first.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise click.ClickException(f"output closed early: {exc.strerror}") from None
+
+
+class _EnvOption(click.Option):
+    """An option that names its environment variable in an error only when the value came from it."""
+
+    def consume_value(self, ctx: click.Context, opts):
+        # Click records where a value came from only once it has converted.
+        value, source = super().consume_value(ctx, opts)
+        ctx.meta[f"signum.source.{self.name}"] = source
+        return value, source
+
+    def get_error_hint(self, ctx: click.Context | None) -> str:
+        source = ctx and ctx.meta.get(f"signum.source.{self.name}")
+        if source is ParameterSource.ENVIRONMENT:
+            return super().get_error_hint(ctx)
+        return click.Parameter.get_error_hint(self, ctx)
+
 
 _SEED = click.option(
     "--seed",
+    cls=_EnvOption,
     type=click.IntRange(min=0),
     default=DEFAULT_SEED,
     envvar="SIGNUM_SEED",

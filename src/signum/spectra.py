@@ -3,14 +3,15 @@
 A sample of a pattern draws log-uniform magnitudes onto the nonzero
 positions with the pattern's signs.  Profiles classify eigenvalues by the
 sign of their real part under a relative tolerance.  One routine,
-``_solve``, solves and thresholds every single matrix (a profile, each step
-of an epsilon walk, a census trial solved on its own, a characteristic
-polynomial), so a norm that is not finite raises NonFinite wherever one
-matrix is solved.  A census tallies the rows an analysis records for its
-trials, drawn in blocks of ``_BLOCK`` trials that the CPUs take from one
-counter.  Witness construction emphasizes chosen cycles with large
-magnitudes while every other nonzero position gets a small epsilon, so the
-spectrum stays close to that of the emphasized part.
+``_solve_stack``, solves and thresholds every matrix: a census block is a
+stack, and a single matrix (a profile, each step of an epsilon walk, a
+characteristic polynomial) is a stack of one, which ``_solve`` turns into
+NonFinite or EigenFailure where its row fails.  A census tallies the rows
+an analysis records for its trials, drawn in blocks of ``_BLOCK`` trials
+that the CPUs take from one counter.  Witness construction emphasizes
+chosen cycles with large magnitudes while every other nonzero position gets
+a small epsilon, so the spectrum stays close to that of the emphasized
+part.
 
 Two samples of one pattern with different inertias certify that the
 pattern does not force a unique inertia; ``find_witness_pair`` looks for
@@ -372,60 +373,56 @@ def _thresholds(norm: float | np.ndarray):
     return 1e-8 * (1.0 + norm), 1e-12 * (1.0 + norm)
 
 
-def _stack_thresholds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_thresholds`` of each matrix of a C-ordered stack.
+def _solve_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, success and thresholds of each matrix of a C-ordered stack.
 
-    ``sqrt(dot(v, v))`` per flattened matrix is exactly what
-    ``np.linalg.norm`` computes; a reduction over an axis sums in another
-    order and can differ in the last bit.  A stack of row-by-column
-    ``matmul`` products takes the same ``dot`` for each matrix.
+    The package's one eigensolve: a census block is a stack, and a single
+    matrix is a stack of one (``_solve``).  Each row's tolerance and floor
+    are ``_thresholds`` of its Frobenius norm, ``sqrt(dot(v, v))`` of the
+    flattened matrix as ``np.linalg.norm`` takes it (a stacked ``matmul``
+    takes the same ``dot``; a reduction over an axis can differ in the last
+    bit).  A row whose norm is not finite fails unsolved.  The rest are
+    solved in one call; if it fails, each row is solved on its own, so one
+    bad matrix costs one failure.  Failed rows hold zeros.
     """
     flat = mats.reshape(len(mats), -1)
-    with np.errstate(over="ignore"):  # an infinite norm fails its trial
-        return _thresholds(np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]))
+    with np.errstate(over="ignore"):  # an infinite norm fails its row
+        tol, floor = _thresholds(np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]))
+    ok = np.isfinite(tol)
+    eig = np.zeros(mats.shape[:2], dtype=complex)
+    try:
+        if ok.all():
+            eig = np.linalg.eigvals(mats)
+        else:
+            eig[ok] = np.linalg.eigvals(mats[ok])
+    except np.linalg.LinAlgError:
+        ok &= len(mats) > 1  # a stack of one has had its own solve
+        for r in np.flatnonzero(ok):
+            try:
+                eig[r] = np.linalg.eigvals(mats[r])
+            except np.linalg.LinAlgError:
+                ok[r] = False
+    return eig, ok, tol, floor
 
 
 def _solve(a: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Eigenvalues of one matrix, with its classification tolerance and roundoff floor.
 
-    The one solve of a single matrix: ``spectral_profile``, every step of
-    ``stabilize_epsilon``, the census's per-matrix fallback and
-    ``char_poly`` all come here.  A matrix whose Frobenius norm is not
-    finite has no tolerance and raises NonFinite before any solve; a LAPACK
-    failure raises EigenFailure.
+    The raising view of ``_solve_stack`` on a stack of one, for
+    ``spectral_profile``, every step of ``stabilize_epsilon`` and
+    ``char_poly``: a matrix that is not square raises ValueError, one whose
+    Frobenius norm is not finite raises NonFinite, and a failed solve
+    raises EigenFailure.
     """
     a = np.asarray(a, dtype=float)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if not math.isfinite(norm):
-        raise NonFinite(f"matrix norm is {norm}, so its spectrum cannot be classified")
-    try:
-        eig = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    return (eig, *_thresholds(norm))
-
-
-def _stack_eigvals(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of every matrix of a stack, and which solves succeeded.
-
-    One call covers the whole stack.  If it fails, each matrix is solved on
-    its own by ``_solve``, so one bad matrix costs one failure, as a
-    per-matrix loop would count it; a row whose solve fails or whose norm
-    is not finite fails, and failed rows hold zeros.
-    """
-    try:
-        return np.linalg.eigvals(mats), np.ones(len(mats), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    eig = np.zeros(mats.shape[:2], dtype=complex)
-    ok = np.ones(len(mats), dtype=bool)
-    for r, mat in enumerate(mats):
-        try:
-            eig[r] = _solve(mat)[0]
-        except (EigenFailure, NonFinite):
-            ok[r] = False
-    return eig, ok
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    eig, ok, tol, floor = _solve_stack(a[None])
+    if not math.isfinite(tol[0]):  # inf or nan, as the norm is
+        raise NonFinite(f"matrix norm is {tol[0]}, so its spectrum cannot be classified")
+    if not ok[0]:  # LAPACK's one failure on a finite square matrix
+        raise EigenFailure("Eigenvalues did not converge")
+    return eig[0], float(tol[0]), float(floor[0])
 
 
 # The census pool, built on first use by _census_pool.
@@ -458,8 +455,9 @@ def spectral_profile(a: np.ndarray) -> SpectralProfile:
     With tol = 1e-8 * (1 + ||a||_F), real parts within +-tol count as zero
     real part, moduli within tol as zero eigenvalues, imaginary parts within
     tol as real eigenvalues.  The solve and the thresholds are ``_solve``'s,
-    as for every single matrix: a matrix whose norm is not finite has no
-    such tol and raises NonFinite, and a LAPACK failure raises EigenFailure.
+    as for every single matrix: a matrix that is not square raises
+    ValueError, one whose norm is not finite has no such tol and raises
+    NonFinite, and a LAPACK failure raises EigenFailure.
     """
     return _profile(*_solve(a))
 
@@ -513,9 +511,7 @@ def _draw(pattern: SignPattern, seed: int, laws: tuple, rows: np.ndarray, trials
 
     def block_rows(start: int, stop: int) -> np.ndarray:
         mats = _fill(pattern, support, seed, laws, start, stop)
-        eig, ok = _stack_eigvals(mats)
-        tol, floor = _stack_thresholds(mats)
-        ok &= np.isfinite(tol)
+        eig, ok, tol, floor = _solve_stack(mats)
         c = _classify(eig, tol, floor)
         firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
         return np.stack([c.i_plus, c.i_minus, c.k_real, ok + 2 * firm], 1)

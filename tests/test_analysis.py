@@ -284,13 +284,15 @@ def test_r7_matches_each_leftover_vertex_set_once(monkeypatch):
 def test_sampling_witness_resumes_the_main_census(monkeypatch):
     """The 2000-trial witness census extends the 1000-trial main census."""
     drawn = []
-    solve = spectra._stack_eigvals
+    solve = spectra._solve_stack
 
     def counting(mats):
-        drawn.append(len(mats))
+        # Census blocks only: a single matrix is solved as a stack of one.
+        if sys._getframe(1).f_code.co_name == "block_rows":
+            drawn.append(len(mats))
         return solve(mats)
 
-    monkeypatch.setattr(spectra, "_stack_eigvals", counting)
+    monkeypatch.setattr(spectra, "_solve_stack", counting)
     verdict = analyze(GOLDEN_PATTERNS["ladder-n12-1"], SampleConfig())
     assert verdict.witness_pair().method == "sampled"
     assert verdict.census.trials == 1000

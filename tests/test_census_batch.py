@@ -354,7 +354,8 @@ def test_stack_thresholds_match_per_matrix_norm(rows, n, density, seed):
     rng = np.random.default_rng(seed)
     mats = rng.standard_normal((rows, n, n)) * 10.0 ** rng.uniform(-3, 3, (rows, n, n))
     mats[rng.random((rows, n, n)) >= density] = 0.0
-    tol, floor = spectra._stack_thresholds(mats)
+    _, ok, tol, floor = spectra._solve_stack(mats)
+    assert ok.all()
     want = [spectra._thresholds(float(np.linalg.norm(m))) for m in mats]
     assert tol.tobytes() == np.array([w[0] for w in want]).tobytes()
     assert floor.tobytes() == np.array([w[1] for w in want]).tobytes()
@@ -936,15 +937,20 @@ def test_census_makes_one_fill_and_one_solve_per_block_and_one_tally(monkeypatch
 
 
 def count_solved_rows(monkeypatch) -> list[int]:
-    """Rows of each census block handed to the eigensolver."""
-    rows = []
-    original = spectra._stack_eigvals
+    """Rows of each census block handed to the eigensolver.
 
-    def stack_eigvals(mats):
-        rows.append(len(mats))
+    A single matrix is solved as a stack of one too; only the stacks of
+    ``_draw``'s blocks are counted.
+    """
+    rows = []
+    original = spectra._solve_stack
+
+    def solve_stack(mats):
+        if sys._getframe(1).f_code.co_name == "block_rows":
+            rows.append(len(mats))
         return original(mats)
 
-    monkeypatch.setattr(spectra, "_stack_eigvals", stack_eigvals)
+    monkeypatch.setattr(spectra, "_solve_stack", solve_stack)
     return rows
 
 
@@ -1023,7 +1029,7 @@ def full_stack_stabilize(pattern: SignPattern, spec):
     schedule = spectra.EPSILON_SCHEDULE
     mats = base + np.array(schedule)[:, None, None] * rest
     eig = np.linalg.eigvals(mats)
-    tol, floor = spectra._stack_thresholds(mats)
+    tol, floor = spectra._thresholds(np.array([np.linalg.norm(m) for m in mats]))
     c = spectra._classify(eig, tol, floor)
     inertia = np.stack([c.i_plus, c.i_minus, c.i_zero], axis=1)
     same = (inertia[1:] == inertia[:-1]).all(axis=1)
@@ -1082,8 +1088,9 @@ def test_stabilize_matches_full_stack(monkeypatch):
                 continue
         seen += 1
         assert (mat.tobytes(), eps, prof) == (want[0].tobytes(), want[1], want[2]), name
-        # The base, then one solve per step up to the settled triple.
-        assert calls == [2] * (want[3] + 4), name
+        # The base, then one solve per step up to the settled triple, each
+        # a stack of one.
+        assert calls == [3] * (want[3] + 4), name
     assert seen > 100
 
 
@@ -1097,7 +1104,7 @@ def test_stabilize_never_settling_solves_every_step(monkeypatch):
     calls = count_solves(monkeypatch)
     with pytest.raises(NoStabilization):
         stabilize_epsilon(pattern, spec)
-    assert calls == [2] * 13
+    assert calls == [3] * 13
 
 
 def count_profiles(monkeypatch):

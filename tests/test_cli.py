@@ -21,11 +21,12 @@ def run(*args, env=None):
 HEAVY_PACKAGES = ("scipy", "networkx")
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
+def run_fresh(code: str, *args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports signum from this checkout."""
     src = str(Path(signum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    command = [sys.executable, "-c", code, *args]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def heavy_modules_loaded(code: str, watched: tuple[str, ...] = HEAVY_PACKAGES) -> list[str]:
@@ -350,6 +351,32 @@ def test_negative_seed_env_is_an_error(args, code):
         in result.output
     )
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "census"])
+@pytest.mark.parametrize("seed, env", [("-1", None), ("-2", "7")])
+def test_negative_seed_flag_does_not_name_the_variable(command, seed, env):
+    """A bad --seed is the flag's fault, whether SIGNUM_SEED is unset or holds a good seed."""
+    args = (command, "--fixture", "PAT_P4", "--trials", "10", "--seed", seed)
+    result = run(*args, env={"SIGNUM_SEED": env})
+    assert result.exit_code == 3
+    assert f"Invalid value for '--seed': {seed} is not in the range x>=0." in result.output
+    assert "SIGNUM_SEED" not in result.output
+
+
+def test_broken_pipe_exits_3_not_a_verdict():
+    """A reader gone before the verdict is written means exit 3, not 1 ("does not require")."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        args = ("analyze", "--fixture", "PAT_XX2", "--trials", "300")
+        result = run_fresh("from signum.cli import main; main()", *args, stdout=write)
+    finally:
+        os.close(write)
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import ast
+import math
 import time
 import warnings
 from dataclasses import replace
@@ -151,18 +152,108 @@ def test_overflowing_walk_is_non_finite_like_its_profile(pat):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_stack_fallback_fails_rows_as_a_single_solve_does():
-    """A stack that fails is solved row by row by ``_solve``: a NaN row fails, the rest are exact."""
+def test_stack_fallback_fails_rows_as_a_single_solve_does(monkeypatch):
+    """A NaN row fails unsolved; a stack whose solve fails is redone row by row, the rest exact."""
     rng = np.random.default_rng(4)
     mats = rng.normal(size=(3, 5, 5))
     mats[1, 2, 3] = np.nan  # eigvals rejects the whole stack
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.eigvals(mats)
-    eig, ok = spectra._stack_eigvals(mats)
+    eig, ok, _, _ = spectra._solve_stack(mats)
     assert ok.tolist() == [True, False, True]
     assert not eig[1].any()
     for r in (0, 2):
         assert eig[r].tobytes() == np.linalg.eigvals(mats[r]).astype(complex).tobytes()
+    with pytest.raises(NonFinite):
+        spectra._solve(mats[1])
+    # A LAPACK failure on row 0 spoils the stack's one call.
+    original, bad, calls = np.linalg.eigvals, mats[0].copy(), []
+    mats[1, 2, 3] = 0.0
+
+    def eigvals(a):
+        calls.append(np.ndim(a))
+        if any(np.array_equal(m, bad) for m in np.reshape(a, (-1, 5, 5))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigvals", eigvals)
+    eig, ok, _, _ = spectra._solve_stack(mats)
+    assert ok.tolist() == [False, True, True]
+    assert not eig[0].any()
+    for r in (1, 2):
+        assert eig[r].tobytes() == original(mats[r]).astype(complex).tobytes()
+    assert calls == [3, 2, 2, 2]
+    calls.clear()
+    with pytest.raises(EigenFailure):
+        spectra._solve(mats[0])
+    assert calls == [3]  # a stack of one is not solved again
+
+
+ROW_KINDS = ("ordinary", "zero", "nan", "inf", "-inf", "overflow")
+
+
+def _stack_row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An order-n matrix of one kind; an order-0 matrix has no entry to spoil."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+    if n and kind != "ordinary":
+        # A finite 1e200 entry squares past the largest double.
+        a[tuple(rng.integers(n, size=2))] = 1e200 if kind == "overflow" else float(kind)
+    return a
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 6),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8),
+    bad=st.sets(st.integers(0, 7), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_stack_matches_a_per_matrix_oracle(n, kinds, bad, seed):
+    """Each row of ``_solve_stack`` is the per-matrix norm and ``eigvals``; ``_solve`` is its row 0.
+
+    Rows listed in ``bad``, and any row equal to one, fail in a
+    monkeypatched LAPACK, so a stack holding one is redone row by row.
+    """
+    rng = np.random.default_rng(seed)
+    mats = np.array([_stack_row(kind, n, rng) for kind in kinds]).reshape(len(kinds), n, n)
+    original = np.linalg.eigvals
+    spoiled = [mats[b] for b in sorted(bad) if b < len(mats)]
+
+    def eigvals(a):
+        stack = a if a.ndim == 3 else a[None]
+        if any(np.array_equal(m, b) for m in stack for b in spoiled):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a)
+
+    def single(a):
+        try:
+            return spectra._solve(a)
+        except (NonFinite, EigenFailure) as exc:
+            return type(exc)
+
+    with pytest.MonkeyPatch.context() as m, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m.setattr(spectra.np.linalg, "eigvals", eigvals)
+        whole = spectra._solve_stack(mats)
+        ones = [spectra._solve_stack(a[None]) for a in mats]
+        singles = [single(a) for a in mats]
+    for r, a in enumerate(mats):
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(a))
+        failed = not math.isfinite(norm) or any(np.array_equal(a, b) for b in spoiled)
+        want_eig = np.zeros(n, complex) if failed else original(a).astype(complex)
+        for (eig, ok, tol, floor), row in ((whole, r), (ones[r], 0)):
+            assert np.asarray(eig[row], dtype=complex).tobytes() == want_eig.tobytes()
+            assert ok[row] == (not failed)
+            assert np.array_equal([tol[row], floor[row]], spectra._thresholds(norm), equal_nan=True)
+        if failed:
+            assert singles[r] is (EigenFailure if math.isfinite(norm) else NonFinite)
+        else:
+            eig, tol, floor = singles[r]
+            assert np.asarray(eig, dtype=complex).tobytes() == want_eig.tobytes()
+            assert (tol, floor) == spectra._thresholds(norm)
 
 
 def _calls(source: str, module: str, name: str) -> list[str]:
@@ -182,15 +273,17 @@ def _calls(source: str, module: str, name: str) -> list[str]:
 
 
 def test_one_solve_of_a_single_matrix():
-    """``eigvals`` runs in ``_solve`` for one matrix and ``_stack_eigvals`` for a stack, nowhere else."""
+    """``eigvals`` and ``errstate`` run in ``_solve_stack`` alone, ``np.linalg.norm`` nowhere."""
     package = Path(spectra.__file__).parent
-    eigvals, norms = [], []
+    eigvals, norms, errstates = [], [], []
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
         eigvals += [(path.name, f) for f in _calls(source, "np.linalg", "eigvals")]
         norms += [(path.name, f) for f in _calls(source, "np.linalg", "norm")]
-    assert eigvals == [("spectra.py", "_solve"), ("spectra.py", "_stack_eigvals")]
-    assert norms == [("spectra.py", "_solve")]
+        errstates += [(path.name, f) for f in _calls(source, "np", "errstate")]
+    assert eigvals and set(eigvals) == {("spectra.py", "_solve_stack")}
+    assert norms == []
+    assert errstates == [("spectra.py", "_solve_stack")]
 
 
 def test_census_counts_an_overflowing_norm_as_a_failure(pat):
