@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import NoReturn
+from contextlib import contextmanager
+from typing import Iterator, NoReturn
 
 import click
 import numpy as np
@@ -61,6 +62,20 @@ def _load_pattern(path: str | None, fixture: str | None) -> SignPattern:
         raise click.ClickException(f"cannot read {path}: not UTF-8 text ({exc.reason})")
 
 
+@contextmanager
+def _closed_output_is_an_error() -> Iterator[None]:
+    """Raise a broken pipe as a ClickException, which ``_Main.main`` reports and exits 3 for."""
+    try:
+        yield
+    except BrokenPipeError as exc:
+        # Click's own main turns EPIPE into exit 1, a verdict's code, so it
+        # leaves here as another error.  Python flushes stdout again at
+        # exit, and a failed flush there exits 120: stdout's file
+        # descriptor goes to devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise click.ClickException(f"output closed early: {exc.strerror}") from None
+
+
 class _Main(click.Group):
     """The command group; its ``main`` holds every exit that is not a verdict's or a check's."""
 
@@ -77,16 +92,14 @@ class _Main(click.Group):
             click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
         sys.exit(EXIT_ERROR)
 
+    # The group's --help prints in make_context, everything else in invoke.
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _closed_output_is_an_error():
+            return super().make_context(*args, **kwargs)
+
     def invoke(self, ctx: click.Context):
-        try:
+        with _closed_output_is_an_error():
             return super().invoke(ctx)
-        except BrokenPipeError as exc:
-            # Click's own main turns EPIPE into exit 1, a verdict's code, so
-            # it leaves here as another error.  Python flushes stdout again
-            # at exit, and a failed flush there exits 120: stdout's file
-            # descriptor goes to devnull first.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise click.ClickException(f"output closed early: {exc.strerror}") from None
 
 
 class _EnvOption(click.Option):

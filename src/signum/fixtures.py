@@ -16,7 +16,10 @@ a census check and a verdict check read one census record.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Iterable
 
 import numpy as np
@@ -61,12 +64,15 @@ class CheckOutcome:
     source: str = ""
 
 
+_Result = tuple[bool, str]  # a check's (passed, detail)
+
+
 @dataclass(frozen=True)
 class Check:
     check_id: str
     tag: str
     source: str
-    fn: Callable[[PatternAnalysis], tuple[bool, str]]
+    fn: Callable[[PatternAnalysis], _Result]
 
 
 @dataclass(frozen=True)
@@ -105,285 +111,233 @@ def _below(*magnitudes: float) -> dict[tuple[int, int], float]:
     return {(i + 1, i): m for i, m in enumerate(magnitudes) if m != 1}
 
 
+def _check(predicate: Callable[..., _Result]) -> Callable[..., Check]:
+    """Make a predicate ``(facts, *args, **kwargs) -> (passed, detail)`` a check builder.
+
+    The builder takes ``(check_id, tag, source, *args, **kwargs)`` and binds
+    the arguments against the predicate's signature when it is called, so a
+    wrong one raises TypeError while the catalog is built rather than failing
+    the check; the check calls the predicate on the facts with them.
+    """
+    signature = inspect.signature(predicate)
+
+    @functools.wraps(predicate)
+    def build(check_id: str, tag: str, source: str, *args, **kwargs) -> Check:
+        signature.bind(None, *args, **kwargs)
+        return Check(check_id, tag, source, lambda facts: predicate(facts, *args, **kwargs))
+
+    return build
+
+
+@_check
 def _eig_check(
-    check_id: str,
-    tag: str,
-    source: str,
+    _: PatternAnalysis,
     realization: np.ndarray,
     inertia: tuple[int, int, int],
     eigenvalues: list[complex] | None = None,
     tol: float = 1e-8,
     refined: tuple[int, int, int, int] | None = None,
     frequency: tuple[int, int] | None = None,
-) -> Check:
-    def fn(_: PatternAnalysis) -> tuple[bool, str]:
-        prof = spectral_profile(realization)
-        if prof.inertia != inertia:
-            return False, f"inertia {prof.inertia}, expected {inertia}"
-        if refined is not None and prof.refined != refined:
-            return False, f"refined {prof.refined}, expected {refined}"
-        if frequency is not None and prof.frequency != frequency:
-            return False, f"frequency {prof.frequency}, expected {frequency}"
-        if eigenvalues is not None and not _close_multisets(
-            prof.eigenvalues, eigenvalues, tol
-        ):
-            return False, f"eigenvalues {prof.eigenvalues} off target beyond {tol}"
-        return True, f"inertia {prof.inertia}"
-
-    return Check(check_id, tag, source, fn)
+) -> _Result:
+    prof = spectral_profile(realization)
+    if prof.inertia != inertia:
+        return False, f"inertia {prof.inertia}, expected {inertia}"
+    if refined is not None and prof.refined != refined:
+        return False, f"refined {prof.refined}, expected {refined}"
+    if frequency is not None and prof.frequency != frequency:
+        return False, f"frequency {prof.frequency}, expected {frequency}"
+    if eigenvalues is not None and not _close_multisets(prof.eigenvalues, eigenvalues, tol):
+        return False, f"eigenvalues {prof.eigenvalues} off target beyond {tol}"
+    return True, f"inertia {prof.inertia}"
 
 
+@_check
 def _abs_eig_check(
-    check_id: str,
-    tag: str,
-    source: str,
+    _: PatternAnalysis,
     realization: np.ndarray,
     inertia: tuple[int, int, int],
     moduli: list[float],
     tol: float,
-) -> Check:
-    def fn(_: PatternAnalysis) -> tuple[bool, str]:
-        prof = spectral_profile(realization)
-        if prof.inertia != inertia:
-            return False, f"inertia {prof.inertia}, expected {inertia}"
-        got = sorted({round(abs(v), 6) for v in prof.eigenvalues})
-        want = sorted(moduli)
-        ok = len(got) == len(want) and all(abs(a - b) <= tol for a, b in zip(got, want))
-        return ok, f"moduli {got}"
-
-    return Check(check_id, tag, source, fn)
+) -> _Result:
+    prof = spectral_profile(realization)
+    if prof.inertia != inertia:
+        return False, f"inertia {prof.inertia}, expected {inertia}"
+    got = sorted({round(abs(v), 6) for v in prof.eigenvalues})
+    ok = len(got) == len(moduli) and all(abs(a - b) <= tol for a, b in zip(got, sorted(moduli)))
+    return ok, f"moduli {got}"
 
 
+@_check
 def _charpoly_check(
-    check_id: str, tag: str, source: str, realization: np.ndarray, ascending: list[float]
-) -> Check:
-    def fn(_: PatternAnalysis) -> tuple[bool, str]:
-        got = char_poly(realization).coeffs
-        scale = 1.0 + max(abs(c) for c in ascending)
-        ok = len(got) == len(ascending) and all(
-            abs(a - b) <= 1e-8 * scale for a, b in zip(got, ascending)
-        )
-        return ok, f"coefficients {tuple(round(c, 9) for c in got)}"
-
-    return Check(check_id, tag, source, fn)
+    _: PatternAnalysis, realization: np.ndarray, ascending: list[float]
+) -> _Result:
+    got = char_poly(realization).coeffs
+    scale = 1.0 + max(abs(c) for c in ascending)
+    ok = len(got) == len(ascending) and all(
+        abs(a - b) <= 1e-8 * scale for a, b in zip(got, ascending)
+    )
+    return ok, f"coefficients {tuple(round(c, 9) for c in got)}"
 
 
-def _det_expansion_check(
-    check_id: str, tag: str, source: str, realization: np.ndarray, expected: float
-) -> Check:
-    def fn(_: PatternAnalysis) -> tuple[bool, str]:
-        from itertools import permutations
-
-        n = realization.shape[0]
-        total = 0.0
-        for perm in permutations(range(n)):
-            sign, seen = 1, [False] * n
-            for start in range(n):
-                if seen[start]:
-                    continue
-                length, v = 0, start
-                while not seen[v]:
-                    seen[v] = True
-                    v = perm[v]
-                    length += 1
-                sign *= (-1) ** (length - 1)
-            term = sign
-            for i in range(n):
-                term *= realization[i, perm[i]]
-            total += term
-        ok = abs(total - expected) <= 1e-8 * (1 + abs(expected))
-        return ok, f"determinant by permutation expansion {total}"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _det_expansion_check(_: PatternAnalysis, realization: np.ndarray, expected: float) -> _Result:
+    n = realization.shape[0]
+    total = 0.0
+    for perm in permutations(range(n)):
+        sign, seen = 1, [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            length, v = 0, start
+            while not seen[v]:
+                seen[v] = True
+                v = perm[v]
+                length += 1
+            sign *= (-1) ** (length - 1)
+        term = sign
+        for i in range(n):
+            term *= realization[i, perm[i]]
+        total += term
+    ok = abs(total - expected) <= 1e-8 * (1 + abs(expected))
+    return ok, f"determinant by permutation expansion {total}"
 
 
+@_check
 def _verdict_check(
-    check_id: str,
-    tag: str,
-    source: str,
+    facts: PatternAnalysis,
     overall: Overall,
     rules: dict[str, Conclusion] | None = None,
     witness_inertias: set[tuple[tuple[int, int, int], tuple[int, int, int]]] | None = None,
     needs_witness: bool = False,
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        verdict = _analyze(facts, VERDICT_CFG)
-        if verdict.overall is not overall:
-            return False, f"overall {verdict.overall.value}, expected {overall.value}"
-        by_rule = {f.rule_id: f.conclusion for f in verdict.findings}
-        for rule, conclusion in (rules or {}).items():
-            if by_rule.get(rule) is not conclusion:
-                got = by_rule.get(rule)
-                return False, f"{rule} concluded {got and got.value}, expected {conclusion.value}"
-        pair = verdict.witness_pair()
-        if (needs_witness or witness_inertias) and pair is None:
-            return False, "no witness pair attached"
-        if pair is not None:
-            pa = spectral_profile(np.asarray(pair.a))
-            pb = spectral_profile(np.asarray(pair.b))
-            replayed = (pa.inertia, pb.inertia)
-            if replayed != pair.inertias():
-                return False, f"witness replays as {replayed}, stated {pair.inertias()}"
-            if pa.inertia == pb.inertia:
-                return False, "witness pair does not separate inertias"
-            if witness_inertias is not None:
-                got = frozenset((pa.inertia, pb.inertia))
-                want = {frozenset(w) for w in witness_inertias}
-                if got not in want:
-                    return False, f"witness inertias {sorted(got)} not among expected"
-        label = verdict.overall.value
-        if pair is not None:
-            label += f"; witness {pair.method} {sorted((pa.inertia, pb.inertia))}"
-        return True, label
-
-    return Check(check_id, tag, source, fn)
+) -> _Result:
+    verdict = _analyze(facts, VERDICT_CFG)
+    if verdict.overall is not overall:
+        return False, f"overall {verdict.overall.value}, expected {overall.value}"
+    by_rule = {f.rule_id: f.conclusion for f in verdict.findings}
+    for rule, conclusion in (rules or {}).items():
+        if (got := by_rule.get(rule)) is not conclusion:
+            return False, f"{rule} concluded {got and got.value}, expected {conclusion.value}"
+    pair = verdict.witness_pair()
+    if (needs_witness or witness_inertias) and pair is None:
+        return False, "no witness pair attached"
+    if pair is not None:
+        pa = spectral_profile(np.asarray(pair.a))
+        pb = spectral_profile(np.asarray(pair.b))
+        replayed = (pa.inertia, pb.inertia)
+        if replayed != pair.inertias():
+            return False, f"witness replays as {replayed}, stated {pair.inertias()}"
+        if pa.inertia == pb.inertia:
+            return False, "witness pair does not separate inertias"
+        if witness_inertias is not None:
+            got = frozenset((pa.inertia, pb.inertia))
+            want = {frozenset(w) for w in witness_inertias}
+            if got not in want:
+                return False, f"witness inertias {sorted(got)} not among expected"
+    label = verdict.overall.value
+    if pair is not None:
+        label += f"; witness {pair.method} {sorted((pa.inertia, pb.inertia))}"
+    return True, label
 
 
+@_check
 def _census_check(
-    check_id: str,
-    tag: str,
-    source: str,
+    facts: PatternAnalysis,
     exact_keys: set[tuple[int, int, int]] | None = None,
     superset: set[tuple[int, int, int]] | None = None,
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        cen = census(facts, CENSUS_CFG)
-        keys = set(cen.inertia_keys())
-        if exact_keys is not None and keys != exact_keys:
-            return False, f"census keys {sorted(keys)}, expected {sorted(exact_keys)}"
-        if superset is not None and not superset.issubset(keys):
-            return False, f"census keys {sorted(keys)} missing some of {sorted(superset)}"
-        return True, f"census keys {sorted(keys)}"
-
-    return Check(check_id, tag, source, fn)
+) -> _Result:
+    cen = census(facts, CENSUS_CFG)
+    keys = set(cen.inertia_keys())
+    if exact_keys is not None and keys != exact_keys:
+        return False, f"census keys {sorted(keys)}, expected {sorted(exact_keys)}"
+    if superset is not None and not superset.issubset(keys):
+        return False, f"census keys {sorted(keys)} missing some of {sorted(superset)}"
+    return True, f"census keys {sorted(keys)}"
 
 
-def _shape_check(check_id: str, tag: str, source: str, kind: ShapeKind) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        got = facts.shape.kind
-        return got is kind, f"shape {got.value}"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _shape_check(facts: PatternAnalysis, kind: ShapeKind) -> _Result:
+    got = facts.shape.kind
+    return got is kind, f"shape {got.value}"
 
 
-def _runs_check(
-    check_id: str, tag: str, source: str, lengths: list[int], cyclic: bool
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        if cyclic:
-            _, signs = cycle_edge_order(facts.graph, facts.graph.cycle_table.cycles[0])
-        else:
-            _, signs = facts.path_edges
-        runs = maximal_signed_runs(signs, cyclic=cyclic)
-        got = sorted(r.length for r in runs)
-        return got == sorted(lengths), f"run lengths {got}"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _runs_check(facts: PatternAnalysis, lengths: list[int], cyclic: bool) -> _Result:
+    if cyclic:
+        _, signs = cycle_edge_order(facts.graph, facts.graph.cycle_table.cycles[0])
+    else:
+        _, signs = facts.path_edges
+    got = sorted(r.length for r in maximal_signed_runs(signs, cyclic=cyclic))
+    return got == sorted(lengths), f"run lengths {got}"
 
 
-def _max_composite_check(check_id: str, tag: str, source: str, expected: int) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        got = facts.pattern.max_composite_length
-        return got == expected, f"max composite length {got}"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _max_composite_check(facts: PatternAnalysis, expected: int) -> _Result:
+    got = facts.pattern.max_composite_length
+    return got == expected, f"max composite length {got}"
 
 
-def _cover_check(
-    check_id: str, tag: str, source: str, cycle: tuple[int, ...], expected: bool
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        pattern = facts.pattern
-        got = cover_extension_exists(pattern, directed_cycle_from_vertices(pattern, cycle))
-        return got is expected, f"cover extension {got}"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _cover_check(facts: PatternAnalysis, cycle: tuple[int, ...], expected: bool) -> _Result:
+    pattern = facts.pattern
+    got = cover_extension_exists(pattern, directed_cycle_from_vertices(pattern, cycle))
+    return got is expected, f"cover extension {got}"
 
 
-def _window_check(
-    check_id: str, tag: str, source: str, block: str, start_1based: int
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        windows = find_principal_subpattern(facts.pattern, FORBIDDEN_BLOCKS[block])
-        starts = [w[0] + 1 for w in windows]
-        return start_1based in starts, f"windows at {starts}"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _window_check(facts: PatternAnalysis, block: str, start_1based: int) -> _Result:
+    windows = find_principal_subpattern(facts.pattern, FORBIDDEN_BLOCKS[block])
+    starts = [w[0] + 1 for w in windows]
+    return start_1based in starts, f"windows at {starts}"
 
 
-def _sign_set_check(
-    check_id: str, tag: str, source: str, plus: bool, minus: bool
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        signs = facts.top_signs
-        got = (1 in signs, -1 in signs)
-        return got == (plus, minus), f"top-length sign set plus={got[0]} minus={got[1]}"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _sign_set_check(facts: PatternAnalysis, plus: bool, minus: bool) -> _Result:
+    signs = facts.top_signs
+    got = (1 in signs, -1 in signs)
+    return got == (plus, minus), f"top-length sign set plus={got[0]} minus={got[1]}"
 
 
+@_check
 def _stabilize_check(
-    check_id: str,
-    tag: str,
-    source: str,
-    cycle: tuple[int, ...],
-    inertia: tuple[int, int, int],
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        pattern = facts.pattern
-        part = directed_cycle_from_vertices(pattern, cycle)
-        _, eps, prof = stabilize_epsilon(pattern, ladder_spec((part,)))
-        ok = prof.inertia == inertia
-        return ok, f"stabilized inertia {prof.inertia} at epsilon {eps}"
-
-    return Check(check_id, tag, source, fn)
+    facts: PatternAnalysis, cycle: tuple[int, ...], inertia: tuple[int, int, int]
+) -> _Result:
+    pattern = facts.pattern
+    part = directed_cycle_from_vertices(pattern, cycle)
+    _, eps, prof = stabilize_epsilon(pattern, ladder_spec((part,)))
+    return prof.inertia == inertia, f"stabilized inertia {prof.inertia} at epsilon {eps}"
 
 
-def _skew_check(check_id: str, tag: str, source: str) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        pattern = facts.pattern
-        edges, _ = cycle_edge_order(facts.graph, facts.shape.cycles[0])
-        matching = tuple(edges[t] for t in range(0, len(edges), 2))
-        spec = ladder_spec(matching_parts(pattern, matching), epsilon=1e-3)
-        mat = build_witness(pattern, spec)
-        if not np.array_equal(mat, -mat.T):
-            return False, "witness is not exactly skew-symmetric"
-        n = pattern.n
-        return True, f"skew witness certifies inertia (0, 0, {n}) without an eigensolve"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _skew_check(facts: PatternAnalysis) -> _Result:
+    pattern = facts.pattern
+    edges, _ = cycle_edge_order(facts.graph, facts.shape.cycles[0])
+    matching = tuple(edges[t] for t in range(0, len(edges), 2))
+    spec = ladder_spec(matching_parts(pattern, matching), epsilon=1e-3)
+    mat = build_witness(pattern, spec)
+    if not np.array_equal(mat, -mat.T):
+        return False, "witness is not exactly skew-symmetric"
+    return True, f"skew witness certifies inertia (0, 0, {pattern.n}) without an eigensolve"
 
 
-def _leaf_distance_check(
-    check_id: str, tag: str, source: str, expected: list[tuple[int, int]]
-) -> Check:
+@_check
+def _leaf_distance_check(facts: PatternAnalysis, expected: list[tuple[int, int]]) -> _Result:
     """expected: (leaf, distance) pairs, 0-based leaves, for the first cycle."""
-
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        got = sorted((leaf, d) for leaf, c, d in facts.cycle_report.leaf_cycle_distances if c == 0)
-        return got == sorted(expected), f"leaf distances {got}"
-
-    return Check(check_id, tag, source, fn)
+    got = sorted((leaf, d) for leaf, c, d in facts.cycle_report.leaf_cycle_distances if c == 0)
+    return got == sorted(expected), f"leaf distances {got}"
 
 
-def _pair_distance_check(
-    check_id: str, tag: str, source: str, expected_edge_counts: list[int]
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        got = sorted(link for (_, _, link) in facts.cycle_report.path_adjacent_pairs)
-        return got == sorted(expected_edge_counts), f"path-adjacent edge counts {got}"
-
-    return Check(check_id, tag, source, fn)
+@_check
+def _pair_distance_check(facts: PatternAnalysis, expected_edge_counts: list[int]) -> _Result:
+    got = sorted(link for (_, _, link) in facts.cycle_report.path_adjacent_pairs)
+    return got == sorted(expected_edge_counts), f"path-adjacent edge counts {got}"
 
 
+@_check
 def _pminus_edges_check(
-    check_id: str, tag: str, source: str, expected_signs: dict[tuple[int, int], int]
-) -> Check:
-    def fn(facts: PatternAnalysis) -> tuple[bool, str]:
-        got = dict(SignedGraph(p_minus(facts.pattern)).edges)
-        return got == expected_signs, f"flipped edge signs {got}"
-
-    return Check(check_id, tag, source, fn)
+    facts: PatternAnalysis, expected_signs: dict[tuple[int, int], int]
+) -> _Result:
+    got = dict(SignedGraph(p_minus(facts.pattern)).edges)
+    return got == expected_signs, f"flipped edge signs {got}"
 
 
 _DNR = Conclusion.DOES_NOT_REQUIRE

@@ -468,20 +468,22 @@ NEAR_ONE_LO, NEAR_ONE_HI = 0.5, 2.0
 def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
     """Distinct rows of keys[mask] as (key, first row, count), in order of first row.
 
-    Keys are nonnegative ints.  Each row is coded as one integer in mixed
-    radix, so one 1-D ``unique`` finds the distinct rows.
+    Each row is read as one code, a view of its bytes, so one 1-D ``unique``
+    finds the distinct rows and the keys are copied only as the masked
+    codes.  A row of 8 bytes, as a census record's four ``uint16`` columns
+    are, reads as one ``uint64``, which sorts faster than raw bytes.
     """
-    rows = np.flatnonzero(mask)
-    if not len(rows):
+    width = keys.itemsize * keys.shape[1]
+    code = np.dtype(np.uint64) if width == 8 else np.dtype((np.void, width))
+    codes = np.ascontiguousarray(keys).view(code)[:, 0][mask]
+    if not len(codes):
         return []
-    sub = keys[rows]
-    codes = np.ravel_multi_index(tuple(sub.T), tuple(sub.max(axis=0) + 1))
     _, first, count = np.unique(codes, return_index=True, return_counts=True)
     order = np.argsort(first)
-    first, count = first[order], count[order]
+    rows, count = np.flatnonzero(mask)[first[order]], count[order]
     return [
         (tuple(key), row, n)
-        for key, row, n in zip(sub[first].tolist(), rows[first].tolist(), count.tolist())
+        for key, row, n in zip(keys[rows].tolist(), rows.tolist(), count.tolist())
     ]
 
 

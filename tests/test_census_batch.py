@@ -585,6 +585,27 @@ def test_long_read_keeps_only_its_rows(monkeypatch):
     assert 8 * trials <= kept <= 8 * trials + (32 << 10)
 
 
+def test_reread_peaks_at_40_bytes_per_trial_or_less(monkeypatch):
+    """A re-read of an already-drawn 1,000-trial record peaks at 40 bytes per trial or less.
+
+    The record holds 8 bytes per trial.  The read's tally copies each masked
+    row once, as one code, plus what sorting the codes takes, and no column
+    of the record widened to 64 bits.  The magnitude cache starts empty, so
+    the re-read finds its representatives' blocks where the draw left them.
+    """
+    monkeypatch.setattr(spectra, "_MAGS", {})
+    facts = PatternAnalysis(FIXTURES["PAT_EX26"].pattern)
+    want = census(facts, CENSUS_CFG)
+    tracemalloc.start()
+    try:
+        got = census(facts, CENSUS_CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_census(got, want)
+    assert peak <= 40 * CENSUS_CFG.trials
+
+
 @contextmanager
 def cpus(count: int):
     """Censuses as on a process that may use ``count`` CPUs, on a pool of their own."""

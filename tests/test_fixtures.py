@@ -63,3 +63,46 @@ def test_verdict_check_fails_on_an_edited_stated_inertia(monkeypatch):
     (outcome,) = [o for o in fixtures.verify(["PAT_P4"]) if o.check_id == "verdict"]
     assert not outcome.passed
     assert outcome.detail.startswith("witness replays as ") and "stated ((4, 0, 0)," in outcome.detail
+
+
+def test_one_builder_binds_its_predicate_arguments_at_the_call():
+    calls = []
+
+    @fixtures._check
+    def _probe_check(facts, expected: int, scale: int = 1):
+        calls.append((facts, expected, scale))
+        return True, f"expected {expected * scale}"
+
+    with pytest.raises(TypeError, match="scal"):
+        _probe_check("probe", "trivial", "a misspelled keyword", 3, scal=2)
+    with pytest.raises(TypeError, match="expected"):
+        _probe_check("probe", "trivial", "a missing argument")
+    with pytest.raises(TypeError):
+        _probe_check("probe", "trivial", "one argument too many", 3, 2, 1)
+    assert calls == []
+    check = _probe_check("probe", "trivial", "both arguments", 3, scale=2)
+    assert (check.check_id, check.tag, check.source) == ("probe", "trivial", "both arguments")
+    assert check.fn("facts") == (True, "expected 6")
+    assert calls == [("facts", 3, 2)]
+
+
+def test_a_wrong_builder_argument_fails_the_catalog_build_not_a_check(monkeypatch):
+    """A keyword no predicate takes raises while the catalog is built, not in verify()."""
+    shape_check = fixtures._shape_check
+    monkeypatch.setattr(
+        fixtures, "_shape_check", lambda *args, **kwargs: shape_check(*args, shape=None, **kwargs)
+    )
+    with pytest.raises(TypeError, match="shape"):
+        fixtures._build_fixtures()
+
+
+def test_builders_keep_their_names_and_docstrings():
+    builders = [n for n in vars(fixtures) if n.endswith("_check") and n != "_check"]
+    assert len(builders) == 17
+    for name in builders:
+        builder = getattr(fixtures, name)
+        assert builder.__name__ == name
+        assert builder.__wrapped__.__name__ == name
+    assert fixtures._leaf_distance_check.__doc__ == (
+        "expected: (leaf, distance) pairs, 0-based leaves, for the first cycle."
+    )
