@@ -1,10 +1,11 @@
-"""The uniforms of ``default_rng((seed, index)).random(k)`` for many indices at once.
+"""The uniforms of ``default_rng((seed, t)).random(k)`` for a block of trials t at once.
 
-``np.random.default_rng((seed, index))`` hashes its entropy words with
+``np.random.default_rng((seed, t))`` hashes its entropy words with
 ``SeedSequence`` into four 64-bit words, seeds ``PCG64`` with them and
-turns each 64-bit output into a double.  Building one generator per index
-costs far more than the draws, so ``uniforms`` reproduces the whole chain
-bit for bit with array arithmetic over a block of indices:
+turns each 64-bit output into a double.  Building one generator per trial
+costs far more than the draws, so ``block_uniforms`` reproduces the whole
+chain bit for bit with array arithmetic over the ``_BLOCK`` trials of one
+block:
 
 - ``SeedSequence`` is a fixed sequence of 32-bit hash steps whose
   constants do not depend on the data, so one pass over ``(rows,)`` word
@@ -25,6 +26,8 @@ from functools import cache
 
 import numpy as np
 
+# Trials per block.  2**32 is a multiple of it, so no block straddles 2**32.
+_BLOCK = 256
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
@@ -151,27 +154,20 @@ def _pcg64_doubles(state: list[np.ndarray], k: int, first: int) -> np.ndarray:
     return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def uniforms(seed: int, indices: np.ndarray, k: int, first: int = 0) -> np.ndarray:
-    """Row r is ``np.random.default_rng((seed, indices[r])).random(k)[first:]``, bit for bit.
+def block_uniforms(seed: int, block: int, k: int, first: int = 0) -> np.ndarray:
+    """Row r is ``np.random.default_rng((seed, 256 * block + r)).random(k)[first:]``, bit for bit.
 
-    ``seed`` is any nonnegative int and ``indices`` a uint64 array.  An
-    index below 2**32 is one entropy word and a larger one two, so the rows
-    are hashed in those two groups.  Only columns ``first .. k - 1`` are
+    ``seed`` is any nonnegative int and ``block`` any int in [0, 2**56), so
+    every trial index is below 2**64.  An index below 2**32 is one entropy
+    word and a larger one two, its high word ``block >> 24``; no block
+    straddles 2**32, so its rows all take one word or all take two, and
+    they differ only in the low word.  Only columns ``first .. k - 1`` are
     drawn, so a caller holding the first columns extends them for the cost
     of the new ones.
     """
-    out = np.empty((len(indices), max(k - first, 0)))
-    if not out.shape[1]:
-        return out
-    low, high = indices & np.uint64(_MASK32), indices >> np.uint64(32)
-    seed_words = _words(seed)
-    for rows, wide in ((high == 0, False), (high != 0, True)):
-        if not rows.any():
-            continue
-        count = int(rows.sum())
-        entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words]
-        entropy.append(low[rows].astype(np.uint32))
-        if wide:
-            entropy.append(high[rows].astype(np.uint32))
-        out[rows] = _pcg64_doubles(_seed_words(entropy), k, first)
-    return out
+    high, low = divmod(block * _BLOCK, 1 << 32)
+    entropy = [np.full(_BLOCK, w, dtype=np.uint32) for w in _words(seed)]
+    entropy.append(np.arange(low, low + _BLOCK, dtype=np.uint32))
+    if high:
+        entropy.append(np.full(_BLOCK, high, dtype=np.uint32))
+    return _pcg64_doubles(_seed_words(entropy), k, first)

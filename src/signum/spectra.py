@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._rng import uniforms
+from ._rng import _BLOCK, block_uniforms
 from .cycles import (
     SIGN_ORDER_CAP,
     PatternAnalysis,
@@ -76,9 +76,8 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 EPSILON_SCHEDULE = tuple(10.0 ** (-k) for k in range(1, 13))
-# Trials per census block: the unit of the magnitude cache, of the work a
-# thread takes and of the matrices it holds.
-_BLOCK = 256
+# _BLOCK, trials per census block, is the unit of the draws, of the
+# magnitude cache, of the work a thread takes and of the matrices it holds.
 # The fewest trials the sampling witness search draws.
 _WITNESS_TRIALS = 2000
 
@@ -193,16 +192,17 @@ def _support(pattern: SignPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, signs
 
 
-def _magnitudes(u: np.ndarray, laws: Sequence[tuple[float, float]], start: int) -> np.ndarray:
-    """Log-uniform magnitudes of a stack of uniforms whose row r is trial start + r.
+def _magnitudes(u: np.ndarray, laws: Sequence[tuple[float, float]]) -> np.ndarray:
+    """Log-uniform magnitudes of a block's uniforms, row r under ``laws[r % len(laws)]``.
 
-    Trial t follows ``laws[t % len(laws)]``.  The powers are taken with
-    Python floats: numpy's vectorized ``power`` may differ from the C
-    library's ``pow`` in the last bit.
+    Trial t follows ``laws[t % len(laws)]``, and a block starts at a
+    multiple of ``_BLOCK``, which one or two laws divide.  The powers are
+    taken with Python floats: numpy's vectorized ``power`` may differ from
+    the C library's ``pow`` in the last bit.
     """
     mags = np.empty_like(u)
     for j, (lo, hi) in enumerate(laws):
-        picked = slice((j - start) % len(laws), None, len(laws))
+        picked = slice(j, None, len(laws))
         lo_exp = math.log10(lo)
         exps = lo_exp + (math.log10(hi) - lo_exp) * u[picked]
         mags[picked] = np.array([10.0**x for x in exps.ravel().tolist()]).reshape(exps.shape)
@@ -211,7 +211,7 @@ def _magnitudes(u: np.ndarray, laws: Sequence[tuple[float, float]], start: int) 
 
 # Census magnitudes of whole blocks, keyed by (seed, laws, block index) and
 # kept at the widest support size asked for, oldest use evicted first past
-# _MAGS_CAP bytes.  Row r of ``uniforms(seed, indices, k)`` is a prefix of
+# _MAGS_CAP bytes.  Row r of ``block_uniforms(seed, block, k)`` is a prefix of
 # the same row at any larger k, so ``mags[:, :k]`` is bit for bit what a
 # fresh draw at width k gives, and no census can tell a hit from a miss.  A
 # block asked for wider is extended by its missing columns alone, which are
@@ -231,9 +231,7 @@ def _block_magnitudes(
         mags = _MAGS.pop(key, None)
         width = 0 if mags is None else mags.shape[1]
         if mags is None or width < k:
-            start = block * _BLOCK
-            u = uniforms(seed, np.arange(start, start + _BLOCK, dtype=np.uint64), k, width)
-            new = _magnitudes(u, laws, start)
+            new = _magnitudes(block_uniforms(seed, block, k, width), laws)
             mags = new if mags is None else np.hstack((mags, new))
             mags.flags.writeable = False
         _MAGS[key] = mags
@@ -468,14 +466,11 @@ NEAR_ONE_LO, NEAR_ONE_HI = 0.5, 2.0
 def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], int, int]]:
     """Distinct rows of keys[mask] as (key, first row, count), in order of first row.
 
-    Each row is read as one code, a view of its bytes, so one 1-D ``unique``
-    finds the distinct rows and the keys are copied only as the masked
-    codes.  A row of 8 bytes, as a census record's four ``uint16`` columns
-    are, reads as one ``uint64``, which sorts faster than raw bytes.
+    ``keys`` is a census record, four ``uint16`` columns.  Each row is read
+    as one ``uint64`` code, a view of its bytes, so one 1-D ``unique`` finds
+    the distinct rows and the keys are copied only as the masked codes.
     """
-    width = keys.itemsize * keys.shape[1]
-    code = np.dtype(np.uint64) if width == 8 else np.dtype((np.void, width))
-    codes = np.ascontiguousarray(keys).view(code)[:, 0][mask]
+    codes = keys.view(np.uint64)[:, 0][mask]
     if not len(codes):
         return []
     _, first, count = np.unique(codes, return_index=True, return_counts=True)

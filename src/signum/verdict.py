@@ -10,7 +10,6 @@ realizations with distinct inertias is attached when one can be built.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -539,22 +538,6 @@ _SCALAR_TEXT = {
 _SEQUENCES = {list, tuple}
 
 
-def _int_lists(items) -> bool:
-    """Whether every item is a non-empty list or tuple of exact ints."""
-    return (
-        set(map(type, items)) <= _SEQUENCES
-        and all(items)
-        and set(map(type, itertools.chain.from_iterable(items))) == {int}
-    )
-
-
-def _int_list_texts(lists, indent: str) -> list[str]:
-    """The text of each non-empty list of exact ints in ``lists``, at depth ``indent``."""
-    inner = indent + "  "
-    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-    return [head + sep.join(map(int.__repr__, items)) + tail for items in lists]
-
-
 def _packed_texts(lists: _PackedTuples, indent: str, text) -> list[str]:
     """The text of each row of ``lists``, at depth ``indent``, joined from its item array.
 
@@ -571,16 +554,13 @@ def _packed_texts(lists: _PackedTuples, indent: str, text) -> list[str]:
     ]
 
 
-def _joined_texts(items, indent: str) -> list[str] | None:
-    """Each item's text at depth ``indent`` if one writer serves all: items of
-    one exact scalar type, or non-empty lists of exact ints; else None."""
+def _joined_texts(items) -> list[str] | None:
+    """Each item's text if all are of one exact scalar type, else None."""
     kinds = set(map(type, items))
     scalar = _SCALAR_TEXT.get(next(iter(kinds))) if len(kinds) == 1 else None
     if scalar is _float_text and all(map(math.isfinite, items)):
         scalar = float.__repr__
-    if scalar is not None:
-        return list(map(scalar, items))
-    return _int_list_texts(items, indent) if _int_lists(items) else None
+    return None if scalar is None else list(map(scalar, items))
 
 
 @dataclass(frozen=True)
@@ -611,7 +591,8 @@ class _Records(Sequence):
 
     Item i, iteration, ``==`` and ``repr`` are the list of dicts', tuple cells
     read as lists; ``text`` writes the list one column at a time.  A column
-    may be a ``_PackedTuples``, whose rows are its tuple cells.
+    of tuple cells is a ``_PackedTuples``, whose rows are its cells; any
+    other column holds cells of one exact scalar type.
     """
 
     keys: tuple[str, ...]
@@ -647,7 +628,7 @@ class _Records(Sequence):
             if type(cells) is _PackedTuples:
                 texts = _packed_texts(cells, field, int.__repr__)
             else:
-                texts = _joined_texts(cells, field)
+                texts = _joined_texts(cells)
             if texts is None:
                 kinds = ", ".join(sorted({type(cell).__name__ for cell in cells}))
                 raise TypeError(f"records column {key!r} of {kinds} has no join")
@@ -678,7 +659,7 @@ def _write(value, out: list[str], indent: str) -> None:
             return
         inner = indent + "  "
         sep = ",\n" + inner
-        texts = _joined_texts(value, inner)
+        texts = _joined_texts(value)
         if texts is not None:
             out.append("[\n" + inner + sep.join(texts) + "\n" + indent + "]")
             return
@@ -719,10 +700,11 @@ def verdict_to_json(verdict: Verdict) -> str:
     """
     cen = verdict.census
     if cen is not None:
-        keys = tuple(cen.inertia_keys())
+        keys = cen.inertia_keys()
         solid = tuple(k in cen.solid_representatives for k in keys)
-        inertias = (keys, tuple(map(cen.inertia_counts.get, keys)), solid)
-        frequencies = tuple(zip(*sorted(cen.frequency_counts.items()))) or ((), ())
+        inertias = (_PackedTuples.of(keys), tuple(map(cen.inertia_counts.get, keys)), solid)
+        freqs = sorted(cen.frequency_counts)
+        frequencies = (_PackedTuples.of(freqs), tuple(map(cen.frequency_counts.get, freqs)))
     doc = {
         "pattern": verdict.pattern.to_text().splitlines(),
         "flags": asdict(verdict.flags),

@@ -462,18 +462,18 @@ def test_extended_block_equals_a_fresh_wide_draw(monkeypatch):
     """A block asked for wider draws only its missing columns, and equals a fresh wide block."""
     laws = ((1e-2, 1e2), (NEAR_ONE_LO, NEAR_ONE_HI))
     drawn = []
-    uniforms = spectra.uniforms
+    block_uniforms = spectra.block_uniforms
 
-    def counted(seed, indices, k, first=0):
-        drawn.append((int(indices[0]), k, first))
-        return uniforms(seed, indices, k, first)
+    def counted(seed, block, k, first=0):
+        drawn.append((block, k, first))
+        return block_uniforms(seed, block, k, first)
 
-    monkeypatch.setattr(spectra, "uniforms", counted)
+    monkeypatch.setattr(spectra, "block_uniforms", counted)
     monkeypatch.setattr(spectra, "_MAGS", {})
     narrow = spectra._block_magnitudes(1729, laws, 3, 10)
     wide = spectra._block_magnitudes(1729, laws, 3, 20)
     assert spectra._block_magnitudes(1729, laws, 3, 15) is wide
-    assert drawn == [(3 * spectra._BLOCK, 10, 0), (3 * spectra._BLOCK, 20, 10)]
+    assert drawn == [(3, 10, 0), (3, 20, 10)]
     assert not wide.flags.writeable
     assert wide[:, :10].tobytes() == narrow.tobytes()
     monkeypatch.setattr(spectra, "_MAGS", {})
@@ -539,23 +539,23 @@ def test_block_asked_for_wider_mid_draw_waits_and_extends_it(monkeypatch):
     """A thread that asks for a block another thread is drawing waits, then extends that draw."""
     laws = ((1e-2, 1e2), (NEAR_ONE_LO, NEAR_ONE_HI))
     drawn, drawing = [], threading.Event()
-    uniforms = spectra.uniforms
+    block_uniforms = spectra.block_uniforms
 
-    def slow(seed, indices, k, first=0):
-        drawn.append((k, first))
+    def slow(seed, block, k, first=0):
+        drawn.append((block, k, first))
         if not drawing.is_set():
             drawing.set()
             time.sleep(0.2)  # the other thread asks for the block meanwhile
-        return uniforms(seed, indices, k, first)
+        return block_uniforms(seed, block, k, first)
 
-    monkeypatch.setattr(spectra, "uniforms", slow)
+    monkeypatch.setattr(spectra, "block_uniforms", slow)
     monkeypatch.setattr(spectra, "_MAGS", {})
     narrow = threading.Thread(target=spectra._block_magnitudes, args=(1729, laws, 3, 10))
     narrow.start()
     assert drawing.wait(20)
     wide = run_bounded(lambda: spectra._block_magnitudes(1729, laws, 3, 20))
     narrow.join(20)
-    assert drawn == [(10, 0), (20, 10)]
+    assert drawn == [(3, 10, 0), (3, 20, 10)]
     assert list(spectra._MAGS.values()) == [wide]
     monkeypatch.setattr(spectra, "_MAGS", {})
     assert spectra._block_magnitudes(1729, laws, 3, 20).tobytes() == wide.tobytes()
@@ -572,6 +572,9 @@ def test_long_read_keeps_only_its_rows(monkeypatch):
     monkeypatch.setattr(spectra, "_MAGS_CAP", spectra._BLOCK * 2 * 8)
     trials = 200 * spectra._BLOCK + 7
     facts = PatternAnalysis(pattern)
+    # The first pool start imports concurrent.futures and logging; that is
+    # not the read's to keep, whatever test ran first.
+    spectra._census_pool()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

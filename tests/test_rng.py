@@ -1,9 +1,9 @@
 """Block uniforms and the census tally against the numpy code they replace.
 
-``_rng.uniforms`` must give, row for row, exactly the doubles of
-``np.random.default_rng((seed, index)).random(k)``: census output bytes
-rest on it.  Comparing against ``default_rng`` itself means a change to
-numpy's ``SeedSequence`` or ``PCG64`` fails here first.
+``_rng.block_uniforms`` must give, row for row, exactly the doubles of
+``np.random.default_rng((seed, 256 * block + r)).random(k)``: census output
+bytes rest on it.  Comparing against ``default_rng`` itself means a change
+to numpy's ``SeedSequence`` or ``PCG64`` fails here first.
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ from signum.spectra import SampleConfig, _tally, sample
 # 2**32 splits into two entropy words; 2**130 + 3 is five words, more than
 # SeedSequence's pool of four, so it runs the leftover-entropy loop.
 SEEDS = [0, 1729, 2**32, 2**64 + 1, 2**130 + 3]
-INDICES = [0, 1, 2**32 - 1, 2**32]
+# Blocks 2**24 - 1 and 2**24 hold the last trials below 2**32 and the first
+# at it, one entropy word and two; block 2**56 - 1 ends at trial 2**64 - 1.
+BLOCKS = [0, 1, 2**24 - 1, 2**24, 2**56 - 1]
 
 
-def reference(seed: int, indices, k: int) -> np.ndarray:
+def reference(seed: int, block: int, k: int) -> np.ndarray:
+    start = _rng._BLOCK * block
     return np.array(
-        [np.random.default_rng((seed, int(i))).random(k) for i in indices]
-    ).reshape(len(indices), k)
+        [np.random.default_rng((seed, start + r)).random(k) for r in range(_rng._BLOCK)]
+    ).reshape(_rng._BLOCK, k)
 
 
 def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
@@ -45,39 +48,36 @@ def assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
 @pytest.mark.parametrize("k", [0, 1, 16, 50])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uniforms_match_default_rng(seed, k):
-    indices = np.array(INDICES, dtype=np.uint64)
-    assert_bits_equal(_rng.uniforms(seed, indices, k), reference(seed, INDICES, k))
-    for i in INDICES:  # one row alone equals its row in the block
-        row = _rng.uniforms(seed, np.array([i], dtype=np.uint64), k)
-        assert_bits_equal(row, reference(seed, [i], k))
+    for block in BLOCKS:
+        want = reference(seed, block, k)
+        assert_bits_equal(_rng.block_uniforms(seed, block, k), want)
+        for first in (k // 2, k + 3):  # a tail of the columns, and none
+            assert_bits_equal(_rng.block_uniforms(seed, block, k, first), want[:, first:])
 
 
 def test_uniforms_census_block():
-    indices = np.arange(256, 512, dtype=np.uint64)
-    assert_bits_equal(_rng.uniforms(1729, indices, 12), reference(1729, indices, 12))
+    """A census block drawn narrow, then extended by its missing columns, equals a wide draw."""
+    narrow = _rng.block_uniforms(1729, 1, 5)
+    extended = np.hstack((narrow, _rng.block_uniforms(1729, 1, 12, 5)))
+    assert_bits_equal(extended, reference(1729, 1, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**140), block=st.integers(0, 2**56 - 1), k=st.integers(0, 40))
+def test_uniforms_match_default_rng_anywhere(seed, block, k):
+    assert_bits_equal(_rng.block_uniforms(seed, block, k), reference(seed, block, k))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**140),
-    indices=st.lists(st.integers(0, 2**64 - 1), max_size=6),
-    k=st.integers(0, 40),
-)
-def test_uniforms_match_default_rng_anywhere(seed, indices, k):
-    got = _rng.uniforms(seed, np.array(indices, dtype=np.uint64), k)
-    assert_bits_equal(got, reference(seed, indices, k))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**140),
-    indices=st.lists(st.integers(0, 2**64 - 1), max_size=6),
+    block=st.integers(0, 2**56 - 1),
     k=st.integers(0, 40),
     first=st.integers(0, 45),
 )
-def test_uniforms_column_range_is_the_tail_of_a_full_draw(seed, indices, k, first):
-    got = _rng.uniforms(seed, np.array(indices, dtype=np.uint64), k, first)
-    assert_bits_equal(got, reference(seed, indices, k)[:, first:])
+def test_uniforms_column_range_is_the_tail_of_a_full_draw(seed, block, k, first):
+    got = _rng.block_uniforms(seed, block, k, first)
+    assert_bits_equal(got, reference(seed, block, k)[:, first:])
 
 
 def test_negative_seed_is_rejected():
@@ -87,7 +87,7 @@ def test_negative_seed_is_rejected():
 
 @pytest.mark.parametrize("start", [0, 7, 2**32 - 2])
 def test_one_sample_equals_its_row_in_a_block(start):
-    """``sample`` builds one generator; a block uses ``uniforms``.
+    """``sample`` builds one generator; a block uses ``block_uniforms``.
 
     Trials 2**32 - 2 .. 2**32 span two blocks.
     """
@@ -133,10 +133,10 @@ def old_tally(keys: np.ndarray, mask: np.ndarray):
 
 @st.composite
 def keys_and_mask(draw):
+    """A census record, four ``uint16`` columns, and a mask of its rows."""
     rows = draw(st.integers(0, 300))
-    cols = draw(st.integers(1, 4))
-    top = draw(st.sampled_from([1, 3, 25]))
-    keys = draw(hnp.arrays(np.int64, (rows, cols), elements=st.integers(0, top)))
+    top = draw(st.sampled_from([1, 3, 25, 2**16 - 1]))
+    keys = draw(hnp.arrays(np.uint16, (rows, 4), elements=st.integers(0, top)))
     mask = draw(hnp.arrays(np.bool_, rows))
     return keys, mask
 

@@ -164,6 +164,48 @@ def test_does_not_require_rests_on_distinct_exact_inertias(name):
             assert a != b, (f.rule_id, f.witness.inertias(), a)
 
 
+def one_sign_tree(n: int, edges, product: int) -> SignPattern:
+    """A zero-diagonal tree pattern whose edge products a_ij * a_ji all have sign ``product``."""
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = 1, product
+    return SignPattern.from_rows(rows)
+
+
+CATERPILLAR = [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6), (3, 7)]
+# Trees whose edge products all have one sign, as (order, edges, product
+# sign, inertia).  Every realization has the inertia (nu, nu, n - 2 nu) when
+# the products are positive, nu the maximum matching number, and (0, 0, n)
+# when they are negative (ROADMAP item 20).
+ONE_SIGN_TREES = {
+    "positive-path-5": (5, [(i, i + 1) for i in range(1, 5)], 1, (2, 2, 1)),
+    "negative-path-6": (6, [(i, i + 1) for i in range(1, 6)], -1, (0, 0, 6)),
+    "positive-star-6": (6, [(1, j) for j in range(2, 7)], 1, (1, 1, 4)),
+    "positive-caterpillar-7": (7, CATERPILLAR, 1, (2, 2, 3)),
+    "negative-caterpillar-7": (7, CATERPILLAR, -1, (0, 0, 7)),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_SIGN_TREES))
+def test_one_sign_tree_census_sees_only_its_inertia(name):
+    n, edges, product, inertia = ONE_SIGN_TREES[name]
+    cen = analyze(one_sign_tree(n, edges, product), cfg=SampleConfig()).census
+    assert cen.inertia_keys() == cen.solid_keys() == [inertia]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 20: no rule certifies a tree whose edge products have one sign,"
+    " so it answers inconclusive",
+)
+@pytest.mark.parametrize("name", list(ONE_SIGN_TREES))
+def test_one_sign_tree_requires_unique(name):
+    n, edges, product, _ = ONE_SIGN_TREES[name]
+    v = analyze(one_sign_tree(n, edges, product), cfg=SampleConfig())
+    assert v.overall is Overall.REQUIRES_UNIQUE
+
+
 @pytest.mark.parametrize("failing", ["base", "steps"])
 @pytest.mark.parametrize("name", ["PAT_XXEG22", "PAT_P6", "PAT_TWOCYC82"])
 def test_witness_eigensolver_failure_is_a_failed_construction(monkeypatch, pat, name, failing):
@@ -356,7 +398,7 @@ KEYS = st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT))
 
 
 INT_LIST = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4)
-# Lists that miss the int-list join: empty, tuples, or holding bools or floats.
+# Lists near INT_LIST: empty, tuples, or holding bools or floats.
 NEAR_INT_LIST = st.one_of(
     INT_LIST.map(tuple),
     st.lists(
@@ -392,13 +434,14 @@ def records(draw, values=RECORD_VALUES):
     return out
 
 
-# The cells of one _Records column: each column is of one of these kinds.
+# The cells of one _Records column and what holds them: each column is of
+# one of these kinds, and a column of tuple cells is packed.
 RECORD_CELLS = st.sampled_from(
     [
-        st.integers(-(2**70), 2**70),
-        st.booleans(),
-        st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT)),
-        st.lists(st.integers(-5, 2**40), min_size=1, max_size=4).map(tuple),
+        (st.integers(-(2**70), 2**70), tuple),
+        (st.booleans(), tuple),
+        (st.one_of(st.text(max_size=4), st.sampled_from(NASTY_TEXT)), tuple),
+        (st.lists(st.integers(0, 2**40), min_size=1, max_size=4).map(tuple), _PackedTuples.of),
     ]
 )
 
@@ -410,8 +453,8 @@ def record_columns(draw):
     rows = draw(st.integers(0, 5))
     columns = []
     for _ in keys:
-        cells = draw(st.lists(draw(RECORD_CELLS), min_size=rows, max_size=rows))
-        columns.append(tuple(cells))
+        cells, column = draw(RECORD_CELLS)
+        columns.append(column(draw(st.lists(cells, min_size=rows, max_size=rows))))
     return tuple(keys), tuple(columns)
 
 
@@ -422,7 +465,7 @@ def _containers(children):
         st.dictionaries(KEYS, children, max_size=5),
         # one scalar type throughout, the case written with one join
         st.one_of(*(st.lists(s, min_size=1, max_size=6) for s in SCALARS)),
-        # the int-list join and lists that just miss it, lists of dicts, and record columns
+        # lists of int lists, lists of dicts, and record columns
         INT_LISTS,
         NEAR_INT_LISTS,
         records(st.one_of(RECORD_VALUES, children)),
@@ -442,18 +485,19 @@ def test_writer_matches_plain_and_json_dumps(doc):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(doc=st.one_of(INT_LISTS, NEAR_INT_LISTS, records()), depth=st.integers(0, 2))
 def test_list_joins_match_json_dumps(doc, depth):
-    """The int-list join and lists of dicts, at the top level and nested."""
+    """Lists of int lists, written item by item, and lists of dicts, at the top level and nested."""
     for _ in range(depth):
         doc = {"x": [doc]}
     assert write(doc) == json.dumps(old_plain(doc), indent=2)
 
 
 def test_cycle_lists_take_the_joins(monkeypatch, pat):
-    """Shape cycles and R7's two cycle columns are written by one join each, never item by item.
+    """Shape cycles, R7's two cycle columns and the census keys are written by one join each.
 
     Each is a packed list, joined from its item array by ``_packed_texts``
-    (vertex names for the shape, ``int.__repr__`` for R7's 0-based
-    columns); the writer reads no row of it as a tuple.
+    (vertex names for the shape, ``int.__repr__`` for R7's 0-based columns
+    and for the census's inertia and frequency keys, which the writer packs
+    itself); the writer reads no row of it as a tuple.
     """
     from signum import verdict as verdict_module
 
@@ -479,12 +523,22 @@ def test_cycle_lists_take_the_joins(monkeypatch, pat):
             rows_off.setattr(_PackedTuples, "__getitem__", no_rows)
             rows_off.setattr(_PackedTuples, "__iter__", no_rows)
             doc = json.loads(verdict_to_json(found))
-        assert sorted(written) == sorted(
-            [(id(found.shape.cycles), len(found.shape.cycles), False)]
-            + [(id(column), len(column), True) for column in columns]
+        held = [(id(found.shape.cycles), len(found.shape.cycles), False)]
+        held += [(id(column), len(column), True) for column in columns]
+        ids = {i for i, _, _ in held}
+        assert sorted(w for w in written if w[0] in ids) == sorted(held)
+        cen = found.census
+        assert sorted(w[1:] for w in written if w[0] not in ids) == sorted(
+            [(len(cen.inertia_counts), True), (len(cen.frequency_counts), True)]
         )
         assert all(type(column) is _PackedTuples and column for column in columns)
         assert doc["findings"][6]["details"] == json.loads(json.dumps(plain))
+        assert [r["inertia"] for r in doc["census"]["inertias"]] == list(
+            map(list, cen.inertia_keys())
+        )
+        assert [r["frequency"] for r in doc["census"]["frequencies"]] == list(
+            map(list, sorted(cen.frequency_counts))
+        )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -710,6 +764,7 @@ OUTSIDE_VERDICTS = {
     "numpy scalars in a tuple": ((7, np.float64(0.1)), "float64"),
     "mixed records column": (_Records(("a", "b"), ((1, "s"), (True, False))), "int, str"),
     "empty cell in a records column": (_Records(("cycle",), (((0, 1), ()),)), "tuple"),
+    "unpacked tuple cells in a records column": (_Records(("key",), (((0, 1),),)), "tuple"),
 }
 
 
