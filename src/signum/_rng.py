@@ -135,18 +135,14 @@ def _jump(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return _halves(powers) + _halves(totals)
 
 
-def _pcg64_doubles(state: list[np.ndarray], k: int, first: int) -> np.ndarray:
-    """Doubles first .. k - 1 of PCG64 seeded with each row's four state words.
-
-    Each draw is its own affine map of the seeded state, so the columns
-    drawn equal the tail of a draw of all k.
-    """
+def _pcg64_doubles(state: list[np.ndarray], k: int) -> np.ndarray:
+    """The first k doubles of PCG64 seeded with each row's four state words."""
     s0, s1, q0, q1 = (w[:, None] for w in state)
     one = np.uint64(1)
     # srandom: inc = (initseq << 1) | 1, state = initstate + inc before a step.
     inc_h, inc_l = (q0 << one) | (q1 >> np.uint64(63)), (q1 << one) | one
     xh, xl = _add128(s0, s1, inc_h, inc_l)
-    pow_h, pow_l, sum_h, sum_l = (c[first:] for c in _jump(k))
+    pow_h, pow_l, sum_h, sum_l = _jump(k)
     hi, lo = _add128(*_mul128(xh, xl, pow_h, pow_l), *_mul128(inc_h, inc_l, sum_h, sum_l))
     # XSL-RR: fold the halves, rotate right by the top six bits.
     folded, rot = hi ^ lo, hi >> np.uint64(58)
@@ -154,20 +150,19 @@ def _pcg64_doubles(state: list[np.ndarray], k: int, first: int) -> np.ndarray:
     return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def block_uniforms(seed: int, block: int, k: int, first: int = 0) -> np.ndarray:
-    """Row r is ``np.random.default_rng((seed, 256 * block + r)).random(k)[first:]``, bit for bit.
+def block_uniforms(seed: int, block: int, k: int) -> np.ndarray:
+    """Row r is ``np.random.default_rng((seed, 256 * block + r)).random(k)``, bit for bit.
 
     ``seed`` is any nonnegative int and ``block`` any int in [0, 2**56), so
     every trial index is below 2**64.  An index below 2**32 is one entropy
     word and a larger one two, its high word ``block >> 24``; no block
     straddles 2**32, so its rows all take one word or all take two, and
-    they differ only in the low word.  Only columns ``first .. k - 1`` are
-    drawn, so a caller holding the first columns extends them for the cost
-    of the new ones.
+    they differ only in the low word.  Row r at width k is the first k
+    doubles of row r at any larger width.
     """
     high, low = divmod(block * _BLOCK, 1 << 32)
     entropy = [np.full(_BLOCK, w, dtype=np.uint32) for w in _words(seed)]
     entropy.append(np.arange(low, low + _BLOCK, dtype=np.uint32))
     if high:
         entropy.append(np.full(_BLOCK, high, dtype=np.uint32))
-    return _pcg64_doubles(_seed_words(entropy), k, first)
+    return _pcg64_doubles(_seed_words(entropy), k)

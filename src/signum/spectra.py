@@ -214,9 +214,9 @@ def _magnitudes(u: np.ndarray, laws: Sequence[tuple[float, float]]) -> np.ndarra
 # _MAGS_CAP bytes.  Row r of ``block_uniforms(seed, block, k)`` is a prefix of
 # the same row at any larger k, so ``mags[:, :k]`` is bit for bit what a
 # fresh draw at width k gives, and no census can tell a hit from a miss.  A
-# block asked for wider is extended by its missing columns alone, which are
-# the tail of a fresh wide draw.  Census threads share the cache under
-# _MAGS_LOCK; an array handed out is never written, only replaced.
+# block missing or narrower than asked is drawn again whole at the asked
+# width.  Census threads share the cache under _MAGS_LOCK; an array handed
+# out is never written, only replaced.
 _MAGS: dict[tuple, np.ndarray] = {}
 _MAGS_CAP = 4 << 20
 _MAGS_LOCK = threading.Lock()
@@ -229,10 +229,8 @@ def _block_magnitudes(
     key = (seed, laws, block)
     with _MAGS_LOCK:
         mags = _MAGS.pop(key, None)
-        width = 0 if mags is None else mags.shape[1]
-        if mags is None or width < k:
-            new = _magnitudes(block_uniforms(seed, block, k, width), laws)
-            mags = new if mags is None else np.hstack((mags, new))
+        if mags is None or mags.shape[1] < k:
+            mags = _magnitudes(block_uniforms(seed, block, k), laws)
             mags.flags.writeable = False
         _MAGS[key] = mags
         total = sum(m.nbytes for m in _MAGS.values())

@@ -458,22 +458,23 @@ def test_warm_cache_census_equals_cold(monkeypatch, first, second):
     assert {m.shape[1] for m in spectra._MAGS.values()} == {len(WIDE.support())}
 
 
-def test_extended_block_equals_a_fresh_wide_draw(monkeypatch):
-    """A block asked for wider draws only its missing columns, and equals a fresh wide block."""
+def test_widened_block_is_drawn_again_whole(monkeypatch):
+    """A block asked for wider is drawn again at the wider width, and equals a fresh wide block."""
     laws = ((1e-2, 1e2), (NEAR_ONE_LO, NEAR_ONE_HI))
     drawn = []
     block_uniforms = spectra.block_uniforms
 
-    def counted(seed, block, k, first=0):
-        drawn.append((block, k, first))
-        return block_uniforms(seed, block, k, first)
+    def counted(seed, block, k):
+        drawn.append((block, k))
+        return block_uniforms(seed, block, k)
 
     monkeypatch.setattr(spectra, "block_uniforms", counted)
     monkeypatch.setattr(spectra, "_MAGS", {})
     narrow = spectra._block_magnitudes(1729, laws, 3, 10)
     wide = spectra._block_magnitudes(1729, laws, 3, 20)
     assert spectra._block_magnitudes(1729, laws, 3, 15) is wide
-    assert drawn == [(3, 10, 0), (3, 20, 10)]
+    assert drawn == [(3, 10), (3, 20)]
+    assert list(spectra._MAGS.values()) == [wide]
     assert not wide.flags.writeable
     assert wide[:, :10].tobytes() == narrow.tobytes()
     monkeypatch.setattr(spectra, "_MAGS", {})
@@ -502,8 +503,8 @@ def test_concurrent_censuses_widen_shared_blocks(monkeypatch):
     """Two threads widen the same cached blocks at once; each census equals its sequential self.
 
     NARROW and WIDE differ in support size, so whichever thread reads a
-    block second at the wider size extends it.  The cap holds five wide
-    blocks, so blocks are evicted while both threads read them.
+    block second at the wider size draws it again whole.  The cap holds
+    five wide blocks, so blocks are evicted while both threads read them.
     """
     cap = 5 * spectra._BLOCK * len(WIDE.support()) * 8
     cfgs = [SampleConfig(trials=1500, seed=seed) for seed in (3, 4, 5)]
@@ -535,18 +536,18 @@ def test_concurrent_censuses_widen_shared_blocks(monkeypatch):
     assert sum(m.nbytes for m in spectra._MAGS.values()) <= cap
 
 
-def test_block_asked_for_wider_mid_draw_waits_and_extends_it(monkeypatch):
-    """A thread that asks for a block another thread is drawing waits, then extends that draw."""
+def test_block_asked_for_wider_mid_draw_waits_and_redraws_it(monkeypatch):
+    """A thread asking wider for a block another thread is drawing waits, then redraws it whole."""
     laws = ((1e-2, 1e2), (NEAR_ONE_LO, NEAR_ONE_HI))
     drawn, drawing = [], threading.Event()
     block_uniforms = spectra.block_uniforms
 
-    def slow(seed, block, k, first=0):
-        drawn.append((block, k, first))
+    def slow(seed, block, k):
+        drawn.append((block, k))
         if not drawing.is_set():
             drawing.set()
             time.sleep(0.2)  # the other thread asks for the block meanwhile
-        return block_uniforms(seed, block, k, first)
+        return block_uniforms(seed, block, k)
 
     monkeypatch.setattr(spectra, "block_uniforms", slow)
     monkeypatch.setattr(spectra, "_MAGS", {})
@@ -555,7 +556,7 @@ def test_block_asked_for_wider_mid_draw_waits_and_extends_it(monkeypatch):
     assert drawing.wait(20)
     wide = run_bounded(lambda: spectra._block_magnitudes(1729, laws, 3, 20))
     narrow.join(20)
-    assert drawn == [(3, 10, 0), (3, 20, 10)]
+    assert drawn == [(3, 10), (3, 20)]
     assert list(spectra._MAGS.values()) == [wide]
     monkeypatch.setattr(spectra, "_MAGS", {})
     assert spectra._block_magnitudes(1729, laws, 3, 20).tobytes() == wide.tobytes()

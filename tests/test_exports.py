@@ -163,7 +163,7 @@ def _unconsumed_exports(exports: dict[str, list[str]], sources: dict[str, str]) 
 
 # Exported names that nothing in src/ or bench/ reads, each with the reason it stays.
 UNCONSUMED_EXPORTS = {
-    "sample": "the one-realization API: it reads trial t from the census's magnitude blocks",
+    "sample": "one realization: trial t under one law, a census's trial t only where laws match",
     "apply_equivalence": "ROADMAP item 2 builds the class atlas's representatives with it",
     "descartes": "acceptance criterion 6 pins the Descartes sign-rule engine",
 }
