@@ -8,7 +8,7 @@ stack, and a single matrix (a profile, each step of an epsilon walk, a
 characteristic polynomial) is a stack of one, which ``_solve`` turns into
 NonFinite or EigenFailure where its row fails.  A census tallies the rows
 an analysis records for its trials, drawn in blocks of ``_BLOCK`` trials
-that the CPUs take from one counter.  Witness construction emphasizes
+that the CPUs take from one iterator.  Witness construction emphasizes
 chosen cycles with large magnitudes while every other nonzero position gets
 a small epsilon, so the spectrum stays close to that of the emphasized
 part.
@@ -278,7 +278,6 @@ class _Classes(NamedTuple):
 
     i_plus: np.ndarray
     i_minus: np.ndarray
-    i_zero: np.ndarray
     i_z: np.ndarray
     k_real: np.ndarray
     suspect_inertia: np.ndarray
@@ -298,17 +297,14 @@ def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
     """
     eig = np.ascontiguousarray(eig.T)
     tol, floor = np.asarray(tol, dtype=float), np.asarray(floor, dtype=float)
-    i_plus = (eig.real > tol).sum(0)
-    i_minus = (eig.real < -tol).sum(0)
     # Values forced to zero by structure (even polynomials, skewness, rank
     # deficits) land at roundoff scale; anything between that floor and ten
     # thresholds could be a misclassified near-miss.  The real-part band
     # alone undermines the inertia.
     re = np.abs(eig.real)
     return _Classes(
-        i_plus=i_plus,
-        i_minus=i_minus,
-        i_zero=len(eig) - i_plus - i_minus,
+        i_plus=(eig.real > tol).sum(0),
+        i_minus=(eig.real < -tol).sum(0),
         i_z=(np.abs(eig) <= tol).sum(0),
         k_real=(np.abs(eig.imag) <= tol).sum(0),
         suspect_inertia=((re > floor) & (re <= 10 * tol)).any(0),
@@ -486,23 +482,23 @@ def _draw(pattern: SignPattern, seed: int, laws: tuple, rows: np.ndarray, trials
     Row t is trial t's (i_plus, i_minus, real count, state), state 0 for a
     failure, 1 when classified and 3 when firm too.  The first block may
     start mid-block, where the record ends.  The calling thread and
-    ``min(_cpus(), blocks) - 1`` pool threads each take the next block from
-    one counter until none is left.  The taker fills, solves, thresholds
-    and classifies the block's matrices, which die with ``block_rows``, so
-    no more than ``_cpus()`` blocks of matrices are alive at once.  On one
-    CPU the caller takes every block and no thread is started.  A pool
-    thread slow to start takes fewer blocks or none.  An error stops the
-    taking and is raised here once no block is being worked on.  Each
-    block's rows land in their own slice, so the result is the plain
-    loop's whatever the threads' timing.
+    ``min(_cpus(), blocks) - 1`` helpers, futures of the census pool, each
+    take the next block from one iterator until none is left.  The taker
+    fills, solves, thresholds and classifies the block's matrices, which die
+    with ``block_rows``, so no more than ``_cpus()`` blocks of matrices are
+    alive at once.  On one CPU the caller takes every block and no thread is
+    started.  Once the caller finds no block left, it cancels each helper
+    that has not started and waits only for those that have, so a helper
+    queued behind a busy pool is dropped.  An error stops the taking and is
+    raised here after that wait.  Each block's rows land in their own slice,
+    so the result is the plain loop's whatever the threads' timing.
     """
     support, generic_zeros = _support(pattern), pattern.n - pattern.max_composite_length
     grown = np.empty((trials, 4), dtype=np.uint16)
     grown[: len(rows)] = rows
     bounds = [len(rows), *range((len(rows) // _BLOCK + 1) * _BLOCK, trials, _BLOCK), trials]
-    spans = list(zip(bounds, bounds[1:]))
+    spans, lock = zip(bounds, bounds[1:]), threading.Lock()
     errors: list[BaseException] = []
-    taken, busy, idle = 0, 0, threading.Condition()
 
     def block_rows(start: int, stop: int) -> np.ndarray:
         mats = _fill(pattern, support, seed, laws, start, stop)
@@ -512,25 +508,21 @@ def _draw(pattern: SignPattern, seed: int, laws: tuple, rows: np.ndarray, trials
         return np.stack([c.i_plus, c.i_minus, c.k_real, ok + 2 * firm], 1)
 
     def take() -> None:
-        nonlocal taken, busy
         while True:
-            with idle:
-                if errors or taken == len(spans):
-                    return
-                (start, stop), taken, busy = spans[taken], taken + 1, busy + 1
+            with lock:
+                span = None if errors else next(spans, None)
+            if span is None:
+                return
             try:
-                grown[start:stop] = block_rows(start, stop)
+                grown[slice(*span)] = block_rows(*span)
             except BaseException as exc:  # raised on the calling thread below
                 errors.append(exc)
-            with idle:
-                busy -= 1
-                idle.notify()
 
-    for _ in range(min(_cpus(), len(spans)) - 1):
-        _census_pool().submit(take)
+    helpers = [_census_pool().submit(take) for _ in range(min(_cpus(), len(bounds) - 1) - 1)]
     take()
-    with idle:
-        idle.wait_for(lambda: not busy)
+    for helper in helpers:
+        if not helper.cancel():
+            helper.result()
     if errors:
         raise errors[0]
     return grown

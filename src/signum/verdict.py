@@ -1,11 +1,12 @@
 """Ordered decision rules for the unique-inertia question.
 
 Each rule checks one combinatorial or numeric criterion and either forces
-a conclusion or stays silent.  Only the odd-sign-nonsingular-cycle rule
-can certify that a pattern requires a unique inertia; sampling evidence
-never upgrades a verdict beyond inconclusive.  Whenever a rule concludes
-that the pattern does not require a unique inertia, a concrete pair of
-realizations with distinct inertias is attached when one can be built.
+a conclusion or stays silent.  Only R2 can certify that a pattern requires
+a unique inertia: an odd cycle whose determinant terms share one sign, or a
+tree whose edge products share one sign.  Sampling evidence never upgrades
+a verdict beyond inconclusive.  Whenever a rule concludes that the pattern
+does not require a unique inertia, a concrete pair of realizations with
+distinct inertias is attached when one can be built.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ _REASONS = {
     " so no realization has an eigenvalue with zero real part",
     "R2-": "the graph is an odd cycle whose two spanning cycles disagree in sign,"
     " so the determinant takes both signs over the class",
+    "R2-tree": "the graph is a tree whose edge products a_ij*a_ji all have one sign,"
+    " so a diagonal similarity makes every realization symmetric (or skew-symmetric"
+    " when the products are negative) and the matching number fixes its inertia",
     "R3": "a tridiagonal pattern with two or more maximal sign runs of odd length"
     " admits realizations with distinct inertias",
     "R4": "the path contains a tridiagonal block already known to admit distinct"
@@ -198,8 +202,40 @@ def _r1(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) 
 
 
 def _r2(facts: PatternAnalysis, cen: Census, cfg: SampleConfig, findings: list) -> _Outcome:
-    """Odd single cycle, decided by the determinant sign."""
-    if facts.shape.kind is not ShapeKind.SINGLE_CYCLE or facts.pattern.n % 2 == 0:
+    """Odd single cycle, decided by the determinant sign; one-sign tree, by symmetrizing.
+
+    A tree whose edge products a_ij * a_ji all have one sign fixes its
+    inertia.  Take any realization A and a positive diagonal D with
+    d_i / d_j = sqrt(|a_ji / a_ij|) along each edge, which a tree allows.
+    Then (D A D^-1)_ij = sign(a_ij) sqrt(|a_ij a_ji|), so with positive
+    products D A D^-1 is symmetric, on the same tree, with zero diagonal.
+    Its principal submatrix on a vertex set S is nonsingular exactly when
+    the forest on S has a perfect matching, and a forest has at most one,
+    so the determinant is a single nonzero term.  The rank of a symmetric
+    matrix is the largest order of a nonsingular principal submatrix, so it
+    is 2 nu, nu the tree's matching number.  A tree is bipartite, so the
+    real spectrum is symmetric about 0, and every realization has inertia
+    (nu, nu, n - 2 nu).  With negative products the same D makes A
+    skew-symmetric, its spectrum is imaginary, and the inertia is (0, 0, n).
+    On a zero-diagonal tree every composite cycle is a set of disjoint
+    2-cycles, so the pattern's ``max_composite_length`` is 2 nu.
+    """
+    n = facts.pattern.n
+    if facts.shape.kind in (ShapeKind.PATH, ShapeKind.TREE):
+        products = {sign for _, sign in facts.graph.edges}
+        if len(products) != 1:
+            return None
+        (product,) = products
+        nu = facts.pattern.max_composite_length // 2
+        details = {
+            "edge_product_sign": AmbSign.from_int(product).value,
+            "matching_number": nu,
+            "inertia": [nu, nu, n - 2 * nu] if product > 0 else [0, 0, n],
+        }
+        return RuleFinding(
+            "R2", True, Conclusion.REQUIRES_UNIQUE, _REASONS["R2-tree"], details=details
+        )
+    if facts.shape.kind is not ShapeKind.SINGLE_CYCLE or n % 2 == 0:
         return None
     det = _odd_cycle_det_sign(facts.pattern, facts.shape.cycles[0])
     details = {"determinant_sign": det.value}

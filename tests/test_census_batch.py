@@ -771,6 +771,30 @@ def test_held_pool_leaves_every_chunk_to_the_caller(monkeypatch):
     assert_same_census(got, want)
 
 
+def test_helper_queued_behind_a_held_pool_is_cancelled(monkeypatch):
+    """A helper still queued once the caller has taken every block is dropped, not run later."""
+    pattern = FIXTURES["PAT_TWOSQ9"].pattern
+    cfg = SampleConfig(trials=1000, seed=8)
+    release, helpers = threading.Event(), []
+    with cpus(2):
+        pool = spectra._census_pool()
+        held = pool.submit(release.wait, 60)
+        submit = pool.submit
+
+        def tracked(*args):
+            helpers.append(submit(*args))
+            return helpers[-1]
+
+        monkeypatch.setattr(pool, "submit", tracked)
+        try:
+            got = census(pattern, cfg)
+        finally:
+            release.set()
+        assert held.result(timeout=60)
+    assert len(helpers) == 1 and helpers[0].cancelled()
+    assert_same_census(got, oracle_census(pattern, cfg))
+
+
 def test_straggling_pool_chunk_holds_up_no_other_chunk(monkeypatch):
     """The pool thread's first block waits until the caller has solved every other block."""
     pattern = FIXTURES["PAT_TWOSQ9"].pattern
@@ -1056,7 +1080,8 @@ def full_stack_stabilize(pattern: SignPattern, spec):
     eig = np.linalg.eigvals(mats)
     tol, floor = spectra._thresholds(np.array([np.linalg.norm(m) for m in mats]))
     c = spectra._classify(eig, tol, floor)
-    inertia = np.stack([c.i_plus, c.i_minus, c.i_zero], axis=1)
+    # Every step has the order n, so (i_plus, i_minus) fixes the inertia.
+    inertia = np.stack([c.i_plus, c.i_minus], axis=1)
     same = (inertia[1:] == inertia[:-1]).all(axis=1)
     settled = np.flatnonzero(same[:-1] & same[1:])
     if not len(settled):

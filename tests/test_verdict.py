@@ -193,17 +193,72 @@ def test_one_sign_tree_census_sees_only_its_inertia(name):
     assert cen.inertia_keys() == cen.solid_keys() == [inertia]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 20: no rule certifies a tree whose edge products have one sign,"
-    " so it answers inconclusive",
-)
 @pytest.mark.parametrize("name", list(ONE_SIGN_TREES))
 def test_one_sign_tree_requires_unique(name):
     n, edges, product, _ = ONE_SIGN_TREES[name]
     v = analyze(one_sign_tree(n, edges, product), cfg=SampleConfig())
     assert v.overall is Overall.REQUIRES_UNIQUE
+
+
+@st.composite
+def signed_one_sign_trees(draw):
+    """A one-sign path or random-attach tree of order 3-12, on a random labelling.
+
+    Returns the pattern, its product sign and one realization whose
+    magnitudes are powers 2^k, k in -12..12, so every entry is exact.
+    """
+    n = draw(st.integers(3, 12))
+    label = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        edges = [(t - 1, t) for t in range(1, n)]
+    else:
+        edges = [(draw(st.integers(0, t - 1)), t) for t in range(1, n)]
+    product = draw(st.sampled_from((1, -1)))
+    rows, a = [[0] * n for _ in range(n)], np.zeros((n, n))
+    for i, j in ((label[u], label[v]) for u, v in edges):
+        first = draw(st.sampled_from((1, -1)))
+        rows[i][j], rows[j][i] = first, first * product
+        for r, c in ((i, j), (j, i)):
+            a[r, c] = rows[r][c] * 2.0 ** draw(st.integers(-12, 12))
+    return SignPattern.from_rows(rows), product, a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(drawn=signed_one_sign_trees())
+def test_one_sign_tree_inertia_is_exact(drawn):
+    """R2 certifies every one-sign tree, and a wide dyadic realization has its stated inertia."""
+    mpmath = pytest.importorskip("mpmath")
+    pattern, product, a = drawn
+    v = analyze(pattern, cfg=SampleConfig(trials=256))
+    assert v.overall is Overall.REQUIRES_UNIQUE
+    r2 = rule(v, "R2")
+    nu = r2.details["matching_number"]
+    want = [nu, nu, pattern.n - 2 * nu] if product > 0 else [0, 0, pattern.n]
+    assert r2.details == {
+        "edge_product_sign": "+" if product > 0 else "-",
+        "matching_number": nu,
+        "inertia": want,
+    }
+    assert list(high_precision_inertia(mpmath, a)) == want
+    r8 = rule(v, "R8")
+    if len({key[2] for key in r8.details["inertia_keys"]}) > 1:
+        assert r8.details["overruled_by"] == "R2"
+
+
+def test_order_40_one_sign_tree_requires_unique():
+    # The heap-ordered binary tree, vertex j hanging from j // 2, whose
+    # maximum matching has 14 edges.
+    v = analyze(one_sign_tree(40, [(j // 2, j) for j in range(2, 41)], 1), cfg=SampleConfig())
+    assert v.shape.kind is ShapeKind.TREE
+    assert v.overall is Overall.REQUIRES_UNIQUE
+    assert rule(v, "R2").details["inertia"] == [14, 14, 12]
+
+
+def test_mixed_sign_tree_leaves_r2_not_applicable():
+    pattern = parse_pattern("0 + 0 0\n+ 0 + 0\n0 - 0 +\n0 0 + 0")
+    r2 = rule(analyze(pattern, cfg=CFG), "R2")
+    assert not r2.applicable
+    assert r2.details == {}
 
 
 @pytest.mark.parametrize("failing", ["base", "steps"])
