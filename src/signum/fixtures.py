@@ -208,7 +208,6 @@ def _verdict_check(
     overall: Overall,
     rules: dict[str, Conclusion] | None = None,
     witness_inertias: set[tuple[tuple[int, int, int], tuple[int, int, int]]] | None = None,
-    needs_witness: bool = False,
 ) -> _Result:
     verdict = _analyze(facts, VERDICT_CFG)
     if verdict.overall is not overall:
@@ -218,7 +217,7 @@ def _verdict_check(
         if (got := by_rule.get(rule)) is not conclusion:
             return False, f"{rule} concluded {got and got.value}, expected {conclusion.value}"
     pair = verdict.witness_pair()
-    if (needs_witness or witness_inertias) and pair is None:
+    if overall is Overall.DOES_NOT_REQUIRE and pair is None:
         return False, "no witness pair attached"
     if pair is not None:
         pa = spectral_profile(np.asarray(pair.a))
@@ -390,7 +389,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                         f"length-2 cycle sum sign {sign.value}",
                     ),
                 ),
-                _verdict_check("verdict", "catalog", "two inertias realized", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "two inertias realized", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR}),
             ),
         )
     )
@@ -410,7 +409,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     (0, 1, 2),
                     (2, 1, 0),
                 ),
-                _verdict_check("verdict", "catalog", "allows singularity", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR, "R2": _DNR, "R5": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "allows singularity", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR, "R2": _DNR, "R5": _DNR}),
             ),
         )
     )
@@ -517,7 +516,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     eigenvalues=[2j, 2j, -2j, -2j],
                     tol=1e-6,
                 ),
-                _verdict_check("verdict", "catalog", "flip of the forbidden block", Overall.DOES_NOT_REQUIRE, rules={"R3": _DNR, "R4": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "flip of the forbidden block", Overall.DOES_NOT_REQUIRE, rules={"R3": _DNR, "R4": _DNR}),
             ),
         )
     )
@@ -608,7 +607,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     ],
                     tol=1e-3,
                 ),
-                _verdict_check("verdict", "catalog", "three odd runs", Overall.DOES_NOT_REQUIRE, rules={"R3": _DNR, "R4": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "three odd runs", Overall.DOES_NOT_REQUIRE, rules={"R3": _DNR, "R4": _DNR}),
             ),
         )
     )
@@ -659,7 +658,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     ],
                     tol=1e-3,
                 ),
-                _verdict_check("verdict", "catalog", "embedded order-6 block", Overall.DOES_NOT_REQUIRE, rules={"R4": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "embedded order-6 block", Overall.DOES_NOT_REQUIRE, rules={"R4": _DNR}),
             ),
         )
     )
@@ -717,7 +716,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     tol=1e-6,
                 ),
                 _census_check("census", "catalog", "both inertias show up", superset={(1, 1, 2), (2, 2, 0)}),
-                _verdict_check("verdict", "catalog", "top-length sign clash", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR, "R5": Conclusion.NO_CONCLUSION}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "top-length sign clash", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR, "R5": Conclusion.NO_CONCLUSION}),
             ),
         )
     )
@@ -768,7 +767,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                     (0, 1, 2, 3),
                     (2, 2, 0),
                 ),
-                _verdict_check("verdict", "catalog", "odd run on an even cycle", Overall.DOES_NOT_REQUIRE, rules={"R1": Conclusion.NO_CONCLUSION, "R5": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "odd run on an even cycle", Overall.DOES_NOT_REQUIRE, rules={"R1": Conclusion.NO_CONCLUSION, "R5": _DNR}),
             ),
         )
     )
@@ -780,7 +779,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             "4-cycle with alternating edge signs; every run is odd",
             xnfig2,
             (
-                _verdict_check("verdict", "catalog", "odd run on an even cycle", Overall.DOES_NOT_REQUIRE, rules={"R5": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "odd run on an even cycle", Overall.DOES_NOT_REQUIRE, rules={"R5": _DNR}),
             ),
         )
     )
@@ -793,7 +792,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             allneg4,
             (
                 _skew_check("skew-witness", "catalog", "alternating matching gives an exactly skew realization"),
-                _verdict_check("verdict", "catalog", "all edges negative", Overall.DOES_NOT_REQUIRE, rules={"R5": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "all edges negative", Overall.DOES_NOT_REQUIRE, rules={"R5": _DNR}),
             ),
         )
     )
@@ -806,7 +805,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             hex6,
             (
                 _runs_check("runs", "catalog", "three negative then three positive edges", [3, 3], cyclic=True),
-                _verdict_check("verdict", "catalog", "two odd runs on an even cycle", Overall.DOES_NOT_REQUIRE, rules={"R5": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "two odd runs on an even cycle", Overall.DOES_NOT_REQUIRE, rules={"R5": _DNR}),
             ),
         )
     )
@@ -836,7 +835,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                         "edge signs restored",
                     ),
                 ),
-                _verdict_check("verdict", "derived", "both 2-cycle signs occur at the top length", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "derived", "both 2-cycle signs occur at the top length", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR}),
             ),
         )
     )
@@ -866,7 +865,7 @@ def _build_fixtures() -> dict[str, Fixture]:
                 _shape_check("shape", "trivial", "one cycle with a tail", ShapeKind.UNICYCLIC),
                 _leaf_distance_check("leaf-distance", "catalog", "leaf two steps from the cycle", [(5, 2)]),
                 _max_composite_check("max-composite", "derived", "square plus the tail 2-cycle", 6),
-                _verdict_check("verdict", "catalog", "odd negative count on the cycle", Overall.DOES_NOT_REQUIRE, rules={"R6": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "odd negative count on the cycle", Overall.DOES_NOT_REQUIRE, rules={"R6": _DNR}),
             ),
         )
     )
@@ -879,7 +878,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             uni62,
             (
                 _leaf_distance_check("leaf-distance", "catalog", "leaf two steps from the cycle", [(5, 2)]),
-                _verdict_check("verdict", "catalog", "all cycle edges negative", Overall.DOES_NOT_REQUIRE, rules={"R6": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "all cycle edges negative", Overall.DOES_NOT_REQUIRE, rules={"R6": _DNR}),
             ),
         )
     )
@@ -912,7 +911,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             (
                 _shape_check("shape", "trivial", "two cycles, no leaf", ShapeKind.MULTI_CYCLE_NO_LEAF),
                 _pair_distance_check("pair-distance", "catalog", "three connecting edges", [3]),
-                _verdict_check("verdict", "catalog", "odd negative count on one triangle", Overall.DOES_NOT_REQUIRE, rules={"R7": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "odd negative count on one triangle", Overall.DOES_NOT_REQUIRE, rules={"R7": _DNR}),
             ),
         )
     )
@@ -929,7 +928,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             (
                 _pair_distance_check("pair-distance", "catalog", "single bridge edge", [1]),
                 _cover_check("cover-extension", "catalog", "the other square still pairs up", (0, 1, 2, 3), True),
-                _verdict_check("verdict", "catalog", "all-negative cycle among even cycles", Overall.DOES_NOT_REQUIRE, rules={"R7": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "all-negative cycle among even cycles", Overall.DOES_NOT_REQUIRE, rules={"R7": _DNR}),
             ),
         )
     )
@@ -944,7 +943,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             "square with one negative edge joined to an all-positive square",
             twocyc83,
             (
-                _verdict_check("verdict", "catalog", "odd run on an even cycle, odd distance", Overall.DOES_NOT_REQUIRE, rules={"R7": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "catalog", "odd run on an even cycle, odd distance", Overall.DOES_NOT_REQUIRE, rules={"R7": _DNR}),
             ),
         )
     )
@@ -962,7 +961,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             (
                 _max_composite_check("max-composite", "catalog", "one vertex always left out", 8),
                 _pair_distance_check("pair-distance", "derived", "two connecting edges", [2]),
-                _verdict_check("verdict", "derived", "order exceeds the top composite length", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR, "R7": Conclusion.NO_CONCLUSION}, needs_witness=True),
+                _verdict_check("verdict", "derived", "order exceeds the top composite length", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR, "R7": Conclusion.NO_CONCLUSION}),
             ),
         )
     )
@@ -979,7 +978,7 @@ def _build_fixtures() -> dict[str, Fixture]:
             (
                 _cover_check("cover-extension", "catalog", "five vertices remain, no perfect pairing", (5, 6, 7), False),
                 _max_composite_check("max-composite", "derived", "square, bridge pair, and triangle cannot all pack", 8),
-                _verdict_check("verdict", "derived", "mixed-parity composites clash in sign", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR}, needs_witness=True),
+                _verdict_check("verdict", "derived", "mixed-parity composites clash in sign", Overall.DOES_NOT_REQUIRE, rules={"R1": _DNR}),
             ),
         )
     )

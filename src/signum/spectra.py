@@ -27,7 +27,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,11 +43,9 @@ from .errors import (
     CycleBudgetExceeded,
     CycleNotInPattern,
     DegenerateBase,
-    Disconnected,
     EigenFailure,
     NonFinite,
     NoStabilization,
-    NotCombinatoriallySymmetric,
     SignMismatch,
 )
 from .graphs import (
@@ -273,42 +271,33 @@ def sample(pattern: SignPattern, cfg: SampleConfig, index: int = 0) -> np.ndarra
     return _fill(pattern, _support(pattern), cfg.seed, [(cfg.lo, cfg.hi)], index, index + 1)[0]
 
 
-class _Classes(NamedTuple):
-    """Per-row classification of an eigenvalue stack; every field is (rows,)."""
+def _classify(
+    eig: np.ndarray, ok: np.ndarray, tol: np.ndarray, floor: np.ndarray, zeros: int
+) -> np.ndarray:
+    """Census record rows of a (rows, n) eigenvalue stack, as ``_solve_stack`` gives it.
 
-    i_plus: np.ndarray
-    i_minus: np.ndarray
-    i_z: np.ndarray
-    k_real: np.ndarray
-    suspect_inertia: np.ndarray
-
-
-def _classify(eig: np.ndarray, tol: np.ndarray, floor: np.ndarray) -> _Classes:
-    """Classify each row of a (rows, n) eigenvalue stack.
-
-    Row r uses threshold tol[r]: real parts within it count as zero real
-    part, moduli within it as zero eigenvalues, imaginary parts within it as
-    real eigenvalues.  floor[r] is the roundoff scale of the row's matrix.
-    This is the census's classifier, and it computes only the bands a
-    census reads.  ``_profile`` makes the same comparisons on a single
-    matrix, value by value, and adds the borderline and suspect bands.
-    Each count runs down a transposed copy of the stack, so its inner loop
-    spans the rows instead of one matrix's n values.
+    Row r is (i_plus, i_minus, real count, state).  It uses threshold
+    tol[r]: real parts within it count as zero real part, moduli within it
+    as zero eigenvalues, imaginary parts within it as real eigenvalues.
+    floor[r] is the roundoff scale of the row's matrix.  State is 0 where
+    ok[r] is false (a failed solve), 1 when classified, and 3 when firm
+    too: its inertia is not suspect and it has exactly ``zeros`` zero
+    eigenvalues.  This is the census's classifier, and it computes only
+    the bands a census reads.  ``_profile`` makes the same comparisons on
+    a single matrix, value by value, and adds the borderline and suspect
+    bands.  Each count runs down a transposed copy of the stack, so its
+    inner loop spans the rows instead of one matrix's n values.
     """
     eig = np.ascontiguousarray(eig.T)
-    tol, floor = np.asarray(tol, dtype=float), np.asarray(floor, dtype=float)
     # Values forced to zero by structure (even polynomials, skewness, rank
     # deficits) land at roundoff scale; anything between that floor and ten
     # thresholds could be a misclassified near-miss.  The real-part band
     # alone undermines the inertia.
     re = np.abs(eig.real)
-    return _Classes(
-        i_plus=(eig.real > tol).sum(0),
-        i_minus=(eig.real < -tol).sum(0),
-        i_z=(np.abs(eig) <= tol).sum(0),
-        k_real=(np.abs(eig.imag) <= tol).sum(0),
-        suspect_inertia=((re > floor) & (re <= 10 * tol)).any(0),
-    )
+    suspect_inertia = ((re > floor) & (re <= 10 * tol)).any(0)
+    i_plus, i_minus = (eig.real > tol).sum(0), (eig.real < -tol).sum(0)
+    firm = ok & ~suspect_inertia & ((np.abs(eig) <= tol).sum(0) == zeros)
+    return np.stack([i_plus, i_minus, (np.abs(eig.imag) <= tol).sum(0), ok + 2 * firm], 1)
 
 
 def _profile(eig: np.ndarray, tol: float, floor: float) -> SpectralProfile:
@@ -476,36 +465,31 @@ def _tally(keys: np.ndarray, mask: np.ndarray) -> list[tuple[tuple[int, ...], in
     ]
 
 
-def _draw(pattern: SignPattern, seed: int, laws: tuple, rows: np.ndarray, trials: int) -> np.ndarray:
+def _draw(
+    pattern: SignPattern, support: tuple, seed: int, laws: tuple, rows: np.ndarray, trials: int
+) -> np.ndarray:
     """A census record's rows extended to ``trials`` rows, a block of trials at a time.
 
-    Row t is trial t's (i_plus, i_minus, real count, state), state 0 for a
-    failure, 1 when classified and 3 when firm too.  The first block may
-    start mid-block, where the record ends.  The calling thread and
+    Row t is trial t's ``_classify`` row.  The first block may start
+    mid-block, where the record ends.  The calling thread and
     ``min(_cpus(), blocks) - 1`` helpers, futures of the census pool, each
     take the next block from one iterator until none is left.  The taker
-    fills, solves, thresholds and classifies the block's matrices, which die
-    with ``block_rows``, so no more than ``_cpus()`` blocks of matrices are
-    alive at once.  On one CPU the caller takes every block and no thread is
-    started.  Once the caller finds no block left, it cancels each helper
-    that has not started and waits only for those that have, so a helper
-    queued behind a busy pool is dropped.  An error stops the taking and is
-    raised here after that wait.  Each block's rows land in their own slice,
-    so the result is the plain loop's whatever the threads' timing.
+    fills, solves, thresholds and classifies the block's matrices, which no
+    name holds, so they die with the solve and no more than ``_cpus()``
+    blocks of matrices are alive at once.  On one CPU the caller takes
+    every block and no thread is started.  Once the caller finds no block
+    left, it cancels each helper that has not started and waits only for
+    those that have, so a helper queued behind a busy pool is dropped.  An
+    error stops the taking and is raised here after that wait.  Each
+    block's rows land in their own slice, so the result is the plain loop's
+    whatever the threads' timing.
     """
-    support, generic_zeros = _support(pattern), pattern.n - pattern.max_composite_length
+    zeros = pattern.n - pattern.max_composite_length
     grown = np.empty((trials, 4), dtype=np.uint16)
     grown[: len(rows)] = rows
     bounds = [len(rows), *range((len(rows) // _BLOCK + 1) * _BLOCK, trials, _BLOCK), trials]
     spans, lock = zip(bounds, bounds[1:]), threading.Lock()
     errors: list[BaseException] = []
-
-    def block_rows(start: int, stop: int) -> np.ndarray:
-        mats = _fill(pattern, support, seed, laws, start, stop)
-        eig, ok, tol, floor = _solve_stack(mats)
-        c = _classify(eig, tol, floor)
-        firm = ok & ~c.suspect_inertia & (c.i_z == generic_zeros)
-        return np.stack([c.i_plus, c.i_minus, c.k_real, ok + 2 * firm], 1)
 
     def take() -> None:
         while True:
@@ -514,7 +498,8 @@ def _draw(pattern: SignPattern, seed: int, laws: tuple, rows: np.ndarray, trials
             if span is None:
                 return
             try:
-                grown[slice(*span)] = block_rows(*span)
+                solved = _solve_stack(_fill(pattern, support, seed, laws, *span))
+                grown[slice(*span)] = _classify(*solved, zeros)
             except BaseException as exc:  # raised on the calling thread below
                 errors.append(exc)
 
@@ -557,8 +542,10 @@ def census(facts: PatternAnalysis | SignPattern, cfg: SampleConfig) -> Census:
         lo, hi = NEAR_ONE_LO, NEAR_ONE_HI
     laws = ((cfg.lo, cfg.hi), (lo, hi))
     rows = facts.censuses.get((cfg.seed, laws), np.empty((0, 4), np.uint16))
+    support = _support(pattern)
     if len(rows) < cfg.trials:
-        rows = facts.censuses[cfg.seed, laws] = _draw(pattern, cfg.seed, laws, rows, cfg.trials)
+        rows = _draw(pattern, support, cfg.seed, laws, rows, cfg.trials)
+        facts.censuses[cfg.seed, laws] = rows
     rows = rows[: cfg.trials]
     ok = rows[:, 3] > 0
     counts, freqs, firsts = {}, {}, {}
@@ -570,7 +557,6 @@ def census(facts: PatternAnalysis | SignPattern, cfg: SampleConfig) -> Census:
         freqs[frequency] = freqs.get(frequency, 0) + count
         if state == 3:
             firsts.setdefault(key, first)
-    support = _support(pattern)
     solid = {key: _fill(pattern, support, cfg.seed, laws, t, t + 1)[0] for key, t in firsts.items()}
     return Census(cfg.trials, counts, freqs, int(np.count_nonzero(~ok)), solid)
 
@@ -904,14 +890,12 @@ def _widest_gap_pair(
 def _pair_from_sampling(facts: PatternAnalysis, cfg: SampleConfig) -> WitnessPair | None:
     """Structured probes, then a census; pair keys with distinct inertia.
 
-    The census reads ``max(_WITNESS_TRIALS, cfg.trials)`` trials of ``facts``.
+    The probes fill only a path's edges, so they realize the pattern, and
+    run, only where the rules' precondition holds.  The census reads
+    ``max(_WITNESS_TRIALS, cfg.trials)`` trials of ``facts``.
     """
     pool: dict[tuple[int, int, int], tuple[str, np.ndarray]] = {}
-    try:
-        probes = _path_probe_matrices(facts)
-    except (NotCombinatoriallySymmetric, Disconnected):
-        probes = []
-    for name, mat in probes:
+    for name, mat in _path_probe_matrices(facts) if facts.flags.all_ok() else []:
         prof = spectral_profile(mat)
         if not prof.suspect_inertia:
             pool.setdefault(prof.inertia, (f"probe:{name}", mat))

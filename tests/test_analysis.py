@@ -288,7 +288,7 @@ def test_sampling_witness_resumes_the_main_census(monkeypatch):
 
     def counting(mats):
         # Census blocks only: a single matrix is solved as a stack of one.
-        if sys._getframe(1).f_code.co_name == "block_rows":
+        if sys._getframe(1).f_code.co_name == "take":
             drawn.append(len(mats))
         return solve(mats)
 

@@ -995,7 +995,7 @@ def count_solved_rows(monkeypatch) -> list[int]:
     original = spectra._solve_stack
 
     def solve_stack(mats):
-        if sys._getframe(1).f_code.co_name == "block_rows":
+        if sys._getframe(1).f_code.co_name == "take":
             rows.append(len(mats))
         return original(mats)
 
@@ -1079,9 +1079,9 @@ def full_stack_stabilize(pattern: SignPattern, spec):
     mats = base + np.array(schedule)[:, None, None] * rest
     eig = np.linalg.eigvals(mats)
     tol, floor = spectra._thresholds(np.array([np.linalg.norm(m) for m in mats]))
-    c = spectra._classify(eig, tol, floor)
+    c = full_classify(eig, tol, floor)
     # Every step has the order n, so (i_plus, i_minus) fixes the inertia.
-    inertia = np.stack([c.i_plus, c.i_minus], axis=1)
+    inertia = np.stack([c["i_plus"], c["i_minus"]], axis=1)
     same = (inertia[1:] == inertia[:-1]).all(axis=1)
     settled = np.flatnonzero(same[:-1] & same[1:])
     if not len(settled):
@@ -1316,14 +1316,20 @@ def band_parts(rng: np.random.Generator, shape, tol: np.ndarray) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_classify_matches_full_classifier(rows, n, seed):
+    """All four record columns; the state under random solve failures and zero counts."""
     rng = np.random.default_rng(seed)
     tol = 10.0 ** rng.uniform(-9, -5, rows)
     floor = tol * 1e-4
     eig = band_parts(rng, (rows, n), tol) + 1j * band_parts(rng, (rows, n), tol)
-    got = spectra._classify(eig, tol, floor)
+    ok = rng.random(rows) < 0.8
+    zeros = int(rng.integers(0, n + 1))
+    got = spectra._classify(eig, ok, tol, floor, zeros)
     want = full_classify(eig, tol, floor)
-    for name in got._fields:
-        assert np.array_equal(getattr(got, name), want[name]), name
+    firm = ok & ~want["suspect_inertia"] & (want["i_z"] == zeros)
+    assert got.shape == (rows, 4)
+    for column, name in enumerate(["i_plus", "i_minus", "k_real"]):
+        assert np.array_equal(got[:, column], want[name]), name
+    assert np.array_equal(got[:, 3], np.where(firm, 3, np.where(ok, 1, 0)))
 
 
 MULTIPLES = (0.5, 1.0, 2.0, 10.0, 20.0)

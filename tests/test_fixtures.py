@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from signum import fixtures
+from signum import fixtures, verdict
 from signum.fixtures import FIXTURES, _realize
 
 
@@ -63,6 +63,21 @@ def test_verdict_check_fails_on_an_edited_stated_inertia(monkeypatch):
     (outcome,) = [o for o in fixtures.verify(["PAT_P4"]) if o.check_id == "verdict"]
     assert not outcome.passed
     assert outcome.detail.startswith("witness replays as ") and "stated ((4, 0, 0)," in outcome.detail
+
+
+def test_verdict_check_wants_a_witness_for_does_not_require(monkeypatch):
+    """A does-not-require verdict with no witness pair attached fails its check.
+
+    PAT_HEX6's R5 takes its pair from the witness search and R8 from its
+    census, so both find nothing here.
+    """
+    (outcome,) = [o for o in fixtures.verify(["PAT_HEX6"]) if o.check_id == "verdict"]
+    assert outcome.passed
+    monkeypatch.setattr(verdict, "find_witness_pair", lambda facts, cfg=None: None)
+    monkeypatch.setattr(verdict, "_widest_gap_pair", lambda mats, method, detail: None)
+    (outcome,) = [o for o in fixtures.verify(["PAT_HEX6"]) if o.check_id == "verdict"]
+    assert not outcome.passed
+    assert outcome.detail == "no witness pair attached"
 
 
 def test_one_builder_binds_its_predicate_arguments_at_the_call():

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import time
 import warnings
@@ -22,6 +23,7 @@ from signum.patterns import (
     Transposition,
     apply_equivalence,
     p_minus,
+    parse_pattern,
 )
 from signum.spectra import (
     SampleConfig,
@@ -408,6 +410,34 @@ def test_witness_pair_matrices_in_class(pat):
     assert pair is not None
     for mat in (pair.a, pair.b):
         assert np.array_equal(np.sign(np.asarray(mat)).astype(int), p.to_array())
+
+
+def looped_paths():
+    """Every order-3 and order-4 path with a + loop at vertex 1, over every arc sign: 80."""
+    for n in (3, 4):
+        arcs = [(i, i + 1) for i in range(n - 1)] + [(i + 1, i) for i in range(n - 1)]
+        for signs in itertools.product((1, -1), repeat=len(arcs)):
+            rows = [[0] * n for _ in range(n)]
+            rows[0][0] = 1
+            for (i, j), sign in zip(arcs, signs):
+                rows[i][j] = sign
+            yield SignPattern.from_rows(rows)
+
+
+def test_witness_pairs_of_looped_paths_realize_the_pattern():
+    """Path probes fill only a path's edges, so they do not realize a looped path."""
+    patterns = list(looped_paths())
+    assert len(patterns) == 80
+    sampled = []
+    for p in patterns:
+        pair = find_witness_pair(PatternAnalysis(p), SampleConfig(trials=200))
+        if pair is None:
+            continue
+        for mat in (pair.a, pair.b):
+            assert np.array_equal(np.sign(mat).astype(int), p.to_array()), p.to_text()
+        if pair.method == "sampled":
+            sampled.append(p)
+    assert parse_pattern("+ + 0 0\n+ 0 + 0\n0 + 0 +\n0 0 - 0") in sampled
 
 
 def test_tree_spectrum_symmetry():
